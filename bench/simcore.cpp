@@ -42,8 +42,6 @@
 
 #include "harness/bench_json.hpp"
 #include "harness/experiment.hpp"
-#include "harness/parsim.hpp"
-#include "harness/transfer.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "sim/event.hpp"
@@ -631,50 +629,6 @@ int runJsonDriver(const std::string& out_path, std::uint64_t requests,
   std::cerr << "  steady-state allocs: " << steady_allocs << " over "
             << steady_events << " forwarded events\n";
 
-  // Parallel-engine overhead probe (DESIGN.md §14): the same seeded
-  // transfer on the serial engine vs the parallel harness collapsed to one
-  // region and one worker.  Recovery links are lossless so both engines run
-  // the exact same workload (identical loss draws, identical event
-  // pattern); the wall ratio is pure engine overhead — the ISSUE's <= 5%
-  // single-shard criterion.
-  harness::TransferConfig parsim_config;
-  parsim_config.protocol = harness::ProtocolKind::kRp;
-  parsim_config.num_packets = 400;
-  parsim_config.loss_prob = 0.10;
-  parsim_config.lossy_recovery = false;
-  parsim_config.seed = 20030401;
-  const net::Topology parsim_topo = makeTopology(200, 9);
-  harness::ParsimConfig single_region;
-  single_region.target_regions = 1;
-  single_region.workers = 1;
-  double serial_transfer_ms = 0.0;
-  double parsim_transfer_ms = 0.0;
-  std::uint64_t parsim_events = 0;
-  for (unsigned r = 0; r < repeats; ++r) {
-    const double sm = wallMs(
-        [&] { (void)harness::runTransfer(parsim_topo, parsim_config); });
-    double pm = 0.0;
-    {
-      harness::ParsimReport report;
-      pm = wallMs([&] {
-        report =
-            harness::runParallelTransfer(parsim_topo, parsim_config,
-                                         single_region);
-      });
-      parsim_events = report.events;
-    }
-    serial_transfer_ms = r == 0 ? sm : std::min(serial_transfer_ms, sm);
-    parsim_transfer_ms = r == 0 ? pm : std::min(parsim_transfer_ms, pm);
-  }
-  const double single_region_overhead =
-      serial_transfer_ms > 0.0
-          ? parsim_transfer_ms / serial_transfer_ms - 1.0
-          : 0.0;
-  std::cerr << "  parsim single-region: serial " << serial_transfer_ms
-            << " ms vs parallel(1 region, 1 worker) " << parsim_transfer_ms
-            << " ms (" << 100.0 * single_region_overhead << "% overhead, "
-            << parsim_events << " events)\n";
-
   // End-to-end: seeded fig7-style experiment (all three protocols).
   const harness::ExperimentConfig config = fig7Config();
   double fig7_ms = 0.0;
@@ -716,13 +670,6 @@ int runJsonDriver(const std::string& out_path, std::uint64_t requests,
   out << "  \"steady_state_allocs\": {\"events\": " << steady_events
       << ", \"allocations\": " << steady_allocs
       << ", \"allocs_per_event\": " << allocs_per_event << "},\n";
-  out << "  \"parsim_single_region\": {\"nodes\": 200, \"packets\": "
-      << parsim_config.num_packets
-      << ", \"loss_prob\": " << parsim_config.loss_prob
-      << ", \"events\": " << parsim_events
-      << ", \"serial_wall_ms\": " << serial_transfer_ms
-      << ", \"parallel_wall_ms\": " << parsim_transfer_ms
-      << ", \"overhead\": " << single_region_overhead << "},\n";
   out << "  \"fig7_sweep\": {\"nodes\": " << config.num_nodes
       << ", \"loss_prob\": " << config.loss_prob
       << ", \"packets\": " << config.num_packets

@@ -88,10 +88,9 @@
 //       Sharded parallel engine sweep (DESIGN.md §14): one seeded transfer
 //       replayed at each worker count over the FIXED canonical region set.
 //       Gates (exit 1 on failure): every worker count's report bit-identical
-//       to the 1-worker run, and the transfer complete.  Also times the
-//       serial engine and a single-region parallel run (engine overhead).
-//       Speedups are recorded, not gated — CI gates them only on multi-core
-//       runners (the JSON records hardware_concurrency honestly).
+//       to the 1-worker run, and the transfer complete.  Speedups are
+//       recorded, not gated — CI gates them only on multi-core runners (the
+//       JSON records hardware_concurrency honestly).
 //
 //   rmrn_cli config [--out file]
 //       Print (or write) a complete default experiment config to edit.
@@ -1185,29 +1184,6 @@ int cmdParsim(const util::Flags& flags) {
         .count();
   };
 
-  // Serial engine baseline and the single-region parallel run it is compared
-  // against (the engine-overhead probe; bench/simcore carries the gated
-  // lossless-recovery version of this comparison).
-  double serial_wall_ms = 0.0;
-  for (unsigned r = 0; r < repeats; ++r) {
-    const double ms = wallOf([&] {
-      const harness::TransferReport report = harness::runTransfer(topo, config);
-      if (!report.complete) throw std::runtime_error("serial run incomplete");
-    });
-    serial_wall_ms = r == 0 ? ms : std::min(serial_wall_ms, ms);
-  }
-  harness::ParsimConfig single;
-  single.target_regions = 1;
-  single.workers = 1;
-  double single_wall_ms = 0.0;
-  for (unsigned r = 0; r < repeats; ++r) {
-    const double ms = wallOf(
-        [&] { (void)harness::runParallelTransfer(topo, config, single); });
-    single_wall_ms = r == 0 ? ms : std::min(single_wall_ms, ms);
-  }
-  const double single_region_overhead =
-      serial_wall_ms > 0.0 ? single_wall_ms / serial_wall_ms - 1.0 : 0.0;
-
   // Worker sweep over the FIXED canonical region set: the worker count only
   // changes which thread advances a region, so every report must be
   // bit-identical to the 1-worker run (DESIGN.md §14).
@@ -1268,9 +1244,6 @@ int cmdParsim(const util::Flags& flags) {
   json << "  \"epochs\": " << base.report.epochs << ",\n";
   json << "  \"handoffs\": " << base.report.handoffs << ",\n";
   json << "  \"events\": " << base.report.events << ",\n";
-  json << "  \"serial_wall_ms\": " << serial_wall_ms << ",\n";
-  json << "  \"single_region_wall_ms\": " << single_wall_ms << ",\n";
-  json << "  \"single_region_overhead\": " << single_region_overhead << ",\n";
   json << "  \"sweep\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
@@ -1309,12 +1282,6 @@ int cmdParsim(const util::Flags& flags) {
               << harness::TextTable::num(base.report.lookahead_ms)
               << " ms, " << base.report.epochs << " epochs, "
               << base.report.handoffs << " handoffs\n";
-    std::cout << "serial engine: "
-              << harness::TextTable::num(serial_wall_ms)
-              << " ms; single-region parallel: "
-              << harness::TextTable::num(single_wall_ms) << " ms ("
-              << harness::TextTable::num(100.0 * single_region_overhead, 1)
-              << "% overhead)\n";
     harness::TextTable table({"workers", "lanes", "wall (ms)", "events/sec",
                               "speedup", "identical"});
     for (const Row& row : rows) {

@@ -1,21 +1,16 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <unordered_set>
 
 #include "core/auditor.hpp"
-#include "metrics/recovery_metrics.hpp"
+#include "harness/world.hpp"
 #include "net/routing.hpp"
-#include "protocols/rma_protocol.hpp"
-#include "sim/loss_process.hpp"
-#include "sim/network.hpp"
-#include "sim/simulator.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rmrn::harness {
 
@@ -26,108 +21,54 @@ constexpr std::uint64_t kTopologyStream = 1;
 constexpr std::uint64_t kDataLossStream = 2;
 constexpr std::uint64_t kProtocolStreamBase = 100;
 
-// Watchdog default for link-chaos runs whose caller did not pick a deadline:
-// long enough to ride out transient flaps/partitions, short enough that a
-// permanently partitioned session still terminates well within the run.
-constexpr double kChaosSessionDeadlineMs = 10000.0;
-
 ProtocolResult runOneProtocol(const ExperimentConfig& config,
                               ProtocolKind kind, const net::Topology& topology,
                               const net::Routing& routing,
                               const core::RpPlanner& planner,
                               const std::vector<sim::LinkLossPattern>& losses,
                               const util::Rng& root_rng) {
-  sim::Simulator simulator;
   const double recovery_loss = config.lossy_recovery ? config.loss_prob : 0.0;
-  sim::SimNetwork network(
-      simulator, topology, routing, recovery_loss,
+  World world(
+      topology, routing, recovery_loss,
       root_rng.fork(kProtocolStreamBase + static_cast<std::uint64_t>(kind)));
-  metrics::RecoveryMetrics recovery;
-  network.enableLinkAccounting(true);
+  world.network.enableLinkAccounting(true);
 
   // Faulted runs need the adaptive health machinery or dead peers would be
   // retried with static timeouts forever; fault-free runs keep the caller's
   // (default: legacy, bit-identical) behavior.
-  protocols::ProtocolConfig proto_config = config.protocol;
+  protocols::ProtocolConfig proto_config =
+      withChaosDeadline(config.protocol, &config.faults);
   if (!config.faults.empty()) proto_config.health.enabled = true;
-  // Link chaos can strand a session forever (permanent partition + schemes
-  // that re-request indefinitely); the watchdog guarantees bounded-time
-  // termination unless the caller pinned a deadline explicitly.
-  if (config.faults.hasLinkChaos() &&
-      proto_config.session_deadline_ms == 0.0) {
-    proto_config.session_deadline_ms = kChaosSessionDeadlineMs;
-  }
 
-  std::unique_ptr<protocols::RecoveryProtocol> protocol;
-  std::unique_ptr<core::RpPlanner> degenerate_planner;
-  switch (kind) {
-    case ProtocolKind::kRp:
-      protocol = std::make_unique<protocols::RpProtocol>(
-          network, recovery, proto_config, planner, config.rp_source_mode);
-      break;
-    case ProtocolKind::kSourceDirect: {
-      core::PlannerOptions direct = config.rp_planner;
-      direct.max_list_length = 0;  // empty peer lists: straight to the source
-      degenerate_planner =
-          std::make_unique<core::RpPlanner>(topology, routing, direct);
-      protocol = std::make_unique<protocols::RpProtocol>(
-          network, recovery, proto_config, *degenerate_planner,
-          config.rp_source_mode);
-      break;
-    }
-    case ProtocolKind::kSrm:
-      protocol = std::make_unique<protocols::SrmProtocol>(
-          network, recovery, proto_config, config.srm,
-          root_rng.fork(kProtocolStreamBase + 50 +
-                        static_cast<std::uint64_t>(kind)));
-      break;
-    case ProtocolKind::kRma:
-      protocol = std::make_unique<protocols::RmaProtocol>(network, recovery,
-                                                          proto_config);
-      break;
-    case ProtocolKind::kParityFec:
-      protocol = std::make_unique<protocols::ParityProtocol>(
-          network, recovery, proto_config, config.parity);
-      break;
-    case ProtocolKind::kCodedRlc:
-      // The coefficient RNG lives in its own substream: runs without the
-      // coded arm never draw from it, so legacy results stay bit-identical.
-      protocol = std::make_unique<protocols::CodedProtocol>(
-          network, recovery, proto_config, config.coded,
-          root_rng.fork(kProtocolStreamBase + 60 +
-                        static_cast<std::uint64_t>(kind)));
-      break;
-  }
-  protocol->attach();
-
-  // The injector must outlive simulator.run(): its armed events capture it.
-  std::unique_ptr<sim::FaultInjector> injector;
-  if (!config.faults.empty()) {
-    injector = std::make_unique<sim::FaultInjector>(network, config.faults);
-    injector->setFaultHandler([&protocol](const sim::FaultEvent& event) {
-      // Crash = fail-stop: the protocol abandons the victim's sessions and
-      // its pending losses stop counting against reliability.
-      if (event.kind == sim::FaultKind::kCrash) {
-        protocol->clientCrashed(event.node);
-      }
-    });
-    injector->arm();
-  }
-
-  for (std::uint32_t i = 0; i < config.num_packets; ++i) {
-    simulator.scheduleAt(
-        static_cast<double>(i) * config.data_interval_ms,
-        [&protocol, &losses, i] { protocol->sourceMulticast(i, losses[i]); });
-  }
-  simulator.run();
+  // SRC plans its own empty peer lists; RP uses the run's shared planner.
+  const std::unique_ptr<core::RpPlanner> source_direct =
+      kind == ProtocolKind::kSourceDirect
+          ? buildPlanner(kind, topology, routing, config.rp_planner,
+                         proto_config)
+          : nullptr;
+  // Scheme draws (SRM timers, coded coefficients) get their own substream:
+  // arms that never draw leave every other arm's results bit-identical.
+  const std::uint64_t protocol_stream =
+      kProtocolStreamBase + (kind == ProtocolKind::kSrm ? 50 : 60) +
+      static_cast<std::uint64_t>(kind);
+  world.buildProtocol({kind, proto_config, config.srm, config.parity,
+                       config.coded, config.rp_source_mode},
+                      source_direct ? source_direct.get() : &planner,
+                      root_rng.fork(protocol_stream));
+  if (!config.faults.empty()) world.armFaults(config.faults);
+  world.scheduleData(losses, config.data_interval_ms);
+  world.simulator.run();
   // Liveness sweep: with the watchdog on, every detected loss must have
   // terminated (recovered or explicitly abandoned) and no session may
   // remain open.
-  protocol->finalizeRun();
+  world.protocol->finalizeRun();
 
+  const sim::SimNetwork& network = world.network;
+  const metrics::RecoveryMetrics& recovery = world.recovery;
+  const protocols::RecoveryProtocol* protocol = world.protocol.get();
   ProtocolResult result;
   result.kind = kind;
-  result.events_processed = simulator.eventsProcessed();
+  result.events_processed = world.simulator.eventsProcessed();
   result.losses = recovery.losses();
   result.recoveries = recovery.recoveries();
   result.avg_latency_ms = recovery.latency().mean();
@@ -155,11 +96,11 @@ ProtocolResult runOneProtocol(const ExperimentConfig& config,
   result.duplicate_sessions = protocol->duplicateSessions();
   result.abandoned_sessions = recovery.abandonedSessions();
   if (const auto* parity =
-          dynamic_cast<const protocols::ParityProtocol*>(protocol.get())) {
+          dynamic_cast<const protocols::ParityProtocol*>(protocol)) {
     result.source_repair_multicasts = parity->paritiesSent();
     result.fec_nacks_sent = parity->nacksSent();
   } else if (const auto* coded = dynamic_cast<const protocols::CodedProtocol*>(
-                 protocol.get())) {
+                 protocol)) {
     result.source_repair_multicasts = coded->codedRepairsSent();
     result.fec_nacks_sent = coded->nacksSent();
   }
@@ -169,8 +110,8 @@ ProtocolResult runOneProtocol(const ExperimentConfig& config,
   // bug.  Crashed clients carry no obligation and are skipped.
   if (network.chaosEnabled()) {
     std::unordered_set<net::NodeId> crashed;
-    if (injector) {
-      for (const sim::FaultEvent& event : injector->schedule()) {
+    if (world.injector) {
+      for (const sim::FaultEvent& event : world.injector->schedule()) {
         if (event.kind == sim::FaultKind::kCrash) crashed.insert(event.node);
       }
     }
@@ -194,7 +135,7 @@ ProtocolResult runOneProtocol(const ExperimentConfig& config,
   // satisfy the paper's lemmas with the dead peers excluded.
   if (config.audit_failover_plans && kind == ProtocolKind::kRp) {
     if (const auto* rp =
-            dynamic_cast<const protocols::RpProtocol*>(protocol.get())) {
+            dynamic_cast<const protocols::RpProtocol*>(protocol)) {
       const core::PlanAuditor auditor(topology, routing);
       const core::AuditOptions audit_options =
           core::AuditOptions::fromPlanner(planner);
@@ -235,33 +176,13 @@ ExperimentResult runExperiment(const ExperimentConfig& config,
   const net::Topology topology = net::generateTopology(topo_config, topo_rng);
   const net::Routing routing(topology.graph);
 
-  // Identical data-loss draws for every protocol (DESIGN.md §6), drawn
-  // from the configured loss process (i.i.d. by default, Gilbert-Elliott
-  // bursts when mean_burst_packets > 1).
-  std::unique_ptr<sim::LossProcess> loss_process;
-  if (config.mean_burst_packets > 1.0 && config.loss_prob > 0.0) {
-    loss_process = std::make_unique<sim::GilbertElliottLossProcess>(
-        topology.tree.numMembers(),
-        sim::GilbertElliottConfig::calibrate(config.loss_prob,
-                                             config.mean_burst_packets),
-        root.fork(kDataLossStream));
-  } else {
-    loss_process = std::make_unique<sim::BernoulliLossProcess>(
-        topology.tree.numMembers(), config.loss_prob,
-        root.fork(kDataLossStream));
-  }
-  std::vector<sim::LinkLossPattern> losses(config.num_packets);
-  for (auto& pattern : losses) pattern = loss_process->nextPattern();
-
-  // Unless the caller pinned a planning timeout, plan against the
-  // protocol's actual RTT-scaled waits.
-  core::PlannerOptions planner_options = config.rp_planner;
-  if (planner_options.timeout_ms == 0.0 &&
-      planner_options.per_peer_timeout_factor == 0.0) {
-    planner_options.per_peer_timeout_factor = config.protocol.timeout_factor;
-    planner_options.min_timeout_ms = config.protocol.min_timeout_ms;
-  }
-  const core::RpPlanner planner(topology, routing, planner_options);
+  // Identical data-loss draws for every protocol (DESIGN.md §6).
+  const std::vector<sim::LinkLossPattern> losses = drawLossPatterns(
+      topology, config.loss_prob, config.mean_burst_packets,
+      config.num_packets, root.fork(kDataLossStream));
+  const std::unique_ptr<core::RpPlanner> planner =
+      buildPlanner(ProtocolKind::kRp, topology, routing, config.rp_planner,
+                   config.protocol);
 
   ExperimentResult result;
   result.num_nodes = config.num_nodes;
@@ -275,7 +196,7 @@ ExperimentResult runExperiment(const ExperimentConfig& config,
           .count();
   for (const ProtocolKind kind : kinds) {
     result.protocols.push_back(runOneProtocol(config, kind, topology, routing,
-                                              planner, losses, root));
+                                              *planner, losses, root));
   }
   result.sim_wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - sim_start)
@@ -360,50 +281,25 @@ ExperimentResult aggregate(std::vector<ExperimentResult> results) {
 ExperimentResult runAveragedExperiment(const ExperimentConfig& config,
                                        std::uint32_t runs,
                                        std::span<const ProtocolKind> kinds) {
-  if (runs == 0) {
-    throw std::invalid_argument("runAveragedExperiment: runs must be > 0");
-  }
-  std::vector<ExperimentResult> results(runs);
-  for (std::uint32_t r = 0; r < runs; ++r) {
-    ExperimentConfig run_config = config;
-    run_config.seed = config.seed + r;
-    results[r] = runExperiment(run_config, kinds);
-  }
-  return aggregate(std::move(results));
+  return runAveragedExperimentParallel(config, runs, kinds, 1);
 }
 
 ExperimentResult runAveragedExperimentParallel(
     const ExperimentConfig& config, std::uint32_t runs,
     std::span<const ProtocolKind> kinds, unsigned threads) {
   if (runs == 0) {
-    throw std::invalid_argument(
-        "runAveragedExperimentParallel: runs must be > 0");
+    throw std::invalid_argument("runAveragedExperiment: runs must be > 0");
   }
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads <= 1 || runs == 1) {
-    return runAveragedExperiment(config, runs, kinds);
-  }
-  threads = std::min<unsigned>(threads, runs);
-
-  // Static work queue: each worker claims the next seed index.  Per-seed
-  // experiments share nothing (every run builds its own topology, RNG tree
-  // and simulator), so no synchronization beyond the claim counter is
-  // needed.
+  // Per-seed experiments share nothing (every run builds its own topology,
+  // RNG tree and simulator) and each writes its own slot, so the seed-order
+  // aggregate is identical for any thread count.
   std::vector<ExperimentResult> results(runs);
-  std::atomic<std::uint32_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::uint32_t r = next.fetch_add(1, std::memory_order_relaxed);
-      if (r >= runs) return;
-      ExperimentConfig run_config = config;
-      run_config.seed = config.seed + r;
-      results[r] = runExperiment(run_config, kinds);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
+  util::ThreadPool pool(std::min(util::resolveThreadCount(threads), runs));
+  pool.parallelFor(0, runs, [&](std::size_t r) {
+    ExperimentConfig run_config = config;
+    run_config.seed = config.seed + r;
+    results[r] = runExperiment(run_config, kinds);
+  });
   return aggregate(std::move(results));
 }
 

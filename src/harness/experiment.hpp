@@ -196,10 +196,11 @@ struct ExperimentResult {
     const ExperimentConfig& config, std::uint32_t runs,
     std::span<const ProtocolKind> kinds = kAllProtocols);
 
-/// Same semantics, fanning the independent repetitions out over `threads`
-/// worker threads (0 = hardware concurrency).  Runs are deterministic per
-/// seed and aggregated in seed order, so the result is bit-identical to the
-/// sequential version.
+/// Same semantics, fanning the independent repetitions out over a
+/// util::ThreadPool of `threads` lanes (0 = hardware concurrency; clamped to
+/// the hardware and to `runs`).  Runs are deterministic per seed and
+/// aggregated in seed order, so the result is bit-identical to the
+/// sequential version, which is the one-thread case.
 [[nodiscard]] ExperimentResult runAveragedExperimentParallel(
     const ExperimentConfig& config, std::uint32_t runs,
     std::span<const ProtocolKind> kinds = kAllProtocols,

@@ -5,38 +5,23 @@
 #include <stdexcept>
 #include <vector>
 
-#include "metrics/recovery_metrics.hpp"
+#include "harness/world.hpp"
 #include "net/routing.hpp"
-#include "protocols/coded_protocol.hpp"
-#include "protocols/parity_protocol.hpp"
-#include "protocols/rma_protocol.hpp"
-#include "protocols/rp_protocol.hpp"
-#include "protocols/srm_protocol.hpp"
-#include "sim/loss_process.hpp"
-#include "sim/network.hpp"
 #include "sim/parallel_engine.hpp"
 #include "sim/region_map.hpp"
-#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn::harness {
 namespace {
 
-/// One region's private simulation world.  Everything here is touched by at
-/// most one pool thread per epoch; regions share only immutable structures
-/// (topology, routing, the pre-drawn patterns) and the engine's mailboxes.
-struct RegionWorld {
-  std::unique_ptr<sim::Simulator> simulator;
-  std::unique_ptr<sim::SimNetwork> network;
-  std::unique_ptr<metrics::RecoveryMetrics> recovery;
-  std::unique_ptr<core::RpPlanner> planner;
-  std::unique_ptr<protocols::RecoveryProtocol> protocol;
-  std::unique_ptr<sim::FaultInjector> injector;
-};
-
-/// Chaos sessions need the liveness watchdog to terminate (mirrors the
-/// serial harness' deadline default for link-chaos plans).
-constexpr double kChaosSessionDeadlineMs = 10000.0;
+// Substream keys under a region's root RNG.  Region 0 uses the run's root
+// itself, so a single-region run draws exactly what the serial transfer
+// harness always drew; region r >= 1 roots at kRegionStreamBase + r.
+constexpr std::uint64_t kNetworkStream = 1;
+constexpr std::uint64_t kSrmStream = 2;
+constexpr std::uint64_t kDataLossStream = 3;
+constexpr std::uint64_t kCodedStream = 4;
+constexpr std::uint64_t kRegionStreamBase = 0x7000;
 
 }  // namespace
 
@@ -48,129 +33,57 @@ ParsimReport runParallelTransfer(const net::Topology& topology,
     throw std::invalid_argument(
         "runParallelTransfer: need at least one packet");
   }
-  TransferConfig cfg = config;
-  if (faults != nullptr && faults->hasLinkChaos() &&
-      cfg.protocol_config.session_deadline_ms == 0.0) {
-    cfg.protocol_config.session_deadline_ms = kChaosSessionDeadlineMs;
-  }
+  const protocols::ProtocolConfig protocol =
+      withChaosDeadline(config.protocol_config, faults);
+  const Scheme scheme{config.protocol, protocol,     config.srm,
+                      config.parity,   config.coded, config.rp_source_mode};
 
-  util::Rng root(cfg.seed);
+  const util::Rng root(config.seed);
   const net::Routing routing(topology.graph);
   const sim::RegionMap regions(topology, parallel.target_regions);
   const std::uint32_t num_regions = regions.numRegions();
-  sim::ParallelEngine engine(regions, parallel.workers,
-                             parallel.mailbox_capacity);
+  sim::ParallelEngine engine(regions, parallel.workers);
 
-  // Pre-draw every data-loss pattern in the serial draw order (the serial
-  // harness' fork(3) stream, one pattern per seq) so all regions share the
-  // exact same ground truth, then stage them identically everywhere.
-  std::unique_ptr<sim::LossProcess> loss_process;
-  if (cfg.mean_burst_packets > 1.0 && cfg.loss_prob > 0.0) {
-    loss_process = std::make_unique<sim::GilbertElliottLossProcess>(
-        topology.tree.numMembers(),
-        sim::GilbertElliottConfig::calibrate(cfg.loss_prob,
-                                             cfg.mean_burst_packets),
-        root.fork(3));
-  } else {
-    loss_process = std::make_unique<sim::BernoulliLossProcess>(
-        topology.tree.numMembers(), cfg.loss_prob, root.fork(3));
-  }
-  std::vector<sim::LinkLossPattern> patterns;
-  patterns.reserve(cfg.num_packets);
-  for (std::uint32_t seq = 0; seq < cfg.num_packets; ++seq) {
-    patterns.push_back(loss_process->nextPattern());
-  }
+  // Every region stages the identical data-loss ground truth, drawn once in
+  // sequence order.
+  const std::vector<sim::LinkLossPattern> patterns = drawLossPatterns(
+      topology, config.loss_prob, config.mean_burst_packets,
+      config.num_packets, root.fork(kDataLossStream));
+  // One planner serves every region: plans are immutable after build
+  // (DESIGN.md §12), so concurrent regions read and replanExcluding() it
+  // without synchronization.
+  const std::unique_ptr<core::RpPlanner> planner =
+      buildPlanner(config.protocol, topology, routing, config.rp_planner,
+                   protocol);
+  const std::uint64_t protocol_stream =
+      config.protocol == ProtocolKind::kSrm ? kSrmStream : kCodedStream;
 
-  const double recovery_loss = cfg.lossy_recovery ? cfg.loss_prob : 0.0;
-  std::vector<RegionWorld> worlds(num_regions);
+  const double recovery_loss = config.lossy_recovery ? config.loss_prob : 0.0;
+  std::vector<std::unique_ptr<World>> worlds;
+  worlds.reserve(num_regions);
   for (std::uint32_t r = 0; r < num_regions; ++r) {
-    RegionWorld& world = worlds[r];
-    // Per-region substreams, keyed canonically by region id: the draws a
+    // Per-region substreams are keyed canonically by region id: the draws a
     // region makes depend only on (seed, region), never on worker count.
-    util::Rng region_root = root.fork(0x7000u + r);
-    world.simulator = std::make_unique<sim::Simulator>();
-    world.network = std::make_unique<sim::SimNetwork>(
-        *world.simulator, topology, routing, recovery_loss,
-        region_root.fork(1));
-    world.network->enableShardMode(regions, r, &engine.outboxFor(r));
+    const util::Rng region_root =
+        r == 0 ? root : root.fork(kRegionStreamBase + r);
+    World& world = *worlds.emplace_back(std::make_unique<World>(
+        topology, routing, recovery_loss, region_root.fork(kNetworkStream)));
+    world.network.enableShardMode(regions, r, &engine.outboxFor(r));
     for (const sim::LinkLossPattern& pattern : patterns) {
-      world.network->stageLossPattern(pattern);
+      world.network.stageLossPattern(pattern);
     }
-    world.recovery = std::make_unique<metrics::RecoveryMetrics>();
-
-    switch (cfg.protocol) {
-      case ProtocolKind::kRp:
-      case ProtocolKind::kSourceDirect: {
-        core::PlannerOptions options = cfg.rp_planner;
-        if (cfg.protocol == ProtocolKind::kSourceDirect) {
-          options.max_list_length = 0;
-        } else if (options.timeout_ms == 0.0 &&
-                   options.per_peer_timeout_factor == 0.0) {
-          options.per_peer_timeout_factor = cfg.protocol_config.timeout_factor;
-          options.min_timeout_ms = cfg.protocol_config.min_timeout_ms;
-        }
-        // Per-region planner replica: plans are a pure function of
-        // (topology, routing, options), so every region derives identical
-        // strategies without sharing mutable planner state across threads.
-        world.planner =
-            std::make_unique<core::RpPlanner>(topology, routing, options);
-        world.protocol = std::make_unique<protocols::RpProtocol>(
-            *world.network, *world.recovery, cfg.protocol_config,
-            *world.planner, cfg.rp_source_mode);
-        break;
-      }
-      case ProtocolKind::kSrm:
-        world.protocol = std::make_unique<protocols::SrmProtocol>(
-            *world.network, *world.recovery, cfg.protocol_config, cfg.srm,
-            region_root.fork(2));
-        break;
-      case ProtocolKind::kRma:
-        world.protocol = std::make_unique<protocols::RmaProtocol>(
-            *world.network, *world.recovery, cfg.protocol_config);
-        break;
-      case ProtocolKind::kParityFec:
-        world.protocol = std::make_unique<protocols::ParityProtocol>(
-            *world.network, *world.recovery, cfg.protocol_config, cfg.parity);
-        break;
-      case ProtocolKind::kCodedRlc:
-        world.protocol = std::make_unique<protocols::CodedProtocol>(
-            *world.network, *world.recovery, cfg.protocol_config, cfg.coded,
-            region_root.fork(4));
-        break;
-    }
-    world.protocol->attach();
-
-    if (faults != nullptr && !faults->empty()) {
-      // Every region replays the identical schedule on its own network
-      // replica (schedules are a pure function of plan and topology); only
-      // the victim's own region tells its protocol about a crash.
-      world.injector =
-          std::make_unique<sim::FaultInjector>(*world.network, *faults);
-      protocols::RecoveryProtocol* proto = world.protocol.get();
-      sim::SimNetwork* network = world.network.get();
-      world.injector->setFaultHandler(
-          [proto, network](const sim::FaultEvent& event) {
-            if (event.kind == sim::FaultKind::kCrash &&
-                network->isShardLocal(event.node)) {
-              proto->clientCrashed(event.node);
-            }
-          });
-      world.injector->arm();
-    }
-
-    protocols::RecoveryProtocol* proto = world.protocol.get();
-    for (std::uint32_t seq = 0; seq < cfg.num_packets; ++seq) {
-      world.simulator->scheduleAt(
-          static_cast<double>(seq) * cfg.packet_interval_ms,
-          [proto, &patterns, seq] {
-            proto->sourceMulticast(seq, patterns[seq]);
-          });
-    }
-    engine.attach(r, world.simulator.get(), world.network.get());
+    world.buildProtocol(scheme, planner.get(),
+                        region_root.fork(protocol_stream));
+    // Every region replays the identical fault schedule on its own network
+    // replica (schedules are a pure function of plan and topology); only
+    // the victim's own region tells its protocol about a crash.
+    if (faults != nullptr && !faults->empty()) world.armFaults(*faults);
+    world.scheduleData(patterns, config.packet_interval_ms);
+    engine.attach(r, &world.simulator, &world.network);
   }
 
   const sim::ParallelEngine::Stats stats = engine.run();
-  for (const RegionWorld& world : worlds) world.protocol->finalizeRun();
+  for (const auto& world : worlds) world->protocol->finalizeRun();
 
   ParsimReport report;
   report.regions = stats.regions;
@@ -184,18 +97,20 @@ ParsimReport runParallelTransfer(const net::Topology& topology,
   // worker-count independent.
   TransferReport& transfer = report.transfer;
   metrics::Accumulator latency;
-  for (const RegionWorld& world : worlds) {
-    transfer.losses += world.recovery->losses();
-    transfer.recoveries += world.recovery->recoveries();
-    latency.merge(world.recovery->latency());
-    transfer.data_hops += world.network->stats().data_hops;
-    transfer.recovery_hops += world.network->stats().recovery_hops;
-    report.retries += world.recovery->retries();
-    report.timeouts += world.recovery->timeouts();
-    report.abandoned += world.recovery->abandoned();
-    report.abandoned_sessions += world.recovery->abandonedSessions();
-    report.chaos_link_drops += world.network->stats().chaos_link_drops;
-    report.duplicates_created += world.network->stats().duplicates_created;
+  for (const auto& world : worlds) {
+    const metrics::RecoveryMetrics& recovery = world->recovery;
+    const sim::NetworkStats& net_stats = world->network.stats();
+    transfer.losses += recovery.losses();
+    transfer.recoveries += recovery.recoveries();
+    latency.merge(recovery.latency());
+    transfer.data_hops += net_stats.data_hops;
+    transfer.recovery_hops += net_stats.recovery_hops;
+    report.retries += recovery.retries();
+    report.timeouts += recovery.timeouts();
+    report.abandoned += recovery.abandoned();
+    report.abandoned_sessions += recovery.abandonedSessions();
+    report.chaos_link_drops += net_stats.chaos_link_drops;
+    report.duplicates_created += net_stats.duplicates_created;
   }
   transfer.avg_recovery_latency_ms = latency.mean();
   transfer.recovery_latency = latency.summarize();
@@ -204,26 +119,16 @@ ParsimReport runParallelTransfer(const net::Topology& topology,
                           : static_cast<double>(transfer.recovery_hops) /
                                 static_cast<double>(transfer.data_hops);
 
-  const double last_send =
-      static_cast<double>(cfg.num_packets - 1) * cfg.packet_interval_ms;
+  // Each client's completion comes from the region that simulates it.
   transfer.complete = true;
   for (const net::NodeId c : topology.clients) {
-    const RegionWorld& world = worlds[regions.regionOf(c)];
-    bool all_held = true;
-    std::size_t client_losses = 0;
-    for (std::uint32_t seq = 0; seq < cfg.num_packets; ++seq) {
-      all_held = all_held && world.protocol->hasPacket(c, seq);
-      if (world.recovery->wasLost(c, seq)) ++client_losses;
-    }
-    transfer.complete = transfer.complete && all_held;
-    const double arrival = last_send + world.network->treeArrivalDelay(c);
-    const double completed =
-        std::max(arrival, world.recovery->lastRecoveryTime(c));
-    transfer.completions.push_back({c, completed, client_losses});
-    transfer.duration_ms = std::max(transfer.duration_ms, completed);
+    bool holds_all = false;
+    const ClientCompletion done = worlds[regions.regionOf(c)]->completion(
+        c, config.num_packets, config.packet_interval_ms, holds_all);
+    transfer.complete = transfer.complete && holds_all;
+    transfer.duration_ms = std::max(transfer.duration_ms, done.completed_at_ms);
+    transfer.completions.push_back(done);
   }
-  // topology.clients is sorted, so completions already are; keep the serial
-  // harness' explicit sort for belt and braces.
   std::sort(transfer.completions.begin(), transfer.completions.end(),
             [](const ClientCompletion& a, const ClientCompletion& b) {
               return a.client < b.client;

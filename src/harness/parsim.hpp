@@ -1,16 +1,21 @@
-// Parallel reliable-transfer harness: the runTransfer() workload on the
-// conservative sharded engine (sim/parallel_engine.hpp, DESIGN.md §14).
+// Reliable-transfer harness on the conservative sharded engine
+// (sim/parallel_engine.hpp, DESIGN.md §14).
 //
 // The topology is split into a canonical region set (sim/RegionMap) that
 // depends only on (topology, target_regions) — never on the worker count —
-// and each region gets a full private world: Simulator, SimNetwork in shard
-// mode, RecoveryMetrics, protocol instance, and (under faults) its own
-// FaultInjector replica.  Workers only change which thread advances a
-// region, so a seeded run is bit-identical for any worker count; that is
-// the determinism contract the parsim tests and the CI parsim-smoke job
-// pin.  Results may differ from the serial runTransfer() when recovery
-// traffic consumes RNG draws (per-region substreams), but match it exactly
-// when recovery links are lossless — see ParsimExactMatch in the tests.
+// and each region gets its own World (harness/world.hpp): Simulator,
+// SimNetwork in shard mode, RecoveryMetrics, protocol instance and, under
+// faults, its own FaultInjector replica.  Regions share the topology,
+// routing, the pre-drawn loss patterns and one RpPlanner.  Workers only
+// change which thread advances a region, so a seeded run is bit-identical
+// for any worker count; that is the determinism contract the parsim tests
+// pin.
+//
+// The serial runTransfer() is the single-region run: region 0 draws from
+// the same RNG substreams the serial harness always used, so a 1-region run
+// reproduces serial output bit for bit.  Regions r >= 1 draw from their own
+// per-region substreams, so with lossy recovery a multi-region run differs
+// from the serial one; with lossless recovery links it matches it exactly.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +32,6 @@ struct ParsimConfig {
   std::uint32_t target_regions = 8;
   /// Requested pool lanes (clamped to host concurrency; 0 = one per core).
   unsigned workers = 1;
-  /// SPSC mailbox ring capacity (overflow spills to a lock).
-  std::size_t mailbox_capacity = 1024;
 };
 
 struct ParsimReport {

@@ -1,145 +1,14 @@
 #include "harness/transfer.hpp"
 
-#include <algorithm>
-#include <memory>
-#include <stdexcept>
-#include <unordered_map>
-
-#include "metrics/recovery_metrics.hpp"
-#include "net/routing.hpp"
-#include "protocols/coded_protocol.hpp"
-#include "protocols/parity_protocol.hpp"
-#include "protocols/rma_protocol.hpp"
-#include "protocols/rp_protocol.hpp"
-#include "protocols/srm_protocol.hpp"
-#include "sim/loss_process.hpp"
-#include "sim/network.hpp"
-#include "sim/simulator.hpp"
-#include "util/rng.hpp"
+#include "harness/parsim.hpp"
 
 namespace rmrn::harness {
 
 TransferReport runTransfer(const net::Topology& topology,
                            const TransferConfig& config) {
-  if (config.num_packets == 0) {
-    throw std::invalid_argument("runTransfer: need at least one packet");
-  }
-  util::Rng root(config.seed);
-  const net::Routing routing(topology.graph);
-
-  sim::Simulator simulator;
-  const double recovery_loss =
-      config.lossy_recovery ? config.loss_prob : 0.0;
-  sim::SimNetwork network(simulator, topology, routing, recovery_loss,
-                          root.fork(1));
-  metrics::RecoveryMetrics recovery;
-
-  std::unique_ptr<core::RpPlanner> planner;
-  std::unique_ptr<protocols::RecoveryProtocol> protocol;
-  switch (config.protocol) {
-    case ProtocolKind::kRp:
-    case ProtocolKind::kSourceDirect: {
-      core::PlannerOptions options = config.rp_planner;
-      if (config.protocol == ProtocolKind::kSourceDirect) {
-        options.max_list_length = 0;
-      } else if (options.timeout_ms == 0.0 &&
-                 options.per_peer_timeout_factor == 0.0) {
-        options.per_peer_timeout_factor =
-            config.protocol_config.timeout_factor;
-        options.min_timeout_ms = config.protocol_config.min_timeout_ms;
-      }
-      planner = std::make_unique<core::RpPlanner>(topology, routing, options);
-      protocol = std::make_unique<protocols::RpProtocol>(
-          network, recovery, config.protocol_config, *planner,
-          config.rp_source_mode);
-      break;
-    }
-    case ProtocolKind::kSrm:
-      protocol = std::make_unique<protocols::SrmProtocol>(
-          network, recovery, config.protocol_config, config.srm,
-          root.fork(2));
-      break;
-    case ProtocolKind::kRma:
-      protocol = std::make_unique<protocols::RmaProtocol>(
-          network, recovery, config.protocol_config);
-      break;
-    case ProtocolKind::kParityFec:
-      protocol = std::make_unique<protocols::ParityProtocol>(
-          network, recovery, config.protocol_config, config.parity);
-      break;
-    case ProtocolKind::kCodedRlc:
-      protocol = std::make_unique<protocols::CodedProtocol>(
-          network, recovery, config.protocol_config, config.coded,
-          root.fork(4));
-      break;
-  }
-  protocol->attach();
-
-  // Data-loss draws.
-  std::unique_ptr<sim::LossProcess> loss_process;
-  if (config.mean_burst_packets > 1.0 && config.loss_prob > 0.0) {
-    loss_process = std::make_unique<sim::GilbertElliottLossProcess>(
-        topology.tree.numMembers(),
-        sim::GilbertElliottConfig::calibrate(config.loss_prob,
-                                             config.mean_burst_packets),
-        root.fork(3));
-  } else {
-    loss_process = std::make_unique<sim::BernoulliLossProcess>(
-        topology.tree.numMembers(), config.loss_prob, root.fork(3));
-  }
-
-  protocols::RecoveryProtocol* proto = protocol.get();
-  for (std::uint32_t seq = 0; seq < config.num_packets; ++seq) {
-    simulator.scheduleAt(
-        static_cast<double>(seq) * config.packet_interval_ms,
-        [proto, &loss_process, seq] {
-          proto->sourceMulticast(seq, loss_process->nextPattern());
-        });
-  }
-  simulator.run();
-
-  TransferReport report;
-  report.losses = recovery.losses();
-  report.recoveries = recovery.recoveries();
-  report.avg_recovery_latency_ms = recovery.latency().mean();
-  report.recovery_latency = recovery.latency().summarize();
-  report.data_hops = network.stats().data_hops;
-  report.recovery_hops = network.stats().recovery_hops;
-  report.overhead =
-      report.data_hops == 0
-          ? 0.0
-          : static_cast<double>(report.recovery_hops) /
-                static_cast<double>(report.data_hops);
-
-  // Per-client completion: the loss-free arrival of the last packet, or the
-  // last recovery, whichever is later.  Count per-client losses.
-  std::unordered_map<net::NodeId, std::size_t> losses_by_client;
-  for (const net::NodeId c : topology.clients) {
-    for (std::uint32_t seq = 0; seq < config.num_packets; ++seq) {
-      if (recovery.wasLost(c, seq)) ++losses_by_client[c];
-    }
-  }
-  const double last_send =
-      static_cast<double>(config.num_packets - 1) * config.packet_interval_ms;
-  report.complete = true;
-  for (const net::NodeId c : topology.clients) {
-    bool all_held = true;
-    for (std::uint32_t seq = 0; seq < config.num_packets; ++seq) {
-      all_held = all_held && protocol->hasPacket(c, seq);
-    }
-    report.complete = report.complete && all_held;
-    const double arrival = last_send + network.treeArrivalDelay(c);
-    const double completed =
-        std::max(arrival, recovery.lastRecoveryTime(c));
-    report.completions.push_back(
-        {c, completed, losses_by_client[c]});
-    report.duration_ms = std::max(report.duration_ms, completed);
-  }
-  std::sort(report.completions.begin(), report.completions.end(),
-            [](const ClientCompletion& a, const ClientCompletion& b) {
-              return a.client < b.client;
-            });
-  return report;
+  return runParallelTransfer(topology, config,
+                             {.target_regions = 1, .workers = 1})
+      .transfer;
 }
 
 }  // namespace rmrn::harness

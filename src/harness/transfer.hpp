@@ -58,7 +58,9 @@ struct TransferReport {
   std::vector<ClientCompletion> completions;  // sorted by client id
 };
 
-/// Runs one transfer over `topology`.  Deterministic in (topology, config).
+/// Runs one transfer over `topology`: the single-region, single-worker run
+/// of runParallelTransfer() (harness/parsim.hpp).  Deterministic in
+/// (topology, config).
 [[nodiscard]] TransferReport runTransfer(const net::Topology& topology,
                                          const TransferConfig& config);
 

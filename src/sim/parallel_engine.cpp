@@ -8,13 +8,12 @@
 namespace rmrn::sim {
 
 // rmrn-lint: init-phase
-ParallelEngine::ParallelEngine(const RegionMap& regions, unsigned workers,
-                               std::size_t mailbox_capacity)
+ParallelEngine::ParallelEngine(const RegionMap& regions, unsigned workers)
     : regions_(regions), pool_(workers) {
   const std::uint32_t r = regions_.numRegions();
   mailboxes_.reserve(static_cast<std::size_t>(r) * r);
   for (std::uint32_t i = 0; i < r * r; ++i) {
-    mailboxes_.push_back(std::make_unique<ShardMailbox>(mailbox_capacity));
+    mailboxes_.push_back(std::make_unique<ShardMailbox>(kMailboxCapacity));
   }
   outboxes_.reserve(r);
   for (std::uint32_t src = 0; src < r; ++src) {

@@ -48,12 +48,13 @@ class ParallelEngine {
     unsigned lanes = 0;  // pool execution lanes actually available
   };
 
+  /// Ring capacity of each SPSC mailbox; overflow spills to a lock, so the
+  /// capacity tunes performance, not correctness.
+  static constexpr std::size_t kMailboxCapacity = 1024;
+
   /// `workers` is the requested lane count (clamped by the pool to the
-  /// host's concurrency; 0 = one lane per core).  `mailbox_capacity` sizes
-  /// each SPSC ring; overflow spills to a lock, so capacity tunes
-  /// performance, not correctness.
-  ParallelEngine(const RegionMap& regions, unsigned workers,
-                 std::size_t mailbox_capacity = 1024);
+  /// host's concurrency; 0 = one lane per core).
+  ParallelEngine(const RegionMap& regions, unsigned workers);
 
   /// The outbox region `r`'s SimNetwork must emit into (enableShardMode).
   [[nodiscard]] ShardOutbox& outboxFor(std::uint32_t r);

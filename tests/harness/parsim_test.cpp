@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "completion_hash.hpp"
 #include "harness/transfer.hpp"
 #include "net/topology.hpp"
 #include "util/rng.hpp"
@@ -147,6 +148,78 @@ TEST(ParsimTest, MatchesSerialHarnessWhenRecoveryLossless) {
     EXPECT_EQ(parallel.transfer.completions[i].losses,
               serial.completions[i].losses);
   }
+}
+
+TEST(ParsimTest, MultiRegionLossyGolden) {
+  // Pins a lossy multi-region run: region 0 draws the serial substreams,
+  // regions r >= 1 root.fork(0x7000 + r), and all regions share one planner.
+  const net::Topology topo = makeTopology(3);
+  TransferConfig config;
+  config.protocol = ProtocolKind::kRp;
+  config.num_packets = 40;
+  config.loss_prob = 0.2;
+  config.lossy_recovery = true;
+  config.seed = 7;
+  const ParsimReport report =
+      runParallelTransfer(topo, config, parallelConfig(2));
+  EXPECT_EQ(report.regions, 20u);
+  EXPECT_EQ(report.epochs, 6074u);
+  EXPECT_EQ(report.handoffs, 28073u);
+  EXPECT_EQ(report.events, 62012u);
+  EXPECT_EQ(report.lookahead_ms, 1.8536410112388431);
+  EXPECT_EQ(report.retries, 11045u);
+  EXPECT_EQ(report.timeouts, 12219u);
+  EXPECT_EQ(report.abandoned, 0u);
+  EXPECT_EQ(report.abandoned_sessions, 0u);
+  EXPECT_EQ(report.chaos_link_drops, 0u);
+  EXPECT_EQ(report.duplicates_created, 0u);
+  const TransferReport& t = report.transfer;
+  EXPECT_TRUE(t.complete);
+  EXPECT_EQ(t.duration_ms, 26217.233472747612);
+  EXPECT_EQ(t.losses, 1006u);
+  EXPECT_EQ(t.recoveries, 1006u);
+  EXPECT_EQ(t.avg_recovery_latency_ms, 1408.6962299019092);
+  EXPECT_EQ(t.recovery_latency.p50, 540.00162862242746);
+  EXPECT_EQ(t.recovery_latency.p95, 5748.6407726626721);
+  EXPECT_EQ(t.recovery_latency.max, 26035.231587295573);
+  EXPECT_EQ(t.data_hops, 594u);
+  EXPECT_EQ(t.recovery_hops, 59524u);
+  EXPECT_EQ(t.overhead, 100.20875420875421);
+  EXPECT_EQ(t.completions.size(), 29u);
+  EXPECT_EQ(completionHash(t), 0x8cabc0eca9729d71ULL);
+}
+
+TEST(ParsimTest, CrashFaultsWithHealthAreWorkerInvariant) {
+  // Crashed and stalled peers get blacklisted and RP fails over through
+  // replanExcluding() on the planner every region shares, concurrently
+  // when workers > 1.
+  const net::Topology topo = makeTopology(8, 90);
+  TransferConfig config;
+  config.protocol = ProtocolKind::kRp;
+  config.num_packets = 40;
+  config.loss_prob = 0.15;
+  config.lossy_recovery = true;
+  config.seed = 21;
+  config.protocol_config.health.enabled = true;
+  const double span = config.num_packets * config.packet_interval_ms;
+  sim::FaultPlan plan;
+  plan.seed = 5;
+  plan.crash_fraction = 0.15;
+  plan.stall_fraction = 0.1;
+  plan.at_ms = 0.2 * span;
+  plan.stagger_ms = config.packet_interval_ms;
+
+  const ParsimReport one =
+      runParallelTransfer(topo, config, parallelConfig(1), &plan);
+  const ParsimReport two =
+      runParallelTransfer(topo, config, parallelConfig(2), &plan);
+  const ParsimReport four =
+      runParallelTransfer(topo, config, parallelConfig(4), &plan);
+  expectIdentical(one, two);
+  expectIdentical(one, four);
+  EXPECT_GE(one.regions, 2u);
+  EXPECT_GT(one.abandoned, 0u);
+  EXPECT_GT(one.timeouts, 0u);
 }
 
 /// Chaos scenarios from the BENCH_chaos grid (flap + partition + duplication

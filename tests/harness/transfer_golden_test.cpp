@@ -7,11 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 
+#include "completion_hash.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn::harness {
@@ -22,23 +22,6 @@ net::Topology makeTopology(std::uint64_t seed, std::uint32_t n) {
   net::TopologyConfig config;
   config.num_nodes = n;
   return net::generateTopology(config, rng);
-}
-
-/// FNV-1a over every completion's (client, completed_at_ms bits, losses).
-std::uint64_t completionHash(const TransferReport& report) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ULL;
-    }
-  };
-  for (const ClientCompletion& c : report.completions) {
-    mix(c.client);
-    mix(std::bit_cast<std::uint64_t>(c.completed_at_ms));
-    mix(c.losses);
-  }
-  return h;
 }
 
 struct Golden {
