@@ -1116,6 +1116,7 @@ bool parsimReportsIdentical(const harness::ParsimReport& a,
                             const harness::ParsimReport& b) {
   if (a.regions != b.regions || a.epochs != b.epochs ||
       a.handoffs != b.handoffs || a.events != b.events ||
+      a.region_runs != b.region_runs ||
       a.lookahead_ms != b.lookahead_ms || a.retries != b.retries ||
       a.timeouts != b.timeouts || a.abandoned != b.abandoned ||
       a.abandoned_sessions != b.abandoned_sessions ||
@@ -1223,6 +1224,16 @@ int cmdParsim(const util::Flags& flags) {
   for (const Row& row : rows) all_identical &= row.identical;
   const Row& base = rows.front();
   const bool ok = all_identical && base.report.transfer.complete;
+  // Per-barrier work: events fired and regions that had any to fire.  Few
+  // active regions per epoch leave little for a second lane to take.
+  const auto perEpoch = [&base](std::uint64_t count) {
+    return base.report.epochs == 0
+               ? 0.0
+               : static_cast<double>(count) /
+                     static_cast<double>(base.report.epochs);
+  };
+  const double events_per_epoch = perEpoch(base.report.events);
+  const double active_regions_per_epoch = perEpoch(base.report.region_runs);
 
   std::ostringstream json;
   json.precision(10);
@@ -1244,6 +1255,10 @@ int cmdParsim(const util::Flags& flags) {
   json << "  \"epochs\": " << base.report.epochs << ",\n";
   json << "  \"handoffs\": " << base.report.handoffs << ",\n";
   json << "  \"events\": " << base.report.events << ",\n";
+  json << "  \"region_runs\": " << base.report.region_runs << ",\n";
+  json << "  \"events_per_epoch\": " << events_per_epoch << ",\n";
+  json << "  \"active_regions_per_epoch\": " << active_regions_per_epoch
+       << ",\n";
   json << "  \"sweep\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
@@ -1280,8 +1295,11 @@ int cmdParsim(const util::Flags& flags) {
               << base.report.regions << " regions (target " << regions
               << "), lookahead "
               << harness::TextTable::num(base.report.lookahead_ms)
-              << " ms, " << base.report.epochs << " epochs, "
-              << base.report.handoffs << " handoffs\n";
+              << " ms, " << base.report.epochs << " epochs ("
+              << harness::TextTable::num(events_per_epoch) << " events, "
+              << harness::TextTable::num(active_regions_per_epoch)
+              << " active regions each), " << base.report.handoffs
+              << " handoffs\n";
     harness::TextTable table({"workers", "lanes", "wall (ms)", "events/sec",
                               "speedup", "identical"});
     for (const Row& row : rows) {

@@ -91,6 +91,7 @@ ParsimReport runParallelTransfer(const net::Topology& topology,
   report.epochs = stats.epochs;
   report.handoffs = stats.handoffs;
   report.events = stats.events;
+  report.region_runs = stats.region_runs;
   report.lookahead_ms = stats.lookahead_ms;
 
   // Merge in canonical region order (region 0 upward) so every aggregate is

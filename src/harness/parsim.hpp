@@ -40,11 +40,12 @@ struct ParsimReport {
 
   // Engine accounting.
   std::uint32_t regions = 0;
-  unsigned lanes = 0;          // pool lanes actually available
-  std::uint64_t epochs = 0;    // conservative barrier rounds
-  std::uint64_t handoffs = 0;  // cross-region packet transfers
-  std::uint64_t events = 0;    // events fired across all regions
-  double lookahead_ms = 0.0;   // 0 when a single region ran unbounded
+  unsigned lanes = 0;             // pool lanes actually available
+  std::uint64_t epochs = 0;       // conservative barrier rounds
+  std::uint64_t handoffs = 0;     // cross-region packet transfers
+  std::uint64_t events = 0;       // events fired across all regions
+  std::uint64_t region_runs = 0;  // busy regions run, summed over epochs
+  double lookahead_ms = 0.0;      // 0 when a single region ran unbounded
 
   // Resilience counters merged over regions in canonical region order.
   std::uint64_t retries = 0;

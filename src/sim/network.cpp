@@ -105,7 +105,8 @@ void SimNetwork::setDeliveryHandler(DeliveryHandler handler) {
 
 // rmrn-lint: init-phase
 void SimNetwork::enableShardMode(const RegionMap& regions,
-                                 std::uint32_t my_region, ShardOutbox* outbox) {
+                                 std::uint32_t my_region,
+                                 std::vector<RoutedHandoff>* outbox) {
   if (my_region >= regions.numRegions()) {
     throw std::invalid_argument("SimNetwork: shard region out of range");
   }
@@ -129,6 +130,22 @@ std::uint32_t SimNetwork::stageLossPattern(const LinkLossPattern& loss) {
   const std::uint32_t pattern = acquirePattern(loss);
   staged_by_seq_.push_back(pattern);
   return pattern;
+}
+
+void SimNetwork::handOff(std::uint32_t slot, net::NodeId to,
+                         ShardHandoff handoff) {
+  const std::uint32_t dst = regions_->regionOf(to);
+  handoff.at = simulator_.now() + chaosDelay(slot);
+  ++handoffs_out_;
+  // rmrn-lint: allow(HOT-1) the outbox keeps its high-water capacity
+  outbox_->push_back(RoutedHandoff{dst, handoff});
+  if (!chaosDuplicates(slot)) return;
+  ++stats_.duplicates_created;
+  countHopSlot(handoff.packet, slot);
+  handoff.at = simulator_.now() + chaosDelay(slot);
+  ++handoffs_out_;
+  // rmrn-lint: allow(HOT-1) the outbox keeps its high-water capacity
+  outbox_->push_back(RoutedHandoff{dst, handoff});
 }
 
 void SimNetwork::injectHandoff(const ShardHandoff& handoff) {
@@ -507,21 +524,12 @@ void SimNetwork::sendHop(std::uint32_t path, std::uint32_t hop,
     // The hop survived this region's loss/chaos draws; hand the in-flight
     // packet to b's region, which resumes the route at the same hop index.
     ShardHandoff handoff;
-    handoff.at = simulator_.now() + chaosDelay(slot);
     handoff.kind = EventKind::kForwardHop;
     handoff.packet = packet;
     handoff.ufrom = route.front();
     handoff.uto = route.back();
     handoff.hop = hop;
-    ++handoffs_out_;
-    outbox_->emit(regions_->regionOf(b), handoff);
-    if (chaosDuplicates(slot)) {
-      ++stats_.duplicates_created;
-      countHopSlot(packet, slot);
-      handoff.at = simulator_.now() + chaosDelay(slot);
-      ++handoffs_out_;
-      outbox_->emit(regions_->regionOf(b), handoff);
-    }
+    handOff(slot, b, handoff);
     releasePath(path);
     return;
   }
@@ -615,21 +623,12 @@ void SimNetwork::multicastDownInto(net::NodeId subtree_root, Packet packet) {
   }
   if (!isShardLocal(subtree_root)) {
     ShardHandoff handoff;
-    handoff.at = simulator_.now() + chaosDelay(slot);
     handoff.kind = EventKind::kFloodStep;
     handoff.packet = packet;
     handoff.next = subtree_root;
     handoff.came_from = parent;
     handoff.down_only = true;
-    ++handoffs_out_;
-    outbox_->emit(regions_->regionOf(subtree_root), handoff);
-    if (chaosDuplicates(slot)) {
-      ++stats_.duplicates_created;
-      countHopSlot(packet, slot);
-      handoff.at = simulator_.now() + chaosDelay(slot);
-      ++handoffs_out_;
-      outbox_->emit(regions_->regionOf(subtree_root), handoff);
-    }
+    handOff(slot, subtree_root, handoff);
     return;
   }
   EventRecord record{EventKind::kFloodStep, {}};
@@ -666,7 +665,6 @@ void SimNetwork::floodFrom(net::NodeId node, net::NodeId came_from,
       // Surviving crossing: the destination region re-acquires the pattern
       // reference itself (injectHandoff), so no local ref is taken here.
       ShardHandoff handoff;
-      handoff.at = simulator_.now() + chaosDelay(slot);
       handoff.kind = EventKind::kFloodStep;
       handoff.packet = packet;
       handoff.next = next;
@@ -674,15 +672,7 @@ void SimNetwork::floodFrom(net::NodeId node, net::NodeId came_from,
       handoff.boundary = boundary;
       handoff.pattern = pattern;
       handoff.down_only = down_only;
-      ++handoffs_out_;
-      outbox_->emit(regions_->regionOf(next), handoff);
-      if (chaosDuplicates(slot)) {
-        ++stats_.duplicates_created;
-        countHopSlot(packet, slot);
-        handoff.at = simulator_.now() + chaosDelay(slot);
-        ++handoffs_out_;
-        outbox_->emit(regions_->regionOf(next), handoff);
-      }
+      handOff(slot, next, handoff);
       return;
     }
     if (pattern != kNoPattern) patternAddRef(pattern);

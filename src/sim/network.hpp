@@ -28,7 +28,7 @@
 #include "net/topology.hpp"
 #include "net/types.hpp"
 #include "sim/event.hpp"
-#include "sim/mailbox.hpp"
+#include "sim/handoff.hpp"
 #include "sim/packet.hpp"
 #include "sim/region_map.hpp"
 #include "sim/simulator.hpp"
@@ -136,13 +136,13 @@ class SimNetwork final : public EventSink {
 
   /// Shard mode (conservative parallel engine, DESIGN.md §14): this network
   /// instance simulates only the nodes of `my_region`; a packet whose next
-  /// hop leaves the region is emitted to `outbox` (with this region's loss
+  /// hop leaves the region is appended to `outbox` (with this region's loss
   /// and chaos draws already applied) instead of being scheduled locally.
   /// `regions` and `outbox` must outlive the network.  Serial networks never
   /// call this and behave exactly as before — every shard check degrades to
   /// one predictable null test.
   void enableShardMode(const RegionMap& regions, std::uint32_t my_region,
-                       ShardOutbox* outbox);
+                       std::vector<RoutedHandoff>* outbox);
   /// True when node `v` is simulated by this instance (always true serially).
   [[nodiscard]] bool isShardLocal(net::NodeId v) const {
     return regions_ == nullptr || regions_->regionOf(v) == my_region_;
@@ -249,6 +249,10 @@ class SimNetwork final : public EventSink {
   /// Link delay for the CSR half-edge `slot`, plus that edge's chaos jitter
   /// draw when armed.  Identical to edge_delay_[slot] with chaos off.
   [[nodiscard]] net::DelayMs chaosDelay(std::uint32_t slot);
+  /// Shard mode: appends `handoff` (every field but `at` set) to the outbox
+  /// for `to`'s region, arriving after `slot`'s chaos delay; a chaos
+  /// duplicate on `slot` becomes a second handoff with its own delay.
+  void handOff(std::uint32_t slot, net::NodeId to, ShardHandoff handoff);
   /// True when chaos dropped the packet on `slot`'s down link (counted and
   /// traced); hot-path guard shared by every send site.
   bool chaosDropped(std::uint32_t slot, net::NodeId from, net::NodeId to,
@@ -328,7 +332,7 @@ class SimNetwork final : public EventSink {
   // pinned pattern arena id; identical in every region by construction.
   const RegionMap* regions_ = nullptr;
   std::uint32_t my_region_ = 0;
-  ShardOutbox* outbox_ = nullptr;
+  std::vector<RoutedHandoff>* outbox_ = nullptr;
   std::vector<std::uint32_t> staged_by_seq_;
   std::uint64_t handoffs_out_ = 0;
 };

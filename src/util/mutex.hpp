@@ -8,15 +8,9 @@
 // time.  All lock-protected state in the repo uses these instead of a bare
 // std::mutex — see DESIGN.md §12 for the conventions.
 //
-// MutexLock is a scoped capability with explicit unlock()/lock() so code can
-// drop the lock across a compute section (ThreadPool::workerLoop does), and a
-// wait() bridge to std::condition_variable.  Condition waits release and
-// reacquire internally; the capability is held again when wait() returns, so
-// from the analysis' point of view (as with absl::CondVar) the capability is
-// simply held throughout.
+// MutexLock is the scoped capability: it holds the mutex for its lifetime.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "util/annotations.hpp"
@@ -35,37 +29,22 @@ class RMRN_CAPABILITY("mutex") Mutex {
     return m_.try_lock();
   }
 
-  /// The wrapped mutex, for std APIs that need it (condition variables).
-  /// Locking through the native handle bypasses the analysis — only
-  /// MutexLock::wait should need it.
-  [[nodiscard]] std::mutex& native() { return m_; }
-
  private:
   std::mutex m_;
 };
 
-/// RAII lock over a Mutex.  Acquires on construction, releases on
-/// destruction; unlock()/lock() allow dropping the capability mid-scope and
-/// the analysis tracks the state across them.
+/// RAII lock over a Mutex: acquires on construction, releases on
+/// destruction.
 class RMRN_SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex* mu) RMRN_ACQUIRE(mu) : lk_(mu->native()) {}
-  ~MutexLock() RMRN_RELEASE() = default;
+  explicit MutexLock(Mutex* mu) RMRN_ACQUIRE(mu) : mu_(mu) { mu_->lock(); }
+  ~MutexLock() RMRN_RELEASE() { mu_->unlock(); }
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  void unlock() RMRN_RELEASE() { lk_.unlock(); }
-  void lock() RMRN_ACQUIRE() { lk_.lock(); }
-
-  /// Blocks on `cv` until notified.  The lock is released while blocked and
-  /// held again on return; callers re-test their predicate in a loop, which
-  /// keeps every guarded read inside the annotated caller (no predicate
-  /// lambda escapes the analysis).
-  void wait(std::condition_variable& cv) { cv.wait(lk_); }
-
  private:
-  std::unique_lock<std::mutex> lk_;
+  Mutex* mu_;
 };
 
 }  // namespace rmrn::util

@@ -20,11 +20,9 @@ ThreadPool::ThreadPool(unsigned num_threads)
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    const MutexLock lock(&mutex_);
-    stopping_ = true;
-  }
-  job_cv_.notify_all();
+  stopping_.store(true, std::memory_order_relaxed);
+  job_id_.fetch_add(1, std::memory_order_release);
+  job_id_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
@@ -37,7 +35,6 @@ void ThreadPool::parallelFor(std::size_t begin, std::size_t end,
     return;
   }
 
-  MutexLock lock(&mutex_);
   fn_ = &fn;
   end_ = end;
   // Chunks small enough to balance uneven iterations, large enough that the
@@ -45,33 +42,35 @@ void ThreadPool::parallelFor(std::size_t begin, std::size_t end,
   chunk_ = std::max<std::size_t>(
       1, count / (static_cast<std::size_t>(num_workers_ + 1) * 8));
   next_.store(begin, std::memory_order_relaxed);
-  error_ = nullptr;
-  active_ = num_workers_;
-  ++job_id_;
-  lock.unlock();
-
-  job_cv_.notify_all();
+  active_.store(num_workers_, std::memory_order_relaxed);
+  // The release bump publishes the payload above to every worker.
+  job_id_.fetch_add(1, std::memory_order_release);
+  job_id_.notify_all();
   runChunks();  // the caller is a lane too
 
-  lock.lock();
-  // Explicit predicate loop (not the lambda-predicate wait overload) so the
-  // guarded active_ read stays inside this annotated function.
-  while (active_ != 0) lock.wait(done_cv_);
+  for (unsigned active = active_.load(std::memory_order_acquire); active != 0;
+       active = active_.load(std::memory_order_acquire)) {
+    active_.wait(active, std::memory_order_acquire);
+  }
   fn_ = nullptr;
-  if (error_) std::rethrow_exception(error_);
+  const MutexLock lock(&mutex_);
+  if (error_) {
+    const std::exception_ptr error = error_;
+    error_ = nullptr;
+    std::rethrow_exception(error);
+  }
 }
 
 void ThreadPool::workerLoop() {
-  std::uint64_t seen = 0;
-  MutexLock lock(&mutex_);
+  std::uint32_t seen = 0;
   for (;;) {
-    while (!stopping_ && job_id_ == seen) lock.wait(job_cv_);
-    if (stopping_) return;
-    seen = job_id_;
-    lock.unlock();
+    job_id_.wait(seen, std::memory_order_acquire);
+    seen = job_id_.load(std::memory_order_acquire);
+    if (stopping_.load(std::memory_order_relaxed)) return;
     runChunks();
-    lock.lock();
-    if (--active_ == 0) done_cv_.notify_one();
+    if (active_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      active_.notify_one();
+    }
   }
 }
 

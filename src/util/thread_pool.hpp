@@ -7,17 +7,19 @@
 // bit-identical results regardless of the thread count as long as the body
 // only writes its own slot.  std::thread only — no external dependencies.
 //
-// Lock discipline is compiler-checked: mutex_ is an annotated util::Mutex and
-// every member it protects is RMRN_GUARDED_BY(mutex_), so an unlocked access
-// is a compile error under clang -Werror=thread-safety (the `thread-safety`
-// CI job).  The job-payload members (fn_, end_, chunk_, next_) are
-// deliberately NOT guarded: they are published under mutex_ before job_id_ is
-// bumped and read lock-free by workers inside a job — the happens-before edge
-// is the job_id_ handshake, which the dynamic TSan job verifies.
+// Job hand-off is lock-free: the caller publishes a job by bumping the atomic
+// job_id_ and waits for the atomic active_ count to reach zero, both through
+// C++20 std::atomic wait/notify, so a job costs no mutex or condition
+// variable round trip.  The job-payload members (fn_, end_, chunk_, next_)
+// are written by the caller before its release bump of job_id_ and read by
+// workers after their acquire load of it; workers' acq_rel decrements of
+// active_ order their writes before the caller's return — the dynamic TSan
+// job verifies both edges.  mutex_ is an annotated util::Mutex that guards
+// only error_ (RMRN_GUARDED_BY, compiler-checked under clang
+// -Werror=thread-safety).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -65,24 +67,26 @@ class ThreadPool {
   void runChunks() RMRN_EXCLUDES(mutex_);
 
   unsigned num_workers_ = 0;
-  std::vector<std::thread> workers_;
+
+  // Hand-off state.  job_id_ is 32 bits, the width a futex waits on; only
+  // its changes matter, so wrap-around is harmless.
+  std::atomic<std::uint32_t> job_id_{0};
+  // Workers still inside the current job.
+  std::atomic<unsigned> active_{0};
+  std::atomic<bool> stopping_{false};
 
   Mutex mutex_;
-  std::condition_variable job_cv_;   // workers: a new job is posted
-  std::condition_variable done_cv_;  // caller: all workers left the job
-  std::uint64_t job_id_ RMRN_GUARDED_BY(mutex_) = 0;
-  // Workers still inside the current job.
-  unsigned active_ RMRN_GUARDED_BY(mutex_) = 0;
-  bool stopping_ RMRN_GUARDED_BY(mutex_) = false;
   std::exception_ptr error_ RMRN_GUARDED_BY(mutex_);
 
-  // Current job; written under mutex_ before job_id_ is bumped, read-only
-  // (and lock-free) until the caller observes active_ == 0.  See the header
-  // comment for why these carry no RMRN_GUARDED_BY.
+  // Current job; written before job_id_ is bumped, read-only until the
+  // caller observes active_ == 0.  See the header comment.
   const std::function<void(std::size_t)>* fn_ = nullptr;
   std::size_t end_ = 0;
   std::size_t chunk_ = 1;
   std::atomic<std::size_t> next_{0};
+
+  // Declared after every member the workers touch.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace rmrn::util

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <limits>
 #include <numeric>
@@ -90,6 +91,36 @@ TEST(ThreadPoolTest, PropagatesExceptions) {
   std::atomic<int> count{0};
   pool.parallelFor(0, 10, [&](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 10);
+}
+
+TEST(ThreadPoolTest, BackToBackTinyJobsHandOffCleanly) {
+  // Tiny jobs make the hand-off itself the workload, the parallel engine's
+  // pattern of one job per epoch.  `hits` is plain memory: the caller's reset
+  // must reach the lanes through the job post, and their increments must
+  // reach the caller through the join (TSan referees both edges).
+  ThreadPool pool(4);
+  constexpr int kJobs = 20'000;
+  constexpr int kThrowingJob = kJobs / 2;
+  std::array<int, 4> hits{};
+  for (int job = 0; job < kJobs; ++job) {
+    const std::size_t count = 2 + static_cast<std::size_t>(job % 3);
+    hits.fill(0);
+    if (job == kThrowingJob) {
+      EXPECT_THROW(pool.parallelFor(0, count,
+                                    [&](std::size_t i) {
+                                      ++hits[i];
+                                      if (i == 1) {
+                                        throw std::runtime_error("boom");
+                                      }
+                                    }),
+                   std::runtime_error);
+      continue;
+    }
+    pool.parallelFor(0, count, [&](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i], i < count ? 1 : 0) << "job " << job << " index " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -42,12 +42,11 @@ bool inDetTwoScope(const std::string& path) {
 }
 
 bool inHotScope(const std::string& path) {
-  static const std::array<const char*, 13> kHotFiles = {
+  static const std::array<const char*, 12> kHotFiles = {
       "sim/event_queue.hpp",
       "sim/event_queue.cpp",
       "sim/network.hpp",
       "sim/network.cpp",
-      "sim/mailbox.hpp",
       "sim/parallel_engine.hpp",
       "sim/parallel_engine.cpp",
       "core/shard_planner.hpp",
