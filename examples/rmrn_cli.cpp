@@ -794,7 +794,8 @@ int cmdScale(const util::Flags& flags) {
       static_cast<std::uint32_t>(flags.getUnsigned("churn-ops", 500));
   const auto threads = static_cast<unsigned>(flags.getUnsigned("threads", 0));
   // Sizes with at most this many clients are cross-checked against the flat
-  // planner (O(k^2)) and refereed by the auditor.
+  // planner (O(k^2)) and refereed by the auditor, and their churned plans
+  // against a fresh ShardPlanner.
   const auto flat_max =
       static_cast<std::size_t>(flags.getUnsigned("flat-max", 1500));
   const std::string out_path = flags.getString("out", "BENCH_scale.json");
@@ -816,6 +817,7 @@ int cmdScale(const util::Flags& flags) {
     std::size_t audit_violations = 0;
     bool flat_checked = false;
     bool flat_match = false;
+    bool churn_match = false;
     bool ok = true;
   };
   std::vector<Row> rows;
@@ -898,6 +900,27 @@ int cmdScale(const util::Flags& flags) {
       row.single_shard_fraction =
           static_cast<double>(single) / static_cast<double>(lat_us.size());
     }
+    if (row.flat_checked) {
+      // Churn maintenance must be canonical: the churned plans equal a
+      // fresh build on the final membership.
+      net::Topology final_topo = topo;
+      final_topo.clients = planner.currentClients();
+      core::ShardPlannerOptions fresh_options = options;
+      fresh_options.planner.timeout_ms = planner.timeoutMs();
+      const core::ShardPlanner fresh(final_topo, routing, fresh_options);
+      row.churn_match = true;
+      for (const net::NodeId u : final_topo.clients) {
+        const core::Strategy& s = planner.strategyFor(u);
+        const core::Strategy& f = fresh.strategyFor(u);
+        if (planner.candidatesFor(u) != fresh.candidatesFor(u) ||
+            s.peers != f.peers ||
+            s.expected_delay_ms != f.expected_delay_ms) {
+          row.churn_match = false;
+          break;
+        }
+      }
+      row.ok = row.ok && row.churn_match;
+    }
     std::cerr << "; churn p50 " << row.churn_p50_us << " us\n";
     rows.push_back(row);
   }
@@ -931,6 +954,7 @@ int cmdScale(const util::Flags& flags) {
          << ", \"audit_violations\": " << r.audit_violations
          << ", \"flat_checked\": " << (r.flat_checked ? "true" : "false")
          << ", \"flat_match\": " << (r.flat_match ? "true" : "false")
+         << ", \"churn_match\": " << (r.churn_match ? "true" : "false")
          << ", \"ok\": " << (r.ok ? "true" : "false") << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -949,7 +973,7 @@ int cmdScale(const util::Flags& flags) {
               << churn_ops << " churn cycles per size\n";
     harness::TextTable table({"nodes", "clients", "shards", "build (ms)",
                               "churn p50 (us)", "churn p99 (us)", "1-shard %",
-                              "audit", "flat", "ok"});
+                              "audit", "flat", "churn", "ok"});
     for (const Row& r : rows) {
       table.addRow({std::to_string(r.nodes), std::to_string(r.clients),
                     std::to_string(r.shards),
@@ -959,6 +983,7 @@ int cmdScale(const util::Flags& flags) {
                     harness::TextTable::num(100.0 * r.single_shard_fraction, 1),
                     r.audited ? std::to_string(r.audit_violations) : "-",
                     r.flat_checked ? (r.flat_match ? "exact" : "DIFF") : "-",
+                    r.flat_checked ? (r.churn_match ? "exact" : "DIFF") : "-",
                     r.ok ? "yes" : "NO"});
     }
     table.print(std::cout);

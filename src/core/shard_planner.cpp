@@ -110,19 +110,43 @@ net::NodeId ShardPlanner::computeRep(const Shard& shard) const {
   return best;
 }
 
-void ShardPlanner::buildExt(std::uint32_t id) {
+void ShardPlanner::offer(TopTwo& top, net::NodeId via, net::NodeId rep) const {
+  if (rep == net::kInvalidNode) return;
+  if (top.best == net::kInvalidNode || repLess(rep, top.best)) {
+    if (top.via != via) {
+      top.second = top.best;
+      top.via = via;
+    }
+    top.best = rep;
+  } else if (via != top.via &&
+             (top.second == net::kInvalidNode || repLess(rep, top.second))) {
+    top.second = rep;
+  }
+}
+
+net::NodeId ShardPlanner::branchAt(net::NodeId root, net::HopCount d) const {
+  const net::HopCount depth = topology_->tree.depth(root);
+  return depth == d ? root : lca_.ancestor(root, depth - d - 1);
+}
+
+void ShardPlanner::buildRegionExt(std::uint32_t id,
+                                  std::span<const std::uint32_t> region) {
   ShardState& state = shard_states_[id];
   const net::HopCount depth = topology_->tree.depth(state.root);
   // A meeting router is an ancestor of this shard's root, so depths fit in
   // [0, depth]; the top slot is hit only by shards nested under a residual
   // root (their contributions later self-skip in candidate selection for
   // the residual client itself, and compete normally for everyone else).
+  // Surviving shards meet this root where they meet the anchor, so they
+  // arrive ranked per depth in outside_best_.
   // rmrn-lint: allow(HOT-1) retained-capacity scratch; ShardChurnAllocTest pins zero steady-state allocation
   ext_depth_best_.assign(depth + 1, net::kInvalidNode);
-  for (std::uint32_t b = 0; b < partition_.numSlots(); ++b) {
-    if (b == id || !partition_.isLive(b)) continue;
+  std::copy_n(outside_best_.begin(),
+              std::min(outside_best_.size(), ext_depth_best_.size()),
+              ext_depth_best_.begin());
+  for (const std::uint32_t b : region) {
     const net::NodeId rep = shard_states_[b].rep;
-    if (rep == net::kInvalidNode) continue;
+    if (b == id || rep == net::kInvalidNode) continue;
     const net::HopCount ds = lca_.lcaDepth(state.root, shard_states_[b].root);
     net::NodeId& slot = ext_depth_best_[ds];
     if (slot == net::kInvalidNode || repLess(rep, slot)) slot = rep;
@@ -140,49 +164,28 @@ void ShardPlanner::buildExt(std::uint32_t id) {
 void ShardPlanner::bulkBuildExt(const std::vector<std::uint32_t>& live) {
   const net::MulticastTree& tree = topology_->tree;
   const std::size_t n = tree.numMembers();
-  // For every tree node: the best and runner-up shard representative whose
-  // shard root lies in the node's subtree, each tagged with the branch it
-  // arrived through (a child node, or the node itself for a shard rooted
-  // right there).  The runner-up is the best arriving through a branch
-  // different from the winner's — exactly what the exclusion query needs.
-  std::vector<net::NodeId> best1(n, net::kInvalidNode);
-  std::vector<net::NodeId> via1(n, net::kInvalidNode);
-  std::vector<net::NodeId> best2(n, net::kInvalidNode);
-
-  const auto offer = [&](std::size_t at, net::NodeId via, net::NodeId rep) {
-    if (best1[at] == net::kInvalidNode || repLess(rep, best1[at])) {
-      if (via1[at] != via) {
-        best2[at] = best1[at];
-        via1[at] = via;
-      }
-      best1[at] = rep;
-    } else if (via != via1[at] &&
-               (best2[at] == net::kInvalidNode || repLess(rep, best2[at]))) {
-      best2[at] = rep;
-    }
-  };
-
+  // For every tree node: the top two shard representatives whose shard
+  // root lies in the node's subtree, by the branch they arrived through (a
+  // child node, or the node itself for a shard rooted right there).
+  std::vector<TopTwo> top(n);
   for (const std::uint32_t id : live) {
     const ShardState& state = shard_states_[id];
-    if (state.rep == net::kInvalidNode) continue;
-    offer(idx(state.root), state.root, state.rep);
+    offer(top[idx(state.root)], state.root, state.rep);
   }
   // members() is preorder (parents first); the reverse walk folds every
   // subtree's best into its parent before the parent itself is read.
   const std::vector<net::NodeId>& order = tree.members();
   for (std::size_t i = order.size(); i-- > 1;) {
     const net::NodeId v = order[i];
-    const std::size_t vi = idx(v);
-    if (best1[vi] == net::kInvalidNode) continue;
-    offer(idx(tree.parent(v)), v, best1[vi]);
+    offer(top[idx(tree.parent(v))], v, top[idx(v)].best);
   }
 
   // Root-path walk per shard: shards meeting this one at depth d are those
   // rooted in subtree(path[d]) but not in the branch that contains this
   // shard (path[d+1]; at the deepest slot, the shard's own root) — so the
-  // answer is best1 unless the winner arrived through the excluded branch,
-  // then best2.  Ties never arise: repLess is a strict total order, so the
-  // result is bit-identical to a pairwise buildExt scan.
+  // answer is the best unless it arrived through the excluded branch, then
+  // the runner-up.  Ties never arise: repLess is a strict total order, so
+  // the result is bit-identical to a pairwise scan.
   std::vector<net::NodeId> path;
   for (const std::uint32_t id : live) {
     ShardState& state = shard_states_[id];
@@ -196,9 +199,8 @@ void ShardPlanner::bulkBuildExt(const std::vector<std::uint32_t>& live) {
     }
     state.ext.clear();
     for (net::HopCount d = 0; d <= depth; ++d) {
-      const std::size_t at = idx(path[d]);
-      const net::NodeId excl = path[d == depth ? d : d + 1];
-      const net::NodeId winner = via1[at] != excl ? best1[at] : best2[at];
+      const net::NodeId winner =
+          top[idx(path[d])].excluding(path[d == depth ? d : d + 1]);
       if (winner != net::kInvalidNode) state.ext.push_back(ExtEntry{d, winner});
     }
   }
@@ -224,15 +226,32 @@ bool ShardPlanner::planClient(net::NodeId u,
   if (!force && st.planned && arena.tmp == st.candidates) return false;
   // rmrn-lint: allow(HOT-1) per-client list keeps its capacity across replans; ShardChurnAllocTest pins zero steady-state allocation
   st.candidates.assign(arena.tmp.begin(), arena.tmp.end());
+  replanStrategy(u, st, arena.plan);
+  return true;
+}
+
+void ShardPlanner::replanStrategy(net::NodeId u, ClientState& st,
+                                  PlanScratch& plan) {
   searchMinimalDelayInto(topology_->tree.depth(u), st.candidates,
-                         srtt_[idx(u)], graph_options_, arena.plan,
-                         st.strategy);
+                         srtt_[idx(u)], graph_options_, plan, st.strategy);
   RMRN_ENSURE(std::isfinite(st.strategy.expected_delay_ms) &&
                   st.strategy.expected_delay_ms >= 0.0,
               "shard planner: emitted delay must be finite and non-negative");
   st.planned = true;
-  return true;
 }
+
+namespace {
+
+/// Position of the class at depth `ds` in a descending-DS candidate list
+/// (or where it would be inserted).
+std::vector<Candidate>::iterator classSlot(std::vector<Candidate>& list,
+                                           net::HopCount ds) {
+  return std::lower_bound(
+      list.begin(), list.end(), ds,
+      [](const Candidate& c, net::HopCount d) { return c.ds > d; });
+}
+
+}  // namespace
 
 std::size_t ShardPlanner::planShard(std::uint32_t id, Arena& arena,
                                     bool force) {
@@ -244,21 +263,112 @@ std::size_t ShardPlanner::planShard(std::uint32_t id, Arena& arena,
   return replans;
 }
 
-net::NodeId ShardPlanner::rescanDepth(std::uint32_t x,
-                                      net::HopCount ds) const {
-  const net::NodeId root = shard_states_[x].root;
-  net::NodeId best = net::kInvalidNode;
-  for (std::uint32_t b = 0; b < partition_.numSlots(); ++b) {
-    if (b == x || !partition_.isLive(b)) continue;
-    const net::NodeId rep = shard_states_[b].rep;
-    if (rep == net::kInvalidNode) continue;
-    if (lca_.lcaDepth(root, shard_states_[b].root) != ds) continue;
-    if (best == net::kInvalidNode || repLess(rep, best)) best = rep;
+std::size_t ShardPlanner::patchChurnedShard(std::uint32_t id, net::NodeId v,
+                                            bool joined) {
+  // The shard's consideration set changed by exactly v, so by Lemma 4 only
+  // the class v falls into can change, in the order selectCandidatesInto
+  // uses: (RTT, lower id).
+  bool have_consider = false;
+  const auto reselect = [&](net::NodeId u) {
+    if (!have_consider) buildConsider(id, arena_.consider);
+    have_consider = true;
+    return planClient(u, arena_.consider, arena_, false);
+  };
+  const bool v_is_peer = !excluded_[idx(v)];
+  std::size_t replans = 0;
+  for (const net::NodeId u : partition_.shard(id).clients) {
+    ClientState& st = state_[idx(u)];
+    if (!st.planned) {  // the joiner itself
+      replans += reselect(u) ? 1 : 0;
+      continue;
+    }
+    if (!v_is_peer) continue;
+    const net::NodeId router = lca_.lca(u, v);
+    if (router == u) continue;  // v in u's own subtree: never a candidate
+    const net::HopCount ds = topology_->tree.depth(router);
+    const auto it = classSlot(st.candidates, ds);
+    const bool has = it != st.candidates.end() && it->ds == ds;
+    if (!joined) {
+      if (has && it->peer == v) replans += reselect(u) ? 1 : 0;
+      continue;
+    }
+    const double rtt = routing_->rtt(u, v);
+    if (has && !(rtt < it->rtt_ms || (rtt == it->rtt_ms && v < it->peer))) {
+      continue;
+    }
+    replans += patchClass(u, st, it, Candidate{v, ds, rtt}) ? 1 : 0;
   }
-  return best;
+  return replans;
 }
 
-void ShardPlanner::applyChurn(const GroupPartition::Churn& churn) {
+std::size_t ShardPlanner::patchImporter(std::uint32_t x, net::HopCount ds,
+                                        net::NodeId winner) {
+  // Every member lies under the shard root, so for ds above the root the
+  // class at ds holds exactly the ext entry.  At the root's own depth
+  // (shards nested under a residual root) the class mixes, so reselect.
+  if (ds == topology_->tree.depth(shard_states_[x].root)) {
+    return planShard(x, arena_, false);
+  }
+  bool have_consider = false;
+  std::size_t replans = 0;
+  for (const net::NodeId u : partition_.shard(x).clients) {
+    ClientState& st = state_[idx(u)];
+    if (!st.planned) {
+      if (!have_consider) buildConsider(x, arena_.consider);
+      have_consider = true;
+      replans += planClient(u, arena_.consider, arena_, false) ? 1 : 0;
+      continue;
+    }
+    const Candidate c{winner, ds,
+                      winner == net::kInvalidNode ? 0.0
+                                                  : routing_->rtt(u, winner)};
+    replans += patchClass(u, st, classSlot(st.candidates, ds), c) ? 1 : 0;
+  }
+  return replans;
+}
+
+bool ShardPlanner::patchClass(net::NodeId u, ClientState& st,
+                              std::vector<Candidate>::iterator at,
+                              const Candidate& c) {
+  const bool has = at != st.candidates.end() && at->ds == c.ds;
+  if (c.peer == net::kInvalidNode) {
+    if (!has) return false;
+    st.candidates.erase(at);
+  } else if (has) {
+    if (*at == c) return false;
+    *at = c;
+  } else {
+    // rmrn-lint: allow(HOT-1) per-client list keeps its capacity across churn; ShardChurnAllocTest pins zero steady-state allocation
+    st.candidates.insert(at, c);
+  }
+  replanStrategy(u, st, arena_.plan);
+  return true;
+}
+
+void ShardPlanner::foldAnchorPath(net::NodeId anchor) {
+  const net::MulticastTree& tree = topology_->tree;
+  const net::HopCount depth = tree.depth(anchor);
+  // rmrn-lint: allow(HOT-1) retained-capacity scratch of anchor depth; ShardChurnAllocTest pins zero steady-state allocation
+  fold_.assign(static_cast<std::size_t>(depth) + 1, TopTwo{});
+  for (std::uint32_t b = 0; b < partition_.numSlots(); ++b) {
+    if (!partition_.isLive(b)) continue;
+    const ShardState& state = shard_states_[b];
+    if (state.rep == net::kInvalidNode) continue;
+    const net::HopCount m = lca_.lcaDepth(state.root, anchor);
+    offer(fold_[m], branchAt(state.root, m), state.rep);
+  }
+  // Everything meeting the path below depth d arrives at depth d through
+  // the path's own branch, so fold deeper winners upward as bulkBuildExt
+  // does over the whole tree.
+  net::NodeId below = anchor;
+  for (net::HopCount d = depth; d-- > 0;) {
+    offer(fold_[d], below, fold_[d + 1].best);
+    below = tree.parent(below);
+  }
+}
+
+void ShardPlanner::applyChurn(const GroupPartition::Churn& churn,
+                              net::NodeId v, bool joined) {
   last_replans_ = 0;
   last_shards_touched_ = 0;
   if (shard_states_.size() < partition_.numSlots()) {
@@ -317,73 +427,94 @@ void ShardPlanner::applyChurn(const GroupPartition::Churn& churn) {
 
   // Fast path: one shard changed in place and its representative kept the
   // same key, so no other shard can see a difference.  This is the
-  // steady-state join/leave of a non-representative client — O(K) work and
-  // zero allocations once warmed.
+  // steady-state join/leave of a non-representative client — O(K) LCA
+  // probes, Algorithm 1 only where v's class changed, and zero allocations
+  // once warmed.
   if (churn.removed.empty() && churn.touched.size() == 1 && !root_changed &&
       old_best == new_best) {
-    last_replans_ += planShard(churn.touched.front(), arena_, false);
+    last_replans_ += patchChurnedShard(churn.touched.front(), v, joined);
     last_shards_touched_ = 1;
     return;
   }
 
-  for (const std::uint32_t id : churn.touched) buildExt(id);
+  if (anchor == net::kInvalidNode) return;  // no shard changed
 
-  if (old_best != new_best && anchor != net::kInvalidNode) {
-    for (const std::uint32_t id : churn.touched) in_changed_[id] = 1;
-    for (const std::uint32_t id : churn.removed) in_changed_[id] = 1;
-    for (std::uint32_t x = 0; x < partition_.numSlots(); ++x) {
-      if (in_changed_[x] || !partition_.isLive(x)) continue;
-      std::vector<ExtEntry>& ext = shard_states_[x].ext;
-      const net::HopCount ds = lca_.lcaDepth(shard_states_[x].root, anchor);
-      const auto it = std::lower_bound(
-          ext.begin(), ext.end(), ds,
-          [](const ExtEntry& e, net::HopCount d) { return e.ds < d; });
-      const bool has = it != ext.end() && it->ds == ds;
-      net::NodeId winner;
-      if (has && it->rep == old_best) {
-        // The region held this depth's crown.  A strictly better new
-        // representative wins outright; otherwise the runner-up is unknown
-        // and the depth must be rescanned.
-        winner = (new_best != net::kInvalidNode &&
-                  repLess(new_best, old_best))
-                     ? new_best
-                     : rescanDepth(x, ds);
-      } else if (has) {
-        winner = it->rep;
-        if (new_best != net::kInvalidNode && repLess(new_best, winner)) {
-          winner = new_best;
-        }
+  // One pass over the surviving shards.  Each meets every changed root at
+  // the depth where it meets the anchor: that depth ranks its
+  // representative for the region's new ext tables and, when the region's
+  // best representative moved, is the one ext slot it must patch.
+  for (const std::uint32_t id : churn.touched) in_changed_[id] = 1;
+  for (const std::uint32_t id : churn.removed) in_changed_[id] = 1;
+  // rmrn-lint: allow(HOT-1) retained-capacity scratch of anchor depth; ShardChurnAllocTest pins zero steady-state allocation
+  outside_best_.assign(
+      static_cast<std::size_t>(topology_->tree.depth(anchor)) + 1,
+      net::kInvalidNode);
+  bool folded = false;
+  for (std::uint32_t x = 0; x < partition_.numSlots(); ++x) {
+    if (in_changed_[x] || !partition_.isLive(x)) continue;
+    const ShardState& state = shard_states_[x];
+    const net::HopCount ds = lca_.lcaDepth(state.root, anchor);
+    net::NodeId& outside = outside_best_[ds];
+    if (state.rep != net::kInvalidNode &&
+        (outside == net::kInvalidNode || repLess(state.rep, outside))) {
+      outside = state.rep;
+    }
+    if (old_best == new_best) continue;
+    std::vector<ExtEntry>& ext = shard_states_[x].ext;
+    const auto it = std::lower_bound(
+        ext.begin(), ext.end(), ds,
+        [](const ExtEntry& e, net::HopCount d) { return e.ds < d; });
+    const bool has = it != ext.end() && it->ds == ds;
+    net::NodeId winner;
+    if (has && it->rep == old_best) {
+      // The region held this depth's crown.  A strictly better new
+      // representative wins outright; otherwise the successor is the best
+      // shard meeting x at ds, read off the anchor-path fold: everything
+      // rooted under the anchor's depth-ds ancestor but outside x's own
+      // branch.
+      if (new_best != net::kInvalidNode && repLess(new_best, old_best)) {
+        winner = new_best;
       } else {
-        // No entry means no shard met x at this depth before, so the new
-        // representative (if any) competes against nothing.
+        if (!folded) foldAnchorPath(anchor);
+        folded = true;
+        winner = fold_[ds].excluding(branchAt(state.root, ds));
+      }
+    } else if (has) {
+      winner = it->rep;
+      if (new_best != net::kInvalidNode && repLess(new_best, winner)) {
         winner = new_best;
       }
-      bool ext_changed = false;
-      if (winner == net::kInvalidNode) {
-        if (has) {
-          ext.erase(it);
-          ext_changed = true;
-        }
-      } else if (has) {
-        if (it->rep != winner) {
-          it->rep = winner;
-          ext_changed = true;
-        }
-      } else {
-        // rmrn-lint: allow(HOT-1) ext list keeps its capacity across churn; ShardChurnAllocTest pins zero steady-state allocation
-        ext.insert(it, ExtEntry{ds, winner});
+    } else {
+      // No entry means no shard met x at this depth before, so the new
+      // representative (if any) competes against nothing.
+      winner = new_best;
+    }
+    bool ext_changed = false;
+    if (winner == net::kInvalidNode) {
+      if (has) {
+        ext.erase(it);
         ext_changed = true;
       }
-      if (ext_changed) {
-        last_replans_ += planShard(x, arena_, false);
-        ++last_shards_touched_;
+    } else if (has) {
+      if (it->rep != winner) {
+        it->rep = winner;
+        ext_changed = true;
       }
+    } else {
+      // rmrn-lint: allow(HOT-1) ext list keeps its capacity across churn; ShardChurnAllocTest pins zero steady-state allocation
+      ext.insert(it, ExtEntry{ds, winner});
+      ext_changed = true;
     }
-    for (const std::uint32_t id : churn.touched) in_changed_[id] = 0;
-    for (const std::uint32_t id : churn.removed) in_changed_[id] = 0;
+    if (ext_changed) {
+      last_replans_ += patchImporter(x, ds, winner);
+      ++last_shards_touched_;
+    }
   }
+  for (const std::uint32_t id : churn.touched) in_changed_[id] = 0;
+  for (const std::uint32_t id : churn.removed) in_changed_[id] = 0;
 
   for (const std::uint32_t id : churn.touched) {
+    buildRegionExt(id, churn.touched);
     last_replans_ += planShard(id, arena_, false);
     ++last_shards_touched_;
   }
@@ -395,7 +526,7 @@ void ShardPlanner::addClient(net::NodeId v) {
   srtt_[i] = routing_->rtt(v, topology_->source);
   state_[i].active = true;
   state_[i].planned = false;
-  applyChurn(churn);
+  applyChurn(churn, v, true);
 }
 
 void ShardPlanner::removeClient(net::NodeId v) {
@@ -404,7 +535,7 @@ void ShardPlanner::removeClient(net::NodeId v) {
   const std::size_t i = idx(v);
   state_[i].active = false;
   state_[i].planned = false;
-  applyChurn(churn);
+  applyChurn(churn, v, false);
 }
 
 const Strategy& ShardPlanner::strategyFor(net::NodeId client) const {

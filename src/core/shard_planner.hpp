@@ -25,12 +25,20 @@
 // with respect to the considered peer set (auditAll() proves it via
 // PlanAuditor's exclusion-aware checks).
 //
-// Churn (addClient/removeClient) reuses GroupPartition's locality: a join
-// or leave rebuilds one shard region, and other shards are only revisited
-// when the region's best representative changed (then only their single
-// affected depth is patched, falling back to a rescan when the crown was
-// lost).  All per-shard scratch is arena-reused, so steady-state churn that
-// does not move representatives performs zero heap allocations.
+// Churn (addClient/removeClient) reuses GroupPartition's locality and
+// Lemma 4: a join or leave of v can change a client's candidate list only in
+// the one competitive class v falls into.  When v's shard changes in place
+// and keeps its representative, no other shard can tell, and each member
+// patches the class at lca(u, v) (one LCA and one RTT probe; a leave
+// reselects only the members whose class winner was v).  Otherwise the
+// region is rebuilt, and one pass over the surviving shards (one LCA probe
+// each) ranks them for the region's new ext tables and, if the region's
+// best representative moved, patches each survivor's single affected
+// depth: the ext entry and the matching candidate of each member.  When
+// the region held the crown of that depth, the successor comes from one
+// fold of all representatives onto the region anchor's root path, shared by
+// every importer.  All scratch is arena-reused, so steady-state churn,
+// crown cycles included, performs zero heap allocations.
 #pragma once
 
 #include <cstddef>
@@ -156,11 +164,33 @@ class ShardPlanner {
   /// Representative ordering: source RTT, ties toward the lowest id.
   [[nodiscard]] bool repLess(net::NodeId a, net::NodeId b) const;
   [[nodiscard]] net::NodeId computeRep(const Shard& shard) const;
-  void buildExt(std::uint32_t id);
+
+  /// The best and runner-up representative offered at one tree node, each
+  /// tagged with the branch it arrived through; the runner-up is the best
+  /// arriving through a branch other than the winner's.
+  struct TopTwo {
+    net::NodeId best = net::kInvalidNode;
+    net::NodeId via = net::kInvalidNode;
+    net::NodeId second = net::kInvalidNode;
+    /// The best representative not arriving through `branch`.
+    [[nodiscard]] net::NodeId excluding(net::NodeId branch) const {
+      return via != branch ? best : second;
+    }
+  };
+  /// Offers `rep` (ignored when invalid) to `top` through branch `via`.
+  void offer(TopTwo& top, net::NodeId via, net::NodeId rep) const;
+  /// The branch through which `root` reaches its ancestor at depth `d`: the
+  /// ancestor at depth d + 1, or `root` itself when it sits at depth d.
+  [[nodiscard]] net::NodeId branchAt(net::NodeId root, net::HopCount d) const;
+
+  /// Rebuilds the ext table of changed shard `id` from outside_best_ (the
+  /// surviving shards, ranked per depth by the churn pass) and pairwise
+  /// probes against the other shards of `region`.
+  void buildRegionExt(std::uint32_t id, std::span<const std::uint32_t> region);
   /// Builds every live shard's external table in one bottom-up pass over
-  /// the tree (O(n + sum of root depths)) instead of live.size() pairwise
-  /// buildExt scans (O(numShards^2) LCA probes).  Constructor-only; the
-  /// churn path patches tables incrementally.
+  /// the tree (O(n + sum of root depths)) instead of a pairwise scan per
+  /// shard (O(numShards^2) LCA probes).  Constructor-only; the churn path
+  /// patches tables incrementally.
   void bulkBuildExt(const std::vector<std::uint32_t>& live);
   void buildConsider(std::uint32_t id, std::vector<net::NodeId>& out) const;
   /// Recomputes `u`'s candidates against `consider`; reruns Algorithm 1
@@ -168,14 +198,29 @@ class ShardPlanner {
   bool planClient(net::NodeId u, std::span<const net::NodeId> consider,
                   Arena& arena, bool force);
   std::size_t planShard(std::uint32_t id, Arena& arena, bool force);
-  /// Best representative over all live shards meeting shard `x` at depth
-  /// `ds` (a full scan; the slow path of representative maintenance).
-  [[nodiscard]] net::NodeId rescanDepth(std::uint32_t x,
-                                        net::HopCount ds) const;
-  /// Shared add/remove tail: given the partition churn report and the old
-  /// region representatives, refreshes shard states, patches importer
-  /// tables and replans what changed.
-  void applyChurn(const GroupPartition::Churn& churn);
+  /// Reruns Algorithm 1 on `u`'s current candidate list.
+  void replanStrategy(net::NodeId u, ClientState& st, PlanScratch& plan);
+  /// Single-shard churn: `v` joined or left shard `id`, whose root and
+  /// external table stayed put.  Patches each member's class at lca(u, v).
+  std::size_t patchChurnedShard(std::uint32_t id, net::NodeId v, bool joined);
+  /// Shard `x`'s ext entry at depth `ds` became `winner` (kInvalidNode:
+  /// erased).  Sets that one class in every member's list.
+  std::size_t patchImporter(std::uint32_t x, net::HopCount ds,
+                            net::NodeId winner);
+  /// Puts `c` into `u`'s class slot `at` (erases the class when `c.peer` is
+  /// invalid) and reruns Algorithm 1 if the list changed.  Returns whether
+  /// it replanned.
+  bool patchClass(net::NodeId u, ClientState& st,
+                  std::vector<Candidate>::iterator at, const Candidate& c);
+  /// Folds every live shard's representative onto `anchor`'s root path:
+  /// fold_[d] ranks the shards rooted under the depth-d ancestor by the
+  /// branch they arrive through.  O(shards) LCA probes.
+  void foldAnchorPath(net::NodeId anchor);
+  /// Shared add/remove tail: given the partition churn report for client
+  /// `v`, refreshes shard states, patches importer tables and replans what
+  /// changed.
+  void applyChurn(const GroupPartition::Churn& churn, net::NodeId v,
+                  bool joined);
 
   const net::Topology* topology_;
   const net::Routing* routing_;
@@ -192,7 +237,9 @@ class ShardPlanner {
   std::vector<ShardState> shard_states_;  // per partition slot id
 
   Arena arena_;  // churn-path scratch
-  std::vector<net::NodeId> ext_depth_best_;  // buildExt per-depth winners
+  std::vector<net::NodeId> ext_depth_best_;  // buildRegionExt scratch
+  std::vector<net::NodeId> outside_best_;    // churn: best survivor by depth
+  std::vector<TopTwo> fold_;                 // foldAnchorPath, per depth
   std::vector<char> in_changed_;             // churn: slot id -> changed?
   std::size_t last_replans_ = 0;
   std::size_t last_shards_touched_ = 0;

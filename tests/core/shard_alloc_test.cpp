@@ -76,5 +76,23 @@ TEST_F(ShardChurnAllocTest, BatchLeaveThenRejoinIsAllocationFree) {
   EXPECT_EQ(allocs, 0u);
 }
 
+TEST_F(ShardChurnAllocTest, CrownChurnIsAllocationFree) {
+  // The client closest to the source is every importer's representative at
+  // its depth: removing it hands each importer's class to a successor found
+  // by the anchor-path fold, re-adding it patches that class back.
+  net::NodeId crown = topo_.clients.front();
+  for (const net::NodeId c : topo_.clients) {
+    if (routing_->rtt(c, topo_.source) < routing_->rtt(crown, topo_.source)) {
+      crown = c;
+    }
+  }
+  const auto allocs = steadyStateAllocations([this, crown] {
+    planner_->removeClient(crown);
+    EXPECT_GT(planner_->lastShardsTouched(), 1u);
+    planner_->addClient(crown);
+  });
+  EXPECT_EQ(allocs, 0u);
+}
+
 }  // namespace
 }  // namespace rmrn::core

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/dynamic_planner.hpp"
@@ -31,6 +33,19 @@ void expectSamePlans(const ShardPlanner& a, const ShardPlanner& b,
               b.strategyFor(u).expected_delay_ms)
         << "client " << u << " step " << step;
   }
+}
+
+/// Every current client of `churned` must equal a fresh build on the same
+/// membership.
+void expectMatchesFresh(const ShardPlanner& churned, const net::Topology& topo,
+                        const net::Routing& routing,
+                        const ShardPlannerOptions& options, int step) {
+  net::Topology fresh_topo = topo;
+  fresh_topo.clients = churned.currentClients();
+  ShardPlannerOptions fresh_options = options;
+  fresh_options.planner.timeout_ms = churned.timeoutMs();
+  const ShardPlanner fresh(fresh_topo, routing, fresh_options);
+  expectSamePlans(churned, fresh, fresh_topo.clients, step);
 }
 
 class ShardChurnTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -73,12 +88,10 @@ TEST_P(ShardChurnTest, ChurnedPlannerEqualsFreshShardedPlanner) {
       pool.push_back(v);
     }
 
-    net::Topology fresh_topo = topo;
-    fresh_topo.clients.assign(current.begin(), current.end());
-    const ShardPlanner fresh(fresh_topo, routing, options);
     ASSERT_EQ(churned.numClients(), current.size());
-    ASSERT_EQ(churned.currentClients(), fresh_topo.clients);
-    expectSamePlans(churned, fresh, fresh_topo.clients, step);
+    ASSERT_EQ(churned.currentClients(),
+              std::vector<NodeId>(current.begin(), current.end()));
+    expectMatchesFresh(churned, topo, routing, options, step);
   }
 }
 
@@ -167,6 +180,70 @@ TEST_P(ShardChurnTest, ChurnStormIsDeterministic) {
   const auto b = storm();
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
+
+  // Golden (replans, shards touched) sums over the trace, recorded with a
+  // planner that reselected every member of every touched shard: patching
+  // single classes must replan exactly the same clients.
+  const std::map<std::uint64_t, std::pair<std::size_t, std::size_t>> golden = {
+      {21u, {8542, 4068}}, {84u, {7500, 3301}}, {5150u, {8958, 3794}}};
+  std::size_t replans = 0;
+  std::size_t touched = 0;
+  for (const auto& [v, r, t] : a.first) {
+    replans += r;
+    touched += t;
+  }
+  EXPECT_EQ(std::make_pair(replans, touched), golden.at(GetParam()));
+}
+
+TEST_P(ShardChurnTest, ExcludedPeersWithResidualShardsTrackFreshPlanner) {
+  // K = 2 with internal routers joining as receivers forces residual
+  // singletons, whose nested shards meet them at the residual's own depth;
+  // banned peers join and leave too.
+  util::Rng rng(GetParam() * 31 + 11);
+  const net::Topology topo = net::generateTreeTopology(160, rng);
+  const net::Routing routing(topo.graph, topo.tree);
+
+  std::vector<NodeId> pool;
+  for (const NodeId v : topo.tree.members()) {
+    if (v != topo.source && !topo.isClient(v)) pool.push_back(v);
+  }
+  ShardPlannerOptions options;
+  options.planner.timeout_ms = 100.0;
+  options.max_shard_clients = 2;
+  for (std::size_t i = 0; i < topo.clients.size(); i += 7) {
+    options.planner.excluded_peers.push_back(topo.clients[i]);
+  }
+  for (std::size_t i = 0; i < pool.size(); i += 5) {
+    options.planner.excluded_peers.push_back(pool[i]);
+  }
+  ShardPlanner churned(topo, routing, options);
+
+  std::set<NodeId> current(topo.clients.begin(), topo.clients.end());
+  bool saw_residual = false;
+  for (int step = 0; step < 80; ++step) {
+    const bool join = current.size() < 4 ||
+                      (!pool.empty() && rng.bernoulli(0.6));
+    if (join && !pool.empty()) {
+      const std::size_t i = rng.uniformInt(pool.size());
+      const NodeId v = pool[i];
+      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(i));
+      churned.addClient(v);
+      current.insert(v);
+    } else {
+      std::vector<NodeId> cur(current.begin(), current.end());
+      const NodeId v = cur[rng.uniformInt(cur.size())];
+      churned.removeClient(v);
+      current.erase(v);
+      pool.push_back(v);
+    }
+    for (std::uint32_t id = 0; id < churned.partition().numSlots(); ++id) {
+      saw_residual |= churned.partition().isLive(id) &&
+                      churned.partition().shard(id).residual;
+    }
+    ASSERT_EQ(churned.numClients(), current.size());
+    expectMatchesFresh(churned, topo, routing, options, step);
+  }
+  EXPECT_TRUE(saw_residual);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardChurnTest,
@@ -221,6 +298,66 @@ TEST(ShardChurnRepresentativeTest, LeavingRepresentativePromotesSuccessor) {
   ASSERT_EQ(planner.candidatesFor(importer), flat.candidatesFor(importer));
   EXPECT_EQ(planner.strategyFor(importer).expected_delay_ms,
             flat.strategyFor(importer).expected_delay_ms);
+}
+
+TEST(ShardChurnRepresentativeTest, CrownCycleMatchesFreshPlanner) {
+  // The crown — the client closest to the source — is the representative
+  // every shard meeting its region imports; its departure must hand each
+  // importer's class to the right successor.
+  util::Rng rng(4242);
+  const net::Topology topo = net::generateShallowTreeTopology(3000, rng);
+  const net::Routing routing(topo.graph, topo.tree);
+
+  ShardPlannerOptions options;
+  options.max_shard_clients = 16;
+  ShardPlanner planner(topo, routing, options);
+  ASSERT_GT(planner.partition().numShards(), 10u);
+
+  NodeId crown = topo.clients.front();
+  for (const NodeId c : topo.clients) {
+    if (routing.rtt(c, topo.source) < routing.rtt(crown, topo.source)) {
+      crown = c;
+    }
+  }
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    planner.removeClient(crown);
+    EXPECT_GT(planner.lastShardsTouched(), 2u);
+    expectMatchesFresh(planner, topo, routing, options, 2 * cycle);
+    planner.addClient(crown);
+    EXPECT_GT(planner.lastShardsTouched(), 2u);
+    expectMatchesFresh(planner, topo, routing, options, 2 * cycle + 1);
+  }
+  EXPECT_EQ(planner.currentClients(), topo.clients);
+}
+
+TEST(ShardChurnRepresentativeTest, EqualRttTiesBreakLikeAFreshPlanner) {
+  // A complete ternary tree with unit link delays: every class is full of
+  // exact RTT ties, which patched classes must break toward the lowest id
+  // exactly as a fresh selection does.
+  constexpr NodeId kNodes = 1 + 3 + 9 + 27 + 81;
+  net::Topology topo;
+  topo.graph = net::Graph(kNodes);
+  std::vector<NodeId> parent(kNodes, net::kInvalidNode);
+  for (NodeId v = 1; v < kNodes; ++v) {
+    parent[v] = (v - 1) / 3;
+    topo.graph.addEdge(parent[v], v, 1.0);
+  }
+  topo.tree = net::MulticastTree(0, std::move(parent));
+  topo.source = 0;
+  for (NodeId v = kNodes - 81; v < kNodes; ++v) topo.clients.push_back(v);
+  const net::Routing routing(topo.graph, topo.tree);
+
+  ShardPlannerOptions options;
+  options.planner.timeout_ms = 50.0;
+  options.max_shard_clients = 4;
+  ShardPlanner planner(topo, routing, options);
+  int step = 0;
+  for (const NodeId v : topo.clients) {
+    planner.removeClient(v);
+    expectMatchesFresh(planner, topo, routing, options, step++);
+    planner.addClient(v);
+    expectMatchesFresh(planner, topo, routing, options, step++);
+  }
 }
 
 TEST(ShardChurnLocalityTest, NonRepresentativeChurnTouchesOneShard) {
