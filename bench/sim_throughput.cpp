@@ -4,6 +4,8 @@
 // campaign the harness can run.
 #include <benchmark/benchmark.h>
 
+#include <limits>
+
 #include "harness/experiment.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
@@ -16,15 +18,33 @@ namespace {
 
 using namespace rmrn;
 
+/// Timer sink that only counts, so the loops below time the queue itself.
+class CountingSink final : public sim::EventSink {
+ public:
+  void onEvent(const sim::EventRecord& /*event*/) override { ++fired; }
+  std::uint64_t fired = 0;
+};
+
+/// Fires every pending event.
+void drain(sim::EventQueue& queue) {
+  sim::TimeMs clock = 0.0;
+  while (queue.fireNext(std::numeric_limits<sim::TimeMs>::infinity(), &clock)) {
+  }
+  benchmark::DoNotOptimize(clock);
+}
+
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(1);
   std::vector<double> times(n);
   for (auto& t : times) t = rng.uniformReal(0.0, 1000.0);
+  const sim::EventRecord record{sim::EventKind::kTimer, {}};
   for (auto _ : state) {
     sim::EventQueue queue;
-    for (const double t : times) queue.schedule(t, [] {});
-    while (!queue.empty()) benchmark::DoNotOptimize(queue.pop());
+    CountingSink sink;
+    for (const double t : times) queue.scheduleEvent(t, &sink, record);
+    drain(queue);
+    benchmark::DoNotOptimize(sink.fired);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
@@ -36,15 +56,19 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
   // timer pattern).
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(2);
+  const sim::EventRecord record{sim::EventKind::kTimer, {}};
   for (auto _ : state) {
     sim::EventQueue queue;
+    CountingSink sink;
     std::vector<sim::EventId> ids;
     ids.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      ids.push_back(queue.schedule(rng.uniformReal(0.0, 1000.0), [] {}));
+      ids.push_back(
+          queue.scheduleEvent(rng.uniformReal(0.0, 1000.0), &sink, record));
     }
     for (std::size_t i = 0; i < n; i += 2) queue.cancel(ids[i]);
-    while (!queue.empty()) benchmark::DoNotOptimize(queue.pop());
+    drain(queue);
+    benchmark::DoNotOptimize(sink.fired);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));

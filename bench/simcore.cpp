@@ -32,6 +32,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <string>
@@ -456,8 +457,9 @@ std::uint64_t runTypedChurn(std::uint64_t total_events) {
     record.data.timer = sim::TimerEvent{0, i, i + 1, i + 2};
     queue.scheduleEvent(t += state.nextDelay(), &sink, record);
   }
-  while (state.fired + kWindow < total_events && !queue.empty()) {
-    const double now = queue.popAndFire();
+  double now = 0.0;
+  while (state.fired + kWindow < total_events &&
+         queue.fireNext(std::numeric_limits<double>::infinity(), &now)) {
     ++state.fired;
     record.data.timer = sim::TimerEvent{0, state.fired, 0, 0};
     queue.scheduleEvent(now + state.nextDelay(), &sink, record);
@@ -469,8 +471,7 @@ std::uint64_t runTypedChurn(std::uint64_t total_events) {
   for (std::size_t i = 0; i < kWindow; ++i) {
     if (timeout_set[i]) queue.cancel(timeout[i]);
   }
-  while (!queue.empty()) {
-    queue.popAndFire();
+  while (queue.fireNext(std::numeric_limits<double>::infinity(), &now)) {
     ++state.fired;
   }
   return state.fired;

@@ -1,13 +1,13 @@
-// Membership churn: receivers join and leave while the DynamicPlanner keeps
-// every client's prioritized recovery list optimal, replanning only the
-// strategies a change actually affects.
+// Membership churn: receivers join and leave while a one-shard ShardPlanner
+// keeps every client's prioritized recovery list optimal, replanning only
+// the strategies a change actually affects.
 //
 // Usage: membership_churn [num_nodes] [operations] [seed]
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 
-#include "core/dynamic_planner.hpp"
+#include "core/shard_planner.hpp"
 #include "harness/table.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
@@ -27,11 +27,14 @@ int main(int argc, char** argv) {
   const net::Topology topo = net::generateTopology(config, rng);
   const net::Routing routing(topo.graph);
 
-  core::PlannerOptions options;
-  options.per_peer_timeout_factor = 1.5;
-  core::DynamicPlanner planner(topo, routing, options);
+  // One shard (the budget swallows any group) considers every client, so
+  // plans equal a fresh RpPlanner's on this general-graph routing.
+  core::ShardPlannerOptions options;
+  options.planner.per_peer_timeout_factor = 1.5;
+  options.max_shard_clients = std::numeric_limits<std::uint32_t>::max();
+  core::ShardPlanner planner(topo, routing, options);
 
-  std::cout << "Initial group: " << planner.clients().size()
+  std::cout << "Initial group: " << planner.numClients()
             << " clients on a " << num_nodes << "-node network\n\n";
 
   std::vector<net::NodeId> pool;
@@ -47,28 +50,26 @@ int main(int argc, char** argv) {
   for (int op = 0; op < operations; ++op) {
     const net::NodeId v =
         pool[static_cast<std::size_t>(rng.uniformInt(pool.size()))];
-    const auto& clients = planner.clients();
-    const bool is_client =
-        std::binary_search(clients.begin(), clients.end(), v);
-    if (is_client && clients.size() > 2) {
+    const bool is_client = planner.partition().isClient(v);
+    if (is_client && planner.numClients() > 2) {
       planner.removeClient(v);
       ++leaves;
       table.addRow({"leave", std::to_string(v),
-                    std::to_string(planner.clients().size()),
+                    std::to_string(planner.numClients()),
                     std::to_string(planner.lastReplans()),
                     harness::TextTable::num(
                         static_cast<double>(planner.lastReplans()) /
-                            static_cast<double>(planner.clients().size()),
+                            static_cast<double>(planner.numClients()),
                         2)});
     } else if (!is_client) {
       planner.addClient(v);
       ++joins;
       table.addRow({"join", std::to_string(v),
-                    std::to_string(planner.clients().size()),
+                    std::to_string(planner.numClients()),
                     std::to_string(planner.lastReplans()),
                     harness::TextTable::num(
                         static_cast<double>(planner.lastReplans()) /
-                            static_cast<double>(planner.clients().size()),
+                            static_cast<double>(planner.numClients()),
                         2)});
     } else {
       continue;
@@ -79,6 +80,6 @@ int main(int argc, char** argv) {
   std::cout << "\n" << joins << " joins, " << leaves << " leaves, "
             << total_replans << " strategy recomputations total (a full "
             << "rebuild per change would have cost ~"
-            << (joins + leaves) * planner.clients().size() << ")\n";
+            << (joins + leaves) * planner.numClients() << ")\n";
   return 0;
 }

@@ -98,6 +98,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -787,8 +788,12 @@ std::vector<std::uint32_t> parseSizes(const std::string& list) {
 int cmdScale(const util::Flags& flags) {
   const auto sizes =
       parseSizes(flags.getString("sizes", "3000,30000,300000,2000000"));
-  const auto shard_budget =
-      static_cast<std::uint32_t>(flags.getUnsigned("shard", 64));
+  const std::uint64_t shard_flag = flags.getUnsigned("shard", 64);
+  if (shard_flag < 1 ||
+      shard_flag > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("--shard must be in [1, 4294967295]");
+  }
+  const auto shard_budget = static_cast<std::uint32_t>(shard_flag);
   const std::uint64_t seed = flags.getUnsigned("seed", 1);
   const auto churn_ops =
       static_cast<std::uint32_t>(flags.getUnsigned("churn-ops", 500));

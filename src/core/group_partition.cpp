@@ -71,7 +71,7 @@ void GroupPartition::adjustCounts(net::NodeId v, std::int32_t delta) {
 }
 
 net::NodeId GroupPartition::highestWithin(net::NodeId v,
-                                          std::uint32_t limit) const {
+                                          std::uint64_t limit) const {
   // Counts are monotone non-decreasing towards the root, so the qualifying
   // ancestors of v form a contiguous run starting at v.
   net::NodeId best = net::kInvalidNode;
@@ -163,7 +163,8 @@ const GroupPartition::Churn& GroupPartition::addClient(net::NodeId v) {
   // The affected region is rooted at the shallowest ancestor that qualified
   // under the OLD counts (new count <= K+1): only the shard there — if any —
   // can split; everything outside kept its counts or stayed over budget.
-  const net::NodeId region = highestWithin(v, max_clients_ + 1);
+  const net::NodeId region =
+      highestWithin(v, std::uint64_t{max_clients_} + 1);
   affected_.clear();
   reusable_.clear();
   if (region == net::kInvalidNode) {

@@ -95,9 +95,10 @@ class GroupPartition {
   }
   void adjustCounts(net::NodeId v, std::int32_t delta);
   /// Highest ancestor of v (inclusive) whose subtree count is <= limit;
-  /// kInvalidNode when even v exceeds it.
+  /// kInvalidNode when even v exceeds it.  64-bit so that K + 1 cannot wrap
+  /// at K = UINT32_MAX.
   [[nodiscard]] net::NodeId highestWithin(net::NodeId v,
-                                          std::uint32_t limit) const;
+                                          std::uint64_t limit) const;
   /// Rebuilds shards for the clients currently staged in affected_,
   /// reusing `reusable` slot ids first.  Appends to churn_.touched.
   void rebuildRegion();

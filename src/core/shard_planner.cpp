@@ -10,6 +10,19 @@
 
 namespace rmrn::core {
 
+namespace {
+
+/// The partition budget, checked before the partition is built (K = 0 would
+/// make every client an over-budget singleton).
+std::uint32_t checkedBudget(std::uint32_t max_shard_clients) {
+  if (max_shard_clients == 0) {
+    throw std::invalid_argument("ShardPlanner: shard budget must be >= 1");
+  }
+  return max_shard_clients;
+}
+
+}  // namespace
+
 // rmrn-lint: init-phase
 ShardPlanner::ShardPlanner(const net::Topology& topology,
                            const net::Routing& routing,
@@ -18,7 +31,8 @@ ShardPlanner::ShardPlanner(const net::Topology& topology,
       routing_(&routing),
       options_(std::move(options)),
       lca_(topology.tree),
-      partition_(topology.tree, topology.clients, options_.max_shard_clients) {
+      partition_(topology.tree, topology.clients,
+                 checkedBudget(options_.max_shard_clients)) {
   if (options_.planner.timeout_ms < 0.0) {
     throw std::invalid_argument("ShardPlanner: negative timeout");
   }
@@ -521,7 +535,18 @@ void ShardPlanner::applyChurn(const GroupPartition::Churn& churn,
 }
 
 void ShardPlanner::addClient(net::NodeId v) {
-  const GroupPartition::Churn& churn = partition_.addClient(v);  // validates
+  // Checked in every build: GroupPartition's own contract checks compile
+  // out with RMRN_AUDIT=OFF, and a bad join would corrupt its counts.
+  if (v == topology_->source) {
+    throw std::invalid_argument("ShardPlanner: the source is no client");
+  }
+  if (!topology_->tree.contains(v)) {
+    throw std::invalid_argument("ShardPlanner: node not in tree");
+  }
+  if (partition_.isClient(v)) {
+    throw std::invalid_argument("ShardPlanner: already a client");
+  }
+  const GroupPartition::Churn& churn = partition_.addClient(v);
   const std::size_t i = idx(v);
   srtt_[i] = routing_->rtt(v, topology_->source);
   state_[i].active = true;
@@ -530,8 +555,10 @@ void ShardPlanner::addClient(net::NodeId v) {
 }
 
 void ShardPlanner::removeClient(net::NodeId v) {
-  const GroupPartition::Churn& churn =
-      partition_.removeClient(v);  // validates
+  if (!partition_.isClient(v)) {
+    throw std::invalid_argument("ShardPlanner: not a client");
+  }
+  const GroupPartition::Churn& churn = partition_.removeClient(v);
   const std::size_t i = idx(v);
   state_[i].active = false;
   state_[i].planned = false;

@@ -63,8 +63,9 @@ struct ShardPlannerOptions {
   /// client-source RTT from the initial membership, fixed across churn;
   /// num_threads parallelizes the initial whole-group build over shards).
   PlannerOptions planner;
-  /// The partition budget K: shards split at the shallowest subtrees
-  /// holding at most this many clients.
+  /// The partition budget K >= 1: shards split at the shallowest subtrees
+  /// holding at most this many clients.  UINT32_MAX keeps the whole group in
+  /// one shard, where every plan equals RpPlanner's on any routing.
   std::uint32_t max_shard_clients = 64;
 };
 
@@ -80,13 +81,16 @@ class ShardPlanner {
  public:
   /// Plans for `topology.clients`.  The topology and routing must outlive
   /// the planner.  `routing` needs rows for clients only (sparse, lazy and
-  /// tree-metric modes all qualify).
+  /// tree-metric modes all qualify).  Throws std::invalid_argument on a
+  /// negative timeout or a zero shard budget.
   ShardPlanner(const net::Topology& topology, const net::Routing& routing,
                ShardPlannerOptions options);
 
   /// Adds a receiver at tree member `v` / removes receiver `v`, updating
   /// only the affected shard region plus any shards whose external
-  /// representative table changed.  Preconditions as GroupPartition.
+  /// representative table changed.  Throws std::invalid_argument, leaving
+  /// the planner untouched, when `v` is the source, not a tree member or
+  /// already a client (add), or not a client (remove).
   void addClient(net::NodeId v);
   void removeClient(net::NodeId v);
 

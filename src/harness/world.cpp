@@ -111,14 +111,18 @@ void World::armFaults(const sim::FaultPlan& plan) {
 
 void World::scheduleData(std::span<const sim::LinkLossPattern> patterns,
                          double interval_ms) {
-  protocols::RecoveryProtocol* proto = protocol.get();
-  const sim::LinkLossPattern* losses = patterns.data();
+  patterns_ = patterns;
+  sim::EventRecord record{sim::EventKind::kTimer, {}};
   for (std::uint32_t seq = 0; seq < patterns.size(); ++seq) {
-    simulator.scheduleAt(static_cast<double>(seq) * interval_ms,
-                         [proto, losses, seq] {
-                           proto->sourceMulticast(seq, losses[seq]);
-                         });
+    record.data.timer = sim::TimerEvent{0, seq, 0, 0};
+    simulator.scheduleEventAt(static_cast<double>(seq) * interval_ms, this,
+                              record);
   }
+}
+
+void World::onEvent(const sim::EventRecord& record) {
+  const std::uint64_t seq = record.data.timer.a;
+  protocol->sourceMulticast(seq, patterns_[seq]);
 }
 
 ClientCompletion World::completion(net::NodeId client,

@@ -5,7 +5,8 @@
 // runParallelTransfer() builds one per region (runTransfer() is its
 // single-region case).  This file owns what those drivers used to repeat:
 // the ProtocolKind -> protocol switch, planner-option resolution, the choice
-// of loss process, FaultInjector wiring and the per-client completion sweep.
+// of loss process, FaultInjector wiring, data-packet pacing (one timer event
+// per packet, payload = its seq) and the per-client completion sweep.
 // Drivers keep their own RNG substreams, resolved ProtocolConfig and result
 // accounting.
 #pragma once
@@ -72,7 +73,7 @@ inline constexpr double kChaosSessionDeadlineMs = 10000.0;
 /// run (or one region of a parallel run).  Build order: construct, adjust
 /// `network` (link accounting, shard mode, staged patterns), buildProtocol,
 /// armFaults, scheduleData, run.
-struct World {
+struct World final : sim::EventSink {
   /// `recovery_loss` is the per-link loss of recovery traffic.
   World(const net::Topology& topology, const net::Routing& routing,
         double recovery_loss, util::Rng network_rng);
@@ -95,6 +96,10 @@ struct World {
   void scheduleData(std::span<const sim::LinkLossPattern> patterns,
                     double interval_ms);
 
+  /// A data-send timer fired: the source multicasts packet
+  /// `record.data.timer.a`.
+  void onEvent(const sim::EventRecord& record) override;
+
   /// `client`'s completion after the run: the loss-free arrival of the last
   /// packet or its last recovery, whichever is later, and its loss count.
   /// `holds_all` reports whether it holds every packet.
@@ -107,9 +112,12 @@ struct World {
   sim::SimNetwork network;
   metrics::RecoveryMetrics recovery;
   std::unique_ptr<protocols::RecoveryProtocol> protocol;
-  /// Set by armFaults; its armed events capture it, so it lives as long as
-  /// the world.
+  /// Set by armFaults; its armed events point at it, so it lives as long
+  /// as the world.
   std::unique_ptr<sim::FaultInjector> injector;
+
+ private:
+  std::span<const sim::LinkLossPattern> patterns_;  // set by scheduleData
 };
 
 }  // namespace rmrn::harness

@@ -1,13 +1,12 @@
-// Typed, POD-sized event records for the data-plane engine.
+// Typed, POD-sized event records: the only kind of event the engine runs.
 //
-// The simulator's hot path — link traversals, tree floods, agent deliveries
-// and protocol timers — used to be type-erased `std::function` closures, each
-// costing a heap allocation per scheduled event.  These records replace them:
-// every event the data plane schedules is one of four small trivially
-// copyable payloads stored inline in the EventQueue's slab (event_queue.hpp),
-// dispatched through a single `EventSink` virtual call on fire.  A fallback
-// closure lane remains for cold-path callers (harness drivers, fault
-// injection, tests), so `std::function` scheduling keeps working unchanged.
+// Every event is one of four small trivially copyable payloads stored
+// inline in the EventQueue's slab (event_queue.hpp), so scheduling one
+// performs no heap allocation, and dispatched through a single `EventSink`
+// virtual call on fire.  Cold-path schedulers use the same records:
+// FaultInjector and harness::World each implement EventSink and schedule
+// TimerEvents whose payload indexes their own schedule (a fault, a data
+// packet).
 #pragma once
 
 #include <cstdint>
@@ -26,11 +25,10 @@ using TimeMs = double;
 using EventId = std::uint64_t;
 
 enum class EventKind : std::uint8_t {
-  kClosure,     // fallback lane: type-erased std::function<void()>
   kDeliver,     // hand `packet` to the agent at `at`
   kForwardHop,  // a unicast packet finished traversing one routed link
   kFloodStep,   // a tree flood crossed one link and continues from `next`
-  kTimer,       // protocol timer (loss detection, retries, suppression, ...)
+  kTimer,       // timer: protocol waits, fault firings, data sends
 };
 
 /// Packet arrival at an agent.  `direct` skips the fault triage (used by the
@@ -64,8 +62,8 @@ struct FloodStepEvent {
   Packet packet;
 };
 
-/// Protocol timer: an opaque kind tag plus three payload words, dispatched
-/// back to the scheduling protocol (see RecoveryProtocol::onTimer).
+/// Timer: an opaque kind tag plus three payload words, dispatched back to
+/// the scheduling sink (see RecoveryProtocol::onTimer).
 struct TimerEvent {
   std::uint32_t kind;
   std::uint64_t a;
@@ -74,26 +72,25 @@ struct TimerEvent {
 };
 
 /// Tagged payload union.  All members are trivially copyable, so slab slots
-/// can be reused without destructor bookkeeping; closures live in a separate
-/// properly-managed slab and are referenced here by index.
+/// can be reused without destructor bookkeeping.
 union EventData {
   DeliverEvent deliver;
   ForwardHopEvent forward;
   FloodStepEvent flood;
   TimerEvent timer;
-  std::uint32_t closure;  // index into EventQueue's closure slab
 
-  EventData() : closure(0) {}
+  EventData() : timer{} {}
 };
 
 struct EventRecord {
-  EventKind kind = EventKind::kClosure;
+  EventKind kind = EventKind::kTimer;
   EventData data;
 };
 
-/// Receiver of typed events.  SimNetwork implements it for the packet kinds,
-/// RecoveryProtocol for timers.  The sink outlives every event it scheduled
-/// (both are torn down with the Simulator at end of run).
+/// Receiver of typed events.  SimNetwork implements it for the packet kinds;
+/// RecoveryProtocol, FaultInjector and harness::World for timers.  The sink
+/// outlives every event it scheduled (all are torn down with the Simulator
+/// at end of run).
 class EventSink {
  public:
   virtual void onEvent(const EventRecord& event) = 0;

@@ -1,9 +1,6 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
-#include <utility>
 
 #include "util/check.hpp"
 
@@ -16,32 +13,6 @@ std::uint32_t EventQueue::acquireSlotSlow() {
   // rmrn-lint: allow(HOT-1) slab warm-up: grows once per high-water mark, then slots recycle (alloc_tests)
   slots_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
-// rmrn-lint: allow(HOT-1) compat closure lane; the typed lane (scheduleEvent) is the allocation-free hot path
-EventId EventQueue::schedule(TimeMs at, std::function<void()> action) {
-  if (!std::isfinite(at)) {
-    throw std::invalid_argument("EventQueue: non-finite event time");
-  }
-  if (!action) {
-    throw std::invalid_argument("EventQueue: empty action");
-  }
-  const std::uint32_t slot = acquireSlot();
-  std::uint32_t closure;
-  if (!free_closures_.empty()) {
-    closure = free_closures_.back();
-    free_closures_.pop_back();
-    closures_[closure] = std::move(action);
-  } else {
-    closure = static_cast<std::uint32_t>(closures_.size());
-    // rmrn-lint: allow(HOT-1) closure-shell arena warm-up; shells recycle via free_closures_
-    closures_.push_back(std::move(action));
-  }
-  Slot& s = slots_[slot];
-  s.kind = EventKind::kClosure;
-  s.sink = nullptr;
-  s.data.closure = closure;
-  return push(at, slot);
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -73,39 +44,7 @@ void EventQueue::maybeCompact() {
 TimeMs EventQueue::nextTime() const {
   if (empty()) throw std::logic_error("EventQueue::nextTime on empty");
   skipDead();
-  return heap_[0].time;
-}
-
-EventQueue::Fired EventQueue::pop() {
-  if (empty()) throw std::logic_error("EventQueue::pop on empty");
-  skipDead();
-  const HeapEntry top = heap_[0];
-  popRoot();
-  const std::uint32_t slot = top.slot();
-  Slot& s = slots_[slot];
-  Fired fired;
-  fired.time = top.time;
-  fired.id = makeId(slot, s.gen);
-  fired.record.kind = s.kind;
-  fired.record.data = s.data;
-  fired.sink = s.sink;
-  if (s.kind == EventKind::kClosure) {
-    fired.action = std::move(closures_[s.data.closure]);
-  }
-  freeSlot(slot);
-  --live_;
-  RMRN_ENSURE(fired.time >= last_fired_,
-              "event queue popped an event earlier than the previous one");
-  last_fired_ = fired.time;
-  return fired;
-}
-
-TimeMs EventQueue::popAndFire() {
-  TimeMs fired;
-  if (!fireNext(std::numeric_limits<TimeMs>::infinity(), &fired)) {
-    throw std::logic_error("EventQueue::popAndFire on empty");
-  }
-  return fired;
+  return heap_[0].when();
 }
 
 }  // namespace rmrn::sim

@@ -1,5 +1,4 @@
-// Cancellable discrete-event queue: slab-backed typed events plus a
-// type-erased fallback lane.
+// Cancellable discrete-event queue of slab-backed typed events.
 //
 // Events are (time, insertion-sequence) ordered; ties in time resolve in
 // insertion order so runs are fully deterministic.  Storage is a slab of
@@ -12,25 +11,24 @@
 // outnumber live entries 2:1, so the heap footprint stays proportional to
 // the live event count.
 //
-// Typed events (sim/event.hpp) are stored inline — scheduling one performs
-// no heap allocation at steady state.  `std::function` callers use the
-// closure lane, which stores the function in a separate recycled slab.
+// Events (sim/event.hpp) are stored inline — scheduling one performs no
+// heap allocation at steady state — and fire through their EventSink.
 //
-// Heap keys are 16 bytes: the event time plus a single word packing
-// (insertion seq << 20) | slot.  Packing keeps tie-breaks a one-word compare
-// and fits two keys per cache line, which matters because sift traffic
-// dominates the engine's cost.  The packed widths bound the queue at 2^20
+// Heap keys are 16 bytes: the event time's order-preserving integer image
+// plus a single word packing (insertion seq << 20) | slot.  Packing makes the
+// whole (time, seq) order one branch-free 128-bit compare and fits two keys
+// per cache line, which matters because sift traffic dominates the engine's
+// cost.  The packed widths bound the queue at 2^20
 // simultaneously-pending events and 2^44 total scheduled events per queue —
 // both enforced, both far past anything a simulation here reaches.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -40,14 +38,10 @@ namespace rmrn::sim {
 
 class EventQueue {
  public:
-  /// Closure lane: schedules `action` at absolute time `at`.  Returns a
-  /// handle usable with cancel().  Throws std::invalid_argument for
-  /// non-finite times or an empty action.
-  // rmrn-lint: allow(HOT-1) compat closure lane; the typed lane (scheduleEvent) is the allocation-free hot path
-  EventId schedule(TimeMs at, std::function<void()> action);
-
-  /// Typed lane: schedules `record` for dispatch to `sink->onEvent()`.
-  /// Allocation-free once the slab and heap have warmed up.
+  /// Schedules `record` for dispatch to `sink->onEvent()` at absolute time
+  /// `at`.  Returns a handle usable with cancel().  Allocation-free once the
+  /// slab and heap have warmed up.  Throws std::invalid_argument for a null
+  /// sink or a non-finite time.
   EventId scheduleEvent(TimeMs at, EventSink* sink, const EventRecord& record);
 
   /// Cancels a pending event.  Returns true if the event was pending (not
@@ -59,31 +53,6 @@ class EventQueue {
 
   /// Time of the next live event.  Requires !empty().
   [[nodiscard]] TimeMs nextTime() const;
-
-  /// Pops and returns the next live event.  Requires !empty().
-  struct Fired {
-    TimeMs time = 0.0;
-    EventId id = 0;
-    EventRecord record;
-    EventSink* sink = nullptr;
-    // rmrn-lint: allow(HOT-1) compat closure lane; empty (no allocation) for typed-lane events
-    std::function<void()> action;  // closure lane only
-
-    /// Runs the event: invokes the closure or dispatches to the sink.
-    void fire() {
-      if (record.kind == EventKind::kClosure) {
-        action();
-      } else {
-        sink->onEvent(record);
-      }
-    }
-  };
-  Fired pop();
-
-  /// Pops and runs the next live event in one step, returning its time.
-  /// Equivalent to pop().fire() without marshalling a Fired.
-  /// Requires !empty().
-  TimeMs popAndFire();
 
   /// Fires the next live event if there is one and it is due at or before
   /// `until`: stores its time in *clock (before running the handler, so
@@ -100,10 +69,10 @@ class EventQueue {
   /// at ~3x pendingCount() by compaction; exposed so tests can assert that.
   [[nodiscard]] std::size_t heapSize() const { return heap_.size(); }
 
-  /// Time of the most recently popped event; -infinity before the first
-  /// pop.  Simulation time never runs backwards: pop() enforces
-  /// fired.time >= lastFiredTime(), and schedule() rejects events in the
-  /// past (both via the RMRN contract layer).
+  /// Time of the most recently fired event; -infinity before the first
+  /// fire.  Simulation time never runs backwards: fireNext() enforces
+  /// fired time >= lastFiredTime(), and scheduleEvent() rejects events in
+  /// the past (both via the RMRN contract layer).
   [[nodiscard]] TimeMs lastFiredTime() const { return last_fired_; }
 
  private:
@@ -123,21 +92,41 @@ class EventQueue {
     std::uint64_t seq = kNoSeq;  // current tenant's insertion seq
     std::uint32_t gen = 1;       // bumped on free; 0 is never a live gen
     std::uint32_t next_free = kNil;
-    EventKind kind = EventKind::kClosure;
+    EventKind kind = EventKind::kTimer;
     EventSink* sink = nullptr;
     EventData data;
   };
   /// 4-ary heap key: (time, seq) with seq the global insertion sequence.
   /// Slots never repeat within the pending set, so key order is seq order.
+  /// The time is stored as its order-preserving integer image, so ordering
+  /// two entries is one unsigned 128-bit comparison (order, key) that
+  /// compiles without branches: sift comparisons are data-dependent coin
+  /// flips, and a conditional jump there mispredicts about half the time.
   struct HeapEntry {
-    TimeMs time;
-    std::uint64_t key;  // (seq << kSlotBits) | slot
+    std::uint64_t order;  // orderOf(time)
+    std::uint64_t key;    // (seq << kSlotBits) | slot
 
+    [[nodiscard]] TimeMs when() const { return timeOf(order); }
     [[nodiscard]] std::uint32_t slot() const {
       return static_cast<std::uint32_t>(key & kSlotMask);
     }
     [[nodiscard]] std::uint64_t seq() const { return key >> kSlotBits; }
   };
+  static constexpr std::uint64_t kSignBit = 1ull << 63;
+  /// Order-preserving integer image of a finite time: a < b iff
+  /// orderOf(a) < orderOf(b).  -0.0 folds into +0.0 so equal times stay
+  /// equal.
+  [[nodiscard]] static std::uint64_t orderOf(TimeMs t) {
+    const auto bits = std::bit_cast<std::uint64_t>(t + 0.0);
+    const auto negative = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(bits) >> 63);
+    return bits ^ (negative | kSignBit);
+  }
+  [[nodiscard]] static TimeMs timeOf(std::uint64_t order) {
+    const auto negative = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(~order) >> 63);
+    return std::bit_cast<TimeMs>(order ^ (negative | kSignBit));
+  }
 
   [[nodiscard]] static EventId makeId(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(gen) << 32) | slot;
@@ -159,12 +148,6 @@ class EventQueue {
   [[nodiscard]] std::uint32_t acquireSlotSlow();
   void freeSlot(std::uint32_t slot) {
     Slot& s = slots_[slot];
-    if (s.kind == EventKind::kClosure) {
-      // Release the captured state now; the std::function shell is recycled.
-      closures_[s.data.closure] = nullptr;
-      // rmrn-lint: allow(HOT-1) free list reuses retained capacity; alloc_tests pin the zero-allocation data plane
-      free_closures_.push_back(s.data.closure);
-    }
     s.sink = nullptr;
     s.seq = kNoSeq;  // marks the slot's heap entry dead
     ++s.gen;         // invalidates every outstanding handle to this slot
@@ -185,15 +168,15 @@ class EventQueue {
     const std::uint64_t seq = next_seq_++;
     slots_[slot].seq = seq;
     // rmrn-lint: allow(HOT-1) heap grows to the pending-event high-water mark, then reuses capacity (alloc_tests)
-    heap_.push_back(HeapEntry{at, (seq << kSlotBits) | slot});
+    heap_.push_back(HeapEntry{orderOf(at), (seq << kSlotBits) | slot});
     siftUp(heap_.size() - 1);
     ++live_;
     return makeId(slot, slots_[slot].gen);
   }
 
   [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.key < b.key;
+    __extension__ using Wide = unsigned __int128;  // GCC/Clang builtin
+    return ((Wide{a.order} << 64) | a.key) < ((Wide{b.order} << 64) | b.key);
   }
   void siftUp(std::size_t i) const {
     const HeapEntry entry = heap_[i];
@@ -230,9 +213,6 @@ class EventQueue {
   // the top mutates no observable state, hence mutable for const queries.
   mutable std::vector<HeapEntry> heap_;
   mutable std::size_t dead_in_heap_ = 0;
-  // rmrn-lint: allow(HOT-1) compat closure lane shells, recycled via free_closures_
-  std::vector<std::function<void()>> closures_;
-  std::vector<std::uint32_t> free_closures_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
   TimeMs last_fired_ = -std::numeric_limits<TimeMs>::infinity();
@@ -251,7 +231,9 @@ inline void EventQueue::siftDown(std::size_t i) const {
     std::size_t best = first_child;
     const std::size_t last_child = std::min(first_child + 4, n);
     for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
+      // Branch-free select (see HeapEntry).
+      const std::size_t earlier = before(heap_[c], heap_[best]);
+      best += (c - best) & (0 - earlier);
     }
     if (!before(heap_[best], entry)) break;
     heap_[i] = heap_[best];
@@ -262,8 +244,8 @@ inline void EventQueue::siftDown(std::size_t i) const {
 
 inline EventId EventQueue::scheduleEvent(TimeMs at, EventSink* sink,
                                          const EventRecord& record) {
-  if (sink == nullptr || record.kind == EventKind::kClosure) {
-    throw std::invalid_argument("EventQueue: typed event needs a sink");
+  if (sink == nullptr) {
+    throw std::invalid_argument("EventQueue: event needs a sink");
   }
   const std::uint32_t slot = acquireSlot();
   Slot& s = slots_[slot];
@@ -277,28 +259,23 @@ inline bool EventQueue::fireNext(TimeMs until, TimeMs* clock) {
   if (empty()) return false;
   skipDead();
   const HeapEntry top = heap_[0];
-  if (top.time > until) return false;
+  const TimeMs time = top.when();
+  if (time > until) return false;
   popRoot();
   const std::uint32_t slot = top.slot();
   Slot& s = slots_[slot];
-  RMRN_ENSURE(top.time >= last_fired_,
+  RMRN_ENSURE(time >= last_fired_,
               "event queue popped an event earlier than the previous one");
-  last_fired_ = top.time;
+  last_fired_ = time;
   --live_;
   // The clock advances before the handler runs: handlers schedule relative
   // to the owning simulator's now().
-  *clock = top.time;
-  if (s.kind == EventKind::kClosure) {
-    auto action = std::move(closures_[s.data.closure]);
-    freeSlot(slot);
-    action();
-  } else {
-    // Copy out before freeing: the handler may schedule, growing slots_.
-    EventSink* const sink = s.sink;
-    const EventRecord record{s.kind, s.data};
-    freeSlot(slot);
-    sink->onEvent(record);
-  }
+  *clock = time;
+  // Copy out before freeing: the handler may schedule, growing slots_.
+  EventSink* const sink = s.sink;
+  const EventRecord record{s.kind, s.data};
+  freeSlot(slot);
+  sink->onEvent(record);
   return true;
 }
 

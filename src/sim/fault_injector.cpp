@@ -251,37 +251,43 @@ void FaultInjector::arm() {
   if (global_jitter_ms_ > 0.0) {
     network_.setAllLinksJitterMs(global_jitter_ms_);
   }
-  for (const FaultEvent& event : schedule_) {
-    network_.simulator().scheduleAt(event.at_ms, [this, event] {
-      switch (event.kind) {
-        case FaultKind::kCrash:
-          network_.setAgentFault(event.node, AgentFault::kCrashed);
-          break;
-        case FaultKind::kStall:
-          network_.setAgentFault(event.node, AgentFault::kStalled);
-          break;
-        case FaultKind::kSlow:
-          network_.setAgentFault(event.node, AgentFault::kSlowed,
-                                 event.slow_extra_ms);
-          break;
-        case FaultKind::kLinkDown:
-          network_.setLinkState(event.link_a, event.link_b, /*up=*/false);
-          break;
-        case FaultKind::kLinkUp:
-          network_.setLinkState(event.link_a, event.link_b, /*up=*/true);
-          break;
-        case FaultKind::kLinkDuplicate:
-          network_.setLinkDuplicationProb(event.link_a, event.link_b,
-                                          event.slow_extra_ms);
-          break;
-        case FaultKind::kLinkJitter:
-          network_.setLinkJitterMs(event.link_a, event.link_b,
-                                   event.slow_extra_ms);
-          break;
-      }
-      if (handler_) handler_(event);
-    });
+  // One timer per fault; its payload is the schedule index.
+  EventRecord record{EventKind::kTimer, {}};
+  for (std::size_t i = 0; i < schedule_.size(); ++i) {
+    record.data.timer = TimerEvent{0, i, 0, 0};
+    network_.simulator().scheduleEventAt(schedule_[i].at_ms, this, record);
   }
+}
+
+void FaultInjector::onEvent(const EventRecord& record) {
+  const FaultEvent& event = schedule_[record.data.timer.a];
+  switch (event.kind) {
+    case FaultKind::kCrash:
+      network_.setAgentFault(event.node, AgentFault::kCrashed);
+      break;
+    case FaultKind::kStall:
+      network_.setAgentFault(event.node, AgentFault::kStalled);
+      break;
+    case FaultKind::kSlow:
+      network_.setAgentFault(event.node, AgentFault::kSlowed,
+                             event.slow_extra_ms);
+      break;
+    case FaultKind::kLinkDown:
+      network_.setLinkState(event.link_a, event.link_b, /*up=*/false);
+      break;
+    case FaultKind::kLinkUp:
+      network_.setLinkState(event.link_a, event.link_b, /*up=*/true);
+      break;
+    case FaultKind::kLinkDuplicate:
+      network_.setLinkDuplicationProb(event.link_a, event.link_b,
+                                      event.slow_extra_ms);
+      break;
+    case FaultKind::kLinkJitter:
+      network_.setLinkJitterMs(event.link_a, event.link_b,
+                               event.slow_extra_ms);
+      break;
+  }
+  if (handler_) handler_(event);
 }
 
 }  // namespace rmrn::sim

@@ -4,9 +4,10 @@
 // slow, plus when the faults begin.  The injector derives an explicit,
 // seed-deterministic schedule at construction (victims are a seeded shuffle
 // of the client list; the fault sets are disjoint) and arm() turns it into
-// simulator events that flip SimNetwork agent fault states.  Two injectors
-// built from the same plan over the same topology produce bit-identical
-// schedules, so faulted experiments stay pure functions of their seed.
+// simulator timer events (payload: the schedule index) that flip SimNetwork
+// agent fault states.  Two injectors built from the same plan over the same
+// topology produce bit-identical schedules, so faulted experiments stay pure
+// functions of their seed.
 //
 // Beyond agent faults, a plan can describe link-level chaos: link flaps
 // (down/up cycles on a seeded subset of tree links), a group partition (cut
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "net/types.hpp"
+#include "sim/event.hpp"
 #include "sim/network.hpp"
 
 namespace rmrn::sim {
@@ -131,7 +133,7 @@ struct FaultPlan {
   }
 };
 
-class FaultInjector {
+class FaultInjector final : private EventSink {
  public:
   /// Fires after a fault has been applied to the network (e.g. so the
   /// harness can tell the protocol a client crashed).
@@ -157,7 +159,8 @@ class FaultInjector {
 
   /// Schedules every fault into the network's simulator (and applies the
   /// plan's global duplication/jitter settings).  Call exactly once, before
-  /// (or during) the run; throws std::logic_error on reuse.
+  /// (or during) the run; throws std::logic_error on reuse.  The injector
+  /// must outlive the armed events.
   void arm();
 
   [[nodiscard]] const std::vector<FaultEvent>& schedule() const {
@@ -167,6 +170,8 @@ class FaultInjector {
 
  private:
   void validateLinkSchedule() const;
+  /// Applies schedule_[record.data.timer.a], then reports it to the handler.
+  void onEvent(const EventRecord& record) override;
 
   SimNetwork& network_;
   std::vector<FaultEvent> schedule_;

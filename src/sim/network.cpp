@@ -173,7 +173,6 @@ void SimNetwork::injectHandoff(const ShardHandoff& handoff) {
       return;
     }
     case EventKind::kDeliver:
-    case EventKind::kClosure:
     case EventKind::kTimer:
       break;
   }
@@ -438,7 +437,6 @@ void SimNetwork::onEvent(const EventRecord& event) {
     case EventKind::kFloodStep:
       onFloodStep(event.data.flood);
       return;
-    case EventKind::kClosure:
     case EventKind::kTimer:
       break;
   }

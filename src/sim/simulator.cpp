@@ -2,23 +2,8 @@
 
 #include <limits>
 #include <stdexcept>
-#include <utility>
 
 namespace rmrn::sim {
-
-EventId Simulator::scheduleAt(TimeMs at, std::function<void()> action) {
-  if (at < now_) {
-    throw std::invalid_argument("Simulator: scheduling into the past");
-  }
-  return queue_.schedule(at, std::move(action));
-}
-
-EventId Simulator::scheduleAfter(TimeMs delay, std::function<void()> action) {
-  if (delay < 0.0) {
-    throw std::invalid_argument("Simulator: negative delay");
-  }
-  return queue_.schedule(now_ + delay, std::move(action));
-}
 
 EventId Simulator::scheduleEventAt(TimeMs at, EventSink* sink,
                                    const EventRecord& record) {

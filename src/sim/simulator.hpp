@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/event_queue.hpp"
 
@@ -12,14 +11,9 @@ class Simulator {
  public:
   [[nodiscard]] TimeMs now() const { return now_; }
 
-  /// Schedules at absolute simulated time; must not be in the past.
-  EventId scheduleAt(TimeMs at, std::function<void()> action);
-
-  /// Schedules `delay >= 0` after now().
-  EventId scheduleAfter(TimeMs delay, std::function<void()> action);
-
-  /// Typed-event lane (sim/event.hpp): allocation-free scheduling for the
-  /// data plane's deliveries, forwarding hops, flood steps and timers.
+  /// Schedules `record` for `sink` (sim/event.hpp) at absolute simulated
+  /// time `at`, which must not be in the past, or `delay >= 0` after now().
+  /// Allocation-free at steady state.
   EventId scheduleEventAt(TimeMs at, EventSink* sink,
                           const EventRecord& record);
   EventId scheduleEventAfter(TimeMs delay, EventSink* sink,

@@ -3,11 +3,13 @@
 // the exclusion-aware auditor must referee it.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "core/auditor.hpp"
-#include "core/dynamic_planner.hpp"
 #include "core/planner.hpp"
+#include "core/shard_planner.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "util/rng.hpp"
@@ -74,20 +76,22 @@ TEST(ReplanExcludingTest, MatchesFreshPlannerWithExcludedPeers) {
   }
 }
 
-TEST(ReplanExcludingTest, MatchesDynamicPlannerAfterLeave) {
+TEST(ReplanExcludingTest, MatchesSingleShardPlannerAfterLeave) {
   // A blacklisted (crashed) peer and a departed group member prune the same
-  // server: the failover replan and the membership-churn path must agree.
+  // server: the failover replan and the membership-churn path (a one-shard
+  // ShardPlanner, exact on any routing) must agree.
   const Rig rig;
   const auto [u, dead] = rig.victimAndPeer();
   ASSERT_NE(u, net::kInvalidNode);
 
-  PlannerOptions pinned;
-  pinned.timeout_ms = rig.planner.timeoutMs();  // same resolved t_0
-  DynamicPlanner dynamic(rig.topo, rig.routing, pinned);
-  dynamic.removeClient(dead);
+  ShardPlannerOptions options;
+  options.planner.timeout_ms = rig.planner.timeoutMs();  // same resolved t_0
+  options.max_shard_clients = std::numeric_limits<std::uint32_t>::max();
+  ShardPlanner churned(rig.topo, rig.routing, options);
+  churned.removeClient(dead);
   const std::vector<net::NodeId> blacklist{dead};
   expectSameStrategy(rig.planner.replanExcluding(u, blacklist),
-                     dynamic.strategyFor(u));
+                     churned.strategyFor(u));
 }
 
 TEST(ReplanExcludingTest, ReplanSurvivesTheExclusionAudit) {

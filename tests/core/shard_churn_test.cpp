@@ -1,16 +1,20 @@
 // Churn under sharding (DESIGN.md §11): joins and leaves must keep the
 // sharded plans canonical — equal to a fresh ShardPlanner built on the final
 // membership — and, on tree backbones, equal to the flat planner exactly.
+// With one shard the plans equal the flat planner on any routing, so the
+// single-shard tests below compare against RpPlanner on general graphs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/dynamic_planner.hpp"
 #include "core/planner.hpp"
 #include "core/shard_planner.hpp"
 #include "net/routing.hpp"
@@ -21,6 +25,9 @@ namespace rmrn::core {
 namespace {
 
 using net::NodeId;
+
+// The largest budget: one shard, whatever the group size.
+constexpr std::uint32_t kOneShard = std::numeric_limits<std::uint32_t>::max();
 
 void expectSamePlans(const ShardPlanner& a, const ShardPlanner& b,
                      const std::vector<NodeId>& clients, int step) {
@@ -95,7 +102,7 @@ TEST_P(ShardChurnTest, ChurnedPlannerEqualsFreshShardedPlanner) {
   }
 }
 
-TEST_P(ShardChurnTest, TreeMetricChurnTracksFlatAndDynamicPlanners) {
+TEST_P(ShardChurnTest, TreeMetricChurnTracksSingleShardPlanner) {
   util::Rng rng(GetParam() * 613 + 7);
   net::Topology topo = net::generateTreeTopology(250, rng);
   const net::Routing routing(topo.graph, topo.tree);
@@ -104,11 +111,13 @@ TEST_P(ShardChurnTest, TreeMetricChurnTracksFlatAndDynamicPlanners) {
   options.planner.timeout_ms = 120.0;
   options.max_shard_clients = 6;
   ShardPlanner sharded(topo, routing, options);
-  DynamicPlanner dynamic(topo, routing, options.planner);
+  ShardPlannerOptions one_shard = options;
+  one_shard.max_shard_clients = kOneShard;
+  ShardPlanner single(topo, routing, one_shard);
 
   std::set<NodeId> current(topo.clients.begin(), topo.clients.end());
   // Join pool includes internal tree members: a router can start acting as
-  // a receiver (DynamicPlanner semantics).
+  // a receiver.
   std::vector<NodeId> pool;
   for (const NodeId v : topo.tree.members()) {
     if (v != topo.source && !topo.isClient(v)) pool.push_back(v);
@@ -122,27 +131,22 @@ TEST_P(ShardChurnTest, TreeMetricChurnTracksFlatAndDynamicPlanners) {
       const NodeId v = pool[i];
       pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(i));
       sharded.addClient(v);
-      dynamic.addClient(v);
+      single.addClient(v);
       current.insert(v);
     } else {
       std::vector<NodeId> cur(current.begin(), current.end());
       const NodeId v = cur[rng.uniformInt(cur.size())];
       sharded.removeClient(v);
-      dynamic.removeClient(v);
+      single.removeClient(v);
       current.erase(v);
       pool.push_back(v);
     }
-    // The dynamic planner is proven equivalent to a fresh flat RpPlanner;
+    // The single shard is the flat planner (SingleShardChurnTest below);
     // tree-metric sharding must match it exactly, client by client.
-    for (const NodeId u : current) {
-      ASSERT_EQ(sharded.candidatesFor(u), dynamic.candidatesFor(u))
-          << "client " << u << " step " << step;
-      ASSERT_EQ(sharded.strategyFor(u).peers, dynamic.strategyFor(u).peers)
-          << "client " << u << " step " << step;
-      ASSERT_EQ(sharded.strategyFor(u).expected_delay_ms,
-                dynamic.strategyFor(u).expected_delay_ms)
-          << "client " << u << " step " << step;
-    }
+    ASSERT_EQ(single.partition().numShards(), 1u) << "step " << step;
+    expectSamePlans(sharded, single,
+                    std::vector<NodeId>(current.begin(), current.end()),
+                    step);
   }
 }
 
@@ -386,6 +390,178 @@ TEST(ShardChurnLocalityTest, NonRepresentativeChurnTouchesOneShard) {
   // And the group ends exactly where it started.
   EXPECT_EQ(planner.currentClients(), topo.clients);
 }
+
+// ---- One shard on general-graph routing ------------------------------------
+//
+// With K = UINT32_MAX the whole group is one shard whose consideration set
+// is every client, so after any join or leave each plan must equal a fresh
+// flat RpPlanner's on the current membership — bit for bit, on arbitrary
+// graph backbones — and lastReplans() must count exactly the clients whose
+// candidate list changed (plus the joiner on a join).
+
+net::Topology graphTopology(std::uint64_t seed, std::uint32_t nodes) {
+  util::Rng rng(seed);
+  net::TopologyConfig config;
+  config.num_nodes = nodes;
+  return net::generateTopology(config, rng);
+}
+
+ShardPlannerOptions oneShard() {
+  ShardPlannerOptions options;
+  options.planner.per_peer_timeout_factor = 1.5;
+  options.max_shard_clients = kOneShard;
+  return options;
+}
+
+/// Every current client of `planner` plans exactly as a fresh RpPlanner on
+/// the same membership and resolved options.
+void expectMatchesFlat(const ShardPlanner& planner, const net::Topology& topo,
+                       const net::Routing& routing, int step = 0) {
+  ASSERT_EQ(planner.partition().numShards(), 1u) << "step " << step;
+  net::Topology fresh_topo = topo;
+  fresh_topo.clients = planner.currentClients();
+  const RpPlanner flat(fresh_topo, routing, planner.resolvedOptions().planner);
+  for (const NodeId u : fresh_topo.clients) {
+    ASSERT_EQ(planner.candidatesFor(u), flat.candidatesFor(u))
+        << "client " << u << " step " << step;
+    ASSERT_EQ(planner.strategyFor(u).peers, flat.strategyFor(u).peers)
+        << "client " << u << " step " << step;
+    ASSERT_EQ(planner.strategyFor(u).expected_delay_ms,
+              flat.strategyFor(u).expected_delay_ms)
+        << "client " << u << " step " << step;
+  }
+}
+
+TEST(SingleShardChurnTest, AddClientMatchesFreshPlan) {
+  const net::Topology topo = graphTopology(3, 80);
+  const net::Routing routing(topo.graph);
+  ShardPlanner planner(topo, routing, oneShard());
+
+  // Promote a non-client tree member (a router) to receiver.
+  NodeId joiner = net::kInvalidNode;
+  for (const NodeId v : topo.tree.members()) {
+    if (v != topo.source && !topo.isClient(v)) {
+      joiner = v;
+      break;
+    }
+  }
+  ASSERT_NE(joiner, net::kInvalidNode);
+  planner.addClient(joiner);
+  expectMatchesFlat(planner, topo, routing);
+}
+
+TEST(SingleShardChurnTest, RemoveClientMatchesFreshPlan) {
+  const net::Topology topo = graphTopology(4, 80);
+  const net::Routing routing(topo.graph);
+  ShardPlanner planner(topo, routing, oneShard());
+
+  const NodeId leaver = topo.clients[topo.clients.size() / 2];
+  planner.removeClient(leaver);
+  expectMatchesFlat(planner, topo, routing);
+  EXPECT_THROW((void)planner.strategyFor(leaver), std::out_of_range);
+}
+
+TEST(SingleShardChurnTest, RemoveThenReAddRestoresPlans) {
+  const net::Topology topo = graphTopology(5, 80);
+  const net::Routing routing(topo.graph);
+  ShardPlanner planner(topo, routing, oneShard());
+  const ShardPlanner original(topo, routing, oneShard());
+
+  const NodeId v = topo.clients.front();
+  planner.removeClient(v);
+  planner.addClient(v);
+  expectSamePlans(planner, original, topo.clients, 0);
+}
+
+TEST(SingleShardChurnTest, ReplansExactlyTheAffectedClients) {
+  // lastReplans must equal the number of clients whose candidate list
+  // actually changed (plus the joiner itself on a join) — the incremental
+  // accounting is exact, never "replan everything to be safe".
+  const net::Topology topo = graphTopology(7, 120);
+  const net::Routing routing(topo.graph);
+  ShardPlanner planner(topo, routing, oneShard());
+
+  const NodeId v = topo.clients[1];
+  const auto snapshot = [&] {
+    std::unordered_map<NodeId, std::vector<Candidate>> lists;
+    for (const NodeId u : planner.currentClients()) {
+      if (u != v) lists.emplace(u, planner.candidatesFor(u));
+    }
+    return lists;
+  };
+  const auto changedSince = [&](const auto& before) {
+    std::size_t changed = 0;
+    for (const auto& [u, list] : before) {
+      if (planner.candidatesFor(u) != list) ++changed;
+    }
+    return changed;
+  };
+
+  const auto before_leave = snapshot();
+  planner.removeClient(v);
+  EXPECT_EQ(planner.lastReplans(), changedSince(before_leave));
+  const auto before_join = snapshot();
+  planner.addClient(v);
+  EXPECT_EQ(planner.lastReplans(), changedSince(before_join) + 1);
+}
+
+TEST(SingleShardChurnTest, RemovingNonCandidateReplansNothing) {
+  // A leaver that never served as anyone's class candidate must not touch
+  // any other client's plan.
+  const net::Topology topo = graphTopology(8, 150);
+  const net::Routing routing(topo.graph);
+  ShardPlanner planner(topo, routing, oneShard());
+
+  // Find a client that appears in nobody's candidate list.
+  NodeId unused = net::kInvalidNode;
+  for (const NodeId v : topo.clients) {
+    bool referenced = false;
+    for (const NodeId u : topo.clients) {
+      if (u == v) continue;
+      for (const Candidate& c : planner.candidatesFor(u)) {
+        referenced = referenced || c.peer == v;
+      }
+      if (referenced) break;
+    }
+    if (!referenced) {
+      unused = v;
+      break;
+    }
+  }
+  ASSERT_NE(unused, net::kInvalidNode)
+      << "every client is some candidate on this topology";
+  planner.removeClient(unused);
+  EXPECT_EQ(planner.lastReplans(), 0u);
+}
+
+// Random join/leave sequences over every non-source tree member (routers
+// included), checked against the flat planner after each operation.
+class DynamicChurnTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DynamicChurnTest, RandomChurnSequenceMatchesFreshPlans) {
+  const net::Topology topo = graphTopology(GetParam(), 60);
+  const net::Routing routing(topo.graph);
+  ShardPlanner planner(topo, routing, oneShard());
+
+  util::Rng rng(GetParam() + 100);
+  std::vector<NodeId> members;  // churn pool: every non-source member
+  for (const NodeId v : topo.tree.members()) {
+    if (v != topo.source) members.push_back(v);
+  }
+  for (int op = 0; op < 30; ++op) {
+    const NodeId v = members[rng.uniformInt(members.size())];
+    const bool is_client = planner.partition().isClient(v);
+    if (is_client && planner.numClients() > 2) {
+      planner.removeClient(v);
+    } else if (!is_client) {
+      planner.addClient(v);
+    }
+    expectMatchesFlat(planner, topo, routing, op);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DynamicChurnTest,
+                         ::testing::Values(11, 22, 33, 44, 55));
 
 }  // namespace
 }  // namespace rmrn::core

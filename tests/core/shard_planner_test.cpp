@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/planner.hpp"
@@ -76,26 +78,53 @@ TEST_P(ShardTreeExactTest, RestrictedOptionsStillMatchFlat) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardTreeExactTest,
                          ::testing::Values(3u, 77u, 2024u));
 
+// The largest budget: one shard, whatever the group size.
+constexpr std::uint32_t kOneShard = std::numeric_limits<std::uint32_t>::max();
+
 // With a budget that swallows the whole group, the partition degenerates to
-// one shard whose consideration set is every client — so the plans must
-// equal the flat planner's on arbitrary graph backbones too.
-TEST(ShardPlannerTest, SingleShardEqualsFlatOnGraphs) {
-  util::Rng rng(4242);
+// one shard whose consideration set is every client — so the plans and the
+// resolved timeout must equal the flat planner's on arbitrary graph
+// backbones too, with a fixed t_0 or RTT-scaled per-peer waits.
+void expectSingleShardEqualsFlat(std::uint64_t seed, std::uint32_t nodes,
+                                 std::uint32_t budget,
+                                 double per_peer_timeout_factor) {
+  util::Rng rng(seed);
   net::TopologyConfig config;
-  config.num_nodes = 150;
+  config.num_nodes = nodes;
   const net::Topology topo = net::generateTopology(config, rng);
   const net::Routing routing(topo.graph);
 
-  const RpPlanner flat(topo, routing, PlannerOptions{});
   ShardPlannerOptions options;
-  options.max_shard_clients = 1u << 30;
+  options.planner.per_peer_timeout_factor = per_peer_timeout_factor;
+  options.max_shard_clients = budget;
+  const RpPlanner flat(topo, routing, options.planner);
   const ShardPlanner sharded(topo, routing, options);
   ASSERT_EQ(sharded.partition().numShards(), 1u);
+  EXPECT_EQ(sharded.timeoutMs(), flat.timeoutMs());
+  EXPECT_EQ(sharded.resolvedOptions().planner.timeout_ms, flat.timeoutMs());
   for (const NodeId u : topo.clients) {
-    ASSERT_EQ(sharded.candidatesFor(u), flat.candidatesFor(u));
+    ASSERT_EQ(sharded.candidatesFor(u), flat.candidatesFor(u))
+        << "client " << u;
+    EXPECT_EQ(sharded.strategyFor(u).peers, flat.strategyFor(u).peers)
+        << "client " << u;
     EXPECT_EQ(sharded.strategyFor(u).expected_delay_ms,
-              flat.strategyFor(u).expected_delay_ms);
+              flat.strategyFor(u).expected_delay_ms)
+        << "client " << u;
   }
+}
+
+TEST(ShardPlannerTest, SingleShardEqualsFlatOnGraphs) {
+  expectSingleShardEqualsFlat(4242, 150, 1u << 30, 0.0);
+}
+
+// The one-shard ShardPlanner is the incremental (formerly "dynamic") planner
+// for general-graph groups; these keep its two initial-plan checks by name.
+TEST(DynamicPlannerTest, InitialPlanMatchesRpPlanner) {
+  expectSingleShardEqualsFlat(1, 80, kOneShard, 1.5);
+}
+
+TEST(DynamicPlannerTest, ResolvedTimeoutMatchesRpPlannerDefault) {
+  expectSingleShardEqualsFlat(2, 80, kOneShard, 0.0);
 }
 
 // On general graphs the representative choice is an approximation: plans
@@ -206,6 +235,38 @@ TEST(ShardPlannerTest, UnknownClientThrows) {
   EXPECT_THROW(ShardPlanner(topo, routing,
                             ShardPlannerOptions{{.timeout_ms = -1.0}, 8}),
                std::invalid_argument);
+}
+
+// Membership input is checked in every build (no RMRN_AUDIT needed): a
+// rejected operation throws std::invalid_argument and changes nothing.
+TEST(ShardPlannerTest, ValidatesMembershipOperations) {
+  util::Rng rng(6);
+  net::TopologyConfig config;
+  config.num_nodes = 80;
+  const net::Topology topo = net::generateTopology(config, rng);
+  const net::Routing routing(topo.graph);
+  EXPECT_THROW(ShardPlanner(topo, routing, ShardPlannerOptions{{}, 0}),
+               std::invalid_argument);
+
+  for (const std::uint32_t budget : {4u, kOneShard}) {
+    SCOPED_TRACE(budget);
+    ShardPlannerOptions options;
+    options.max_shard_clients = budget;
+    ShardPlanner planner(topo, routing, options);
+    const std::vector<NodeId> members = planner.currentClients();
+    const NodeId first = topo.clients.front();
+    EXPECT_THROW(planner.addClient(topo.source), std::invalid_argument);
+    EXPECT_THROW(planner.addClient(first), std::invalid_argument);
+    EXPECT_THROW(planner.addClient(NodeId{100000}), std::invalid_argument);
+    EXPECT_EQ(planner.currentClients(), members);
+
+    planner.removeClient(first);
+    EXPECT_THROW(planner.removeClient(first), std::invalid_argument);
+    EXPECT_THROW(planner.removeClient(topo.source), std::invalid_argument);
+    EXPECT_EQ(planner.numClients(), members.size() - 1);
+    planner.addClient(first);
+    EXPECT_EQ(planner.currentClients(), members);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 // Failure injection: crashed receivers must not stall recovery — the
 // timeout machinery of every unicast-request scheme routes around them,
-// and the DynamicPlanner lets an operator retire them from the plans.
+// and membership churn (ShardPlanner) lets an operator retire them from the
+// plans.
 #include <gtest/gtest.h>
 
-#include "core/dynamic_planner.hpp"
+#include <cstdint>
+#include <limits>
+
+#include "core/shard_planner.hpp"
 #include "metrics/recovery_metrics.hpp"
 #include "net/routing.hpp"
 #include "protocols/rma_protocol.hpp"
@@ -118,15 +122,16 @@ TEST(FailureInjectionTest, RmaRoutesAroundCrashedPeers) {
 }
 
 TEST(FailureInjectionTest, OperatorRetiresCrashedPeerFromPlans) {
-  // DynamicPlanner + exclusion: after removing the crashed client, no plan
-  // references it, so no timeout detours remain.
+  // Membership churn + exclusion: after removing the crashed client from a
+  // one-shard planner, no plan references it, so no timeout detours remain.
   Rig rig(4, 100);
-  core::PlannerOptions options;
-  options.per_peer_timeout_factor = 1.5;
-  core::DynamicPlanner planner(rig.topo, rig.routing, options);
+  core::ShardPlannerOptions options;
+  options.planner.per_peer_timeout_factor = 1.5;
+  options.max_shard_clients = std::numeric_limits<std::uint32_t>::max();
+  core::ShardPlanner planner(rig.topo, rig.routing, options);
   const net::NodeId crashed = rig.topo.clients[1];
   planner.removeClient(crashed);
-  for (const net::NodeId u : planner.clients()) {
+  for (const net::NodeId u : planner.currentClients()) {
     for (const core::Candidate& c : planner.strategyFor(u).peers) {
       EXPECT_NE(c.peer, crashed);
     }

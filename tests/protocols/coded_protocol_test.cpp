@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "proto_fixture.hpp"
+#include "support/scheduled_calls.hpp"
 #include "util/check.hpp"
 
 namespace rmrn::protocols {
@@ -124,7 +125,8 @@ TEST(CodedProtocolTest, RepairRacingDetectionIsDropped) {
   // is unusable and must not corrupt the decoder.
   CodedHarness h;
   h.protocol.sourceMulticast(0, h.lossInto({3}));  // detected at 13ms
-  h.sim.scheduleAt(5.0, [&] {
+  test_support::ScheduledCalls calls(h.sim);
+  calls.at(5.0, [&] {
     h.protocol.sourceMulticast(1, h.lossInto({3}));  // detected at 18ms
   });
   h.sim.run(14.0);  // seq 0 detected; seq 1 lost but not yet noticed
@@ -193,7 +195,8 @@ TEST(CodedProtocolTest, CrashDuringGatherCancelsOrphanWave) {
   coded.gather_window_ms = 100.0;
   CodedHarness h(0.0, 1, coded);
   h.protocol.sourceMulticast(0, h.lossInto({3}));
-  h.sim.scheduleAt(25.0, [&] { h.protocol.clientCrashed(3); });
+  test_support::ScheduledCalls calls(h.sim);
+  calls.at(25.0, [&] { h.protocol.clientCrashed(3); });
   h.sim.run();
   EXPECT_EQ(h.protocol.codedRepairsSent(), 0u);
   EXPECT_EQ(CodedProtocolTestPeer::openSessions(h.protocol), 0u);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "proto_fixture.hpp"
+#include "support/scheduled_calls.hpp"
 
 namespace rmrn::protocols {
 
@@ -201,10 +202,11 @@ TEST(ParityProtocolTest, CrashDuringGatherCancelsOrphanWave) {
   // The NACK reaches the source 16ms in (3ms downhill + 10ms detection +
   // 3ms uphill); probe the liveness count mid-window, then crash the loser.
   std::size_t open_mid_gather = 0;
-  h.sim.scheduleAt(18.0, [&] {
+  test_support::ScheduledCalls calls(h.sim);
+  calls.at(18.0, [&] {
     open_mid_gather = ParityProtocolTestPeer::openSessions(h.protocol);
   });
-  h.sim.scheduleAt(25.0, [&] { h.protocol.clientCrashed(3); });
+  calls.at(25.0, [&] { h.protocol.clientCrashed(3); });
   h.sim.run();
   // 1 missing seq + 1 gathering source block while the window was open.
   EXPECT_EQ(open_mid_gather, 2u);
@@ -219,7 +221,8 @@ TEST(ParityProtocolTest, CrashDuringGatherKeepsWaveForSurvivors) {
   parity.gather_window_ms = 100.0;
   ParityHarness h(0.0, 1, parity);
   h.protocol.sourceMulticast(0, h.lossInto({2}));  // clients 3 and 4 lose
-  h.sim.scheduleAt(20.0, [&] { h.protocol.clientCrashed(3); });
+  test_support::ScheduledCalls calls(h.sim);
+  calls.at(20.0, [&] { h.protocol.clientCrashed(3); });
   h.sim.run();
   EXPECT_EQ(h.protocol.paritiesSent(), 1u);
   EXPECT_TRUE(h.protocol.hasPacket(4, 0));

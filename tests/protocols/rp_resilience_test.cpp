@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "proto_fixture.hpp"
+#include "support/scheduled_calls.hpp"
 #include "protocols/rp_protocol.hpp"
 #include "util/check.hpp"
 
@@ -72,7 +73,8 @@ TEST(RpResilienceTest, DuplicateLossDetectionDoesNotLeakTimer) {
   // later, squarely inside the live session (its first timeout is >= 15ms).
   const double duplicate_at = h.network.treeArrivalDelay(3) +
                               ProtocolConfig{}.detection_delay_ms + 1.0;
-  h.sim.scheduleAt(duplicate_at, [&h] { h.protocol.onLossDetected(3, 0); });
+  test_support::ScheduledCalls calls(h.sim);
+  calls.at(duplicate_at, [&h] { h.protocol.onLossDetected(3, 0); });
   h.sim.run();
 
   EXPECT_TRUE(h.protocol.allRecovered());
@@ -156,7 +158,8 @@ TEST(RpResilienceTest, CrashedClientAbandonsOutstandingLoss) {
   // and notify the protocol (session torn down, loss written off).
   const double crash_at = h.network.treeArrivalDelay(3) +
                           ProtocolConfig{}.detection_delay_ms + 1.0;
-  h.sim.scheduleAt(crash_at, [&h] {
+  test_support::ScheduledCalls calls(h.sim);
+  calls.at(crash_at, [&h] {
     h.network.setAgentFault(3, sim::AgentFault::kCrashed);
     h.protocol.clientCrashed(3);
   });

@@ -27,6 +27,7 @@
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
+#include "support/scheduled_calls.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn {
@@ -65,11 +66,11 @@ TEST(EngineDeterminismTest, TraceBitIdenticalToPreRewriteEngine) {
   protocol.attach();
 
   sim::BernoulliLossProcess loss(topo.tree.numMembers(), 0.10, util::Rng(99));
+  test_support::ScheduledCalls calls(simulator);
   for (std::uint64_t i = 0; i < 30; ++i) {
     const auto pattern = loss.nextPattern();
-    simulator.scheduleAt(
-        static_cast<double>(i) * 50.0,
-        [&protocol, pattern, i] { protocol.sourceMulticast(i, pattern); });
+    calls.at(static_cast<double>(i) * 50.0,
+             [&protocol, pattern, i] { protocol.sourceMulticast(i, pattern); });
     simulator.run(static_cast<double>(i) * 50.0 + 49.999);
   }
   simulator.run();

@@ -7,8 +7,41 @@
 #include <limits>
 #include <vector>
 
+#include "harness/world.hpp"
+#include "net/routing.hpp"
+#include "net/topology.hpp"
+#include "protocols/rma_protocol.hpp"
+#include "sim/fault_injector.hpp"
+#include "util/rng.hpp"
+
 namespace rmrn::sim {
 namespace {
+
+constexpr TimeMs kAlways = std::numeric_limits<TimeMs>::infinity();
+
+/// A timer record carrying `tag` in its first payload word.
+EventRecord tagged(std::uint64_t tag) {
+  EventRecord record{EventKind::kTimer, {}};
+  record.data.timer = TimerEvent{0, tag, 0, 0};
+  return record;
+}
+
+/// Records the tag of every event it receives, in firing order.
+class TagSink final : public EventSink {
+ public:
+  void onEvent(const EventRecord& event) override {
+    tags.push_back(event.data.timer.a);
+  }
+  std::vector<std::uint64_t> tags;
+};
+
+/// Fires every pending event; returns the firing times in order.
+std::vector<TimeMs> drain(EventQueue& q) {
+  std::vector<TimeMs> times;
+  TimeMs clock = 0.0;
+  while (q.fireNext(kAlways, &clock)) times.push_back(clock);
+  return times;
+}
 
 TEST(EventQueueTest, EmptyInitially) {
   EventQueue q;
@@ -18,44 +51,62 @@ TEST(EventQueueTest, EmptyInitially) {
 
 TEST(EventQueueTest, PopsInTimeOrder) {
   EventQueue q;
-  std::vector<int> fired;
-  q.schedule(3.0, [&] { fired.push_back(3); });
-  q.schedule(1.0, [&] { fired.push_back(1); });
-  q.schedule(2.0, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().action();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  TagSink sink;
+  q.scheduleEvent(3.0, &sink, tagged(3));
+  q.scheduleEvent(1.0, &sink, tagged(1));
+  q.scheduleEvent(2.0, &sink, tagged(2));
+  EXPECT_EQ(drain(q), (std::vector<TimeMs>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(sink.tags, (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
 TEST(EventQueueTest, TiesBreakByInsertionOrder) {
   EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule(5.0, [&fired, i] { fired.push_back(i); });
+  TagSink sink;
+  for (std::uint64_t i = 0; i < 10; ++i) q.scheduleEvent(5.0, &sink, tagged(i));
+  drain(q);
+  EXPECT_EQ(sink.tags,
+            (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST(EventQueueTest, OrdersSignedAndExtremeTimes) {
+  // The heap compares an integer image of each time: negative, zero and
+  // extreme finite times must keep double order, and -0.0 ties with +0.0
+  // (insertion order decides).
+  EventQueue q;
+  TagSink sink;
+  const std::vector<TimeMs> times = {5.0,  -3.0, 0.0,     -0.0,
+                                     1e300, 2.5, -1e300, 1e-300};
+  for (std::uint64_t i = 0; i < times.size(); ++i) {
+    q.scheduleEvent(times[i], &sink, tagged(i));
   }
-  while (!q.empty()) q.pop().action();
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_DOUBLE_EQ(q.nextTime(), -1e300);
+  EXPECT_EQ(drain(q), (std::vector<TimeMs>{-1e300, -3.0, 0.0, 0.0, 1e-300,
+                                           2.5, 5.0, 1e300}));
+  EXPECT_EQ(sink.tags, (std::vector<std::uint64_t>{6, 1, 2, 3, 7, 5, 0, 4}));
 }
 
 TEST(EventQueueTest, NextTimeReportsEarliest) {
   EventQueue q;
-  q.schedule(7.0, [] {});
-  q.schedule(2.0, [] {});
+  TagSink sink;
+  q.scheduleEvent(7.0, &sink, tagged(0));
+  q.scheduleEvent(2.0, &sink, tagged(0));
   EXPECT_DOUBLE_EQ(q.nextTime(), 2.0);
 }
 
 TEST(EventQueueTest, CancelPreventsFiring) {
   EventQueue q;
-  int fired = 0;
-  const EventId id = q.schedule(1.0, [&] { ++fired; });
-  q.schedule(2.0, [&] { fired += 10; });
+  TagSink sink;
+  const EventId id = q.scheduleEvent(1.0, &sink, tagged(1));
+  q.scheduleEvent(2.0, &sink, tagged(10));
   EXPECT_TRUE(q.cancel(id));
-  while (!q.empty()) q.pop().action();
-  EXPECT_EQ(fired, 10);
+  drain(q);
+  EXPECT_EQ(sink.tags, (std::vector<std::uint64_t>{10}));
 }
 
 TEST(EventQueueTest, CancelReturnsFalseTwice) {
   EventQueue q;
-  const EventId id = q.schedule(1.0, [] {});
+  TagSink sink;
+  const EventId id = q.scheduleEvent(1.0, &sink, tagged(0));
   EXPECT_TRUE(q.cancel(id));
   EXPECT_FALSE(q.cancel(id));
 }
@@ -67,8 +118,9 @@ TEST(EventQueueTest, CancelUnknownIdReturnsFalse) {
 
 TEST(EventQueueTest, CancelledHeadIsSkipped) {
   EventQueue q;
-  const EventId first = q.schedule(1.0, [] {});
-  q.schedule(2.0, [] {});
+  TagSink sink;
+  const EventId first = q.scheduleEvent(1.0, &sink, tagged(0));
+  q.scheduleEvent(2.0, &sink, tagged(0));
   q.cancel(first);
   EXPECT_DOUBLE_EQ(q.nextTime(), 2.0);
   EXPECT_EQ(q.pendingCount(), 1u);
@@ -76,79 +128,81 @@ TEST(EventQueueTest, CancelledHeadIsSkipped) {
 
 TEST(EventQueueTest, EmptyAfterAllCancelled) {
   EventQueue q;
-  const EventId a = q.schedule(1.0, [] {});
-  const EventId b = q.schedule(2.0, [] {});
+  TagSink sink;
+  const EventId a = q.scheduleEvent(1.0, &sink, tagged(0));
+  const EventId b = q.scheduleEvent(2.0, &sink, tagged(0));
   q.cancel(a);
   q.cancel(b);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueTest, PopReturnsTimeAndId) {
+  // fireNext reports the fired event's time and dispatches that very event
+  // (its payload), and only when it is due by the bound.
   EventQueue q;
-  const EventId id = q.schedule(4.5, [] {});
-  const auto fired = q.pop();
-  EXPECT_DOUBLE_EQ(fired.time, 4.5);
-  EXPECT_EQ(fired.id, id);
+  TagSink sink;
+  q.scheduleEvent(4.5, &sink, tagged(42));
+  TimeMs clock = -1.0;
+  EXPECT_FALSE(q.fireNext(4.0, &clock));
+  EXPECT_DOUBLE_EQ(clock, -1.0);
+  EXPECT_TRUE(q.fireNext(4.5, &clock));
+  EXPECT_DOUBLE_EQ(clock, 4.5);
+  EXPECT_DOUBLE_EQ(q.lastFiredTime(), 4.5);
+  EXPECT_EQ(sink.tags, (std::vector<std::uint64_t>{42}));
 }
 
 TEST(EventQueueTest, ThrowsOnNonFiniteTime) {
   EventQueue q;
-  EXPECT_THROW(
-      q.schedule(std::numeric_limits<double>::quiet_NaN(), [] {}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      q.schedule(std::numeric_limits<double>::infinity(), [] {}),
-      std::invalid_argument);
-}
-
-TEST(EventQueueTest, ThrowsOnEmptyAction) {
-  EventQueue q;
-  EXPECT_THROW(q.schedule(1.0, std::function<void()>{}),
+  TagSink sink;
+  EXPECT_THROW(q.scheduleEvent(std::numeric_limits<double>::quiet_NaN(), &sink,
+                               tagged(0)),
                std::invalid_argument);
+  EXPECT_THROW(q.scheduleEvent(kAlways, &sink, tagged(0)),
+               std::invalid_argument);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueTest, ThrowsOnPopWhenEmpty) {
   EventQueue q;
-  EXPECT_THROW(q.pop(), std::logic_error);
+  TimeMs clock = 3.0;
+  EXPECT_FALSE(q.fireNext(kAlways, &clock));
+  EXPECT_DOUBLE_EQ(clock, 3.0);
   EXPECT_THROW((void)q.nextTime(), std::logic_error);
 }
 
 TEST(EventQueueTest, ManyEventsStressOrder) {
   EventQueue q;
-  // Deterministic pseudo-random times; verify global ordering on pop.
+  TagSink sink;
+  // Deterministic pseudo-random times; verify global ordering on fire.
   std::uint64_t state = 12345;
   for (int i = 0; i < 5000; ++i) {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    q.schedule(static_cast<double>(state % 1000), [] {});
+    q.scheduleEvent(static_cast<double>(state % 1000), &sink, tagged(0));
   }
-  double last = -1.0;
-  while (!q.empty()) {
-    const auto fired = q.pop();
-    EXPECT_GE(fired.time, last);
-    last = fired.time;
-  }
+  const std::vector<TimeMs> times = drain(q);
+  ASSERT_EQ(times.size(), 5000u);
+  EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
 }
 
-// ---- Typed-event lane -----------------------------------------------------
-
-/// Records every event it receives, for dispatch assertions.
-class RecordingSink final : public EventSink {
- public:
-  void onEvent(const EventRecord& event) override { events.push_back(event); }
-  std::vector<EventRecord> events;
-};
+// ---- Sinks and payloads ---------------------------------------------------
 
 TEST(EventQueueTypedTest, DispatchesToSinkWithPayload) {
   EventQueue q;
-  RecordingSink sink;
+  class RecordingSink final : public EventSink {
+   public:
+    void onEvent(const EventRecord& event) override {
+      events.push_back(event);
+    }
+    std::vector<EventRecord> events;
+  } sink;
   EventRecord record{EventKind::kTimer, {}};
   record.data.timer = TimerEvent{7, 11, 22, 33};
   const EventId id = q.scheduleEvent(3.0, &sink, record);
   EXPECT_NE(id, 0u);
-  auto fired = q.pop();
-  EXPECT_DOUBLE_EQ(fired.time, 3.0);
-  EXPECT_EQ(fired.id, id);
-  fired.fire();
+  TimeMs clock = 0.0;
+  ASSERT_TRUE(q.fireNext(kAlways, &clock));
+  EXPECT_DOUBLE_EQ(clock, 3.0);
+  EXPECT_FALSE(q.cancel(id));  // fired: the handle is spent
   ASSERT_EQ(sink.events.size(), 1u);
   EXPECT_EQ(sink.events[0].kind, EventKind::kTimer);
   EXPECT_EQ(sink.events[0].data.timer.kind, 7u);
@@ -157,49 +211,93 @@ TEST(EventQueueTypedTest, DispatchesToSinkWithPayload) {
   EXPECT_EQ(sink.events[0].data.timer.c, 33u);
 }
 
-TEST(EventQueueTypedTest, RejectsNullSinkAndClosureKind) {
+TEST(EventQueueTypedTest, RejectsNullSink) {
   EventQueue q;
-  RecordingSink sink;
-  EventRecord record{EventKind::kTimer, {}};
-  EXPECT_THROW(q.scheduleEvent(1.0, nullptr, record), std::invalid_argument);
-  record.kind = EventKind::kClosure;
-  EXPECT_THROW(q.scheduleEvent(1.0, &sink, record), std::invalid_argument);
+  EXPECT_THROW(q.scheduleEvent(1.0, nullptr, tagged(0)),
+               std::invalid_argument);
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueueTypedTest, EqualTimestampOrderingAcrossLanes) {
-  // Typed and closure events at the same time fire in exact insertion order:
-  // both lanes share one global sequence counter.
-  EventQueue q;
-  std::vector<int> order;
-  class PushSink final : public EventSink {
+TEST(EventQueueTypedTest, EqualTimestampOrderingAcrossSinks) {
+  // Same-time events fire in exact insertion order whatever sink they go
+  // to: a world's data send, a fault firing and a protocol timer share one
+  // global sequence counter with plain test probes.  Each probe snapshots
+  // what the previous event changed.
+  util::Rng rng(17);
+  net::TopologyConfig config;
+  config.num_nodes = 30;
+  const net::Topology topo = net::generateTopology(config, rng);
+  const net::Routing routing(topo.graph);
+  ASSERT_GE(topo.clients.size(), 2u);
+  const net::NodeId victim = topo.clients[0];   // loses packet 0
+  const net::NodeId crashed = topo.clients[1];  // crashes at t = 0
+
+  harness::World world(topo, routing, 0.0, util::Rng(1));
+  const protocols::ProtocolConfig protocol_config;
+  const protocols::SrmConfig srm;
+  const protocols::ParityConfig parity;
+  const protocols::CodedConfig coded;
+  world.buildProtocol({harness::ProtocolKind::kRma, protocol_config, srm,
+                       parity, coded},
+                      nullptr, util::Rng(2));
+  const auto& rma =
+      dynamic_cast<const protocols::RmaProtocol&>(*world.protocol);
+
+  struct Snapshot {
+    bool lost;
+    bool crashed;
+    std::uint64_t requests;
+    bool operator==(const Snapshot&) const = default;
+  };
+  class Probe final : public EventSink {
    public:
-    explicit PushSink(std::vector<int>& out) : out_(out) {}
-    void onEvent(const EventRecord& event) override {
-      out_.push_back(static_cast<int>(event.data.timer.a));
+    Probe(const harness::World& world, const protocols::RmaProtocol& rma,
+          net::NodeId victim, net::NodeId crashed)
+        : world_(world), rma_(rma), victim_(victim), crashed_(crashed) {}
+    void onEvent(const EventRecord&) override {
+      seen.push_back({world_.recovery.wasLost(victim_, 0),
+                      world_.network.isAgentFailed(crashed_),
+                      rma_.requestsSent()});
     }
+    std::vector<Snapshot> seen;
 
    private:
-    std::vector<int>& out_;
-  } sink(order);
-  for (int i = 0; i < 8; ++i) {
-    if (i % 2 == 0) {
-      EventRecord record{EventKind::kTimer, {}};
-      record.data.timer = TimerEvent{0, static_cast<std::uint64_t>(i), 0, 0};
-      q.scheduleEvent(5.0, &sink, record);
-    } else {
-      q.schedule(5.0, [&order, i] { order.push_back(i); });
-    }
-  }
-  while (!q.empty()) q.pop().fire();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+    const harness::World& world_;
+    const protocols::RmaProtocol& rma_;
+    net::NodeId victim_;
+    net::NodeId crashed_;
+  } probe(world, rma, victim, crashed);
+
+  std::vector<LinkLossPattern> patterns(1);
+  patterns[0].assign(topo.tree.numMembers(), false);
+  patterns[0][topo.tree.memberIndex(victim)] = true;  // victim's parent link
+
+  world.simulator.scheduleEventAt(0.0, &probe, tagged(0));
+  world.scheduleData(patterns, 10.0);  // World: packet 0 at t = 0
+  world.simulator.scheduleEventAt(0.0, &probe, tagged(0));
+  FaultInjector injector(world.network,
+                         std::vector<FaultEvent>{{0.0, crashed}});
+  injector.arm();  // FaultInjector: crash at t = 0
+  world.simulator.scheduleEventAt(0.0, &probe, tagged(0));
+  EventRecord detect{EventKind::kTimer, {}};
+  detect.data.timer = TimerEvent{0, victim, 0, 0};  // loss-detection timer
+  world.simulator.scheduleEventAt(0.0, world.protocol.get(), detect);
+  world.simulator.scheduleEventAt(0.0, &probe, tagged(0));
+
+  EXPECT_EQ(world.simulator.run(0.0), 7u);
+  EXPECT_EQ(probe.seen, (std::vector<Snapshot>{{false, false, 0},
+                                               {true, false, 0},
+                                               {true, true, 0},
+                                               {true, true, 1}}));
 }
 
 // ---- Handle safety --------------------------------------------------------
 
 TEST(EventQueueHandleTest, CancelAfterFireReturnsFalse) {
   EventQueue q;
-  const EventId id = q.schedule(1.0, [] {});
-  q.pop().fire();
+  TagSink sink;
+  const EventId id = q.scheduleEvent(1.0, &sink, tagged(0));
+  drain(q);
   EXPECT_FALSE(q.cancel(id));
 }
 
@@ -208,28 +306,28 @@ TEST(EventQueueHandleTest, StaleHandleNeverCancelsSlotReuser) {
   // recycled with a bumped generation, so cancelling the stale handle must
   // never revoke the slot's newer tenants.
   EventQueue q;
-  const EventId stale = q.schedule(1.0, [] {});
-  q.pop().fire();
+  TagSink sink;
+  const EventId stale = q.scheduleEvent(1.0, &sink, tagged(0));
+  drain(q);
   for (int i = 0; i < 50; ++i) {
-    int fired = 0;
-    const EventId fresh = q.schedule(1.0 + i, [&fired] { ++fired; });
+    const EventId fresh = q.scheduleEvent(1.0 + i, &sink, tagged(1));
     EXPECT_NE(fresh, stale);
     EXPECT_FALSE(q.cancel(stale));
     EXPECT_EQ(q.pendingCount(), 1u);
-    q.pop().fire();
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(drain(q).size(), 1u);
   }
+  EXPECT_EQ(sink.tags.size(), 51u);
 }
 
 TEST(EventQueueHandleTest, CancelledSlotReusedWithoutCrossCancel) {
   EventQueue q;
-  const EventId a = q.schedule(1.0, [] {});
+  TagSink sink;
+  const EventId a = q.scheduleEvent(1.0, &sink, tagged(0));
   EXPECT_TRUE(q.cancel(a));
-  int fired = 0;
-  q.schedule(2.0, [&fired] { ++fired; });  // reuses a's slot
+  q.scheduleEvent(2.0, &sink, tagged(1));  // reuses a's slot
   EXPECT_FALSE(q.cancel(a));               // stale generation
-  while (!q.empty()) q.pop().fire();
-  EXPECT_EQ(fired, 1);
+  drain(q);
+  EXPECT_EQ(sink.tags, (std::vector<std::uint64_t>{1}));
 }
 
 // ---- Dead-entry compaction ------------------------------------------------
@@ -240,16 +338,16 @@ TEST(EventQueueCompactionTest, HeapStaysBoundedUnderScheduleCancelChurn) {
   // the heap index bounded (compaction rebuilds once dead entries outnumber
   // live 2:1) instead of growing by one dead entry per round.
   EventQueue q;
+  TagSink sink;
   constexpr std::size_t kLive = 32;
-  std::vector<EventId> live;
   double t = 1.0;
   for (std::size_t i = 0; i < kLive; ++i) {
-    live.push_back(q.schedule(t, [] {}));
+    q.scheduleEvent(t, &sink, tagged(0));
     t += 1.0;
   }
   std::size_t max_heap = 0;
   for (int round = 0; round < 100000; ++round) {
-    const EventId id = q.schedule(t, [] {});
+    const EventId id = q.scheduleEvent(t, &sink, tagged(0));
     t += 1.0;
     ASSERT_TRUE(q.cancel(id));
     max_heap = std::max(max_heap, q.heapSize());
@@ -261,15 +359,9 @@ TEST(EventQueueCompactionTest, HeapStaysBoundedUnderScheduleCancelChurn) {
   EXPECT_LE(max_heap, bound);
   EXPECT_LE(q.heapSize(), bound);
   // The live set is intact and still fires in order.
-  std::size_t popped = 0;
-  double last = 0.0;
-  while (!q.empty()) {
-    const auto fired = q.pop();
-    EXPECT_GT(fired.time, last);
-    last = fired.time;
-    ++popped;
-  }
-  EXPECT_EQ(popped, kLive);
+  const std::vector<TimeMs> times = drain(q);
+  EXPECT_EQ(times.size(), kLive);
+  EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
 }
 
 TEST(EventQueueCompactionTest, CompactionWithZeroSurvivorsLeavesEmptyHeap) {
@@ -278,9 +370,10 @@ TEST(EventQueueCompactionTest, CompactionWithZeroSurvivorsLeavesEmptyHeap) {
   // into an empty vector.  Scheduling exactly the compaction-floor count (64)
   // and cancelling all of it makes the first compaction run with live == 0.
   EventQueue q;
+  TagSink sink;
   std::vector<EventId> ids;
   for (int i = 0; i < 64; ++i) {
-    ids.push_back(q.schedule(1.0 + i, [] {}));
+    ids.push_back(q.scheduleEvent(1.0 + i, &sink, tagged(0)));
   }
   for (const EventId id : ids) {
     ASSERT_TRUE(q.cancel(id));
@@ -288,9 +381,10 @@ TEST(EventQueueCompactionTest, CompactionWithZeroSurvivorsLeavesEmptyHeap) {
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.heapSize(), 0u);
   // The queue stays usable after the empty rebuild.
-  const EventId later = q.schedule(5.0, [] {});
+  q.scheduleEvent(5.0, &sink, tagged(9));
   EXPECT_EQ(q.pendingCount(), 1u);
-  EXPECT_EQ(q.pop().id, later);
+  EXPECT_EQ(drain(q), (std::vector<TimeMs>{5.0}));
+  EXPECT_EQ(sink.tags, (std::vector<std::uint64_t>{9}));
   EXPECT_TRUE(q.empty());
 }
 
@@ -298,9 +392,10 @@ TEST(EventQueueCompactionTest, SlotSlabReusedUnderChurn) {
   // Cancel-heavy churn must also recycle payload slots: pendingCount stays
   // exact and every handle from a recycled slot still cancels correctly.
   EventQueue q;
+  TagSink sink;
   for (int round = 0; round < 1000; ++round) {
-    const EventId a = q.schedule(1.0, [] {});
-    const EventId b = q.schedule(2.0, [] {});
+    const EventId a = q.scheduleEvent(1.0, &sink, tagged(0));
+    const EventId b = q.scheduleEvent(2.0, &sink, tagged(0));
     EXPECT_TRUE(q.cancel(b));
     EXPECT_TRUE(q.cancel(a));
     EXPECT_EQ(q.pendingCount(), 0u);

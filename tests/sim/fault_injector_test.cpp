@@ -13,6 +13,7 @@
 #include "net/topology.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "support/scheduled_calls.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn::sim {
@@ -318,7 +319,8 @@ TEST(FaultInjectorTest, PartitionCutsAndHealRestoresReachability) {
   ASSERT_GT(injector.plannedFaults(FaultKind::kLinkDown), 0u);
 
   bool someone_cut = false;
-  rig.sim.scheduleAt(250.0, [&rig, &someone_cut] {
+  test_support::ScheduledCalls calls(rig.sim);
+  calls.at(250.0, [&rig, &someone_cut] {
     for (const net::NodeId client : rig.topo.clients) {
       if (!rig.network.reachableFromSource(client)) someone_cut = true;
     }
@@ -350,10 +352,10 @@ TEST(FaultInjectorTest, CrashWhileSlowedDeliveryInFlightDropsIt) {
   rig.network.unicast(source, victim,
                       Packet{Packet::Type::kRequest, 0, source, source, 0});
   // Crash strictly between arrival and the delayed delivery.
-  rig.sim.scheduleAt(
-      rig.routing.distance(source, victim) + 500.0,
-      [&rig, victim] { rig.network.setAgentFault(victim,
-                                                 AgentFault::kCrashed); });
+  test_support::ScheduledCalls calls(rig.sim);
+  calls.at(rig.routing.distance(source, victim) + 500.0, [&rig, victim] {
+    rig.network.setAgentFault(victim, AgentFault::kCrashed);
+  });
   rig.sim.run();
   EXPECT_EQ(delivered, 0u);
 }

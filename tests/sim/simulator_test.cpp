@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
+
+#include "support/scheduled_calls.hpp"
 
 namespace rmrn::sim {
 namespace {
+
+using test_support::ScheduledCalls;
 
 TEST(SimulatorTest, ClockStartsAtZero) {
   Simulator sim;
@@ -15,9 +20,10 @@ TEST(SimulatorTest, ClockStartsAtZero) {
 
 TEST(SimulatorTest, ClockAdvancesToEventTimes) {
   Simulator sim;
+  ScheduledCalls calls(sim);
   std::vector<double> times;
-  sim.scheduleAt(5.0, [&] { times.push_back(sim.now()); });
-  sim.scheduleAt(2.0, [&] { times.push_back(sim.now()); });
+  calls.at(5.0, [&] { times.push_back(sim.now()); });
+  calls.at(2.0, [&] { times.push_back(sim.now()); });
   sim.run();
   EXPECT_EQ(times, (std::vector<double>{2.0, 5.0}));
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
@@ -25,9 +31,10 @@ TEST(SimulatorTest, ClockAdvancesToEventTimes) {
 
 TEST(SimulatorTest, ScheduleAfterIsRelative) {
   Simulator sim;
+  ScheduledCalls calls(sim);
   double fired_at = -1.0;
-  sim.scheduleAt(10.0, [&] {
-    sim.scheduleAfter(5.0, [&] { fired_at = sim.now(); });
+  calls.at(10.0, [&] {
+    calls.after(5.0, [&] { fired_at = sim.now(); });
   });
   sim.run();
   EXPECT_DOUBLE_EQ(fired_at, 15.0);
@@ -35,9 +42,10 @@ TEST(SimulatorTest, ScheduleAfterIsRelative) {
 
 TEST(SimulatorTest, RunUntilStopsEarly) {
   Simulator sim;
+  ScheduledCalls calls(sim);
   int fired = 0;
-  sim.scheduleAt(1.0, [&] { ++fired; });
-  sim.scheduleAt(10.0, [&] { ++fired; });
+  calls.at(1.0, [&] { ++fired; });
+  calls.at(10.0, [&] { ++fired; });
   const auto count = sim.run(5.0);
   EXPECT_EQ(count, 1u);
   EXPECT_EQ(fired, 1);
@@ -48,15 +56,18 @@ TEST(SimulatorTest, RunUntilStopsEarly) {
 
 TEST(SimulatorTest, RunReturnsEventCount) {
   Simulator sim;
-  for (int i = 0; i < 7; ++i) sim.scheduleAt(i, [] {});
+  ScheduledCalls calls(sim);
+  for (int i = 0; i < 7; ++i) calls.at(i, [] {});
   EXPECT_EQ(sim.run(), 7u);
+  EXPECT_EQ(sim.eventsProcessed(), 7u);
 }
 
 TEST(SimulatorTest, StepFiresExactlyOne) {
   Simulator sim;
+  ScheduledCalls calls(sim);
   int fired = 0;
-  sim.scheduleAt(1.0, [&] { ++fired; });
-  sim.scheduleAt(2.0, [&] { ++fired; });
+  calls.at(1.0, [&] { ++fired; });
+  calls.at(2.0, [&] { ++fired; });
   EXPECT_TRUE(sim.step());
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sim.step());
@@ -66,8 +77,9 @@ TEST(SimulatorTest, StepFiresExactlyOne) {
 
 TEST(SimulatorTest, CancelStopsEvent) {
   Simulator sim;
+  ScheduledCalls calls(sim);
   int fired = 0;
-  const EventId id = sim.scheduleAt(1.0, [&] { ++fired; });
+  const EventId id = calls.at(1.0, [&] { ++fired; });
   EXPECT_TRUE(sim.cancel(id));
   sim.run();
   EXPECT_EQ(fired, 0);
@@ -75,25 +87,28 @@ TEST(SimulatorTest, CancelStopsEvent) {
 
 TEST(SimulatorTest, ThrowsOnSchedulingIntoThePast) {
   Simulator sim;
-  sim.scheduleAt(10.0, [&] {
-    EXPECT_THROW(sim.scheduleAt(5.0, [] {}), std::invalid_argument);
+  ScheduledCalls calls(sim);
+  calls.at(10.0, [&] {
+    EXPECT_THROW(calls.at(5.0, [] {}), std::invalid_argument);
   });
   sim.run();
-  EXPECT_THROW(sim.scheduleAt(5.0, [] {}), std::invalid_argument);
+  EXPECT_THROW(calls.at(5.0, [] {}), std::invalid_argument);
 }
 
 TEST(SimulatorTest, ThrowsOnNegativeDelay) {
   Simulator sim;
-  EXPECT_THROW(sim.scheduleAfter(-1.0, [] {}), std::invalid_argument);
+  ScheduledCalls calls(sim);
+  EXPECT_THROW(calls.after(-1.0, [] {}), std::invalid_argument);
 }
 
 TEST(SimulatorTest, EventsCanScheduleChains) {
   Simulator sim;
+  ScheduledCalls calls(sim);
   int depth = 0;
   std::function<void()> chain = [&] {
-    if (++depth < 100) sim.scheduleAfter(1.0, chain);
+    if (++depth < 100) calls.after(1.0, chain);
   };
-  sim.scheduleAfter(1.0, chain);
+  calls.after(1.0, chain);
   sim.run();
   EXPECT_EQ(depth, 100);
   EXPECT_DOUBLE_EQ(sim.now(), 100.0);
@@ -101,8 +116,9 @@ TEST(SimulatorTest, EventsCanScheduleChains) {
 
 TEST(SimulatorTest, PendingEventsCount) {
   Simulator sim;
-  sim.scheduleAt(1.0, [] {});
-  sim.scheduleAt(2.0, [] {});
+  ScheduledCalls calls(sim);
+  calls.at(1.0, [] {});
+  calls.at(2.0, [] {});
   EXPECT_EQ(sim.pendingEvents(), 2u);
   sim.step();
   EXPECT_EQ(sim.pendingEvents(), 1u);
