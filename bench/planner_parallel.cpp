@@ -5,7 +5,7 @@
 //   * Google Benchmark (default):
 //       ./planner_parallel [--benchmark_filter=...]
 //   * JSON perf driver:
-//       ./planner_parallel --json BENCH_planner.json \
+//       ./planner_parallel --json BENCH_planner.json
 //           [--nodes 2800] [--threads 1,2,4,8] [--repeats 2]
 //     Times whole-group planning (sparse routing + RpPlanner) at each thread
 //     count on one >= 1k-client topology and dense vs sparse routing builds,

@@ -7,11 +7,13 @@
 //       ./simcore [--benchmark_filter=...]
 //   * JSON perf driver:
 //       ./simcore --json BENCH_simcore.json [--requests 250000] [--repeats 3]
-//     Writes BENCH_simcore.json (see README "Performance"): forwarding
-//     events/sec for the typed engine vs a faithful replica of the engine it
-//     replaced, timer-churn events/sec for the cancel-heavy lane, heap
-//     allocations per steady-state event (this binary links the counting
-//     allocator), and wall time for a seeded fig7-style experiment.
+//     Writes BENCH_simcore.json (see README "Performance"): forwarding wall
+//     time for the typed engine vs a faithful replica of the engine it
+//     replaced (both must simulate the same campaign: equal deliveries, data
+//     and recovery hops, and link load), timer-churn events/sec for the
+//     cancel-heavy lane, heap allocations per steady-state event (this
+//     binary links the counting allocator), and wall time for a seeded
+//     fig7-style experiment.
 //
 // The legacy baseline replicates the data plane this PR removed, taken from
 // the pre-rewrite sources rather than reinvented: one std::function heap
@@ -164,7 +166,13 @@ class LegacyNetwork {
     handler_ = std::move(handler);
   }
   void enableLinkAccounting(bool enabled) { link_accounting_ = enabled; }
-  [[nodiscard]] std::uint64_t recoveryHops() const { return recovery_hops_; }
+  /// The counters SimNetwork keeps too (data/recovery hops, deliveries).
+  [[nodiscard]] const sim::NetworkStats& stats() const { return stats_; }
+  [[nodiscard]] std::uint64_t totalRecoveryLinkLoad() const {
+    std::uint64_t total = 0;
+    for (const auto& [link, count] : link_load_) total += count;
+    return total;
+  }
 
   void unicast(net::NodeId from, net::NodeId to, sim::Packet packet) {
     auto path = routing_.path(from, to);  // fresh vector per send
@@ -245,8 +253,11 @@ class LegacyNetwork {
   }
 
   void countHop(const sim::Packet& packet, net::NodeId from, net::NodeId to) {
-    if (packet.type == sim::Packet::Type::kData) return;
-    ++recovery_hops_;
+    if (packet.type == sim::Packet::Type::kData) {
+      ++stats_.data_hops;
+      return;
+    }
+    ++stats_.recovery_hops;
     if (link_accounting_) {
       ++link_load_[LinkId{std::min(from, to), std::max(from, to)}];
     }
@@ -260,6 +271,7 @@ class LegacyNetwork {
       deliveries_by_type_.resize(topology_.graph.numNodes() * 4, 0);
     }
     ++deliveries_by_type_[index];
+    ++stats_.deliveries;
     handler_(at, packet);
   }
 
@@ -272,7 +284,7 @@ class LegacyNetwork {
   std::vector<bool> is_agent_;
   std::vector<std::uint64_t> deliveries_by_type_;
   bool link_accounting_ = false;
-  std::uint64_t recovery_hops_ = 0;
+  sim::NetworkStats stats_;
   std::unordered_map<LinkId, std::uint64_t, LinkIdHash> link_load_;
 };
 
@@ -282,7 +294,32 @@ class LegacyNetwork {
 // ping-pong chains (each delivery answers back to the sender, accumulating
 // per-hop accounting), with a whole-group flood and a forced-pattern source
 // multicast every 64th request.  Loss-free so the chains — and therefore the
-// event counts — are identical across engines.
+// simulated outcome — are identical across engines.  Event counts are not:
+// the legacy engine fires one event per link crossed, while SimNetwork's
+// closed-form path fires one per agent delivery.
+
+/// What a forwarding campaign simulated, comparable across engines.
+struct ForwardingOutcome {
+  std::uint64_t deliveries = 0;
+  std::uint64_t data_hops = 0;
+  std::uint64_t recovery_hops = 0;
+  std::uint64_t link_load = 0;  // total recovery link traversals
+  friend bool operator==(const ForwardingOutcome&,
+                         const ForwardingOutcome&) = default;
+};
+
+template <typename Net>
+ForwardingOutcome outcomeOf(const Net& net) {
+  return {net.stats().deliveries, net.stats().data_hops,
+          net.stats().recovery_hops, net.totalRecoveryLinkLoad()};
+}
+
+/// One forwarding campaign on a fresh network: the events its engine fired
+/// and the outcome it simulated.
+struct ForwardingRun {
+  std::uint64_t events = 0;
+  ForwardingOutcome outcome;
+};
 
 template <typename Net, typename Sim>
 class ForwardingWorkload {
@@ -349,24 +386,26 @@ net::Topology makeTopology(std::uint32_t nodes, std::uint64_t seed) {
   return net::generateTopology(config, rng);
 }
 
-std::uint64_t runLegacyForwarding(const net::Topology& topo,
+ForwardingRun runLegacyForwarding(const net::Topology& topo,
                                   const net::Routing& routing,
                                   std::uint64_t target_requests) {
   LegacySimulator simulator;
   LegacyNetwork network(simulator, topo, routing, 0.0, util::Rng(11));
   network.enableLinkAccounting(true);
   ForwardingWorkload workload(network, simulator, topo, target_requests);
-  return workload.run();
+  const std::uint64_t events = workload.run();
+  return {events, outcomeOf(network)};
 }
 
-std::uint64_t runTypedForwarding(const net::Topology& topo,
+ForwardingRun runTypedForwarding(const net::Topology& topo,
                                  const net::Routing& routing,
                                  std::uint64_t target_requests) {
   sim::Simulator simulator;
   sim::SimNetwork network(simulator, topo, routing, 0.0, util::Rng(11));
   network.enableLinkAccounting(true);
   ForwardingWorkload workload(network, simulator, topo, target_requests);
-  return workload.run();
+  const std::uint64_t events = workload.run();
+  return {events, outcomeOf(network)};
 }
 
 // --- Timer-churn workload -------------------------------------------------
@@ -502,7 +541,7 @@ void BM_LegacyForwarding(benchmark::State& state) {
   const net::Routing routing(topo.graph);
   std::uint64_t events = 0;
   for (auto _ : state) {
-    events = runLegacyForwarding(topo, routing, requests);
+    events = runLegacyForwarding(topo, routing, requests).events;
     benchmark::DoNotOptimize(events);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -516,7 +555,7 @@ void BM_TypedForwarding(benchmark::State& state) {
   const net::Routing routing(topo.graph);
   std::uint64_t events = 0;
   for (auto _ : state) {
-    events = runTypedForwarding(topo, routing, requests);
+    events = runTypedForwarding(topo, routing, requests).events;
     benchmark::DoNotOptimize(events);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -563,31 +602,41 @@ int runJsonDriver(const std::string& out_path, std::uint64_t requests,
             << " requests x " << repeats << " repeat(s)\n";
   double legacy_fwd_ms = 0.0;
   double typed_fwd_ms = 0.0;
-  std::uint64_t legacy_fwd_events = 0;
-  std::uint64_t typed_fwd_events = 0;
+  ForwardingRun legacy_fwd;
+  ForwardingRun typed_fwd;
   for (unsigned r = 0; r < repeats; ++r) {
     const double lm = wallMs(
-        [&] { legacy_fwd_events = runLegacyForwarding(topo, routing, requests); });
+        [&] { legacy_fwd = runLegacyForwarding(topo, routing, requests); });
     const double tm = wallMs(
-        [&] { typed_fwd_events = runTypedForwarding(topo, routing, requests); });
+        [&] { typed_fwd = runTypedForwarding(topo, routing, requests); });
     legacy_fwd_ms = r == 0 ? lm : std::min(legacy_fwd_ms, lm);
     typed_fwd_ms = r == 0 ? tm : std::min(typed_fwd_ms, tm);
   }
-  if (legacy_fwd_events != typed_fwd_events) {
-    std::cerr << "engine event counts diverged: legacy " << legacy_fwd_events
-              << " vs typed " << typed_fwd_events << "\n";
+  // Both engines must simulate the same campaign; their event counts differ
+  // by design (per link crossed vs per agent delivery).
+  if (legacy_fwd.outcome != typed_fwd.outcome) {
+    const auto print = [](const ForwardingOutcome& o) {
+      std::cerr << o.deliveries << " deliveries, " << o.data_hops
+                << " data hops, " << o.recovery_hops << " recovery hops, "
+                << o.link_load << " link load";
+    };
+    std::cerr << "engine outcomes diverged: legacy ";
+    print(legacy_fwd.outcome);
+    std::cerr << " vs typed ";
+    print(typed_fwd.outcome);
+    std::cerr << "\n";
     return 1;
   }
   const double legacy_fwd_eps =
-      static_cast<double>(legacy_fwd_events) / (legacy_fwd_ms / 1000.0);
+      static_cast<double>(legacy_fwd.events) / (legacy_fwd_ms / 1000.0);
   const double typed_fwd_eps =
-      static_cast<double>(typed_fwd_events) / (typed_fwd_ms / 1000.0);
+      static_cast<double>(typed_fwd.events) / (typed_fwd_ms / 1000.0);
   const double fwd_speedup =
-      legacy_fwd_eps > 0.0 ? typed_fwd_eps / legacy_fwd_eps : 0.0;
-  std::cerr << "  legacy: " << legacy_fwd_ms << " ms (" << legacy_fwd_eps
-            << " events/sec)\n  typed:  " << typed_fwd_ms << " ms ("
-            << typed_fwd_eps << " events/sec)\n  speedup: " << fwd_speedup
-            << "x over " << typed_fwd_events << " events\n";
+      typed_fwd_ms > 0.0 ? legacy_fwd_ms / typed_fwd_ms : 0.0;
+  std::cerr << "  legacy: " << legacy_fwd_ms << " ms, " << legacy_fwd.events
+            << " events\n  typed:  " << typed_fwd_ms << " ms, "
+            << typed_fwd.events << " events\n  speedup: " << fwd_speedup
+            << "x over " << typed_fwd.outcome.deliveries << " deliveries\n";
 
   const std::uint64_t churn_events = 2000000;
   std::cerr << "[simcore] timer churn, " << churn_events << " events\n";
@@ -656,7 +705,10 @@ int runJsonDriver(const std::string& out_path, std::uint64_t requests,
   harness::writeBenchEnvelope(out);
   out << "  \"repeats\": " << repeats << ",\n";
   out << "  \"forwarding\": {\"requests\": " << requests
-      << ", \"events\": " << typed_fwd_events
+      << ", \"deliveries\": " << typed_fwd.outcome.deliveries
+      << ", \"recovery_hops\": " << typed_fwd.outcome.recovery_hops
+      << ", \"events\": " << legacy_fwd.events
+      << ", \"typed_events\": " << typed_fwd.events
       << ", \"legacy_wall_ms\": " << legacy_fwd_ms
       << ", \"legacy_events_per_sec\": " << legacy_fwd_eps
       << ", \"typed_wall_ms\": " << typed_fwd_ms

@@ -95,6 +95,7 @@
 //   rmrn_cli config [--out file]
 //       Print (or write) a complete default experiment config to edit.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -113,6 +114,7 @@
 #include "harness/table.hpp"
 #include "harness/transfer.hpp"
 #include "net/serialization.hpp"
+#include "sim/event.hpp"
 #include "util/flags.hpp"
 
 namespace {
@@ -321,8 +323,12 @@ int cmdRun(const util::Flags& flags) {
                             "avg latency (ms)", "avg bandwidth (hops)",
                             "events"});
   std::uint64_t total_events = 0;
+  std::array<std::uint64_t, sim::kNumEventKinds> events_by_kind{};
   for (const harness::ProtocolResult& r : result.protocols) {
     total_events += r.events_processed;
+    for (std::size_t k = 0; k < sim::kNumEventKinds; ++k) {
+      events_by_kind[k] += r.events_by_kind[k];
+    }
     table.addRow({std::string(toString(r.kind)), std::to_string(r.losses),
                   std::to_string(r.recoveries),
                   harness::TextTable::num(r.avg_latency_ms),
@@ -333,7 +339,13 @@ int cmdRun(const util::Flags& flags) {
   // events/sec is sim-only: topology/routing/planner construction is setup,
   // not engine throughput.  Sim and setup are sums over repetitions, so
   // with --threads > 1 they exceed the elapsed wall.
-  std::cout << "engine: " << total_events << " events in "
+  std::cout << "engine: " << total_events << " events (";
+  for (std::size_t k = 0; k < sim::kNumEventKinds; ++k) {
+    std::cout << (k == 0 ? "" : ", ")
+              << sim::toString(static_cast<sim::EventKind>(k)) << ' '
+              << events_by_kind[k];
+  }
+  std::cout << ") in "
             << harness::TextTable::num(result.sim_wall_ms) << " ms sim ("
             << harness::TextTable::num(
                    result.sim_wall_ms > 0.0

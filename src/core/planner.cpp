@@ -83,7 +83,7 @@ RpPlanner::RpPlanner(const net::Topology& topology,
   strategies_.reserve(k);
   candidates_.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
-    const Strategy& s = slots[i].strategy;
+    [[maybe_unused]] const Strategy& s = slots[i].strategy;
     RMRN_ENSURE(std::isfinite(s.expected_delay_ms) &&
                     s.expected_delay_ms >= 0.0,
                 "planner: emitted delay must be finite and non-negative");

@@ -69,6 +69,10 @@ ProtocolResult runOneProtocol(const ExperimentConfig& config,
   ProtocolResult result;
   result.kind = kind;
   result.events_processed = world.simulator.eventsProcessed();
+  for (std::size_t k = 0; k < sim::kNumEventKinds; ++k) {
+    result.events_by_kind[k] =
+        world.simulator.eventsProcessed(static_cast<sim::EventKind>(k));
+  }
   result.losses = recovery.losses();
   result.recoveries = recovery.recoveries();
   result.avg_latency_ms = recovery.latency().mean();
@@ -262,6 +266,9 @@ ExperimentResult aggregate(std::vector<ExperimentResult> results) {
       acc.source_repair_multicasts += cur.source_repair_multicasts;
       acc.fec_nacks_sent += cur.fec_nacks_sent;
       acc.events_processed += cur.events_processed;
+      for (std::size_t k = 0; k < sim::kNumEventKinds; ++k) {
+        acc.events_by_kind[k] += cur.events_by_kind[k];
+      }
     }
   }
   const auto n = static_cast<double>(results.size());

@@ -4,6 +4,7 @@
 // the two per-recovery metrics (latency in ms, bandwidth in hops).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -16,6 +17,7 @@
 #include "protocols/parity_protocol.hpp"
 #include "protocols/rp_protocol.hpp"
 #include "protocols/srm_protocol.hpp"
+#include "sim/event.hpp"
 #include "sim/fault_injector.hpp"
 
 namespace rmrn::harness {
@@ -159,6 +161,8 @@ struct ProtocolResult {
   /// Simulator events fired during the run (summed across repetitions in
   /// averaged experiments); drivers report events/sec from it.
   std::uint64_t events_processed = 0;
+  /// events_processed split by sim::EventKind (indexed by its value).
+  std::array<std::uint64_t, sim::kNumEventKinds> events_by_kind{};
 };
 
 struct ExperimentResult {

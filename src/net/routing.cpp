@@ -122,7 +122,7 @@ void Routing::build(const Graph& g, std::span<const NodeId> sources,
     pool.parallelFor(0, rows_, run_row);
   }
   for (std::size_t row = 0; row < rows_; ++row) {
-    const NodeId src =
+    [[maybe_unused]] const NodeId src =
         sources.empty() ? static_cast<NodeId>(row) : sources[row];
     RMRN_ENSURE(dist_[row * n_ + src] == 0.0,
                 "routing table: self-distance must be zero");

@@ -1,6 +1,6 @@
 // Typed, POD-sized event records: the only kind of event the engine runs.
 //
-// Every event is one of four small trivially copyable payloads stored
+// Every event is one of five small trivially copyable payloads stored
 // inline in the EventQueue's slab (event_queue.hpp), so scheduling one
 // performs no heap allocation, and dispatched through a single `EventSink`
 // virtual call on fire.  Cold-path schedulers use the same records:
@@ -9,7 +9,10 @@
 // packet).
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 #include "net/types.hpp"
 #include "sim/packet.hpp"
@@ -24,12 +27,51 @@ using TimeMs = double;
 /// protocol session structs stay inert.
 using EventId = std::uint64_t;
 
+/// Order-preserving integer image of a finite time: a < b iff
+/// timeOrder(a) < timeOrder(b).  -0.0 folds into +0.0 so equal times stay
+/// equal.  Both heaps of the engine (EventQueue's and a lossless flood's
+/// frontier) compare times through it, so each ordering is one unsigned
+/// compare that compiles without branches.
+[[nodiscard]] inline std::uint64_t timeOrder(TimeMs t) {
+  constexpr std::uint64_t kSignBit = 1ull << 63;
+  const auto bits = std::bit_cast<std::uint64_t>(t + 0.0);
+  const auto negative =
+      static_cast<std::uint64_t>(static_cast<std::int64_t>(bits) >> 63);
+  return bits ^ (negative | kSignBit);
+}
+/// Inverse of timeOrder().
+[[nodiscard]] inline TimeMs timeOfOrder(std::uint64_t order) {
+  constexpr std::uint64_t kSignBit = 1ull << 63;
+  const auto negative =
+      static_cast<std::uint64_t>(static_cast<std::int64_t>(~order) >> 63);
+  return std::bit_cast<TimeMs>(order ^ (negative | kSignBit));
+}
+
 enum class EventKind : std::uint8_t {
-  kDeliver,     // hand `packet` to the agent at `at`
-  kForwardHop,  // a unicast packet finished traversing one routed link
-  kFloodStep,   // a tree flood crossed one link and continues from `next`
-  kTimer,       // timer: protocol waits, fault firings, data sends
+  kDeliver,      // hand `packet` to the agent at `at`
+  kForwardHop,   // a unicast packet finished traversing one routed link
+  kFloodStep,    // a tree flood crossed one link and continues from `next`
+  kFloodCursor,  // a lossless flood's next agent arrival (closed-form path)
+  kTimer,        // timer: protocol waits, fault firings, data sends
 };
+
+inline constexpr std::size_t kNumEventKinds = 5;
+
+[[nodiscard]] constexpr std::string_view toString(EventKind kind) {
+  switch (kind) {
+    case EventKind::kDeliver:
+      return "deliver";
+    case EventKind::kForwardHop:
+      return "forward-hop";
+    case EventKind::kFloodStep:
+      return "flood-step";
+    case EventKind::kFloodCursor:
+      return "flood-cursor";
+    case EventKind::kTimer:
+      return "timer";
+  }
+  return "?";
+}
 
 /// Packet arrival at an agent.  `direct` skips the fault triage (used by the
 /// kSlowed re-delivery, which re-checks only the crash state on fire).
@@ -62,6 +104,13 @@ struct FloodStepEvent {
   Packet packet;
 };
 
+/// The next agent arrival of a lossless tree flood.  `flood` indexes
+/// SimNetwork's flood arena, whose record holds the arrival (node, link it
+/// came over) and the flood's frontier of not-yet-expanded links.
+struct FloodCursorEvent {
+  std::uint32_t flood;
+};
+
 /// Timer: an opaque kind tag plus three payload words, dispatched back to
 /// the scheduling sink (see RecoveryProtocol::onTimer).
 struct TimerEvent {
@@ -77,6 +126,7 @@ union EventData {
   DeliverEvent deliver;
   ForwardHopEvent forward;
   FloodStepEvent flood;
+  FloodCursorEvent cursor;
   TimerEvent timer;
 
   EventData() : timer{} {}

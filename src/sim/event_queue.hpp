@@ -24,7 +24,7 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "sim/event.hpp"
+#include "sim/quad_heap.hpp"
 #include "util/check.hpp"
 
 namespace rmrn::sim {
@@ -61,6 +62,11 @@ class EventQueue {
   /// later than `until`.  The hot path for Simulator::run(): one dead-entry
   /// sweep and one root read serve the bound check, clock advance, and fire.
   bool fireNext(TimeMs until, TimeMs* clock);
+
+  /// Events fired over the queue's lifetime with the given kind.
+  [[nodiscard]] std::uint64_t firedOf(EventKind kind) const {
+    return fired_by_kind_[static_cast<std::size_t>(kind)];
+  }
 
   /// Live (scheduled, not cancelled, not fired) event count.
   [[nodiscard]] std::size_t pendingCount() const { return live_; }
@@ -99,35 +105,17 @@ class EventQueue {
   /// 4-ary heap key: (time, seq) with seq the global insertion sequence.
   /// Slots never repeat within the pending set, so key order is seq order.
   /// The time is stored as its order-preserving integer image, so ordering
-  /// two entries is one unsigned 128-bit comparison (order, key) that
-  /// compiles without branches: sift comparisons are data-dependent coin
-  /// flips, and a conditional jump there mispredicts about half the time.
+  /// two entries is one branch-free 128-bit comparison (sim/quad_heap.hpp).
   struct HeapEntry {
-    std::uint64_t order;  // orderOf(time)
+    std::uint64_t order;  // timeOrder(time)
     std::uint64_t key;    // (seq << kSlotBits) | slot
 
-    [[nodiscard]] TimeMs when() const { return timeOf(order); }
+    [[nodiscard]] TimeMs when() const { return timeOfOrder(order); }
     [[nodiscard]] std::uint32_t slot() const {
       return static_cast<std::uint32_t>(key & kSlotMask);
     }
     [[nodiscard]] std::uint64_t seq() const { return key >> kSlotBits; }
   };
-  static constexpr std::uint64_t kSignBit = 1ull << 63;
-  /// Order-preserving integer image of a finite time: a < b iff
-  /// orderOf(a) < orderOf(b).  -0.0 folds into +0.0 so equal times stay
-  /// equal.
-  [[nodiscard]] static std::uint64_t orderOf(TimeMs t) {
-    const auto bits = std::bit_cast<std::uint64_t>(t + 0.0);
-    const auto negative = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(bits) >> 63);
-    return bits ^ (negative | kSignBit);
-  }
-  [[nodiscard]] static TimeMs timeOf(std::uint64_t order) {
-    const auto negative = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(~order) >> 63);
-    return std::bit_cast<TimeMs>(order ^ (negative | kSignBit));
-  }
-
   [[nodiscard]] static EventId makeId(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
@@ -168,39 +156,19 @@ class EventQueue {
     const std::uint64_t seq = next_seq_++;
     slots_[slot].seq = seq;
     // rmrn-lint: allow(HOT-1) heap grows to the pending-event high-water mark, then reuses capacity (alloc_tests)
-    heap_.push_back(HeapEntry{orderOf(at), (seq << kSlotBits) | slot});
-    siftUp(heap_.size() - 1);
+    heap_.push_back(HeapEntry{timeOrder(at), (seq << kSlotBits) | slot});
+    quad_heap::siftUp(heap_.data(), heap_.size() - 1);
     ++live_;
     return makeId(slot, slots_[slot].gen);
   }
 
-  [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) {
-    __extension__ using Wide = unsigned __int128;  // GCC/Clang builtin
-    return ((Wide{a.order} << 64) | a.key) < ((Wide{b.order} << 64) | b.key);
-  }
-  void siftUp(std::size_t i) const {
-    const HeapEntry entry = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!before(entry, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = entry;
-  }
-  void siftDown(std::size_t i) const;
-  void popRoot() const {
-    heap_[0] = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) siftDown(0);
-  }
   [[nodiscard]] bool entryDead(const HeapEntry& e) const {
     return slots_[e.slot()].seq != e.seq();
   }
   /// Drops cancelled entries off the heap top so the root is live.
   void skipDead() const {
     while (!heap_.empty() && entryDead(heap_[0])) {
-      popRoot();
+      quad_heap::popRoot(heap_);
       --dead_in_heap_;
     }
   }
@@ -215,32 +183,13 @@ class EventQueue {
   mutable std::size_t dead_in_heap_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
+  std::array<std::uint64_t, kNumEventKinds> fired_by_kind_{};
   TimeMs last_fired_ = -std::numeric_limits<TimeMs>::infinity();
 };
 
-// Inline hot path: scheduling, the sift, and the pop-fire step.  These run
-// once per simulated event, so keeping them visible to callers (for inlining)
-// is worth the header weight; cold and rare paths stay in event_queue.cpp.
-
-inline void EventQueue::siftDown(std::size_t i) const {
-  const std::size_t n = heap_.size();
-  const HeapEntry entry = heap_[i];
-  for (;;) {
-    const std::size_t first_child = 4 * i + 1;
-    if (first_child >= n) break;
-    std::size_t best = first_child;
-    const std::size_t last_child = std::min(first_child + 4, n);
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      // Branch-free select (see HeapEntry).
-      const std::size_t earlier = before(heap_[c], heap_[best]);
-      best += (c - best) & (0 - earlier);
-    }
-    if (!before(heap_[best], entry)) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = entry;
-}
+// Inline hot path: scheduling and the pop-fire step.  These run once per
+// simulated event, so keeping them visible to callers (for inlining) is
+// worth the header weight; cold and rare paths stay in event_queue.cpp.
 
 inline EventId EventQueue::scheduleEvent(TimeMs at, EventSink* sink,
                                          const EventRecord& record) {
@@ -261,7 +210,7 @@ inline bool EventQueue::fireNext(TimeMs until, TimeMs* clock) {
   const HeapEntry top = heap_[0];
   const TimeMs time = top.when();
   if (time > until) return false;
-  popRoot();
+  quad_heap::popRoot(heap_);
   const std::uint32_t slot = top.slot();
   Slot& s = slots_[slot];
   RMRN_ENSURE(time >= last_fired_,
@@ -275,6 +224,7 @@ inline bool EventQueue::fireNext(TimeMs until, TimeMs* clock) {
   EventSink* const sink = s.sink;
   const EventRecord record{s.kind, s.data};
   freeSlot(slot);
+  ++fired_by_kind_[static_cast<std::size_t>(record.kind)];
   sink->onEvent(record);
   return true;
 }

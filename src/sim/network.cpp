@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "sim/quad_heap.hpp"
 #include "util/check.hpp"
 
 namespace rmrn::sim {
@@ -86,6 +87,25 @@ SimNetwork::SimNetwork(Simulator& simulator, const net::Topology& topology,
     if (v == tree.root()) continue;
     tree_slot_[tree.memberIndex(v)] = edgeSlot(tree.parent(v), v);
   }
+
+  up_link_.assign(n, TreeLink{0.0, kNilSlot, net::kInvalidNode});
+  down_offset_.assign(n + 1, 0);
+  for (const net::NodeId v : tree.members()) {
+    if (v != tree.root()) {
+      const std::uint32_t slot = tree_slot_[tree.memberIndex(v)];
+      up_link_[v] = TreeLink{edge_delay_[slot], slot, tree.parent(v)};
+    }
+    down_offset_[v + 1] = static_cast<std::uint32_t>(tree.children(v).size());
+  }
+  for (std::size_t v = 0; v < n; ++v) down_offset_[v + 1] += down_offset_[v];
+  down_link_.resize(down_offset_[n]);
+  for (const net::NodeId v : tree.members()) {
+    std::uint32_t i = down_offset_[v];
+    for (const net::NodeId child : tree.children(v)) {
+      const TreeLink& up = up_link_[child];  // the same link, seen from above
+      down_link_[i++] = TreeLink{up.delay, up.slot, child};
+    }
+  }
 }
 
 std::uint32_t SimNetwork::edgeSlot(net::NodeId a, net::NodeId b) const {
@@ -116,6 +136,11 @@ void SimNetwork::enableShardMode(const RegionMap& regions,
   regions_ = &regions;
   my_region_ = my_region;
   outbox_ = outbox;
+  // Shard mode never takes the closed form, so a region's replica drops the
+  // closed form's tables (there is one replica per region).
+  std::vector<TreeLink>().swap(up_link_);
+  std::vector<std::uint32_t>().swap(down_offset_);
+  std::vector<TreeLink>().swap(down_link_);
 }
 
 // rmrn-lint: init-phase
@@ -173,6 +198,7 @@ void SimNetwork::injectHandoff(const ShardHandoff& handoff) {
       return;
     }
     case EventKind::kDeliver:
+    case EventKind::kFloodCursor:
     case EventKind::kTimer:
       break;
   }
@@ -437,6 +463,9 @@ void SimNetwork::onEvent(const EventRecord& event) {
     case EventKind::kFloodStep:
       onFloodStep(event.data.flood);
       return;
+    case EventKind::kFloodCursor:
+      onFloodCursor(event.data.cursor);
+      return;
     case EventKind::kTimer:
       break;
   }
@@ -495,7 +524,27 @@ void SimNetwork::unicast(net::NodeId from, net::NodeId to, Packet packet) {
                                 std::to_string(from) + " -> " +
                                 std::to_string(to));
   }
+  if (closedForm(kNoPattern)) {
+    unicastClosedForm(path, packet);
+    return;
+  }
   sendHop(path, 0, packet);
+}
+
+void SimNetwork::unicastClosedForm(std::uint32_t path, const Packet& packet) {
+  const std::vector<net::NodeId>& route = paths_[path];
+  // Fold the arrival hop by hop, as the per-hop events would advance the
+  // clock: (t + d1) + d2 is not always t + (d1 + d2).
+  TimeMs at = simulator_.now();
+  for (std::size_t hop = 0; hop + 1 < route.size(); ++hop) {
+    const std::uint32_t slot = edgeSlot(route[hop], route[hop + 1]);
+    countHopSlot(packet, slot);
+    at += edge_delay_[slot];
+  }
+  EventRecord record{EventKind::kDeliver, {}};
+  record.data.deliver = DeliverEvent{route.back(), /*direct=*/false, packet};
+  releasePath(path);
+  simulator_.scheduleEventAt(at, this, record);
 }
 
 void SimNetwork::sendHop(std::uint32_t path, std::uint32_t hop,
@@ -577,6 +626,12 @@ void SimNetwork::multicastFromSource(Packet packet,
       pattern = acquirePattern(*forced_loss);
     }
   }
+  if (closedForm(pattern)) {
+    // The flood takes over the send's pattern reference.
+    floodClosedForm(topology_.tree.root(), packet, /*down_only=*/true,
+                    net::kInvalidNode, pattern);
+    return;
+  }
   floodFrom(topology_.tree.root(), net::kInvalidNode, packet,
             /*down_only=*/true, /*boundary=*/net::kInvalidNode, pattern);
   if (pattern != kNoPattern && !staged) {
@@ -586,6 +641,11 @@ void SimNetwork::multicastFromSource(Packet packet,
 
 void SimNetwork::multicastGroup(net::NodeId from, Packet packet) {
   ++stats_.packets_sent;
+  if (closedForm(kNoPattern)) {
+    floodClosedForm(from, packet, /*down_only=*/false, net::kInvalidNode,
+                    kNoPattern);
+    return;
+  }
   floodFrom(from, net::kInvalidNode, packet, /*down_only=*/false,
             /*boundary=*/net::kInvalidNode, kNoPattern);
 }
@@ -597,6 +657,11 @@ void SimNetwork::multicastSubtree(net::NodeId subtree_root, net::NodeId from,
         "SimNetwork::multicastSubtree: sender outside subtree");
   }
   ++stats_.packets_sent;
+  if (closedForm(kNoPattern)) {
+    floodClosedForm(from, packet, /*down_only=*/false, subtree_root,
+                    kNoPattern);
+    return;
+  }
   floodFrom(from, net::kInvalidNode, packet, /*down_only=*/false,
             /*boundary=*/subtree_root, kNoPattern);
 }
@@ -604,13 +669,27 @@ void SimNetwork::multicastSubtree(net::NodeId subtree_root, net::NodeId from,
 void SimNetwork::multicastDownInto(net::NodeId subtree_root, Packet packet) {
   ++stats_.packets_sent;
   const auto& tree = topology_.tree;
+  const bool closed_form = closedForm(kNoPattern);
   if (subtree_root == tree.root()) {
+    if (closed_form) {
+      floodClosedForm(subtree_root, packet, /*down_only=*/true,
+                      net::kInvalidNode, kNoPattern);
+      return;
+    }
     floodFrom(subtree_root, net::kInvalidNode, packet, /*down_only=*/true,
               /*boundary=*/net::kInvalidNode, kNoPattern);
     return;
   }
   const net::NodeId parent = tree.parent(subtree_root);
   const std::uint32_t slot = tree_slot_[tree.memberIndex(subtree_root)];
+  if (closed_form) {
+    const std::uint32_t flood = openFlood(packet, /*down_only=*/true,
+                                          net::kInvalidNode, kNoPattern);
+    crossTreeLink(floods_[flood], up_link_[subtree_root], subtree_root,
+                  /*upward=*/0, simulator_.now());
+    advanceFlood(flood);
+    return;
+  }
   countHopSlot(packet, slot);
   trace(TraceEvent::Kind::kHopSend, parent, subtree_root, packet);
   if (chaosDropped(slot, parent, subtree_root, packet)) return;
@@ -703,6 +782,108 @@ void SimNetwork::onFloodStep(const FloodStepEvent& event) {
   floodFrom(event.next, event.came_from, event.packet, event.down_only,
             event.boundary, event.pattern);
   if (event.pattern != kNoPattern) patternRelease(event.pattern);
+}
+
+void SimNetwork::floodClosedForm(net::NodeId origin, const Packet& packet,
+                                 bool down_only, net::NodeId boundary,
+                                 std::uint32_t pattern) {
+  (void)topology_.tree.memberIndex(origin);  // throws on a non-member
+  const std::uint32_t flood = openFlood(packet, down_only, boundary, pattern);
+  expandFlood(flood, origin, net::kInvalidNode, simulator_.now());
+  advanceFlood(flood);
+}
+
+std::uint32_t SimNetwork::openFlood(const Packet& packet, bool down_only,
+                                    net::NodeId boundary,
+                                    std::uint32_t pattern) {
+  std::uint32_t flood;
+  if (!free_floods_.empty()) {
+    flood = free_floods_.back();
+    free_floods_.pop_back();
+  } else {
+    flood = static_cast<std::uint32_t>(floods_.size());
+    // rmrn-lint: allow(HOT-1) arena warm-up: grows once per high-water mark, then slots recycle
+    floods_.emplace_back();
+  }
+  Flood& f = floods_[flood];
+  f.packet = packet;
+  f.next_seq = 0;
+  f.pattern = pattern;
+  f.boundary = boundary;
+  f.down_only = down_only;
+  return flood;
+}
+
+void SimNetwork::crossTreeLink(Flood& flood, const TreeLink& link,
+                               net::NodeId link_child, std::uint64_t upward,
+                               TimeMs at) {
+  countHopSlot(flood.packet, link.slot);
+  if (flood.pattern != kNoPattern &&
+      patterns_[flood.pattern][topology_.tree.memberIndex(link_child)]) {
+    ++stats_.packets_lost;
+    return;
+  }
+  // rmrn-lint: allow(HOT-1) a flood slot's frontier keeps its high-water capacity across floods (alloc_tests)
+  flood.frontier.push_back(
+      FrontierEntry{timeOrder(at + link.delay),
+                    (std::uint64_t{flood.next_seq++} << 33) | upward |
+                        link_child});
+  quad_heap::siftUp(flood.frontier.data(), flood.frontier.size() - 1);
+}
+
+std::pair<net::NodeId, net::NodeId> SimNetwork::linkEnds(
+    std::uint64_t key) const {
+  const auto link_child = static_cast<net::NodeId>(key);
+  const net::NodeId parent = up_link_[link_child].to;
+  if ((key & kUpward) != 0) return {parent, link_child};
+  return {link_child, parent};
+}
+
+void SimNetwork::expandFlood(std::uint32_t flood, net::NodeId node,
+                             net::NodeId came_from, TimeMs at) {
+  Flood& f = floods_[flood];
+  if (!f.down_only && node != f.boundary) {
+    const TreeLink& up = up_link_[node];
+    if (up.to != net::kInvalidNode && up.to != came_from) {
+      crossTreeLink(f, up, /*link_child=*/node, kUpward, at);
+    }
+  }
+  const std::uint32_t end = down_offset_[node + 1];
+  for (std::uint32_t i = down_offset_[node]; i < end; ++i) {
+    const TreeLink& down = down_link_[i];
+    if (down.to != came_from) crossTreeLink(f, down, down.to, 0, at);
+  }
+}
+
+void SimNetwork::advanceFlood(std::uint32_t flood) {
+  Flood& f = floods_[flood];  // stable: nothing below can grow floods_
+  while (!f.frontier.empty()) {
+    const FrontierEntry next = f.frontier.front();
+    quad_heap::popRoot(f.frontier);
+    const auto [node, came_from] = linkEnds(next.key);
+    const TimeMs at = timeOfOrder(next.order);
+    if (is_agent_[node]) {
+      f.cursor_key = next.key;
+      EventRecord record{EventKind::kFloodCursor, {}};
+      record.data.cursor = FloodCursorEvent{flood};
+      simulator_.scheduleEventAt(at, this, record);
+      return;
+    }
+    // Routers never deliver: expand straight away.
+    expandFlood(flood, node, came_from, at);
+  }
+  if (f.pattern != kNoPattern) patternRelease(f.pattern);
+  // rmrn-lint: allow(HOT-1) free list reuses retained capacity; alloc_tests pin the zero-allocation data plane
+  free_floods_.push_back(flood);
+}
+
+void SimNetwork::onFloodCursor(const FloodCursorEvent& event) {
+  const Flood& f = floods_[event.flood];
+  const auto [node, came_from] = linkEnds(f.cursor_key);
+  const Packet packet = f.packet;  // copy: the handler may grow floods_
+  deliver(node, packet);
+  expandFlood(event.flood, node, came_from, simulator_.now());
+  advanceFlood(event.flood);
 }
 
 }  // namespace rmrn::sim

@@ -1,19 +1,37 @@
 // Packet-level network runtime on top of the discrete-event simulator.
 //
-// Unicast packets are forwarded hop by hop along shortest (expected-delay)
-// routing paths; multicasts flood over the multicast tree.  Every link
-// traversal samples an independent Bernoulli(p) loss and is accounted as one
+// Unicast packets follow shortest (expected-delay) routing paths; multicasts
+// flood over the multicast tree.  Every link traversal is accounted as one
 // "hop" of bandwidth, matching the paper's "average bandwidth usage per
-// packet recovered (hops)" metric.  Per §5.1 of the paper, link delay and
-// loss are independent of load.
+// packet recovered (hops)" metric, and may drop the packet with an
+// independent Bernoulli(p) draw.  Per §5.1 of the paper, link delay and loss
+// are independent of load.
+//
+// Two forwarding paths produce the same simulation, except that bit-equal
+// arrival times of different sends may fire in another order (DESIGN.md
+// §10.2):
+//   * Closed form — a send that cannot be lost (recovery loss 0, or a data
+//     flood with a forced loss pattern) with chaos off, no trace sink and no
+//     shard mode.  Its whole schedule is fixed at send time, so only agent
+//     arrivals become events: a unicast is one kDeliver at its arrival
+//     time, and a tree flood keeps a private frontier heap of in-flight
+//     links and one kFloodCursor event for its next agent arrival.  Hops and
+//     recovery link loads are counted when a link is expanded, at or before
+//     the time the packet crosses it.
+//   * Hop by hop — the reference: one kForwardHop/kFloodStep event per link
+//     crossed.  Random loss draws, chaos, tracing and shard mode need it.
+// Both fold arrival times link by link from the send time, so every
+// delivery time is bit-identical between them; within one flood, arrivals
+// fire in the same order too.
 //
 // The forwarding hot path is allocation-free at steady state: in-flight
 // events are typed records (sim/event.hpp) in the queue's slab, unicast
 // routes live in a recycled per-send path arena (one slot per in-flight
 // unicast, released on drop or delivery), forced loss patterns in a
-// refcounted pattern arena shared by every event of one flood, and per-link
-// recovery accounting is a flat vector indexed by a CSR edge table built
-// once at construction.
+// refcounted pattern arena shared by every event of one flood, closed-form
+// floods in a recycled flood arena whose frontiers keep their capacity, and
+// per-link recovery accounting is a flat vector indexed by a CSR edge table
+// built once at construction.
 //
 // Protocol agents live at the source and the clients; the network invokes the
 // delivery handler only at those nodes (routers forward but never process).
@@ -22,6 +40,7 @@
 #include <cstdint>
 #include <functional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/routing.hpp"
@@ -89,7 +108,9 @@ class SimNetwork final : public EventSink {
   void setDeliveryHandler(DeliveryHandler handler);
 
   /// Installs a packet-trace sink (see sim/trace.hpp); pass an empty
-  /// function to disable.  No overhead when unset.
+  /// function to disable.  No overhead when unset.  A sink sees every hop,
+  /// so later sends take the per-hop path; sends already in flight on the
+  /// closed form finish untraced, so install it before traffic starts.
   void setTraceSink(TraceSink sink);
 
   /// Failure injection (see AgentFault above).  `slow_extra_ms` is the extra
@@ -111,7 +132,10 @@ class SimNetwork final : public EventSink {
   /// stream, so chaos-off runs are bit-identical to pre-chaos builds.
   ///
   /// Any chaos setter flips the network into chaos mode permanently (for the
-  /// run); protocols key hardened behaviour off chaosEnabled().
+  /// run); protocols key hardened behaviour off chaosEnabled().  Chaos sends
+  /// take the per-hop path; sends already in flight on the closed form when
+  /// chaos is first enabled finish on it, so enable chaos before traffic
+  /// starts (FaultInjector does, at construction).
   void enableChaos();
   [[nodiscard]] bool chaosEnabled() const { return chaos_active_; }
   /// Takes the undirected link {a, b} down (packets crossing it are dropped
@@ -138,9 +162,10 @@ class SimNetwork final : public EventSink {
   /// instance simulates only the nodes of `my_region`; a packet whose next
   /// hop leaves the region is appended to `outbox` (with this region's loss
   /// and chaos draws already applied) instead of being scheduled locally.
-  /// `regions` and `outbox` must outlive the network.  Serial networks never
-  /// call this and behave exactly as before — every shard check degrades to
-  /// one predictable null test.
+  /// `regions` and `outbox` must outlive the network.  Every send of a
+  /// shard-mode network runs the per-hop path.  Serial networks never call
+  /// this and behave exactly as before — every shard check degrades to one
+  /// predictable null test.
   void enableShardMode(const RegionMap& regions, std::uint32_t my_region,
                        std::vector<RoutedHandoff>* outbox);
   /// True when node `v` is simulated by this instance (always true serially).
@@ -219,11 +244,14 @@ class SimNetwork final : public EventSink {
   [[nodiscard]] const net::Routing& routing() const { return routing_; }
   [[nodiscard]] Simulator& simulator() { return simulator_; }
 
-  /// Typed-event dispatch (deliveries, forwarding hops, flood steps).
+  /// Typed-event dispatch (deliveries, forwarding hops, flood steps and
+  /// cursors).
   void onEvent(const EventRecord& event) override;
 
  private:
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
+  struct Flood;     // closed-form flood record (below)
+  struct TreeLink;  // a tree link as the closed form walks it (below)
 
   void deliver(net::NodeId at, const Packet& packet);
   void deliverNow(net::NodeId at, const Packet& packet);
@@ -239,6 +267,42 @@ class SimNetwork final : public EventSink {
   void floodFrom(net::NodeId node, net::NodeId came_from, const Packet& packet,
                  bool down_only, net::NodeId boundary, std::uint32_t pattern);
   void onFloodStep(const FloodStepEvent& event);
+
+  /// True when a send with loss pattern `pattern` (kNoPattern = Bernoulli
+  /// draws at loss_prob_) takes the closed-form path.
+  [[nodiscard]] bool closedForm(std::uint32_t pattern) const {
+    return (pattern != kNoPattern || loss_prob_ == 0.0) && !chaos_active_ &&
+           !trace_sink_ && regions_ == nullptr;
+  }
+  /// Closed-form unicast along the route in path-arena slot `path`: counts
+  /// every hop now, schedules one kDeliver at arrival, releases the slot.
+  void unicastClosedForm(std::uint32_t path, const Packet& packet);
+  /// Closed-form flood from `origin` (throws when it is not a tree member):
+  /// opens the record, expands `origin` and schedules the first cursor.
+  void floodClosedForm(net::NodeId origin, const Packet& packet,
+                       bool down_only, net::NodeId boundary,
+                       std::uint32_t pattern);
+  /// Opens a closed-form flood record (taking over one reference on
+  /// `pattern`) and returns its arena id.
+  [[nodiscard]] std::uint32_t openFlood(const Packet& packet, bool down_only,
+                                        net::NodeId boundary,
+                                        std::uint32_t pattern);
+  /// Counts `link` (the tree link above `link_child`, crossed upward when
+  /// `upward` is kUpward, else downward) entered at `at`; unless the flood's
+  /// forced pattern drops it, pushes its arrival onto the flood's frontier.
+  void crossTreeLink(Flood& flood, const TreeLink& link,
+                     net::NodeId link_child, std::uint64_t upward, TimeMs at);
+  /// (node reached, node it came from) of a frontier entry's link.
+  [[nodiscard]] std::pair<net::NodeId, net::NodeId> linkEnds(
+      std::uint64_t key) const;
+  /// Pushes every link `node` floods across (the same links, in the same
+  /// order, as floodFrom) onto the flood's frontier, arriving `at` + delay.
+  void expandFlood(std::uint32_t flood, net::NodeId node,
+                   net::NodeId came_from, TimeMs at);
+  /// Pops the frontier, expanding routers, until an agent arrival is found
+  /// and scheduled as the flood's cursor; closes the flood when none is left.
+  void advanceFlood(std::uint32_t flood);
+  void onFloodCursor(const FloodCursorEvent& event);
   /// Counts a hop across the CSR half-edge `slot` — the hot paths resolve
   /// the slot once and reuse it for delay, edge id, and accounting.
   void countHopSlot(const Packet& packet, std::uint32_t slot);
@@ -327,6 +391,41 @@ class SimNetwork final : public EventSink {
   std::vector<LinkLossPattern> patterns_;
   std::vector<std::uint32_t> pattern_refs_;
   std::vector<std::uint32_t> free_patterns_;
+
+  // Closed-form flood arena.  A frontier entry is a tree link the flood
+  // crosses (its arrival may lie ahead of now) whose far end is not yet
+  // expanded.  Entries form a 4-ary min-heap on (arrival time, per-flood
+  // crossing seq); the seq replays the reference path's insertion order, so
+  // ties within one flood resolve exactly as there.  A link is named by its
+  // child end plus a direction bit, which fixes both the node reached and
+  // the node it came from, so an entry is 16 bytes.
+  static constexpr std::uint64_t kUpward = std::uint64_t{1} << 32;
+  struct FrontierEntry {
+    std::uint64_t order;  // timeOrder(arrival)
+    std::uint64_t key;    // (seq << 33) | upward bit | link child
+  };
+  struct Flood {
+    Packet packet;
+    std::vector<FrontierEntry> frontier;
+    std::uint64_t cursor_key = 0;  // the arrival the cursor event waits for
+    std::uint32_t next_seq = 0;
+    std::uint32_t pattern = kNoPattern;
+    net::NodeId boundary = net::kInvalidNode;
+    bool down_only = false;
+  };
+  std::vector<Flood> floods_;
+  std::vector<std::uint32_t> free_floods_;
+  // Tree adjacency by NodeId for flood expansion: up_link_[v] is v's parent
+  // link (to = kInvalidNode for the root and non-members) and v's child
+  // links are down_link_[down_offset_[v] .. down_offset_[v + 1]).
+  struct TreeLink {
+    net::DelayMs delay;  // edge_delay_[slot]
+    std::uint32_t slot;  // CSR half-edge slot
+    net::NodeId to;      // the far end
+  };
+  std::vector<TreeLink> up_link_;
+  std::vector<std::uint32_t> down_offset_;
+  std::vector<TreeLink> down_link_;
 
   // Shard mode (all null/empty serially).  staged_by_seq_ maps data seq ->
   // pinned pattern arena id; identical in every region by construction.

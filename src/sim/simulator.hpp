@@ -45,6 +45,11 @@ class Simulator {
   /// calls) — the throughput numerator the drivers report as events/sec.
   [[nodiscard]] std::uint64_t eventsProcessed() const { return total_fired_; }
 
+  /// The share of eventsProcessed() with the given kind (sim/event.hpp).
+  [[nodiscard]] std::uint64_t eventsProcessed(EventKind kind) const {
+    return queue_.firedOf(kind);
+  }
+
   static constexpr TimeMs kForever = 1e300;
 
  private:

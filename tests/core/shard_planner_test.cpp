@@ -232,8 +232,10 @@ TEST(ShardPlannerTest, UnknownClientThrows) {
   EXPECT_THROW((void)sharded.strategyFor(topo.source), std::out_of_range);
   EXPECT_THROW((void)sharded.candidatesFor(net::NodeId{999999}),
                std::out_of_range);
-  EXPECT_THROW(ShardPlanner(topo, routing,
-                            ShardPlannerOptions{{.timeout_ms = -1.0}, 8}),
+  ShardPlannerOptions negative_timeout;
+  negative_timeout.planner.timeout_ms = -1.0;
+  negative_timeout.max_shard_clients = 8;
+  EXPECT_THROW(ShardPlanner(topo, routing, negative_timeout),
                std::invalid_argument);
 }
 

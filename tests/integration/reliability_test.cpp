@@ -5,6 +5,8 @@
 // reliable network").
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/experiment.hpp"
 
 namespace rmrn::harness {
@@ -39,9 +41,15 @@ TEST_P(ReliabilitySweep, EveryProtocolRecoversEveryLoss) {
 }
 
 std::string sweepName(const ::testing::TestParamInfo<SweepParam>& info) {
-  return "n" + std::to_string(info.param.num_nodes) + "_p" +
-         std::to_string(static_cast<int>(info.param.loss_prob * 100)) +
-         "_s" + std::to_string(info.param.seed);
+  // Appends rather than chained operator+: GCC 12 reports a -Wrestrict
+  // false positive inside the chained std::string concatenation.
+  std::string name = "n";
+  name.append(std::to_string(info.param.num_nodes))
+      .append("_p")
+      .append(std::to_string(static_cast<int>(info.param.loss_prob * 100)))
+      .append("_s")
+      .append(std::to_string(info.param.seed));
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -173,6 +173,7 @@ TEST(CodedProtocolTest, WindowRingWrapsAround) {
   EXPECT_EQ(CodedProtocolTestPeer::openSessions(h.protocol), 0u);
 }
 
+#if RMRN_CHECKS_ENABLED
 TEST(CodedProtocolTest, NackBeyondRingSpanFiresContract) {
   CodedConfig coded;
   coded.window_size = 2;
@@ -189,6 +190,7 @@ TEST(CodedProtocolTest, NackBeyondRingSpanFiresContract) {
   EXPECT_THROW(CodedProtocolTestPeer::deliverRequest(h.protocol, stale),
                util::ContractViolation);
 }
+#endif
 
 TEST(CodedProtocolTest, CrashDuringGatherCancelsOrphanWave) {
   CodedConfig coded;

@@ -34,14 +34,14 @@ TEST(AllocCounterTest, CountsHeapTraffic) {
 
 class DataPlaneAllocTest : public ::testing::Test {
  protected:
-  DataPlaneAllocTest() {
+  explicit DataPlaneAllocTest(double loss_prob = 0.05) {
     util::Rng rng(321);
     net::TopologyConfig config;
     config.num_nodes = 40;
     topo_ = net::generateTopology(config, rng);
     routing_ = std::make_unique<net::Routing>(topo_.graph);
-    network_ = std::make_unique<SimNetwork>(simulator_, topo_, *routing_, 0.05,
-                                            util::Rng(11));
+    network_ = std::make_unique<SimNetwork>(simulator_, topo_, *routing_,
+                                            loss_prob, util::Rng(11));
     network_->enableLinkAccounting(true);
     network_->setDeliveryHandler(
         [this](net::NodeId, const Packet&) { ++delivered_; });
@@ -122,6 +122,42 @@ TEST_F(DataPlaneAllocTest, ChaosForwardingIsAllocationFree) {
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(network_->stats().duplicates_created, 0u);
   EXPECT_GT(network_->stats().chaos_link_drops, 0u);
+}
+
+// Recovery loss 0: every send takes the closed-form path (one event per
+// agent delivery, frontiers in the recycled flood arena).
+class LosslessDataPlaneAllocTest : public DataPlaneAllocTest {
+ protected:
+  LosslessDataPlaneAllocTest() : DataPlaneAllocTest(0.0) {}
+};
+
+TEST_F(LosslessDataPlaneAllocTest, ClosedFormTransportIsAllocationFree) {
+  LinkLossPattern losses(topo_.tree.numMembers(), false);
+  losses[1] = true;
+  losses[losses.size() / 2] = true;
+  const net::NodeId first = topo_.clients.front();
+  const net::NodeId last = topo_.clients.back();
+  const net::NodeId scope = topo_.tree.parent(last);
+  const auto allocs = steadyStateAllocations([&] {
+    Packet data{Packet::Type::kData, 4, topo_.source, topo_.source, 0};
+    network_->multicastFromSource(data, &losses);
+    network_->multicastFromSource(data, nullptr);
+    Packet repair{Packet::Type::kRepair, 4, first, first, 0};
+    network_->multicastGroup(first, repair);
+    network_->multicastSubtree(scope, last, repair);
+    network_->multicastDownInto(scope, repair);
+    Packet request{Packet::Type::kRequest, 4, topo_.source, topo_.source, 0};
+    for (const net::NodeId client : topo_.clients) {
+      network_->unicast(topo_.source, client, request);
+      network_->unicast(client, first, request);
+    }
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(delivered_, 0u);
+  EXPECT_GT(simulator_.eventsProcessed(EventKind::kFloodCursor), 0u);
+  EXPECT_EQ(simulator_.eventsProcessed(EventKind::kFloodStep) +
+                simulator_.eventsProcessed(EventKind::kForwardHop),
+            0u);
 }
 
 TEST_F(DataPlaneAllocTest, TypedTimerChurnIsAllocationFree) {

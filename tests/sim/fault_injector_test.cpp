@@ -89,7 +89,8 @@ TEST(FaultInjectorTest, StaggerSpacesFaultTimes) {
   const FaultInjector injector(rig.network, plan);
   ASSERT_GE(injector.schedule().size(), 2u);
   for (std::size_t i = 0; i < injector.schedule().size(); ++i) {
-    EXPECT_DOUBLE_EQ(injector.schedule()[i].at_ms, 100.0 + 25.0 * i);
+    EXPECT_DOUBLE_EQ(injector.schedule()[i].at_ms,
+                     100.0 + 25.0 * static_cast<double>(i));
   }
 }
 

@@ -229,7 +229,7 @@ TEST_F(NetworkFixture, LinkAccountingTracksRecoveryTraversals) {
   EXPECT_EQ(network_.recoveryLinkLoad(3, 1), 1u);
   EXPECT_EQ(network_.maxRecoveryLinkLoad(), 1u);
   // Asking about a non-edge is an error, not a zero.
-  EXPECT_THROW(network_.recoveryLinkLoad(0, 4), std::invalid_argument);
+  EXPECT_THROW((void)network_.recoveryLinkLoad(0, 4), std::invalid_argument);
   // Second identical unicast doubles the per-link counts.
   network_.unicast(3, 4, request(2, 3));
   sim_.run();
