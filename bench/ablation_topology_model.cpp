@@ -29,7 +29,7 @@ int main() {
     config.num_nodes = 200;
     config.loss_prob = 0.05;
     config.topology.model = v.model;
-    const auto result = harness::runAveragedExperimentParallel(config, 3);
+    const auto result = harness::runAveragedExperiment(config, 3);
     for (const auto& r : result.protocols) {
       table.addRow({v.name, harness::TextTable::num(result.num_clients, 0),
                     std::string(toString(r.kind)),

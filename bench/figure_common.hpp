@@ -1,21 +1,12 @@
-// Shared driver for the figure-reproduction benches (Figs. 5-8).
-//
-// Each fig*_ binary re-runs the paper's §5 simulation campaign and prints a
-// paper-style table plus the headline percentage comparisons the text
-// reports.  Absolute milliseconds depend on the unpublished random
-// topologies; the *shape* (protocol ordering, rough factors, flat-vs-sloped
-// trends) is the reproduction target (see EXPERIMENTS.md).
+// Shared campaign settings for bench/figures (Figs. 5-8) and the
+// ablations, which rerun parts of the paper's §5 campaign with one design
+// choice changed.
 #pragma once
 
-#include <chrono>
-#include <cstdint>
-#include <fstream>
 #include <iostream>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "harness/csv.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 
@@ -27,268 +18,6 @@ inline harness::ExperimentConfig baseConfig() {
   config.data_interval_ms = 50.0;
   config.seed = 20030401;  // fixed campaign seed (ICPP 2003)
   return config;
-}
-
-/// The paper's Fig. 5/6 sweep: topologies of n nodes at p = 5%.
-inline const std::vector<std::uint32_t>& figure56Sizes() {
-  static const std::vector<std::uint32_t> sizes{50,  100, 200, 300,
-                                                400, 500, 600};
-  return sizes;
-}
-
-/// The paper's Fig. 7/8 sweep: n = 500, p = 2% .. 20%.
-inline const std::vector<double>& figure78LossProbs() {
-  static const std::vector<double> probs{0.02, 0.04, 0.06, 0.08, 0.10,
-                                         0.12, 0.14, 0.16, 0.18, 0.20};
-  return probs;
-}
-
-struct FigureRow {
-  double x = 0.0;  // client count (Figs. 5/6) or loss percent (Figs. 7/8)
-  double clients = 0.0;
-  double srm = 0.0;
-  double rma = 0.0;
-  double rp = 0.0;
-  double coded = 0.0;  // filled only when the sweep ran with the coded arm
-};
-
-inline void printFigure(std::ostream& out, const std::string& title,
-                        const std::string& x_label,
-                        const std::string& y_label,
-                        const std::vector<FigureRow>& rows,
-                        bool with_coded = false) {
-  out << title << "\n";
-  std::vector<std::string> header{x_label, "clients", "SRM " + y_label,
-                                  "RMA " + y_label, "RP " + y_label};
-  if (with_coded) header.push_back("CODED " + y_label);
-  harness::TextTable table(header);
-  double srm_sum = 0.0;
-  double rma_sum = 0.0;
-  double rp_sum = 0.0;
-  double coded_sum = 0.0;
-  for (const FigureRow& row : rows) {
-    std::vector<std::string> cells{harness::TextTable::num(row.x, 0),
-                                   harness::TextTable::num(row.clients, 0),
-                                   harness::TextTable::num(row.srm),
-                                   harness::TextTable::num(row.rma),
-                                   harness::TextTable::num(row.rp)};
-    if (with_coded) cells.push_back(harness::TextTable::num(row.coded));
-    table.addRow(cells);
-    srm_sum += row.srm;
-    rma_sum += row.rma;
-    rp_sum += row.rp;
-    coded_sum += row.coded;
-  }
-  table.print(out);
-  if (srm_sum > 0.0 && rma_sum > 0.0) {
-    out << "RP vs SRM: " << harness::TextTable::num(
-               100.0 * (1.0 - rp_sum / srm_sum), 2)
-        << "% lower; RP vs RMA: "
-        << harness::TextTable::num(100.0 * (1.0 - rp_sum / rma_sum), 2)
-        << "% lower (averaged over the sweep)\n";
-  }
-  if (with_coded && rp_sum > 0.0) {
-    out << "CODED vs RP: "
-        << harness::TextTable::num(100.0 * (1.0 - coded_sum / rp_sum), 2)
-        << "% lower (averaged over the sweep; see BENCH_coded.json for the "
-           "source-load crossover)\n";
-  }
-  out << std::endl;
-}
-
-/// Optional CSV sidecar: when argv contains "--csv <path>", writes the
-/// figure rows there (x, clients, srm, rma, rp[, coded]) for external
-/// plotting.
-inline void maybeWriteCsv(int argc, char** argv, const std::string& x_label,
-                          const std::string& y_label,
-                          const std::vector<FigureRow>& rows,
-                          bool with_coded = false) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) != "--csv") continue;
-    std::ofstream out(argv[i + 1]);
-    if (!out) {
-      std::cerr << "cannot open csv path " << argv[i + 1] << "\n";
-      return;
-    }
-    harness::CsvWriter csv(out);
-    std::vector<std::string> header{x_label, "clients", "srm_" + y_label,
-                                    "rma_" + y_label, "rp_" + y_label};
-    if (with_coded) header.push_back("coded_" + y_label);
-    csv.row(header);
-    for (const FigureRow& row : rows) {
-      std::vector<std::string> cells{harness::TextTable::num(row.x, 4),
-                                     harness::TextTable::num(row.clients, 0),
-                                     harness::TextTable::num(row.srm, 6),
-                                     harness::TextTable::num(row.rma, 6),
-                                     harness::TextTable::num(row.rp, 6)};
-      if (with_coded) cells.push_back(harness::TextTable::num(row.coded, 6));
-      csv.row(cells);
-    }
-    std::cerr << "wrote " << argv[i + 1] << "\n";
-    return;
-  }
-}
-
-enum class Metric { kLatency, kBandwidth };
-
-inline double metricOf(const harness::ProtocolResult& r, Metric m) {
-  return m == Metric::kLatency ? r.avg_latency_ms : r.avg_bandwidth_hops;
-}
-
-/// "--coded" from argv: append the sliding-window RLC arm (DESIGN.md §13)
-/// to the figure sweep as a fourth column.  Off by default — the legacy
-/// three-protocol campaign stays bit-identical (the coded arm draws from
-/// its own RNG substream, so the other columns match either way).
-inline bool parseCoded(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--coded") return true;
-  }
-  return false;
-}
-
-/// "--threads N" from argv: worker threads for the per-seed repetition
-/// fan-out (0, the default, = hardware concurrency).  Results are
-/// bit-identical for every value; this only changes wall-clock.
-inline unsigned parseThreads(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--threads") {
-      return static_cast<unsigned>(std::stoul(argv[i + 1]));
-    }
-  }
-  return 0;
-}
-
-/// Optional fault injection for any figure sweep: "--crash-rate F",
-/// "--stall-rate F", "--slow-rate F" (fractions of clients in [0,1]),
-/// "--slow-extra MS", "--fault-time MS" and "--fault-seed S".  All default
-/// to the fault-free legacy campaign; a non-empty plan auto-enables the
-/// adaptive timeout/blacklist machinery (DESIGN.md §9).
-inline sim::FaultPlan parseFaultPlan(int argc, char** argv) {
-  sim::FaultPlan plan;
-  for (int i = 1; i + 1 < argc; ++i) {
-    const std::string flag(argv[i]);
-    if (flag == "--crash-rate") {
-      plan.crash_fraction = std::stod(argv[i + 1]);
-    } else if (flag == "--stall-rate") {
-      plan.stall_fraction = std::stod(argv[i + 1]);
-    } else if (flag == "--slow-rate") {
-      plan.slow_fraction = std::stod(argv[i + 1]);
-    } else if (flag == "--slow-extra") {
-      plan.slow_extra_ms = std::stod(argv[i + 1]);
-    } else if (flag == "--fault-time") {
-      plan.at_ms = std::stod(argv[i + 1]);
-    } else if (flag == "--fault-seed") {
-      plan.seed = std::stoull(argv[i + 1]);
-    }
-  }
-  return plan;
-}
-
-/// Simulator events fired across every protocol of one experiment.
-inline std::uint64_t totalEvents(const harness::ExperimentResult& result) {
-  std::uint64_t events = 0;
-  for (const harness::ProtocolResult& r : result.protocols) {
-    events += r.events_processed;
-  }
-  return events;
-}
-
-/// Progress trailer: engine throughput over the whole sweep.
-inline void printEngineRate(std::uint64_t events, double wall_ms) {
-  std::cerr << "  engine: " << events << " events in " << wall_ms << " ms ("
-            << (wall_ms > 0.0
-                    ? static_cast<double>(events) / (wall_ms / 1000.0)
-                    : 0.0)
-            << " events/sec)\n";
-}
-
-/// Protocol set for a figure sweep: the paper's three, plus the coded arm
-/// on request.
-inline std::span<const harness::ProtocolKind> figureKinds(bool with_coded) {
-  static constexpr harness::ProtocolKind kWithCoded[] = {
-      harness::ProtocolKind::kSrm, harness::ProtocolKind::kRma,
-      harness::ProtocolKind::kRp, harness::ProtocolKind::kCodedRlc};
-  return with_coded ? std::span<const harness::ProtocolKind>(kWithCoded)
-                    : std::span<const harness::ProtocolKind>(
-                          harness::kAllProtocols);
-}
-
-/// Runs the Fig. 5/6 client-count sweep and returns one row per size.
-inline std::vector<FigureRow> runClientSweep(Metric metric,
-                                             std::uint32_t runs = 3,
-                                             unsigned threads = 0,
-                                             const sim::FaultPlan& faults = {},
-                                             bool with_coded = false) {
-  std::vector<FigureRow> rows;
-  std::uint64_t sweep_events = 0;
-  const auto wall_start = std::chrono::steady_clock::now();
-  for (const std::uint32_t n : figure56Sizes()) {
-    harness::ExperimentConfig config = baseConfig();
-    config.num_nodes = n;
-    config.loss_prob = 0.05;
-    config.seed += n;  // distinct topology per size, like the paper
-    config.faults = faults;
-    const harness::ExperimentResult result =
-        harness::runAveragedExperimentParallel(config, runs,
-                                               figureKinds(with_coded),
-                                               threads);
-    const std::uint64_t events = totalEvents(result);
-    sweep_events += events;
-    rows.push_back(
-        {result.num_clients, result.num_clients,
-         metricOf(result.result(harness::ProtocolKind::kSrm), metric),
-         metricOf(result.result(harness::ProtocolKind::kRma), metric),
-         metricOf(result.result(harness::ProtocolKind::kRp), metric),
-         with_coded
-             ? metricOf(result.result(harness::ProtocolKind::kCodedRlc),
-                        metric)
-             : 0.0});
-    std::cerr << "  n=" << n << " done (k~" << result.num_clients << ", "
-              << events << " events)\n";
-  }
-  printEngineRate(sweep_events,
-                  std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - wall_start)
-                      .count());
-  return rows;
-}
-
-/// Runs the Fig. 7/8 loss-probability sweep (n = 500).
-inline std::vector<FigureRow> runLossSweep(Metric metric,
-                                           std::uint32_t runs = 2,
-                                           unsigned threads = 0,
-                                           const sim::FaultPlan& faults = {},
-                                           bool with_coded = false) {
-  std::vector<FigureRow> rows;
-  std::uint64_t sweep_events = 0;
-  const auto wall_start = std::chrono::steady_clock::now();
-  for (const double p : figure78LossProbs()) {
-    harness::ExperimentConfig config = baseConfig();
-    config.num_nodes = 500;
-    config.loss_prob = p;
-    config.faults = faults;
-    const harness::ExperimentResult result =
-        harness::runAveragedExperimentParallel(config, runs,
-                                               figureKinds(with_coded),
-                                               threads);
-    const std::uint64_t events = totalEvents(result);
-    sweep_events += events;
-    rows.push_back(
-        {100.0 * p, result.num_clients,
-         metricOf(result.result(harness::ProtocolKind::kSrm), metric),
-         metricOf(result.result(harness::ProtocolKind::kRma), metric),
-         metricOf(result.result(harness::ProtocolKind::kRp), metric),
-         with_coded
-             ? metricOf(result.result(harness::ProtocolKind::kCodedRlc),
-                        metric)
-             : 0.0});
-    std::cerr << "  p=" << 100.0 * p << "% done (" << events << " events)\n";
-  }
-  printEngineRate(sweep_events,
-                  std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - wall_start)
-                      .count());
-  return rows;
 }
 
 }  // namespace rmrn::bench

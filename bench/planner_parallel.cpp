@@ -15,11 +15,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <sstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "harness/bench_json.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -110,22 +110,6 @@ BENCHMARK(BM_DenseVsSparseRouting)
 
 // --- JSON perf driver -----------------------------------------------------
 
-std::vector<unsigned> parseThreadList(const std::string& list) {
-  std::vector<unsigned> threads;
-  std::stringstream stream(list);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    try {
-      threads.push_back(static_cast<unsigned>(std::stoul(token)));
-    } catch (const std::exception&) {
-      std::cerr << "--threads expects a comma-separated list of integers, got '"
-                << token << "'\n";
-      std::exit(2);
-    }
-  }
-  return threads;
-}
-
 int runJsonDriver(const std::string& out_path, std::uint32_t nodes,
                   const std::vector<unsigned>& thread_counts,
                   unsigned repeats) {
@@ -176,29 +160,32 @@ int runJsonDriver(const std::string& out_path, std::uint32_t nodes,
     return 1;
   }
   const double base_ms = sweep.empty() ? 0.0 : sweep.front().wall_ms;
-  out << "{\n";
-  out << "  \"benchmark\": \"whole-group RP planning (sparse routing rows "
-         "prebuilt)\",\n";
-  harness::writeBenchEnvelope(out);
-  out << "  \"topology\": {\"nodes\": " << nodes
-      << ", \"clients\": " << topo.clients.size()
-      << ", \"seed\": 7},\n";
-  out << "  \"repeats\": " << repeats << ",\n";
-  out << "  \"routing_build\": {\"dense_rows\": " << topo.graph.numNodes()
-      << ", \"dense_wall_ms\": " << dense_ms
-      << ", \"sparse_rows\": " << sources.size()
-      << ", \"sparse_wall_ms\": " << sparse_ms
-      << ", \"sparse_speedup\": "
-      << (sparse_ms > 0.0 ? dense_ms / sparse_ms : 0.0) << "},\n";
-  out << "  \"plan_group_sweep\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    out << "    {\"threads\": " << sweep[i].threads
-        << ", \"wall_ms\": " << sweep[i].wall_ms << ", \"speedup_vs_1\": "
-        << (sweep[i].wall_ms > 0.0 ? base_ms / sweep[i].wall_ms : 0.0)
-        << "}" << (i + 1 < sweep.size() ? "," : "") << "\n";
+  harness::BenchReport report(
+      "benchmark", "whole-group RP planning (sparse routing rows prebuilt)");
+  report.add("topology", harness::JsonObject()
+                             .add("nodes", nodes)
+                             .add("clients", topo.clients.size())
+                             .add("seed", 7))
+      .add("repeats", repeats)
+      .add("routing_build",
+           harness::JsonObject()
+               .add("dense_rows", topo.graph.numNodes())
+               .add("dense_wall_ms", dense_ms)
+               .add("sparse_rows", sources.size())
+               .add("sparse_wall_ms", sparse_ms)
+               .add("sparse_speedup",
+                    sparse_ms > 0.0 ? dense_ms / sparse_ms : 0.0));
+  std::vector<harness::JsonObject> rows;
+  for (const SweepPoint& point : sweep) {
+    rows.push_back(harness::JsonObject()
+                       .add("threads", point.threads)
+                       .add("wall_ms", point.wall_ms)
+                       .add("speedup_vs_1", point.wall_ms > 0.0
+                                                ? base_ms / point.wall_ms
+                                                : 0.0));
   }
-  out << "  ]\n";
-  out << "}\n";
+  report.add("plan_group_sweep", rows);
+  out << report;
   std::cerr << "wrote " << out_path << "\n";
   return 0;
 }
@@ -206,35 +193,24 @@ int runJsonDriver(const std::string& out_path, std::uint32_t nodes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  std::uint32_t nodes = 2800;  // ~n/e leaves => >= 1k clients
-  std::vector<unsigned> threads{1, 2, 4, 8};
-  unsigned repeats = 2;
-  std::vector<char*> bench_args{argv, argv + argc};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--json") {
-      json_path = next();
-    } else if (arg == "--nodes") {
-      nodes = static_cast<std::uint32_t>(std::stoul(next()));
-    } else if (arg == "--threads") {
-      threads = parseThreadList(next());
-    } else if (arg == "--repeats") {
-      repeats = static_cast<unsigned>(std::stoul(next()));
+  // --json PATH writes the JSON report; otherwise google-benchmark runs.
+  try {
+    const util::Flags flags(argc, argv);
+    const std::string json_path = flags.getString("json", "");
+    constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+    if (!json_path.empty()) {
+      return runJsonDriver(
+          json_path,
+          // ~n/e leaves => >= 1k clients
+          static_cast<std::uint32_t>(flags.getUnsigned("nodes", 2800, kMax)),
+          flags.getList<std::uint32_t>("threads", "1,2,4,8", 0, kMax),
+          static_cast<unsigned>(flags.getUnsigned("repeats", 2, kMax)));
     }
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   }
-  if (!json_path.empty()) {
-    return runJsonDriver(json_path, nodes, threads, repeats);
-  }
-  int bench_argc = argc;
-  benchmark::Initialize(&bench_argc, bench_args.data());
+  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -52,6 +51,7 @@
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "util/alloc_counter.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -699,36 +699,43 @@ int runJsonDriver(const std::string& out_path, std::uint64_t requests,
     std::cerr << "cannot open " << out_path << "\n";
     return 1;
   }
-  out << "{\n";
-  out << "  \"benchmark\": \"data-plane event engine (typed slab queue vs "
-         "std::function baseline)\",\n";
-  harness::writeBenchEnvelope(out);
-  out << "  \"repeats\": " << repeats << ",\n";
-  out << "  \"forwarding\": {\"requests\": " << requests
-      << ", \"deliveries\": " << typed_fwd.outcome.deliveries
-      << ", \"recovery_hops\": " << typed_fwd.outcome.recovery_hops
-      << ", \"events\": " << legacy_fwd.events
-      << ", \"typed_events\": " << typed_fwd.events
-      << ", \"legacy_wall_ms\": " << legacy_fwd_ms
-      << ", \"legacy_events_per_sec\": " << legacy_fwd_eps
-      << ", \"typed_wall_ms\": " << typed_fwd_ms
-      << ", \"typed_events_per_sec\": " << typed_fwd_eps
-      << ", \"speedup\": " << fwd_speedup << "},\n";
-  out << "  \"timer_churn\": {\"events\": " << churn_events
-      << ", \"legacy_wall_ms\": " << legacy_churn_ms
-      << ", \"legacy_events_per_sec\": " << legacy_churn_eps
-      << ", \"typed_wall_ms\": " << typed_churn_ms
-      << ", \"typed_events_per_sec\": " << typed_churn_eps
-      << ", \"speedup\": " << typed_churn_eps / legacy_churn_eps << "},\n";
-  out << "  \"steady_state_allocs\": {\"events\": " << steady_events
-      << ", \"allocations\": " << steady_allocs
-      << ", \"allocs_per_event\": " << allocs_per_event << "},\n";
-  out << "  \"fig7_sweep\": {\"nodes\": " << config.num_nodes
-      << ", \"loss_prob\": " << config.loss_prob
-      << ", \"packets\": " << config.num_packets
-      << ", \"wall_ms\": " << fig7_ms << ", \"events\": " << fig7_events
-      << ", \"events_per_sec\": " << fig7_eps << "}\n";
-  out << "}\n";
+  harness::BenchReport report(
+      "benchmark",
+      "data-plane event engine (typed slab queue vs std::function baseline)");
+  report.add("repeats", repeats)
+      .add("forwarding",
+           harness::JsonObject()
+               .add("requests", requests)
+               .add("deliveries", typed_fwd.outcome.deliveries)
+               .add("recovery_hops", typed_fwd.outcome.recovery_hops)
+               .add("events", legacy_fwd.events)
+               .add("typed_events", typed_fwd.events)
+               .add("legacy_wall_ms", legacy_fwd_ms)
+               .add("legacy_events_per_sec", legacy_fwd_eps)
+               .add("typed_wall_ms", typed_fwd_ms)
+               .add("typed_events_per_sec", typed_fwd_eps)
+               .add("speedup", fwd_speedup))
+      .add("timer_churn",
+           harness::JsonObject()
+               .add("events", churn_events)
+               .add("legacy_wall_ms", legacy_churn_ms)
+               .add("legacy_events_per_sec", legacy_churn_eps)
+               .add("typed_wall_ms", typed_churn_ms)
+               .add("typed_events_per_sec", typed_churn_eps)
+               .add("speedup", typed_churn_eps / legacy_churn_eps))
+      .add("steady_state_allocs", harness::JsonObject()
+                                      .add("events", steady_events)
+                                      .add("allocations", steady_allocs)
+                                      .add("allocs_per_event",
+                                           allocs_per_event))
+      .add("fig7_sweep", harness::JsonObject()
+                             .add("nodes", config.num_nodes)
+                             .add("loss_prob", config.loss_prob)
+                             .add("packets", config.num_packets)
+                             .add("wall_ms", fig7_ms)
+                             .add("events", fig7_events)
+                             .add("events_per_sec", fig7_eps));
+  out << report;
   std::cerr << "wrote " << out_path << "\n";
   return 0;
 }
@@ -736,32 +743,21 @@ int runJsonDriver(const std::string& out_path, std::uint64_t requests,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  std::uint64_t requests = 250000;
-  unsigned repeats = 3;
-  std::vector<char*> bench_args{argv, argv + argc};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--json") {
-      json_path = next();
-    } else if (arg == "--requests") {
-      requests = std::stoull(next());
-    } else if (arg == "--repeats") {
-      repeats = static_cast<unsigned>(std::stoul(next()));
+  // --json PATH writes the JSON report; otherwise google-benchmark runs.
+  try {
+    const util::Flags flags(argc, argv);
+    const std::string json_path = flags.getString("json", "");
+    if (!json_path.empty()) {
+      return runJsonDriver(
+          json_path, flags.getUnsigned("requests", 250000),
+          static_cast<unsigned>(flags.getUnsigned(
+              "repeats", 3, std::numeric_limits<unsigned>::max())));
     }
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   }
-  if (!json_path.empty()) {
-    return runJsonDriver(json_path, requests, repeats);
-  }
-  int bench_argc = argc;
-  benchmark::Initialize(&bench_argc, bench_args.data());
+  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -137,9 +137,66 @@ int failUnknownFlags(const util::Flags& flags) {
   return 2;
 }
 
+/// An unsigned flag that narrows to 32 bits; larger values are rejected.
+std::uint32_t getU32(const util::Flags& flags, const std::string& name,
+                     std::uint32_t fallback) {
+  return static_cast<std::uint32_t>(flags.getUnsigned(
+      name, fallback, std::numeric_limits<std::uint32_t>::max()));
+}
+
+/// Writes `report` to `out_path` (when set); with --json prints it to
+/// stdout, otherwise runs `print_text` (the command's table) and notes the
+/// file.
+template <typename PrintText>
+void publish(const harness::BenchReport& report, const std::string& out_path,
+             bool json_stdout, PrintText print_text) {
+  const std::string text = report.str();
+  if (!out_path.empty()) {
+    std::ofstream out(out_path);
+    out << text;
+  }
+  if (json_stdout) {
+    std::cout << text;
+    return;
+  }
+  print_text();
+  if (!out_path.empty()) std::cout << "wrote " << out_path << "\n";
+}
+
+/// The experiment flags run, resilience, chaos and coded share.  A command
+/// sets its defaults, then read() applies --nodes, --packets, --seed, --runs
+/// and --threads, plus --loss, --burst, --out and --json where it takes them.
+struct SweepArgs {
+  harness::ExperimentConfig config;
+  std::uint32_t runs = 1;
+  unsigned threads = 0;
+  bool loss_flag = true;    // takes --loss P (percent)
+  bool burst_flag = false;  // takes --burst B
+  std::string out;          // --out default; empty = no --out / --json
+  bool json_stdout = false;
+
+  void read(const util::Flags& flags) {
+    config.num_nodes = getU32(flags, "nodes", config.num_nodes);
+    if (loss_flag && flags.has("loss")) {
+      config.loss_prob = flags.getDouble("loss", 5.0) / 100.0;
+    }
+    config.num_packets = getU32(flags, "packets", config.num_packets);
+    config.seed = flags.getUnsigned("seed", config.seed);
+    if (burst_flag) {
+      config.mean_burst_packets =
+          flags.getDouble("burst", config.mean_burst_packets);
+    }
+    runs = getU32(flags, "runs", runs);
+    threads = getU32(flags, "threads", 0);
+    if (!out.empty()) {
+      out = flags.getString("out", out);
+      json_stdout = flags.getBool("json", false);
+    }
+  }
+};
+
 int cmdGen(const util::Flags& flags) {
-  const auto nodes =
-      static_cast<std::uint32_t>(flags.getUnsigned("nodes", 100));
+  const std::uint32_t nodes = getU32(flags, "nodes", 100);
   const std::uint64_t seed = flags.getUnsigned("seed", 1);
   const std::string out = flags.getString("out", "");
   if (const int rc = failUnknownFlags(flags)) return rc;
@@ -165,7 +222,7 @@ int cmdPlan(const util::Flags& flags) {
   const std::string path = flags.getString("topo", "");
   const std::int64_t client_flag = flags.getInt("client", -1);
   const double factor = flags.getDouble("timeout-factor", 1.5);
-  const auto threads = static_cast<unsigned>(flags.getUnsigned("threads", 0));
+  const unsigned threads = getU32(flags, "threads", 0);
   if (const int rc = failUnknownFlags(flags)) return rc;
   if (path.empty()) {
     std::cerr << "plan: --topo <file> is required\n";
@@ -208,11 +265,10 @@ int cmdPlan(const util::Flags& flags) {
 
 int cmdAudit(const util::Flags& flags) {
   const std::string path = flags.getString("topo", "");
-  const auto nodes =
-      static_cast<std::uint32_t>(flags.getUnsigned("nodes", 100));
+  const std::uint32_t nodes = getU32(flags, "nodes", 100);
   const std::uint64_t seed = flags.getUnsigned("seed", 1);
   const double factor = flags.getDouble("timeout-factor", 1.5);
-  const auto threads = static_cast<unsigned>(flags.getUnsigned("threads", 0));
+  const unsigned threads = getU32(flags, "threads", 0);
   const bool json = flags.getBool("json", false);
   if (const int rc = failUnknownFlags(flags)) return rc;
 
@@ -278,7 +334,8 @@ std::vector<harness::ProtocolKind> parseProtocols(const std::string& list) {
 }
 
 int cmdRun(const util::Flags& flags) {
-  harness::ExperimentConfig config;
+  SweepArgs args;
+  args.burst_flag = true;
   const std::string config_path = flags.getString("config", "");
   if (!config_path.empty()) {
     std::ifstream in(config_path);
@@ -286,31 +343,20 @@ int cmdRun(const util::Flags& flags) {
       std::cerr << "run: cannot open " << config_path << "\n";
       return 1;
     }
-    config = harness::readConfig(in);
+    args.config = harness::readConfig(in);
   }
-  config.num_nodes = static_cast<std::uint32_t>(
-      flags.getUnsigned("nodes", config.num_nodes));
-  if (flags.has("loss")) {
-    config.loss_prob = flags.getDouble("loss", 5.0) / 100.0;
-  }
-  config.num_packets = static_cast<std::uint32_t>(
-      flags.getUnsigned("packets", config.num_packets));
-  config.seed = flags.getUnsigned("seed", config.seed);
-  config.mean_burst_packets =
-      flags.getDouble("burst", config.mean_burst_packets);
+  args.read(flags);
+  harness::ExperimentConfig& config = args.config;
   config.lossy_recovery =
       flags.getBool("lossy-recovery", config.lossy_recovery);
-  const auto runs =
-      static_cast<std::uint32_t>(flags.getUnsigned("runs", 1));
   const auto kinds =
       parseProtocols(flags.getString("protocols", "srm,rma,rp"));
   const std::string csv_path = flags.getString("csv", "");
-  const auto threads = static_cast<unsigned>(flags.getUnsigned("threads", 0));
   if (const int rc = failUnknownFlags(flags)) return rc;
 
   const auto wall_start = std::chrono::steady_clock::now();
   const harness::ExperimentResult result =
-      harness::runAveragedExperimentParallel(config, runs, kinds, threads);
+      harness::runAveragedExperiment(config, args.runs, kinds, args.threads);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - wall_start)
@@ -318,7 +364,8 @@ int cmdRun(const util::Flags& flags) {
 
   std::cout << "n=" << config.num_nodes << " (k~" << result.num_clients
             << "), p=" << config.loss_prob * 100.0 << "%, "
-            << config.num_packets << " packets x " << runs << " run(s)\n";
+            << config.num_packets << " packets x " << args.runs
+            << " run(s)\n";
   harness::TextTable table({"protocol", "losses", "recovered",
                             "avg latency (ms)", "avg bandwidth (hops)",
                             "events"});
@@ -376,8 +423,7 @@ harness::ProtocolKind parseOneProtocol(const std::string& name) {
 
 int cmdTransfer(const util::Flags& flags) {
   const std::string topo_path = flags.getString("topo", "");
-  const auto nodes =
-      static_cast<std::uint32_t>(flags.getUnsigned("nodes", 100));
+  const std::uint32_t nodes = getU32(flags, "nodes", 100);
   const double mb = flags.getDouble("mb", 4.0);
   const double loss = flags.getDouble("loss", 5.0) / 100.0;
   const auto kind = parseOneProtocol(flags.getString("protocol", "rp"));
@@ -421,179 +467,117 @@ int cmdTransfer(const util::Flags& flags) {
   return report.complete ? 0 : 1;
 }
 
-std::vector<double> parseRates(const std::string& list) {
-  std::vector<double> rates;
-  std::stringstream stream(list);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    const double rate = std::stod(token);
-    if (rate < 0.0 || rate > 100.0) {
-      throw std::invalid_argument("--rates entries must be in [0, 100]");
-    }
-    rates.push_back(rate);
-  }
-  if (rates.empty()) throw std::invalid_argument("--rates must be non-empty");
-  return rates;
-}
-
 int cmdResilience(const util::Flags& flags) {
-  harness::ExperimentConfig config;
-  config.num_nodes = static_cast<std::uint32_t>(
-      flags.getUnsigned("nodes", config.num_nodes));
-  if (flags.has("loss")) {
-    config.loss_prob = flags.getDouble("loss", 5.0) / 100.0;
-  }
-  config.num_packets = static_cast<std::uint32_t>(
-      flags.getUnsigned("packets", config.num_packets));
-  config.seed = flags.getUnsigned("seed", config.seed);
-  const auto runs = static_cast<std::uint32_t>(flags.getUnsigned("runs", 3));
-  std::vector<double> rates = parseRates(flags.getString("rates", "0,5,10,20"));
+  SweepArgs args;
+  args.runs = 3;
+  args.out = "BENCH_resilience.json";
+  args.read(flags);
+  const harness::ExperimentConfig& config = args.config;
+  std::vector<double> rates = flags.getList("rates", "0,5,10,20", 0.0, 100.0);
   // Crash victims mid-stream by default so live recovery sessions are cut.
   const double default_fault_time =
       0.4 * config.num_packets * config.data_interval_ms;
   const double fault_time = flags.getDouble("fault-time", default_fault_time);
   const std::uint64_t fault_seed = flags.getUnsigned("fault-seed", config.seed);
-  const auto threads = static_cast<unsigned>(flags.getUnsigned("threads", 0));
-  const std::string out_path = flags.getString("out", "BENCH_resilience.json");
-  const bool json_stdout = flags.getBool("json", false);
   if (const int rc = failUnknownFlags(flags)) return rc;
 
   // Rate 0 is the no-fault baseline every other rate is compared against.
-  if (std::find(rates.begin(), rates.end(), 0.0) == rates.end()) {
-    rates.insert(rates.begin(), 0.0);
-  }
-  std::sort(rates.begin(), rates.end());
+  if (rates.front() != 0.0) rates.insert(rates.begin(), 0.0);
 
   const harness::ProtocolKind kinds[] = {harness::ProtocolKind::kRp};
-  struct Row {
-    double crash_rate = 0.0;
-    harness::ExperimentResult result;
-  };
-  std::vector<Row> rows;
+  std::vector<harness::ProtocolResult> rows;
+  std::vector<std::uint32_t> clients_per_run;
   double num_clients = 0.0;
   for (const double rate : rates) {
     harness::ExperimentConfig swept = config;
     swept.faults.crash_fraction = rate / 100.0;
     swept.faults.at_ms = fault_time;
     swept.faults.seed = fault_seed;
-    rows.push_back(
-        {rate, harness::runAveragedExperimentParallel(swept, runs, kinds,
-                                                      threads)});
-    num_clients = rows.back().result.num_clients;
+    const harness::ExperimentResult result =
+        harness::runAveragedExperiment(swept, args.runs, kinds, args.threads);
+    rows.push_back(result.result(harness::ProtocolKind::kRp));
+    // Per-run client counts are integers (one per repetition, seed order);
+    // mean_clients is their average.  Identical for every rate of the sweep
+    // (same seeds -> same topologies), so they are reported once.
+    clients_per_run = result.clients_per_run;
+    num_clients = result.num_clients;
   }
 
-  const harness::ProtocolResult& baseline =
-      rows.front().result.result(harness::ProtocolKind::kRp);
-  const double baseline_delay = baseline.avg_latency_ms;
+  const double baseline_delay = rows.front().avg_latency_ms;
+  const auto vsBaseline = [baseline_delay](const harness::ProtocolResult& r) {
+    return baseline_delay > 0.0 ? r.avg_latency_ms / baseline_delay : 1.0;
+  };
 
-  // Per-run client counts are integers (one per repetition, seed order);
-  // mean_clients is their average.  Identical for every rate of the sweep
-  // (same seeds -> same topologies), so report them once.
-  const std::vector<std::uint32_t>& clients_per_run =
-      rows.front().result.clients_per_run;
-
-  std::ostringstream json;
-  json.precision(10);
-  json << "{\n";
-  json << "  \"bench\": \"resilience\",\n";
-  harness::writeBenchEnvelope(json);
-  json << "  \"protocol\": \"RP\",\n";
-  json << "  \"nodes\": " << config.num_nodes << ",\n";
-  json << "  \"mean_clients\": " << num_clients << ",\n";
-  json << "  \"clients_per_run\": [";
-  for (std::size_t i = 0; i < clients_per_run.size(); ++i) {
-    json << (i ? ", " : "") << clients_per_run[i];
-  }
-  json << "],\n";
-  json << "  \"loss_prob\": " << config.loss_prob << ",\n";
-  json << "  \"packets\": " << config.num_packets << ",\n";
-  json << "  \"runs\": " << runs << ",\n";
-  json << "  \"fault_time_ms\": " << fault_time << ",\n";
-  json << "  \"sweep\": [\n";
+  harness::BenchReport report("bench", "resilience");
+  report.add("protocol", "RP")
+      .add("nodes", config.num_nodes)
+      .add("mean_clients", num_clients)
+      .add("clients_per_run", clients_per_run)
+      .add("loss_prob", config.loss_prob)
+      .add("packets", config.num_packets)
+      .add("runs", args.runs)
+      .add("fault_time_ms", fault_time);
+  std::vector<harness::JsonObject> sweep;
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const harness::ProtocolResult& r =
-        rows[i].result.result(harness::ProtocolKind::kRp);
+    const harness::ProtocolResult& r = rows[i];
     const std::size_t survivors_losses = r.losses - r.abandoned;
-    const double recovered_fraction =
-        survivors_losses == 0
-            ? 1.0
-            : static_cast<double>(r.recoveries) /
-                  static_cast<double>(survivors_losses);
-    const double vs_baseline =
-        baseline_delay > 0.0 ? r.avg_latency_ms / baseline_delay : 1.0;
-    json << "    {\"crash_rate\": " << rows[i].crash_rate
-         << ", \"losses\": " << r.losses
-         << ", \"recoveries\": " << r.recoveries
-         << ", \"abandoned\": " << r.abandoned
-         << ", \"residual_unrecovered\": " << r.residual
-         << ", \"recovered_fraction\": " << recovered_fraction
-         << ", \"mean_delay_ms\": " << r.avg_latency_ms
-         << ", \"delay_vs_baseline\": " << vs_baseline
-         << ", \"retries\": " << r.retries
-         << ", \"timeouts\": " << r.timeouts
-         << ", \"blacklist_events\": " << r.blacklist_events
-         << ", \"failovers\": " << r.failovers
-         << ", \"source_fallbacks\": " << r.source_fallbacks << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
+    sweep.push_back(
+        harness::JsonObject()
+            .add("crash_rate", rates[i])
+            .add("losses", r.losses)
+            .add("recoveries", r.recoveries)
+            .add("abandoned", r.abandoned)
+            .add("residual_unrecovered", r.residual)
+            .add("recovered_fraction",
+                 survivors_losses == 0
+                     ? 1.0
+                     : static_cast<double>(r.recoveries) /
+                           static_cast<double>(survivors_losses))
+            .add("mean_delay_ms", r.avg_latency_ms)
+            .add("delay_vs_baseline", vsBaseline(r))
+            .add("retries", r.retries)
+            .add("timeouts", r.timeouts)
+            .add("blacklist_events", r.blacklist_events)
+            .add("failovers", r.failovers)
+            .add("source_fallbacks", r.source_fallbacks));
   }
-  json << "  ]\n";
-  json << "}\n";
+  report.add("sweep", sweep);
 
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << json.str();
-  }
-  if (json_stdout) {
-    std::cout << json.str();
-  } else {
+  publish(report, args.out, args.json_stdout, [&] {
     std::cout << "RP resilience sweep: n=" << config.num_nodes << " (k~"
               << num_clients << "), p=" << config.loss_prob * 100.0 << "%, "
-              << config.num_packets << " packets x " << runs
+              << config.num_packets << " packets x " << args.runs
               << " run(s), faults at " << fault_time << " ms\n";
     harness::TextTable table({"crash %", "losses", "recovered", "abandoned",
                               "residual", "delay (ms)", "vs base", "retries",
                               "blacklists", "failovers"});
-    for (const Row& row : rows) {
-      const harness::ProtocolResult& r =
-          row.result.result(harness::ProtocolKind::kRp);
-      const double vs_baseline =
-          baseline_delay > 0.0 ? r.avg_latency_ms / baseline_delay : 1.0;
-      table.addRow({harness::TextTable::num(row.crash_rate, 1),
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const harness::ProtocolResult& r = rows[i];
+      table.addRow({harness::TextTable::num(rates[i], 1),
                     std::to_string(r.losses), std::to_string(r.recoveries),
                     std::to_string(r.abandoned), std::to_string(r.residual),
                     harness::TextTable::num(r.avg_latency_ms),
-                    harness::TextTable::num(vs_baseline, 2),
+                    harness::TextTable::num(vsBaseline(r), 2),
                     std::to_string(r.retries),
                     std::to_string(r.blacklist_events),
                     std::to_string(r.failovers)});
     }
     table.print(std::cout);
-    if (!out_path.empty()) std::cout << "wrote " << out_path << "\n";
-  }
+  });
 
   // The sweep passes when every surviving client recovered every loss.
   bool ok = true;
-  for (const Row& row : rows) {
-    ok &= row.result.result(harness::ProtocolKind::kRp).residual == 0;
-  }
+  for (const harness::ProtocolResult& r : rows) ok &= r.residual == 0;
   return ok ? 0 : 1;
 }
 
 int cmdChaos(const util::Flags& flags) {
-  harness::ExperimentConfig config;
-  config.num_nodes = static_cast<std::uint32_t>(
-      flags.getUnsigned("nodes", config.num_nodes));
-  if (flags.has("loss")) {
-    config.loss_prob = flags.getDouble("loss", 5.0) / 100.0;
-  }
-  config.num_packets = static_cast<std::uint32_t>(
-      flags.getUnsigned("packets", config.num_packets));
-  config.seed = flags.getUnsigned("seed", config.seed);
-  const auto runs = static_cast<std::uint32_t>(flags.getUnsigned("runs", 2));
-  const auto threads = static_cast<unsigned>(flags.getUnsigned("threads", 0));
-  const std::string out_path = flags.getString("out", "BENCH_chaos.json");
-  const bool json_stdout = flags.getBool("json", false);
+  SweepArgs args;
+  args.runs = 2;
+  args.out = "BENCH_chaos.json";
+  args.read(flags);
   if (const int rc = failUnknownFlags(flags)) return rc;
+  harness::ExperimentConfig& config = args.config;
 
   // Every failover replan RP adopts is re-refereed by the PlanAuditor with
   // the blacklisted peers excluded.
@@ -634,11 +618,13 @@ int cmdChaos(const util::Flags& flags) {
   struct Row {
     std::string name;
     sim::FaultPlan plan;
-    harness::ExperimentResult result;
+    harness::ProtocolResult result;
     bool ok = false;
   };
   const harness::ProtocolKind kinds[] = {harness::ProtocolKind::kRp};
   std::vector<Row> rows;
+  std::vector<std::uint32_t> clients_per_run;
+  double num_clients = 0.0;
   for (const Partition& part : partitions) {
     for (const double flap : flap_rates) {
       for (const DupJitter& dj : dup_jitters) {
@@ -664,110 +650,88 @@ int cmdChaos(const util::Flags& flags) {
 
         harness::ExperimentConfig swept = config;
         swept.faults = plan;
-        Row row;
-        row.name = name.str();
-        row.plan = plan;
-        row.result =
-            harness::runAveragedExperimentParallel(swept, runs, kinds, threads);
-
+        const harness::ExperimentResult result = harness::runAveragedExperiment(
+            swept, args.runs, kinds, args.threads);
+        if (rows.empty()) {
+          clients_per_run = result.clients_per_run;
+          num_clients = result.num_clients;
+        }
         const harness::ProtocolResult& r =
-            row.result.result(harness::ProtocolKind::kRp);
+            result.result(harness::ProtocolKind::kRp);
         // Gates: every source-reachable client recovered everything, no
         // duplicate recovery sessions at moderate duplication, and every
         // adopted failover plan passed the independent audit.
-        row.ok = r.residual_reachable == 0 &&
-                 r.reachable_losses == r.reachable_recoveries &&
-                 r.plan_audit_violations == 0 &&
-                 (plan.duplicate_prob > 0.2 || r.duplicate_sessions == 0);
-        rows.push_back(std::move(row));
+        const bool ok =
+            r.residual_reachable == 0 &&
+            r.reachable_losses == r.reachable_recoveries &&
+            r.plan_audit_violations == 0 &&
+            (plan.duplicate_prob > 0.2 || r.duplicate_sessions == 0);
+        rows.push_back({name.str(), plan, r, ok});
       }
     }
   }
 
-  const std::vector<std::uint32_t>& clients_per_run =
-      rows.front().result.clients_per_run;
-  const double num_clients = rows.front().result.num_clients;
-
-  std::ostringstream json;
-  json.precision(10);
-  json << "{\n";
-  json << "  \"bench\": \"chaos\",\n";
-  harness::writeBenchEnvelope(json);
-  json << "  \"protocol\": \"RP\",\n";
-  json << "  \"nodes\": " << config.num_nodes << ",\n";
-  json << "  \"mean_clients\": " << num_clients << ",\n";
-  json << "  \"clients_per_run\": [";
-  for (std::size_t i = 0; i < clients_per_run.size(); ++i) {
-    json << (i ? ", " : "") << clients_per_run[i];
-  }
-  json << "],\n";
-  json << "  \"loss_prob\": " << config.loss_prob << ",\n";
-  json << "  \"packets\": " << config.num_packets << ",\n";
-  json << "  \"runs\": " << runs << ",\n";
-  json << "  \"chaos_time_ms\": " << chaos_time << ",\n";
-  json << "  \"sweep\": [\n";
+  harness::BenchReport report("bench", "chaos");
+  report.add("protocol", "RP")
+      .add("nodes", config.num_nodes)
+      .add("mean_clients", num_clients)
+      .add("clients_per_run", clients_per_run)
+      .add("loss_prob", config.loss_prob)
+      .add("packets", config.num_packets)
+      .add("runs", args.runs)
+      .add("chaos_time_ms", chaos_time);
+  std::vector<harness::JsonObject> sweep;
   bool all_ok = true;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    const harness::ProtocolResult& r =
-        row.result.result(harness::ProtocolKind::kRp);
-    const double recovered_fraction =
-        r.reachable_losses == 0
-            ? 1.0
-            : static_cast<double>(r.reachable_recoveries) /
-                  static_cast<double>(r.reachable_losses);
+  for (const Row& row : rows) {
+    const harness::ProtocolResult& r = row.result;
     all_ok &= row.ok;
-    json << "    {\"name\": \"" << row.name << "\""
-         << ", \"partition_fraction\": " << row.plan.partition_fraction
-         << ", \"partition_heal_ms\": " << row.plan.partition_heal_ms
-         << ", \"link_flap_fraction\": " << row.plan.link_flap_fraction
-         << ", \"duplicate_prob\": " << row.plan.duplicate_prob
-         << ", \"reorder_jitter_ms\": " << row.plan.reorder_jitter_ms
-         << ", \"losses\": " << r.losses
-         << ", \"recoveries\": " << r.recoveries
-         << ", \"abandoned\": " << r.abandoned
-         << ", \"abandoned_sessions\": " << r.abandoned_sessions
-         << ", \"unreachable_clients\": " << r.unreachable_clients
-         << ", \"reachable_losses\": " << r.reachable_losses
-         << ", \"reachable_recoveries\": " << r.reachable_recoveries
-         << ", \"residual_unrecovered_reachable\": " << r.residual_reachable
-         << ", \"recovered_fraction_reachable\": " << recovered_fraction
-         << ", \"chaos_link_drops\": " << r.chaos_link_drops
-         << ", \"duplicates_created\": " << r.duplicates_created
-         << ", \"duplicate_requests_suppressed\": "
-         << r.duplicate_requests_suppressed
-         << ", \"duplicate_sessions\": " << r.duplicate_sessions
-         << ", \"retries\": " << r.retries
-         << ", \"timeouts\": " << r.timeouts
-         << ", \"blacklist_events\": " << r.blacklist_events
-         << ", \"failovers\": " << r.failovers
-         << ", \"source_fallbacks\": " << r.source_fallbacks
-         << ", \"plan_audit_violations\": " << r.plan_audit_violations
-         << ", \"mean_delay_ms\": " << r.avg_latency_ms
-         << ", \"ok\": " << (row.ok ? "true" : "false") << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
+    sweep.push_back(
+        harness::JsonObject()
+            .add("name", row.name)
+            .add("partition_fraction", row.plan.partition_fraction)
+            .add("partition_heal_ms", row.plan.partition_heal_ms)
+            .add("link_flap_fraction", row.plan.link_flap_fraction)
+            .add("duplicate_prob", row.plan.duplicate_prob)
+            .add("reorder_jitter_ms", row.plan.reorder_jitter_ms)
+            .add("losses", r.losses)
+            .add("recoveries", r.recoveries)
+            .add("abandoned", r.abandoned)
+            .add("abandoned_sessions", r.abandoned_sessions)
+            .add("unreachable_clients", r.unreachable_clients)
+            .add("reachable_losses", r.reachable_losses)
+            .add("reachable_recoveries", r.reachable_recoveries)
+            .add("residual_unrecovered_reachable", r.residual_reachable)
+            .add("recovered_fraction_reachable",
+                 r.reachable_losses == 0
+                     ? 1.0
+                     : static_cast<double>(r.reachable_recoveries) /
+                           static_cast<double>(r.reachable_losses))
+            .add("chaos_link_drops", r.chaos_link_drops)
+            .add("duplicates_created", r.duplicates_created)
+            .add("duplicate_requests_suppressed",
+                 r.duplicate_requests_suppressed)
+            .add("duplicate_sessions", r.duplicate_sessions)
+            .add("retries", r.retries)
+            .add("timeouts", r.timeouts)
+            .add("blacklist_events", r.blacklist_events)
+            .add("failovers", r.failovers)
+            .add("source_fallbacks", r.source_fallbacks)
+            .add("plan_audit_violations", r.plan_audit_violations)
+            .add("mean_delay_ms", r.avg_latency_ms)
+            .add("ok", row.ok));
   }
-  json << "  ],\n";
-  json << "  \"ok\": " << (all_ok ? "true" : "false") << "\n";
-  json << "}\n";
+  report.add("sweep", sweep).add("ok", all_ok);
 
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << json.str();
-  }
-  if (json_stdout) {
-    std::cout << json.str();
-  } else {
+  publish(report, args.out, args.json_stdout, [&] {
     std::cout << "RP chaos sweep: n=" << config.num_nodes << " (k~"
               << num_clients << "), p=" << config.loss_prob * 100.0 << "%, "
-              << config.num_packets << " packets x " << runs
+              << config.num_packets << " packets x " << args.runs
               << " run(s), chaos at " << chaos_time << " ms\n";
     harness::TextTable table({"scenario", "losses", "recovered", "abandoned",
                               "unreach", "resid(reach)", "dups", "dup sess",
                               "audit", "ok"});
     for (const Row& row : rows) {
-      const harness::ProtocolResult& r =
-          row.result.result(harness::ProtocolKind::kRp);
+      const harness::ProtocolResult& r = row.result;
       table.addRow({row.name, std::to_string(r.losses),
                     std::to_string(r.recoveries), std::to_string(r.abandoned),
                     std::to_string(r.unreachable_clients),
@@ -778,47 +742,26 @@ int cmdChaos(const util::Flags& flags) {
                     row.ok ? "yes" : "NO"});
     }
     table.print(std::cout);
-    if (!out_path.empty()) std::cout << "wrote " << out_path << "\n";
-  }
+  });
   return all_ok ? 0 : 1;
 }
 
-std::vector<std::uint32_t> parseSizes(const std::string& list) {
-  std::vector<std::uint32_t> sizes;
-  std::stringstream stream(list);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    const long long n = std::stoll(token);
-    if (n < 3) throw std::invalid_argument("--sizes entries must be >= 3");
-    sizes.push_back(static_cast<std::uint32_t>(n));
-  }
-  if (sizes.empty()) throw std::invalid_argument("--sizes must be non-empty");
-  std::sort(sizes.begin(), sizes.end());
-  return sizes;
-}
-
 int cmdScale(const util::Flags& flags) {
-  const auto sizes =
-      parseSizes(flags.getString("sizes", "3000,30000,300000,2000000"));
-  const std::uint64_t shard_flag = flags.getUnsigned("shard", 64);
-  if (shard_flag < 1 ||
-      shard_flag > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::invalid_argument("--shard must be in [1, 4294967295]");
-  }
-  const auto shard_budget = static_cast<std::uint32_t>(shard_flag);
+  const auto sizes = flags.getList<std::uint32_t>(
+      "sizes", "3000,30000,300000,2000000", 3,
+      std::numeric_limits<std::uint32_t>::max());
+  const std::uint32_t shard_budget = getU32(flags, "shard", 64);
+  if (shard_budget < 1) throw std::invalid_argument("--shard must be >= 1");
   const std::uint64_t seed = flags.getUnsigned("seed", 1);
-  const auto churn_ops =
-      static_cast<std::uint32_t>(flags.getUnsigned("churn-ops", 500));
-  const auto threads = static_cast<unsigned>(flags.getUnsigned("threads", 0));
+  const std::uint32_t churn_ops = getU32(flags, "churn-ops", 500);
+  const unsigned threads = getU32(flags, "threads", 0);
   // Sizes with at most this many clients are cross-checked against the flat
   // planner (O(k^2)) and refereed by the auditor, and their churned plans
   // against a fresh ShardPlanner.
-  const auto flat_max =
-      static_cast<std::size_t>(flags.getUnsigned("flat-max", 1500));
+  const std::uint64_t flat_max = flags.getUnsigned("flat-max", 1500);
   const std::string out_path = flags.getString("out", "BENCH_scale.json");
   const bool json_stdout = flags.getBool("json", false);
   if (const int rc = failUnknownFlags(flags)) return rc;
-
   using Clock = std::chrono::steady_clock;
   struct Row {
     std::uint32_t nodes = 0;
@@ -942,50 +885,41 @@ int cmdScale(const util::Flags& flags) {
     rows.push_back(row);
   }
 
-  bool all_ok = true;
-  std::ostringstream json;
-  json.precision(10);
-  json << "{\n";
-  json << "  \"bench\": \"scale\",\n";
-  harness::writeBenchEnvelope(json);
-  json << "  \"planner\": \"ShardPlanner\",\n";
-  json << "  \"shard_budget\": " << shard_budget << ",\n";
-  json << "  \"seed\": " << seed << ",\n";
-  json << "  \"churn_ops\": " << churn_ops << ",\n";
-  json << "  \"sweep\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    all_ok &= r.ok;
-    json << "    {\"nodes\": " << r.nodes << ", \"clients\": " << r.clients
-         << ", \"shards\": " << r.shards
-         << ", \"build_ms\": " << r.build_ms
-         << ", \"build_us_per_client\": "
-         << (r.clients ? 1000.0 * r.build_ms / static_cast<double>(r.clients)
-                       : 0.0)
-         << ", \"churn_mean_us\": " << r.churn_mean_us
-         << ", \"churn_p50_us\": " << r.churn_p50_us
-         << ", \"churn_p99_us\": " << r.churn_p99_us
-         << ", \"churn_max_us\": " << r.churn_max_us
-         << ", \"single_shard_fraction\": " << r.single_shard_fraction
-         << ", \"audited\": " << (r.audited ? "true" : "false")
-         << ", \"audit_violations\": " << r.audit_violations
-         << ", \"flat_checked\": " << (r.flat_checked ? "true" : "false")
-         << ", \"flat_match\": " << (r.flat_match ? "true" : "false")
-         << ", \"churn_match\": " << (r.churn_match ? "true" : "false")
-         << ", \"ok\": " << (r.ok ? "true" : "false") << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n";
-  json << "  \"ok\": " << (all_ok ? "true" : "false") << "\n";
-  json << "}\n";
 
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << json.str();
+  harness::BenchReport report("bench", "scale");
+  report.add("planner", "ShardPlanner")
+      .add("shard_budget", shard_budget)
+      .add("seed", seed)
+      .add("churn_ops", churn_ops);
+  std::vector<harness::JsonObject> sweep;
+  bool all_ok = true;
+  for (const Row& r : rows) {
+    all_ok &= r.ok;
+    sweep.push_back(
+        harness::JsonObject()
+            .add("nodes", r.nodes)
+            .add("clients", r.clients)
+            .add("shards", r.shards)
+            .add("build_ms", r.build_ms)
+            .add("build_us_per_client",
+                 r.clients ? 1000.0 * r.build_ms /
+                                 static_cast<double>(r.clients)
+                           : 0.0)
+            .add("churn_mean_us", r.churn_mean_us)
+            .add("churn_p50_us", r.churn_p50_us)
+            .add("churn_p99_us", r.churn_p99_us)
+            .add("churn_max_us", r.churn_max_us)
+            .add("single_shard_fraction", r.single_shard_fraction)
+            .add("audited", r.audited)
+            .add("audit_violations", r.audit_violations)
+            .add("flat_checked", r.flat_checked)
+            .add("flat_match", r.flat_match)
+            .add("churn_match", r.churn_match)
+            .add("ok", r.ok));
   }
-  if (json_stdout) {
-    std::cout << json.str();
-  } else {
+  report.add("sweep", sweep).add("ok", all_ok);
+
+  publish(report, out_path, json_stdout, [&] {
     std::cout << "ShardPlanner scale sweep: K=" << shard_budget << ", "
               << churn_ops << " churn cycles per size\n";
     harness::TextTable table({"nodes", "clients", "shards", "build (ms)",
@@ -1004,41 +938,42 @@ int cmdScale(const util::Flags& flags) {
                     r.ok ? "yes" : "NO"});
     }
     table.print(std::cout);
-    if (!out_path.empty()) std::cout << "wrote " << out_path << "\n";
-  }
+  });
   return all_ok ? 0 : 1;
 }
 
 int cmdCoded(const util::Flags& flags) {
-  harness::ExperimentConfig config;
-  config.num_nodes =
-      static_cast<std::uint32_t>(flags.getUnsigned("nodes", 60));
-  config.num_packets =
-      static_cast<std::uint32_t>(flags.getUnsigned("packets", 64));
-  config.seed = flags.getUnsigned("seed", config.seed);
-  config.mean_burst_packets = flags.getDouble("burst", 4.0);
-  const auto runs = static_cast<std::uint32_t>(flags.getUnsigned("runs", 3));
+  SweepArgs args;
+  args.config.num_nodes = 60;
+  args.config.num_packets = 64;
+  args.config.mean_burst_packets = 4.0;
+  args.loss_flag = false;
+  args.burst_flag = true;
+  args.runs = 3;
+  args.out = "BENCH_coded.json";
+  args.read(flags);
+  const harness::ExperimentConfig& config = args.config;
   const std::vector<double> losses =
-      parseRates(flags.getString("losses", "2,5,10,15,20,30"));
-  const auto threads = static_cast<unsigned>(flags.getUnsigned("threads", 0));
-  const std::string out_path = flags.getString("out", "BENCH_coded.json");
-  const bool json_stdout = flags.getBool("json", false);
+      flags.getList("losses", "2,5,10,15,20,30", 0.0, 100.0);
   if (const int rc = failUnknownFlags(flags)) return rc;
 
   const harness::ProtocolKind kinds[] = {harness::ProtocolKind::kRp,
                                          harness::ProtocolKind::kCodedRlc};
   struct Row {
     double loss_pct = 0.0;
-    harness::ExperimentResult result;
+    harness::ProtocolResult rp;
+    harness::ProtocolResult coded;
   };
   std::vector<Row> rows;
   double num_clients = 0.0;
   for (const double pct : losses) {
     harness::ExperimentConfig swept = config;
     swept.loss_prob = pct / 100.0;
-    rows.push_back({pct, harness::runAveragedExperimentParallel(
-                             swept, runs, kinds, threads)});
-    num_clients = rows.back().result.num_clients;
+    const harness::ExperimentResult result =
+        harness::runAveragedExperiment(swept, args.runs, kinds, args.threads);
+    rows.push_back({pct, result.result(harness::ProtocolKind::kRp),
+                    result.result(harness::ProtocolKind::kCodedRlc)});
+    num_clients = result.num_clients;
   }
 
   // Crossover: the lowest swept rate from which coding's repair multicasts
@@ -1047,10 +982,8 @@ int cmdCoded(const util::Flags& flags) {
   // a whole burst's union of losses wins loud ones.
   double crossover_pct = -1.0;
   for (const Row& row : rows) {
-    const auto& rp = row.result.result(harness::ProtocolKind::kRp);
-    const auto& coded = row.result.result(harness::ProtocolKind::kCodedRlc);
-    if (rp.source_requests > 0 &&
-        coded.source_repair_multicasts < rp.source_requests) {
+    if (row.rp.source_requests > 0 &&
+        row.coded.source_repair_multicasts < row.rp.source_requests) {
       crossover_pct = row.loss_pct;
       break;
     }
@@ -1058,72 +991,56 @@ int cmdCoded(const util::Flags& flags) {
 
   bool all_recovered = true;
   for (const Row& row : rows) {
-    const auto& rp = row.result.result(harness::ProtocolKind::kRp);
-    const auto& coded = row.result.result(harness::ProtocolKind::kCodedRlc);
-    all_recovered &= rp.fully_recovered && coded.fully_recovered &&
-                     rp.residual_reachable == 0 &&
-                     coded.residual_reachable == 0;
+    all_recovered &= row.rp.fully_recovered && row.coded.fully_recovered &&
+                     row.rp.residual_reachable == 0 &&
+                     row.coded.residual_reachable == 0;
   }
   const bool ok = all_recovered && crossover_pct >= 0.0;
 
-  std::ostringstream json;
-  json.precision(10);
-  json << "{\n";
-  json << "  \"bench\": \"coded\",\n";
-  harness::writeBenchEnvelope(json);
-  json << "  \"ok\": " << (ok ? "true" : "false") << ",\n";
-  json << "  \"protocols\": [\"RP\", \"CODED\"],\n";
-  json << "  \"nodes\": " << config.num_nodes << ",\n";
-  json << "  \"mean_clients\": " << num_clients << ",\n";
-  json << "  \"packets\": " << config.num_packets << ",\n";
-  json << "  \"runs\": " << runs << ",\n";
-  json << "  \"mean_burst_packets\": " << config.mean_burst_packets << ",\n";
-  json << "  \"window_size\": " << config.coded.window_size << ",\n";
-  json << "  \"crossover_loss_pct\": " << crossover_pct << ",\n";
-  json << "  \"sweep\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& rp = rows[i].result.result(harness::ProtocolKind::kRp);
-    const auto& coded =
-        rows[i].result.result(harness::ProtocolKind::kCodedRlc);
-    json << "    {\"loss_pct\": " << rows[i].loss_pct
-         << ", \"losses\": " << coded.losses
-         << ", \"rp_source_tx\": " << rp.source_requests
-         << ", \"coded_source_tx\": " << coded.source_repair_multicasts
-         << ", \"coded_nacks\": " << coded.fec_nacks_sent
-         << ", \"rp_latency_ms\": " << rp.avg_latency_ms
-         << ", \"coded_latency_ms\": " << coded.avg_latency_ms
-         << ", \"rp_bandwidth_hops\": " << rp.avg_bandwidth_hops
-         << ", \"coded_bandwidth_hops\": " << coded.avg_bandwidth_hops
-         << ", \"rp_residual\": " << rp.residual_reachable
-         << ", \"coded_residual\": " << coded.residual_reachable << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
+  harness::BenchReport report("bench", "coded");
+  report.add("ok", ok)
+      .add("protocols", std::vector<std::string>{"RP", "CODED"})
+      .add("nodes", config.num_nodes)
+      .add("mean_clients", num_clients)
+      .add("packets", config.num_packets)
+      .add("runs", args.runs)
+      .add("mean_burst_packets", config.mean_burst_packets)
+      .add("window_size", config.coded.window_size)
+      .add("crossover_loss_pct", crossover_pct);
+  std::vector<harness::JsonObject> sweep;
+  for (const Row& row : rows) {
+    sweep.push_back(harness::JsonObject()
+                        .add("loss_pct", row.loss_pct)
+                        .add("losses", row.coded.losses)
+                        .add("rp_source_tx", row.rp.source_requests)
+                        .add("coded_source_tx",
+                             row.coded.source_repair_multicasts)
+                        .add("coded_nacks", row.coded.fec_nacks_sent)
+                        .add("rp_latency_ms", row.rp.avg_latency_ms)
+                        .add("coded_latency_ms", row.coded.avg_latency_ms)
+                        .add("rp_bandwidth_hops", row.rp.avg_bandwidth_hops)
+                        .add("coded_bandwidth_hops",
+                             row.coded.avg_bandwidth_hops)
+                        .add("rp_residual", row.rp.residual_reachable)
+                        .add("coded_residual", row.coded.residual_reachable));
   }
-  json << "  ]\n";
-  json << "}\n";
+  report.add("sweep", sweep);
 
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << json.str();
-  }
-  if (json_stdout) {
-    std::cout << json.str();
-  } else {
+  publish(report, args.out, args.json_stdout, [&] {
     std::cout << "coded crossover sweep: n=" << config.num_nodes << " (k~"
               << num_clients << "), " << config.num_packets << " packets x "
-              << runs << " run(s), burst " << config.mean_burst_packets
+              << args.runs << " run(s), burst " << config.mean_burst_packets
               << "\n";
     harness::TextTable table({"loss %", "losses", "RP src tx", "coded src tx",
                               "coded NACKs", "RP lat (ms)", "coded lat (ms)"});
     for (const Row& row : rows) {
-      const auto& rp = row.result.result(harness::ProtocolKind::kRp);
-      const auto& coded = row.result.result(harness::ProtocolKind::kCodedRlc);
       table.addRow({harness::TextTable::num(row.loss_pct, 1),
-                    std::to_string(coded.losses),
-                    std::to_string(rp.source_requests),
-                    std::to_string(coded.source_repair_multicasts),
-                    std::to_string(coded.fec_nacks_sent),
-                    harness::TextTable::num(rp.avg_latency_ms),
-                    harness::TextTable::num(coded.avg_latency_ms)});
+                    std::to_string(row.coded.losses),
+                    std::to_string(row.rp.source_requests),
+                    std::to_string(row.coded.source_repair_multicasts),
+                    std::to_string(row.coded.fec_nacks_sent),
+                    harness::TextTable::num(row.rp.avg_latency_ms),
+                    harness::TextTable::num(row.coded.avg_latency_ms)});
     }
     table.print(std::cout);
     if (crossover_pct >= 0.0) {
@@ -1132,76 +1049,30 @@ int cmdCoded(const util::Flags& flags) {
     } else {
       std::cout << "crossover: none in the swept range\n";
     }
-    if (!out_path.empty()) std::cout << "wrote " << out_path << "\n";
-  }
+  });
   return ok ? 0 : 1;
 }
 
-std::vector<unsigned> parseWorkers(const std::string& list) {
-  std::vector<unsigned> workers;
-  std::stringstream stream(list);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    const long long w = std::stoll(token);
-    if (w < 1) throw std::invalid_argument("--workers entries must be >= 1");
-    workers.push_back(static_cast<unsigned>(w));
-  }
-  if (workers.empty()) {
-    throw std::invalid_argument("--workers must be non-empty");
-  }
-  return workers;
-}
-
-/// Bit-identity across worker counts: every reported value equal (pool
-/// lanes excluded — the host clamps those to its core count).
-bool parsimReportsIdentical(const harness::ParsimReport& a,
-                            const harness::ParsimReport& b) {
-  if (a.regions != b.regions || a.epochs != b.epochs ||
-      a.handoffs != b.handoffs || a.events != b.events ||
-      a.region_runs != b.region_runs ||
-      a.lookahead_ms != b.lookahead_ms || a.retries != b.retries ||
-      a.timeouts != b.timeouts || a.abandoned != b.abandoned ||
-      a.abandoned_sessions != b.abandoned_sessions ||
-      a.chaos_link_drops != b.chaos_link_drops ||
-      a.duplicates_created != b.duplicates_created) {
-    return false;
-  }
-  const harness::TransferReport& ta = a.transfer;
-  const harness::TransferReport& tb = b.transfer;
-  if (ta.complete != tb.complete || ta.losses != tb.losses ||
-      ta.recoveries != tb.recoveries || ta.data_hops != tb.data_hops ||
-      ta.recovery_hops != tb.recovery_hops ||
-      ta.duration_ms != tb.duration_ms ||
-      ta.avg_recovery_latency_ms != tb.avg_recovery_latency_ms ||
-      ta.completions.size() != tb.completions.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < ta.completions.size(); ++i) {
-    if (ta.completions[i].client != tb.completions[i].client ||
-        ta.completions[i].completed_at_ms !=
-            tb.completions[i].completed_at_ms ||
-        ta.completions[i].losses != tb.completions[i].losses) {
-      return false;
-    }
-  }
-  return true;
+/// Parsim reports from different worker counts must agree in every field
+/// but `lanes`, which the host clamps to its core count.
+bool sameParsimReport(harness::ParsimReport a,
+                      const harness::ParsimReport& b) {
+  a.lanes = b.lanes;
+  return a == b;
 }
 
 int cmdParsim(const util::Flags& flags) {
-  const auto nodes =
-      static_cast<std::uint32_t>(flags.getUnsigned("nodes", 200));
-  const auto packets =
-      static_cast<std::uint32_t>(flags.getUnsigned("packets", 200));
+  const std::uint32_t nodes = getU32(flags, "nodes", 200);
+  const std::uint32_t packets = getU32(flags, "packets", 200);
   const double loss = flags.getDouble("loss", 10.0) / 100.0;
   const std::uint64_t seed = flags.getUnsigned("seed", 1);
-  const auto regions =
-      static_cast<std::uint32_t>(flags.getUnsigned("regions", 8));
-  const std::vector<unsigned> worker_counts =
-      parseWorkers(flags.getString("workers", "1,2,4"));
+  const std::uint32_t regions = getU32(flags, "regions", 8);
+  const std::vector<std::uint32_t> worker_counts =
+      flags.getList<std::uint32_t>("workers", "1,2,4", 1,
+                                   std::numeric_limits<std::uint32_t>::max());
   const auto kind = parseOneProtocol(flags.getString("protocol", "rp"));
   const bool lossy_recovery = flags.getBool("lossy-recovery", true);
-  const auto repeats =
-      static_cast<unsigned>(flags.getUnsigned("repeats", 3));
+  const std::uint32_t repeats = getU32(flags, "repeats", 3);
   const std::string out_path = flags.getString("out", "BENCH_parsim.json");
   const bool json_stdout = flags.getBool("json", false);
   if (const int rc = failUnknownFlags(flags)) return rc;
@@ -1251,13 +1122,13 @@ int cmdParsim(const util::Flags& flags) {
       row.wall_ms = r == 0 ? ms : std::min(row.wall_ms, ms);
       if (r == 0) {
         row.report = std::move(report);
-      } else if (!parsimReportsIdentical(row.report, report)) {
+      } else if (!sameParsimReport(row.report, report)) {
         row.identical = false;  // not even self-consistent across repeats
       }
     }
     if (!rows.empty()) {
       row.identical = row.identical &&
-                      parsimReportsIdentical(rows.front().report, row.report);
+                      sameParsimReport(rows.front().report, row.report);
     }
     rows.push_back(std::move(row));
   }
@@ -1276,61 +1147,48 @@ int cmdParsim(const util::Flags& flags) {
   };
   const double events_per_epoch = perEpoch(base.report.events);
   const double active_regions_per_epoch = perEpoch(base.report.region_runs);
+  const auto eventsPerSec = [](const Row& row) {
+    return row.wall_ms > 0.0
+               ? static_cast<double>(row.report.events) / (row.wall_ms / 1000.0)
+               : 0.0;
+  };
+  const auto speedup = [&base](const Row& row) {
+    return row.wall_ms > 0.0 ? base.wall_ms / row.wall_ms : 0.0;
+  };
 
-  std::ostringstream json;
-  json.precision(10);
-  json << "{\n";
-  json << "  \"bench\": \"parsim\",\n";
-  harness::writeBenchEnvelope(json);
-  json << "  \"protocol\": \"" << toString(kind) << "\",\n";
-  json << "  \"nodes\": " << nodes << ",\n";
-  json << "  \"clients\": " << topo.clients.size() << ",\n";
-  json << "  \"packets\": " << packets << ",\n";
-  json << "  \"loss_prob\": " << loss << ",\n";
-  json << "  \"lossy_recovery\": " << (lossy_recovery ? "true" : "false")
-       << ",\n";
-  json << "  \"seed\": " << seed << ",\n";
-  json << "  \"repeats\": " << repeats << ",\n";
-  json << "  \"target_regions\": " << regions << ",\n";
-  json << "  \"regions\": " << base.report.regions << ",\n";
-  json << "  \"lookahead_ms\": " << base.report.lookahead_ms << ",\n";
-  json << "  \"epochs\": " << base.report.epochs << ",\n";
-  json << "  \"handoffs\": " << base.report.handoffs << ",\n";
-  json << "  \"events\": " << base.report.events << ",\n";
-  json << "  \"region_runs\": " << base.report.region_runs << ",\n";
-  json << "  \"events_per_epoch\": " << events_per_epoch << ",\n";
-  json << "  \"active_regions_per_epoch\": " << active_regions_per_epoch
-       << ",\n";
-  json << "  \"sweep\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    const double eps =
-        row.wall_ms > 0.0
-            ? static_cast<double>(row.report.events) / (row.wall_ms / 1000.0)
-            : 0.0;
-    const double speedup =
-        row.wall_ms > 0.0 ? base.wall_ms / row.wall_ms : 0.0;
-    json << "    {\"workers\": " << row.workers
-         << ", \"lanes\": " << row.report.lanes
-         << ", \"wall_ms\": " << row.wall_ms
-         << ", \"events_per_sec\": " << eps
-         << ", \"speedup_vs_one_worker\": " << speedup
-         << ", \"identical\": " << (row.identical ? "true" : "false") << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
+  harness::BenchReport report("bench", "parsim");
+  report.add("protocol", toString(kind))
+      .add("nodes", nodes)
+      .add("clients", topo.clients.size())
+      .add("packets", packets)
+      .add("loss_prob", loss)
+      .add("lossy_recovery", lossy_recovery)
+      .add("seed", seed)
+      .add("repeats", repeats)
+      .add("target_regions", regions)
+      .add("regions", base.report.regions)
+      .add("lookahead_ms", base.report.lookahead_ms)
+      .add("epochs", base.report.epochs)
+      .add("handoffs", base.report.handoffs)
+      .add("events", base.report.events)
+      .add("region_runs", base.report.region_runs)
+      .add("events_per_epoch", events_per_epoch)
+      .add("active_regions_per_epoch", active_regions_per_epoch);
+  std::vector<harness::JsonObject> sweep;
+  for (const Row& row : rows) {
+    sweep.push_back(harness::JsonObject()
+                        .add("workers", row.workers)
+                        .add("lanes", row.report.lanes)
+                        .add("wall_ms", row.wall_ms)
+                        .add("events_per_sec", eventsPerSec(row))
+                        .add("speedup_vs_one_worker", speedup(row))
+                        .add("identical", row.identical));
   }
-  json << "  ],\n";
-  json << "  \"identical_across_workers\": "
-       << (all_identical ? "true" : "false") << ",\n";
-  json << "  \"ok\": " << (ok ? "true" : "false") << "\n";
-  json << "}\n";
+  report.add("sweep", sweep)
+      .add("identical_across_workers", all_identical)
+      .add("ok", ok);
 
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << json.str();
-  }
-  if (json_stdout) {
-    std::cout << json.str();
-  } else {
+  publish(report, out_path, json_stdout, [&] {
     std::cout << toString(kind) << " parsim sweep: n=" << nodes << " ("
               << topo.clients.size() << " clients), " << packets
               << " packets at p=" << loss * 100.0 << "%, "
@@ -1345,22 +1203,15 @@ int cmdParsim(const util::Flags& flags) {
     harness::TextTable table({"workers", "lanes", "wall (ms)", "events/sec",
                               "speedup", "identical"});
     for (const Row& row : rows) {
-      const double eps =
-          row.wall_ms > 0.0
-              ? static_cast<double>(row.report.events) / (row.wall_ms / 1000.0)
-              : 0.0;
       table.addRow({std::to_string(row.workers),
                     std::to_string(row.report.lanes),
                     harness::TextTable::num(row.wall_ms),
-                    harness::TextTable::num(eps),
-                    harness::TextTable::num(
-                        row.wall_ms > 0.0 ? base.wall_ms / row.wall_ms : 0.0,
-                        2),
+                    harness::TextTable::num(eventsPerSec(row)),
+                    harness::TextTable::num(speedup(row), 2),
                     row.identical ? "yes" : "NO"});
     }
     table.print(std::cout);
-    if (!out_path.empty()) std::cout << "wrote " << out_path << "\n";
-  }
+  });
   return ok ? 0 : 1;
 }
 

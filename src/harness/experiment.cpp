@@ -287,13 +287,8 @@ ExperimentResult aggregate(std::vector<ExperimentResult> results) {
 
 ExperimentResult runAveragedExperiment(const ExperimentConfig& config,
                                        std::uint32_t runs,
-                                       std::span<const ProtocolKind> kinds) {
-  return runAveragedExperimentParallel(config, runs, kinds, 1);
-}
-
-ExperimentResult runAveragedExperimentParallel(
-    const ExperimentConfig& config, std::uint32_t runs,
-    std::span<const ProtocolKind> kinds, unsigned threads) {
+                                       std::span<const ProtocolKind> kinds,
+                                       unsigned threads) {
   if (runs == 0) {
     throw std::invalid_argument("runAveragedExperiment: runs must be > 0");
   }

@@ -195,17 +195,12 @@ struct ExperimentResult {
     std::span<const ProtocolKind> kinds = kAllProtocols);
 
 /// Averages `runs` independent repetitions (seeds config.seed .. +runs-1):
-/// per-protocol metrics are averaged, loss/recovery counts summed.
+/// per-protocol metrics are averaged, loss/recovery counts summed.  The
+/// repetitions fan out over a util::ThreadPool of `threads` lanes (0 =
+/// hardware concurrency; clamped to the hardware and to `runs`).  Runs are
+/// deterministic per seed and aggregated in seed order, so the result is
+/// bit-identical for every thread count.
 [[nodiscard]] ExperimentResult runAveragedExperiment(
-    const ExperimentConfig& config, std::uint32_t runs,
-    std::span<const ProtocolKind> kinds = kAllProtocols);
-
-/// Same semantics, fanning the independent repetitions out over a
-/// util::ThreadPool of `threads` lanes (0 = hardware concurrency; clamped to
-/// the hardware and to `runs`).  Runs are deterministic per seed and
-/// aggregated in seed order, so the result is bit-identical to the
-/// sequential version, which is the one-thread case.
-[[nodiscard]] ExperimentResult runAveragedExperimentParallel(
     const ExperimentConfig& config, std::uint32_t runs,
     std::span<const ProtocolKind> kinds = kAllProtocols,
     unsigned threads = 0);

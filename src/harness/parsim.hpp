@@ -54,6 +54,10 @@ struct ParsimReport {
   std::size_t abandoned_sessions = 0;
   std::uint64_t chaos_link_drops = 0;
   std::uint64_t duplicates_created = 0;
+
+  /// Field-by-field; `lanes` included, so compare reports from hosts with
+  /// different core counts only after equalizing it.
+  bool operator==(const ParsimReport&) const = default;
 };
 
 /// Runs one transfer over `topology` on the parallel engine.  Deterministic

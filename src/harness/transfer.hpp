@@ -42,6 +42,8 @@ struct ClientCompletion {
   /// Simulated time at which the client held every packet of the transfer.
   double completed_at_ms = 0.0;
   std::size_t losses = 0;
+
+  bool operator==(const ClientCompletion&) const = default;
 };
 
 struct TransferReport {
@@ -56,6 +58,8 @@ struct TransferReport {
   /// Recovery traffic as a fraction of data traffic (hop count ratio).
   double overhead = 0.0;
   std::vector<ClientCompletion> completions;  // sorted by client id
+
+  bool operator==(const TransferReport&) const = default;
 };
 
 /// Runs one transfer over `topology`: the single-region, single-worker run

@@ -15,6 +15,8 @@ struct Summary {
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
+
+  bool operator==(const Summary&) const = default;
 };
 
 /// Accumulates samples; summarize() sorts a private copy, so adding after

@@ -1,6 +1,10 @@
 #include "util/flags.hpp"
 
+#include <algorithm>
+#include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 namespace rmrn::util {
 
@@ -50,41 +54,55 @@ std::string Flags::getString(const std::string& name,
   return get(name).value_or(fallback);
 }
 
-double Flags::getDouble(const std::string& name, double fallback) const {
-  const auto raw = get(name);
-  if (!raw) return fallback;
+double Flags::parseDouble(const std::string& name, const std::string& raw) {
   try {
     std::size_t pos = 0;
-    const double value = std::stod(*raw, &pos);
-    if (pos != raw->size()) throw std::invalid_argument("trailing junk");
+    const double value = std::stod(raw, &pos);
+    if (pos != raw.size()) throw std::invalid_argument("trailing junk");
     return value;
   } catch (const std::exception&) {
     throw std::invalid_argument("Flags: --" + name +
-                                " expects a number, got '" + *raw + "'");
+                                " expects a number, got '" + raw + "'");
   }
+}
+
+std::int64_t Flags::parseInt(const std::string& name, const std::string& raw) {
+  try {
+    std::size_t pos = 0;
+    const std::int64_t value = std::stoll(raw, &pos);
+    if (pos != raw.size()) throw std::invalid_argument("trailing junk");
+    return value;
+  } catch (const std::exception&) {
+    throw std::invalid_argument("Flags: --" + name +
+                                " expects an integer, got '" + raw + "'");
+  }
+}
+
+double Flags::getDouble(const std::string& name, double fallback) const {
+  const auto raw = get(name);
+  if (!raw) return fallback;
+  return parseDouble(name, *raw);
 }
 
 std::int64_t Flags::getInt(const std::string& name,
                            std::int64_t fallback) const {
   const auto raw = get(name);
   if (!raw) return fallback;
-  try {
-    std::size_t pos = 0;
-    const std::int64_t value = std::stoll(*raw, &pos);
-    if (pos != raw->size()) throw std::invalid_argument("trailing junk");
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("Flags: --" + name +
-                                " expects an integer, got '" + *raw + "'");
-  }
+  return parseInt(name, *raw);
 }
 
 std::uint64_t Flags::getUnsigned(const std::string& name,
-                                 std::uint64_t fallback) const {
-  const std::int64_t value =
-      getInt(name, static_cast<std::int64_t>(fallback));
+                                 std::uint64_t fallback,
+                                 std::uint64_t max) const {
+  const auto raw = get(name);
+  if (!raw) return fallback;
+  const std::int64_t value = parseInt(name, *raw);
   if (value < 0) {
     throw std::invalid_argument("Flags: --" + name + " must be >= 0");
+  }
+  if (static_cast<std::uint64_t>(value) > max) {
+    throw std::invalid_argument("Flags: --" + name + " must be <= " +
+                                std::to_string(max) + ", got " + *raw);
   }
   return static_cast<std::uint64_t>(value);
 }
@@ -101,6 +119,48 @@ bool Flags::getBool(const std::string& name, bool fallback) const {
   throw std::invalid_argument("Flags: --" + name +
                               " expects a boolean, got '" + *raw + "'");
 }
+
+template <typename T>
+std::vector<T> Flags::getList(const std::string& name,
+                              const std::string& fallback, T min,
+                              T max) const {
+  const std::string list = get(name).value_or(fallback);
+  std::vector<T> values;
+  // The appended comma ends every entry, so a trailing comma in `list`
+  // leaves an empty last entry.
+  std::istringstream stream(list + ",");
+  for (std::string token; std::getline(stream, token, ',');) {
+    T value{};
+    bool ok = !token.empty();
+    if constexpr (std::is_floating_point_v<T>) {
+      value = ok ? parseDouble(name, token) : 0.0;
+      ok = ok && value >= min && value <= max;  // false for NaN
+    } else {
+      const std::int64_t raw = ok ? parseInt(name, token) : 0;
+      ok = ok && std::cmp_greater_equal(raw, min) &&
+           std::cmp_less_equal(raw, max);
+      value = static_cast<T>(raw);
+    }
+    if (!ok) {
+      std::ostringstream message;
+      message << "Flags: --" << name
+              << " expects a comma-separated list of values in [" << min
+              << ", " << max << "], got '" << list << "'";
+      throw std::invalid_argument(message.str());
+    }
+    values.push_back(value);
+  }
+  std::sort(values.begin(), values.end());
+  return values;
+}
+
+template std::vector<double> Flags::getList(const std::string&,
+                                            const std::string&, double,
+                                            double) const;
+template std::vector<std::uint32_t> Flags::getList(const std::string&,
+                                                   const std::string&,
+                                                   std::uint32_t,
+                                                   std::uint32_t) const;
 
 std::vector<std::string> Flags::unconsumed() const {
   std::vector<std::string> result;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -30,9 +31,20 @@ class Flags {
                                  double fallback) const;
   [[nodiscard]] std::int64_t getInt(const std::string& name,
                                     std::int64_t fallback) const;
-  [[nodiscard]] std::uint64_t getUnsigned(const std::string& name,
-                                          std::uint64_t fallback) const;
+  /// Rejects values above `max` (inclusive), e.g. 2^32 for a flag that
+  /// narrows to 32 bits.
+  [[nodiscard]] std::uint64_t getUnsigned(
+      const std::string& name, std::uint64_t fallback,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
   [[nodiscard]] bool getBool(const std::string& name, bool fallback) const;
+
+  /// Comma-separated list ("2,5,10"), `fallback` when absent, returned
+  /// sorted.  Every entry must parse completely and lie in [min, max]; an
+  /// empty list or entry throws.  T is double or std::uint32_t.
+  template <typename T>
+  [[nodiscard]] std::vector<T> getList(const std::string& name,
+                                       const std::string& fallback, T min,
+                                       T max) const;
 
   /// Arguments that are not flags, in order (e.g. a subcommand).
   [[nodiscard]] const std::vector<std::string>& positional() const {
@@ -44,6 +56,12 @@ class Flags {
   [[nodiscard]] std::vector<std::string> unconsumed() const;
 
  private:
+  /// Parses `raw` as the value of --name; throws naming the flag.
+  [[nodiscard]] static double parseDouble(const std::string& name,
+                                          const std::string& raw);
+  [[nodiscard]] static std::int64_t parseInt(const std::string& name,
+                                             const std::string& raw);
+
   std::unordered_map<std::string, std::string> values_;
   mutable std::unordered_map<std::string, bool> consumed_;
   std::vector<std::string> positional_;

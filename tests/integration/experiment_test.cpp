@@ -152,9 +152,10 @@ TEST(ExperimentTest, ParallelRunnerMatchesSequentialExactly) {
   // Per-seed runs are pure functions of the seed and aggregation happens in
   // seed order, so the parallel fan-out must be bit-identical.
   const ExperimentConfig config = smallConfig(21);
-  const ExperimentResult seq = runAveragedExperiment(config, 4);
+  const ExperimentResult seq =
+      runAveragedExperiment(config, 4, kAllProtocols, 1);
   const ExperimentResult par =
-      runAveragedExperimentParallel(config, 4, kAllProtocols, 4);
+      runAveragedExperiment(config, 4, kAllProtocols, 4);
   ASSERT_EQ(seq.protocols.size(), par.protocols.size());
   EXPECT_EQ(seq.num_clients, par.num_clients);
   for (std::size_t i = 0; i < seq.protocols.size(); ++i) {
@@ -172,7 +173,7 @@ TEST(ExperimentTest, ParallelRunnerSingleThreadFallback) {
   const ExperimentConfig config = smallConfig(22);
   const ExperimentResult a = runAveragedExperiment(config, 2);
   const ExperimentResult b =
-      runAveragedExperimentParallel(config, 2, kAllProtocols, 1);
+      runAveragedExperiment(config, 2, kAllProtocols, 1);
   EXPECT_EQ(a.result(ProtocolKind::kRp).avg_latency_ms,
             b.result(ProtocolKind::kRp).avg_latency_ms);
 }
@@ -183,7 +184,7 @@ TEST(ExperimentTest, ValidatesConfig) {
   EXPECT_THROW(runExperiment(config), std::invalid_argument);
   EXPECT_THROW(runAveragedExperiment(smallConfig(), 0),
                std::invalid_argument);
-  EXPECT_THROW(runAveragedExperimentParallel(smallConfig(), 0),
+  EXPECT_THROW(runAveragedExperiment(smallConfig(), 0, kAllProtocols, 1),
                std::invalid_argument);
 }
 

@@ -93,5 +93,82 @@ TEST(FlagsTest, NegativeIntegers) {
   EXPECT_EQ(f.getInt("n", 0), -42);
 }
 
+TEST(FlagsTest, UnsignedUpperBoundIsInclusive) {
+  constexpr std::uint64_t kU32Max = 4294967295u;
+  EXPECT_EQ(parse({"--n=4294967295"}).getUnsigned("n", 0, kU32Max), kU32Max);
+  EXPECT_EQ(parse({}).getUnsigned("n", 7, kU32Max), 7u);
+  // 2^32 + 100 used to wrap to a 100-node topology.
+  try {
+    (void)parse({"--nodes=4294967396"}).getUnsigned("nodes", 0, kU32Max);
+    FAIL() << "out-of-range value accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--nodes"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("4294967295"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)parse({"--w=4294967297"}).getUnsigned("w", 1, kU32Max),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse({"--k=11"}).getUnsigned("k", 1, 10),
+               std::invalid_argument);
+  // Without a bound the full 63-bit range parses.
+  EXPECT_EQ(parse({"--n=4294967396"}).getUnsigned("n", 0), 4294967396u);
+}
+
+TEST(FlagsTest, ListIsParsedCheckedAndSorted) {
+  EXPECT_EQ(parse({"--losses=30,10,2.5"}).getList("losses", "", 0.0, 100.0),
+            (std::vector<double>{2.5, 10.0, 30.0}));
+  EXPECT_EQ(parse({}).getList("losses", "20,5", 0.0, 100.0),
+            (std::vector<double>{5.0, 20.0}));
+  EXPECT_EQ(parse({"--workers=4,1,2"})
+                .getList<std::uint32_t>("workers", "1", 1, 4294967295u),
+            (std::vector<std::uint32_t>{1, 2, 4}));
+  EXPECT_EQ(parse({"--sizes=3"}).getList<std::uint32_t>("sizes", "", 3, 10),
+            (std::vector<std::uint32_t>{3}));
+}
+
+TEST(FlagsTest, ListErrorsNameTheFlag) {
+  const auto message = [](std::initializer_list<const char*> args,
+                          const char* name) -> std::string {
+    try {
+      (void)parse(args).getList(name, "", 0.0, 100.0);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  // Out of range, named after the flag that was given.
+  EXPECT_NE(message({"--losses=101"}, "losses").find("--losses"),
+            std::string::npos);
+  EXPECT_NE(message({"--rates=-1"}, "rates").find("[0, 100]"),
+            std::string::npos);
+  // Trailing junk, empty lists and empty entries.
+  EXPECT_NE(message({"--rates=0,5x"}, "rates").find("'5x'"),
+            std::string::npos);
+  EXPECT_NE(message({"--rates="}, "rates").find("--rates"),
+            std::string::npos);
+  EXPECT_NE(message({"--rates=1,,2"}, "rates").find("--rates"),
+            std::string::npos);
+  EXPECT_NE(message({"--rates=1,"}, "rates").find("--rates"),
+            std::string::npos);
+  EXPECT_NE(message({"--rates=nan"}, "rates").find("--rates"),
+            std::string::npos);
+}
+
+TEST(FlagsTest, IntegerListRejectsOutOfRangeAndFractions) {
+  EXPECT_THROW((void)parse({"--workers=0,2"})
+                   .getList<std::uint32_t>("workers", "1", 1, 4294967295u),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse({"--workers=4294967297"})
+                   .getList<std::uint32_t>("workers", "1", 1, 4294967295u),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse({"--sizes=2000,-5"})
+                   .getList<std::uint32_t>("sizes", "", 3, 4294967295u),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse({"--sizes=1.5"})
+                   .getList<std::uint32_t>("sizes", "", 3, 4294967295u),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace rmrn::util
