@@ -55,20 +55,19 @@ void selectIntoImpl(net::NodeId u, const net::MulticastTree& tree,
                     std::vector<Candidate>& best, std::vector<Candidate>& out) {
   RMRN_REQUIRE(tree.contains(u), "selectCandidates: u not in tree");
   const net::HopCount depth_u = tree.depth(u);
+  const auto source_rtt = [&](net::NodeId w) {
+    return routing.rtt(w, tree.root());
+  };
   best.assign(depth_u, Candidate{});  // indexed by DS; kInvalidNode = empty
   for (const net::NodeId v : clients) {
     if (v == u || v == tree.root()) continue;
     RMRN_REQUIRE(tree.contains(v), "selectCandidates: client not in tree");
     const net::NodeId router = lca(u, v);
     if (router == u) continue;  // see classesImpl
-    const net::HopCount ds = tree.depth(router);
-    const double rtt = routing.rtt(u, v);
-    Candidate& slot = best[ds];
-    // Min RTT wins; exact ties break toward the lowest peer id (the paper
-    // breaks ties at random; a deterministic rule keeps runs reproducible).
-    if (slot.peer == net::kInvalidNode || rtt < slot.rtt_ms ||
-        (rtt == slot.rtt_ms && v < slot.peer)) {
-      slot = Candidate{v, ds, rtt};
+    const Candidate c{v, tree.depth(router), routing.rtt(u, v)};
+    Candidate& slot = best[c.ds];
+    if (slot.peer == net::kInvalidNode || classBefore(c, slot, source_rtt)) {
+      slot = c;
     }
   }
   out.clear();

@@ -50,10 +50,27 @@ struct CompetitiveClass {
     net::NodeId u, const net::MulticastTree& tree, const net::LcaIndex& index,
     const std::vector<net::NodeId>& clients);
 
-/// Selects the candidate (minimum RTT, ties by lowest id — the paper breaks
-/// ties at random; a deterministic rule keeps runs reproducible) from each
-/// competitive class.  Result is sorted by strictly descending DS, as
-/// required for meaningful strategies (Lemma 5).  Implemented as a single
+/// Lemma 4's class order, the one rule every selection path uses: the
+/// smaller RTT wins; an exact RTT tie goes to the smaller source RTT, then
+/// to the lower id (the paper breaks ties at random; a deterministic rule
+/// keeps runs reproducible).  `source_rtt(peer)` is read only on an exact
+/// RTT tie.  Under the tree metric both RTTs grow with the peer's weighted
+/// depth, so a class's (source RTT, id) minimum is its winner — what
+/// ShardPlanner's representatives and subtree fold rely on (DESIGN.md
+/// §11.2).
+template <typename SourceRtt>
+[[nodiscard]] bool classBefore(const Candidate& a, const Candidate& b,
+                               const SourceRtt& source_rtt) {
+  if (a.rtt_ms != b.rtt_ms) return a.rtt_ms < b.rtt_ms;
+  const double sa = source_rtt(a.peer);
+  const double sb = source_rtt(b.peer);
+  return sa < sb || (sa == sb && a.peer < b.peer);
+}
+
+/// Selects the candidate (first in classBefore order, source RTTs read as
+/// rtt(peer, tree root)) from each competitive class.  Result is sorted by
+/// strictly descending DS, as required for meaningful strategies
+/// (Lemma 5).  Implemented as a single
 /// flat min-reduction over a DS-indexed array (no per-class peer lists, no
 /// ordered-map nodes) so the planner's per-client hot path stays allocation
 /// light.

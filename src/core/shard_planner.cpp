@@ -63,6 +63,7 @@ ShardPlanner::ShardPlanner(const net::Topology& topology,
   graph_options_.allow_direct_source = options_.planner.allow_direct_source;
   graph_options_.max_list_length = options_.planner.max_list_length;
 
+  tree_fold_ = routing.isTreeMetricOver(tree);
   shard_states_.resize(partition_.numSlots());
   in_changed_.assign(partition_.numSlots(), 0);
   std::vector<std::uint32_t> live;
@@ -82,10 +83,17 @@ ShardPlanner::ShardPlanner(const net::Topology& topology,
   if (threads <= 1 || live.size() <= 1) {
     for (const std::uint32_t id : live) planShard(id, arena_, true);
   } else {
+    // Contiguous runs of shards, a few per lane for balance, each with one
+    // Arena: scratch is per run, not per shard.
     util::ThreadPool pool(threads);
-    pool.parallelFor(0, live.size(), [&](std::size_t i) {
+    const std::size_t runs =
+        std::min<std::size_t>(live.size(), 8 * pool.size());
+    pool.parallelFor(0, runs, [&](std::size_t r) {
       Arena arena;
-      planShard(live[i], arena, true);
+      for (std::size_t i = r * live.size() / runs;
+           i < (r + 1) * live.size() / runs; ++i) {
+        planShard(live[i], arena, true);
+      }
     });
   }
   last_replans_ = partition_.numClients();
@@ -234,9 +242,13 @@ void ShardPlanner::buildConsider(std::uint32_t id,
 bool ShardPlanner::planClient(net::NodeId u,
                               std::span<const net::NodeId> consider,
                               Arena& arena, bool force) {
-  ClientState& st = state_[idx(u)];
   selectCandidatesInto(u, topology_->tree, lca_, *routing_, consider,
                        arena.cand, arena.tmp);
+  return adoptCandidates(u, arena, force);
+}
+
+bool ShardPlanner::adoptCandidates(net::NodeId u, Arena& arena, bool force) {
+  ClientState& st = state_[idx(u)];
   if (!force && st.planned && arena.tmp == st.candidates) return false;
   // rmrn-lint: allow(HOT-1) per-client list keeps its capacity across replans; ShardChurnAllocTest pins zero steady-state allocation
   st.candidates.assign(arena.tmp.begin(), arena.tmp.end());
@@ -269,25 +281,102 @@ std::vector<Candidate>::iterator classSlot(std::vector<Candidate>& list,
 
 std::size_t ShardPlanner::planShard(std::uint32_t id, Arena& arena,
                                     bool force) {
-  buildConsider(id, arena.consider);
   std::size_t replans = 0;
+  if (!tree_fold_) {
+    buildConsider(id, arena.consider);
+    for (const net::NodeId u : partition_.shard(id).clients) {
+      replans += planClient(u, arena.consider, arena, force) ? 1 : 0;
+    }
+    return replans;
+  }
+  foldShard(id, arena);
   for (const net::NodeId u : partition_.shard(id).clients) {
-    replans += planClient(u, arena.consider, arena, force) ? 1 : 0;
+    foldCandidates(id, u, arena);
+    RMRN_AUDIT_CHECK(probeAgrees(id, u, arena),
+                     "shard fold: candidates differ from the probe path");
+    replans += adoptCandidates(u, arena, force) ? 1 : 0;
   }
   return replans;
+}
+
+void ShardPlanner::foldShard(std::uint32_t id, Arena& arena) const {
+  const net::MulticastTree& tree = topology_->tree;
+  const Shard& shard = partition_.shard(id);
+  // The root's subtree is one preorder range starting at the root, and
+  // every member lies in it, so the fold spans the range's prefix up to
+  // the last member.  A residual singleton spans its root alone.
+  const std::size_t base = idx(shard.root);
+  std::size_t span = 1;
+  for (const net::NodeId c : shard.clients) {
+    span = std::max(span, idx(c) - base + 1);
+  }
+  // rmrn-lint: allow(HOT-1) per-worker scratch sized to the shard's subtree, retained capacity; ShardChurnAllocTest pins zero steady-state allocation
+  arena.fold.assign(span, TopTwo{});
+  for (const net::NodeId c : shard.clients) {
+    if (!excluded_[idx(c)]) offer(arena.fold[idx(c) - base], c, c);
+  }
+  // Reverse preorder folds every node's best into its parent before the
+  // parent is read, as bulkBuildExt does over the whole tree.
+  const std::vector<net::NodeId>& order = tree.members();
+  for (std::size_t i = span; i-- > 1;) {
+    const net::NodeId v = order[base + i];
+    offer(arena.fold[idx(tree.parent(v)) - base], v, arena.fold[i].best);
+  }
+}
+
+void ShardPlanner::foldCandidates(std::uint32_t id, net::NodeId u,
+                                  Arena& arena) const {
+  const net::MulticastTree& tree = topology_->tree;
+  const ShardState& state = shard_states_[id];
+  const std::size_t base = idx(state.root);
+  const net::HopCount root_depth = tree.depth(state.root);
+  const std::vector<ExtEntry>& ext = state.ext;  // ascending DS
+  std::vector<Candidate>& out = arena.tmp;
+  out.clear();
+  const auto add = [&](net::NodeId w, net::HopCount ds) {
+    if (w == net::kInvalidNode) return;
+    // rmrn-lint: allow(HOT-1) per-worker list, retained capacity; ShardChurnAllocTest pins zero steady-state allocation
+    out.push_back(Candidate{w, ds, routing_->rtt(u, w)});
+  };
+  // Inside the shard, u's class at ancestor a is every member folded at a
+  // outside u's own branch; under the tree metric its (source RTT, id)
+  // minimum is the class winner (classBefore).  Walking up lists the
+  // classes in descending DS.  No ext entry joins them: one at the root's
+  // depth comes from shards nested under the root, which only a residual
+  // singleton has, and its one member is the root itself.
+  net::HopCount ds = tree.depth(u);
+  for (net::NodeId branch = u; branch != state.root;) {
+    const net::NodeId a = tree.parent(branch);
+    --ds;
+    add(arena.fold[idx(a) - base].excluding(branch), ds);
+    branch = a;
+  }
+  // Above the root every member shares one branch, so each class there is
+  // exactly its ext entry.
+  for (auto it = ext.rbegin(); it != ext.rend(); ++it) {
+    if (it->ds < root_depth) add(it->rep, it->ds);
+  }
+}
+
+bool ShardPlanner::probeAgrees(std::uint32_t id, net::NodeId u,
+                               Arena& arena) const {
+  buildConsider(id, arena.consider);
+  selectCandidatesInto(u, topology_->tree, lca_, *routing_, arena.consider,
+                       arena.cand, arena.probe);
+  return arena.probe == arena.tmp;
 }
 
 std::size_t ShardPlanner::patchChurnedShard(std::uint32_t id, net::NodeId v,
                                             bool joined) {
   // The shard's consideration set changed by exactly v, so by Lemma 4 only
-  // the class v falls into can change, in the order selectCandidatesInto
-  // uses: (RTT, lower id).
+  // the class v falls into can change, in classBefore order.
   bool have_consider = false;
   const auto reselect = [&](net::NodeId u) {
     if (!have_consider) buildConsider(id, arena_.consider);
     have_consider = true;
     return planClient(u, arena_.consider, arena_, false);
   };
+  const auto source_rtt = [this](net::NodeId w) { return srtt_[idx(w)]; };
   const bool v_is_peer = !excluded_[idx(v)];
   std::size_t replans = 0;
   for (const net::NodeId u : partition_.shard(id).clients) {
@@ -306,11 +395,9 @@ std::size_t ShardPlanner::patchChurnedShard(std::uint32_t id, net::NodeId v,
       if (has && it->peer == v) replans += reselect(u) ? 1 : 0;
       continue;
     }
-    const double rtt = routing_->rtt(u, v);
-    if (has && !(rtt < it->rtt_ms || (rtt == it->rtt_ms && v < it->peer))) {
-      continue;
-    }
-    replans += patchClass(u, st, it, Candidate{v, ds, rtt}) ? 1 : 0;
+    const Candidate c{v, ds, routing_->rtt(u, v)};
+    if (has && !classBefore(c, *it, source_rtt)) continue;
+    replans += patchClass(u, st, it, c) ? 1 : 0;
   }
   return replans;
 }

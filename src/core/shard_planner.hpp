@@ -18,12 +18,23 @@
 //      so each shard keeps a per-depth external table of size O(depth)
 //      instead of scanning all k clients.
 //
-// Under Routing's tree metric, RTT order equals source-RTT order within a
-// class, so the sharded candidate choice equals the flat planner's exactly
-// and the emitted strategies are identical.  On general graphs the
-// representative choice is a documented approximation; plans remain optimal
-// with respect to the considered peer set (auditAll() proves it via
-// PlanAuditor's exclusion-aware checks).
+//   3. Every selection path ranks a class by one order, classBefore: RTT,
+//      then source RTT, then id.  Under Routing's tree metric over this
+//      tree both RTTs grow with a peer's weighted depth, so a class's
+//      (source RTT, id) minimum is its winner.  The representatives are
+//      then exact, and a shard's own classes come from one bottom-up fold
+//      of its eligible members over the root's subtree, keeping the top two
+//      per node by arrival branch (TopTwo).  Member u's class at an
+//      ancestor inside the shard is that ancestor's fold minus u's own
+//      branch; above the root it is the ext entry.  Only the chosen
+//      candidates need an RTT probe (Eq. 1's d_j), and the plans equal
+//      RpPlanner's bit for bit at every K.  Any other routing probes every
+//      considered peer per member (selectCandidatesInto); audit builds
+//      rerun that path as the reference for every folded list.
+//
+// On general graphs the representative choice is a documented
+// approximation; plans remain optimal with respect to the considered peer
+// set (auditAll() proves it via PlanAuditor's exclusion-aware checks).
 //
 // Churn (addClient/removeClient) reuses GroupPartition's locality and
 // Lemma 4: a join or leave of v can change a client's candidate list only in
@@ -154,6 +165,20 @@ class ShardPlanner {
     std::vector<ExtEntry> ext;            // ascending ds, winners only
   };
 
+  /// The best and runner-up client in repLess order offered at one tree
+  /// node (shard representatives, or a shard's members in its fold), each
+  /// tagged with the branch it arrived through; the runner-up is the best
+  /// arriving through a branch other than the winner's.
+  struct TopTwo {
+    net::NodeId best = net::kInvalidNode;
+    net::NodeId via = net::kInvalidNode;
+    net::NodeId second = net::kInvalidNode;
+    /// The best client not arriving through `branch`.
+    [[nodiscard]] net::NodeId excluding(net::NodeId branch) const {
+      return via != branch ? best : second;
+    }
+  };
+
   /// Per-worker planning scratch; the churn path owns one (arena_) so
   /// steady-state replanning allocates nothing.
   struct Arena {
@@ -161,6 +186,8 @@ class ShardPlanner {
     PlanScratch plan;
     std::vector<Candidate> tmp;
     std::vector<net::NodeId> consider;
+    std::vector<TopTwo> fold;      // foldShard, per shard-subtree node
+    std::vector<Candidate> probe;  // audit builds: the probe-path list
   };
 
   [[nodiscard]] std::size_t idx(net::NodeId v) const;
@@ -169,18 +196,6 @@ class ShardPlanner {
   [[nodiscard]] bool repLess(net::NodeId a, net::NodeId b) const;
   [[nodiscard]] net::NodeId computeRep(const Shard& shard) const;
 
-  /// The best and runner-up representative offered at one tree node, each
-  /// tagged with the branch it arrived through; the runner-up is the best
-  /// arriving through a branch other than the winner's.
-  struct TopTwo {
-    net::NodeId best = net::kInvalidNode;
-    net::NodeId via = net::kInvalidNode;
-    net::NodeId second = net::kInvalidNode;
-    /// The best representative not arriving through `branch`.
-    [[nodiscard]] net::NodeId excluding(net::NodeId branch) const {
-      return via != branch ? best : second;
-    }
-  };
   /// Offers `rep` (ignored when invalid) to `top` through branch `via`.
   void offer(TopTwo& top, net::NodeId via, net::NodeId rep) const;
   /// The branch through which `root` reaches its ancestor at depth `d`: the
@@ -201,7 +216,21 @@ class ShardPlanner {
   /// only when they changed (or `force`).  Returns whether it replanned.
   bool planClient(net::NodeId u, std::span<const net::NodeId> consider,
                   Arena& arena, bool force);
+  /// Makes `arena.tmp` u's candidate list, rerunning Algorithm 1 only when
+  /// it changed (or `force`).  Returns whether it replanned.
+  bool adoptCandidates(net::NodeId u, Arena& arena, bool force);
+  /// Plans every member of shard `id`: by the subtree fold under the tree
+  /// metric, by per-member probes of the consideration set otherwise.
   std::size_t planShard(std::uint32_t id, Arena& arena, bool force);
+  /// Folds shard `id`'s eligible members up its root's subtree:
+  /// arena.fold[i] ranks the members under the node at preorder offset i
+  /// from the root by the branch they arrive through.
+  void foldShard(std::uint32_t id, Arena& arena) const;
+  /// Member `u`'s Lemma 4 list into arena.tmp, read off the fold (classes
+  /// inside the shard) and the ext table (classes above its root).
+  void foldCandidates(std::uint32_t id, net::NodeId u, Arena& arena) const;
+  /// Audit builds: whether arena.tmp equals the probe path's list for `u`.
+  bool probeAgrees(std::uint32_t id, net::NodeId u, Arena& arena) const;
   /// Reruns Algorithm 1 on `u`'s current candidate list.
   void replanStrategy(net::NodeId u, ClientState& st, PlanScratch& plan);
   /// Single-shard churn: `v` joined or left shard `id`, whose root and
@@ -239,6 +268,7 @@ class ShardPlanner {
   std::vector<ClientState> state_;
 
   std::vector<ShardState> shard_states_;  // per partition slot id
+  bool tree_fold_ = false;  // routing is the tree metric over the tree
 
   Arena arena_;  // churn-path scratch
   std::vector<net::NodeId> ext_depth_best_;  // buildRegionExt scratch

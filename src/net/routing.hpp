@@ -113,6 +113,12 @@ class Routing {
   /// lazy mode; tree members in tree mode.
   [[nodiscard]] bool hasSourceRow(NodeId v) const;
 
+  /// True when this is the tree metric over `tree` itself (the tree-metric
+  /// constructor was given this object; a copy of it does not count).
+  [[nodiscard]] bool isTreeMetricOver(const MulticastTree& tree) const {
+    return mode_ == Mode::kTreeMetric && tree_ == &tree;
+  }
+
   /// Lazy mode: materializes the rows for `sources` in parallel (0 threads
   /// = hardware concurrency), so a shard's planning loop never pays the
   /// first-query Dijkstra inline.  No-op in the other modes.

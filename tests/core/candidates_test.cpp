@@ -162,6 +162,38 @@ TEST(SelectCandidatesTest, TieBreaksTowardLowestId) {
   EXPECT_EQ(candidates[0].peer, 2u);  // 2 and 3 tie at rtt 8; lowest id wins
 }
 
+TEST(SelectCandidatesTest, RttTieBreaksBySourceRttBeforeId) {
+  // 0.1 + 0.2 rounds above 0.3: peers 1 and 2 sit at source RTTs
+  // 0.6000000000000001 and 0.6, yet both are 4 ms from client 5.
+  net::Topology t;
+  t.graph = net::Graph(6);
+  t.graph.addEdge(0, 4, 0.1);
+  t.graph.addEdge(4, 1, 0.2);
+  t.graph.addEdge(0, 2, 0.3);
+  t.graph.addEdge(0, 3, 1.0);
+  t.graph.addEdge(3, 5, 0.7);
+  std::vector<NodeId> parent(6, net::kInvalidNode);
+  parent[4] = 0;
+  parent[1] = 4;
+  parent[2] = 0;
+  parent[3] = 0;
+  parent[5] = 3;
+  t.tree = net::MulticastTree(0, std::move(parent));
+  t.source = 0;
+  t.clients = {1, 2, 5};
+  const net::Routing routing(t.graph, t.tree);
+  ASSERT_EQ(routing.rtt(5, 1), routing.rtt(5, 2));
+  const auto candidates = selectCandidates(5, t.tree, routing, t.clients);
+  ASSERT_EQ(candidates.size(), 1u);
+  EXPECT_EQ(candidates[0].peer, 2u);
+
+  const auto source_rtt = [](NodeId w) { return w == 1 ? 0.7 : 0.6; };
+  EXPECT_TRUE(classBefore({2, 0, 4.0}, {1, 0, 4.0}, source_rtt));
+  EXPECT_TRUE(classBefore({1, 0, 3.9}, {2, 0, 4.0}, source_rtt));
+  EXPECT_TRUE(classBefore({3, 0, 4.0}, {4, 0, 4.0}, source_rtt));
+  EXPECT_FALSE(classBefore({4, 0, 4.0}, {3, 0, 4.0}, source_rtt));
+}
+
 TEST(SelectCandidatesTest, NoPeersNoCandidates) {
   net::Topology t;
   t.graph = net::Graph(3);

@@ -19,6 +19,7 @@
 #include "core/shard_planner.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
+#include "support/tie_trees.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn::core {
@@ -338,22 +339,34 @@ TEST(ShardChurnRepresentativeTest, EqualRttTiesBreakLikeAFreshPlanner) {
   // A complete ternary tree with unit link delays: every class is full of
   // exact RTT ties, which patched classes must break toward the lowest id
   // exactly as a fresh selection does.
-  constexpr NodeId kNodes = 1 + 3 + 9 + 27 + 81;
-  net::Topology topo;
-  topo.graph = net::Graph(kNodes);
-  std::vector<NodeId> parent(kNodes, net::kInvalidNode);
-  for (NodeId v = 1; v < kNodes; ++v) {
-    parent[v] = (v - 1) / 3;
-    topo.graph.addEdge(parent[v], v, 1.0);
-  }
-  topo.tree = net::MulticastTree(0, std::move(parent));
-  topo.source = 0;
-  for (NodeId v = kNodes - 81; v < kNodes; ++v) topo.clients.push_back(v);
+  const net::Topology topo = test_support::unitDelayTernaryTree();
   const net::Routing routing(topo.graph, topo.tree);
 
   ShardPlannerOptions options;
   options.planner.timeout_ms = 50.0;
   options.max_shard_clients = 4;
+  ShardPlanner planner(topo, routing, options);
+  int step = 0;
+  for (const NodeId v : topo.clients) {
+    planner.removeClient(v);
+    expectMatchesFresh(planner, topo, routing, options, step++);
+    planner.addClient(v);
+    expectMatchesFresh(planner, topo, routing, options, step++);
+  }
+}
+
+TEST(ShardChurnRepresentativeTest, RoundedRttTiesBreakLikeAFreshPlanner) {
+  // Link delays in tenths of a millisecond: rounding makes RTTs tie while
+  // source RTTs differ, so a joiner's patch must apply the full class order
+  // (RTT, source RTT, id), as a fresh selection does.
+  util::Rng rng(8);
+  const net::Topology topo = test_support::withTenthDelaysAndInternalClients(
+      net::generateShallowTreeTopology(300, rng), rng);
+  const net::Routing routing(topo.graph, topo.tree);
+
+  ShardPlannerOptions options;
+  options.planner.timeout_ms = 50.0;
+  options.max_shard_clients = 8;
   ShardPlanner planner(topo, routing, options);
   int step = 0;
   for (const NodeId v : topo.clients) {

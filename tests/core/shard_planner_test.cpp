@@ -10,6 +10,7 @@
 #include "core/planner.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
+#include "support/tie_trees.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn::core {
@@ -17,20 +18,24 @@ namespace {
 
 using net::NodeId;
 
-// On a pure-tree backbone with tree-metric routing, RTT order within a
-// competitive class equals source-RTT order, so the per-shard representative
-// is the exact flat-planner winner and the sharded plans must be identical —
-// bit for bit — to RpPlanner's, at every shard budget.
+// The largest budget: one shard, whatever the group size.
+constexpr std::uint32_t kOneShard = std::numeric_limits<std::uint32_t>::max();
+
+// On a pure-tree backbone with tree-metric routing, a competitive class's
+// (source RTT, id) minimum is its winner in the class order (classBefore),
+// so the sharded planner's representatives and subtree fold pick the flat
+// planner's candidates and the plans must be identical — bit for bit — to
+// RpPlanner's, at every shard budget from singleton shards to one shard.
 class ShardTreeExactTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ShardTreeExactTest, MatchesFlatPlannerExactly) {
-  util::Rng rng(GetParam());
-  const net::Topology topo = net::generateTreeTopology(400, rng);
-  const net::Routing routing(topo.graph, topo.tree);
-
-  const RpPlanner flat(topo, routing, PlannerOptions{});
-  for (const std::uint32_t k : {2u, 8u, 32u, 100000u}) {
+void expectEveryBudgetMatchesFlat(const net::Topology& topo,
+                                  const net::Routing& routing,
+                                  const PlannerOptions& base) {
+  ASSERT_TRUE(routing.isTreeMetricOver(topo.tree));  // the fold path
+  const RpPlanner flat(topo, routing, base);
+  for (const std::uint32_t k : {1u, 2u, 8u, 64u, kOneShard}) {
     ShardPlannerOptions options;
+    options.planner = base;
     options.max_shard_clients = k;
     const ShardPlanner sharded(topo, routing, options);
     EXPECT_EQ(sharded.timeoutMs(), flat.timeoutMs());
@@ -44,6 +49,55 @@ TEST_P(ShardTreeExactTest, MatchesFlatPlannerExactly) {
           << "client " << u << " K=" << k;
     }
   }
+}
+
+/// Runs the budget sweep with no exclusions and with every fifth client
+/// banned as a peer (the seed picks which fifth).
+void expectMatchesFlatWithAndWithoutExclusions(const net::Topology& topo,
+                                               std::uint64_t seed) {
+  const net::Routing routing(topo.graph, topo.tree);
+  {
+    SCOPED_TRACE("no exclusions");
+    expectEveryBudgetMatchesFlat(topo, routing, PlannerOptions{});
+  }
+  PlannerOptions banned;
+  for (std::size_t i = seed % 5; i < topo.clients.size(); i += 5) {
+    banned.excluded_peers.push_back(topo.clients[i]);
+  }
+  SCOPED_TRACE("every fifth client excluded");
+  expectEveryBudgetMatchesFlat(topo, routing, banned);
+}
+
+TEST_P(ShardTreeExactTest, MatchesFlatPlannerExactly) {
+  util::Rng rng(GetParam());
+  expectMatchesFlatWithAndWithoutExclusions(
+      net::generateTreeTopology(400, rng), GetParam());
+}
+
+TEST_P(ShardTreeExactTest, MatchesFlatOnShallowTrees) {
+  util::Rng rng(GetParam() + 1);
+  expectMatchesFlatWithAndWithoutExclusions(
+      net::generateShallowTreeTopology(800, rng), GetParam());
+}
+
+TEST_P(ShardTreeExactTest, MatchesFlatUnderRoundingTies) {
+  util::Rng rng(GetParam() + 2);
+  const net::Topology deep = net::generateTreeTopology(300, rng);
+  {
+    SCOPED_TRACE("Pruefer tree");
+    expectMatchesFlatWithAndWithoutExclusions(
+        test_support::withTenthDelaysAndInternalClients(deep, rng), GetParam());
+  }
+  const net::Topology shallow = net::generateShallowTreeTopology(600, rng);
+  SCOPED_TRACE("shallow tree");
+  expectMatchesFlatWithAndWithoutExclusions(
+      test_support::withTenthDelaysAndInternalClients(shallow, rng),
+      GetParam());
+}
+
+TEST_P(ShardTreeExactTest, MatchesFlatOnUnitDelayTernaryTree) {
+  expectMatchesFlatWithAndWithoutExclusions(
+      test_support::unitDelayTernaryTree(), GetParam());
 }
 
 TEST_P(ShardTreeExactTest, RestrictedOptionsStillMatchFlat) {
@@ -78,8 +132,47 @@ TEST_P(ShardTreeExactTest, RestrictedOptionsStillMatchFlat) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardTreeExactTest,
                          ::testing::Values(3u, 77u, 2024u));
 
-// The largest budget: one shard, whatever the group size.
-constexpr std::uint32_t kOneShard = std::numeric_limits<std::uint32_t>::max();
+// Regression: rtt(5, 1) and rtt(5, 2) both round to 4 ms while the source
+// RTTs of 1 and 2 are 0.6000000000000001 and 0.6.  Ranking the class by
+// (RTT, id) gave client 5 peer 1 in the flat planner but peer 2 in the
+// K = 1 ext table, ranked by (source RTT, id); the one class order breaks
+// the RTT tie by source RTT everywhere.
+TEST(ShardTreeTieTest, RoundedRttTieBreaksBySourceRttAtEveryBudget) {
+  net::Topology topo;
+  topo.graph = net::Graph(6);
+  topo.graph.addEdge(0, 4, 0.1);
+  topo.graph.addEdge(4, 1, 0.2);
+  topo.graph.addEdge(0, 2, 0.3);
+  topo.graph.addEdge(0, 3, 1.0);
+  topo.graph.addEdge(3, 5, 0.7);
+  std::vector<NodeId> parent(6, net::kInvalidNode);
+  parent[4] = 0;
+  parent[1] = 4;
+  parent[2] = 0;
+  parent[3] = 0;
+  parent[5] = 3;
+  topo.tree = net::MulticastTree(0, std::move(parent));
+  topo.source = 0;
+  topo.clients = {1, 2, 5};
+  const net::Routing routing(topo.graph, topo.tree);
+  ASSERT_EQ(routing.rtt(5, 1), routing.rtt(5, 2));
+  ASSERT_LT(routing.rtt(2, 0), routing.rtt(1, 0));
+
+  const RpPlanner flat(topo, routing, PlannerOptions{});
+  ASSERT_EQ(flat.candidatesFor(5).size(), 1u);
+  EXPECT_EQ(flat.candidatesFor(5).front().peer, 2u);
+  for (const std::uint32_t k : {1u, 2u, 100u, kOneShard}) {
+    ShardPlannerOptions options;
+    options.max_shard_clients = k;
+    const ShardPlanner sharded(topo, routing, options);
+    for (const NodeId u : topo.clients) {
+      EXPECT_EQ(sharded.candidatesFor(u), flat.candidatesFor(u))
+          << "client " << u << " K=" << k;
+      EXPECT_EQ(sharded.strategyFor(u).peers, flat.strategyFor(u).peers)
+          << "client " << u << " K=" << k;
+    }
+  }
+}
 
 // With a budget that swallows the whole group, the partition degenerates to
 // one shard whose consideration set is every client — so the plans and the
