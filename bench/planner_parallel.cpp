@@ -41,12 +41,6 @@ net::Topology makeTopology(std::uint32_t nodes, std::uint64_t seed) {
   return net::generateTopology(config, rng);
 }
 
-std::vector<net::NodeId> plannerSources(const net::Topology& topo) {
-  std::vector<net::NodeId> sources = topo.clients;
-  sources.push_back(topo.source);
-  return sources;
-}
-
 double wallMs(const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
   fn();
@@ -60,7 +54,7 @@ void BM_PlanGroupThreads(benchmark::State& state) {
   const auto nodes = static_cast<std::uint32_t>(state.range(0));
   const auto threads = static_cast<unsigned>(state.range(1));
   const net::Topology topo = makeTopology(nodes, 7);
-  const auto sources = plannerSources(topo);
+  const auto sources = topo.agents();
   const net::Routing routing(topo.graph, sources, threads);
   core::PlannerOptions options;
   options.num_threads = threads;
@@ -78,7 +72,7 @@ void BM_SparseRoutingThreads(benchmark::State& state) {
   const auto nodes = static_cast<std::uint32_t>(state.range(0));
   const auto threads = static_cast<unsigned>(state.range(1));
   const net::Topology topo = makeTopology(nodes, 8);
-  const auto sources = plannerSources(topo);
+  const auto sources = topo.agents();
   for (auto _ : state) {
     benchmark::DoNotOptimize(net::Routing(topo.graph, sources, threads));
   }
@@ -93,7 +87,7 @@ void BM_DenseVsSparseRouting(benchmark::State& state) {
   const auto nodes = static_cast<std::uint32_t>(state.range(0));
   const bool sparse = state.range(1) != 0;
   const net::Topology topo = makeTopology(nodes, 9);
-  const auto sources = plannerSources(topo);
+  const auto sources = topo.agents();
   for (auto _ : state) {
     if (sparse) {
       benchmark::DoNotOptimize(net::Routing(topo.graph, sources));
@@ -116,7 +110,7 @@ int runJsonDriver(const std::string& out_path, std::uint32_t nodes,
   std::cerr << "[planner_parallel] generating " << nodes
             << "-node topology...\n";
   const net::Topology topo = makeTopology(nodes, 7);
-  const auto sources = plannerSources(topo);
+  const auto sources = topo.agents();
   std::cerr << "  clients: " << topo.clients.size() << "\n";
 
   // Dense vs sparse routing build (sequential) — the algorithmic win that

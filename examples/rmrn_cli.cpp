@@ -234,11 +234,9 @@ int cmdPlan(const util::Flags& flags) {
     return 1;
   }
   const net::Topology topo = net::readTopology(in);
-  // Planning only queries client->anything, so a sparse table (clients +
-  // source rows) replaces the all-pairs build.
-  std::vector<net::NodeId> route_sources = topo.clients;
-  route_sources.push_back(topo.source);
-  const net::Routing routing(topo.graph, route_sources, threads);
+  // Planning only queries client->anything, so agent rows replace the
+  // all-pairs build.
+  const net::Routing routing(topo.graph, topo.agents(), threads);
   core::PlannerOptions options;
   options.per_peer_timeout_factor = factor;
   options.num_threads = threads;
@@ -287,9 +285,7 @@ int cmdAudit(const util::Flags& flags) {
     topo = net::generateTopology(config, rng);
   }
 
-  std::vector<net::NodeId> route_sources = topo.clients;
-  route_sources.push_back(topo.source);
-  const net::Routing routing(topo.graph, route_sources, threads);
+  const net::Routing routing(topo.graph, topo.agents(), threads);
   core::PlannerOptions options;
   options.per_peer_timeout_factor = factor;
   options.num_threads = threads;

@@ -178,7 +178,8 @@ ExperimentResult runExperiment(const ExperimentConfig& config,
   topo_config.num_nodes = config.num_nodes;
   util::Rng topo_rng = root.fork(kTopologyStream);
   const net::Topology topology = net::generateTopology(topo_config, topo_rng);
-  const net::Routing routing(topology.graph);
+  // Agent rows only: every query starts at the source or a client.
+  const net::Routing routing(topology.graph, topology.agents());
 
   // Identical data-loss draws for every protocol (DESIGN.md §6).
   const std::vector<sim::LinkLossPattern> losses = drawLossPatterns(

@@ -39,7 +39,8 @@ ParsimReport runParallelTransfer(const net::Topology& topology,
                       config.parity,   config.coded, config.rp_source_mode};
 
   const util::Rng root(config.seed);
-  const net::Routing routing(topology.graph);
+  // Agent rows only: every query starts at the source or a client.
+  const net::Routing routing(topology.graph, topology.agents());
   const sim::RegionMap regions(topology, parallel.target_regions);
   const std::uint32_t num_regions = regions.numRegions();
   sim::ParallelEngine engine(regions, parallel.workers);

@@ -1,9 +1,10 @@
 #include "net/routing.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "net/lca.hpp"
 #include "net/multicast_tree.hpp"
 #include "util/check.hpp"
+#include "util/quad_heap.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rmrn::net {
@@ -19,24 +21,35 @@ namespace {
 
 constexpr DelayMs kInf = std::numeric_limits<DelayMs>::infinity();
 
+// A Dijkstra heap entry: the tentative distance's IEEE bit image and the
+// node.  Distances are sums of positive link delays, so unsigned order on
+// the bits is numeric order, and the heap pops in (distance, node) order.
+struct HeapEntry {
+  std::uint64_t order;  // bit image of the distance
+  std::uint64_t key;    // node
+};
+
 void dijkstraFrom(const CsrAdjacency& g, NodeId src, DelayMs* dist,
                   NodeId* pred) {
-  using QueueEntry = std::pair<DelayMs, NodeId>;
+  // One heap per thread, kept across rows: parallel table builds and
+  // concurrent lazy-row misses each reuse their own.
+  thread_local std::vector<HeapEntry> heap;
+  heap.clear();
   dist[src] = 0.0;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      queue;
-  queue.push({0.0, src});
-  while (!queue.empty()) {
-    const auto [d, v] = queue.top();
-    queue.pop();
+  heap.push_back({std::bit_cast<std::uint64_t>(0.0), src});
+  while (!heap.empty()) {
+    const HeapEntry top = heap.front();
+    util::quad_heap::popRoot(heap);
+    const DelayMs d = std::bit_cast<DelayMs>(top.order);
+    const auto v = static_cast<NodeId>(top.key);
     if (d > dist[v]) continue;  // stale entry
     for (const HalfEdge& e : g.neighbors(v)) {
       const DelayMs nd = d + e.delay;
       if (nd < dist[e.to]) {
         dist[e.to] = nd;
         pred[e.to] = v;
-        queue.push({nd, e.to});
+        heap.push_back({std::bit_cast<std::uint64_t>(nd), e.to});
+        util::quad_heap::siftUp(heap.data(), heap.size() - 1);
       }
     }
   }
@@ -90,20 +103,19 @@ Routing::~Routing() {
 void Routing::build(const Graph& g, std::span<const NodeId> sources,
                     unsigned num_threads) {
   rows_ = sources.empty() ? n_ : sources.size();
-  if (!sources.empty()) {
-    row_of_.assign(n_, kNoRow);
-    for (std::size_t row = 0; row < sources.size(); ++row) {
-      const NodeId src = sources[row];
-      if (src >= n_) {
-        throw std::invalid_argument("Routing: source " + std::to_string(src) +
-                                    " out of range");
-      }
-      if (row_of_[src] != kNoRow) {
-        throw std::invalid_argument("Routing: duplicate source " +
-                                    std::to_string(src));
-      }
-      row_of_[src] = row;
+  row_start_.assign(n_, kNoRow);
+  for (std::size_t row = 0; row < rows_; ++row) {
+    const NodeId src =
+        sources.empty() ? static_cast<NodeId>(row) : sources[row];
+    if (src >= n_) {
+      throw std::invalid_argument("Routing: source " + std::to_string(src) +
+                                  " out of range");
     }
+    if (row_start_[src] != kNoRow) {
+      throw std::invalid_argument("Routing: duplicate source " +
+                                  std::to_string(src));
+    }
+    row_start_[src] = row * n_;
   }
   dist_.assign(rows_ * n_, kInf);
   pred_.assign(rows_ * n_, kInvalidNode);
@@ -144,17 +156,6 @@ void Routing::checkTreeMember(NodeId v) const {
   }
 }
 
-std::size_t Routing::rowOf(NodeId src) const {
-  checkNode(src);
-  if (row_of_.empty()) return src;
-  const std::size_t row = row_of_[src];
-  if (row == kNoRow) {
-    throw std::out_of_range("Routing: no table row for source " +
-                            std::to_string(src) + " (sparse mode)");
-  }
-  return row;
-}
-
 const Routing::LazyRow& Routing::lazyRow(NodeId src) const {
   std::atomic<LazyRow*>& slot = lazy_rows_[src];
   if (const LazyRow* row = slot.load(std::memory_order_acquire)) {
@@ -182,8 +183,13 @@ Routing::RowRef Routing::rowRef(NodeId src) const {
     const LazyRow& row = lazyRow(src);
     return {row.dist.data(), row.pred.data()};
   }
-  const std::size_t row = rowOf(src);
-  return {&dist_[row * n_], &pred_[row * n_]};
+  checkNode(src);
+  const std::size_t start = row_start_[src];
+  if (start == kNoRow) {
+    throw std::out_of_range("Routing: no table row for source " +
+                            std::to_string(src) + " (sparse mode)");
+  }
+  return {&dist_[start], &pred_[start]};
 }
 
 std::size_t Routing::numRows() const {
@@ -202,7 +208,7 @@ bool Routing::hasSourceRow(NodeId v) const {
   if (v >= n_) return false;
   switch (mode_) {
     case Mode::kTable:
-      return row_of_.empty() || row_of_[v] != kNoRow;
+      return row_start_[v] != kNoRow;
     case Mode::kLazyRows:
       return true;
     case Mode::kTreeMetric:
@@ -255,8 +261,8 @@ namespace {
 DelayMs Routing::rtt(NodeId a, NodeId b) const {
   // Link-state routing over an undirected backbone is symmetric (paper
   // §3.1 reads RTTs straight off the tables); re-derive b -> a when that row
-  // exists and cross-check.  Dense tables always have it; sparse tables only
-  // for client pairs.  The tree metric is symmetric by construction.
+  // exists and cross-check.  Dense tables always have it; agent-row tables
+  // for every agent pair.  The tree metric is symmetric by construction.
   RMRN_AUDIT_CHECK(!hasSourceRow(b) || nearlyEqualDelay(distance(a, b),
                                                         distance(b, a)),
                    "routing symmetry: d(a,b) != d(b,a)");

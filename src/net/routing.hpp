@@ -3,15 +3,19 @@
 // The paper (§3.1) assumes link-state routing (OSPF) with link delay as link
 // cost, so that round-trip times between peers can be read off the routing
 // tables.  We implement that: shortest paths over expected link delays via
-// one Dijkstra run per source, with next-hop extraction so the simulator can
-// forward packets hop by hop.
+// one Dijkstra run per source, with path extraction so the simulator can
+// forward packets hop by hop.  Every row comes from one kernel, a Dijkstra
+// over a reused 4-ary heap that settles nodes in (distance, node) order, so
+// a row is bit-identical whichever table shape or thread built it.
 //
 // Four table shapes are supported:
-//   * dense  — one row per graph node (all-pairs), what the simulator's
-//     hop-by-hop forwarding needs;
-//   * sparse — rows only for a caller-supplied source set.  The planner only
-//     ever queries client->anything and never router->router, so planning a
-//     k-client topology needs k+1 Dijkstra runs instead of n.
+//   * dense  — one row per graph node (all-pairs);
+//   * sparse — rows only for a caller-supplied source set.  Every query the
+//     planners and the simulator make starts at a group agent (a unicast
+//     routes from its sender, RTTs run from a client, the chaos
+//     reachability check routes from the source), so the harness builds
+//     rows for Topology::agents() only: k+1 Dijkstra runs instead of n, and
+//     a query from a router throws.
 //   * lazy   — no rows up front; a source's Dijkstra row is computed on its
 //     first query and cached.  The sharded planner plans one shard at a
 //     time, so only the rows of the shards it actually visits are ever
@@ -143,7 +147,6 @@ class Routing {
              unsigned num_threads);
   void checkNode(NodeId v) const;
   void checkTreeMember(NodeId v) const;
-  [[nodiscard]] std::size_t rowOf(NodeId src) const;
   /// The dist/pred row for `src`, materializing it first in lazy mode.
   [[nodiscard]] RowRef rowRef(NodeId src) const;
   [[nodiscard]] const LazyRow& lazyRow(NodeId src) const;
@@ -152,8 +155,10 @@ class Routing {
   Mode mode_ = Mode::kTable;
   std::size_t n_ = 0;
   std::size_t rows_ = 0;
-  // NodeId -> row index; empty in dense mode (identity mapping).
-  std::vector<std::size_t> row_of_;
+  // NodeId -> start of its row in dist_/pred_ (row * n_), kNoRow when the
+  // node has no row.  Dense tables fill it too, so an agent-row query costs
+  // the same one lookup as a dense one.
+  std::vector<std::size_t> row_start_;
   // Row-major [row][node] tables (table mode).
   std::vector<DelayMs> dist_;
   std::vector<NodeId> pred_;  // predecessor of node on the path from source

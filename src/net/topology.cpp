@@ -12,6 +12,12 @@ bool Topology::isClient(NodeId v) const {
   return std::binary_search(clients.begin(), clients.end(), v);
 }
 
+std::vector<NodeId> Topology::agents() const {
+  std::vector<NodeId> out = clients;
+  out.push_back(source);
+  return out;
+}
+
 std::vector<std::pair<NodeId, NodeId>> randomPruferTree(std::uint32_t n,
                                                         util::Rng& rng) {
   if (n < 2) throw std::invalid_argument("randomPruferTree: need n >= 2");

@@ -64,6 +64,11 @@ struct Topology {
   std::vector<NodeId> clients;  // leaves of the multicast tree, sorted
 
   [[nodiscard]] bool isClient(NodeId v) const;
+
+  /// The group's agents: the clients, then the source.  Every routing query
+  /// the planners and the simulator make starts at one of them, so a sparse
+  /// Routing over these rows answers them all (DESIGN.md §7, Routing).
+  [[nodiscard]] std::vector<NodeId> agents() const;
 };
 
 /// Generates a random topology.  Deterministic in (config, rng state).

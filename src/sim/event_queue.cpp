@@ -39,7 +39,7 @@ void EventQueue::maybeCompact() {
   // covers every parent and is zero on an empty heap (all entries dead),
   // so siftDown is never asked to read a nonexistent root.
   for (std::size_t i = (heap_.size() + 3) / 4; i-- > 0;) {
-    quad_heap::siftDown(heap_.data(), heap_.size(), i);
+    util::quad_heap::siftDown(heap_.data(), heap_.size(), i);
   }
 }
 

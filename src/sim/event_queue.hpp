@@ -32,8 +32,8 @@
 #include <vector>
 
 #include "sim/event.hpp"
-#include "sim/quad_heap.hpp"
 #include "util/check.hpp"
+#include "util/quad_heap.hpp"
 
 namespace rmrn::sim {
 
@@ -105,7 +105,7 @@ class EventQueue {
   /// 4-ary heap key: (time, seq) with seq the global insertion sequence.
   /// Slots never repeat within the pending set, so key order is seq order.
   /// The time is stored as its order-preserving integer image, so ordering
-  /// two entries is one branch-free 128-bit comparison (sim/quad_heap.hpp).
+  /// two entries is one branch-free 128-bit comparison (util/quad_heap.hpp).
   struct HeapEntry {
     std::uint64_t order;  // timeOrder(time)
     std::uint64_t key;    // (seq << kSlotBits) | slot
@@ -157,7 +157,7 @@ class EventQueue {
     slots_[slot].seq = seq;
     // rmrn-lint: allow(HOT-1) heap grows to the pending-event high-water mark, then reuses capacity (alloc_tests)
     heap_.push_back(HeapEntry{timeOrder(at), (seq << kSlotBits) | slot});
-    quad_heap::siftUp(heap_.data(), heap_.size() - 1);
+    util::quad_heap::siftUp(heap_.data(), heap_.size() - 1);
     ++live_;
     return makeId(slot, slots_[slot].gen);
   }
@@ -168,7 +168,7 @@ class EventQueue {
   /// Drops cancelled entries off the heap top so the root is live.
   void skipDead() const {
     while (!heap_.empty() && entryDead(heap_[0])) {
-      quad_heap::popRoot(heap_);
+      util::quad_heap::popRoot(heap_);
       --dead_in_heap_;
     }
   }
@@ -210,7 +210,7 @@ inline bool EventQueue::fireNext(TimeMs until, TimeMs* clock) {
   const HeapEntry top = heap_[0];
   const TimeMs time = top.when();
   if (time > until) return false;
-  quad_heap::popRoot(heap_);
+  util::quad_heap::popRoot(heap_);
   const std::uint32_t slot = top.slot();
   Slot& s = slots_[slot];
   RMRN_ENSURE(time >= last_fired_,

@@ -5,8 +5,8 @@
 #include <string>
 #include <utility>
 
-#include "sim/quad_heap.hpp"
 #include "util/check.hpp"
+#include "util/quad_heap.hpp"
 
 namespace rmrn::sim {
 
@@ -828,7 +828,7 @@ void SimNetwork::crossTreeLink(Flood& flood, const TreeLink& link,
       FrontierEntry{timeOrder(at + link.delay),
                     (std::uint64_t{flood.next_seq++} << 33) | upward |
                         link_child});
-  quad_heap::siftUp(flood.frontier.data(), flood.frontier.size() - 1);
+  util::quad_heap::siftUp(flood.frontier.data(), flood.frontier.size() - 1);
 }
 
 std::pair<net::NodeId, net::NodeId> SimNetwork::linkEnds(
@@ -859,7 +859,7 @@ void SimNetwork::advanceFlood(std::uint32_t flood) {
   Flood& f = floods_[flood];  // stable: nothing below can grow floods_
   while (!f.frontier.empty()) {
     const FrontierEntry next = f.frontier.front();
-    quad_heap::popRoot(f.frontier);
+    util::quad_heap::popRoot(f.frontier);
     const auto [node, came_from] = linkEnds(next.key);
     const TimeMs at = timeOfOrder(next.order);
     if (is_agent_[node]) {

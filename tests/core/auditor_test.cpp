@@ -187,9 +187,7 @@ TEST(PlanAuditorTest, PlannerAuditOptionAcceptsCleanPlans) {
 
 TEST(PlanAuditorTest, AuditWorksAgainstSparseRouting) {
   net::Topology topo = randomTopology(9, 100);
-  std::vector<net::NodeId> sources = topo.clients;
-  sources.push_back(topo.source);
-  const net::Routing sparse(topo.graph, sources);
+  const net::Routing sparse(topo.graph, topo.agents());
   const RpPlanner planner(topo, sparse, {});
   const PlanAuditor auditor(topo, sparse);
   const AuditReport report = auditor.auditPlanner(planner);

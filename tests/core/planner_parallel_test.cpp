@@ -69,9 +69,7 @@ TEST_P(PlannerParallelTest, ParallelMatchesSequentialBitForBit) {
 TEST_P(PlannerParallelTest, SparseRoutingMatchesDense) {
   const net::Topology topo = makeTopology(GetParam() + 1000, 100);
   const net::Routing dense(topo.graph);
-  std::vector<net::NodeId> sources = topo.clients;
-  sources.push_back(topo.source);
-  const net::Routing sparse(topo.graph, sources, 2u);
+  const net::Routing sparse(topo.graph, topo.agents(), 2u);
 
   PlannerOptions options;
   options.num_threads = 4;

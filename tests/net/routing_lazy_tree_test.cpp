@@ -76,8 +76,7 @@ TEST_P(LazyRoutingTest, PrefetchWarmsAllRequestedRows) {
   const Topology topo = makeGraphTopology(GetParam());
   const Routing dense(topo.graph);
   Routing lazy(topo.graph, Routing::kLazy);
-  std::vector<NodeId> sources = topo.clients;
-  sources.push_back(topo.source);
+  const std::vector<NodeId> sources = topo.agents();
   lazy.prefetchRows(sources, 4);
   EXPECT_EQ(lazy.numRows(), sources.size());
   for (const NodeId a : sources) {

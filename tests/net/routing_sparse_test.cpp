@@ -4,22 +4,42 @@
 // were built.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "net/routing.hpp"
 #include "net/topology.hpp"
+#include "support/tie_trees.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn::net {
 namespace {
 
-class RoutingEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {
+// One topology family and seed.  Waxman graphs add geometric delays and
+// denser meshes; integer delays make many shortest paths tie exactly, so
+// the tables agree only if every build breaks ties the same way.
+struct EquivalenceCase {
+  enum class Family { kPaper, kWaxman, kIntegerDelays };
+  Family family;
+  std::uint64_t seed;
+};
+
+// Test names carry the seed alone; the instantiation prefix names the family.
+void PrintTo(const EquivalenceCase& c, std::ostream* os) { *os << c.seed; }
+
+class RoutingEquivalenceTest : public ::testing::TestWithParam<EquivalenceCase> {
  protected:
-  static Topology makeTopology(std::uint64_t seed) {
-    util::Rng rng(seed);
+  static Topology makeTopology(const EquivalenceCase& c) {
+    util::Rng rng(c.seed);
     TopologyConfig config;
     config.num_nodes = 70;
-    return generateTopology(config, rng);
+    if (c.family == EquivalenceCase::Family::kWaxman) {
+      config.model = BackboneModel::kWaxman;
+    }
+    const Topology topo = generateTopology(config, rng);
+    if (c.family != EquivalenceCase::Family::kIntegerDelays) return topo;
+    return test_support::withIntegerDelays(topo, rng, 3);
   }
 };
 
@@ -27,8 +47,7 @@ TEST_P(RoutingEquivalenceTest, SparseMatchesDenseOnRandomGraphs) {
   const Topology topo = makeTopology(GetParam());
   const Routing dense(topo.graph);
 
-  std::vector<NodeId> sources = topo.clients;
-  sources.push_back(topo.source);
+  const std::vector<NodeId> sources = topo.agents();
   const Routing sparse(topo.graph, sources);
 
   EXPECT_EQ(sparse.numNodes(), dense.numNodes());
@@ -59,8 +78,7 @@ TEST_P(RoutingEquivalenceTest, ParallelBuildMatchesSequential) {
 
 TEST_P(RoutingEquivalenceTest, SparseParallelMatchesSparseSequential) {
   const Topology topo = makeTopology(GetParam());
-  std::vector<NodeId> sources = topo.clients;
-  sources.push_back(topo.source);
+  const std::vector<NodeId> sources = topo.agents();
   const Routing sequential(topo.graph, sources, 1u);
   const Routing parallel(topo.graph, sources, 4u);
   for (const NodeId a : sources) {
@@ -70,15 +88,30 @@ TEST_P(RoutingEquivalenceTest, SparseParallelMatchesSparseSequential) {
   }
 }
 
+using Family = EquivalenceCase::Family;
 INSTANTIATE_TEST_SUITE_P(Seeds, RoutingEquivalenceTest,
-                         ::testing::Values(101, 202, 303, 404, 505));
+                         ::testing::Values(EquivalenceCase{Family::kPaper, 101},
+                                           EquivalenceCase{Family::kPaper, 202},
+                                           EquivalenceCase{Family::kPaper, 303},
+                                           EquivalenceCase{Family::kPaper, 404},
+                                           EquivalenceCase{Family::kPaper, 505}));
+INSTANTIATE_TEST_SUITE_P(
+    Waxman, RoutingEquivalenceTest,
+    ::testing::Values(EquivalenceCase{Family::kWaxman, 101},
+                      EquivalenceCase{Family::kWaxman, 202},
+                      EquivalenceCase{Family::kWaxman, 303}));
+INSTANTIATE_TEST_SUITE_P(
+    IntegerDelays, RoutingEquivalenceTest,
+    ::testing::Values(EquivalenceCase{Family::kIntegerDelays, 101},
+                      EquivalenceCase{Family::kIntegerDelays, 202},
+                      EquivalenceCase{Family::kIntegerDelays, 303}));
 
 TEST(RoutingSparseTest, QueriesOutsideSourceSetThrow) {
   util::Rng rng(9);
   TopologyConfig config;
   config.num_nodes = 30;
   const Topology topo = generateTopology(config, rng);
-  std::vector<NodeId> sources = topo.clients;
+  const std::vector<NodeId> sources = topo.clients;
   const Routing sparse(topo.graph, sources);
 
   NodeId non_source = kInvalidNode;

@@ -1,8 +1,9 @@
-// Test helper: tree topologies whose RTTs tie exactly, for the class-order
-// tests (core/candidates.hpp classBefore).
+// Test helpers: topologies whose delays tie exactly, for the class-order
+// tests (core/candidates.hpp classBefore) and the routing kernel tests.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -46,6 +47,25 @@ inline net::Topology withTenthDelaysAndInternalClients(
     if (!topo.isClient(v) && rng.uniformInt(4) == 0) out.clients.push_back(v);
   }
   std::sort(out.clients.begin(), out.clients.end());
+  return out;
+}
+
+/// `topo` with every backbone link delay redrawn as a whole number of
+/// milliseconds in [1, max_delay] (all 1.0 when max_delay is 1), keeping the
+/// edge set, tree, source and clients: many nodes are then reached by
+/// several shortest paths of exactly equal length.
+inline net::Topology withIntegerDelays(const net::Topology& topo,
+                                       util::Rng& rng,
+                                       std::uint64_t max_delay) {
+  net::Topology out = topo;
+  out.graph = net::Graph(topo.graph.numNodes());
+  for (net::NodeId v = 0; v < topo.graph.numNodes(); ++v) {
+    for (const net::HalfEdge& e : topo.graph.neighbors(v)) {
+      if (e.to < v) continue;
+      const auto delay = static_cast<double>(1 + rng.uniformInt(max_delay));
+      out.graph.addEdge(v, e.to, delay);
+    }
+  }
   return out;
 }
 
