@@ -86,17 +86,20 @@
 //                   [--lossy-recovery] [--repeats N]
 //                   [--out BENCH_parsim.json] [--json]
 //       Sharded parallel engine sweep (DESIGN.md §14): one seeded transfer
-//       replayed at each worker count over the FIXED canonical region set.
-//       Gates (exit 1 on failure): every worker count's report bit-identical
-//       to the 1-worker run, and the transfer complete.  Speedups are
-//       recorded, not gated — CI gates them only on multi-core runners (the
-//       JSON records hardware_concurrency honestly).
+//       replayed at each worker count over the FIXED canonical region set,
+//       plus the serial transfer.  Gates (exit 1 on failure): every worker
+//       count's report bit-identical to the 1-worker run, the run equal to
+//       the serial transfer (matches_serial; not gated for srm and coded,
+//       which draw from per-region streams), and the transfer complete.
+//       Speedups are recorded, not gated — CI gates them only on multi-core
+//       runners (the JSON records hardware_concurrency honestly).
 //
 //   rmrn_cli config [--out file]
 //       Print (or write) a complete default experiment config to edit.
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -1057,6 +1060,38 @@ bool sameParsimReport(harness::ParsimReport a,
   return a == b;
 }
 
+/// Whether a parallel transfer agrees with the serial one as
+/// ParsimTest.LossyRpMatchesSerialHarness requires: counts exactly, times
+/// to about 4 ulp, and the mean latency to 1e-9 ms (regions merge their
+/// latency sums in another order than the serial run adds them).
+bool matchesSerial(const harness::TransferReport& serial,
+                   const harness::TransferReport& parallel) {
+  const auto near = [](double a, double b) {
+    return std::abs(a - b) <= 4.0 * std::numeric_limits<double>::epsilon() *
+                                  std::max(std::abs(a), std::abs(b));
+  };
+  if (serial.complete != parallel.complete ||
+      serial.losses != parallel.losses ||
+      serial.recoveries != parallel.recoveries ||
+      serial.data_hops != parallel.data_hops ||
+      serial.recovery_hops != parallel.recovery_hops ||
+      !near(serial.duration_ms, parallel.duration_ms) ||
+      std::abs(serial.avg_recovery_latency_ms -
+               parallel.avg_recovery_latency_ms) > 1e-9 ||
+      serial.completions.size() != parallel.completions.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < serial.completions.size(); ++i) {
+    const harness::ClientCompletion& a = serial.completions[i];
+    const harness::ClientCompletion& b = parallel.completions[i];
+    if (a.client != b.client || a.losses != b.losses ||
+        !near(a.completed_at_ms, b.completed_at_ms)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 int cmdParsim(const util::Flags& flags) {
   const std::uint32_t nodes = getU32(flags, "nodes", 200);
   const std::uint32_t packets = getU32(flags, "packets", 200);
@@ -1132,7 +1167,17 @@ int cmdParsim(const util::Flags& flags) {
   bool all_identical = true;
   for (const Row& row : rows) all_identical &= row.identical;
   const Row& base = rows.front();
-  const bool ok = all_identical && base.report.transfer.complete;
+  // Every region keys its recovery losses as the serial run does, so the
+  // parallel run must equal the serial transfer, except under SRM and the
+  // coded arm: their timer jitter and coefficients come from per-region
+  // streams (DESIGN.md §14).
+  const bool matches_serial =
+      matchesSerial(harness::runTransfer(topo, config), base.report.transfer);
+  const bool serial_gated =
+      kind != harness::ProtocolKind::kSrm &&
+      kind != harness::ProtocolKind::kCodedRlc;
+  const bool ok = all_identical && (matches_serial || !serial_gated) &&
+                  base.report.transfer.complete;
   // Per-barrier work: events fired and regions that had any to fire.  Few
   // active regions per epoch leave little for a second lane to take.
   const auto perEpoch = [&base](std::uint64_t count) {
@@ -1182,6 +1227,7 @@ int cmdParsim(const util::Flags& flags) {
   }
   report.add("sweep", sweep)
       .add("identical_across_workers", all_identical)
+      .add("matches_serial", matches_serial)
       .add("ok", ok);
 
   publish(report, out_path, json_stdout, [&] {
@@ -1195,7 +1241,8 @@ int cmdParsim(const util::Flags& flags) {
               << harness::TextTable::num(events_per_epoch) << " events, "
               << harness::TextTable::num(active_regions_per_epoch)
               << " active regions each), " << base.report.handoffs
-              << " handoffs\n";
+              << " handoffs; matches serial: "
+              << (matches_serial ? "yes" : "no") << "\n";
     harness::TextTable table({"workers", "lanes", "wall (ms)", "events/sec",
                               "speedup", "identical"});
     for (const Row& row : rows) {

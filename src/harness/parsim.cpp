@@ -60,6 +60,10 @@ ParsimReport runParallelTransfer(const net::Topology& topology,
       config.protocol == ProtocolKind::kSrm ? kSrmStream : kCodedStream;
 
   const double recovery_loss = config.lossy_recovery ? config.loss_prob : 0.0;
+  // Recovery losses are keyed draws (sim/keyed_loss.hpp): with the run's one
+  // loss seed, every region decides a (send, link) pair as the serial run
+  // does.
+  const std::uint64_t loss_seed = sim::lossSeedOf(root.fork(kNetworkStream));
   std::vector<std::unique_ptr<World>> worlds;
   worlds.reserve(num_regions);
   for (std::uint32_t r = 0; r < num_regions; ++r) {
@@ -67,8 +71,9 @@ ParsimReport runParallelTransfer(const net::Topology& topology,
     // region makes depend only on (seed, region), never on worker count.
     const util::Rng region_root =
         r == 0 ? root : root.fork(kRegionStreamBase + r);
-    World& world = *worlds.emplace_back(std::make_unique<World>(
-        topology, routing, recovery_loss, region_root.fork(kNetworkStream)));
+    World& world = *worlds.emplace_back(
+        std::make_unique<World>(topology, routing, recovery_loss, loss_seed,
+                                region_root.fork(kNetworkStream)));
     world.network.enableShardMode(regions, r, &engine.outboxFor(r));
     for (const sim::LinkLossPattern& pattern : patterns) {
       world.network.stageLossPattern(pattern);

@@ -2,7 +2,7 @@
 // (sim/parallel_engine.hpp; DESIGN.md §14).
 //
 // A ShardHandoff is a packet crossing a region boundary: the sending region
-// has already drawn its loss/chaos outcomes for the crossing hop, so only
+// has already decided its loss/chaos outcomes for the crossing hop, so only
 // *surviving* traversals are handed off.  Handoffs are trivially copyable
 // records — the receiving region re-derives any pointer state (unicast
 // routes, staged loss patterns) from shared immutable structures, so nothing
@@ -20,17 +20,20 @@ namespace rmrn::sim {
 
 /// One cross-region packet transfer, scheduled to materialize in the
 /// destination region at absolute time `at` (>= the next epoch's start, by
-/// the lookahead argument).  `kind` selects which fields are meaningful:
+/// the lookahead argument).  `key` is the send's loss key, which the
+/// receiver keeps drawing with (for a forced-pattern flood it names the
+/// *staged* pattern, whose arena id is the same in every region).  `kind`
+/// selects which other fields are meaningful:
 ///   kForwardHop — a unicast mid-route: the receiver rebuilds the route
 ///       `ufrom -> uto` from shared routing and resumes at hop `hop`;
 ///   kFloodStep — a tree flood crossing into `next` from `came_from`, with
-///       the flood's boundary/down_only state and the *staged* loss-pattern
-///       id (kNoPattern when the flood samples Bernoulli losses).
+///       the flood's boundary/down_only state.
 /// kDeliver never crosses: deliveries happen at the node that owns them.
 struct ShardHandoff {
   TimeMs at = 0.0;
   EventKind kind = EventKind::kForwardHop;
   Packet packet;
+  SendKey key = 0;
   // kForwardHop
   net::NodeId ufrom = net::kInvalidNode;
   net::NodeId uto = net::kInvalidNode;
@@ -39,7 +42,6 @@ struct ShardHandoff {
   net::NodeId next = net::kInvalidNode;
   net::NodeId came_from = net::kInvalidNode;
   net::NodeId boundary = net::kInvalidNode;
-  std::uint32_t pattern = kNoPattern;
   bool down_only = false;
 };
 static_assert(std::is_trivially_copyable_v<ShardHandoff>,

@@ -12,8 +12,15 @@
 
 namespace rmrn::util {
 
-/// splitmix64 step; used for seeding and stream derivation.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state);
+/// splitmix64 step; used for seeding, stream derivation and the keyed loss
+/// draws (sim/keyed_loss.hpp), whose hot loops inline it.
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t& state) {
+  state += 0x9e3779b97f4a7c15ULL;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// xoshiro256** PRNG (Blackman & Vigna), deterministic and copyable.
 class Rng {

@@ -36,7 +36,7 @@ class EngineRig {
                         config_.coded,     config_.rp_source_mode};
     for (std::uint32_t r = 0; r < regions_.numRegions(); ++r) {
       World& world = *worlds_.emplace_back(std::make_unique<World>(
-          topology, routing_, kLoss, util::Rng(100 + r)));
+          topology, routing_, kLoss, kLossSeed, util::Rng(100 + r)));
       world.network.enableShardMode(regions_, r, &engine_.outboxFor(r));
       for (const sim::LinkLossPattern& pattern : patterns_) {
         world.network.stageLossPattern(pattern);
@@ -75,6 +75,7 @@ class EngineRig {
 
  private:
   static constexpr double kLoss = 0.1;
+  static constexpr std::uint64_t kLossSeed = 100;
   static constexpr std::uint32_t kPackets = 20;
 
   TransferConfig config_;

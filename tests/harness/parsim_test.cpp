@@ -115,21 +115,10 @@ TEST(ParsimTest, SingleRegionRunsUnbounded) {
   EXPECT_EQ(report.lookahead_ms, 0.0);
 }
 
-TEST(ParsimTest, MatchesSerialHarnessWhenRecoveryLossless) {
-  // With lossless recovery links the hot path consumes no decisive RNG
-  // draws outside the pre-drawn (shared) data-loss patterns, so the
-  // parallel run must agree with the serial engine exactly — integers
-  // bitwise, latency aggregates up to float summation order.
-  const net::Topology topo = makeTopology(5, 60);
-  TransferConfig config;
-  config.protocol = ProtocolKind::kRp;
-  config.num_packets = 40;
-  config.loss_prob = 0.15;
-  config.lossy_recovery = false;
-  config.seed = 11;
-  const TransferReport serial = runTransfer(topo, config);
-  const ParsimReport parallel =
-      runParallelTransfer(topo, config, parallelConfig(1));
+/// The parallel run agrees with the serial engine exactly: integers
+/// bitwise, latency aggregates up to float summation order.
+void expectMatchesSerial(const TransferReport& serial,
+                         const ParsimReport& parallel) {
   EXPECT_TRUE(serial.complete);
   EXPECT_TRUE(parallel.transfer.complete);
   EXPECT_EQ(parallel.transfer.losses, serial.losses);
@@ -150,9 +139,46 @@ TEST(ParsimTest, MatchesSerialHarnessWhenRecoveryLossless) {
   }
 }
 
+TEST(ParsimTest, MatchesSerialHarnessWhenRecoveryLossless) {
+  // With lossless recovery links the hot path draws nothing outside the
+  // pre-drawn (shared) data-loss patterns.
+  const net::Topology topo = makeTopology(5, 60);
+  TransferConfig config;
+  config.protocol = ProtocolKind::kRp;
+  config.num_packets = 40;
+  config.loss_prob = 0.15;
+  config.lossy_recovery = false;
+  config.seed = 11;
+  expectMatchesSerial(runTransfer(topo, config),
+                      runParallelTransfer(topo, config, parallelConfig(1)));
+}
+
+TEST(ParsimTest, LossyRpMatchesSerialHarness) {
+  // Recovery losses are keyed by (send, link), and every region keys them
+  // with the run's one loss seed, so each region decides every loss as the
+  // serial run does.  RP draws nothing else.
+  const net::Topology topo = makeTopology(3);
+  TransferConfig config;
+  config.protocol = ProtocolKind::kRp;
+  config.num_packets = 40;
+  config.loss_prob = 0.2;
+  config.lossy_recovery = true;
+  config.seed = 7;
+  const TransferReport serial = runTransfer(topo, config);
+  EXPECT_GT(serial.losses, 0u);
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(workers);
+    const ParsimReport parallel =
+        runParallelTransfer(topo, config, parallelConfig(workers));
+    EXPECT_GE(parallel.regions, 2u);
+    EXPECT_GT(parallel.handoffs, 0u);
+    expectMatchesSerial(serial, parallel);
+  }
+}
+
 TEST(ParsimTest, MultiRegionLossyGolden) {
-  // Pins a lossy multi-region run: region 0 draws the serial substreams,
-  // regions r >= 1 root.fork(0x7000 + r), and all regions share one planner.
+  // Pins a lossy multi-region run: every region keys its recovery losses
+  // with the run's one loss seed, and all regions share one planner.
   const net::Topology topo = makeTopology(3);
   TransferConfig config;
   config.protocol = ProtocolKind::kRp;
@@ -163,30 +189,30 @@ TEST(ParsimTest, MultiRegionLossyGolden) {
   const ParsimReport report =
       runParallelTransfer(topo, config, parallelConfig(2));
   EXPECT_EQ(report.regions, 20u);
-  EXPECT_EQ(report.epochs, 6074u);
-  EXPECT_EQ(report.handoffs, 28073u);
-  EXPECT_EQ(report.events, 62012u);
+  EXPECT_EQ(report.epochs, 6829u);
+  EXPECT_EQ(report.handoffs, 29731u);
+  EXPECT_EQ(report.events, 64112u);
   EXPECT_EQ(report.lookahead_ms, 1.8536410112388431);
-  EXPECT_EQ(report.retries, 11045u);
-  EXPECT_EQ(report.timeouts, 12219u);
+  EXPECT_EQ(report.retries, 11409u);
+  EXPECT_EQ(report.timeouts, 12588u);
   EXPECT_EQ(report.abandoned, 0u);
   EXPECT_EQ(report.abandoned_sessions, 0u);
   EXPECT_EQ(report.chaos_link_drops, 0u);
   EXPECT_EQ(report.duplicates_created, 0u);
   const TransferReport& t = report.transfer;
   EXPECT_TRUE(t.complete);
-  EXPECT_EQ(t.duration_ms, 26217.233472747612);
+  EXPECT_EQ(t.duration_ms, 24913.74264446141);
   EXPECT_EQ(t.losses, 1006u);
   EXPECT_EQ(t.recoveries, 1006u);
-  EXPECT_EQ(t.avg_recovery_latency_ms, 1408.6962299019092);
-  EXPECT_EQ(t.recovery_latency.p50, 540.00162862242746);
-  EXPECT_EQ(t.recovery_latency.p95, 5748.6407726626721);
-  EXPECT_EQ(t.recovery_latency.max, 26035.231587295573);
+  EXPECT_EQ(t.avg_recovery_latency_ms, 1458.9237707688567);
+  EXPECT_EQ(t.recovery_latency.p50, 504.09980305739577);
+  EXPECT_EQ(t.recovery_latency.p95, 6326.0445154348117);
+  EXPECT_EQ(t.recovery_latency.max, 24651.740759009372);
   EXPECT_EQ(t.data_hops, 594u);
-  EXPECT_EQ(t.recovery_hops, 59524u);
-  EXPECT_EQ(t.overhead, 100.20875420875421);
+  EXPECT_EQ(t.recovery_hops, 61609u);
+  EXPECT_EQ(t.overhead, 103.71885521885523);
   EXPECT_EQ(t.completions.size(), 29u);
-  EXPECT_EQ(completionHash(t), 0x8cabc0eca9729d71ULL);
+  EXPECT_EQ(completionHash(t), 0xa505466e0acb746dULL);
 }
 
 TEST(ParsimTest, CrashFaultsWithHealthAreWorkerInvariant) {

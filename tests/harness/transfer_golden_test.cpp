@@ -1,8 +1,9 @@
 // Bit-exact goldens for the serial transfer harness: every TransferReport
 // field, completions included, for all six recovery schemes under i.i.d. and
 // Gilbert-Elliott data loss with lossy recovery links.  The values were
-// captured before runTransfer() became the single-region run of the parallel
-// harness; they pin that serial transfer output never moved.
+// captured when recovery losses became keyed (send, link) draws
+// (sim/keyed_loss.hpp); they pin that serial transfer output never moves
+// again, whichever forwarding path a send takes.
 #include "harness/transfer.hpp"
 
 #include <gtest/gtest.h>
@@ -76,42 +77,42 @@ Golden observe(ProtocolKind kind, double mean_burst_packets,
 
 // clang-format off
 const Golden kGoldens[] = {
-    {ProtocolKind::kSrm, 1.0, true, 6542.3874673639457, 428, 428, 238.90630382356832,
-     {428, 238.90630382356832, 541.33370346766822, 61.827564845704273, 6415.3246507000067, 130.1389737862489, 510.33154870890974, 2964.3890536415006},
-     1308, 22735, 17.381498470948014, 21, 0x2c13d84d5f5e4de1ULL},
-    {ProtocolKind::kSrm, 4.0, true, 12430.039170836897, 289, 289, 250.92213483567571,
-     {289, 250.92213483567571, 736.93365990798179, 93.541966825737845, 12315.93013273912, 160.97717965831322, 425.90033213795493, 1357.8463270960669},
-     1671, 18348, 10.980251346499102, 21, 0xfda0025b1eb81c9aULL},
-    {ProtocolKind::kRma, 1.0, true, 1706.75647750645, 428, 428, 253.74151097031606,
-     {428, 253.74151097031606, 185.33611508796471, 17.451792025343138, 1507.0679563011975, 228.33624316541204, 602.37911568432037, 991.92392758376536},
-     1308, 13253, 10.132262996941895, 21, 0x6c11d9bfa45c8495ULL},
-    {ProtocolKind::kRma, 4.0, true, 2727.037672197971, 289, 289, 286.51543679237665,
-     {289, 286.51543679237665, 263.14985261603204, 17.451792025343138, 2531.6665825602663, 228.3362431654121, 605.89071641426312, 1444.1995223620174},
-     1671, 10088, 6.0371035308198682, 21, 0x60ddbd7d2bf2bd1bULL},
-    {ProtocolKind::kRp, 1.0, true, 2016.0471874420498, 428, 428, 162.15677225088311,
-     {428, 162.15677225088311, 203.68750930992235, 3.8749661553754322, 1739.686770890976, 79.394112371154023, 561.60499884205956, 864.37644595857421},
-     1308, 5600, 4.2813455657492359, 21, 0xb506e898fcc7ebd2ULL},
-    {ProtocolKind::kRp, 4.0, true, 1680.1182756830074, 289, 289, 146.53941353438847,
-     {289, 146.53941353438847, 188.9972289043352, 3.8749661553754606, 1544.7471860453027, 72.774255799732387, 549.90888102264319, 854.87842457666159},
-     1671, 3532, 2.1137043686415322, 21, 0xe50095aec091a8e6ULL},
-    {ProtocolKind::kSourceDirect, 1.0, true, 3170.8459222309284, 428, 428, 183.37024025796396,
-     {428, 183.37024025796396, 234.39216319486536, 3.8749661553754322, 2910.4748325932237, 111.16964109178426, 596.45432020042927, 897.78673630180595},
-     1308, 6540, 5, 21, 0xfb3eddfb2484c5afULL},
-    {ProtocolKind::kSourceDirect, 4.0, true, 1685.104442057474, 289, 289, 169.33982014771257,
-     {289, 169.33982014771257, 191.1125846856595, 3.8749661553754464, 1549.7333524197693, 78.051285548428538, 529.17724228967711, 800.68877628183941},
-     1671, 4164, 2.4919210053859966, 21, 0xa23171cdfa7ffc51ULL},
-    {ProtocolKind::kParityFec, 1.0, true, 3582.4647239279138, 428, 428, 183.46109990065108,
-     {428, 183.46109990065108, 467.14493209872063, 31.963979372616613, 3335.4019072639744, 97.104532146381473, 246.58208012574204, 3314.0519072639745},
-     1308, 11374, 8.6957186544342502, 21, 0xc73efe35ac1d25a9ULL},
-    {ProtocolKind::kParityFec, 4.0, true, 716.82291854990785, 289, 289, 131.68867018131905,
-     {289, 131.68867018131905, 82.635203762631335, 21.96397937261662, 450.46250199883411, 108.41651251866261, 301.00940159851746, 436.06250199883414},
-     1671, 8904, 5.3285457809694794, 21, 0x4262d4e7b476e8e5ULL},
-    {ProtocolKind::kCodedRlc, 1.0, true, 4837.2550940296369, 428, 428, 183.2030254185822,
-     {428, 183.2030254185822, 464.10130996295044, 2.8542152974262081, 4530.8946774785636, 101.51215810646096, 358.06160823550812, 1172.5178645787896},
-     1308, 11208, 8.5688073394495419, 21, 0x78b3c57850a8a0e4ULL},
-    {ProtocolKind::kCodedRlc, 4.0, true, 692.52531866277354, 289, 289, 145.85754262086732,
-     {289, 145.85754262086732, 111.86665021888332, 2.8542152974262081, 490.46250199883428, 109.03572243439629, 418.46250199883411, 476.06250199883431},
-     1671, 9363, 5.6032315978456015, 21, 0x8c5ef39de10d6e1cULL},
+    {ProtocolKind::kSrm, 1.0, true, 99976.571158779057, 428, 428, 896.84215731514223,
+     {428, 896.84215731514223, 7206.8221777037297, 60.383123849049682, 99830.210742227981, 143.04438611860797, 565.31829025766763, 6054.2207131679779},
+     1308, 22499, 17.201070336391439, 21, 0x061e4bc4c7132e39ULL},
+    {ProtocolKind::kSrm, 4.0, true, 22675.605156249141, 289, 289, 352.62068613146579,
+     {289, 352.62068613146579, 1346.6430814318774, 91.703666335223119, 22404.244739698068, 184.56903220908097, 790.79063224135098, 2033.9415297982964},
+     1671, 17020, 10.185517654099341, 21, 0xda305632bdc8250fULL},
+    {ProtocolKind::kRma, 1.0, true, 2761.5789198929447, 428, 428, 244.85797827621047,
+     {428, 244.85797827621047, 238.32304397733961, 17.451792025343138, 2505.2185033418709, 221.30328364315869, 471.90988394002977, 1302.1499175210854},
+     1308, 13244, 10.125382262996942, 21, 0x9a07374164a7d4fcULL},
+    {ProtocolKind::kRma, 4.0, true, 1404.5420249146923, 289, 289, 245.98820059322227,
+     {289, 245.98820059322227, 160.83426638507066, 27.066557183356679, 1132.4792082507531, 196.000109302889, 491.64517664997567, 924.77327984166504},
+     1671, 9629, 5.762417713943746, 21, 0x35823da0142f6a71ULL},
+    {ProtocolKind::kRp, 1.0, true, 1429.932905639643, 428, 428, 156.11819413033462,
+     {428, 156.11819413033462, 178.83923630446506, 3.8749661553754322, 1204.5618160019383, 79.909948431541608, 524.19107591521038, 787.25977538304619},
+     1308, 5502, 4.2064220183486238, 21, 0xfd4f11a6138f4b95ULL},
+    {ProtocolKind::kRp, 4.0, true, 1392.8741310122132, 289, 289, 157.41528416446994,
+     {289, 157.41528416446994, 197.54710047545129, 3.8749661553754464, 1228.8296464960385, 72.774255799732387, 610.43881361970739, 896.68163996219869},
+     1671, 3754, 2.2465589467384799, 21, 0x4e04dd0631550e41ULL},
+    {ProtocolKind::kSourceDirect, 1.0, true, 1393.8306484350387, 428, 428, 170.69747143590737,
+     {428, 170.69747143590737, 192.14104826887532, 3.8749661553754322, 1248.8205687748566, 78.464780929597538, 596.45432020042927, 892.39166794050061},
+     1308, 6221, 4.7561162079510702, 21, 0x9ec887f351456269ULL},
+    {ProtocolKind::kSourceDirect, 4.0, true, 1505.9075767576815, 289, 289, 163.41839210229713,
+     {289, 163.41839210229713, 183.80270487356614, 3.8749661553754606, 1365.8974970974994, 78.051285548428538, 529.17724228967711, 780.5128554842853},
+     1671, 4103, 2.4554159186116098, 21, 0x3e1b483869f35cb6ULL},
+    {ProtocolKind::kParityFec, 1.0, true, 1192.4264936032114, 428, 428, 127.77022273305866,
+     {428, 127.77022273305866, 98.279723491005939, 27.93680021390405, 886.06607705213764, 97.597447734351434, 271.53349923225545, 315.21160823550844},
+     1308, 10774, 8.2370030581039764, 21, 0xfbe7c580e8e4dd74ULL},
+    {ProtocolKind::kParityFec, 4.0, true, 876.7455034135985, 289, 289, 153.5364401789692,
+     {289, 153.5364401789692, 123.57268347520143, 21.96397937261662, 594.6826867496593, 105.02405017848736, 529.36339576216005, 580.28268674965932},
+     1671, 9589, 5.738479952124476, 21, 0x15e2dc8e150cb3faULL},
+    {ProtocolKind::kCodedRlc, 1.0, true, 1775.8318561831668, 428, 428, 156.54411998516935,
+     {428, 156.54411998516935, 261.32312373250193, 6.5121581064609586, 1629.4714396320931, 98.416512518662671, 241.21003315978271, 1603.1214396320931},
+     1308, 10719, 8.1949541284403669, 21, 0x9042a028c16efbd2ULL},
+    {ProtocolKind::kCodedRlc, 4.0, true, 644.16466174705386, 289, 289, 145.40277883316639,
+     {289, 145.40277883316639, 96.005653040437991, 16.512158106460959, 376.56160823550834, 110.9651533813967, 346.88575034407211, 371.56160823550829},
+     1671, 9539, 5.7085577498503888, 21, 0xb39c477ca2cef567ULL},
 };
 // clang-format on
 

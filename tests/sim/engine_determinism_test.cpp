@@ -45,6 +45,10 @@ std::uint64_t fnv1a(const std::string& s) {
 // Seeded fig7-style RP run with a full packet trace: 60 nodes, 2% recovery
 // loss, 10% data loss, 30 packets at 50ms intervals, stepped run() windows
 // interleaved with scheduling (exercising cross-window event carry-over).
+// The one pin here that draws recovery losses: its trace and latency were
+// re-captured once when those became keyed (send, link) draws
+// (sim/keyed_loss.hpp), which lose other packets than the old sequential
+// stream did.
 TEST(EngineDeterminismTest, TraceBitIdenticalToPreRewriteEngine) {
   util::Rng rng(424242);
   net::TopologyConfig topo_config;
@@ -77,12 +81,12 @@ TEST(EngineDeterminismTest, TraceBitIdenticalToPreRewriteEngine) {
 
   std::ostringstream dump;
   recorder.dump(dump);
-  EXPECT_EQ(recorder.events().size(), 5541u);
-  EXPECT_EQ(fnv1a(dump.str()), 0x215a8018452ea9d3ULL);
+  EXPECT_EQ(recorder.events().size(), 5540u);
+  EXPECT_EQ(fnv1a(dump.str()), 0xab441b25c74e4867ULL);
   EXPECT_EQ(topo.clients.size(), 22u);
   EXPECT_EQ(metrics.losses(), 358u);
   EXPECT_EQ(metrics.recoveries(), 358u);
-  EXPECT_EQ(metrics.latency().mean(), 76.717437686744745);
+  EXPECT_EQ(metrics.latency().mean(), 77.089315472478162);
 }
 
 struct GoldenProtocol {

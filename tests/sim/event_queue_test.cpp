@@ -232,7 +232,7 @@ TEST(EventQueueTypedTest, EqualTimestampOrderingAcrossSinks) {
   const net::NodeId victim = topo.clients[0];   // loses packet 0
   const net::NodeId crashed = topo.clients[1];  // crashes at t = 0
 
-  harness::World world(topo, routing, 0.0, util::Rng(1));
+  harness::World world(topo, routing, 0.0, /*loss_seed=*/1, util::Rng(1));
   const protocols::ProtocolConfig protocol_config;
   const protocols::SrmConfig srm;
   const protocols::ParityConfig parity;
