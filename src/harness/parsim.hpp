@@ -13,9 +13,13 @@
 //
 // The serial runTransfer() is the single-region run: region 0 draws from
 // the same RNG substreams the serial harness always used, so a 1-region run
-// reproduces serial output bit for bit.  Regions r >= 1 draw from their own
-// per-region substreams, so with lossy recovery a multi-region run differs
-// from the serial one; with lossless recovery links it matches it exactly.
+// reproduces serial output bit for bit.  Recovery losses are keyed draws
+// under the run's one loss seed, so every region decides each (send, link)
+// pair as the serial run does, and a multi-region run matches the serial
+// one, lossy recovery included (up to events that tie in time to the bit;
+// DESIGN.md §14).  Only SRM's timer jitter and the coded arm's coefficient
+// seed come from per-region substreams (r >= 1), so those two schemes are
+// reproducible per seed but differ from the serial run.
 #pragma once
 
 #include <cstdint>

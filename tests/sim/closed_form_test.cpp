@@ -1,12 +1,15 @@
-// Differential check of SimNetwork's closed-form lossless transport against
-// the hop-by-hop reference path (DESIGN.md §10.2).
+// Differential check of SimNetwork's closed-form transport against the
+// hop-by-hop reference path (DESIGN.md §10.2), lossless and lossy.
 //
 // Attaching a trace sink forces every send onto the per-hop reference path,
 // so each scenario runs twice on identical networks, once with a no-op sink
 // and once without, and both runs must agree on:
 //   * the delivery sequence: bit-exact time, node, packet, and fire order;
-//   * every NetworkStats counter;
+//   * every NetworkStats counter, packets_lost included;
 //   * the recovery load of every graph link.
+// Recovery losses are keyed (send, link) draws (sim/keyed_loss.hpp), so the
+// closed form decides a link's loss when it expands the link, and both
+// paths lose the same packets on the same links.
 //
 // The contract has one documented limit: a closed-form arrival takes its
 // place in the global (time, insertion) order when it is scheduled, not when
@@ -21,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "net/routing.hpp"
@@ -215,6 +219,28 @@ Scenario everySendKind(const net::Topology& topo, std::uint64_t seed) {
   };
 }
 
+/// The closed form may fire bit-equal arrivals of different sends in another
+/// order than the reference, and nothing else: the same arrival times in the
+/// same sequence, the same deliveries at each time, the same counters.
+void expectSameUpToTies(Outcome fast, Outcome ref) {
+  EXPECT_EQ(ref.cursor_events, 0u);
+  EXPECT_EQ(fast.per_hop_events, 0u);
+  ASSERT_EQ(fast.deliveries.size(), ref.deliveries.size());
+  for (std::size_t i = 0; i < fast.deliveries.size(); ++i) {
+    EXPECT_EQ(fast.deliveries[i].time, ref.deliveries[i].time);
+  }
+  const auto by_fields = [](const Delivery& a, const Delivery& b) {
+    return fields(a) < fields(b);
+  };
+  std::sort(fast.deliveries.begin(), fast.deliveries.end(), by_fields);
+  std::sort(ref.deliveries.begin(), ref.deliveries.end(), by_fields);
+  for (std::size_t i = 0; i < fast.deliveries.size(); ++i) {
+    EXPECT_EQ(fields(fast.deliveries[i]), fields(ref.deliveries[i]));
+  }
+  expectSameStats(fast.stats, ref.stats);
+  EXPECT_EQ(fast.link_loads, ref.link_loads);
+}
+
 class ClosedFormRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ClosedFormRandomTest, EverySendKindMatchesReference) {
@@ -246,27 +272,23 @@ TEST_P(ClosedFormRandomTest, FaultedAgentsMatchReference) {
 }
 
 TEST_P(ClosedFormRandomTest, ForcedPatternFloodsOnLossyNetworkMatchReference) {
-  // With recovery loss on, only the forced-pattern data floods take the
-  // closed form; the other sends draw losses hop by hop, from the same RNG
-  // stream in the same order in both runs.
+  // With recovery loss on, every send still takes the closed form: the
+  // forced-pattern data floods read their pattern, and the other sends
+  // decide each link by its keyed draw.
   const net::Topology topo = randomTopology(GetParam() + 100, 90);
   ASSERT_GE(topo.clients.size(), 7u);
   const Outcome fast =
       expectClosedFormMatchesReference(topo, 0.1, everySendKind(topo, 23));
-  EXPECT_GT(fast.per_hop_events, 0u);
+  EXPECT_EQ(fast.per_hop_events, 0u);
   EXPECT_GT(fast.stats.packets_lost, 0u);
 }
 
-TEST_P(ClosedFormRandomTest, HandlerStartingSendsMidDeliveryMatchesReference) {
-  // Re-entrancy: every third client answers a group-flood REQUEST from
-  // inside its delivery with a unicast to the source, a group flood from the
-  // next client and a down-into flood above the one after, so the flood
-  // arena grows while a cursor is being delivered.  No two of these sends
-  // leave one node at one time or retrace each other's links in reverse
-  // (which would make their arrivals tie; see the file comment).
-  const net::Topology topo = randomTopology(GetParam() + 200, 90);
+/// Two group-flood REQUESTs.  Every third client one reaches answers from
+/// inside its delivery with a unicast to the source, a group flood from the
+/// next client and a down-into flood above the one after, so the flood
+/// arena grows while a cursor is being delivered.
+std::pair<Scenario, Reaction> handlerStartedSends(const net::Topology& topo) {
   const auto& clients = topo.clients;
-  ASSERT_GE(clients.size(), 4u);
   const Scenario scenario = [&clients](SimNetwork& net,
                                        test_support::ScheduledCalls& calls) {
     calls.at(0.5, [&net, &clients] {
@@ -292,9 +314,34 @@ TEST_P(ClosedFormRandomTest, HandlerStartingSendsMidDeliveryMatchesReference) {
     net.multicastDownInto(ancestorOf(topo, after),
                           packet(Packet::Type::kRepair, p.seq, after, 3));
   };
+  return {scenario, react};
+}
+
+TEST_P(ClosedFormRandomTest, HandlerStartingSendsMidDeliveryMatchesReference) {
+  // Losslessly, no two of these sends leave one node at one time or retrace
+  // each other's links in reverse (which would make their arrivals tie; see
+  // the file comment), so the order is exact.
+  const net::Topology topo = randomTopology(GetParam() + 200, 90);
+  ASSERT_GE(topo.clients.size(), 4u);
+  const auto [scenario, react] = handlerStartedSends(topo);
   const Outcome fast =
       expectClosedFormMatchesReference(topo, 0.0, scenario, react);
-  EXPECT_GT(fast.stats.packets_sent, 2u + clients.size() / 3);
+  EXPECT_EQ(fast.per_hop_events, 0u);
+  EXPECT_GT(fast.stats.packets_sent, 2u + topo.clients.size() / 3);
+}
+
+TEST_P(ClosedFormRandomTest, HandlerStartedSendsOnLossyNetworkMatchReference) {
+  // With 10% recovery loss, other clients answer, and two answers may cross
+  // the same links in opposite directions from one instant: only those
+  // arrivals may swap.  Each send a handler starts takes its node's next key
+  // on both paths, so both lose the same links.
+  const net::Topology topo = randomTopology(GetParam() + 400, 90);
+  ASSERT_GE(topo.clients.size(), 4u);
+  const auto [scenario, react] = handlerStartedSends(topo);
+  const Outcome fast = simulate(topo, 0.1, false, scenario, react);
+  expectSameUpToTies(fast, simulate(topo, 0.1, true, scenario, react));
+  EXPECT_GT(fast.stats.packets_sent, 2u + topo.clients.size() / 3);
+  EXPECT_GT(fast.stats.packets_lost, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClosedFormRandomTest,
@@ -360,27 +407,61 @@ INSTANTIATE_TEST_SUITE_P(
                       SendKind::kDownInto, SendKind::kSource,
                       SendKind::kForcedSource, SendKind::kUnicast));
 
-/// The closed form may fire bit-equal arrivals of different sends in another
-/// order than the reference, and nothing else: the same arrival times in the
-/// same sequence, the same deliveries at each time, the same counters.
-void expectSameUpToTies(Outcome fast, Outcome ref) {
-  EXPECT_EQ(ref.cursor_events, 0u);
-  EXPECT_EQ(fast.per_hop_events, 0u);
-  ASSERT_EQ(fast.deliveries.size(), ref.deliveries.size());
-  for (std::size_t i = 0; i < fast.deliveries.size(); ++i) {
-    EXPECT_EQ(fast.deliveries[i].time, ref.deliveries[i].time);
-  }
-  const auto by_fields = [](const Delivery& a, const Delivery& b) {
-    return fields(a) < fields(b);
+class ClosedFormLossyKindTest : public ::testing::TestWithParam<SendKind> {};
+
+TEST_P(ClosedFormLossyKindTest, LossySendsMatchReference) {
+  // Sixteen sends of one kind on a 10%-lossy network, each from its own
+  // client at its own time.  A lost unicast stops at the lost hop and a
+  // lost flood link cuts off the subtree behind it, on both paths.
+  const net::Topology topo = randomTopology(41, 90);
+  const auto& c = topo.clients;
+  ASSERT_GE(c.size(), 16u);
+  const SendKind kind = GetParam();
+  const Scenario scenario = [&topo, &c, kind](
+                                SimNetwork& net,
+                                test_support::ScheduledCalls& calls) {
+    for (std::uint64_t i = 0; i < 16; ++i) {
+      const NodeId from = c[i];
+      const auto at = static_cast<TimeMs>(i) * 0.83;
+      calls.at(at, [&net, &topo, &c, kind, from, i] {
+        switch (kind) {
+          case SendKind::kGroup:
+            net.multicastGroup(from, packet(Packet::Type::kRequest, i, from));
+            break;
+          case SendKind::kSubtree:
+            net.multicastSubtree(ancestorOf(topo, from), from,
+                                 packet(Packet::Type::kRepair, i, from));
+            break;
+          case SendKind::kDownInto:
+            net.multicastDownInto(
+                ancestorOf(topo, from),
+                packet(Packet::Type::kRepair, i, topo.source));
+            break;
+          case SendKind::kSource:
+            net.multicastFromSource(
+                packet(Packet::Type::kParity, i, topo.source));
+            break;
+          case SendKind::kForcedSource:
+            break;
+          case SendKind::kUnicast:
+            net.unicast(from, c[(i + 7) % c.size()],
+                        packet(Packet::Type::kRequest, i, from));
+            break;
+        }
+      });
+    }
   };
-  std::sort(fast.deliveries.begin(), fast.deliveries.end(), by_fields);
-  std::sort(ref.deliveries.begin(), ref.deliveries.end(), by_fields);
-  for (std::size_t i = 0; i < fast.deliveries.size(); ++i) {
-    EXPECT_EQ(fields(fast.deliveries[i]), fields(ref.deliveries[i]));
-  }
-  expectSameStats(fast.stats, ref.stats);
-  EXPECT_EQ(fast.link_loads, ref.link_loads);
+  const Outcome fast = expectClosedFormMatchesReference(topo, 0.1, scenario);
+  EXPECT_EQ(fast.per_hop_events, 0u);
+  EXPECT_GT(fast.stats.packets_lost, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Kinds, ClosedFormLossyKindTest,
+                         ::testing::Values(SendKind::kGroup,
+                                           SendKind::kSubtree,
+                                           SendKind::kDownInto,
+                                           SendKind::kSource,
+                                           SendKind::kUnicast));
 
 TEST(ClosedFormContractTest, SimultaneousFloodsReorderOnlyTies) {
   // Two floods from one node at one time tie at every arrival.
