@@ -30,8 +30,7 @@ ProtocolResult runOneProtocol(const ExperimentConfig& config,
   const double recovery_loss = config.lossy_recovery ? config.loss_prob : 0.0;
   const util::Rng network_rng =
       root_rng.fork(kProtocolStreamBase + static_cast<std::uint64_t>(kind));
-  World world(topology, routing, recovery_loss, sim::lossSeedOf(network_rng),
-              network_rng);
+  World world(topology, routing, recovery_loss, sim::lossSeedOf(network_rng));
   world.network.enableLinkAccounting(true);
 
   // Faulted runs need the adaptive health machinery or dead peers would be

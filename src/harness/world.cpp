@@ -64,10 +64,8 @@ std::vector<sim::LinkLossPattern> drawLossPatterns(
 }
 
 World::World(const net::Topology& topology, const net::Routing& routing,
-             double recovery_loss, std::uint64_t loss_seed,
-             util::Rng network_rng)
-    : network(simulator, topology, routing, recovery_loss, loss_seed,
-              network_rng) {}
+             double recovery_loss, std::uint64_t loss_seed)
+    : network(simulator, topology, routing, recovery_loss, loss_seed) {}
 
 void World::buildProtocol(const Scheme& scheme, const core::RpPlanner* planner,
                           util::Rng protocol_rng) {

@@ -74,10 +74,10 @@ inline constexpr double kChaosSessionDeadlineMs = 10000.0;
 /// `network` (link accounting, shard mode, staged patterns), buildProtocol,
 /// armFaults, scheduleData, run.
 struct World final : sim::EventSink {
-  /// `recovery_loss` is the per-link loss of recovery traffic, keyed by
-  /// `loss_seed`; `network_rng` seeds the network's chaos draws.
+  /// `recovery_loss` is the per-link loss of recovery traffic; `loss_seed`
+  /// keys those draws and the chaos draws.
   World(const net::Topology& topology, const net::Routing& routing,
-        double recovery_loss, std::uint64_t loss_seed, util::Rng network_rng);
+        double recovery_loss, std::uint64_t loss_seed);
 
   World(const World&) = delete;
   World& operator=(const World&) = delete;

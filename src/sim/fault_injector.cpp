@@ -193,18 +193,21 @@ FaultInjector::FaultInjector(SimNetwork& network,
   validateLinkSchedule();
 }
 
-void FaultInjector::validateLinkSchedule() const {
-  // Replay link events in (at_ms, schedule-order) — matching the simulator's
-  // insertion-order tie-break — and require a single coherent link-state
-  // timeline: down must precede up, and no link goes down twice.
+std::vector<std::size_t> FaultInjector::timeOrder() const {
   std::vector<std::size_t> order(schedule_.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [this](std::size_t a, std::size_t b) {
                      return schedule_[a].at_ms < schedule_[b].at_ms;
                    });
+  return order;
+}
+
+void FaultInjector::validateLinkSchedule() const {
+  // Replay link events in time order and require a single coherent
+  // link-state timeline: down must precede up, and no link goes down twice.
   std::set<std::pair<net::NodeId, net::NodeId>> down;
-  for (const std::size_t index : order) {
+  for (const std::size_t index : timeOrder()) {
     const FaultEvent& event = schedule_[index];
     if (!isLinkFault(event.kind)) continue;
     if (event.link_a == net::kInvalidNode ||
@@ -221,7 +224,7 @@ void FaultInjector::validateLinkSchedule() const {
         throw std::invalid_argument(
             "FaultInjector: link_down for a link already down");
       }
-    } else if (event.kind == FaultKind::kLinkUp) {
+    } else {
       if (down.erase(key) == 0) {
         throw std::invalid_argument(
             "FaultInjector: link_up scheduled before its link_down");
@@ -251,6 +254,13 @@ void FaultInjector::arm() {
   if (global_jitter_ms_ > 0.0) {
     network_.setAllLinksJitterMs(global_jitter_ms_);
   }
+  // The link-state timeline, staged in time order before any traffic.
+  for (const std::size_t index : timeOrder()) {
+    const FaultEvent& event = schedule_[index];
+    if (!isLinkFault(event.kind)) continue;
+    network_.stageLinkState(event.link_a, event.link_b, event.at_ms,
+                            event.kind == FaultKind::kLinkUp);
+  }
   // One timer per fault; its payload is the schedule index.
   EventRecord record{EventKind::kTimer, {}};
   for (std::size_t i = 0; i < schedule_.size(); ++i) {
@@ -273,19 +283,8 @@ void FaultInjector::onEvent(const EventRecord& record) {
                              event.slow_extra_ms);
       break;
     case FaultKind::kLinkDown:
-      network_.setLinkState(event.link_a, event.link_b, /*up=*/false);
-      break;
     case FaultKind::kLinkUp:
-      network_.setLinkState(event.link_a, event.link_b, /*up=*/true);
-      break;
-    case FaultKind::kLinkDuplicate:
-      network_.setLinkDuplicationProb(event.link_a, event.link_b,
-                                      event.slow_extra_ms);
-      break;
-    case FaultKind::kLinkJitter:
-      network_.setLinkJitterMs(event.link_a, event.link_b,
-                               event.slow_extra_ms);
-      break;
+      break;  // staged on the link timeline at arm()
   }
   if (handler_) handler_(event);
 }

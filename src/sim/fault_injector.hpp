@@ -11,10 +11,12 @@
 //
 // Beyond agent faults, a plan can describe link-level chaos: link flaps
 // (down/up cycles on a seeded subset of tree links), a group partition (cut
-// every graph edge leaving a chosen subtree), per-link packet duplication and
-// reorder jitter.  Link events are validated at construction: a link_up for a
-// link that is not down — or a second link_down for one that already is — is
-// rejected, so every schedule has one unambiguous link-state timeline.
+// every graph edge leaving a chosen subtree), and network-wide packet
+// duplication and reorder jitter.  Link events are validated at
+// construction: a link_up for a link that is not down — or a second
+// link_down for one that already is — is rejected, so every schedule has one
+// unambiguous link-state timeline, which arm() stages on the network before
+// traffic (a crossing reads the state at the time it starts).
 #pragma once
 
 #include <cstdint>
@@ -34,8 +36,6 @@ enum class FaultKind : std::uint8_t {
   kSlow,
   kLinkDown,
   kLinkUp,
-  kLinkDuplicate,  // sets the link's duplication probability to `param`
-  kLinkJitter,     // sets the link's reorder jitter (ms) to `param`
 };
 
 [[nodiscard]] constexpr std::string_view toString(FaultKind kind) {
@@ -50,29 +50,23 @@ enum class FaultKind : std::uint8_t {
       return "link_down";
     case FaultKind::kLinkUp:
       return "link_up";
-    case FaultKind::kLinkDuplicate:
-      return "link_duplicate";
-    case FaultKind::kLinkJitter:
-      return "link_jitter";
   }
   return "?";
 }
 
 [[nodiscard]] constexpr bool isLinkFault(FaultKind kind) {
-  return kind == FaultKind::kLinkDown || kind == FaultKind::kLinkUp ||
-         kind == FaultKind::kLinkDuplicate || kind == FaultKind::kLinkJitter;
+  return kind == FaultKind::kLinkDown || kind == FaultKind::kLinkUp;
 }
 
-/// One scheduled fault.  Agent kinds: `node` enters `kind` at `at_ms`
-/// (slow_extra_ms doubles as the generic `param` below for link kinds that
-/// carry a value).  Link kinds act on the undirected link {link_a, link_b}
-/// and leave `node` invalid.  New fields are appended so existing aggregate
+/// One scheduled fault.  Agent kinds: `node` enters `kind` at `at_ms`.  Link
+/// kinds act on the undirected link {link_a, link_b} and leave `node`
+/// invalid.  New fields are appended so existing aggregate
 /// initializers keep their meaning.
 struct FaultEvent {
   double at_ms = 0.0;
   net::NodeId node = net::kInvalidNode;
   FaultKind kind = FaultKind::kCrash;
-  double slow_extra_ms = 0.0;  // kSlow extra latency / link-kind parameter
+  double slow_extra_ms = 0.0;  // kSlow extra latency
   net::NodeId link_a = net::kInvalidNode;
   net::NodeId link_b = net::kInvalidNode;
 
@@ -157,10 +151,11 @@ class FaultInjector final : private EventSink {
 
   void setFaultHandler(FaultHandler handler);
 
-  /// Schedules every fault into the network's simulator (and applies the
-  /// plan's global duplication/jitter settings).  Call exactly once, before
-  /// (or during) the run; throws std::logic_error on reuse.  The injector
-  /// must outlive the armed events.
+  /// Applies the plan's duplication/jitter settings, stages every link
+  /// event on the network's link timeline and schedules every fault into
+  /// the network's simulator.  Call exactly once, before traffic starts;
+  /// throws std::logic_error on reuse.  The injector must outlive the armed
+  /// events.
   void arm();
 
   [[nodiscard]] const std::vector<FaultEvent>& schedule() const {
@@ -169,8 +164,12 @@ class FaultInjector final : private EventSink {
   [[nodiscard]] std::size_t plannedFaults(FaultKind kind) const;
 
  private:
+  /// Schedule indices in (at_ms, schedule-order) — the simulator's
+  /// insertion-order tie-break.
+  [[nodiscard]] std::vector<std::size_t> timeOrder() const;
   void validateLinkSchedule() const;
-  /// Applies schedule_[record.data.timer.a], then reports it to the handler.
+  /// Applies schedule_[record.data.timer.a] (agent kinds; link kinds were
+  /// staged at arm()), then reports it to the handler.
   void onEvent(const EventRecord& record) override;
 
   SimNetwork& network_;

@@ -1,4 +1,4 @@
-// Keyed recovery-loss draws.
+// Keyed recovery-loss and chaos draws.
 //
 // The paper's §5.1 model gives every link traversal an independent loss, and
 // says nothing about event order.  So whether one send is lost on one link is
@@ -9,6 +9,10 @@
 //
 // `key` names the send: the node it leaves from and that node's own send
 // counter.  `slot` is the CSR half-edge the send crosses the link through.
+// Chaos draws take the same shape: a crossing's reorder jitter and whether
+// it duplicates the packet are further functions of (send hash, slot), each
+// salted into its own stream, and a duplicate is a second transmission keyed
+// by copyKey(send hash, slot), so a copy of a copy has its own lineage.
 // No draw depends on the order events fire in.  The closed form can therefore
 // decide a link's loss when it expands the link, before the packet crosses
 // it, and every region of a parallel run decides exactly what the serial run
@@ -66,6 +70,35 @@ using SendKey = std::uint64_t;
                                             std::uint32_t slot) {
   std::uint64_t state = send + slot * 0x9e3779b97f4a7c15ULL;
   return util::splitmix64(state);
+}
+
+/// Stream salts of the chaos draws; each re-mixes the send hash, so a
+/// crossing's jitter, duplication and copy key are independent of its loss
+/// draw and of each other.
+inline constexpr std::uint64_t kJitterSalt = 0x6a09e667f3bcc909ULL;
+inline constexpr std::uint64_t kDuplicateSalt = 0xbb67ae8584caa73bULL;
+inline constexpr std::uint64_t kCopySalt = 0x3c6ef372fe94f82bULL;
+
+/// Uniform 64-bit chaos draw of the send with hash `send` on CSR half-edge
+/// `slot`, in the stream `salt` names.
+[[nodiscard]] inline std::uint64_t chaosDraw(std::uint64_t send,
+                                             std::uint64_t salt,
+                                             std::uint32_t slot) {
+  std::uint64_t state = send ^ salt;
+  return linkDraw(util::splitmix64(state), slot);
+}
+
+/// The reorder jitter of a crossing whose jitter draw is `draw`: uniform in
+/// [0, jitter_ms).
+[[nodiscard]] inline double jitterOf(std::uint64_t draw, double jitter_ms) {
+  return jitter_ms * (static_cast<double>(draw >> 11) * 0x1p-53);
+}
+
+/// The key of the copy a duplication on CSR half-edge `slot` makes of the
+/// send with hash `send`.  Its top bit is clear, so no copy key reads as a
+/// pattern key.
+[[nodiscard]] inline SendKey copyKey(std::uint64_t send, std::uint32_t slot) {
+  return chaosDraw(send, kCopySalt, slot) >> 1;
 }
 
 }  // namespace rmrn::sim

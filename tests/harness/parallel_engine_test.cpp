@@ -35,8 +35,8 @@ class EngineRig {
                         config_.srm,       config_.parity,
                         config_.coded,     config_.rp_source_mode};
     for (std::uint32_t r = 0; r < regions_.numRegions(); ++r) {
-      World& world = *worlds_.emplace_back(std::make_unique<World>(
-          topology, routing_, kLoss, kLossSeed, util::Rng(100 + r)));
+      World& world = *worlds_.emplace_back(
+          std::make_unique<World>(topology, routing_, kLoss, kLossSeed));
       world.network.enableShardMode(regions_, r, &engine_.outboxFor(r));
       for (const sim::LinkLossPattern& pattern : patterns_) {
         world.network.stageLossPattern(pattern);

@@ -30,7 +30,7 @@ struct Rig {
   explicit Rig(std::uint64_t seed, std::uint32_t n = 60)
       : topo(make(seed, n)),
         routing(topo.graph),
-        network(sim, topo, routing, 0.0, util::Rng(seed)) {}
+        network(sim, topo, routing, 0.0, sim::lossSeedOf(util::Rng(seed))) {}
 
   static net::Topology make(std::uint64_t seed, std::uint32_t n) {
     util::Rng rng(seed);

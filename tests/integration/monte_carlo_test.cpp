@@ -56,7 +56,7 @@ TEST(MonteCarloTest, SimulatedRpLatencyMatchesAnalyticPrediction) {
 
   sim::Simulator simulator;
   sim::SimNetwork network(simulator, topo, routing, /*loss_prob=*/0.0,
-                          rng.fork(2));
+                          sim::lossSeedOf(rng.fork(2)));
   metrics::RecoveryMetrics recovery;
   protocols::ProtocolConfig proto_config;
   protocols::RpProtocol protocol(network, recovery, proto_config, planner);

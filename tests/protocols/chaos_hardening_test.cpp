@@ -151,7 +151,7 @@ TEST(ChaosHardeningTest, WatchdogAbandonsPartitionedRpSessionInBoundedTime) {
   // Permanently cut client 3's only link: the data drop is detected from
   // ground truth, every recovery attempt dies on the down link, and the
   // watchdog must end the session explicitly (DESIGN.md §8 I10).
-  h.network.setLinkState(2, 3, false);
+  h.network.stageLinkState(2, 3, 0.0, false);
   protocol.sourceMulticast(0, h.noLoss());
   h.sim.run();
 
@@ -173,7 +173,7 @@ TEST(ChaosHardeningTest, WatchdogBoundsSrmUnderPermanentPartition) {
   SrmProtocol protocol(h.network, h.metrics, config, SrmConfig{},
                        util::Rng(7));
   protocol.attach();
-  h.network.setLinkState(2, 3, false);
+  h.network.stageLinkState(2, 3, 0.0, false);
   protocol.sourceMulticast(0, h.noLoss());
   h.sim.run();
   EXPECT_EQ(h.metrics.abandonedSessions(), 1u);

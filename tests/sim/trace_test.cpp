@@ -35,7 +35,7 @@ struct TraceFixture : ::testing::Test {
   TraceFixture()
       : topo(lineTopology()),
         routing(topo.graph),
-        network(sim, topo, routing, 0.0, util::Rng(1)) {
+        network(sim, topo, routing, 0.0, lossSeedOf(util::Rng(1))) {
     network.setDeliveryHandler([](NodeId, const Packet&) {});
     network.setTraceSink(recorder.sink());
   }
@@ -129,7 +129,7 @@ TEST(TraceOffTest, NoSinkNoEvents) {
   net::Topology topo = lineTopology();
   net::Routing routing(topo.graph);
   Simulator sim;
-  SimNetwork network(sim, topo, routing, 0.0, util::Rng(1));
+  SimNetwork network(sim, topo, routing, 0.0, lossSeedOf(util::Rng(1)));
   int delivered = 0;
   network.setDeliveryHandler([&](NodeId, const Packet&) { ++delivered; });
   network.unicast(2, 3, Packet{Packet::Type::kRequest, 5, 2, 2, 0});
