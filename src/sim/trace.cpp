@@ -7,30 +7,47 @@
 namespace rmrn::sim {
 
 TraceSink TraceRecorder::sink() {
-  return [this](const TraceEvent& event) { events_.push_back(event); };
+  return [this](const TraceEvent& event) {
+    if (!events_.empty() && event.time_ms < events_.back().time_ms) {
+      sorted_ = false;
+    }
+    events_.push_back(event);
+  };
+}
+
+const std::vector<TraceEvent>& TraceRecorder::events() const {
+  if (!sorted_) {
+    // Stable: records of one time keep the order they were emitted in.
+    std::stable_sort(events_.begin(), events_.end(),
+                     [](const TraceEvent& a, const TraceEvent& b) {
+                       return a.time_ms < b.time_ms;
+                     });
+    sorted_ = true;
+  }
+  return events_;
 }
 
 std::size_t TraceRecorder::count(TraceEvent::Kind kind) const {
   return static_cast<std::size_t>(
-      std::count_if(events_.begin(), events_.end(),
+      std::count_if(events().begin(), events().end(),
                     [kind](const TraceEvent& e) { return e.kind == kind; }));
 }
 
 std::size_t TraceRecorder::countType(Packet::Type type) const {
   return static_cast<std::size_t>(std::count_if(
-      events_.begin(), events_.end(),
+      events().begin(), events().end(),
       [type](const TraceEvent& e) { return e.packet.type == type; }));
 }
 
 std::vector<TraceEvent> TraceRecorder::forSequence(std::uint64_t seq) const {
   std::vector<TraceEvent> result;
-  std::copy_if(events_.begin(), events_.end(), std::back_inserter(result),
+  std::copy_if(events().begin(), events().end(), std::back_inserter(result),
                [seq](const TraceEvent& e) { return e.packet.seq == seq; });
   return result;
 }
 
 void TraceRecorder::dump(std::ostream& out) const {
-  for (const TraceEvent& e : events_) {
+  for (const TraceEvent& e : events()) {
     out << toChar(e.kind) << ' ' << std::fixed << std::setprecision(3)
         << e.time_ms << ' ';
     if (e.from == net::kInvalidNode) {

@@ -1,9 +1,11 @@
 // Packet-level tracing, in the spirit of ns-2 trace files.
 //
 // SimNetwork emits one TraceEvent per hop transmission, per-link drop and
-// agent delivery when a sink is installed (zero overhead otherwise).
-// TraceRecorder collects events, answers simple queries and dumps an
-// ns-2-style ASCII trace ("+" send, "d" drop, "r" receive).
+// agent delivery when a sink is installed (zero overhead otherwise).  A
+// send's hop records are emitted when its schedule is decided, ahead of the
+// clock, so a sink sees records out of time order; TraceRecorder keeps them
+// ordered stably by time, answers simple queries and dumps an ns-2-style
+// ASCII trace ("+" send, "d" drop, "r" receive).
 #pragma once
 
 #include <cstdint>
@@ -49,10 +51,13 @@ class TraceRecorder {
   /// Sink to install on a SimNetwork; holds a reference to this recorder.
   [[nodiscard]] TraceSink sink();
 
-  [[nodiscard]] const std::vector<TraceEvent>& events() const {
-    return events_;
+  /// Every record so far, stably ordered by time: records of one time keep
+  /// the order they were emitted in.
+  [[nodiscard]] const std::vector<TraceEvent>& events() const;
+  void clear() {
+    events_.clear();
+    sorted_ = true;
   }
-  void clear() { events_.clear(); }
 
   [[nodiscard]] std::size_t count(TraceEvent::Kind kind) const;
   [[nodiscard]] std::size_t countType(Packet::Type type) const;
@@ -64,7 +69,9 @@ class TraceRecorder {
   void dump(std::ostream& out) const;
 
  private:
-  std::vector<TraceEvent> events_;
+  // In emission order until a read sorts it; sorted_ says whether it is.
+  mutable std::vector<TraceEvent> events_;
+  mutable bool sorted_ = true;
 };
 
 }  // namespace rmrn::sim
