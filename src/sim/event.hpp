@@ -1,6 +1,6 @@
 // Typed, POD-sized event records: the only kind of event the engine runs.
 //
-// Every event is one of five small trivially copyable payloads stored
+// Every event is one of four small trivially copyable payloads stored
 // inline in the EventQueue's slab (event_queue.hpp), so scheduling one
 // performs no heap allocation, and dispatched through a single `EventSink`
 // virtual call on fire.  Cold-path schedulers use the same records:
@@ -49,23 +49,20 @@ using EventId = std::uint64_t;
 }
 
 enum class EventKind : std::uint8_t {
-  kDeliver,      // hand `packet` to the agent at `at`
-  kForwardHop,   // a unicast packet finished traversing one routed link
-  kFloodStep,    // a tree flood crossed one link and continues from `next`
-  kFloodCursor,  // a closed-form flood's next agent arrival
-  kTimer,        // timer: protocol waits, fault firings, data sends
+  kDeliver,         // hand `packet` to the agent at `at`
+  kUnicastResume,   // a unicast handed over from another region arrived
+  kFloodCursor,     // a flood's next agent arrival, or a handed-over flood
+  kTimer,           // timer: protocol waits, fault firings, data sends
 };
 
-inline constexpr std::size_t kNumEventKinds = 5;
+inline constexpr std::size_t kNumEventKinds = 4;
 
 [[nodiscard]] constexpr std::string_view toString(EventKind kind) {
   switch (kind) {
     case EventKind::kDeliver:
       return "deliver";
-    case EventKind::kForwardHop:
-      return "forward-hop";
-    case EventKind::kFloodStep:
-      return "flood-step";
+    case EventKind::kUnicastResume:
+      return "unicast-resume";
     case EventKind::kFloodCursor:
       return "flood-cursor";
     case EventKind::kTimer:
@@ -82,29 +79,19 @@ struct DeliverEvent {
   Packet packet;
 };
 
-/// A unicast packet arrived at hop `hop + 1` of path-arena entry `path`
-/// (SimNetwork owns the arena; the slot is released when the chain ends).
-/// `key` keys the send's loss draws on the hops still ahead.
-struct ForwardHopEvent {
+/// Shard mode: a unicast handed over from another region arrived at hop
+/// `hop + 1` of path-arena entry `path` (SimNetwork owns the arena and
+/// releases the slot when the walk ends).  `key` keys the send's draws on
+/// the hops still ahead.
+struct UnicastResumeEvent {
   std::uint32_t path;
   std::uint32_t hop;
   SendKey key;
   Packet packet;
 };
 
-/// A flooded packet crossed the tree link into `next` and keeps flooding
-/// away from `came_from`.  `key` keys the flood's loss draws, or names its
-/// forced pattern in SimNetwork's loss-pattern arena (isPatternKey).
-struct FloodStepEvent {
-  net::NodeId next;
-  net::NodeId came_from;
-  net::NodeId boundary;  // kInvalidNode = none
-  bool down_only;
-  SendKey key;
-  Packet packet;
-};
-
-/// The next agent arrival of a closed-form tree flood.  `flood` indexes
+/// The next arrival of a tree flood: an agent on the flood's own schedule,
+/// or in shard mode the node a handed-over flood entered.  `flood` indexes
 /// SimNetwork's flood arena, whose record holds the arrival (node, link it
 /// came over) and the flood's frontier of not-yet-expanded links.
 struct FloodCursorEvent {
@@ -124,8 +111,7 @@ struct TimerEvent {
 /// can be reused without destructor bookkeeping.
 union EventData {
   DeliverEvent deliver;
-  ForwardHopEvent forward;
-  FloodStepEvent flood;
+  UnicastResumeEvent resume;
   FloodCursorEvent cursor;
   TimerEvent timer;
 
@@ -136,8 +122,8 @@ struct EventRecord {
   EventKind kind = EventKind::kTimer;
   EventData data;
 };
-static_assert(sizeof(EventRecord) == 64,
-              "an event record fills one cache line");
+static_assert(sizeof(EventRecord) <= 64,
+              "an event record fits in one cache line");
 
 /// Receiver of typed events.  SimNetwork implements it for the packet kinds;
 /// RecoveryProtocol, FaultInjector and harness::World for timers.  The sink
