@@ -403,7 +403,6 @@ ForwardingRun runTypedForwarding(const net::Topology& topo,
   sim::Simulator simulator;
   sim::SimNetwork network(simulator, topo, routing, 0.0,
                           sim::lossSeedOf(util::Rng(11)));
-  network.enableLinkAccounting(true);
   ForwardingWorkload workload(network, simulator, topo, target_requests);
   const std::uint64_t events = workload.run();
   return {events, outcomeOf(network)};
@@ -665,7 +664,6 @@ int runJsonDriver(const std::string& out_path, std::uint64_t requests,
     sim::Simulator simulator;
     sim::SimNetwork network(simulator, topo, routing, 0.0,
                             sim::lossSeedOf(util::Rng(11)));
-    network.enableLinkAccounting(true);
     ForwardingWorkload workload(network, simulator, topo, requests);
     workload.run();  // warm-up campaign sizes the slab, arenas and heap
     const util::AllocCounts before = util::allocCounts();

@@ -1064,20 +1064,23 @@ bool sameParsimReport(harness::ParsimReport a,
 }
 
 /// Whether a parallel transfer agrees with the serial one as
-/// ParsimTest.LossyRpMatchesSerialHarness requires: counts exactly, times
-/// to about 4 ulp, and the mean latency to 1e-9 ms (regions merge their
-/// latency sums in another order than the serial run adds them).
+/// ParsimTest.LossyRpMatchesSerialHarness requires: every counter but the
+/// event counts (handoffs add resume events) exactly, times to about 4 ulp,
+/// and the mean latency to 1e-9 ms (regions merge their latency sums in
+/// another order than the serial run adds them).
 bool matchesSerial(const harness::TransferReport& serial,
                    const harness::TransferReport& parallel) {
   const auto near = [](double a, double b) {
     return std::abs(a - b) <= 4.0 * std::numeric_limits<double>::epsilon() *
                                   std::max(std::abs(a), std::abs(b));
   };
+  const auto withoutEvents = [](harness::RunCounters counters) {
+    counters.events_processed = 0;
+    counters.events_by_kind = {};
+    return counters;
+  };
   if (serial.complete != parallel.complete ||
-      serial.losses != parallel.losses ||
-      serial.recoveries != parallel.recoveries ||
-      serial.data_hops != parallel.data_hops ||
-      serial.recovery_hops != parallel.recovery_hops ||
+      withoutEvents(serial) != withoutEvents(parallel) ||
       !near(serial.duration_ms, parallel.duration_ms) ||
       std::abs(serial.avg_recovery_latency_ms -
                parallel.avg_recovery_latency_ms) > 1e-9 ||

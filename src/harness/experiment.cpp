@@ -4,7 +4,6 @@
 #include <chrono>
 #include <memory>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "core/auditor.hpp"
 #include "harness/world.hpp"
@@ -31,14 +30,8 @@ ProtocolResult runOneProtocol(const ExperimentConfig& config,
   const util::Rng network_rng =
       root_rng.fork(kProtocolStreamBase + static_cast<std::uint64_t>(kind));
   World world(topology, routing, recovery_loss, sim::lossSeedOf(network_rng));
-  world.network.enableLinkAccounting(true);
-
-  // Faulted runs need the adaptive health machinery or dead peers would be
-  // retried with static timeouts forever; fault-free runs keep the caller's
-  // (default: legacy, bit-identical) behavior.
-  protocols::ProtocolConfig proto_config =
-      withChaosDeadline(config.protocol, &config.faults);
-  if (!config.faults.empty()) proto_config.health.enabled = true;
+  const protocols::ProtocolConfig proto_config =
+      resolveProtocolConfig(config.protocol, &config.faults);
 
   // SRC plans its own empty peer lists; RP uses the run's shared planner.
   const std::unique_ptr<core::RpPlanner> source_direct =
@@ -63,83 +56,21 @@ ProtocolResult runOneProtocol(const ExperimentConfig& config,
   // remain open.
   world.protocol->finalizeRun();
 
-  const sim::SimNetwork& network = world.network;
-  const metrics::RecoveryMetrics& recovery = world.recovery;
-  const protocols::RecoveryProtocol* protocol = world.protocol.get();
   ProtocolResult result;
+  static_cast<RunCounters&>(result) = world.counters(world.simulator.now());
   result.kind = kind;
-  result.events_processed = world.simulator.eventsProcessed();
-  for (std::size_t k = 0; k < sim::kNumEventKinds; ++k) {
-    result.events_by_kind[k] =
-        world.simulator.eventsProcessed(static_cast<sim::EventKind>(k));
-  }
-  result.losses = recovery.losses();
-  result.recoveries = recovery.recoveries();
-  result.avg_latency_ms = recovery.latency().mean();
-  result.recovery_hops = network.stats().recovery_hops;
-  result.data_hops = network.stats().data_hops;
+  result.avg_latency_ms = world.recovery.latency().mean();
   result.avg_bandwidth_hops =
-      recovery.avgBandwidthHops(result.recovery_hops);
-  result.latency = recovery.latency().summarize();
-  result.fully_recovered = recovery.outstanding() == 0;
-  result.source_requests =
-      network.deliveriesAt(topology.source, sim::Packet::Type::kRequest);
-  result.max_link_load = network.maxRecoveryLinkLoad();
-  result.duplicate_deliveries = protocol->duplicateDeliveries();
-  result.retries = recovery.retries();
-  result.timeouts = recovery.timeouts();
-  result.blacklist_events = recovery.blacklistEvents();
-  result.failovers = recovery.failovers();
-  result.source_fallbacks = recovery.sourceFallbacks();
-  result.abandoned = recovery.abandoned();
-  result.residual = recovery.outstanding();
-  result.chaos_link_drops = network.stats().chaos_link_drops;
-  result.duplicates_created = network.stats().duplicates_created;
-  result.duplicate_requests_suppressed =
-      protocol->duplicateRequestsSuppressed();
-  result.duplicate_sessions = protocol->duplicateSessions();
-  result.abandoned_sessions = recovery.abandonedSessions();
-  if (const auto* parity =
-          dynamic_cast<const protocols::ParityProtocol*>(protocol)) {
-    result.source_repair_multicasts = parity->paritiesSent();
-    result.fec_nacks_sent = parity->nacksSent();
-  } else if (const auto* coded = dynamic_cast<const protocols::CodedProtocol*>(
-                 protocol)) {
-    result.source_repair_multicasts = coded->codedRepairsSent();
-    result.fec_nacks_sent = coded->nacksSent();
-  }
-
-  // Reachability-aware accounting: a partitioned client's abandoned losses
-  // are expected; a source-reachable client leaving residual is a protocol
-  // bug.  Crashed clients carry no obligation and are skipped.
-  if (network.chaosEnabled()) {
-    std::unordered_set<net::NodeId> crashed;
-    if (world.injector) {
-      for (const sim::FaultEvent& event : world.injector->schedule()) {
-        if (event.kind == sim::FaultKind::kCrash) crashed.insert(event.node);
-      }
-    }
-    for (const net::NodeId client : topology.clients) {
-      if (crashed.contains(client)) continue;
-      if (!network.reachableFromSource(client)) {
-        ++result.unreachable_clients;
-        continue;
-      }
-      result.reachable_losses += recovery.lossesFor(client);
-      result.reachable_recoveries += recovery.recoveriesFor(client);
-      result.residual_reachable += recovery.outstandingFor(client);
-    }
-  } else {
-    result.reachable_losses = result.losses;
-    result.reachable_recoveries = result.recoveries;
-    result.residual_reachable = result.residual;
-  }
+      world.recovery.avgBandwidthHops(result.recovery_hops);
+  result.latency = world.recovery.latency().summarize();
+  result.fully_recovered = result.residual == 0;
+  result.max_link_load = world.network.maxRecoveryLinkLoad();
 
   // Failover-plan audit: every list RP adopted after blacklisting must still
   // satisfy the paper's lemmas with the dead peers excluded.
   if (config.audit_failover_plans && kind == ProtocolKind::kRp) {
     if (const auto* rp =
-            dynamic_cast<const protocols::RpProtocol*>(protocol)) {
+            dynamic_cast<const protocols::RpProtocol*>(world.protocol.get())) {
       const core::PlanAuditor auditor(topology, routing);
       const core::AuditOptions audit_options =
           core::AuditOptions::fromPlanner(planner);
@@ -157,6 +88,34 @@ ProtocolResult runOneProtocol(const ExperimentConfig& config,
 }
 
 }  // namespace
+
+RunCounters& RunCounters::operator+=(const RunCounters& other) {
+  // The merge's one field list: every scalar counter.
+  static constexpr std::uint64_t RunCounters::*kSummed[] = {
+      &RunCounters::losses, &RunCounters::recoveries,
+      &RunCounters::recovery_hops, &RunCounters::data_hops,
+      &RunCounters::source_requests, &RunCounters::duplicate_deliveries,
+      &RunCounters::retries, &RunCounters::timeouts,
+      &RunCounters::blacklist_events, &RunCounters::failovers,
+      &RunCounters::source_fallbacks, &RunCounters::abandoned,
+      &RunCounters::residual, &RunCounters::chaos_link_drops,
+      &RunCounters::duplicates_created,
+      &RunCounters::duplicate_requests_suppressed,
+      &RunCounters::duplicate_sessions, &RunCounters::abandoned_sessions,
+      &RunCounters::unreachable_clients, &RunCounters::reachable_losses,
+      &RunCounters::reachable_recoveries, &RunCounters::residual_reachable,
+      &RunCounters::source_repair_multicasts, &RunCounters::fec_nacks_sent,
+      &RunCounters::events_processed};
+  static_assert(sizeof(RunCounters) ==
+                    std::size(kSummed) * sizeof(std::uint64_t) +
+                        sizeof(events_by_kind),
+                "RunCounters: a counter is missing from the merge");
+  for (const auto field : kSummed) this->*field += other.*field;
+  for (std::size_t k = 0; k < events_by_kind.size(); ++k) {
+    events_by_kind[k] += other.events_by_kind[k];
+  }
+  return *this;
+}
 
 const ProtocolResult& ExperimentResult::result(ProtocolKind kind) const {
   for (const ProtocolResult& r : protocols) {
@@ -237,39 +196,12 @@ ExperimentResult aggregate(std::vector<ExperimentResult> results) {
     for (std::size_t i = 0; i < total.protocols.size(); ++i) {
       ProtocolResult& acc = total.protocols[i];
       const ProtocolResult& cur = one.protocols[i];
-      acc.losses += cur.losses;
-      acc.recoveries += cur.recoveries;
-      acc.recovery_hops += cur.recovery_hops;
-      acc.data_hops += cur.data_hops;
+      acc += cur;
       acc.avg_latency_ms += cur.avg_latency_ms;
       acc.avg_bandwidth_hops += cur.avg_bandwidth_hops;
       acc.fully_recovered = acc.fully_recovered && cur.fully_recovered;
-      acc.source_requests += cur.source_requests;
       acc.max_link_load = std::max(acc.max_link_load, cur.max_link_load);
-      acc.duplicate_deliveries += cur.duplicate_deliveries;
-      acc.retries += cur.retries;
-      acc.timeouts += cur.timeouts;
-      acc.blacklist_events += cur.blacklist_events;
-      acc.failovers += cur.failovers;
-      acc.source_fallbacks += cur.source_fallbacks;
-      acc.abandoned += cur.abandoned;
-      acc.residual += cur.residual;
-      acc.chaos_link_drops += cur.chaos_link_drops;
-      acc.duplicates_created += cur.duplicates_created;
-      acc.duplicate_requests_suppressed += cur.duplicate_requests_suppressed;
-      acc.duplicate_sessions += cur.duplicate_sessions;
-      acc.abandoned_sessions += cur.abandoned_sessions;
-      acc.unreachable_clients += cur.unreachable_clients;
-      acc.reachable_losses += cur.reachable_losses;
-      acc.reachable_recoveries += cur.reachable_recoveries;
-      acc.residual_reachable += cur.residual_reachable;
       acc.plan_audit_violations += cur.plan_audit_violations;
-      acc.source_repair_multicasts += cur.source_repair_multicasts;
-      acc.fec_nacks_sent += cur.fec_nacks_sent;
-      acc.events_processed += cur.events_processed;
-      for (std::size_t k = 0; k < sim::kNumEventKinds; ++k) {
-        acc.events_by_kind[k] += cur.events_by_kind[k];
-      }
     }
   }
   const auto n = static_cast<double>(results.size());

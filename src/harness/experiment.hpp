@@ -79,9 +79,9 @@ struct ExperimentConfig {
 
   /// Process faults injected mid-run (DESIGN.md §9).  The same plan (and
   /// plan seed) picks identical victims for every protocol of a run, so
-  /// comparisons stay apples-to-apples.  A non-empty plan auto-enables
-  /// protocol.health (adaptive timeouts / blacklisting) unless the caller
-  /// set it explicitly.
+  /// comparisons stay apples-to-apples.  A non-empty plan turns on
+  /// protocol.health (adaptive timeouts / blacklisting), see
+  /// resolveProtocolConfig() in harness/world.hpp.
   sim::FaultPlan faults;
 
   /// After an RP run, re-audit every adopted failover plan with
@@ -99,24 +99,15 @@ struct ExperimentConfig {
       protocols::SourceRecoveryMode::kUnicast;
 };
 
-struct ProtocolResult {
-  ProtocolKind kind = ProtocolKind::kRp;
-  std::size_t losses = 0;
-  std::size_t recoveries = 0;
-  double avg_latency_ms = 0.0;        // Figs. 5 / 7
-  double avg_bandwidth_hops = 0.0;    // Figs. 6 / 8
+/// Every summed counter of a run, declared once (DESIGN.md §9.4): read by
+/// World::counters(), merged over repetitions and regions by operator+=.
+struct RunCounters {
+  std::uint64_t losses = 0;  // (client, packet) losses
+  std::uint64_t recoveries = 0;
   std::uint64_t recovery_hops = 0;
   std::uint64_t data_hops = 0;
-  metrics::Summary latency;
-  bool fully_recovered = false;
-  /// Dispersion of the per-run means across an averaged experiment's
-  /// repetitions (0 for single runs): sample standard deviations.
-  double latency_run_stddev = 0.0;
-  double bandwidth_run_stddev = 0.0;
   /// Recovery REQUESTs delivered at the source (§2.2's congestion concern).
   std::uint64_t source_requests = 0;
-  /// Heaviest per-link recovery traversal count.
-  std::uint64_t max_link_load = 0;
   /// Repairs delivered to receivers that already held the packet.
   std::uint64_t duplicate_deliveries = 0;
   /// Resilience counters (all zero in fault-free legacy runs).
@@ -125,8 +116,8 @@ struct ProtocolResult {
   std::uint64_t blacklist_events = 0;  // peers written off after k timeouts
   std::uint64_t failovers = 0;         // replanExcluding adoptions (RP)
   std::uint64_t source_fallbacks = 0;  // sessions that fell back to the source
-  std::size_t abandoned = 0;           // losses voided by client crashes
-  std::size_t residual = 0;            // surviving-client losses unrecovered
+  std::uint64_t abandoned = 0;         // losses written off (see below)
+  std::uint64_t residual = 0;          // surviving-client losses unrecovered
   /// Chaos counters (all zero when the run had no link chaos).
   std::uint64_t chaos_link_drops = 0;   // packets eaten by down links
   std::uint64_t duplicates_created = 0; // extra copies injected by links
@@ -139,17 +130,15 @@ struct ProtocolResult {
   std::uint64_t abandoned_sessions = 0;
   /// Reachability-aware accounting (chaos runs only; in chaos-free runs
   /// every client is reachable, so reachable_* mirror the global counters).
-  /// A client is source-reachable when, in the end-of-run link state, both
-  /// its static unicast route from the source and its multicast-tree root
-  /// path are fully up.
-  std::size_t unreachable_clients = 0;
-  std::size_t reachable_losses = 0;
-  std::size_t reachable_recoveries = 0;
+  /// A client is source-reachable when, in the link state at the run's end,
+  /// both its static unicast route from the source and its multicast-tree
+  /// root path are fully up.  Crashed clients count in none of these.
+  std::uint64_t unreachable_clients = 0;
+  std::uint64_t reachable_losses = 0;
+  std::uint64_t reachable_recoveries = 0;
   /// Unrecovered, unabandoned losses of reachable clients — the invariant a
   /// chaos run must drive to zero.
-  std::size_t residual_reachable = 0;
-  /// Failover-plan audit violations (RP with audit_failover_plans).
-  std::uint64_t plan_audit_violations = 0;
+  std::uint64_t residual_reachable = 0;
   /// Source-side repair multicasts (FEC parity waves / coded-repair waves;
   /// zero for the per-sequence protocols, whose source load shows up in
   /// source_requests instead).
@@ -158,11 +147,31 @@ struct ProtocolResult {
   /// source (distinct from source_requests, which counts per-sequence
   /// REQUESTs delivered there).
   std::uint64_t fec_nacks_sent = 0;
-  /// Simulator events fired during the run (summed across repetitions in
-  /// averaged experiments); drivers report events/sec from it.
+  /// Simulator events fired; drivers report events/sec from it.
   std::uint64_t events_processed = 0;
   /// events_processed split by sim::EventKind (indexed by its value).
   std::array<std::uint64_t, sim::kNumEventKinds> events_by_kind{};
+
+  RunCounters& operator+=(const RunCounters& other);
+  bool operator==(const RunCounters&) const = default;
+};
+
+/// One protocol arm of an experiment: its counters and per-recovery metrics.
+struct ProtocolResult : RunCounters {
+  ProtocolKind kind = ProtocolKind::kRp;
+  double avg_latency_ms = 0.0;        // Figs. 5 / 7
+  double avg_bandwidth_hops = 0.0;    // Figs. 6 / 8
+  metrics::Summary latency;
+  bool fully_recovered = false;
+  /// Dispersion of the per-run means across an averaged experiment's
+  /// repetitions (0 for single runs): sample standard deviations.
+  double latency_run_stddev = 0.0;
+  double bandwidth_run_stddev = 0.0;
+  /// Heaviest per-link recovery traversal count (the maximum across
+  /// repetitions).
+  std::uint64_t max_link_load = 0;
+  /// Failover-plan audit violations (RP with audit_failover_plans).
+  std::uint64_t plan_audit_violations = 0;
 };
 
 struct ExperimentResult {

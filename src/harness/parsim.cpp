@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "harness/world.hpp"
@@ -36,7 +37,7 @@ ParsimReport runParallelTransfer(const net::Topology& topology,
         "runParallelTransfer: need at least one packet");
   }
   const protocols::ProtocolConfig protocol =
-      withChaosDeadline(config.protocol_config, faults);
+      resolveProtocolConfig(config.protocol_config, faults);
   const Scheme scheme{config.protocol, protocol,     config.srm,
                       config.parity,   config.coded, config.rp_source_mode};
 
@@ -104,24 +105,22 @@ ParsimReport runParallelTransfer(const net::Topology& topology,
   report.lookahead_ms = stats.lookahead_ms;
 
   // Merge in canonical region order (region 0 upward) so every aggregate is
-  // worker-count independent.
+  // worker-count independent.  Reachability is judged at the run's end, the
+  // latest region clock, in every region.
+  sim::TimeMs end_ms = 0.0;
+  for (const auto& w : worlds) end_ms = std::max(end_ms, w->simulator.now());
   TransferReport& transfer = report.transfer;
   metrics::Accumulator latency;
   for (const auto& world : worlds) {
-    const metrics::RecoveryMetrics& recovery = world->recovery;
-    const sim::NetworkStats& net_stats = world->network.stats();
-    transfer.losses += recovery.losses();
-    transfer.recoveries += recovery.recoveries();
-    latency.merge(recovery.latency());
-    transfer.data_hops += net_stats.data_hops;
-    transfer.recovery_hops += net_stats.recovery_hops;
-    report.retries += recovery.retries();
-    report.timeouts += recovery.timeouts();
-    report.abandoned += recovery.abandoned();
-    report.abandoned_sessions += recovery.abandonedSessions();
-    report.chaos_link_drops += net_stats.chaos_link_drops;
-    report.duplicates_created += net_stats.duplicates_created;
+    transfer += world->counters(end_ms);
+    latency.merge(world->recovery.latency());
   }
+  std::tie(report.retries, report.timeouts, report.abandoned,
+           report.abandoned_sessions, report.chaos_link_drops,
+           report.duplicates_created) =
+      std::tie(transfer.retries, transfer.timeouts, transfer.abandoned,
+               transfer.abandoned_sessions, transfer.chaos_link_drops,
+               transfer.duplicates_created);
   transfer.avg_recovery_latency_ms = latency.mean();
   transfer.recovery_latency = latency.summarize();
   transfer.overhead = transfer.data_hops == 0

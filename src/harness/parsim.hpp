@@ -42,7 +42,7 @@ struct ParsimConfig {
 };
 
 struct ParsimReport {
-  /// Merged transfer results, same shape as the serial runTransfer().
+  /// Every counter summed over regions in canonical region order.
   TransferReport transfer;
 
   // Engine accounting.
@@ -54,7 +54,8 @@ struct ParsimReport {
   std::uint64_t region_runs = 0;  // busy regions run, summed over epochs
   double lookahead_ms = 0.0;      // 0 when a single region ran unbounded
 
-  // Resilience counters merged over regions in canonical region order.
+  // Copies of transfer's counters, kept only because perfbench/ reads them
+  // by these names; remove them with the next change to the benchmark.
   std::uint64_t retries = 0;
   std::uint64_t timeouts = 0;
   std::size_t abandoned = 0;
@@ -70,7 +71,7 @@ struct ParsimReport {
 /// Runs one transfer over `topology` on the parallel engine.  Deterministic
 /// in (topology, config, parallel.target_regions, faults) — the worker
 /// count does not affect any reported value.  `faults` (optional) replays
-/// the same plan in every region, mirroring the serial chaos harness.
+/// the same plan in every region, resolved as the serial harness does.
 [[nodiscard]] ParsimReport runParallelTransfer(
     const net::Topology& topology, const TransferConfig& config,
     const ParsimConfig& parallel, const sim::FaultPlan* faults = nullptr);

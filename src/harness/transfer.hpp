@@ -46,15 +46,12 @@ struct ClientCompletion {
   bool operator==(const ClientCompletion&) const = default;
 };
 
-struct TransferReport {
+/// A transfer's counters (summed over regions) and its completion.
+struct TransferReport : RunCounters {
   bool complete = false;       // every client holds every packet
   double duration_ms = 0.0;    // time of the last completion
-  std::size_t losses = 0;      // (client, packet) losses
-  std::size_t recoveries = 0;
   double avg_recovery_latency_ms = 0.0;
   metrics::Summary recovery_latency;
-  std::uint64_t data_hops = 0;
-  std::uint64_t recovery_hops = 0;
   /// Recovery traffic as a fraction of data traffic (hop count ratio).
   double overhead = 0.0;
   std::vector<ClientCompletion> completions;  // sorted by client id

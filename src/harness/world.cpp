@@ -11,13 +11,13 @@
 
 namespace rmrn::harness {
 
-protocols::ProtocolConfig withChaosDeadline(protocols::ProtocolConfig config,
-                                            const sim::FaultPlan* faults) {
+protocols::ProtocolConfig resolveProtocolConfig(
+    protocols::ProtocolConfig config, const sim::FaultPlan* faults) {
+  if (faults == nullptr || faults->empty()) return config;
+  config.health.enabled = true;
   // Link chaos can strand a session forever (permanent partition + schemes
-  // that re-request indefinitely); the watchdog guarantees bounded-time
-  // termination unless the caller pinned a deadline explicitly.
-  if (faults != nullptr && faults->hasLinkChaos() &&
-      config.session_deadline_ms == 0.0) {
+  // that re-request indefinitely); the watchdog bounds its time.
+  if (faults->hasLinkChaos() && config.session_deadline_ms == 0.0) {
     config.session_deadline_ms = kChaosSessionDeadlineMs;
   }
   return config;
@@ -123,6 +123,62 @@ void World::scheduleData(std::span<const sim::LinkLossPattern> patterns,
 void World::onEvent(const sim::EventRecord& record) {
   const std::uint64_t seq = record.data.timer.a;
   protocol->sourceMulticast(seq, patterns_[seq]);
+}
+
+RunCounters World::counters(sim::TimeMs end_ms) const {
+  const sim::NetworkStats& stats = network.stats();
+  RunCounters c{
+      .losses = recovery.losses(),
+      .recoveries = recovery.recoveries(),
+      .recovery_hops = stats.recovery_hops,
+      .data_hops = stats.data_hops,
+      .source_requests = network.deliveriesAt(network.topology().source,
+                                              sim::Packet::Type::kRequest),
+      .duplicate_deliveries = protocol->duplicateDeliveries(),
+      .retries = recovery.retries(),
+      .timeouts = recovery.timeouts(),
+      .blacklist_events = recovery.blacklistEvents(),
+      .failovers = recovery.failovers(),
+      .source_fallbacks = recovery.sourceFallbacks(),
+      .abandoned = recovery.abandoned(),
+      .residual = recovery.outstanding(),
+      .chaos_link_drops = stats.chaos_link_drops,
+      .duplicates_created = stats.duplicates_created,
+      .duplicate_requests_suppressed = protocol->duplicateRequestsSuppressed(),
+      .duplicate_sessions = protocol->duplicateSessions(),
+      .abandoned_sessions = recovery.abandonedSessions(),
+      .source_repair_multicasts = protocol->sourceRepairMulticasts(),
+      .fec_nacks_sent = protocol->nacksSent(),
+      .events_processed = simulator.eventsProcessed(),
+  };
+  for (std::size_t k = 0; k < sim::kNumEventKinds; ++k) {
+    c.events_by_kind[k] =
+        simulator.eventsProcessed(static_cast<sim::EventKind>(k));
+  }
+
+  // Reachability-aware accounting: a partitioned client's abandoned losses
+  // are expected; a source-reachable client leaving residual is a protocol
+  // bug.  Crashed clients carry no obligation and are skipped (every region
+  // replays every crash on its own network).
+  if (!network.chaosEnabled()) {
+    c.reachable_losses = c.losses;
+    c.reachable_recoveries = c.recoveries;
+    c.residual_reachable = c.residual;
+    return c;
+  }
+  for (const net::NodeId client : network.topology().clients) {
+    if (!network.isShardLocal(client) || network.isAgentFailed(client)) {
+      continue;
+    }
+    if (!network.reachableFromSource(client, end_ms)) {
+      ++c.unreachable_clients;
+      continue;
+    }
+    c.reachable_losses += recovery.lossesFor(client);
+    c.reachable_recoveries += recovery.recoveriesFor(client);
+    c.residual_reachable += recovery.outstandingFor(client);
+  }
+  return c;
 }
 
 ClientCompletion World::completion(net::NodeId client,

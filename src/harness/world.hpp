@@ -5,10 +5,10 @@
 // runParallelTransfer() builds one per region (runTransfer() is its
 // single-region case).  This file owns what those drivers used to repeat:
 // the ProtocolKind -> protocol switch, planner-option resolution, the choice
-// of loss process, FaultInjector wiring, data-packet pacing (one timer event
-// per packet, payload = its seq) and the per-client completion sweep.
-// Drivers keep their own RNG substreams, resolved ProtocolConfig and result
-// accounting.
+// of loss process, the protocol config a fault plan implies, FaultInjector
+// wiring, data-packet pacing (one timer event per packet, payload = its
+// seq), the run counters (RunCounters) and the per-client completion sweep.
+// Drivers keep their own RNG substreams and derived metrics.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +47,10 @@ struct Scheme {
 /// enough that a permanently partitioned session still terminates.
 inline constexpr double kChaosSessionDeadlineMs = 10000.0;
 
-/// `config` with the chaos watchdog default applied when `faults` carries
-/// link chaos and the caller pinned no session deadline.
-[[nodiscard]] protocols::ProtocolConfig withChaosDeadline(
+/// `config` as a run under `faults` (may be null) uses it: a non-empty plan
+/// turns on peer health, and link chaos gets the watchdog default unless
+/// the caller pinned a session deadline.
+[[nodiscard]] protocols::ProtocolConfig resolveProtocolConfig(
     protocols::ProtocolConfig config, const sim::FaultPlan* faults);
 
 /// The planner `kind` recovers with, or nullptr for schemes that plan
@@ -71,8 +72,8 @@ inline constexpr double kChaosSessionDeadlineMs = 10000.0;
 
 /// Simulator, network, metrics, protocol and optional fault injector of one
 /// run (or one region of a parallel run).  Build order: construct, adjust
-/// `network` (link accounting, shard mode, staged patterns), buildProtocol,
-/// armFaults, scheduleData, run.
+/// `network` (shard mode, staged patterns), buildProtocol, armFaults,
+/// scheduleData, run.
 struct World final : sim::EventSink {
   /// `recovery_loss` is the per-link loss of recovery traffic; `loss_seed`
   /// keys those draws and the chaos draws.
@@ -100,6 +101,11 @@ struct World final : sim::EventSink {
   /// A data-send timer fired: the source multicasts packet
   /// `record.data.timer.a`.
   void onEvent(const sim::EventRecord& record) override;
+
+  /// This world's run counters, the one place they are read (DESIGN.md
+  /// §9.4).  Reachability is judged for its shard-local clients by the link
+  /// state at `end_ms`, the run's end (the latest region clock).
+  [[nodiscard]] RunCounters counters(sim::TimeMs end_ms) const;
 
   /// `client`'s completion after the run: the loss-free arrival of the last
   /// packet or its last recovery, whichever is later, and its loss count.

@@ -69,11 +69,11 @@ class CodedProtocol final : public RecoveryProtocol {
 
   [[nodiscard]] const CodedConfig& codedConfig() const { return coded_; }
   /// Coded repair packets multicast by the source (all waves, all windows).
-  [[nodiscard]] std::uint64_t codedRepairsSent() const {
+  [[nodiscard]] std::uint64_t sourceRepairMulticasts() const override {
     return coded_repairs_sent_;
   }
   /// NACKs issued by clients (first sends + retries).
-  [[nodiscard]] std::uint64_t nacksSent() const { return nacks_sent_; }
+  [[nodiscard]] std::uint64_t nacksSent() const override { return nacks_sent_; }
   /// Rows discarded as linearly dependent (already in the decoder's span).
   [[nodiscard]] std::uint64_t dependentRowsDropped() const {
     return dependent_rows_dropped_;

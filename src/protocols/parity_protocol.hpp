@@ -46,9 +46,11 @@ class ParityProtocol final : public RecoveryProtocol {
 
   [[nodiscard]] const ParityConfig& parityConfig() const { return parity_; }
   /// Parity packets multicast by the source (all waves, all blocks).
-  [[nodiscard]] std::uint64_t paritiesSent() const { return parities_sent_; }
+  [[nodiscard]] std::uint64_t sourceRepairMulticasts() const override {
+    return parities_sent_;
+  }
   /// NACKs issued by clients (first sends + retries).
-  [[nodiscard]] std::uint64_t nacksSent() const { return nacks_sent_; }
+  [[nodiscard]] std::uint64_t nacksSent() const override { return nacks_sent_; }
 
  private:
   void onLossDetected(net::NodeId client, std::uint64_t seq) override;

@@ -49,12 +49,11 @@ struct ProtocolConfig {
 };
 
 // Thread-safety (DESIGN.md §12): externally synchronized.  A protocol's
-// shared state (session maps, dedup watermarks, PeerHealth) is driven solely
-// by the owning simulator's single event loop — handlers never run
-// concurrently, so there are no locks to annotate.  Anything that moves
-// protocol handlers onto multiple shards (ROADMAP item 1) must either keep a
-// protocol instance per shard or introduce util::Mutex-guarded state with
-// RMRN_GUARDED_BY annotations.
+// state (session maps, dedup watermarks, PeerHealth) is driven solely by the
+// owning simulator's single event loop, so there are no locks to annotate.
+// A parallel run (harness/parsim.hpp) keeps one protocol instance per
+// region, on that region's simulator; instances share only immutable inputs
+// and the RpPlanner, whose plans are immutable after build (DESIGN.md §14).
 class RecoveryProtocol : public sim::EventSink {
  public:
   RecoveryProtocol(sim::SimNetwork& network, metrics::RecoveryMetrics& metrics,
@@ -97,6 +96,13 @@ class RecoveryProtocol : public sim::EventSink {
   [[nodiscard]] std::uint64_t duplicateSessions() const {
     return duplicate_sessions_;
   }
+
+  /// Source repair multicasts (FEC parities, coded repairs) and the NACKs
+  /// clients sent the source for them; zero for per-sequence schemes.
+  [[nodiscard]] virtual std::uint64_t sourceRepairMulticasts() const {
+    return 0;
+  }
+  [[nodiscard]] virtual std::uint64_t nacksSent() const { return 0; }
 
   /// End-of-run invariant sweep (call after the simulator drains).  With the
   /// watchdog enabled, RMRN_ENSUREs that every detected loss terminated —

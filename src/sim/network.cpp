@@ -304,15 +304,14 @@ void SimNetwork::setAllLinksJitterMs(double jitter_ms) {
   jitter_ms_ = jitter_ms;
 }
 
-bool SimNetwork::reachableFromSource(net::NodeId v) const {
+bool SimNetwork::reachableFromSource(net::NodeId v, TimeMs at) const {
   if (v == topology_.source) return true;
   if (!chaos_active_) return true;  // links never fail outside chaos mode
   // Static unicast route (requests up, repairs back down the same path).
   std::vector<net::NodeId> route;
   routing_.pathInto(topology_.source, v, route);
-  const TimeMs now = simulator_.now();
   for (std::size_t i = 0; i + 1 < route.size(); ++i) {
-    if (linkDownAt(edge_id_[edgeSlot(route[i], route[i + 1])], now)) {
+    if (linkDownAt(edge_id_[edgeSlot(route[i], route[i + 1])], at)) {
       return false;
     }
   }
@@ -320,7 +319,7 @@ bool SimNetwork::reachableFromSource(net::NodeId v) const {
   const auto& tree = topology_.tree;
   if (tree.contains(v)) {
     for (net::NodeId u = v; u != tree.root(); u = tree.parent(u)) {
-      if (linkDownAt(edge_id_[up_link_[u].slot], now)) {
+      if (linkDownAt(edge_id_[up_link_[u].slot], at)) {
         return false;
       }
     }
@@ -406,9 +405,7 @@ void SimNetwork::countHopSlot(const Packet& packet, std::uint32_t slot) {
     return;
   }
   ++stats_.recovery_hops;
-  if (link_accounting_) {
-    ++link_load_[edge_id_[slot]];
-  }
+  ++link_load_[edge_id_[slot]];
 }
 
 void SimNetwork::resetStats() {
@@ -422,10 +419,6 @@ std::uint64_t SimNetwork::deliveriesAt(net::NodeId v,
   const std::size_t index =
       static_cast<std::size_t>(v) * 4 + static_cast<std::size_t>(type);
   return index < deliveries_by_type_.size() ? deliveries_by_type_[index] : 0;
-}
-
-void SimNetwork::enableLinkAccounting(bool enabled) {
-  link_accounting_ = enabled;
 }
 
 std::uint64_t SimNetwork::recoveryLinkLoad(net::NodeId a, net::NodeId b) const {

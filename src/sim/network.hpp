@@ -167,11 +167,11 @@ class SimNetwork final : public EventSink {
   /// a uniform extra delay in [0, jitter_ms), so same-link packets can
   /// overtake each other.
   void setAllLinksJitterMs(double jitter_ms);
-  /// Whether `v` can still be recovered from the source under the CURRENT
-  /// link state: conservative — both the static unicast route source <-> v
-  /// and v's tree root path (repair multicasts) must be fully up.  Cold
-  /// path (allocates); meant for end-of-run reachability accounting.
-  [[nodiscard]] bool reachableFromSource(net::NodeId v) const;
+  /// Whether `v` can be recovered from the source in the link state at `at`:
+  /// conservative — both the static unicast route source <-> v and v's tree
+  /// root path (repair multicasts) must be fully up.  Cold path (allocates);
+  /// meant for end-of-run reachability accounting.
+  [[nodiscard]] bool reachableFromSource(net::NodeId v, TimeMs at) const;
 
   /// Shard mode (conservative parallel engine, DESIGN.md §14): this network
   /// instance simulates only the nodes of `my_region`; a send stops at a
@@ -244,18 +244,16 @@ class SimNetwork final : public EventSink {
   [[nodiscard]] std::uint64_t deliveriesAt(net::NodeId v,
                                            Packet::Type type) const;
 
-  /// Per-link traversal accounting for RECOVERY traffic (requests, repairs,
-  /// parities); off by default.  When on, each traversal is one increment of
-  /// a flat per-edge counter (no hashing on the hot path).
-  void enableLinkAccounting(bool enabled);
-  /// Recovery traversals of the undirected edge {a, b}.  Throws
-  /// std::invalid_argument when the graph has no such edge.
+  /// Traversals of the undirected edge {a, b} by RECOVERY traffic
+  /// (requests, repairs, parities), counted in a flat per-edge array (no
+  /// hashing on the hot path).  Throws std::invalid_argument when the graph
+  /// has no such edge.
   [[nodiscard]] std::uint64_t recoveryLinkLoad(net::NodeId a,
                                                net::NodeId b) const;
-  /// Total recovery traversals across all links (0 when accounting is off).
+  /// Total recovery traversals across all links.
   [[nodiscard]] std::uint64_t totalRecoveryLinkLoad() const;
-  /// Heaviest-loaded link's recovery traversal count (0 when accounting is
-  /// off or no recovery traffic flowed).
+  /// Heaviest-loaded link's recovery traversal count (0 when no recovery
+  /// traffic flowed).
   [[nodiscard]] std::uint64_t maxRecoveryLinkLoad() const;
 
   [[nodiscard]] double lossProb() const { return loss_prob_; }
@@ -424,7 +422,6 @@ class SimNetwork final : public EventSink {
   std::vector<net::NodeId> edge_peer_;
   std::vector<std::uint32_t> edge_id_;
   std::vector<net::DelayMs> edge_delay_;
-  bool link_accounting_ = false;
   std::vector<std::uint64_t> link_load_;  // by undirected edge id
 
   // Link chaos.  link_changes_[edge] holds the edge's staged change times,

@@ -9,6 +9,7 @@
 #include "completion_hash.hpp"
 #include "harness/transfer.hpp"
 #include "net/topology.hpp"
+#include "support/run_counters.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn::harness {
@@ -115,16 +116,26 @@ TEST(ParsimTest, SingleRegionRunsUnbounded) {
   EXPECT_EQ(report.lookahead_ms, 0.0);
 }
 
-/// The parallel run agrees with the serial engine exactly: integers
-/// bitwise, latency aggregates up to float summation order.
+/// Every counter but the event counts (handoffs add resume events) equal.
+void expectCountersMatch(const RunCounters& serial,
+                         const RunCounters& parallel) {
+  const test_support::NamedCounters expected =
+      test_support::namedCounters(serial);
+  const test_support::NamedCounters actual =
+      test_support::namedCounters(parallel);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].second, expected[i].second) << expected[i].first;
+  }
+}
+
+/// The parallel run agrees with the serial engine exactly: every counter
+/// but the event counts bitwise, latency aggregates up to float summation
+/// order.
 void expectMatchesSerial(const TransferReport& serial,
                          const ParsimReport& parallel) {
   EXPECT_TRUE(serial.complete);
   EXPECT_TRUE(parallel.transfer.complete);
-  EXPECT_EQ(parallel.transfer.losses, serial.losses);
-  EXPECT_EQ(parallel.transfer.recoveries, serial.recoveries);
-  EXPECT_EQ(parallel.transfer.data_hops, serial.data_hops);
-  EXPECT_EQ(parallel.transfer.recovery_hops, serial.recovery_hops);
+  expectCountersMatch(serial, parallel.transfer);
   EXPECT_DOUBLE_EQ(parallel.transfer.duration_ms, serial.duration_ms);
   EXPECT_NEAR(parallel.transfer.avg_recovery_latency_ms,
               serial.avg_recovery_latency_ms, 1e-9);
@@ -356,6 +367,40 @@ TEST_P(ParsimChaosReplay, WorkerSweepIsBitIdentical) {
     for (const ParsimReport* parallel : {&one, &two, &four}) {
       expectMatchesSerial(serial, *parallel);
     }
+  }
+}
+
+TEST(ParsimTest, PermanentPartitionReachabilityMatchesSerial) {
+  // A permanent partition leaves clients unreachable at the run's end; each
+  // region judges its own clients, and the sums equal the one-region run's.
+  const net::Topology topo = makeTopology(9, 60);
+  TransferConfig config;
+  config.protocol = ProtocolKind::kRp;
+  config.num_packets = 30;
+  config.loss_prob = 0.1;
+  config.lossy_recovery = true;
+  config.seed = 13;
+  config.protocol_config.health.retry_budget = 256;
+  const double span = config.num_packets * config.packet_interval_ms;
+  sim::FaultPlan plan;  // the chaos grid's perm25 cell
+  plan.seed = config.seed;
+  plan.at_ms = 0.4 * span;
+  plan.stagger_ms = config.packet_interval_ms;
+  plan.partition_fraction = 0.25;
+
+  const TransferReport serial =
+      runParallelTransfer(topo, config, parallelConfig(1, /*regions=*/1),
+                          &plan)
+          .transfer;
+  EXPECT_GT(serial.unreachable_clients, 0u);
+  EXPECT_GT(serial.abandoned_sessions, 0u);
+  EXPECT_EQ(serial.residual_reachable, 0u);
+  for (const unsigned workers : {1u, 2u}) {
+    SCOPED_TRACE(workers);
+    const ParsimReport parallel =
+        runParallelTransfer(topo, config, parallelConfig(workers), &plan);
+    EXPECT_GE(parallel.regions, 2u);
+    expectCountersMatch(serial, parallel.transfer);
   }
 }
 

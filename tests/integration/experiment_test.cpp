@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "support/run_counters.hpp"
+
 namespace rmrn::harness {
 namespace {
 
@@ -88,25 +92,81 @@ TEST(ExperimentTest, PaperHeadlineOrderingHolds) {
   EXPECT_LT(rp.avg_bandwidth_hops, rma.avg_bandwidth_hops);
 }
 
-TEST(ExperimentTest, AveragingSumsCountsAndAveragesMetrics) {
-  const ExperimentConfig config = smallConfig(3);
-  const ExperimentResult one = runExperiment(config);
+/// Averaging `config` over two seeds, with every scheme, sums every counter
+/// of the two single runs and averages their metrics.
+void expectAveragingSums(const ExperimentConfig& config) {
+  const ProtocolKind kinds[] = {
+      ProtocolKind::kSrm,       ProtocolKind::kRma,
+      ProtocolKind::kRp,        ProtocolKind::kSourceDirect,
+      ProtocolKind::kParityFec, ProtocolKind::kCodedRlc};
+  const ExperimentResult one = runExperiment(config, kinds);
   ExperimentConfig second = config;
   second.seed = config.seed + 1;
-  const ExperimentResult two = runExperiment(second);
-  const ExperimentResult avg = runAveragedExperiment(config, 2);
+  const ExperimentResult two = runExperiment(second, kinds);
+  const ExperimentResult avg = runAveragedExperiment(config, 2, kinds);
 
   for (std::size_t i = 0; i < avg.protocols.size(); ++i) {
-    EXPECT_EQ(avg.protocols[i].losses,
-              one.protocols[i].losses + two.protocols[i].losses);
-    EXPECT_NEAR(avg.protocols[i].avg_latency_ms,
-                (one.protocols[i].avg_latency_ms +
-                 two.protocols[i].avg_latency_ms) /
-                    2.0,
-                1e-9);
+    const ProtocolResult& a = one.protocols[i];
+    const ProtocolResult& b = two.protocols[i];
+    const ProtocolResult& sum = avg.protocols[i];
+    SCOPED_TRACE(toString(sum.kind));
+    const test_support::NamedCounters named_a = test_support::namedCounters(a);
+    const test_support::NamedCounters named_b = test_support::namedCounters(b);
+    const test_support::NamedCounters named_sum =
+        test_support::namedCounters(sum);
+    for (std::size_t j = 0; j < named_sum.size(); ++j) {
+      EXPECT_EQ(named_sum[j].second, named_a[j].second + named_b[j].second)
+          << named_sum[j].first;
+    }
+    EXPECT_EQ(sum.events_processed, a.events_processed + b.events_processed);
+    for (std::size_t k = 0; k < sim::kNumEventKinds; ++k) {
+      EXPECT_EQ(sum.events_by_kind[k],
+                a.events_by_kind[k] + b.events_by_kind[k])
+          << k;
+    }
+    EXPECT_EQ(sum.max_link_load, std::max(a.max_link_load, b.max_link_load));
+    EXPECT_EQ(sum.plan_audit_violations,
+              a.plan_audit_violations + b.plan_audit_violations);
+    EXPECT_EQ(sum.fully_recovered, a.fully_recovered && b.fully_recovered);
+    EXPECT_NEAR(sum.avg_latency_ms,
+                (a.avg_latency_ms + b.avg_latency_ms) / 2.0, 1e-9);
+    EXPECT_NEAR(sum.avg_bandwidth_hops,
+                (a.avg_bandwidth_hops + b.avg_bandwidth_hops) / 2.0, 1e-9);
   }
   EXPECT_NEAR(avg.num_clients, (one.num_clients + two.num_clients) / 2.0,
               1e-9);
+}
+
+TEST(ExperimentTest, AveragingSumsCountsAndAveragesMetrics) {
+  // Lossy recovery under client crashes and link chaos (a permanent
+  // partition, flaps, duplication and jitter), so that most counters are
+  // nonzero.
+  ExperimentConfig chaos = smallConfig(3);
+  chaos.lossy_recovery = true;
+  chaos.audit_failover_plans = true;
+  const double span = chaos.num_packets * chaos.data_interval_ms;
+  chaos.faults.seed = 3;
+  chaos.faults.at_ms = 0.4 * span;
+  chaos.faults.crash_fraction = 0.1;
+  chaos.faults.partition_fraction = 0.25;
+  chaos.faults.link_flap_fraction = 0.15;
+  chaos.faults.flap_down_ms = 0.1 * span;
+  chaos.faults.flap_cycles = 2;
+  chaos.faults.flap_period_ms = 0.25 * span;
+  chaos.faults.duplicate_prob = 0.15;
+  chaos.faults.reorder_jitter_ms = 2.0;
+  expectAveragingSums(chaos);
+
+  // Crashes and stalls without chaos (so no watchdog) and a retry budget
+  // of 2: sessions that run out of attempts leave their losses residual.
+  ExperimentConfig residual = smallConfig(3);
+  residual.lossy_recovery = true;
+  residual.faults.seed = 3;
+  residual.faults.at_ms = 0.4 * span;
+  residual.faults.crash_fraction = 0.1;
+  residual.faults.stall_fraction = 0.1;
+  residual.protocol.health.retry_budget = 2;
+  expectAveragingSums(residual);
 }
 
 TEST(ExperimentTest, LoadMetricsPopulated) {

@@ -155,7 +155,7 @@ TEST(ChaosHardeningTest, WatchdogAbandonsPartitionedRpSessionInBoundedTime) {
   protocol.sourceMulticast(0, h.noLoss());
   h.sim.run();
 
-  EXPECT_FALSE(h.network.reachableFromSource(3));
+  EXPECT_FALSE(h.network.reachableFromSource(3, h.sim.now()));
   EXPECT_EQ(h.metrics.losses(), 1u);
   EXPECT_EQ(h.metrics.recoveries(), 0u);
   EXPECT_EQ(h.metrics.abandonedSessions(), 1u);

@@ -56,7 +56,7 @@ TEST(CodedProtocolTest, NoLossNoTraffic) {
   h.sim.run();
   EXPECT_EQ(h.metrics.losses(), 0u);
   EXPECT_EQ(h.protocol.nacksSent(), 0u);
-  EXPECT_EQ(h.protocol.codedRepairsSent(), 0u);
+  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 0u);
 }
 
 TEST(CodedProtocolTest, SingleLossOneCodedRepair) {
@@ -65,7 +65,7 @@ TEST(CodedProtocolTest, SingleLossOneCodedRepair) {
   h.sim.run();
   EXPECT_TRUE(h.protocol.allRecovered());
   EXPECT_EQ(h.protocol.nacksSent(), 1u);
-  EXPECT_EQ(h.protocol.codedRepairsSent(), 1u);
+  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 1u);
   EXPECT_TRUE(h.protocol.hasPacket(3, 0));
 }
 
@@ -77,7 +77,7 @@ TEST(CodedProtocolTest, OneWaveServesAllLosers) {
   h.sim.run();
   EXPECT_TRUE(h.protocol.allRecovered());
   EXPECT_EQ(h.metrics.recoveries(), 4u);
-  EXPECT_EQ(h.protocol.codedRepairsSent(), 1u);
+  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 1u);
 }
 
 TEST(CodedProtocolTest, WaveCoversUnionOfAsymmetricLosses) {
@@ -92,7 +92,7 @@ TEST(CodedProtocolTest, WaveCoversUnionOfAsymmetricLosses) {
   h.sim.run();
   EXPECT_TRUE(h.protocol.allRecovered());
   EXPECT_EQ(h.metrics.recoveries(), 4u);
-  EXPECT_EQ(h.protocol.codedRepairsSent(), 2u);
+  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 2u);
 }
 
 TEST(CodedProtocolTest, DecodesExactlyAtRankEqualsLossCount) {
@@ -145,12 +145,12 @@ TEST(CodedProtocolTest, LateLossNeedsFreshRepair) {
   h.protocol.sourceMulticast(0, h.lossInto({3}));
   h.sim.run();
   ASSERT_TRUE(h.protocol.allRecovered());
-  ASSERT_EQ(h.protocol.codedRepairsSent(), 1u);
+  ASSERT_EQ(h.protocol.sourceRepairMulticasts(), 1u);
   h.protocol.sourceMulticast(1, h.lossInto({3}));
   h.sim.run();
   EXPECT_TRUE(h.protocol.allRecovered());
   EXPECT_EQ(h.protocol.nacksSent(), 2u);
-  EXPECT_EQ(h.protocol.codedRepairsSent(), 2u);
+  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 2u);
 }
 
 TEST(CodedProtocolTest, WindowRingWrapsAround) {
@@ -169,7 +169,7 @@ TEST(CodedProtocolTest, WindowRingWrapsAround) {
   }
   EXPECT_TRUE(h.protocol.allRecovered());
   EXPECT_EQ(h.metrics.recoveries(), 12u);
-  EXPECT_EQ(h.protocol.codedRepairsSent(), 12u);
+  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 12u);
   EXPECT_EQ(CodedProtocolTestPeer::openSessions(h.protocol), 0u);
 }
 
@@ -200,7 +200,7 @@ TEST(CodedProtocolTest, CrashDuringGatherCancelsOrphanWave) {
   test_support::ScheduledCalls calls(h.sim);
   calls.at(25.0, [&] { h.protocol.clientCrashed(3); });
   h.sim.run();
-  EXPECT_EQ(h.protocol.codedRepairsSent(), 0u);
+  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 0u);
   EXPECT_EQ(CodedProtocolTestPeer::openSessions(h.protocol), 0u);
 }
 
@@ -222,7 +222,7 @@ TEST(CodedProtocolTest, DeterministicAcrossIdenticalRuns) {
     h.protocol.sourceMulticast(1, h.lossInto({2}));
     h.protocol.sourceMulticast(2, h.lossInto({6}));
     h.sim.run();
-    return std::tuple{h.protocol.nacksSent(), h.protocol.codedRepairsSent(),
+    return std::tuple{h.protocol.nacksSent(), h.protocol.sourceRepairMulticasts(),
                       h.metrics.latency().mean(), h.sim.eventsProcessed()};
   };
   EXPECT_EQ(run(7), run(7));

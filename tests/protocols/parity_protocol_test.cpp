@@ -47,7 +47,7 @@ TEST(ParityProtocolTest, NoLossNoTraffic) {
   h.sim.run();
   EXPECT_EQ(h.metrics.losses(), 0u);
   EXPECT_EQ(h.protocol.nacksSent(), 0u);
-  EXPECT_EQ(h.protocol.paritiesSent(), 0u);
+  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 0u);
 }
 
 TEST(ParityProtocolTest, SingleLossOneParity) {
@@ -56,7 +56,7 @@ TEST(ParityProtocolTest, SingleLossOneParity) {
   h.sim.run();
   EXPECT_TRUE(h.protocol.allRecovered());
   EXPECT_EQ(h.protocol.nacksSent(), 1u);
-  EXPECT_EQ(h.protocol.paritiesSent(), 1u);
+  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 1u);
   EXPECT_TRUE(h.protocol.hasPacket(3, 0));
 }
 
@@ -68,7 +68,7 @@ TEST(ParityProtocolTest, OneParityWaveServesAllLosers) {
   h.sim.run();
   EXPECT_TRUE(h.protocol.allRecovered());
   EXPECT_EQ(h.metrics.recoveries(), 4u);
-  EXPECT_EQ(h.protocol.paritiesSent(), 1u);
+  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 1u);
 }
 
 TEST(ParityProtocolTest, MultipleLossesInBlockNeedMultipleParities) {
@@ -79,7 +79,7 @@ TEST(ParityProtocolTest, MultipleLossesInBlockNeedMultipleParities) {
   h.sim.run();
   EXPECT_TRUE(h.protocol.allRecovered());
   EXPECT_EQ(h.metrics.recoveries(), 2u);
-  EXPECT_GE(h.protocol.paritiesSent(), 2u);
+  EXPECT_GE(h.protocol.sourceRepairMulticasts(), 2u);
   EXPECT_TRUE(h.protocol.hasPacket(3, 0));
   EXPECT_TRUE(h.protocol.hasPacket(3, 1));
 }
@@ -96,7 +96,7 @@ TEST(ParityProtocolTest, BlocksAreIndependent) {
   EXPECT_TRUE(h.protocol.allRecovered());
   EXPECT_EQ(h.metrics.recoveries(), 2u);
   // One parity per affected block.
-  EXPECT_EQ(h.protocol.paritiesSent(), 2u);
+  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 2u);
 }
 
 TEST(ParityProtocolTest, AsymmetricNeedsServedByMaxRequest) {
@@ -109,7 +109,7 @@ TEST(ParityProtocolTest, AsymmetricNeedsServedByMaxRequest) {
   h.sim.run();
   EXPECT_TRUE(h.protocol.allRecovered());
   EXPECT_EQ(h.metrics.recoveries(), 3u);
-  EXPECT_GE(h.protocol.paritiesSent(), 2u);
+  EXPECT_GE(h.protocol.sourceRepairMulticasts(), 2u);
 }
 
 TEST(ParityProtocolTest, RecoversUnderLossyRecoveryTraffic) {
@@ -210,7 +210,7 @@ TEST(ParityProtocolTest, CrashDuringGatherCancelsOrphanWave) {
   h.sim.run();
   // 1 missing seq + 1 gathering source block while the window was open.
   EXPECT_EQ(open_mid_gather, 2u);
-  EXPECT_EQ(h.protocol.paritiesSent(), 0u) << "wave fired for a dead client";
+  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 0u) << "wave fired for a dead client";
   EXPECT_EQ(ParityProtocolTestPeer::openSessions(h.protocol), 0u);
 }
 
@@ -224,7 +224,7 @@ TEST(ParityProtocolTest, CrashDuringGatherKeepsWaveForSurvivors) {
   test_support::ScheduledCalls calls(h.sim);
   calls.at(20.0, [&] { h.protocol.clientCrashed(3); });
   h.sim.run();
-  EXPECT_EQ(h.protocol.paritiesSent(), 1u);
+  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 1u);
   EXPECT_TRUE(h.protocol.hasPacket(4, 0));
   EXPECT_EQ(ParityProtocolTestPeer::openSessions(h.protocol), 0u);
 }
@@ -239,14 +239,14 @@ TEST(ParityProtocolTest, LateLossNeedsFreshParity) {
   h.sim.run();
   ASSERT_TRUE(h.protocol.allRecovered());
   ASSERT_EQ(h.protocol.nacksSent(), 1u);
-  ASSERT_EQ(h.protocol.paritiesSent(), 1u);
+  ASSERT_EQ(h.protocol.sourceRepairMulticasts(), 1u);
 
   // Second loss, same block (block_size 8 covers seqs 0..7).
   h.protocol.sourceMulticast(1, h.lossInto({3}));
   h.sim.run();
   EXPECT_TRUE(h.protocol.allRecovered());
   EXPECT_EQ(h.protocol.nacksSent(), 2u) << "late loss decoded from thin air";
-  EXPECT_EQ(h.protocol.paritiesSent(), 2u);
+  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 2u);
 }
 
 }  // namespace

@@ -45,7 +45,6 @@ class DataPlaneAllocTest : public ::testing::Test {
     routing_ = std::make_unique<net::Routing>(topo_.graph);
     network_ = std::make_unique<SimNetwork>(
         simulator_, topo_, *routing_, loss_prob, lossSeedOf(util::Rng(11)));
-    network_->enableLinkAccounting(true);
     network_->setDeliveryHandler(
         [this](net::NodeId, const Packet&) { ++delivered_; });
   }
@@ -174,7 +173,6 @@ struct ShardReplica final : EventSink {
                ParallelEngine& engine)
       : topo(topology),
         network(simulator, topology, routing, 0.05, /*loss_seed=*/77) {
-    network.enableLinkAccounting(true);
     network.enableShardMode(regions, region, &engine.outboxFor(region));
     network.setDeliveryHandler([](net::NodeId, const Packet&) {});
     engine.attach(region, &simulator, &network);

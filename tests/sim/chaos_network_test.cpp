@@ -221,7 +221,7 @@ TEST(ChaosNetworkTest, ReachableFromSourceTracksRouteAndTreePath) {
   Rig rig;
   // Chaos off: everyone reachable.
   for (const net::NodeId client : rig.topo.clients) {
-    EXPECT_TRUE(rig.network.reachableFromSource(client));
+    EXPECT_TRUE(rig.network.reachableFromSource(client, rig.sim.now()));
   }
   // Cutting a client's parent tree link makes it unreachable (the multicast
   // repair path is gone even if a unicast detour exists).
@@ -231,10 +231,10 @@ TEST(ChaosNetworkTest, ReachableFromSourceTracksRouteAndTreePath) {
   rig.network.stageLinkState(parent, client, 2.0, true);
   test_support::ScheduledCalls calls(rig.sim);
   calls.at(1.5, [&rig, client] {
-    EXPECT_FALSE(rig.network.reachableFromSource(client));
+    EXPECT_FALSE(rig.network.reachableFromSource(client, rig.sim.now()));
   });
   calls.at(2.0, [&rig, client] {
-    EXPECT_TRUE(rig.network.reachableFromSource(client));
+    EXPECT_TRUE(rig.network.reachableFromSource(client, rig.sim.now()));
   });
   rig.sim.run();
   EXPECT_EQ(rig.sim.now(), 2.0);

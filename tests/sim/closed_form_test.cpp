@@ -107,7 +107,6 @@ Outcome run(const net::Topology& topo, double loss_prob,
   const net::Routing routing(topo.graph);
   Simulator sim;
   Net network(sim, topo, routing, loss_prob, lossSeedOf(util::Rng(5)));
-  network.enableLinkAccounting(true);
   TraceRecorder recorder;
   network.setTraceSink(recorder.sink());
   Outcome out;

@@ -323,7 +323,9 @@ TEST(FaultInjectorTest, PartitionCutsAndHealRestoresReachability) {
   test_support::ScheduledCalls calls(rig.sim);
   calls.at(250.0, [&rig, &someone_cut] {
     for (const net::NodeId client : rig.topo.clients) {
-      if (!rig.network.reachableFromSource(client)) someone_cut = true;
+      if (!rig.network.reachableFromSource(client, rig.sim.now())) {
+        someone_cut = true;
+      }
     }
   });
   injector.arm();
@@ -331,7 +333,8 @@ TEST(FaultInjectorTest, PartitionCutsAndHealRestoresReachability) {
   EXPECT_TRUE(someone_cut);
   // Healed: every client reachable again at end of run.
   for (const net::NodeId client : rig.topo.clients) {
-    EXPECT_TRUE(rig.network.reachableFromSource(client)) << client;
+    EXPECT_TRUE(rig.network.reachableFromSource(client, rig.sim.now()))
+        << client;
   }
 }
 

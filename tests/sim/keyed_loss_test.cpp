@@ -112,7 +112,6 @@ TEST_P(KeyedLossTest, NetworkDrawsEachHopOfEachSendIndependently) {
   const net::Routing routing(topo.graph);
   Simulator sim;
   SimNetwork network(sim, topo, routing, p, lossSeedOf(util::Rng(9)));
-  network.enableLinkAccounting(true);
   constexpr std::uint32_t kUnicasts = 100000;
   std::vector<bool> arrived(kUnicasts, false);
   network.setDeliveryHandler([&arrived](net::NodeId, const Packet& packet) {

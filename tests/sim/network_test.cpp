@@ -218,7 +218,6 @@ TEST_F(NetworkFixture, PerAgentDeliveryCountsByType) {
 }
 
 TEST_F(NetworkFixture, LinkAccountingTracksRecoveryTraversals) {
-  network_.enableLinkAccounting(true);
   // 3 -> 4 unicast uses links 3-1, 1-0, 0-2, 2-4 once each.
   network_.unicast(3, 4, request(1, 3));
   sim_.run();
@@ -238,19 +237,15 @@ TEST_F(NetworkFixture, LinkAccountingTracksRecoveryTraversals) {
 }
 
 TEST_F(NetworkFixture, LinkAccountingIgnoresDataAndDefaultsOff) {
+  // Recovery link loads are always counted, data traversals never.
   network_.multicastFromSource(Packet{Packet::Type::kData, 0, 0,
                                       net::kInvalidNode, 0});
   sim_.run();
-  EXPECT_EQ(network_.totalRecoveryLinkLoad(), 0u);  // off by default
-  network_.enableLinkAccounting(true);
-  network_.multicastFromSource(Packet{Packet::Type::kData, 1, 0,
-                                      net::kInvalidNode, 0});
-  sim_.run();
+  EXPECT_GT(network_.stats().data_hops, 0u);
   EXPECT_EQ(network_.totalRecoveryLinkLoad(), 0u);  // data never counted
 }
 
 TEST_F(NetworkFixture, ResetStatsClearsCounters) {
-  network_.enableLinkAccounting(true);
   network_.unicast(3, 4, request(1, 3));
   sim_.run();
   EXPECT_GT(network_.stats().recovery_hops, 0u);

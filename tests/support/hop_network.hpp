@@ -75,7 +75,6 @@ class HopNetwork final : public sim::EventSink {
     slow_extra_ms_[agent] =
         fault == sim::AgentFault::kSlowed ? slow_extra_ms : 0.0;
   }
-  void enableLinkAccounting(bool enabled) { link_accounting_ = enabled; }
   void stageLinkState(net::NodeId a, net::NodeId b, sim::TimeMs at,
                       bool /*up: each change flips the link*/) {
     link_changes_[edge(a, b)].push_back(at);
@@ -251,7 +250,7 @@ class HopNetwork final : public sim::EventSink {
       return;
     }
     ++stats_.recovery_hops;
-    if (link_accounting_) ++link_load_[edge(a, b)];
+    ++link_load_[edge(a, b)];
   }
   /// Counts and traces the crossing a -> b; true when it survives chaos and
   /// the loss `lost` names.
@@ -384,7 +383,6 @@ class HopNetwork final : public sim::EventSink {
   std::map<std::pair<net::NodeId, net::NodeId>, std::vector<sim::TimeMs>>
       link_changes_;
   std::map<std::pair<net::NodeId, net::NodeId>, std::uint64_t> link_load_;
-  bool link_accounting_ = false;
   DeliveryHandler handler_;
   sim::TraceSink trace_sink_;
   sim::NetworkStats stats_;
