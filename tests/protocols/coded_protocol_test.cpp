@@ -222,7 +222,8 @@ TEST(CodedProtocolTest, DeterministicAcrossIdenticalRuns) {
     h.protocol.sourceMulticast(1, h.lossInto({2}));
     h.protocol.sourceMulticast(2, h.lossInto({6}));
     h.sim.run();
-    return std::tuple{h.protocol.nacksSent(), h.protocol.sourceRepairMulticasts(),
+    return std::tuple{h.protocol.nacksSent(),
+                      h.protocol.sourceRepairMulticasts(),
                       h.metrics.latency().mean(), h.sim.eventsProcessed()};
   };
   EXPECT_EQ(run(7), run(7));

@@ -210,7 +210,8 @@ TEST(ParityProtocolTest, CrashDuringGatherCancelsOrphanWave) {
   h.sim.run();
   // 1 missing seq + 1 gathering source block while the window was open.
   EXPECT_EQ(open_mid_gather, 2u);
-  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 0u) << "wave fired for a dead client";
+  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 0u)
+      << "wave fired for a dead client";
   EXPECT_EQ(ParityProtocolTestPeer::openSessions(h.protocol), 0u);
 }
 
