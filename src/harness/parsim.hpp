@@ -42,7 +42,7 @@ struct ParsimConfig {
 };
 
 struct ParsimReport {
-  /// Every counter summed over regions in canonical region order.
+  /// Merged transfer results, same shape as the serial runTransfer().
   TransferReport transfer;
 
   // Engine accounting.
