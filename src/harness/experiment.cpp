@@ -92,19 +92,30 @@ ProtocolResult runOneProtocol(const ExperimentConfig& config,
 RunCounters& RunCounters::operator+=(const RunCounters& other) {
   // The merge's one field list: every scalar counter.
   static constexpr std::uint64_t RunCounters::*kSummed[] = {
-      &RunCounters::losses, &RunCounters::recoveries,
-      &RunCounters::recovery_hops, &RunCounters::data_hops,
-      &RunCounters::source_requests, &RunCounters::duplicate_deliveries,
-      &RunCounters::retries, &RunCounters::timeouts,
-      &RunCounters::blacklist_events, &RunCounters::failovers,
-      &RunCounters::source_fallbacks, &RunCounters::abandoned,
-      &RunCounters::residual, &RunCounters::chaos_link_drops,
+      &RunCounters::losses,
+      &RunCounters::recoveries,
+      &RunCounters::recovery_hops,
+      &RunCounters::data_hops,
+      &RunCounters::source_requests,
+      &RunCounters::duplicate_deliveries,
+      &RunCounters::retries,
+      &RunCounters::timeouts,
+      &RunCounters::blacklist_events,
+      &RunCounters::failovers,
+      &RunCounters::source_fallbacks,
+      &RunCounters::abandoned,
+      &RunCounters::residual,
+      &RunCounters::chaos_link_drops,
       &RunCounters::duplicates_created,
       &RunCounters::duplicate_requests_suppressed,
-      &RunCounters::duplicate_sessions, &RunCounters::abandoned_sessions,
-      &RunCounters::unreachable_clients, &RunCounters::reachable_losses,
-      &RunCounters::reachable_recoveries, &RunCounters::residual_reachable,
-      &RunCounters::source_repair_multicasts, &RunCounters::fec_nacks_sent,
+      &RunCounters::duplicate_sessions,
+      &RunCounters::abandoned_sessions,
+      &RunCounters::unreachable_clients,
+      &RunCounters::reachable_losses,
+      &RunCounters::reachable_recoveries,
+      &RunCounters::residual_reachable,
+      &RunCounters::source_repair_multicasts,
+      &RunCounters::fec_nacks_sent,
       &RunCounters::events_processed};
   static_assert(sizeof(RunCounters) ==
                     std::size(kSummed) * sizeof(std::uint64_t) +

@@ -92,17 +92,9 @@ ParsimReport runParallelTransfer(const net::Topology& topology,
     engine.attach(r, &world.simulator, &world.network);
   }
 
-  const sim::ParallelEngine::Stats stats = engine.run();
-  for (const auto& world : worlds) world->protocol->finalizeRun();
-
   ParsimReport report;
-  report.regions = stats.regions;
-  report.lanes = stats.lanes;
-  report.epochs = stats.epochs;
-  report.handoffs = stats.handoffs;
-  report.events = stats.events;
-  report.region_runs = stats.region_runs;
-  report.lookahead_ms = stats.lookahead_ms;
+  static_cast<sim::ParallelEngine::Stats&>(report) = engine.run();
+  for (const auto& world : worlds) world->protocol->finalizeRun();
 
   // Merge in canonical region order (region 0 upward) so every aggregate is
   // worker-count independent.  Reachability is judged at the run's end, the

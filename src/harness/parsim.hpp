@@ -30,6 +30,7 @@
 #include "harness/transfer.hpp"
 #include "net/topology.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/parallel_engine.hpp"
 
 namespace rmrn::harness {
 
@@ -41,18 +42,11 @@ struct ParsimConfig {
   unsigned workers = 1;
 };
 
-struct ParsimReport {
+/// The engine's accounting of the run (regions, lanes, epochs, handoffs,
+/// events, region runs, lookahead) and the merged transfer.
+struct ParsimReport : sim::ParallelEngine::Stats {
   /// Merged transfer results, same shape as the serial runTransfer().
   TransferReport transfer;
-
-  // Engine accounting.
-  std::uint32_t regions = 0;
-  unsigned lanes = 0;             // pool lanes actually available
-  std::uint64_t epochs = 0;       // conservative barrier rounds
-  std::uint64_t handoffs = 0;     // cross-region packet transfers
-  std::uint64_t events = 0;       // events fired across all regions
-  std::uint64_t region_runs = 0;  // busy regions run, summed over epochs
-  double lookahead_ms = 0.0;      // 0 when a single region ran unbounded
 
   // Copies of transfer's counters, kept only because perfbench/ reads them
   // by these names; remove them with the next change to the benchmark.

@@ -185,15 +185,13 @@ ClientCompletion World::completion(net::NodeId client,
                                    std::uint32_t num_packets,
                                    double interval_ms, bool& holds_all) const {
   holds_all = true;
-  std::size_t losses = 0;
   for (std::uint32_t seq = 0; seq < num_packets; ++seq) {
     holds_all = holds_all && protocol->hasPacket(client, seq);
-    if (recovery.wasLost(client, seq)) ++losses;
   }
   const double last_send = static_cast<double>(num_packets - 1) * interval_ms;
   const double arrival = last_send + network.treeArrivalDelay(client);
   return {client, std::max(arrival, recovery.lastRecoveryTime(client)),
-          losses};
+          recovery.lossesFor(client)};
 }
 
 }  // namespace rmrn::harness

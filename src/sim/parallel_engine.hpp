@@ -50,9 +50,11 @@ class ParallelEngine {
     std::uint64_t handoffs = 0;     // cross-region packets transferred
     std::uint64_t events = 0;       // events fired across all regions
     std::uint64_t region_runs = 0;  // busy regions run, summed over epochs
-    double lookahead_ms = 0.0;      // the conservative horizon width
+    double lookahead_ms = 0.0;      // 0 when a single region ran unbounded
     std::uint32_t regions = 0;
     unsigned lanes = 0;  // pool execution lanes actually available
+
+    bool operator==(const Stats&) const = default;
   };
 
   /// `workers` is the requested lane count (clamped by the pool to the
