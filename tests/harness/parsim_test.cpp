@@ -370,6 +370,15 @@ TEST_P(ParsimChaosReplay, WorkerSweepIsBitIdentical) {
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(Protocols, ParsimChaosReplay,
+                         ::testing::Values(ProtocolKind::kRp,
+                                           ProtocolKind::kSrm),
+                         [](const auto& param_info) {
+                           return param_info.param == ProtocolKind::kRp
+                                      ? "Rp"
+                                      : "Srm";
+                         });
+
 TEST(ParsimTest, PermanentPartitionReachabilityMatchesSerial) {
   // A permanent partition leaves clients unreachable at the run's end; each
   // region judges its own clients, and the sums equal the one-region run's.
@@ -403,15 +412,6 @@ TEST(ParsimTest, PermanentPartitionReachabilityMatchesSerial) {
     expectCountersMatch(serial, parallel.transfer);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Protocols, ParsimChaosReplay,
-                         ::testing::Values(ProtocolKind::kRp,
-                                           ProtocolKind::kSrm),
-                         [](const auto& param_info) {
-                           return param_info.param == ProtocolKind::kRp
-                                      ? "Rp"
-                                      : "Srm";
-                         });
 
 }  // namespace
 }  // namespace rmrn::harness
