@@ -103,6 +103,8 @@ void writeConfig(std::ostream& out, const ExperimentConfig& c) {
   out << "srm.hold_factor = " << c.srm.hold_factor << "\n";
   out << "parity.block_size = " << c.parity.block_size << "\n";
   out << "parity.gather_window_ms = " << c.parity.gather_window_ms << "\n";
+  out << "coded.window_size = " << c.coded.window_size << "\n";
+  out << "coded.gather_window_ms = " << c.coded.gather_window_ms << "\n";
   out << "rp.timeout_ms = " << c.rp_planner.timeout_ms << "\n";
   out << "rp.per_peer_timeout_factor = "
       << c.rp_planner.per_peer_timeout_factor << "\n";
@@ -206,6 +208,8 @@ ExperimentConfig readConfig(std::istream& in) {
       {"parity.block_size", asU32(config.parity.block_size)},
       {"parity.gather_window_ms",
        asDouble(config.parity.gather_window_ms)},
+      {"coded.window_size", asU32(config.coded.window_size)},
+      {"coded.gather_window_ms", asDouble(config.coded.gather_window_ms)},
       {"rp.timeout_ms", asDouble(config.rp_planner.timeout_ms)},
       {"rp.per_peer_timeout_factor",
        asDouble(config.rp_planner.per_peer_timeout_factor)},

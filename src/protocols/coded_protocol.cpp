@@ -1,7 +1,6 @@
 #include "protocols/coded_protocol.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -10,27 +9,26 @@
 
 namespace rmrn::protocols {
 
-// rmrn-lint: init-phase
+template class NackWaveProtocol<CodedDecoder>;
+
 CodedProtocol::CodedProtocol(sim::SimNetwork& network,
                              metrics::RecoveryMetrics& metrics,
                              const ProtocolConfig& config,
                              const CodedConfig& coded_config,
                              util::Rng coef_rng)
-    : RecoveryProtocol(network, metrics, config),
-      coded_(coded_config),
-      coef_seed_(coef_rng.next()) {
+    : NackWaveProtocol(network, metrics, config, coded_config.window_size,
+                       coded_config.gather_window_ms,
+                       CodedDecoder(coded_config.window_size, coef_rng.next())),
+      coded_(coded_config) {
   if (coded_.window_size < 2 || coded_.window_size > kMaxWindowSize ||
-      coded_.ring_windows < 2 || coded_.gather_window_ms < 0.0) {
+      coded_.gather_window_ms < 0.0) {
     throw std::invalid_argument("CodedProtocol: bad coded config");
   }
-  // The window ring is the only source-side allocation; every later wave
-  // reuses these slots.
-  ring_.resize(coded_.ring_windows);
 }
 
-void CodedProtocol::fillCoefficients(std::uint64_t window, std::uint64_t index,
-                                     std::uint32_t covered,
-                                     std::uint8_t* out) const {
+void CodedDecoder::fillCoefficients(std::uint64_t window, std::uint64_t index,
+                                    std::uint32_t covered,
+                                    std::uint8_t* out) const {
   // Keyed substream: splitmix64 seeding inside Rng scrambles the combined
   // key, so consecutive (window, index) pairs give unrelated vectors while
   // every agent derives the identical one.  Coefficients are forced nonzero
@@ -52,45 +50,26 @@ void CodedProtocol::fillCoefficients(std::uint64_t window, std::uint64_t index,
   }
 }
 
-// ------------------------------------------------------------ client side --
-
-void CodedProtocol::onLossDetected(net::NodeId client, std::uint64_t seq) {
-  const std::uint64_t window = windowOf(seq);
-  auto& state = client_windows_[key(client, window)];
-  const auto col = static_cast<std::uint32_t>(seq - window * coded_.window_size);
-  const std::uint64_t bit = std::uint64_t{1} << col;
-  if ((state.missing_mask & bit) != 0) {
-    recordDuplicateSessionAttempt();
-    return;
-  }
-  state.missing_mask |= bit;
-  // No stored row can touch the new column (rows referencing a sequence
-  // whose loss was undetected at receive time are dropped on arrival), so
-  // rank < missing holds here and a NACK always goes out.
-  if (tryDecode(client, window)) return;
-  sendNack(client, window, /*retransmit=*/false);
-}
-
-bool CodedProtocol::addRow(ClientWindow& state, const std::uint8_t* row) {
-  const std::uint32_t w = coded_.window_size;
+bool CodedDecoder::addRow(State& state, const std::uint8_t* row) {
+  const std::uint32_t w = window_size_;
   std::memcpy(&state.rows[state.rows_used * w], row, w);
   // Folding the candidate into the maintained echelon form costs one pass
   // over rows_used+1 rows; a dependent row reduces to zero and sinks.
   const std::size_t rank =
       util::gf256::eliminate(state.rows.data(), state.rows_used + 1, w);
   RMRN_ENSURE(rank == state.rows_used || rank == state.rows_used + 1,
-              "CodedProtocol: elimination lost previously independent rows");
+              "CodedDecoder: elimination lost previously independent rows");
   if (rank == state.rows_used) {
-    ++dependent_rows_dropped_;
+    ++dependent_rows_dropped;
     return false;
   }
   state.rows_used = static_cast<std::uint32_t>(rank);
   return true;
 }
 
-void CodedProtocol::dropColumn(ClientWindow& state, std::uint32_t col,
-                               bool known) {
-  const std::uint32_t w = coded_.window_size;
+void CodedDecoder::dropColumn(State& state, std::uint32_t col,
+                              bool known) const {
+  const std::uint32_t w = window_size_;
   if (known) {
     // The client obtained the packet: its contribution to every stored
     // combination is now subtractable, which symbolically zeroes the column.
@@ -127,16 +106,15 @@ void CodedProtocol::dropColumn(ClientWindow& state, std::uint32_t col,
       util::gf256::eliminate(state.rows.data(), state.rows_used, w));
 }
 
-void CodedProtocol::onParity(net::NodeId at, const sim::Packet& packet) {
-  const std::uint64_t window = packet.seq;
-  const auto it = client_windows_.find(key(at, window));
-  if (it == client_windows_.end()) return;  // nothing missing here
-  ClientWindow& state = it->second;
-  if (state.missing_mask == 0) return;  // window already whole
-  const std::uint32_t covered = sim::codedCoveredOf(packet.tag);
-  const std::uint64_t index = sim::codedIndexOf(packet.tag);
-  RMRN_REQUIRE(covered >= 1 && covered <= coded_.window_size,
-               "CodedProtocol: repair coverage outside the window");
+bool CodedDecoder::absorb(State& state, const ColumnSet& missing,
+                          const RecoveryProtocol& protocol, net::NodeId at,
+                          const sim::Packet& repair) {
+  if (missing.empty()) return false;  // window already whole
+  const std::uint64_t window = repair.seq;
+  const std::uint32_t covered = sim::codedCoveredOf(repair.tag);
+  const std::uint64_t index = sim::codedIndexOf(repair.tag);
+  RMRN_REQUIRE(covered >= 1 && covered <= window_size_,
+               "CodedDecoder: repair coverage outside the window");
 
   std::array<std::uint8_t, kMaxWindowSize> coefs{};
   fillCoefficients(window, index, covered, coefs.data());
@@ -147,240 +125,27 @@ void CodedProtocol::onParity(net::NodeId at, const sim::Packet& packet) {
   // lost (the repair raced loss detection) is unusable — drop it whole; the
   // retry timer re-elicits coverage once the detection lands.
   std::array<std::uint8_t, kMaxWindowSize> row{};
-  const std::uint64_t base = window * coded_.window_size;
+  const std::uint64_t base = window * window_size_;
   for (std::uint32_t j = 0; j < covered; ++j) {
-    if (hasPacket(at, base + j)) continue;
-    if ((state.missing_mask >> j & 1U) == 0) {
-      ++raced_rows_dropped_;
-      return;
+    if (protocol.hasPacket(at, base + j)) continue;
+    if (!missing.contains(j)) {
+      ++raced_rows_dropped;
+      return false;
     }
     row[j] = coefs[j];
   }
-  if (addRow(state, row.data())) tryDecode(at, window);
+  return addRow(state, row.data());
 }
 
-bool CodedProtocol::tryDecode(net::NodeId client, std::uint64_t window) {
-  auto& state = client_windows_.at(key(client, window));
-  const auto missing =
-      static_cast<std::uint32_t>(std::popcount(state.missing_mask));
-  // Rank invariant: stored rows are independent with support inside the
-  // missing columns, so rank can never exceed the loss count — decoding at
-  // full rank is exact, never speculative.
-  RMRN_ENSURE(state.rows_used <= missing,
-              "CodedProtocol: rank exceeds missing count");
-  if (missing == 0 || state.rows_used < missing) return false;
-  std::uint64_t decoded = state.missing_mask;
-  state.missing_mask = 0;
-  state.rows_used = 0;
-  if (state.timer_armed) {
-    simulator().cancel(state.retry_timer);
-    state.timer_armed = false;
-  }
-  const std::uint64_t base = window * coded_.window_size;
-  while (decoded != 0) {
-    const auto col = static_cast<std::uint32_t>(std::countr_zero(decoded));
-    decoded &= decoded - 1;
-    markHasPacket(client, base + col);
-  }
-  return true;
-}
-
-void CodedProtocol::sendNack(net::NodeId client, std::uint64_t window,
-                             bool retransmit) {
-  auto& state = client_windows_.at(key(client, window));
-  const auto missing =
-      static_cast<std::uint32_t>(std::popcount(state.missing_mask));
-  const std::uint32_t needed =
-      missing > state.rows_used ? missing - state.rows_used : 0;
-  if (needed == 0) return;
-
-  ++nacks_sent_;
-  if (retransmit) recoveryMetrics().recordRetry();
-  // REQUEST.seq carries the window id, REQUEST.tag the additional coded
-  // repairs wanted (rank deficit, not raw loss count: rows already banked
-  // keep paying across waves).
-  network().unicast(client, source(),
-                    sim::Packet{sim::Packet::Type::kRequest, window, client,
-                                client, needed});
-  // Coded waves carry the window id as seq and originate at the source, so
-  // the probe keyed (client, window) matches the first repair back.
-  noteRequestSent(client, window, source(), retransmit);
-
-  if (state.timer_armed) simulator().cancel(state.retry_timer);
-  const double wait =
-      requestTimeout(client, source()) + coded_.gather_window_ms;
-  state.retry_timer = scheduleTimerAfter(wait, kTimerRetry, client, window);
-  state.timer_armed = true;
-}
-
-void CodedProtocol::onPacketObtained(net::NodeId client, std::uint64_t seq) {
-  // A missing packet can arrive outside the decode (a chaos-duplicated data
-  // copy landing after detection): fold the new knowledge into the decoder.
-  const std::uint64_t window = windowOf(seq);
-  const auto it = client_windows_.find(key(client, window));
-  if (it == client_windows_.end()) return;
-  ClientWindow& state = it->second;
-  const auto col = static_cast<std::uint32_t>(seq - window * coded_.window_size);
-  const std::uint64_t bit = std::uint64_t{1} << col;
-  if ((state.missing_mask & bit) == 0) return;
-  state.missing_mask &= ~bit;
-  dropColumn(state, col, /*known=*/true);
-  if (state.missing_mask == 0) {
-    state.rows_used = 0;
-    if (state.timer_armed) {
-      simulator().cancel(state.retry_timer);
-      state.timer_armed = false;
-    }
-    return;
-  }
-  tryDecode(client, window);
-}
-
-void CodedProtocol::onSessionAbandoned(net::NodeId client, std::uint64_t seq) {
-  // The watchdog abandons one (client, seq); the window keeps going for any
-  // other sequences still missing.  The abandoned unknown is eliminated
-  // from the stored system (costing a rank), after which the remaining rows
-  // may already cover what is left.
-  const std::uint64_t window = windowOf(seq);
-  const auto it = client_windows_.find(key(client, window));
-  if (it == client_windows_.end()) return;
-  ClientWindow& state = it->second;
-  const auto col = static_cast<std::uint32_t>(seq - window * coded_.window_size);
-  const std::uint64_t bit = std::uint64_t{1} << col;
-  if ((state.missing_mask & bit) == 0) return;
-  state.missing_mask &= ~bit;
-  dropColumn(state, col, /*known=*/false);
-  if (state.missing_mask == 0) {
-    state.rows_used = 0;
-    if (state.timer_armed) {
-      simulator().cancel(state.retry_timer);
-      state.timer_armed = false;
-    }
-    return;
-  }
-  tryDecode(client, window);
-}
-
-// ------------------------------------------------------------ source side --
-
-CodedProtocol::SourceWindow& CodedProtocol::sourceSlot(std::uint64_t window) {
-  SourceWindow& slot = ring_[window % coded_.ring_windows];
-  if (slot.window != window) {
-    RMRN_REQUIRE(window + coded_.ring_windows > highest_window_,
-                 "CodedProtocol: NACK for a window that slid out of the ring");
-    RMRN_REQUIRE(!slot.gathering,
-                 "CodedProtocol: ring slot recycled under an open gather");
-    slot = SourceWindow{};
-    slot.window = window;
-  }
-  if (window > highest_window_) highest_window_ = window;
-  return slot;
-}
-
-std::uint32_t CodedProtocol::windowExtent(std::uint64_t window) const {
-  const std::uint64_t base = window * coded_.window_size;
-  RMRN_REQUIRE(packetsSent() > base,
-               "CodedProtocol: repair for a window with nothing sent");
-  return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(coded_.window_size, packetsSent() - base));
-}
-
-void CodedProtocol::onRequest(net::NodeId at, const sim::Packet& packet) {
-  if (at != source()) return;  // NACKs are addressed to the source only
-  // Like ParityProtocol, coded NACKs are excluded from the base-class
-  // request dedup (shouldServeRequest): REQUEST.tag carries the rank
-  // deficit, not a dedup tag.  A link-duplicated NACK is absorbed by the
-  // gather window while it is open; at worst it triggers an extra wave of
-  // fresh-index repairs, which every decoder absorbs idempotently (a
-  // re-derived duplicate row reduces to zero).
-  const std::uint64_t window = packet.seq;
-  SourceWindow& slot = sourceSlot(window);
-  slot.wave_request =
-      std::max(slot.wave_request, static_cast<std::uint32_t>(packet.tag));
-  if (slot.gathering) return;
-  slot.gathering = true;
-  slot.gather_timer =
-      scheduleTimerAfter(coded_.gather_window_ms, kTimerGather, window);
-}
-
-void CodedProtocol::onTimer(std::uint32_t kind, std::uint64_t a,
-                            std::uint64_t b, std::uint64_t c) {
-  if (kind == kTimerRetry) {
-    const auto client = static_cast<net::NodeId>(a);
-    const std::uint64_t window = b;
-    const auto it = client_windows_.find(key(client, window));
-    if (it == client_windows_.end()) return;
-    // The fire consumed the handle, so the armed flag drops even when the
-    // window closed in the meantime (the ParityProtocol stale-flag lesson).
-    it->second.timer_armed = false;
-    if (it->second.missing_mask == 0) return;
-    noteRequestTimeout(client, source());
-    sendNack(client, window, /*retransmit=*/true);
-    return;
-  }
-  if (kind == kTimerGather) {
-    const std::uint64_t window = a;
-    SourceWindow& slot = ring_[window % coded_.ring_windows];
-    RMRN_ENSURE(slot.window == window && slot.gathering,
-                "CodedProtocol: gather fired on a recycled ring slot");
-    slot.gathering = false;
-    const std::uint32_t count = slot.wave_request;
-    slot.wave_request = 0;
-    const std::uint32_t extent = windowExtent(window);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      ++coded_repairs_sent_;
-      // PARITY.seq = window id, PARITY.tag = (fresh coded index, coverage).
-      network().multicastFromSource(sim::Packet{
-          sim::Packet::Type::kParity, window, source(), net::kInvalidNode,
-          sim::makeCodedTag(slot.next_coded_index++, extent)});
-    }
-    return;
-  }
-  RecoveryProtocol::onTimer(kind, a, b, c);  // throws
-}
-
-// ----------------------------------------------------------- housekeeping --
-
-std::size_t CodedProtocol::openSessions() const {
-  std::size_t open = 0;
-  // rmrn-lint: allow(DET-2) commutative integer accumulation
-  for (const auto& [unused, state] : client_windows_) {
-    open += static_cast<std::size_t>(std::popcount(state.missing_mask));
-  }
-  // A slot still gathering NACKs is live protocol state (the ParityProtocol
-  // orphan-gather lesson); the ring is index-ordered, so this is
-  // deterministic by construction.
-  for (const SourceWindow& slot : ring_) {
-    if (slot.gathering) ++open;
-  }
-  return open;
-}
-
-bool CodedProtocol::windowHasInterest(std::uint64_t window) const {
-  // rmrn-lint: allow(DET-2) order-independent existence scan
-  for (const auto& [k, state] : client_windows_) {
-    if ((k & 0xffffffffULL) == window && state.missing_mask != 0) return true;
-  }
-  return false;
-}
-
-void CodedProtocol::onClientCrashed(net::NodeId client) {
-  // rmrn-lint: allow(DET-2) per-key erase sweep; cancel order only permutes the slab free list, never (time, seq) event order
-  for (auto it = client_windows_.begin(); it != client_windows_.end();) {
-    if (static_cast<net::NodeId>(it->first >> 32) == client) {
-      if (it->second.timer_armed) simulator().cancel(it->second.retry_timer);
-      it = client_windows_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Gather windows whose last interested client just vanished die with it.
-  for (SourceWindow& slot : ring_) {
-    if (!slot.gathering || windowHasInterest(slot.window)) continue;
-    simulator().cancel(slot.gather_timer);
-    slot.gathering = false;
-    slot.wave_request = 0;
-  }
+std::uint64_t CodedDecoder::repairTag(std::uint64_t window,
+                                      std::uint64_t index,
+                                      std::uint64_t packets_sent) const {
+  const std::uint64_t base = window * window_size_;
+  RMRN_REQUIRE(packets_sent > base,
+               "CodedDecoder: repair for a window with nothing sent");
+  const auto extent = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(window_size_, packets_sent - base));
+  return sim::makeCodedTag(index, extent);
 }
 
 }  // namespace rmrn::protocols

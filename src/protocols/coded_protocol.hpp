@@ -23,42 +23,92 @@
 // discarded, so dedup (DESIGN.md §8 I9) holds by algebra rather than by
 // bookkeeping.
 //
-// The source keeps its per-window repair state in a flat ring of
-// `ring_windows` slots allocated once at construction; a NACK for a window
-// that has slid out of the ring span fires a contract check instead of
-// silently reusing coded indices.  The client-side decode path (coefficient
-// derivation, row projection, elimination) writes only into fixed-size
-// in-struct buffers — zero steady-state heap allocation, pinned by the
-// coded alloc test.
+// The NACK, gather and retry loop is NackWaveProtocol's (nack_wave.hpp),
+// shared with ParityProtocol; this file is only the decoder.  Its repair
+// path (coefficient derivation, row projection, elimination) writes only
+// into fixed-size in-struct buffers — zero steady-state heap allocation,
+// pinned by the coded alloc test.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
-#include "protocols/protocol.hpp"
+#include "protocols/nack_wave.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn::protocols {
 
 struct CodedConfig {
-  /// Data sequences per coding window (2 .. kMaxWindowSize).
+  /// Data sequences per coding window (2 .. CodedDecoder::kMaxWindowSize).
   std::uint32_t window_size = 16;
-  /// Source-side ring capacity in windows; a NACK may reference any of the
-  /// most recent `ring_windows` windows.
-  std::uint32_t ring_windows = 64;
   /// How long the source gathers NACKs before emitting a coded wave.
   double gather_window_ms = 20.0;
 };
 
-class CodedProtocol final : public RecoveryProtocol {
-  /// White-box access for the zero-allocation pin and ring tests.
-  friend struct CodedProtocolTestPeer;
-
+/// The GF(256) echelon decoder of one window per client.
+class CodedDecoder {
  public:
   /// Hard cap on window_size: decoder state is fixed-size in-struct storage.
   static constexpr std::uint32_t kMaxWindowSize = 32;
+
+  /// `rows` holds `rows_used` linearly independent coefficient rows (stride
+  /// window_size, entries nonzero only on missing columns) kept in echelon
+  /// form, so rows_used IS the decoder rank.  One extra row of headroom
+  /// lets a candidate row be folded in place by gf256::eliminate.
+  struct State {
+    std::uint32_t rows_used = 0;
+    std::array<std::uint8_t, (kMaxWindowSize + 1) * kMaxWindowSize> rows{};
+  };
+
+  CodedDecoder(std::uint32_t window_size, std::uint64_t coef_seed)
+      : window_size_(window_size), coef_seed_(coef_seed) {}
+
+  [[nodiscard]] static std::uint32_t rank(const State& state) {
+    return state.rows_used;
+  }
+  static void reset(State& state) { state.rows_used = 0; }
+  /// Eliminates unknown `col` from the stored rows: zeroing when the client
+  /// obtained the packet (known value subtracted), pivot-elimination with a
+  /// rank sacrifice when the unknown was abandoned.
+  void dropColumn(State& state, std::uint32_t col, bool known) const;
+  /// Projects a coded repair onto the client's unknowns and folds it in;
+  /// true when it was innovative (rank grew).
+  bool absorb(State& state, const ColumnSet& missing,
+              const RecoveryProtocol& protocol, net::NodeId at,
+              const sim::Packet& repair);
+  /// PARITY.tag = (fresh coded index, coverage): a repair coded now covers
+  /// the sequences of `window` the source has multicast so far.
+  [[nodiscard]] std::uint64_t repairTag(std::uint64_t window,
+                                        std::uint64_t index,
+                                        std::uint64_t packets_sent) const;
+
+  /// Rows discarded as linearly dependent (already in the decoder's span).
+  std::uint64_t dependent_rows_dropped = 0;
+  /// Rows dropped because the repair raced loss detection (it referenced a
+  /// sequence the client neither holds nor has detected as missing yet).
+  std::uint64_t raced_rows_dropped = 0;
+
+ private:
+  /// Deterministic coefficient substream: both the encoder and every
+  /// decoder re-derive the same nonzero-forced vector from (window, index).
+  void fillCoefficients(std::uint64_t window, std::uint64_t index,
+                        std::uint32_t covered, std::uint8_t* out) const;
+  /// Folds a candidate row (stride window_size, support on missing columns
+  /// only) into the echelon form; returns true if it was innovative.
+  bool addRow(State& state, const std::uint8_t* row);
+
+  std::uint32_t window_size_;
+  std::uint64_t coef_seed_;
+};
+
+extern template class NackWaveProtocol<CodedDecoder>;
+
+class CodedProtocol final : public NackWaveProtocol<CodedDecoder> {
+  /// White-box access for the zero-allocation pin and decoder tests.
+  friend struct CodedProtocolTestPeer;
+
+ public:
+  static constexpr std::uint32_t kMaxWindowSize = CodedDecoder::kMaxWindowSize;
 
   /// `coef_rng` seeds the coefficient substream; fork it off the run's root
   /// RNG so coded-off runs draw an identical stream sequence (engine
@@ -68,105 +118,15 @@ class CodedProtocol final : public RecoveryProtocol {
                 util::Rng coef_rng);
 
   [[nodiscard]] const CodedConfig& codedConfig() const { return coded_; }
-  /// Coded repair packets multicast by the source (all waves, all windows).
-  [[nodiscard]] std::uint64_t sourceRepairMulticasts() const override {
-    return coded_repairs_sent_;
-  }
-  /// NACKs issued by clients (first sends + retries).
-  [[nodiscard]] std::uint64_t nacksSent() const override { return nacks_sent_; }
-  /// Rows discarded as linearly dependent (already in the decoder's span).
   [[nodiscard]] std::uint64_t dependentRowsDropped() const {
-    return dependent_rows_dropped_;
+    return decoder_.dependent_rows_dropped;
   }
-  /// Rows dropped because the repair raced loss detection (it referenced a
-  /// sequence the client neither holds nor has detected as missing yet).
   [[nodiscard]] std::uint64_t racedRowsDropped() const {
-    return raced_rows_dropped_;
+    return decoder_.raced_rows_dropped;
   }
 
  private:
-  void onLossDetected(net::NodeId client, std::uint64_t seq) override;
-  void onRequest(net::NodeId at, const sim::Packet& packet) override;
-  void onParity(net::NodeId at, const sim::Packet& packet) override;
-  void onPacketObtained(net::NodeId client, std::uint64_t seq) override;
-  void onClientCrashed(net::NodeId client) override;
-  void onSessionAbandoned(net::NodeId client, std::uint64_t seq) override;
-  [[nodiscard]] std::size_t openSessions() const override;
-  void onTimer(std::uint32_t kind, std::uint64_t a, std::uint64_t b,
-               std::uint64_t c) override;
-
-  /// Client NACK retry: a = client, b = window.
-  static constexpr std::uint32_t kTimerRetry = kTimerSubclass;
-  /// Source gather window closed: a = window.
-  static constexpr std::uint32_t kTimerGather = kTimerSubclass + 1;
-
-  /// Per-client decoder state for one window.  Fixed-size storage: `rows`
-  /// holds `rows_used` linearly independent coefficient rows (stride
-  /// window_size, entries nonzero only on missing columns) kept in echelon
-  /// form, so rows_used IS the decoder rank.  One extra row of headroom
-  /// lets a candidate row be folded in place by gf256::eliminate.
-  struct ClientWindow {
-    std::uint64_t missing_mask = 0;  // bit j <=> seq window*W+j missing
-    std::uint32_t rows_used = 0;
-    std::array<std::uint8_t, (kMaxWindowSize + 1) * kMaxWindowSize> rows{};
-    sim::EventId retry_timer = 0;
-    bool timer_armed = false;
-  };
-
-  /// One slot of the source's window ring.
-  struct SourceWindow {
-    static constexpr std::uint64_t kNoWindow = ~std::uint64_t{0};
-    std::uint64_t window = kNoWindow;
-    std::uint64_t next_coded_index = 0;
-    std::uint32_t wave_request = 0;  // max additional repairs NACKed
-    sim::EventId gather_timer = 0;
-    bool gathering = false;
-  };
-
-  [[nodiscard]] std::uint64_t windowOf(std::uint64_t seq) const {
-    return seq / coded_.window_size;
-  }
-  static std::uint64_t key(net::NodeId node, std::uint64_t window) {
-    return (static_cast<std::uint64_t>(node) << 32) | window;
-  }
-
-  /// Ring slot for `window`, recycled (and reset) on first touch; fires a
-  /// contract check if the window has slid out of the ring span.
-  [[nodiscard]] SourceWindow& sourceSlot(std::uint64_t window);
-  /// Sequences of `window` the source has multicast so far (the coverage of
-  /// a repair coded now).
-  [[nodiscard]] std::uint32_t windowExtent(std::uint64_t window) const;
-  /// Deterministic coefficient substream: both the encoder and every
-  /// decoder re-derive the same nonzero-forced vector from (window, index).
-  void fillCoefficients(std::uint64_t window, std::uint64_t index,
-                        std::uint32_t covered, std::uint8_t* out) const;
-
-  /// Folds a candidate row (stride window_size, support on missing columns
-  /// only) into the client's echelon form; returns true if it was
-  /// innovative (rank grew).
-  bool addRow(ClientWindow& state, const std::uint8_t* row);
-  /// Eliminates unknown `col` from the stored rows: zeroing when the client
-  /// obtained the packet (known value subtracted), pivot-elimination with a
-  /// rank sacrifice when the unknown was abandoned.
-  void dropColumn(ClientWindow& state, std::uint32_t col, bool known);
-  /// Sends (or re-sends) the client's NACK for a window and arms the retry
-  /// timer.
-  void sendNack(net::NodeId client, std::uint64_t window, bool retransmit);
-  /// Decodes if rank covers every missing column; true when the window
-  /// closed.
-  bool tryDecode(net::NodeId client, std::uint64_t window);
-  /// True while some client still has losses open against `window`.
-  [[nodiscard]] bool windowHasInterest(std::uint64_t window) const;
-
   CodedConfig coded_;
-  std::uint64_t coef_seed_ = 0;
-  std::vector<SourceWindow> ring_;  // sized once at construction
-  std::uint64_t highest_window_ = 0;
-  std::unordered_map<std::uint64_t, ClientWindow> client_windows_;
-  std::uint64_t coded_repairs_sent_ = 0;
-  std::uint64_t nacks_sent_ = 0;
-  std::uint64_t dependent_rows_dropped_ = 0;
-  std::uint64_t raced_rows_dropped_ = 0;
 };
 
 }  // namespace rmrn::protocols

@@ -1,204 +1,20 @@
 #include "protocols/parity_protocol.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace rmrn::protocols {
+
+template class NackWaveProtocol<ParityDecoder>;
 
 ParityProtocol::ParityProtocol(sim::SimNetwork& network,
                                metrics::RecoveryMetrics& metrics,
                                const ProtocolConfig& config,
                                const ParityConfig& parity_config)
-    : RecoveryProtocol(network, metrics, config), parity_(parity_config) {
+    : NackWaveProtocol(network, metrics, config, parity_config.block_size,
+                       parity_config.gather_window_ms, ParityDecoder{}),
+      parity_(parity_config) {
   if (parity_.block_size == 0 || parity_.gather_window_ms < 0.0) {
     throw std::invalid_argument("ParityProtocol: bad parity config");
-  }
-}
-
-void ParityProtocol::onLossDetected(net::NodeId client, std::uint64_t seq) {
-  const std::uint64_t block = blockOf(seq);
-  auto& state = client_blocks_[key(client, block)];
-  state.missing.insert(seq);
-  // Maybe parities from an earlier wave already cover the enlarged set.
-  if (tryDecode(client, block)) return;
-  sendNack(client, block, /*retransmit=*/false);
-}
-
-void ParityProtocol::sendNack(net::NodeId client, std::uint64_t block,
-                              bool retransmit) {
-  auto& state = client_blocks_.at(key(client, block));
-  const std::uint64_t needed = state.missing.size() > state.innovative
-                                   ? state.missing.size() - state.innovative
-                                   : 0;
-  if (needed == 0) return;
-
-  ++nacks_sent_;
-  if (retransmit) recoveryMetrics().recordRetry();
-  // REQUEST.seq carries the block id, REQUEST.tag the additional parities
-  // wanted.
-  network().unicast(client, source(),
-                    sim::Packet{sim::Packet::Type::kRequest, block, client,
-                                client, needed});
-  // Parity waves carry the block id as seq and originate at the source, so
-  // the probe keyed (client, block) matches the first parity back.
-  noteRequestSent(client, block, source(), retransmit);
-
-  if (state.timer_armed) simulator().cancel(state.retry_timer);
-  const double wait = requestTimeout(client, source()) +
-                      parity_.gather_window_ms;
-  state.retry_timer = scheduleTimerAfter(wait, kTimerRetry, client, block);
-  state.timer_armed = true;
-}
-
-void ParityProtocol::onTimer(std::uint32_t kind, std::uint64_t a,
-                             std::uint64_t b, std::uint64_t c) {
-  if (kind == kTimerRetry) {
-    const auto client = static_cast<net::NodeId>(a);
-    const std::uint64_t block = b;
-    const auto it = client_blocks_.find(key(client, block));
-    if (it == client_blocks_.end()) return;
-    // The timer just fired, so the armed flag must drop even when there is
-    // nothing left to chase: leaving it set would make a later sendNack for
-    // the same block cancel a handle this fire already consumed.
-    it->second.timer_armed = false;
-    if (it->second.missing.empty()) return;
-    noteRequestTimeout(client, source());
-    sendNack(client, block, /*retransmit=*/true);
-    return;
-  }
-  if (kind == kTimerGather) {
-    const std::uint64_t block = a;
-    auto& src = source_blocks_.at(block);
-    src.gathering = false;
-    const std::uint32_t count = src.wave_request;
-    src.wave_request = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      ++parities_sent_;
-      // REPAIR.seq = block id, REPAIR.tag = fresh parity index.
-      network().multicastFromSource(
-          sim::Packet{sim::Packet::Type::kParity, block, source(),
-                      net::kInvalidNode, src.next_parity_index++});
-    }
-    return;
-  }
-  RecoveryProtocol::onTimer(kind, a, b, c);  // throws
-}
-
-void ParityProtocol::onRequest(net::NodeId at, const sim::Packet& packet) {
-  if (at != source()) return;  // NACKs are addressed to the source only
-  // Parity is deliberately excluded from the base-class request dedup
-  // (shouldServeRequest): REQUEST.tag carries the needed-parity count, not a
-  // dedup tag.  A link-duplicated NACK is absorbed by the gather window while
-  // it is open; at worst (duplicate after the wave fired) it triggers one
-  // extra wave of fresh-index parities, which every client absorbs
-  // idempotently via the parity_indices set.
-  const std::uint64_t block = packet.seq;
-  auto& state = source_blocks_[block];
-  state.wave_request = std::max(
-      state.wave_request, static_cast<std::uint32_t>(packet.tag));
-  if (state.gathering) return;
-  state.gathering = true;
-  state.gather_timer =
-      scheduleTimerAfter(parity_.gather_window_ms, kTimerGather, block);
-}
-
-void ParityProtocol::onParity(net::NodeId at, const sim::Packet& packet) {
-  const std::uint64_t block = packet.seq;
-  const auto it = client_blocks_.find(key(at, block));
-  if (it == client_blocks_.end()) return;  // nothing missing here
-  // A parity is innovative only if it is a fresh index AND the block has
-  // live losses to spend it on: one received while the block was whole is
-  // gone by the time a later loss opens the missing set again (the decoder
-  // does not warehouse parities for completed blocks).  `parity_indices`
-  // still dedups network re-deliveries of the same wave forever.
-  const bool fresh = it->second.parity_indices.insert(packet.tag).second;
-  if (fresh && !it->second.missing.empty()) ++it->second.innovative;
-  tryDecode(at, block);
-}
-
-bool ParityProtocol::tryDecode(net::NodeId client, std::uint64_t block) {
-  auto& state = client_blocks_.at(key(client, block));
-  if (state.missing.empty() || state.innovative < state.missing.size()) {
-    return false;
-  }
-  // Enough innovative parities: every missing packet of the block decodes,
-  // and the decode consumes them (surplus does not bank for later losses).
-  const std::vector<std::uint64_t> decoded(state.missing.begin(),
-                                           state.missing.end());
-  state.missing.clear();
-  state.innovative = 0;
-  if (state.timer_armed) {
-    simulator().cancel(state.retry_timer);
-    state.timer_armed = false;
-  }
-  for (const std::uint64_t seq : decoded) markHasPacket(client, seq);
-  return true;
-}
-
-void ParityProtocol::onPacketObtained(net::NodeId, std::uint64_t) {
-  // Decoding is driven by tryDecode; nothing extra per packet.
-}
-
-void ParityProtocol::onSessionAbandoned(net::NodeId client, std::uint64_t seq) {
-  // The watchdog abandons one (client, seq); the block keeps going for any
-  // other sequences still missing.  Shrinking the missing set may make the
-  // already-received parities sufficient for the remainder.
-  const std::uint64_t block = blockOf(seq);
-  const auto it = client_blocks_.find(key(client, block));
-  if (it == client_blocks_.end()) return;
-  it->second.missing.erase(seq);
-  if (it->second.missing.empty()) {
-    if (it->second.timer_armed) {
-      simulator().cancel(it->second.retry_timer);
-      it->second.timer_armed = false;
-    }
-    return;
-  }
-  tryDecode(client, block);
-}
-
-std::size_t ParityProtocol::openSessions() const {
-  std::size_t open = 0;
-  // rmrn-lint: allow(DET-2) commutative integer accumulation
-  for (const auto& [unused, state] : client_blocks_) {
-    open += state.missing.size();
-  }
-  // A source block still gathering NACKs is live protocol state: counting it
-  // keeps a pending gather wave from escaping the finalizeRun() sweep.
-  // rmrn-lint: allow(DET-2) commutative integer accumulation
-  for (const auto& [unused, src] : source_blocks_) {
-    if (src.gathering) ++open;
-  }
-  return open;
-}
-
-bool ParityProtocol::blockHasInterest(std::uint64_t block) const {
-  // rmrn-lint: allow(DET-2) order-independent existence scan
-  for (const auto& [k, state] : client_blocks_) {
-    if ((k & 0xffffffffULL) == block && !state.missing.empty()) return true;
-  }
-  return false;
-}
-
-void ParityProtocol::onClientCrashed(net::NodeId client) {
-  // rmrn-lint: allow(DET-2) per-key erase sweep; cancel order only permutes the slab free list, never (time, seq) event order
-  for (auto it = client_blocks_.begin(); it != client_blocks_.end();) {
-    if (static_cast<net::NodeId>(it->first >> 32) == client) {
-      if (it->second.timer_armed) simulator().cancel(it->second.retry_timer);
-      it = client_blocks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // A gather window the crashed client's NACKs opened must not fire into a
-  // block with no remaining interested client: cancel it, or the wave is a
-  // wasted multicast and the gathering block outlives every session.
-  // rmrn-lint: allow(DET-2) per-block cancel sweep; cancel order only permutes the slab free list, never (time, seq) event order
-  for (auto& [block, src] : source_blocks_) {
-    if (!src.gathering || blockHasInterest(block)) continue;
-    simulator().cancel(src.gather_timer);
-    src.gathering = false;
-    src.wave_request = 0;
   }
 }
 

@@ -2,16 +2,18 @@
 //
 // A protocol instance owns the loss-recovery behaviour of every agent
 // (source + clients) of one simulation run.  The base class provides the
-// parts all three schemes share:
-//   * data multicast with externally supplied per-link loss draws (so RP,
-//    SRM and RMA recover identical losses — DESIGN.md §6),
+// parts all six schemes (SRM, RMA, RP, SRC, FEC, coded) share:
+//   * data multicast with externally supplied per-link loss draws (so every
+//     scheme recovers identical losses — DESIGN.md §6),
 //   * loss detection (a client notices a missing packet one detection delay
 //     after the data would have arrived),
 //   * the per-agent "has packet" store, and
 //   * metric recording (a repair that supplies a missing packet completes a
 //     recovery regardless of which scheme delivered it).
 //
-// Subclasses implement the scheme-specific reactions.
+// Subclasses implement the scheme-specific reactions.  The per-sequence peer
+// walk of RP, SRC and RMA is PeerWalkProtocol (peer_walk.hpp); the NACK wave
+// of FEC and the coded arm is NackWaveProtocol (nack_wave.hpp).
 #pragma once
 
 #include <cstdint>
@@ -232,6 +234,22 @@ class RecoveryProtocol : public sim::EventSink {
   bool shouldServeRequest(net::NodeId at, const sim::Packet& packet);
   /// Subclasses report a duplicate loss-detection for a live session here.
   void recordDuplicateSessionAttempt() { ++duplicate_sessions_; }
+
+  /// Crash sweep: erases every entry of `sessions` (keyed client << 32 | x)
+  /// that belongs to `client`, after `teardown(entry)` cancelled its timers.
+  template <class Map, class Teardown>
+  static void eraseClient(Map& sessions, net::NodeId client,
+                          Teardown teardown) {
+    // rmrn-lint: allow(DET-2) per-key erase sweep; cancel order only permutes the slab free list, never (time, seq) event order
+    for (auto it = sessions.begin(); it != sessions.end();) {
+      if (static_cast<net::NodeId>(it->first >> 32) == client) {
+        teardown(it->second);
+        it = sessions.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
 
  private:
   void dispatch(net::NodeId at, const sim::Packet& packet);

@@ -1,106 +1,20 @@
 #include "protocols/rma_protocol.hpp"
 
-#include <stdexcept>
-
-#include "util/check.hpp"
-
 namespace rmrn::protocols {
 
 RmaProtocol::RmaProtocol(sim::SimNetwork& network,
                          metrics::RecoveryMetrics& metrics,
                          const ProtocolConfig& config)
-    : RecoveryProtocol(network, metrics, config) {
+    // RMA repairs are subtree multicasts whose origin is the repairer, which
+    // may differ from the unicast target probed; accept any origin so
+    // flooded repairs still feed the estimator.
+    : PeerWalkProtocol(network, metrics, config, /*any_origin=*/true) {
   // Precompute each client's nearest-upstream search order: one receiver
   // per competitive class, descending DS = nearest level first.
   for (const net::NodeId u : topology().clients) {
     order_.emplace(u, core::selectCandidates(u, topology().tree, routing(),
                                              topology().clients));
   }
-}
-
-const std::vector<core::Candidate>& RmaProtocol::searchOrder(
-    net::NodeId client) const {
-  const auto it = order_.find(client);
-  if (it == order_.end()) {
-    throw std::out_of_range("RmaProtocol: unknown client");
-  }
-  return it->second;
-}
-
-void RmaProtocol::onLossDetected(net::NodeId client, std::uint64_t seq) {
-  // Same hazard as RP: a duplicate detection must not restart a live search
-  // and orphan its armed timer.
-  const auto [it, inserted] = searches_.try_emplace(key(client, seq));
-  if (!inserted) {
-    recordDuplicateSessionAttempt();
-    return;
-  }
-  ++searches_started_;
-  advanceSearch(client, seq);
-}
-
-void RmaProtocol::advanceSearch(net::NodeId client, std::uint64_t seq) {
-  auto& search = searches_.at(key(client, seq));
-  const auto& order = order_.at(client);
-
-  // Skip upstream levels the health tracker has written off.
-  while (search.next_level < order.size() &&
-         peerBlacklisted(client, order[search.next_level].peer)) {
-    ++search.next_level;
-  }
-
-  if (adaptiveTimeouts() && search.attempts >= config().health.retry_budget) {
-    // Give up: explicit abandon under the watchdog, residual otherwise.
-    searches_.erase(key(client, seq));
-    if (watchdogEnabled()) abandonSession(client, seq);
-    return;
-  }
-
-  const bool at_source = search.next_level >= order.size();
-  const net::NodeId target =
-      at_source ? source() : order[search.next_level].peer;
-  if (!at_source) ++search.next_level;  // retries stay at the source
-
-  const bool retransmit = at_source && search.source_attempts > 0;
-  if (at_source) {
-    if (search.source_attempts == 0) {
-      recoveryMetrics().recordSourceFallback(client);
-    }
-    ++search.source_attempts;
-  }
-  // Only same-target re-sends count as retries (the one-by-one search walk
-  // issues fresh requests); see the matching comment in RpProtocol.
-  if (retransmit) recoveryMetrics().recordRetry();
-  ++search.attempts;
-
-  ++requests_sent_;
-  network().unicast(client, target,
-                    sim::Packet{sim::Packet::Type::kRequest, seq, client,
-                                client, nextRequestTag()});
-  // RMA repairs are subtree multicasts whose origin is the repairer, which
-  // may differ from the unicast target we probed; accept any origin so
-  // flooded repairs still feed the estimator.
-  noteRequestSent(client, seq, target, retransmit, /*any_origin=*/true);
-
-  search.timer = scheduleTimerAfter(requestTimeout(client, target),
-                                    kTimerSearch, client, seq, target);
-  search.timer_armed = true;
-}
-
-void RmaProtocol::onTimer(std::uint32_t kind, std::uint64_t a, std::uint64_t b,
-                          std::uint64_t c) {
-  if (kind != kTimerSearch) {
-    RecoveryProtocol::onTimer(kind, a, b, c);  // throws
-    return;
-  }
-  const auto client = static_cast<net::NodeId>(a);
-  const std::uint64_t seq = b;
-  const auto target = static_cast<net::NodeId>(c);
-  const auto it = searches_.find(key(client, seq));
-  if (it == searches_.end()) return;  // recovered meanwhile
-  it->second.timer_armed = false;
-  noteRequestTimeout(client, target);
-  advanceSearch(client, seq);
 }
 
 void RmaProtocol::onRequest(net::NodeId at, const sim::Packet& packet) {
@@ -112,53 +26,16 @@ void RmaProtocol::onRequest(net::NodeId at, const sim::Packet& packet) {
   // Repair the subtree covering the requester and every receiver the search
   // visited: the subtree rooted at the first common router of repairer and
   // requester (the source repairs the requester's whole source-side branch).
-  const auto& tree = topology().tree;
   const net::NodeId client = packet.requester;
   const sim::Packet repair{sim::Packet::Type::kRepair, packet.seq, at, client,
                            /*tag=*/0};
   ++repairs_multicast_;
   if (at == source()) {
-    // Same root-walk hazard as RpProtocol::onRequest: only defined for an
-    // on-tree, non-source requester.
-    const bool walkable = client != source() && tree.contains(client);
-    RMRN_REQUIRE(walkable,
-                 "subgroup repair needs an on-tree, non-source requester");
-    if (!walkable) {
-      network().unicast(at, client, repair);
-      return;
-    }
-    net::NodeId branch = client;
-    while (tree.parent(branch) != source()) branch = tree.parent(branch);
-    network().multicastDownInto(branch, repair);
-  } else {
-    network().multicastSubtree(tree.firstCommonRouter(at, client), at, repair);
+    repairSourceBranch(client, repair);
+    return;
   }
-}
-
-void RmaProtocol::onPacketObtained(net::NodeId client, std::uint64_t seq) {
-  const auto it = searches_.find(key(client, seq));
-  if (it == searches_.end()) return;
-  if (it->second.timer_armed) simulator().cancel(it->second.timer);
-  searches_.erase(it);
-}
-
-void RmaProtocol::onSessionAbandoned(net::NodeId client, std::uint64_t seq) {
-  const auto it = searches_.find(key(client, seq));
-  if (it == searches_.end()) return;
-  if (it->second.timer_armed) simulator().cancel(it->second.timer);
-  searches_.erase(it);
-}
-
-void RmaProtocol::onClientCrashed(net::NodeId client) {
-  // rmrn-lint: allow(DET-2) per-key erase sweep; cancel order only permutes the slab free list, never (time, seq) event order
-  for (auto it = searches_.begin(); it != searches_.end();) {
-    if (static_cast<net::NodeId>(it->first >> 32) == client) {
-      if (it->second.timer_armed) simulator().cancel(it->second.timer);
-      it = searches_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  network().multicastSubtree(topology().tree.firstCommonRouter(at, client),
+                             at, repair);
 }
 
 }  // namespace rmrn::protocols

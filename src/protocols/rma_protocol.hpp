@@ -11,12 +11,13 @@
 //
 // The nearest-upstream search order is one receiver per competitive class
 // of u in descending DS (geographically nearest level first) — exactly RP's
-// candidates, but RMA ALWAYS walks them one by one with a timeout per step
-// instead of choosing a strategic subset.  The source is the final
-// fallback (retried until success).  A receiver holding the packet
-// multicasts the repair into the subtree rooted at its first common router
-// with the requester, which covers every receiver visited so far (under
-// tree-correlated loss they all lost the packet).
+// candidates, walked one by one with a timeout per step instead of through
+// a strategic subset.  RMA is literally RP's peer walk (PeerWalkProtocol)
+// over every class, with the source as the final fallback (retried until
+// success).  A receiver holding the packet multicasts the repair into the
+// subtree rooted at its first common router with the requester, which
+// covers every receiver visited so far (under tree-correlated loss they all
+// lost the packet).
 #pragma once
 
 #include <cstdint>
@@ -24,66 +25,35 @@
 #include <vector>
 
 #include "core/candidates.hpp"
-#include "protocols/protocol.hpp"
+#include "protocols/peer_walk.hpp"
 
 namespace rmrn::protocols {
 
-class RmaProtocol final : public RecoveryProtocol {
+class RmaProtocol final : public PeerWalkProtocol {
  public:
   RmaProtocol(sim::SimNetwork& network, metrics::RecoveryMetrics& metrics,
               const ProtocolConfig& config);
 
-  /// Upstream search order for a client (nearest level first); exposed for
-  /// tests.
+  /// Upstream search order for a client (nearest level first); throws
+  /// std::out_of_range for a non-client.
   [[nodiscard]] const std::vector<core::Candidate>& searchOrder(
-      net::NodeId client) const;
-
-  /// Recovery sessions opened (one per detected loss).
-  [[nodiscard]] std::uint64_t searchesStarted() const {
-    return searches_started_;
+      net::NodeId client) const {
+    return order_.at(client);
   }
-  /// Total REQUEST packets issued (every level visited + source retries).
-  [[nodiscard]] std::uint64_t requestsSent() const { return requests_sent_; }
+
   /// Subtree repair multicasts issued.
   [[nodiscard]] std::uint64_t repairsMulticast() const {
     return repairs_multicast_;
   }
 
  private:
-  void onLossDetected(net::NodeId client, std::uint64_t seq) override;
+  [[nodiscard]] const std::vector<core::Candidate>& walkList(
+      net::NodeId client) const override {
+    return searchOrder(client);
+  }
   void onRequest(net::NodeId at, const sim::Packet& packet) override;
-  void onPacketObtained(net::NodeId client, std::uint64_t seq) override;
-  void onClientCrashed(net::NodeId client) override;
-  void onSessionAbandoned(net::NodeId client, std::uint64_t seq) override;
-  [[nodiscard]] std::size_t openSessions() const override {
-    return searches_.size();
-  }
-  void onTimer(std::uint32_t kind, std::uint64_t a, std::uint64_t b,
-               std::uint64_t c) override;
-
-  /// Per-step search timeout: a = client, b = seq, c = target.
-  static constexpr std::uint32_t kTimerSearch = kTimerSubclass;
-
-  /// Requests the next upstream level (or the source, where retries stay)
-  /// and arms the per-step timeout.
-  void advanceSearch(net::NodeId client, std::uint64_t seq);
-
-  static std::uint64_t key(net::NodeId node, std::uint64_t seq) {
-    return (static_cast<std::uint64_t>(node) << 32) | seq;
-  }
-
-  struct Search {
-    std::size_t next_level = 0;  // into the search order; beyond it -> source
-    std::uint32_t attempts = 0;         // requests issued by this search
-    std::uint32_t source_attempts = 0;  // of which addressed to the source
-    sim::EventId timer = 0;
-    bool timer_armed = false;
-  };
 
   std::unordered_map<net::NodeId, std::vector<core::Candidate>> order_;
-  std::unordered_map<std::uint64_t, Search> searches_;
-  std::uint64_t searches_started_ = 0;
-  std::uint64_t requests_sent_ = 0;
   std::uint64_t repairs_multicast_ = 0;
 };
 

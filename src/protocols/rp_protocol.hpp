@@ -15,14 +15,16 @@
 // request timeouts adapt per peer (Jacobson/Karn), sessions skip
 // blacklisted peers, each newly blacklisted peer triggers a failover replan
 // (RpPlanner::replanExcluding) adopted for subsequent losses, and a bounded
-// retry budget stops a session from hammering a dead path forever.
+// retry budget stops a session from hammering a dead path forever.  The
+// walk, its timers and its teardown are PeerWalkProtocol's (peer_walk.hpp);
+// RP supplies the list and the failover replan.
 #pragma once
 
-#include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "core/planner.hpp"
-#include "protocols/protocol.hpp"
+#include "protocols/peer_walk.hpp"
 
 namespace rmrn::protocols {
 
@@ -31,7 +33,7 @@ enum class SourceRecoveryMode {
   kSubgroupMulticast,  // source multicasts into the requester's branch
 };
 
-class RpProtocol : public RecoveryProtocol {
+class RpProtocol : public PeerWalkProtocol {
  public:
   /// `planner` supplies each client's prioritized list and must outlive the
   /// protocol.
@@ -40,10 +42,6 @@ class RpProtocol : public RecoveryProtocol {
              SourceRecoveryMode source_mode = SourceRecoveryMode::kUnicast);
 
   [[nodiscard]] SourceRecoveryMode sourceMode() const { return source_mode_; }
-
-  /// Total REQUEST packets issued (first attempts + retries); exposed for
-  /// tests and the ablation benches.
-  [[nodiscard]] std::uint64_t requestsSent() const { return requests_sent_; }
 
   /// The strategy new sessions of `client` use: the failover replan once
   /// one was adopted, the planner's original list otherwise.
@@ -54,47 +52,21 @@ class RpProtocol : public RecoveryProtocol {
   }
 
  protected:
-  // Overridable entry points are protected (not private) so fault-injection
-  // tests can drive them directly, e.g. double loss detections.
-  void onLossDetected(net::NodeId client, std::uint64_t seq) override;
   void onRequest(net::NodeId at, const sim::Packet& packet) override;
-  void onPacketObtained(net::NodeId client, std::uint64_t seq) override;
-  void onClientCrashed(net::NodeId client) override;
-  void onSessionAbandoned(net::NodeId client, std::uint64_t seq) override;
-  [[nodiscard]] std::size_t openSessions() const override {
-    return sessions_.size();
-  }
-  void onTimer(std::uint32_t kind, std::uint64_t a, std::uint64_t b,
-               std::uint64_t c) override;
 
  private:
-  /// Session request timeout: a = client, b = seq, c = target.
-  static constexpr std::uint32_t kTimerRequest = kTimerSubclass;
-
-  /// Issues the next request of the session (peer list first, then the
-  /// source) and arms the timeout that advances the session on silence.
-  void advanceSession(net::NodeId client, std::uint64_t seq);
+  [[nodiscard]] const std::vector<core::Candidate>& walkList(
+      net::NodeId client) const override {
+    return activeStrategy(client).peers;
+  }
   /// Replans `client`'s list around its blacklisted peers and adopts the
   /// result for subsequent sessions.
-  void adoptFailover(net::NodeId client);
-
-  struct Session {
-    std::size_t next_index = 0;  // into the peer list; beyond it -> source
-    std::uint32_t attempts = 0;         // requests issued by this session
-    std::uint32_t source_attempts = 0;  // of which addressed to the source
-    sim::EventId timer = 0;
-    bool timer_armed = false;
-  };
-  static std::uint64_t sessionKey(net::NodeId client, std::uint64_t seq) {
-    return (static_cast<std::uint64_t>(client) << 32) | seq;
-  }
+  void onTargetBlacklisted(net::NodeId client) override;
 
   const core::RpPlanner& planner_;
   SourceRecoveryMode source_mode_;
-  std::unordered_map<std::uint64_t, Session> sessions_;
   /// Adopted failover strategies by client (blacklist-pruned replans).
   std::unordered_map<net::NodeId, core::Strategy> failover_;
-  std::uint64_t requests_sent_ = 0;
 };
 
 }  // namespace rmrn::protocols

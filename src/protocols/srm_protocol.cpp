@@ -149,24 +149,12 @@ void SrmProtocol::onSessionAbandoned(net::NodeId client, std::uint64_t seq) {
 void SrmProtocol::onClientCrashed(net::NodeId client) {
   // Silence both roles of the crashed member: its pending requests and any
   // repair it was about to multicast.
-  // rmrn-lint: allow(DET-2) per-key erase sweep; cancel order only permutes the slab free list, never (time, seq) event order
-  for (auto it = want_.begin(); it != want_.end();) {
-    if (static_cast<net::NodeId>(it->first >> 32) == client) {
-      if (it->second.armed) simulator().cancel(it->second.timer);
-      it = want_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // rmrn-lint: allow(DET-2) per-key erase sweep; cancel order only permutes the slab free list, never (time, seq) event order
-  for (auto it = repairing_.begin(); it != repairing_.end();) {
-    if (static_cast<net::NodeId>(it->first >> 32) == client) {
-      if (it->second.armed) simulator().cancel(it->second.timer);
-      it = repairing_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  eraseClient(want_, client, [this](WantState& want) {
+    if (want.armed) simulator().cancel(want.timer);
+  });
+  eraseClient(repairing_, client, [this](RepairState& repair) {
+    if (repair.armed) simulator().cancel(repair.timer);
+  });
 }
 
 }  // namespace rmrn::protocols

@@ -29,6 +29,8 @@ TEST(ConfigIoTest, RoundTripPreservesEveryField) {
   original.srm.hold_factor = 4.0;
   original.parity.block_size = 16;
   original.parity.gather_window_ms = 33.0;
+  original.coded.window_size = 24;
+  original.coded.gather_window_ms = 41.5;
   original.rp_planner.timeout_ms = 250.0;
   original.rp_planner.per_peer_timeout_factor = 1.75;
   original.rp_planner.cost_model = core::CostModel::kRttOnly;
@@ -67,6 +69,9 @@ TEST(ConfigIoTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(loaded.parity.block_size, original.parity.block_size);
   EXPECT_DOUBLE_EQ(loaded.parity.gather_window_ms,
                    original.parity.gather_window_ms);
+  EXPECT_EQ(loaded.coded.window_size, original.coded.window_size);
+  EXPECT_DOUBLE_EQ(loaded.coded.gather_window_ms,
+                   original.coded.gather_window_ms);
   EXPECT_DOUBLE_EQ(loaded.rp_planner.timeout_ms,
                    original.rp_planner.timeout_ms);
   EXPECT_DOUBLE_EQ(loaded.rp_planner.per_peer_timeout_factor,

@@ -27,7 +27,8 @@ struct CodedProtocolTestPeer {
   }
   static std::uint32_t rank(const CodedProtocol& p, net::NodeId client,
                             std::uint64_t window) {
-    return p.client_windows_.at(CodedProtocol::key(client, window)).rows_used;
+    return p.client_units_.at(CodedProtocol::key(client, window))
+        .decoder.rows_used;
   }
 };
 

@@ -4,24 +4,20 @@
 
 #include "proto_fixture.hpp"
 #include "support/scheduled_calls.hpp"
-#include "util/check.hpp"
 
 namespace rmrn::protocols {
 
 // White-box access: the decoder-core tests inject crafted coded repairs
-// directly (bypassing the source) to pin rank behaviour, and the ring test
-// injects a NACK for an expired window.
+// directly (bypassing the source) to pin rank behaviour.
 struct CodedProtocolTestPeer {
   static void deliverParity(CodedProtocol& p, net::NodeId at,
                             const sim::Packet& packet) {
     p.onParity(at, packet);
   }
-  static void deliverRequest(CodedProtocol& p, const sim::Packet& packet) {
-    p.onRequest(p.source(), packet);
-  }
   static std::uint32_t rank(const CodedProtocol& p, net::NodeId client,
                             std::uint64_t window) {
-    return p.client_windows_.at(CodedProtocol::key(client, window)).rows_used;
+    return p.client_units_.at(CodedProtocol::key(client, window))
+        .decoder.rows_used;
   }
   static std::size_t openSessions(const CodedProtocol& p) {
     return p.openSessions();
@@ -153,45 +149,6 @@ TEST(CodedProtocolTest, LateLossNeedsFreshRepair) {
   EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 2u);
 }
 
-TEST(CodedProtocolTest, WindowRingWrapsAround) {
-  // 2-seq windows on a 2-slot ring: six windows of traffic recycle every
-  // slot three times, with a loss in each window forcing full NACK/wave
-  // cycles across the wraparound.
-  CodedConfig coded;
-  coded.window_size = 2;
-  coded.ring_windows = 2;
-  CodedHarness h(0.0, 1, coded);
-  for (std::uint64_t seq = 0; seq < 12; ++seq) {
-    const auto victim =
-        static_cast<net::NodeId>(seq % 2 == 0 ? 3 : 7);  // one per window
-    h.protocol.sourceMulticast(seq, h.lossInto({victim}));
-    h.sim.run();  // drain before the next window opens
-  }
-  EXPECT_TRUE(h.protocol.allRecovered());
-  EXPECT_EQ(h.metrics.recoveries(), 12u);
-  EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 12u);
-  EXPECT_EQ(CodedProtocolTestPeer::openSessions(h.protocol), 0u);
-}
-
-#if RMRN_CHECKS_ENABLED
-TEST(CodedProtocolTest, NackBeyondRingSpanFiresContract) {
-  CodedConfig coded;
-  coded.window_size = 2;
-  coded.ring_windows = 2;
-  CodedHarness h(0.0, 1, coded);
-  for (std::uint64_t seq = 0; seq < 8; ++seq) {
-    h.protocol.sourceMulticast(seq, h.lossInto({3}));
-    h.sim.run();
-  }
-  ASSERT_TRUE(h.protocol.allRecovered());
-  // Window 0 slid out of the 2-slot ring long ago: a NACK for it must fire
-  // the span contract instead of silently reusing coded indices.
-  const sim::Packet stale{sim::Packet::Type::kRequest, 0, 3, 3, 1};
-  EXPECT_THROW(CodedProtocolTestPeer::deliverRequest(h.protocol, stale),
-               util::ContractViolation);
-}
-#endif
-
 TEST(CodedProtocolTest, CrashDuringGatherCancelsOrphanWave) {
   CodedConfig coded;
   coded.gather_window_ms = 100.0;
@@ -252,9 +209,6 @@ TEST(CodedProtocolTest, RejectsBadConfig) {
   expect_throws(bad);
   bad = {};
   bad.window_size = CodedProtocol::kMaxWindowSize + 1;
-  expect_throws(bad);
-  bad = {};
-  bad.ring_windows = 1;
   expect_throws(bad);
   bad = {};
   bad.gather_window_ms = -1.0;

@@ -12,10 +12,10 @@ namespace rmrn::protocols {
 // transition that empties `missing` also cancels the armed timer), so its
 // regression injects the timer fire directly.
 struct ParityProtocolTestPeer {
-  static ParityProtocol::ClientBlock& block(ParityProtocol& p,
-                                            net::NodeId client,
-                                            std::uint64_t block_id) {
-    return p.client_blocks_.at(ParityProtocol::key(client, block_id));
+  static ParityProtocol::ClientUnit& block(ParityProtocol& p,
+                                           net::NodeId client,
+                                           std::uint64_t block_id) {
+    return p.client_units_.at(ParityProtocol::key(client, block_id));
   }
   static void fireRetry(ParityProtocol& p, net::NodeId client,
                         std::uint64_t block_id) {
@@ -248,6 +248,29 @@ TEST(ParityProtocolTest, LateLossNeedsFreshParity) {
   EXPECT_TRUE(h.protocol.allRecovered());
   EXPECT_EQ(h.protocol.nacksSent(), 2u) << "late loss decoded from thin air";
   EXPECT_EQ(h.protocol.sourceRepairMulticasts(), 2u);
+}
+
+TEST(ParityProtocolTest, LateDataCopyEndsTheNackCycle) {
+  // Regression: a data copy landing after the loss was detected (chaos
+  // duplication or reorder jitter) must close the block like a decode does.
+  // Pre-fix the seq stayed missing, the watchdog skipped it (the packet is
+  // held), and a client cut off from the parity wave re-NACKed forever.
+  ParityHarness h;
+  // Link 2-3 goes down for good after the data copy has crossed it and
+  // before the parity wave does.
+  h.network.stageLinkState(2, 3, 30.0, /*up=*/false);
+  h.protocol.sourceMulticast(0, h.lossInto({3}));  // detected at 13ms
+  test_support::ScheduledCalls calls(h.sim);
+  calls.at(14.0, [&] {
+    h.network.unicast(0, 3, sim::Packet{sim::Packet::Type::kData, 0, 0,
+                                        net::kInvalidNode, 0});
+  });
+  h.sim.run(2000.0);
+  EXPECT_TRUE(h.protocol.hasPacket(3, 0));
+  EXPECT_TRUE(h.protocol.allRecovered());
+  EXPECT_EQ(h.protocol.nacksSent(), 1u) << "re-NACKed a block it holds";
+  EXPECT_EQ(ParityProtocolTestPeer::openSessions(h.protocol), 0u);
+  EXPECT_TRUE(h.sim.idle());
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ TEST(RmaProtocolTest, NoLossNoTraffic) {
   h.protocol.sourceMulticast(0, h.noLoss());
   h.sim.run();
   EXPECT_EQ(h.metrics.losses(), 0u);
-  EXPECT_EQ(h.protocol.searchesStarted(), 0u);
+  EXPECT_EQ(h.protocol.sessionsStarted(), 0u);
   EXPECT_EQ(h.network.stats().recovery_hops, 0u);
 }
 
@@ -50,7 +50,7 @@ TEST(RmaProtocolTest, LeafLossServedByNearestUpstream) {
   h.protocol.sourceMulticast(0, h.lossInto({3}));
   h.sim.run();
   EXPECT_TRUE(h.protocol.allRecovered());
-  EXPECT_EQ(h.protocol.searchesStarted(), 1u);
+  EXPECT_EQ(h.protocol.sessionsStarted(), 1u);
   EXPECT_EQ(h.protocol.requestsSent(), 1u);
   EXPECT_EQ(h.protocol.repairsMulticast(), 1u);
   EXPECT_TRUE(h.sim.idle());
