@@ -13,7 +13,7 @@
 //       every T.
 //
 //   rmrn_cli run  [--config file] [--nodes N] [--loss P%] [--packets K]
-//                 [--seed S] [--runs R] [--protocols srm,rma,rp,src,fec]
+//                 [--seed S] [--runs R] [--protocols srm,rma,rp,src,fec,coded]
 //                 [--burst B] [--lossy-recovery] [--csv out.csv]
 //                 [--threads T]
 //       Run the protocol comparison; print the paper-style table.  T worker
@@ -43,15 +43,15 @@
 //
 //   rmrn_cli chaos [--nodes N] [--loss P%] [--packets K] [--seed S]
 //                  [--runs R] [--threads T] [--out BENCH_chaos.json] [--json]
-//       Chaos sweep (RP protocol): a fixed grid of link-fault scenarios —
-//       group partition (healed and permanent) x link flaps x per-link
-//       duplication/reorder jitter — each run with the per-session liveness
-//       watchdog and failover-plan auditing on.  Gates per row: zero
-//       unrecovered losses among source-reachable clients, recovered
-//       fraction 1 for them, no duplicate recovery sessions at <= 20%
-//       duplication, and zero failover-plan audit violations.  Writes the
-//       sweep as JSON to --out; --json prints it to stdout (CI smoke); exit
-//       1 when any gate fails.
+//       Chaos sweep (RP protocol): the fixed grid of link-fault scenarios in
+//       harness/chaos_grid.hpp — group partition (healed and permanent) x
+//       link flaps x per-link duplication/reorder jitter — each run with the
+//       per-session liveness watchdog and failover-plan auditing on.  Gates
+//       per row: zero unrecovered losses among source-reachable clients,
+//       recovered fraction 1 for them, no duplicate recovery sessions at
+//       <= 20% duplication, and zero failover-plan audit violations.  Writes
+//       the sweep as JSON to --out; --json prints it to stdout (CI smoke);
+//       exit 1 when any gate fails.
 //
 //   rmrn_cli scale [--sizes 3000,30000,300000,2000000] [--shard K] [--seed S]
 //                  [--churn-ops N] [--threads T] [--flat-max K]
@@ -101,6 +101,7 @@
 //       Print (or write) a complete default experiment config to edit.
 #include <algorithm>
 #include <array>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -113,6 +114,7 @@
 #include "core/planner.hpp"
 #include "core/shard_planner.hpp"
 #include "harness/bench_json.hpp"
+#include "harness/chaos_grid.hpp"
 #include "harness/config_io.hpp"
 #include "harness/csv.hpp"
 #include "harness/experiment.hpp"
@@ -311,26 +313,28 @@ int cmdAudit(const util::Flags& flags) {
   return report.ok() ? 0 : 1;
 }
 
+/// Comma-separated scheme names: each is the lowercase toString() of one of
+/// the six kinds (srm, rma, rp, src, fec, coded).
 std::vector<harness::ProtocolKind> parseProtocols(const std::string& list) {
+  constexpr int kNumKinds =
+      static_cast<int>(harness::ProtocolKind::kCodedRlc) + 1;
+  const auto name = [](int k) {
+    std::string lower(toString(static_cast<harness::ProtocolKind>(k)));
+    for (char& c : lower) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    return lower;
+  };
   std::vector<harness::ProtocolKind> kinds;
   std::stringstream stream(list);
   std::string token;
   while (std::getline(stream, token, ',')) {
-    if (token == "srm") {
-      kinds.push_back(harness::ProtocolKind::kSrm);
-    } else if (token == "rma") {
-      kinds.push_back(harness::ProtocolKind::kRma);
-    } else if (token == "rp") {
-      kinds.push_back(harness::ProtocolKind::kRp);
-    } else if (token == "src") {
-      kinds.push_back(harness::ProtocolKind::kSourceDirect);
-    } else if (token == "fec") {
-      kinds.push_back(harness::ProtocolKind::kParityFec);
-    } else if (token == "coded") {
-      kinds.push_back(harness::ProtocolKind::kCodedRlc);
-    } else {
+    int k = 0;
+    while (k < kNumKinds && name(k) != token) ++k;
+    if (k == kNumKinds) {
       throw std::invalid_argument("unknown protocol '" + token + "'");
     }
+    kinds.push_back(static_cast<harness::ProtocolKind>(k));
   }
   return kinds;
 }
@@ -579,43 +583,7 @@ int cmdChaos(const util::Flags& flags) {
   args.out = "BENCH_chaos.json";
   args.read(flags);
   if (const int rc = failUnknownFlags(flags)) return rc;
-  harness::ExperimentConfig& config = args.config;
-
-  // Every failover replan RP adopts is re-refereed by the PlanAuditor with
-  // the blacklisted peers excluded.
-  config.audit_failover_plans = true;
-
-  // Under link chaos the watchdog (not the retry budget) is the terminal
-  // authority: a session must ride out a whole flap/partition-heal outage
-  // — during which every request dies — without running out of attempts,
-  // so that only genuinely unreachable clients are ever abandoned.  With
-  // capped exponential backoff, 256 attempts outlast the 10 s watchdog.
-  config.protocol.health.retry_budget = 256;
-
-  // Chaos hits mid-stream; times scale with the data span so shorter CI
-  // sweeps keep the same shape.
-  const double span = config.num_packets * config.data_interval_ms;
-  const double chaos_time = 0.4 * span;
-
-  // Fixed scenario grid: partition (none / healed / permanent) x link flaps
-  // x per-link duplication + reorder jitter.  The all-zero row is the
-  // chaos-off baseline.
-  struct Partition {
-    const char* tag;
-    double fraction;
-    double heal_ms;  // 0 = permanent
-  };
-  const Partition partitions[] = {
-      {"none", 0.0, 0.0},
-      {"heal25", 0.25, 0.2 * span},
-      {"perm25", 0.25, 0.0},
-  };
-  const double flap_rates[] = {0.0, 0.15};
-  struct DupJitter {
-    double dup;
-    double jitter_ms;
-  };
-  const DupJitter dup_jitters[] = {{0.0, 0.0}, {0.15, 2.0}};
+  const harness::ExperimentConfig& config = args.config;
 
   struct Row {
     std::string name;
@@ -627,51 +595,26 @@ int cmdChaos(const util::Flags& flags) {
   std::vector<Row> rows;
   std::vector<std::uint32_t> clients_per_run;
   double num_clients = 0.0;
-  for (const Partition& part : partitions) {
-    for (const double flap : flap_rates) {
-      for (const DupJitter& dj : dup_jitters) {
-        sim::FaultPlan plan;
-        plan.seed = config.seed;
-        plan.at_ms = chaos_time;
-        plan.stagger_ms = config.data_interval_ms;
-        plan.partition_fraction = part.fraction;
-        plan.partition_heal_ms = part.heal_ms;
-        plan.link_flap_fraction = flap;
-        if (flap > 0.0) {
-          plan.flap_down_ms = 0.1 * span;
-          plan.flap_cycles = 2;
-          plan.flap_period_ms = 0.25 * span;
-        }
-        plan.duplicate_prob = dj.dup;
-        plan.reorder_jitter_ms = dj.jitter_ms;
-
-        std::ostringstream name;
-        name << "part=" << part.tag << " flap=" << flap * 100.0
-             << "% dup=" << dj.dup * 100.0 << "% jitter=" << dj.jitter_ms
-             << "ms";
-
-        harness::ExperimentConfig swept = config;
-        swept.faults = plan;
-        const harness::ExperimentResult result = harness::runAveragedExperiment(
-            swept, args.runs, kinds, args.threads);
-        if (rows.empty()) {
-          clients_per_run = result.clients_per_run;
-          num_clients = result.num_clients;
-        }
-        const harness::ProtocolResult& r =
-            result.result(harness::ProtocolKind::kRp);
-        // Gates: every source-reachable client recovered everything, no
-        // duplicate recovery sessions at moderate duplication, and every
-        // adopted failover plan passed the independent audit.
-        const bool ok =
-            r.residual_reachable == 0 &&
-            r.reachable_losses == r.reachable_recoveries &&
-            r.plan_audit_violations == 0 &&
-            (plan.duplicate_prob > 0.2 || r.duplicate_sessions == 0);
-        rows.push_back({name.str(), plan, r, ok});
-      }
+  for (const harness::ChaosCell& cell : harness::kChaosGrid) {
+    const harness::ExperimentConfig swept = harness::chaosConfig(config, cell);
+    const harness::ExperimentResult result = harness::runAveragedExperiment(
+        swept, args.runs, kinds, args.threads);
+    if (rows.empty()) {
+      clients_per_run = result.clients_per_run;
+      num_clients = result.num_clients;
     }
+    const harness::ProtocolResult& r =
+        result.result(harness::ProtocolKind::kRp);
+    // Gates: every source-reachable client recovered everything, no
+    // duplicate recovery sessions at moderate duplication, and every
+    // adopted failover plan passed the independent audit.
+    const bool ok = r.residual_reachable == 0 &&
+                    r.reachable_losses == r.reachable_recoveries &&
+                    r.plan_audit_violations == 0 &&
+                    (cell.duplicate_prob > 0.2 || r.duplicate_sessions == 0);
+    rows.push_back({harness::chaosCellName(cell), swept.faults, r, ok});
   }
+  const double chaos_time = rows.front().plan.at_ms;
 
   harness::BenchReport report("bench", "chaos");
   report.add("protocol", "RP")

@@ -91,8 +91,8 @@ struct ShardPlannerOptions {
 class ShardPlanner {
  public:
   /// Plans for `topology.clients`.  The topology and routing must outlive
-  /// the planner.  `routing` needs rows for clients only (sparse, lazy and
-  /// tree-metric modes all qualify).  Throws std::invalid_argument on a
+  /// the planner.  `routing` needs rows for clients only (sparse and
+  /// tree-metric modes both qualify).  Throws std::invalid_argument on a
   /// negative timeout or a zero shard budget.
   ShardPlanner(const net::Topology& topology, const net::Routing& routing,
                ShardPlannerOptions options);

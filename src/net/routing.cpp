@@ -31,8 +31,8 @@ struct HeapEntry {
 
 void dijkstraFrom(const CsrAdjacency& g, NodeId src, DelayMs* dist,
                   NodeId* pred) {
-  // One heap per thread, kept across rows: parallel table builds and
-  // concurrent lazy-row misses each reuse their own.
+  // One heap per thread, kept across rows: each lane of a parallel table
+  // build reuses its own.
   thread_local std::vector<HeapEntry> heap;
   heap.clear();
   dist[src] = 0.0;
@@ -67,11 +67,6 @@ Routing::Routing(const Graph& g, std::span<const NodeId> sources,
   build(g, sources, num_threads);
 }
 
-Routing::Routing(const Graph& g, LazyMode)
-    : mode_(Mode::kLazyRows), n_(g.numNodes()), csr_(g) {
-  lazy_rows_ = std::vector<std::atomic<LazyRow*>>(n_);
-}
-
 Routing::Routing(const Graph& g, const MulticastTree& tree)
     : mode_(Mode::kTreeMetric), n_(g.numNodes()), tree_(&tree) {
   lca_ = std::make_unique<LcaIndex>(tree);
@@ -94,11 +89,8 @@ Routing::Routing(const Graph& g, const MulticastTree& tree)
   }
 }
 
-Routing::~Routing() {
-  for (std::atomic<LazyRow*>& slot : lazy_rows_) {
-    delete slot.load(std::memory_order_acquire);
-  }
-}
+// Out of line: LcaIndex is incomplete in the header.
+Routing::~Routing() = default;
 
 void Routing::build(const Graph& g, std::span<const NodeId> sources,
                     unsigned num_threads) {
@@ -156,33 +148,7 @@ void Routing::checkTreeMember(NodeId v) const {
   }
 }
 
-const Routing::LazyRow& Routing::lazyRow(NodeId src) const {
-  std::atomic<LazyRow*>& slot = lazy_rows_[src];
-  if (const LazyRow* row = slot.load(std::memory_order_acquire)) {
-    return *row;
-  }
-  // Build outside any lock; concurrent misses on the same source duplicate
-  // the Dijkstra (identical result) and the loser frees its copy.
-  auto fresh = std::make_unique<LazyRow>();
-  fresh->dist.assign(n_, kInf);
-  fresh->pred.assign(n_, kInvalidNode);
-  dijkstraFrom(csr_, src, fresh->dist.data(), fresh->pred.data());
-  LazyRow* expected = nullptr;
-  if (slot.compare_exchange_strong(expected, fresh.get(),
-                                   std::memory_order_release,
-                                   std::memory_order_acquire)) {
-    lazy_count_.fetch_add(1, std::memory_order_relaxed);
-    return *fresh.release();
-  }
-  return *expected;
-}
-
 Routing::RowRef Routing::rowRef(NodeId src) const {
-  if (mode_ == Mode::kLazyRows) {
-    checkNode(src);
-    const LazyRow& row = lazyRow(src);
-    return {row.dist.data(), row.pred.data()};
-  }
   checkNode(src);
   const std::size_t start = row_start_[src];
   if (start == kNoRow) {
@@ -193,42 +159,12 @@ Routing::RowRef Routing::rowRef(NodeId src) const {
 }
 
 std::size_t Routing::numRows() const {
-  switch (mode_) {
-    case Mode::kTable:
-      return rows_;
-    case Mode::kLazyRows:
-      return lazy_count_.load(std::memory_order_relaxed);
-    case Mode::kTreeMetric:
-      return 0;
-  }
-  return 0;
+  return mode_ == Mode::kTable ? rows_ : 0;
 }
 
 bool Routing::hasSourceRow(NodeId v) const {
   if (v >= n_) return false;
-  switch (mode_) {
-    case Mode::kTable:
-      return row_start_[v] != kNoRow;
-    case Mode::kLazyRows:
-      return true;
-    case Mode::kTreeMetric:
-      return tree_->contains(v);
-  }
-  return false;
-}
-
-void Routing::prefetchRows(std::span<const NodeId> sources,
-                           unsigned num_threads) {
-  if (mode_ != Mode::kLazyRows) return;
-  for (const NodeId src : sources) checkNode(src);
-  const auto warm = [&](std::size_t i) { (void)lazyRow(sources[i]); };
-  const unsigned threads = util::resolveThreadCount(num_threads);
-  if (threads <= 1 || sources.size() <= 1) {
-    for (std::size_t i = 0; i < sources.size(); ++i) warm(i);
-  } else {
-    util::ThreadPool pool(threads);
-    pool.parallelFor(0, sources.size(), warm);
-  }
+  return mode_ == Mode::kTable ? row_start_[v] != kNoRow : tree_->contains(v);
 }
 
 DelayMs Routing::treeDistance(NodeId a, NodeId b) const {

@@ -8,7 +8,7 @@
 // over a reused 4-ary heap that settles nodes in (distance, node) order, so
 // a row is bit-identical whichever table shape or thread built it.
 //
-// Four table shapes are supported:
+// Three table shapes are supported:
 //   * dense  — one row per graph node (all-pairs);
 //   * sparse — rows only for a caller-supplied source set.  Every query the
 //     planners and the simulator make starts at a group agent (a unicast
@@ -16,11 +16,6 @@
 //     reachability check routes from the source), so the harness builds
 //     rows for Topology::agents() only: k+1 Dijkstra runs instead of n, and
 //     a query from a router throws.
-//   * lazy   — no rows up front; a source's Dijkstra row is computed on its
-//     first query and cached.  The sharded planner plans one shard at a
-//     time, so only the rows of the shards it actually visits are ever
-//     built.  Queries are thread-safe; concurrent first queries of the same
-//     source may duplicate the Dijkstra work but install exactly one row.
 //   * tree   — closed-form tree metric over a multicast tree: the distance
 //     between two members is wd(a) + wd(b) - 2*wd(lca(a, b)), where wd is
 //     the delay-weighted depth.  O(log n) per query, O(n) total state, no
@@ -32,7 +27,6 @@
 // to a sequential build regardless of the thread count.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -46,20 +40,12 @@ namespace rmrn::net {
 class MulticastTree;
 class LcaIndex;
 
-// Thread-safety (DESIGN.md §12): immutable-after-build in dense/sparse/tree
-// modes — every public const method is safe to call concurrently once the
-// constructor returns (the parallel table build is internal and joins before
-// returning).  Lazy mode is additionally thread-safe for concurrent queries
-// without any lock: lazy_rows_ slots are published nullptr -> row exactly
-// once via release-CAS (acquire loads), so there is no mutex to annotate —
-// the discipline is pinned by the TSan CI job and the routing determinism
-// tests instead of RMRN_GUARDED_BY.
+// Thread-safety (DESIGN.md §12): immutable-after-build — every public const
+// method is safe to call concurrently once the constructor returns (the
+// parallel table build is internal and joins before returning).  No
+// lock-protected members — nothing to RMRN_GUARDED_BY.
 class Routing {
  public:
-  /// Tag selecting the lazy table shape.
-  struct LazyMode {};
-  static constexpr LazyMode kLazy{};
-
   /// Dense mode: runs Dijkstra from every node of `g`.
   /// O(n * (m + n) log n) work spread over `num_threads` threads.
   explicit Routing(const Graph& g, unsigned num_threads = 1);
@@ -70,10 +56,6 @@ class Routing {
   /// duplicate or out-of-range sources.
   Routing(const Graph& g, std::span<const NodeId> sources,
           unsigned num_threads = 1);
-
-  /// Lazy mode: copies the adjacency (CSR) but runs no Dijkstra up front;
-  /// each source row is built on first use.  Every node is a valid source.
-  Routing(const Graph& g, LazyMode);
 
   /// Tree-metric mode: answers member-pair queries off `tree` alone.  Both
   /// query endpoints must be tree members (std::out_of_range otherwise).
@@ -107,14 +89,13 @@ class Routing {
 
   [[nodiscard]] std::size_t numNodes() const { return n_; }
 
-  /// Number of materialized source rows: numNodes() in dense mode, the
-  /// source-set size in sparse mode, the rows built so far in lazy mode,
-  /// and 0 in tree mode (the tree metric has no rows).
+  /// Number of source rows: numNodes() in dense mode, the source-set size
+  /// in sparse mode, and 0 in tree mode (the tree metric has no rows).
   [[nodiscard]] std::size_t numRows() const;
 
   /// True when queries from `v` (distance/rtt/path/nextHop first argument)
-  /// are answerable: dense mode or v in the sparse source set; any node in
-  /// lazy mode; tree members in tree mode.
+  /// are answerable: dense mode or v in the sparse source set; tree members
+  /// in tree mode.
   [[nodiscard]] bool hasSourceRow(NodeId v) const;
 
   /// True when this is the tree metric over `tree` itself (the tree-metric
@@ -123,18 +104,8 @@ class Routing {
     return mode_ == Mode::kTreeMetric && tree_ == &tree;
   }
 
-  /// Lazy mode: materializes the rows for `sources` in parallel (0 threads
-  /// = hardware concurrency), so a shard's planning loop never pays the
-  /// first-query Dijkstra inline.  No-op in the other modes.
-  void prefetchRows(std::span<const NodeId> sources, unsigned num_threads = 0);
-
  private:
-  enum class Mode { kTable, kLazyRows, kTreeMetric };
-
-  struct LazyRow {
-    std::vector<DelayMs> dist;
-    std::vector<NodeId> pred;
-  };
+  enum class Mode { kTable, kTreeMetric };
 
   struct RowRef {
     const DelayMs* dist;
@@ -147,9 +118,8 @@ class Routing {
              unsigned num_threads);
   void checkNode(NodeId v) const;
   void checkTreeMember(NodeId v) const;
-  /// The dist/pred row for `src`, materializing it first in lazy mode.
+  /// The dist/pred row for `src`; throws when `src` has none.
   [[nodiscard]] RowRef rowRef(NodeId src) const;
-  [[nodiscard]] const LazyRow& lazyRow(NodeId src) const;
   [[nodiscard]] DelayMs treeDistance(NodeId a, NodeId b) const;
 
   Mode mode_ = Mode::kTable;
@@ -162,13 +132,6 @@ class Routing {
   // Row-major [row][node] tables (table mode).
   std::vector<DelayMs> dist_;
   std::vector<NodeId> pred_;  // predecessor of node on the path from source
-
-  // Lazy mode: CSR adjacency for on-demand Dijkstra plus one atomic slot
-  // per node.  Slots go nullptr -> row exactly once (release store; acquire
-  // loads), so readers never see a half-built row.
-  CsrAdjacency csr_;
-  mutable std::vector<std::atomic<LazyRow*>> lazy_rows_;
-  mutable std::atomic<std::size_t> lazy_count_{0};
 
   // Tree-metric mode: delay-weighted depth per memberIndex plus an LCA
   // index owned here (unique_ptr keeps LcaIndex out of this header).

@@ -17,12 +17,11 @@ SimNetwork::SimNetwork(Simulator& simulator, const net::Topology& topology,
     : simulator_(simulator),
       topology_(topology),
       routing_(routing),
-      loss_prob_(loss_prob),
       loss_seed_(loss_seed) {
-  if (loss_prob_ < 0.0 || loss_prob_ >= 1.0) {
+  if (loss_prob < 0.0 || loss_prob >= 1.0) {
     throw std::invalid_argument("SimNetwork: loss_prob must be in [0, 1)");
   }
-  loss_threshold_ = lossThreshold(loss_prob_);
+  loss_threshold_ = lossThreshold(loss_prob);
   const std::size_t n = topology_.graph.numNodes();
   sends_.assign(n, 0);
   is_agent_.assign(n, false);
@@ -242,10 +241,6 @@ void SimNetwork::setAgentFault(net::NodeId agent, AgentFault fault,
 
 AgentFault SimNetwork::agentFault(net::NodeId agent) const {
   return agent < agent_fault_.size() ? agent_fault_[agent] : AgentFault::kNone;
-}
-
-void SimNetwork::setAgentFailed(net::NodeId agent, bool failed) {
-  setAgentFault(agent, failed ? AgentFault::kCrashed : AgentFault::kNone);
 }
 
 bool SimNetwork::isAgentFailed(net::NodeId agent) const {

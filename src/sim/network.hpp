@@ -130,9 +130,7 @@ class SimNetwork final : public EventSink {
                      double slow_extra_ms = 0.0);
   [[nodiscard]] AgentFault agentFault(net::NodeId agent) const;
 
-  /// Crash-only shorthands kept for existing callers: `failed` maps to
-  /// AgentFault::kCrashed and isAgentFailed() reports crashes only.
-  void setAgentFailed(net::NodeId agent, bool failed);
+  /// True when `agent` is crashed (stalled and slowed agents still run).
   [[nodiscard]] bool isAgentFailed(net::NodeId agent) const;
 
   /// Link-level chaos (DESIGN.md §9).  Chaos draws are keyed like the loss
@@ -256,7 +254,6 @@ class SimNetwork final : public EventSink {
   /// traffic flowed).
   [[nodiscard]] std::uint64_t maxRecoveryLinkLoad() const;
 
-  [[nodiscard]] double lossProb() const { return loss_prob_; }
   [[nodiscard]] const net::Topology& topology() const { return topology_; }
   [[nodiscard]] const net::Routing& routing() const { return routing_; }
   [[nodiscard]] Simulator& simulator() { return simulator_; }
@@ -398,9 +395,8 @@ class SimNetwork final : public EventSink {
   Simulator& simulator_;
   const net::Topology& topology_;
   const net::Routing& routing_;
-  double loss_prob_;
   std::uint64_t loss_seed_;
-  std::uint64_t loss_threshold_ = 0;  // lossThreshold(loss_prob_)
+  std::uint64_t loss_threshold_ = 0;  // lossThreshold(loss_prob)
   std::vector<std::uint32_t> sends_;  // send counter, by NodeId
   DeliveryHandler handler_;
   TraceSink trace_sink_;

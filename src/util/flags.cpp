@@ -1,12 +1,60 @@
 #include "util/flags.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
 
 namespace rmrn::util {
+
+std::optional<double> parseDouble(const std::string& text) {
+  try {
+    std::size_t pos = 0;
+    const double value = std::stod(text, &pos);
+    if (pos == text.size()) return value;
+  } catch (const std::exception&) {
+    // std::invalid_argument (no number) or std::out_of_range.
+  }
+  return std::nullopt;
+}
+
+std::optional<std::int64_t> parseInt(const std::string& text) {
+  try {
+    std::size_t pos = 0;
+    const std::int64_t value = std::stoll(text, &pos);
+    if (pos == text.size()) return value;
+  } catch (const std::exception&) {
+    // std::invalid_argument (no number) or std::out_of_range.
+  }
+  return std::nullopt;
+}
+
+std::optional<std::uint64_t> parseUnsigned(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) return std::nullopt;
+  return value;
+}
+
+namespace {
+
+// The value of --name as a number / an integer; throws naming the flag.
+double flagNumber(const std::string& name, const std::string& raw) {
+  if (const auto value = parseDouble(raw)) return *value;
+  throw std::invalid_argument("Flags: --" + name + " expects a number, got '" +
+                              raw + "'");
+}
+
+std::int64_t flagInteger(const std::string& name, const std::string& raw) {
+  if (const auto value = parseInt(raw)) return *value;
+  throw std::invalid_argument("Flags: --" + name +
+                              " expects an integer, got '" + raw + "'");
+}
+
+}  // namespace
 
 Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -54,41 +102,17 @@ std::string Flags::getString(const std::string& name,
   return get(name).value_or(fallback);
 }
 
-double Flags::parseDouble(const std::string& name, const std::string& raw) {
-  try {
-    std::size_t pos = 0;
-    const double value = std::stod(raw, &pos);
-    if (pos != raw.size()) throw std::invalid_argument("trailing junk");
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("Flags: --" + name +
-                                " expects a number, got '" + raw + "'");
-  }
-}
-
-std::int64_t Flags::parseInt(const std::string& name, const std::string& raw) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t value = std::stoll(raw, &pos);
-    if (pos != raw.size()) throw std::invalid_argument("trailing junk");
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("Flags: --" + name +
-                                " expects an integer, got '" + raw + "'");
-  }
-}
-
 double Flags::getDouble(const std::string& name, double fallback) const {
   const auto raw = get(name);
   if (!raw) return fallback;
-  return parseDouble(name, *raw);
+  return flagNumber(name, *raw);
 }
 
 std::int64_t Flags::getInt(const std::string& name,
                            std::int64_t fallback) const {
   const auto raw = get(name);
   if (!raw) return fallback;
-  return parseInt(name, *raw);
+  return flagInteger(name, *raw);
 }
 
 std::uint64_t Flags::getUnsigned(const std::string& name,
@@ -96,7 +120,7 @@ std::uint64_t Flags::getUnsigned(const std::string& name,
                                  std::uint64_t max) const {
   const auto raw = get(name);
   if (!raw) return fallback;
-  const std::int64_t value = parseInt(name, *raw);
+  const std::int64_t value = flagInteger(name, *raw);
   if (value < 0) {
     throw std::invalid_argument("Flags: --" + name + " must be >= 0");
   }
@@ -133,10 +157,10 @@ std::vector<T> Flags::getList(const std::string& name,
     T value{};
     bool ok = !token.empty();
     if constexpr (std::is_floating_point_v<T>) {
-      value = ok ? parseDouble(name, token) : 0.0;
+      value = ok ? flagNumber(name, token) : 0.0;
       ok = ok && value >= min && value <= max;  // false for NaN
     } else {
-      const std::int64_t raw = ok ? parseInt(name, token) : 0;
+      const std::int64_t raw = ok ? flagInteger(name, token) : 0;
       ok = ok && std::cmp_greater_equal(raw, min) &&
            std::cmp_less_equal(raw, max);
       value = static_cast<T>(raw);

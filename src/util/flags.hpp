@@ -14,6 +14,16 @@
 
 namespace rmrn::util {
 
+/// Strict number parsers, shared by Flags and the experiment config reader
+/// (harness/config_io): all of `text` must be one number, so empty text and
+/// trailing junk ("5%", "0.05percent") give nullopt, as does a value the
+/// type cannot hold.
+[[nodiscard]] std::optional<double> parseDouble(const std::string& text);
+[[nodiscard]] std::optional<std::int64_t> parseInt(const std::string& text);
+/// Digits only: a sign gives nullopt, so "-1" never wraps to 2^64 - 1.
+[[nodiscard]] std::optional<std::uint64_t> parseUnsigned(
+    const std::string& text);
+
 class Flags {
  public:
   /// Parses argv[1..).  Throws std::invalid_argument on malformed input
@@ -56,12 +66,6 @@ class Flags {
   [[nodiscard]] std::vector<std::string> unconsumed() const;
 
  private:
-  /// Parses `raw` as the value of --name; throws naming the flag.
-  [[nodiscard]] static double parseDouble(const std::string& name,
-                                          const std::string& raw);
-  [[nodiscard]] static std::int64_t parseInt(const std::string& name,
-                                             const std::string& raw);
-
   std::unordered_map<std::string, std::string> values_;
   mutable std::unordered_map<std::string, bool> consumed_;
   std::vector<std::string> positional_;

@@ -24,8 +24,8 @@ class ShardChurnAllocTest : public ::testing::Test {
   ShardChurnAllocTest() {
     util::Rng rng(6011);
     topo_ = net::generateTreeTopology(600, rng);
-    // Tree-metric routing: closed-form RTTs, so no lazy row materialization
-    // can allocate mid-churn.
+    // Tree-metric routing: closed-form RTTs, so no routing query can
+    // allocate mid-churn.
     routing_ = std::make_unique<net::Routing>(topo_.graph, topo_.tree);
     ShardPlannerOptions options;
     options.planner.timeout_ms = 100.0;  // fixed across churn

@@ -16,8 +16,6 @@
 namespace rmrn::harness {
 namespace {
 
-using test_support::ChaosCell;
-
 class ChaosLiveness
     : public ::testing::TestWithParam<std::tuple<ChaosCell, std::uint64_t>> {};
 
@@ -40,12 +38,12 @@ TEST_P(ChaosLiveness, EverySchemeTerminatesClean) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, ChaosLiveness,
-    ::testing::Combine(::testing::ValuesIn(test_support::kChaosGrid),
+    ::testing::Combine(::testing::ValuesIn(kChaosGrid),
                        ::testing::Values(std::uint64_t{1}, std::uint64_t{2},
                                          std::uint64_t{3})),
     [](const auto& cell_seed) {
-      return std::string(std::get<0>(cell_seed.param).name) + "_s" +
-             std::to_string(std::get<1>(cell_seed.param));
+      return test_support::cellTestName(std::get<0>(cell_seed.param)) +
+             "_s" + std::to_string(std::get<1>(cell_seed.param));
     });
 
 }  // namespace

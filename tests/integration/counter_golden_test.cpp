@@ -204,14 +204,13 @@ TEST(ExperimentCounterGolden, RpUnderClientCrashes) {
 
 TEST(ExperimentCounterGolden, RpUnderChaosGridCell) {
   // heal25 x flap15 x dup15/jitter2.
-  expectAllSchemes(chaosConfig(test_support::kChaosGrid[7]), kHealedChaos);
+  expectAllSchemes(chaosConfig(kChaosGrid[7]), kHealedChaos);
 }
 
 TEST(ExperimentCounterGolden, RpUnderPermanentPartition) {
   // perm25 x no flaps x no dup/jitter: the partitioned clients stay
   // unreachable at the run's end.
-  expectAllSchemes(chaosConfig(test_support::kChaosGrid[8]),
-                   kPermanentPartition);
+  expectAllSchemes(chaosConfig(kChaosGrid[8]), kPermanentPartition);
 }
 
 }  // namespace

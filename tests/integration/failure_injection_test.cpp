@@ -42,19 +42,21 @@ struct Rig {
 
 TEST(FailureInjectionTest, SetAgentFailedValidatesNode) {
   Rig rig(1);
-  EXPECT_THROW(rig.network.setAgentFailed(rig.topo.source + 100000, true),
+  EXPECT_THROW(rig.network.setAgentFault(rig.topo.source + 100000,
+                                           sim::AgentFault::kCrashed),
                std::invalid_argument);
   // Routers are not agents.
   for (const net::NodeId v : rig.topo.tree.members()) {
     if (v != rig.topo.source && !rig.topo.isClient(v)) {
-      EXPECT_THROW(rig.network.setAgentFailed(v, true),
+      EXPECT_THROW(rig.network.setAgentFault(v, sim::AgentFault::kCrashed),
                    std::invalid_argument);
       break;
     }
   }
-  rig.network.setAgentFailed(rig.topo.clients.front(), true);
+  rig.network.setAgentFault(rig.topo.clients.front(),
+                            sim::AgentFault::kCrashed);
   EXPECT_TRUE(rig.network.isAgentFailed(rig.topo.clients.front()));
-  rig.network.setAgentFailed(rig.topo.clients.front(), false);
+  rig.network.setAgentFault(rig.topo.clients.front(), sim::AgentFault::kNone);
   EXPECT_FALSE(rig.network.isAgentFailed(rig.topo.clients.front()));
 }
 
@@ -79,7 +81,7 @@ TEST(FailureInjectionTest, RpRoutesAroundCrashedPeer) {
     }
   }
   ASSERT_NE(victim, net::kInvalidNode);
-  rig.network.setAgentFailed(crashed, true);
+  rig.network.setAgentFault(crashed, sim::AgentFault::kCrashed);
 
   // Drop the leaf link into the victim only: its first peer would normally
   // answer, but it is dead; the timeout must advance the session and the
@@ -101,7 +103,7 @@ TEST(FailureInjectionTest, RmaRoutesAroundCrashedPeers) {
   // Crash a third of the clients (not all: somebody must stay alive... the
   // source always is).
   for (std::size_t i = 0; i < rig.topo.clients.size(); i += 3) {
-    rig.network.setAgentFailed(rig.topo.clients[i], true);
+    rig.network.setAgentFault(rig.topo.clients[i], sim::AgentFault::kCrashed);
   }
   // Lose a packet for every client.  Crashed receivers register no losses
   // (they run no protocol); every live client must still recover even when

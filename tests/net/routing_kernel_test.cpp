@@ -2,7 +2,7 @@
 // bit for bit, as the reference kernel below: a fresh std::priority_queue of
 // (distance, node) pairs per row with strict-less relaxation.  Every table
 // shape builds its rows with the one kernel, so dist and pred are compared
-// in full for dense (sequential and parallel), agent-row and lazy tables.
+// in full for dense (sequential and parallel) and agent-row tables.
 // The graphs are full of exact ties (unit, integer and tenth-of-a-ms
 // delays): with ties, pred depends on the order in which equal-distance
 // nodes are settled, so a heap that broke ties any other way than by node id
@@ -94,12 +94,10 @@ void expectRowsMatchReference(const Topology& topo) {
   const Routing parallel(g, 4u);
   const std::vector<NodeId> agents = topo.agents();
   const Routing agent_rows(g, agents, 4u);
-  const Routing lazy(g, Routing::kLazy);
   for (NodeId src = 0; src < g.numNodes(); ++src) {
     const Row want = referenceRow(g, src);
     ASSERT_TRUE(sameRow(routingRow(dense, src), want, src));
     ASSERT_TRUE(sameRow(routingRow(parallel, src), want, src));
-    ASSERT_TRUE(sameRow(routingRow(lazy, src), want, src));
     if (agent_rows.hasSourceRow(src)) {
       ASSERT_TRUE(sameRow(routingRow(agent_rows, src), want, src));
     }

@@ -1,7 +1,6 @@
-// Lazy-row and tree-metric Routing must agree with the dense tables: a lazy
-// row is the same deterministic Dijkstra run computed later, and the tree
-// metric reads the same shortest paths off the multicast tree whenever the
-// backbone is a tree (tree paths are then the only paths).
+// Tree-metric Routing must agree with the dense tables: it reads the same
+// shortest paths off the multicast tree whenever the backbone is a tree
+// (tree paths are then the only paths).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -36,59 +35,6 @@ TEST(CsrAdjacencyTest, MatchesGraphNeighbors) {
     }
   }
 }
-
-class LazyRoutingTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(LazyRoutingTest, MatchesDenseRowForRow) {
-  const Topology topo = makeGraphTopology(GetParam());
-  const Routing dense(topo.graph);
-  const Routing lazy(topo.graph, Routing::kLazy);
-
-  EXPECT_EQ(lazy.numNodes(), dense.numNodes());
-  EXPECT_EQ(lazy.numRows(), 0u) << "no rows before the first query";
-  for (NodeId a = 0; a < topo.graph.numNodes(); ++a) {
-    ASSERT_TRUE(lazy.hasSourceRow(a));
-    for (NodeId b = 0; b < topo.graph.numNodes(); ++b) {
-      ASSERT_EQ(lazy.distance(a, b), dense.distance(a, b))
-          << a << " -> " << b;
-      EXPECT_EQ(lazy.rtt(a, b), dense.rtt(a, b));
-      EXPECT_EQ(lazy.path(a, b), dense.path(a, b));
-      EXPECT_EQ(lazy.nextHop(a, b), dense.nextHop(a, b));
-    }
-  }
-  EXPECT_EQ(lazy.numRows(), dense.numRows()) << "every row materialized";
-}
-
-TEST_P(LazyRoutingTest, MaterializesOnlyQueriedRows) {
-  const Topology topo = makeGraphTopology(GetParam());
-  const Routing lazy(topo.graph, Routing::kLazy);
-  const NodeId a = topo.clients.front();
-  const NodeId b = topo.clients.back();
-  (void)lazy.distance(a, b);
-  EXPECT_EQ(lazy.numRows(), 1u);
-  (void)lazy.distance(a, topo.source);  // same row, no new build
-  EXPECT_EQ(lazy.numRows(), 1u);
-  (void)lazy.rtt(b, a);
-  EXPECT_EQ(lazy.numRows(), 2u) << "querying from b builds its row";
-}
-
-TEST_P(LazyRoutingTest, PrefetchWarmsAllRequestedRows) {
-  const Topology topo = makeGraphTopology(GetParam());
-  const Routing dense(topo.graph);
-  Routing lazy(topo.graph, Routing::kLazy);
-  const std::vector<NodeId> sources = topo.agents();
-  lazy.prefetchRows(sources, 4);
-  EXPECT_EQ(lazy.numRows(), sources.size());
-  for (const NodeId a : sources) {
-    for (NodeId b = 0; b < topo.graph.numNodes(); ++b) {
-      ASSERT_EQ(lazy.distance(a, b), dense.distance(a, b));
-    }
-  }
-  EXPECT_EQ(lazy.numRows(), sources.size()) << "queries hit the warm rows";
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, LazyRoutingTest,
-                         ::testing::Values(101, 202, 303));
 
 class TreeMetricRoutingTest : public ::testing::TestWithParam<std::uint64_t> {
 };

@@ -1,10 +1,13 @@
 // Experiment shapes shared by the counter goldens and the chaos liveness
-// sweep: a small lossy-recovery run, and the fault plan of one cell of the
-// `rmrn_cli chaos` grid (partition x link flaps x duplication/jitter).
+// sweep: a small lossy-recovery run, and that run under one cell of the
+// chaos grid `rmrn_cli chaos` sweeps (harness/chaos_grid.hpp).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <string>
 
+#include "harness/chaos_grid.hpp"
 #include "harness/experiment.hpp"
 
 namespace rmrn::test_support {
@@ -21,57 +24,17 @@ namespace rmrn::test_support {
   return config;
 }
 
-/// One cell of the chaos grid.
-struct ChaosCell {
-  const char* name;
-  double partition_fraction;
-  double heal;  // partition heal time as a fraction of the data span; 0 =
-                // permanent
-  double flap_fraction;
-  double duplicate_prob;
-  double jitter_ms;
-};
-
-/// The 12 cells `rmrn_cli chaos` sweeps, in its order.
-inline constexpr ChaosCell kChaosGrid[] = {
-    {"none_flap0_dup0", 0.0, 0.0, 0.0, 0.0, 0.0},
-    {"none_flap0_dup15", 0.0, 0.0, 0.0, 0.15, 2.0},
-    {"none_flap15_dup0", 0.0, 0.0, 0.15, 0.0, 0.0},
-    {"none_flap15_dup15", 0.0, 0.0, 0.15, 0.15, 2.0},
-    {"heal25_flap0_dup0", 0.25, 0.2, 0.0, 0.0, 0.0},
-    {"heal25_flap0_dup15", 0.25, 0.2, 0.0, 0.15, 2.0},
-    {"heal25_flap15_dup0", 0.25, 0.2, 0.15, 0.0, 0.0},
-    {"heal25_flap15_dup15", 0.25, 0.2, 0.15, 0.15, 2.0},
-    {"perm25_flap0_dup0", 0.25, 0.0, 0.0, 0.0, 0.0},
-    {"perm25_flap0_dup15", 0.25, 0.0, 0.0, 0.15, 2.0},
-    {"perm25_flap15_dup0", 0.25, 0.0, 0.15, 0.0, 0.0},
-    {"perm25_flap15_dup15", 0.25, 0.0, 0.15, 0.15, 2.0},
-};
-
-/// lossyConfig(seed) under `cell`'s fault plan, set up as `rmrn_cli chaos`
-/// sets it: audited failover plans and a retry budget that outlasts the
-/// watchdog.
+/// lossyConfig(seed) under `cell`, set up as `rmrn_cli chaos` sets it up.
 [[nodiscard]] inline harness::ExperimentConfig chaosConfig(
-    const ChaosCell& cell, std::uint64_t seed = 5) {
-  harness::ExperimentConfig config = lossyConfig(seed);
-  config.audit_failover_plans = true;
-  config.protocol.health.retry_budget = 256;
-  const double span = config.num_packets * config.data_interval_ms;
-  sim::FaultPlan& plan = config.faults;
-  plan.seed = config.seed;
-  plan.at_ms = 0.4 * span;
-  plan.stagger_ms = config.data_interval_ms;
-  plan.partition_fraction = cell.partition_fraction;
-  plan.partition_heal_ms = cell.heal * span;
-  plan.link_flap_fraction = cell.flap_fraction;
-  if (cell.flap_fraction > 0.0) {
-    plan.flap_down_ms = 0.1 * span;
-    plan.flap_cycles = 2;
-    plan.flap_period_ms = 0.25 * span;
-  }
-  plan.duplicate_prob = cell.duplicate_prob;
-  plan.reorder_jitter_ms = cell.jitter_ms;
-  return config;
+    const harness::ChaosCell& cell, std::uint64_t seed = 5) {
+  return harness::chaosConfig(lossyConfig(seed), cell);
+}
+
+/// A test-name-safe cell name, e.g. "heal25_flap15_dup0".
+[[nodiscard]] inline std::string cellTestName(const harness::ChaosCell& cell) {
+  return std::string(cell.partition) + "_flap" +
+         std::to_string(std::lround(cell.flap_fraction * 100.0)) + "_dup" +
+         std::to_string(std::lround(cell.duplicate_prob * 100.0));
 }
 
 }  // namespace rmrn::test_support
