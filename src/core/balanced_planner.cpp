@@ -110,7 +110,8 @@ BalancedPlanner::BalancedPlanner(const net::Topology& topology,
       }
       const net::NodeId router = lca.lca(u, v);
       if (router == u) continue;  // v inside u's subtree: useless
-      entries.push_back({v, topology.tree.depth(router), routing.rtt(u, v)});
+      entries.push_back(
+          {v, topology.tree.depth(router), routing.rtt(u, v, router)});
     }
   }
 

@@ -56,7 +56,7 @@ void selectIntoImpl(net::NodeId u, const net::MulticastTree& tree,
   RMRN_REQUIRE(tree.contains(u), "selectCandidates: u not in tree");
   const net::HopCount depth_u = tree.depth(u);
   const auto source_rtt = [&](net::NodeId w) {
-    return routing.rtt(w, tree.root());
+    return routing.rtt(w, tree.root(), tree.root());
   };
   best.assign(depth_u, Candidate{});  // indexed by DS; kInvalidNode = empty
   for (const net::NodeId v : clients) {
@@ -64,7 +64,7 @@ void selectIntoImpl(net::NodeId u, const net::MulticastTree& tree,
     RMRN_REQUIRE(tree.contains(v), "selectCandidates: client not in tree");
     const net::NodeId router = lca(u, v);
     if (router == u) continue;  // see classesImpl
-    const Candidate c{v, tree.depth(router), routing.rtt(u, v)};
+    const Candidate c{v, tree.depth(router), routing.rtt(u, v, router)};
     Candidate& slot = best[c.ds];
     if (slot.peer == net::kInvalidNode || classBefore(c, slot, source_rtt)) {
       slot = c;

@@ -43,7 +43,7 @@ struct CompetitiveClass {
     net::NodeId u, const net::MulticastTree& tree,
     const std::vector<net::NodeId>& clients);
 
-/// Same, with O(log n) LCA queries via a prebuilt index — the planner's
+/// Same, with O(1) LCA queries via a prebuilt index — the planner's
 /// whole-group pass issues O(k^2) queries, so it builds one index and
 /// reuses it.  `index` must be built over `tree`.
 [[nodiscard]] std::vector<CompetitiveClass> competitiveClasses(

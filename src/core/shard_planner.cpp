@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -71,8 +73,7 @@ ShardPlanner::ShardPlanner(const net::Topology& topology,
   for (std::uint32_t id = 0; id < partition_.numSlots(); ++id) {
     if (!partition_.isLive(id)) continue;
     live.push_back(id);
-    shard_states_[id].root = partition_.shard(id).root;
-    shard_states_[id].rep = computeRep(partition_.shard(id));
+    refreshShardState(id);
   }
   bulkBuildExt(live);
 
@@ -118,9 +119,21 @@ bool ShardPlanner::eligible(net::NodeId v) const {
 }
 
 bool ShardPlanner::repLess(net::NodeId a, net::NodeId b) const {
-  const double sa = srtt_[idx(a)];
+  return repLess(srtt_[idx(a)], a, b);
+}
+
+bool ShardPlanner::repLess(double sa, net::NodeId a, net::NodeId b) const {
   const double sb = srtt_[idx(b)];
   return sa < sb || (sa == sb && a < b);
+}
+
+void ShardPlanner::refreshShardState(std::uint32_t id) {
+  ShardState& state = shard_states_[id];
+  const Shard& shard = partition_.shard(id);
+  state.root = shard.root;
+  state.root_pos = static_cast<std::uint32_t>(idx(shard.root));
+  state.rep = computeRep(shard);
+  state.rep_srtt = state.rep == net::kInvalidNode ? 0.0 : srtt_[idx(state.rep)];
 }
 
 net::NodeId ShardPlanner::computeRep(const Shard& shard) const {
@@ -133,22 +146,34 @@ net::NodeId ShardPlanner::computeRep(const Shard& shard) const {
 }
 
 void ShardPlanner::offer(TopTwo& top, net::NodeId via, net::NodeId rep) const {
-  if (rep == net::kInvalidNode) return;
-  if (top.best == net::kInvalidNode || repLess(rep, top.best)) {
+  if (rep != net::kInvalidNode) offer(top, via, rep, srtt_[idx(rep)]);
+}
+
+void ShardPlanner::offer(TopTwo& top, net::NodeId via, net::NodeId rep,
+                         double rep_srtt) const {
+  if (top.best == net::kInvalidNode || repLess(rep_srtt, rep, top.best)) {
     if (top.via != via) {
       top.second = top.best;
       top.via = via;
     }
     top.best = rep;
-  } else if (via != top.via &&
-             (top.second == net::kInvalidNode || repLess(rep, top.second))) {
+  } else if (via != top.via && (top.second == net::kInvalidNode ||
+                                repLess(rep_srtt, rep, top.second))) {
     top.second = rep;
   }
 }
 
-net::NodeId ShardPlanner::branchAt(net::NodeId root, net::HopCount d) const {
-  const net::HopCount depth = topology_->tree.depth(root);
-  return depth == d ? root : lca_.ancestor(root, depth - d - 1);
+net::NodeId ShardPlanner::branchOffPath(const ShardState& s,
+                                        net::HopCount m) const {
+  if (s.root_pos == anchor_path_[m].begin) return s.root;
+  // The child subtrees of the path node are consecutive preorder ranges, so
+  // the root's is the last one starting at or before it.
+  const auto first = path_children_.begin() + path_children_start_[m];
+  const auto last = path_children_.begin() + path_children_start_[m + 1];
+  const auto after = std::upper_bound(
+      first, last, s.root_pos,
+      [](std::uint32_t pos, const PathChild& c) { return pos < c.pos; });
+  return std::prev(after)->node;
 }
 
 void ShardPlanner::buildRegionExt(std::uint32_t id,
@@ -161,24 +186,17 @@ void ShardPlanner::buildRegionExt(std::uint32_t id,
   // the residual client itself, and compete normally for everyone else).
   // Surviving shards meet this root where they meet the anchor, so they
   // arrive ranked per depth in outside_best_.
-  // rmrn-lint: allow(HOT-1) retained-capacity scratch; ShardChurnAllocTest pins zero steady-state allocation
-  ext_depth_best_.assign(depth + 1, net::kInvalidNode);
+  // rmrn-lint: allow(HOT-1) ext table reuses retained capacity; ShardChurnAllocTest pins zero steady-state allocation
+  state.ext.assign(depth + 1, net::kInvalidNode);
   std::copy_n(outside_best_.begin(),
-              std::min(outside_best_.size(), ext_depth_best_.size()),
-              ext_depth_best_.begin());
+              std::min(outside_best_.size(), state.ext.size()),
+              state.ext.begin());
   for (const std::uint32_t b : region) {
     const net::NodeId rep = shard_states_[b].rep;
     if (b == id || rep == net::kInvalidNode) continue;
     const net::HopCount ds = lca_.lcaDepth(state.root, shard_states_[b].root);
-    net::NodeId& slot = ext_depth_best_[ds];
+    net::NodeId& slot = state.ext[ds];
     if (slot == net::kInvalidNode || repLess(rep, slot)) slot = rep;
-  }
-  state.ext.clear();
-  for (net::HopCount ds = 0; ds <= depth; ++ds) {
-    if (ext_depth_best_[ds] != net::kInvalidNode) {
-      // rmrn-lint: allow(HOT-1) ext list reuses retained capacity; ShardChurnAllocTest pins zero steady-state allocation
-      state.ext.push_back(ExtEntry{ds, ext_depth_best_[ds]});
-    }
   }
 }
 
@@ -219,11 +237,9 @@ void ShardPlanner::bulkBuildExt(const std::vector<std::uint32_t>& live) {
       if (d == 0) break;
       t = tree.parent(t);
     }
-    state.ext.clear();
+    state.ext.resize(static_cast<std::size_t>(depth) + 1);
     for (net::HopCount d = 0; d <= depth; ++d) {
-      const net::NodeId winner =
-          top[idx(path[d])].excluding(path[d == depth ? d : d + 1]);
-      if (winner != net::kInvalidNode) state.ext.push_back(ExtEntry{d, winner});
+      state.ext[d] = top[idx(path[d])].excluding(path[d == depth ? d : d + 1]);
     }
   }
 }
@@ -235,8 +251,10 @@ void ShardPlanner::buildConsider(std::uint32_t id,
     // rmrn-lint: allow(HOT-1) caller-owned scratch, retained capacity; ShardChurnAllocTest pins zero steady-state allocation
     if (!excluded_[idx(w)]) out.push_back(w);
   }
-  // rmrn-lint: allow(HOT-1) caller-owned scratch, retained capacity; ShardChurnAllocTest pins zero steady-state allocation
-  for (const ExtEntry& e : shard_states_[id].ext) out.push_back(e.rep);
+  for (const net::NodeId rep : shard_states_[id].ext) {
+    // rmrn-lint: allow(HOT-1) caller-owned scratch, retained capacity; ShardChurnAllocTest pins zero steady-state allocation
+    if (rep != net::kInvalidNode) out.push_back(rep);
+  }
 }
 
 bool ShardPlanner::planClient(net::NodeId u,
@@ -322,21 +340,27 @@ void ShardPlanner::foldShard(std::uint32_t id, Arena& arena) const {
     const net::NodeId v = order[base + i];
     offer(arena.fold[idx(tree.parent(v)) - base], v, arena.fold[i].best);
   }
+  // rmrn-lint: allow(HOT-1) per-worker scratch of root depth, retained capacity; ShardChurnAllocTest pins zero steady-state allocation
+  arena.path.resize(static_cast<std::size_t>(tree.depth(shard.root)) + 1);
+  net::NodeId t = shard.root;
+  for (std::size_t d = arena.path.size(); d-- > 0; t = tree.parent(t)) {
+    arena.path[d] = t;
+  }
 }
 
 void ShardPlanner::foldCandidates(std::uint32_t id, net::NodeId u,
                                   Arena& arena) const {
   const net::MulticastTree& tree = topology_->tree;
   const ShardState& state = shard_states_[id];
-  const std::size_t base = idx(state.root);
+  const std::size_t base = state.root_pos;
   const net::HopCount root_depth = tree.depth(state.root);
-  const std::vector<ExtEntry>& ext = state.ext;  // ascending DS
   std::vector<Candidate>& out = arena.tmp;
   out.clear();
-  const auto add = [&](net::NodeId w, net::HopCount ds) {
+  // `router` is lca(u, w): the fold walk and the ext table both know it.
+  const auto add = [&](net::NodeId w, net::HopCount ds, net::NodeId router) {
     if (w == net::kInvalidNode) return;
     // rmrn-lint: allow(HOT-1) per-worker list, retained capacity; ShardChurnAllocTest pins zero steady-state allocation
-    out.push_back(Candidate{w, ds, routing_->rtt(u, w)});
+    out.push_back(Candidate{w, ds, routing_->rtt(u, w, router)});
   };
   // Inside the shard, u's class at ancestor a is every member folded at a
   // outside u's own branch; under the tree metric its (source RTT, id)
@@ -348,13 +372,13 @@ void ShardPlanner::foldCandidates(std::uint32_t id, net::NodeId u,
   for (net::NodeId branch = u; branch != state.root;) {
     const net::NodeId a = tree.parent(branch);
     --ds;
-    add(arena.fold[idx(a) - base].excluding(branch), ds);
+    add(arena.fold[idx(a) - base].excluding(branch), ds, a);
     branch = a;
   }
   // Above the root every member shares one branch, so each class there is
   // exactly its ext entry.
-  for (auto it = ext.rbegin(); it != ext.rend(); ++it) {
-    if (it->ds < root_depth) add(it->rep, it->ds);
+  for (net::HopCount d = root_depth; d-- > 0;) {
+    add(state.ext[d], d, arena.path[d]);
   }
 }
 
@@ -395,7 +419,7 @@ std::size_t ShardPlanner::patchChurnedShard(std::uint32_t id, net::NodeId v,
       if (has && it->peer == v) replans += reselect(u) ? 1 : 0;
       continue;
     }
-    const Candidate c{v, ds, routing_->rtt(u, v)};
+    const Candidate c{v, ds, routing_->rtt(u, v, router)};
     if (has && !classBefore(c, *it, source_rtt)) continue;
     replans += patchClass(u, st, it, c) ? 1 : 0;
   }
@@ -407,9 +431,10 @@ std::size_t ShardPlanner::patchImporter(std::uint32_t x, net::HopCount ds,
   // Every member lies under the shard root, so for ds above the root the
   // class at ds holds exactly the ext entry.  At the root's own depth
   // (shards nested under a residual root) the class mixes, so reselect.
-  if (ds == topology_->tree.depth(shard_states_[x].root)) {
-    return planShard(x, arena_, false);
-  }
+  const net::NodeId root = shard_states_[x].root;
+  const net::HopCount root_depth = topology_->tree.depth(root);
+  if (ds == root_depth) return planShard(x, arena_, false);
+  const net::NodeId router = lca_.ancestor(root, root_depth - ds);
   bool have_consider = false;
   std::size_t replans = 0;
   for (const net::NodeId u : partition_.shard(x).clients) {
@@ -421,8 +446,9 @@ std::size_t ShardPlanner::patchImporter(std::uint32_t x, net::HopCount ds,
       continue;
     }
     const Candidate c{winner, ds,
-                      winner == net::kInvalidNode ? 0.0
-                                                  : routing_->rtt(u, winner)};
+                      winner == net::kInvalidNode
+                          ? 0.0
+                          : routing_->rtt(u, winner, router)};
     replans += patchClass(u, st, classSlot(st.candidates, ds), c) ? 1 : 0;
   }
   return replans;
@@ -451,12 +477,33 @@ void ShardPlanner::foldAnchorPath(net::NodeId anchor) {
   const net::HopCount depth = tree.depth(anchor);
   // rmrn-lint: allow(HOT-1) retained-capacity scratch of anchor depth; ShardChurnAllocTest pins zero steady-state allocation
   fold_.assign(static_cast<std::size_t>(depth) + 1, TopTwo{});
+  path_children_.clear();
+  path_children_start_.clear();
+  for (const net::LcaIndex::Subtree& at : anchor_path_) {
+    // rmrn-lint: allow(HOT-1) retained-capacity scratch of anchor depth; ShardChurnAllocTest pins zero steady-state allocation
+    path_children_start_.push_back(
+        static_cast<std::uint32_t>(path_children_.size()));
+    const auto group = static_cast<std::ptrdiff_t>(path_children_.size());
+    for (const net::NodeId c : tree.children(tree.members()[at.begin])) {
+      // rmrn-lint: allow(HOT-1) retained-capacity scratch of the path's children; ShardChurnAllocTest pins zero steady-state allocation
+      path_children_.push_back(
+          PathChild{static_cast<std::uint32_t>(idx(c)), c});
+    }
+    std::sort(path_children_.begin() + group, path_children_.end(),
+              [](const PathChild& a, const PathChild& b) {
+                return a.pos < b.pos;
+              });
+  }
+  // rmrn-lint: allow(HOT-1) retained-capacity scratch of anchor depth; ShardChurnAllocTest pins zero steady-state allocation
+  path_children_start_.push_back(
+      static_cast<std::uint32_t>(path_children_.size()));
   for (std::uint32_t b = 0; b < partition_.numSlots(); ++b) {
     if (!partition_.isLive(b)) continue;
     const ShardState& state = shard_states_[b];
     if (state.rep == net::kInvalidNode) continue;
-    const net::HopCount m = lca_.lcaDepth(state.root, anchor);
-    offer(fold_[m], branchAt(state.root, m), state.rep);
+    const net::HopCount m =
+        net::LcaIndex::meetDepth(anchor_path_, state.root_pos);
+    offer(fold_[m], branchOffPath(state, m), state.rep, state.rep_srtt);
   }
   // Everything meeting the path below depth d arrives at depth d through
   // the path's own branch, so fold deeper winners upward as bulkBuildExt
@@ -513,10 +560,8 @@ void ShardPlanner::applyChurn(const GroupPartition::Churn& churn,
   net::NodeId new_best = net::kInvalidNode;
   for (const std::uint32_t id : churn.touched) {
     ShardState& state = shard_states_[id];
-    const Shard& shard = partition_.shard(id);
-    if (state.root != shard.root) root_changed = true;
-    state.root = shard.root;
-    state.rep = computeRep(shard);
+    if (state.root != partition_.shard(id).root) root_changed = true;
+    refreshShardState(id);
     if (state.rep != net::kInvalidNode &&
         (new_best == net::kInvalidNode || repLess(state.rep, new_best))) {
       new_best = state.rep;
@@ -543,31 +588,34 @@ void ShardPlanner::applyChurn(const GroupPartition::Churn& churn,
   // One pass over the surviving shards.  Each meets every changed root at
   // the depth where it meets the anchor: that depth ranks its
   // representative for the region's new ext tables and, when the region's
-  // best representative moved, is the one ext slot it must patch.
+  // best representative moved, is the one ext slot it must patch.  The pass
+  // reads only the shard states (cached root position and representative
+  // source RTT), so it streams instead of missing cache per shard.
   for (const std::uint32_t id : churn.touched) in_changed_[id] = 1;
   for (const std::uint32_t id : churn.removed) in_changed_[id] = 1;
   // rmrn-lint: allow(HOT-1) retained-capacity scratch of anchor depth; ShardChurnAllocTest pins zero steady-state allocation
   outside_best_.assign(
       static_cast<std::size_t>(topology_->tree.depth(anchor)) + 1,
       net::kInvalidNode);
+  // Where a shard root meets the anchor is the deepest subtree on the
+  // anchor's root path holding it: a binary search per shard, no LCA.
+  lca_.rootPathSubtrees(anchor, anchor_path_);
   bool folded = false;
   for (std::uint32_t x = 0; x < partition_.numSlots(); ++x) {
     if (in_changed_[x] || !partition_.isLive(x)) continue;
     const ShardState& state = shard_states_[x];
-    const net::HopCount ds = lca_.lcaDepth(state.root, anchor);
+    const net::HopCount ds =
+        net::LcaIndex::meetDepth(anchor_path_, state.root_pos);
     net::NodeId& outside = outside_best_[ds];
     if (state.rep != net::kInvalidNode &&
-        (outside == net::kInvalidNode || repLess(state.rep, outside))) {
+        (outside == net::kInvalidNode ||
+         repLess(state.rep_srtt, state.rep, outside))) {
       outside = state.rep;
     }
     if (old_best == new_best) continue;
-    std::vector<ExtEntry>& ext = shard_states_[x].ext;
-    const auto it = std::lower_bound(
-        ext.begin(), ext.end(), ds,
-        [](const ExtEntry& e, net::HopCount d) { return e.ds < d; });
-    const bool has = it != ext.end() && it->ds == ds;
+    net::NodeId& entry = shard_states_[x].ext[ds];
     net::NodeId winner;
-    if (has && it->rep == old_best) {
+    if (entry != net::kInvalidNode && entry == old_best) {
       // The region held this depth's crown.  A strictly better new
       // representative wins outright; otherwise the successor is the best
       // shard meeting x at ds, read off the anchor-path fold: everything
@@ -578,10 +626,10 @@ void ShardPlanner::applyChurn(const GroupPartition::Churn& churn,
       } else {
         if (!folded) foldAnchorPath(anchor);
         folded = true;
-        winner = fold_[ds].excluding(branchAt(state.root, ds));
+        winner = fold_[ds].excluding(branchOffPath(state, ds));
       }
-    } else if (has) {
-      winner = it->rep;
+    } else if (entry != net::kInvalidNode) {
+      winner = entry;
       if (new_best != net::kInvalidNode && repLess(new_best, winner)) {
         winner = new_best;
       }
@@ -590,23 +638,8 @@ void ShardPlanner::applyChurn(const GroupPartition::Churn& churn,
       // representative (if any) competes against nothing.
       winner = new_best;
     }
-    bool ext_changed = false;
-    if (winner == net::kInvalidNode) {
-      if (has) {
-        ext.erase(it);
-        ext_changed = true;
-      }
-    } else if (has) {
-      if (it->rep != winner) {
-        it->rep = winner;
-        ext_changed = true;
-      }
-    } else {
-      // rmrn-lint: allow(HOT-1) ext list keeps its capacity across churn; ShardChurnAllocTest pins zero steady-state allocation
-      ext.insert(it, ExtEntry{ds, winner});
-      ext_changed = true;
-    }
-    if (ext_changed) {
+    if (winner != entry) {
+      entry = winner;
       last_replans_ += patchImporter(x, ds, winner);
       ++last_shards_touched_;
     }

@@ -40,12 +40,13 @@
 // Lemma 4: a join or leave of v can change a client's candidate list only in
 // the one competitive class v falls into.  When v's shard changes in place
 // and keeps its representative, no other shard can tell, and each member
-// patches the class at lca(u, v) (one LCA and one RTT probe; a leave
-// reselects only the members whose class winner was v).  Otherwise the
-// region is rebuilt, and one pass over the surviving shards (one LCA probe
-// each) ranks them for the region's new ext tables and, if the region's
-// best representative moved, patches each survivor's single affected
-// depth: the ext entry and the matching candidate of each member.  When
+// patches the class at lca(u, v) (one O(1) LCA probe, whose router also
+// prices the RTT; a leave reselects only the members whose class winner
+// was v).  Otherwise the region is rebuilt, and one pass over the surviving
+// shards (a binary search each over the region anchor's root path) ranks
+// them for the region's new ext tables and, if the region's best
+// representative moved, patches each survivor's single affected depth: the
+// ext entry and the matching candidate of each member.  When
 // the region held the crown of that depth, the successor comes from one
 // fold of all representatives onto the region anchor's root path, shared by
 // every importer.  All scratch is arena-reused, so steady-state churn,
@@ -151,18 +152,15 @@ class ShardPlanner {
     Strategy strategy;
   };
 
-  /// One external competitive depth: the router is the ancestor of the
-  /// shard root at depth `ds`; `rep` is the best representative among all
-  /// shards meeting this shard there.
-  struct ExtEntry {
-    net::HopCount ds = 0;
-    net::NodeId rep = net::kInvalidNode;
-  };
-
   struct ShardState {
     net::NodeId root = net::kInvalidNode;
     net::NodeId rep = net::kInvalidNode;  // min (source RTT, id) eligible
-    std::vector<ExtEntry> ext;            // ascending ds, winners only
+    std::uint32_t root_pos = 0;           // root's preorder position
+    double rep_srtt = 0.0;                // rep's source RTT
+    /// The external competitive depths, one slot per depth d of the root's
+    /// path: the best representative among all shards meeting this one at
+    /// the root's depth-d ancestor, kInvalidNode where none does.
+    std::vector<net::NodeId> ext;
   };
 
   /// The best and runner-up client in repLess order offered at one tree
@@ -186,21 +184,33 @@ class ShardPlanner {
     PlanScratch plan;
     std::vector<Candidate> tmp;
     std::vector<net::NodeId> consider;
-    std::vector<TopTwo> fold;      // foldShard, per shard-subtree node
-    std::vector<Candidate> probe;  // audit builds: the probe-path list
+    std::vector<TopTwo> fold;       // foldShard, per shard-subtree node
+    std::vector<net::NodeId> path;  // foldShard: the shard root's root path
+    std::vector<Candidate> probe;   // audit builds: the probe-path list
   };
 
   [[nodiscard]] std::size_t idx(net::NodeId v) const;
   [[nodiscard]] bool eligible(net::NodeId v) const;
   /// Representative ordering: source RTT, ties toward the lowest id.
   [[nodiscard]] bool repLess(net::NodeId a, net::NodeId b) const;
+  /// repLess with a's source RTT `sa` already at hand.
+  [[nodiscard]] bool repLess(double sa, net::NodeId a, net::NodeId b) const;
+  /// Sets shard `id`'s root and representative (with their cached
+  /// position and source RTT) from the partition.
+  void refreshShardState(std::uint32_t id);
   [[nodiscard]] net::NodeId computeRep(const Shard& shard) const;
 
   /// Offers `rep` (ignored when invalid) to `top` through branch `via`.
   void offer(TopTwo& top, net::NodeId via, net::NodeId rep) const;
-  /// The branch through which `root` reaches its ancestor at depth `d`: the
-  /// ancestor at depth d + 1, or `root` itself when it sits at depth d.
-  [[nodiscard]] net::NodeId branchAt(net::NodeId root, net::HopCount d) const;
+  /// offer for a valid `rep` whose source RTT `rep_srtt` is at hand.
+  void offer(TopTwo& top, net::NodeId via, net::NodeId rep,
+             double rep_srtt) const;
+  /// The branch through which live shard `s`, meeting the anchor path
+  /// (anchor_path_, path_children_) at depth `m`, arrives there: the child
+  /// of the depth-m path node holding its root, or the root itself when it
+  /// is that path node.
+  [[nodiscard]] net::NodeId branchOffPath(const ShardState& s,
+                                          net::HopCount m) const;
 
   /// Rebuilds the ext table of changed shard `id` from outside_best_ (the
   /// surviving shards, ranked per depth by the churn pass) and pairwise
@@ -224,7 +234,8 @@ class ShardPlanner {
   std::size_t planShard(std::uint32_t id, Arena& arena, bool force);
   /// Folds shard `id`'s eligible members up its root's subtree:
   /// arena.fold[i] ranks the members under the node at preorder offset i
-  /// from the root by the branch they arrive through.
+  /// from the root by the branch they arrive through.  arena.path[d] is the
+  /// root's ancestor at depth d, the router of the ext class at d.
   void foldShard(std::uint32_t id, Arena& arena) const;
   /// Member `u`'s Lemma 4 list into arena.tmp, read off the fold (classes
   /// inside the shard) and the ext table (classes above its root).
@@ -245,9 +256,9 @@ class ShardPlanner {
   /// it replanned.
   bool patchClass(net::NodeId u, ClientState& st,
                   std::vector<Candidate>::iterator at, const Candidate& c);
-  /// Folds every live shard's representative onto `anchor`'s root path:
-  /// fold_[d] ranks the shards rooted under the depth-d ancestor by the
-  /// branch they arrive through.  O(shards) LCA probes.
+  /// Folds every live shard's representative onto `anchor`'s root path
+  /// (anchor_path_): fold_[d] ranks the shards rooted under the depth-d
+  /// ancestor by the branch they arrive through.  O(shards) path searches.
   void foldAnchorPath(net::NodeId anchor);
   /// Shared add/remove tail: given the partition churn report for client
   /// `v`, refreshes shard states, patches importer tables and replans what
@@ -271,10 +282,20 @@ class ShardPlanner {
   bool tree_fold_ = false;  // routing is the tree metric over the tree
 
   Arena arena_;  // churn-path scratch
-  std::vector<net::NodeId> ext_depth_best_;  // buildRegionExt scratch
   std::vector<net::NodeId> outside_best_;    // churn: best survivor by depth
   std::vector<TopTwo> fold_;                 // foldAnchorPath, per depth
   std::vector<char> in_changed_;             // churn: slot id -> changed?
+  // Churn: the subtrees of the anchor's root path, by depth.
+  std::vector<net::LcaIndex::Subtree> anchor_path_;
+  // foldAnchorPath: the children of the anchor-path nodes, grouped by path
+  // depth d in [path_children_start_[d], path_children_start_[d + 1]) and
+  // ascending by preorder position within a group.
+  struct PathChild {
+    std::uint32_t pos = 0;
+    net::NodeId node = net::kInvalidNode;
+  };
+  std::vector<PathChild> path_children_;
+  std::vector<std::uint32_t> path_children_start_;
   std::size_t last_replans_ = 0;
   std::size_t last_shards_touched_ = 0;
 };

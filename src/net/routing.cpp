@@ -167,16 +167,17 @@ bool Routing::hasSourceRow(NodeId v) const {
   return mode_ == Mode::kTable ? row_start_[v] != kNoRow : tree_->contains(v);
 }
 
-DelayMs Routing::treeDistance(NodeId a, NodeId b) const {
-  checkTreeMember(a);
-  checkTreeMember(b);
-  const NodeId l = lca_->lca(a, b);
+DelayMs Routing::treeDistance(NodeId a, NodeId b, NodeId l) const {
   return wdepth_[tree_->memberIndex(a)] + wdepth_[tree_->memberIndex(b)] -
          2.0 * wdepth_[tree_->memberIndex(l)];
 }
 
 DelayMs Routing::distance(NodeId a, NodeId b) const {
-  if (mode_ == Mode::kTreeMetric) return treeDistance(a, b);
+  if (mode_ == Mode::kTreeMetric) {
+    checkTreeMember(a);
+    checkTreeMember(b);
+    return treeDistance(a, b, lca_->lca(a, b));
+  }
   const RowRef row = rowRef(a);
   checkNode(b);
   return row.dist[b];
@@ -203,6 +204,15 @@ DelayMs Routing::rtt(NodeId a, NodeId b) const {
                                                         distance(b, a)),
                    "routing symmetry: d(a,b) != d(b,a)");
   return 2.0 * distance(a, b);
+}
+
+DelayMs Routing::rtt(NodeId a, NodeId b, NodeId lca) const {
+  if (mode_ != Mode::kTreeMetric) return rtt(a, b);
+  checkTreeMember(a);
+  checkTreeMember(b);
+  RMRN_AUDIT_CHECK(lca == lca_->lca(a, b),
+                   "rtt: the hint is not the first common router");
+  return 2.0 * treeDistance(a, b, lca);
 }
 
 std::vector<NodeId> Routing::path(NodeId a, NodeId b) const {

@@ -18,10 +18,12 @@
 //     a query from a router throws.
 //   * tree   — closed-form tree metric over a multicast tree: the distance
 //     between two members is wd(a) + wd(b) - 2*wd(lca(a, b)), where wd is
-//     the delay-weighted depth.  O(log n) per query, O(n) total state, no
-//     Dijkstra at all — the only shape that works at 10^6 nodes.  Exact
-//     when the backbone is a tree (then tree paths are the only paths);
-//     on general graphs it upper-bounds the true shortest-path delay.
+//     the delay-weighted depth.  O(1) per query (LcaIndex), O(n) total
+//     state, no Dijkstra at all — the only shape that works at 10^6 nodes.
+//     Exact when the backbone is a tree (then tree paths are the only
+//     paths); on general graphs it upper-bounds the true shortest-path
+//     delay.  A caller that already knows lca(a, b) passes it to
+//     rtt(a, b, lca) and skips the query.
 // Rows are disjoint, so dense/sparse tables are filled in parallel when
 // num_threads != 1 (0 = hardware concurrency); the tables are bit-identical
 // to a sequential build regardless of the thread count.
@@ -75,6 +77,13 @@ class Routing {
   /// the paper's d_j.
   [[nodiscard]] DelayMs rtt(NodeId a, NodeId b) const;
 
+  /// rtt(a, b) given `lca`, the first common router of a and b on the tree.
+  /// Under the tree metric the hint replaces the LCA query, and the result
+  /// is bit-identical to rtt(a, b): 2 * (wd(a) + wd(b) - 2 * wd(lca)).  The
+  /// caller vouches for the hint (audit builds re-derive it); in table mode
+  /// the hint is ignored.  Throws like rtt(a, b), and on a non-member hint.
+  [[nodiscard]] DelayMs rtt(NodeId a, NodeId b, NodeId lca) const;
+
   /// Shortest path a -> b as a node sequence including both endpoints.
   /// Empty when unreachable; {a} when a == b.
   [[nodiscard]] std::vector<NodeId> path(NodeId a, NodeId b) const;
@@ -120,7 +129,9 @@ class Routing {
   void checkTreeMember(NodeId v) const;
   /// The dist/pred row for `src`; throws when `src` has none.
   [[nodiscard]] RowRef rowRef(NodeId src) const;
-  [[nodiscard]] DelayMs treeDistance(NodeId a, NodeId b) const;
+  /// wd(a) + wd(b) - 2 * wd(l), with l the first common router of a and b
+  /// (the callers check that a and b are members).
+  [[nodiscard]] DelayMs treeDistance(NodeId a, NodeId b, NodeId l) const;
 
   Mode mode_ = Mode::kTable;
   std::size_t n_ = 0;

@@ -120,15 +120,17 @@ std::uint64_t Flags::getUnsigned(const std::string& name,
                                  std::uint64_t max) const {
   const auto raw = get(name);
   if (!raw) return fallback;
-  const std::int64_t value = flagInteger(name, *raw);
-  if (value < 0) {
-    throw std::invalid_argument("Flags: --" + name + " must be >= 0");
+  const auto value = parseUnsigned(*raw);
+  if (!value) {
+    throw std::invalid_argument("Flags: --" + name +
+                                " expects an unsigned integer, got '" + *raw +
+                                "'");
   }
-  if (static_cast<std::uint64_t>(value) > max) {
+  if (*value > max) {
     throw std::invalid_argument("Flags: --" + name + " must be <= " +
                                 std::to_string(max) + ", got " + *raw);
   }
-  return static_cast<std::uint64_t>(value);
+  return *value;
 }
 
 bool Flags::getBool(const std::string& name, bool fallback) const {

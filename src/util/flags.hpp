@@ -41,8 +41,9 @@ class Flags {
                                  double fallback) const;
   [[nodiscard]] std::int64_t getInt(const std::string& name,
                                     std::int64_t fallback) const;
-  /// Rejects values above `max` (inclusive), e.g. 2^32 for a flag that
-  /// narrows to 32 bits.
+  /// Digits only (parseUnsigned), so the full 64-bit range parses and a
+  /// sign is refused.  Rejects values above `max` (inclusive), e.g. 2^32
+  /// for a flag that narrows to 32 bits.
   [[nodiscard]] std::uint64_t getUnsigned(
       const std::string& name, std::uint64_t fallback,
       std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;

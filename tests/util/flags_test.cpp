@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace rmrn::util {
 namespace {
 
@@ -111,8 +113,26 @@ TEST(FlagsTest, UnsignedUpperBoundIsInclusive) {
                std::invalid_argument);
   EXPECT_THROW((void)parse({"--k=11"}).getUnsigned("k", 1, 10),
                std::invalid_argument);
-  // Without a bound the full 63-bit range parses.
+  // Without a bound the full 64-bit range parses.
   EXPECT_EQ(parse({"--n=4294967396"}).getUnsigned("n", 0), 4294967396u);
+}
+
+TEST(FlagsTest, UnsignedTakesTheFullSixtyFourBitRange) {
+  // A config file accepts any 64-bit seed, so the flag must too.
+  EXPECT_EQ(parse({"--seed=9223372036854775808"}).getUnsigned("seed", 0),
+            9223372036854775808u);
+  EXPECT_EQ(parse({"--seed=18446744073709551615"}).getUnsigned("seed", 0),
+            18446744073709551615u);
+  for (const char* bad : {"-1", "18446744073709551616", "12abc", "+3", ""}) {
+    const std::string arg = std::string("--seed=") + bad;
+    try {
+      (void)parse({arg.c_str()}).getUnsigned("seed", 0);
+      FAIL() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--seed"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FlagsTest, ListIsParsedCheckedAndSorted) {
