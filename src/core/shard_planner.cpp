@@ -32,13 +32,19 @@ ShardPlanner::ShardPlanner(const net::Topology& topology,
     : topology_(&topology),
       routing_(&routing),
       options_(std::move(options)),
-      lca_(topology.tree),
       partition_(topology.tree, topology.clients,
                  checkedBudget(options_.max_shard_clients)) {
   if (options_.planner.timeout_ms < 0.0) {
     throw std::invalid_argument("ShardPlanner: negative timeout");
   }
   const net::MulticastTree& tree = topology.tree;
+  tree_fold_ = routing.isTreeMetricOver(tree);
+  if (tree_fold_) {
+    lca_ = routing.treeLcaIndex();
+  } else {
+    own_lca_ = std::make_unique<net::LcaIndex>(tree);
+    lca_ = own_lca_.get();
+  }
   const std::size_t n = tree.numMembers();
   srtt_.assign(n, 0.0);
   excluded_.assign(n, 0);
@@ -65,7 +71,6 @@ ShardPlanner::ShardPlanner(const net::Topology& topology,
   graph_options_.allow_direct_source = options_.planner.allow_direct_source;
   graph_options_.max_list_length = options_.planner.max_list_length;
 
-  tree_fold_ = routing.isTreeMetricOver(tree);
   shard_states_.resize(partition_.numSlots());
   in_changed_.assign(partition_.numSlots(), 0);
   std::vector<std::uint32_t> live;
@@ -194,7 +199,7 @@ void ShardPlanner::buildRegionExt(std::uint32_t id,
   for (const std::uint32_t b : region) {
     const net::NodeId rep = shard_states_[b].rep;
     if (b == id || rep == net::kInvalidNode) continue;
-    const net::HopCount ds = lca_.lcaDepth(state.root, shard_states_[b].root);
+    const net::HopCount ds = lca_->lcaDepth(state.root, shard_states_[b].root);
     net::NodeId& slot = state.ext[ds];
     if (slot == net::kInvalidNode || repLess(rep, slot)) slot = rep;
   }
@@ -260,7 +265,7 @@ void ShardPlanner::buildConsider(std::uint32_t id,
 bool ShardPlanner::planClient(net::NodeId u,
                               std::span<const net::NodeId> consider,
                               Arena& arena, bool force) {
-  selectCandidatesInto(u, topology_->tree, lca_, *routing_, consider,
+  selectCandidatesInto(u, topology_->tree, *lca_, *routing_, consider,
                        arena.cand, arena.tmp);
   return adoptCandidates(u, arena, force);
 }
@@ -385,7 +390,7 @@ void ShardPlanner::foldCandidates(std::uint32_t id, net::NodeId u,
 bool ShardPlanner::probeAgrees(std::uint32_t id, net::NodeId u,
                                Arena& arena) const {
   buildConsider(id, arena.consider);
-  selectCandidatesInto(u, topology_->tree, lca_, *routing_, arena.consider,
+  selectCandidatesInto(u, topology_->tree, *lca_, *routing_, arena.consider,
                        arena.cand, arena.probe);
   return arena.probe == arena.tmp;
 }
@@ -410,7 +415,7 @@ std::size_t ShardPlanner::patchChurnedShard(std::uint32_t id, net::NodeId v,
       continue;
     }
     if (!v_is_peer) continue;
-    const net::NodeId router = lca_.lca(u, v);
+    const net::NodeId router = lca_->lca(u, v);
     if (router == u) continue;  // v in u's own subtree: never a candidate
     const net::HopCount ds = topology_->tree.depth(router);
     const auto it = classSlot(st.candidates, ds);
@@ -434,7 +439,7 @@ std::size_t ShardPlanner::patchImporter(std::uint32_t x, net::HopCount ds,
   const net::NodeId root = shard_states_[x].root;
   const net::HopCount root_depth = topology_->tree.depth(root);
   if (ds == root_depth) return planShard(x, arena_, false);
-  const net::NodeId router = lca_.ancestor(root, root_depth - ds);
+  const net::NodeId router = lca_->ancestor(root, root_depth - ds);
   bool have_consider = false;
   std::size_t replans = 0;
   for (const net::NodeId u : partition_.shard(x).clients) {
@@ -599,7 +604,7 @@ void ShardPlanner::applyChurn(const GroupPartition::Churn& churn,
       net::kInvalidNode);
   // Where a shard root meets the anchor is the deepest subtree on the
   // anchor's root path holding it: a binary search per shard, no LCA.
-  lca_.rootPathSubtrees(anchor, anchor_path_);
+  lca_->rootPathSubtrees(anchor, anchor_path_);
   bool folded = false;
   for (std::uint32_t x = 0; x < partition_.numSlots(); ++x) {
     if (in_changed_[x] || !partition_.isLive(x)) continue;

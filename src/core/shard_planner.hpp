@@ -55,6 +55,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -269,7 +270,10 @@ class ShardPlanner {
   const net::Topology* topology_;
   const net::Routing* routing_;
   ShardPlannerOptions options_;
-  net::LcaIndex lca_;
+  // LCAs over the tree: the routing's index when it is the tree metric
+  // over this tree, else one of our own (own_lca_).
+  std::unique_ptr<net::LcaIndex> own_lca_;
+  const net::LcaIndex* lca_ = nullptr;
   StrategyGraphOptions graph_options_;
   GroupPartition partition_;
 

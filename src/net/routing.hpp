@@ -113,6 +113,10 @@ class Routing {
     return mode_ == Mode::kTreeMetric && tree_ == &tree;
   }
 
+  /// The tree metric's LCA index over its tree, for callers that need LCAs
+  /// over that same tree (isTreeMetricOver); null in table mode.
+  [[nodiscard]] const LcaIndex* treeLcaIndex() const { return lca_.get(); }
+
  private:
   enum class Mode { kTable, kTreeMetric };
 

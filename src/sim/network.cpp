@@ -1,6 +1,7 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -695,8 +696,147 @@ void SimNetwork::startFlood(net::NodeId origin, const Packet& packet,
   (void)topology_.tree.memberIndex(origin);  // throws on a non-member
   const std::uint32_t flood =
       openFlood(packet, down_only, boundary, key, drawHash(key, packet));
+  // A down-only flood from the root crosses the links a group flood from
+  // the root does, so both replay the root's schedule.
+  if (boundary == net::kInvalidNode &&
+      (!down_only || origin == topology_.tree.root())) {
+    tryReplay(flood, origin);
+  }
   expandFlood(flood, origin, net::kInvalidNode, simulator_.now());
   advanceFlood(flood);
+}
+
+void SimNetwork::tryReplay(std::uint32_t flood, net::NodeId origin) {
+  // Jitter and duplication change delays and add floods per crossing, and
+  // a shard stops at its region's edge: those floods keep the frontier.
+  if (regions_ != nullptr || dup_threshold_ != 0 || jitter_ms_ > 0.0) return;
+  const auto& tree = topology_.tree;
+  if (schedule_of_.empty()) {
+    // rmrn-lint: allow(HOT-1) one slot per member, at the first whole-tree flood
+    schedule_of_.assign(tree.numMembers(), kUnbuilt);
+  }
+  std::uint32_t& id = schedule_of_[tree.memberIndex(origin)];
+  if (id == kUnbuilt) id = buildSchedule(origin);
+  const TimeMs now = simulator_.now();
+  if (id == kNilSlot || !(now >= 0.0 && now <= schedules_[id].max_start)) {
+    return;
+  }
+  Flood& f = floods_[flood];
+  f.schedule = id;
+  f.pending = 0;
+  f.arrivals[kSlotOrigin] = now;
+#if RMRN_CHECKS_ENABLED
+  f.last_arrival = now;
+#endif
+  ++floods_replayed_;
+}
+
+// rmrn-lint: init-phase (once per origin: the schedule and its scratch)
+std::uint32_t SimNetwork::buildSchedule(net::NodeId origin) {
+  const auto& tree = topology_.tree;
+  if (tree.numMembers() > (std::size_t{1} << kEntryMemberBits)) {
+    return kNilSlot;
+  }
+  // Every link a flood from `origin` crosses, breadth first from step 0
+  // (the origin): each node's links in crossing order (parent link first,
+  // then children in tree order), each arrival folded from its
+  // flood-parent's from time 0, as expandFlood folds them.
+  build_steps_.clear();
+  build_steps_.push_back(ScheduleStep{0.0, 0, kNilSlot, 0, 0, kSlotOrigin});
+  std::uint32_t hops = 0;
+  for (std::uint32_t i = 0; i < build_steps_.size(); ++i) {
+    const ScheduleStep step = build_steps_[i];
+    const auto [node, came_from] =
+        i == 0 ? std::pair{origin, net::kInvalidNode} : linkEnds(step.link);
+    hops = std::max(hops, step.hops);
+    const auto cross = [&](std::uint64_t link, net::DelayMs delay) {
+      build_steps_.push_back(ScheduleStep{step.offset + delay, link, i,
+                                          step.hops + 1, 0, kSlotSink});
+      ++build_steps_[i].readers;
+    };
+    const TreeLink& up = up_link_[node];
+    if (up.to != net::kInvalidNode && up.to != came_from) {
+      cross(node | kUpward, up.delay);
+    }
+    for (std::uint32_t d = down_offset_[node]; d < down_offset_[node + 1];
+         ++d) {
+      if (down_link_[d].to != came_from) {
+        cross(down_link_[d].to, down_link_[d].delay);
+      }
+    }
+  }
+  if (build_steps_.size() < 2) return kNilSlot;
+  // The order a lossless frontier pops them in from time 0: by arrival,
+  // then by crossing seq.  Breadth-first order is crossing order among
+  // siblings and puts a flood-parent before its children, and the proof
+  // below rejects every other tie, so it stands in for the seq.
+  build_order_.clear();
+  for (std::uint32_t i = 1; i < build_steps_.size(); ++i) {
+    build_order_.push_back(FrontierEntry{timeOrder(build_steps_[i].offset), i});
+  }
+  std::sort(build_order_.begin(), build_order_.end(),
+            [](const FrontierEntry& a, const FrontierEntry& b) {
+              return util::quad_heap::before(a, b);
+            });
+
+  // One pass in arrival order lays out the entries and checks the order
+  // proof.  An arrival h links out is h rounded additions of sums no
+  // larger than t0 + dmax, so it lies within h * u * (t0 + dmax) of the
+  // exact sum t0 + (sum of its delays), u = 2^-53.  Two consecutive
+  // entries keep their order in a flood starting at t0 when their exact
+  // gap, which the offsets here know to within the same error at t0 = 0,
+  // exceeds both entries' errors at t0.  That holds when the offsets' gap
+  // exceeds 4 * hops * epsilon * (t0 + dmax), epsilon = 2u, with room
+  // for the rounding of this check.  Siblings over links of bit-equal
+  // delay are exempt: they arrive at bit-equal times at every t0, and
+  // their crossing seqs order them as here.
+  //
+  // Arrival slots: an arrival is kept from its own entry to the last entry
+  // that folds from it, and a freed slot is reused first.
+  TimeMs gap = Simulator::kForever;
+  std::uint32_t used = kSlotSink + 1;
+  build_free_.clear();
+  build_entries_.clear();
+  const ScheduleStep* previous = nullptr;
+  for (const FrontierEntry& sorted : build_order_) {
+    ScheduleStep& step = build_steps_[sorted.key];
+    if (previous != nullptr &&
+        (previous->parent != step.parent ||
+         up_link_[static_cast<net::NodeId>(previous->link)].delay !=
+             up_link_[static_cast<net::NodeId>(step.link)].delay)) {
+      gap = std::min(gap, step.offset - previous->offset);
+    }
+    previous = &step;
+    ScheduleStep& parent = build_steps_[step.parent];
+    if (--parent.readers == 0) build_free_.push_back(parent.slot);
+    if (step.readers != 0) {
+      if (build_free_.empty()) {
+        step.slot = used++;
+      } else {
+        step.slot = build_free_.back();
+        build_free_.pop_back();
+      }
+    }
+    const auto child = static_cast<net::NodeId>(step.link);
+    build_entries_.push_back(
+        static_cast<std::uint32_t>(tree.memberIndex(child)) |
+        ((step.link & kUpward) != 0 ? kEntryUpward : 0) |
+        (parent.slot << kEntryParentShift) | (step.slot << kEntryOwnShift));
+  }
+  const TimeMs dmax = previous->offset;
+  const TimeMs max_start =
+      gap / (4.0 * hops * std::numeric_limits<TimeMs>::epsilon()) - dmax;
+  if (!(max_start >= 0.0) || used > kEntrySlotMask + 1) return kNilSlot;
+  schedules_.push_back(FloodSchedule{
+      std::vector<std::uint32_t>(build_entries_.begin(), build_entries_.end()),
+      max_start, used});
+  // Every flood record holds arrival slots for the largest schedule, so a
+  // replay never grows one once every origin has flooded.
+  if (used > max_slots_) {
+    max_slots_ = used;
+    for (Flood& f : floods_) f.arrivals.resize(max_slots_);
+  }
+  return static_cast<std::uint32_t>(schedules_.size() - 1);
 }
 
 std::uint32_t SimNetwork::openFlood(const Packet& packet, bool down_only,
@@ -710,6 +850,8 @@ std::uint32_t SimNetwork::openFlood(const Packet& packet, bool down_only,
     flood = static_cast<std::uint32_t>(floods_.size());
     // rmrn-lint: allow(HOT-1) arena warm-up: grows once per high-water mark, then slots recycle
     floods_.emplace_back();
+    // rmrn-lint: allow(HOT-1) arena warm-up: a new record's replay slots
+    floods_.back().arrivals.resize(max_slots_);
   }
   Flood& f = floods_[flood];
   f.packet = packet;
@@ -718,6 +860,7 @@ std::uint32_t SimNetwork::openFlood(const Packet& packet, bool down_only,
   f.send_hash = send_hash;
   f.boundary = boundary;
   f.down_only = down_only;
+  f.schedule = kNilSlot;
   return flood;
 }
 
@@ -740,6 +883,10 @@ void SimNetwork::crossTreeLink(std::uint32_t flood, net::NodeId from,
           : lostOn(f.send_hash, link.slot);
   // A lost link's subtree is never pushed, so the flood skips it.
   if (!survives(link.slot, at, from, link.to, f.packet, lost)) return;
+  if (f.schedule != kNilSlot) {
+    ++f.pending;  // replay folds the arrival when its walk reaches the link
+    return;
+  }
   const TimeMs arrival = at + chaosDelay(link.delay, link.slot, f.send_hash);
   if (regions_ == nullptr && dup_threshold_ == 0) {
     pushCrossing(f, link_child | upward, arrival);
@@ -810,6 +957,10 @@ void SimNetwork::expandFlood(std::uint32_t flood, net::NodeId node,
 }
 
 void SimNetwork::advanceFlood(std::uint32_t flood) {
+  if (floods_[flood].schedule != kNilSlot) {
+    replayFlood(flood);
+    return;
+  }
   while (!floods_[flood].frontier.empty()) {
     Flood& f = floods_[flood];
     const FrontierEntry next = f.frontier.front();
@@ -826,6 +977,64 @@ void SimNetwork::advanceFlood(std::uint32_t flood) {
     // Routers never deliver: expand straight away.
     expandFlood(flood, node, came_from, at);
   }
+  closeFlood(flood);
+}
+
+void SimNetwork::replayFlood(std::uint32_t flood) {
+  constexpr TimeMs kUnreached = -1.0;  // replayed arrivals are never negative
+  const std::vector<net::NodeId>& members = topology_.tree.members();
+  while (floods_[flood].pending != 0) {
+    Flood& f = floods_[flood];
+    const std::vector<std::uint32_t>& entries = schedules_[f.schedule].entries;
+    RMRN_REQUIRE(f.next_seq < entries.size(),
+                 "SimNetwork: replay walked past its schedule");
+    const std::uint32_t entry = entries[f.next_seq++];
+    const TimeMs parent_at =
+        f.arrivals[(entry >> kEntryParentShift) & kEntrySlotMask];
+    TimeMs& own = f.arrivals[entry >> kEntryOwnShift];
+    // The flood crossed the link when its flood-parent was reached, and the
+    // crossing survived unless the forced pattern, the keyed draw or the
+    // link's timeline dropped it, as survives() decided when the
+    // flood-parent expanded.
+    if (parent_at < 0.0) {
+      own = kUnreached;
+      continue;
+    }
+    const std::uint32_t member = entry & kEntryMemberMask;
+    const net::NodeId child = members[member];
+    const TreeLink& up = up_link_[child];
+    if ((isPatternKey(f.key) ? patterns_[patternOf(f.key)][member]
+                             : lostOn(f.send_hash, up.slot)) ||
+        (!link_changes_.empty() && linkDownAt(edge_id_[up.slot], parent_at))) {
+      own = kUnreached;
+      continue;
+    }
+    --f.pending;
+    const TimeMs at = parent_at + up.delay;
+    own = at;
+#if RMRN_CHECKS_ENABLED
+    // The schedule build proved the order; an inversion would fire an
+    // agent's cursor out of arrival order.
+    RMRN_ENSURE(at >= f.last_arrival,
+                "SimNetwork: replayed flood arrivals decreased");
+    f.last_arrival = at;
+#endif
+    const bool upward = (entry & kEntryUpward) != 0;
+    const net::NodeId node = upward ? up.to : child;
+    const net::NodeId came_from = upward ? child : up.to;
+    if (is_agent_[node]) {
+      f.cursor_key = child | (upward ? kUpward : 0);
+      EventRecord record{EventKind::kFloodCursor, {}};
+      record.data.cursor = FloodCursorEvent{flood};
+      simulator_.scheduleEventAt(at, this, record);
+      return;
+    }
+    expandFlood(flood, node, came_from, at);
+  }
+  closeFlood(flood);
+}
+
+void SimNetwork::closeFlood(std::uint32_t flood) {
   const SendKey key = floods_[flood].key;
   if (isPatternKey(key)) patternRelease(patternOf(key));
   // rmrn-lint: allow(HOT-1) free list reuses retained capacity; alloc_tests pin the zero-allocation data plane

@@ -13,9 +13,15 @@
 // event order, so every send takes one closed form (DESIGN.md §10.2): its
 // whole schedule is fixed when it is sent, and only agent arrivals become
 // events.  A unicast is one kDeliver at its arrival time (none when a hop
-// loses it); a tree flood keeps a private frontier heap of in-flight links
-// and one kFloodCursor event for its next agent arrival, expanding routers
-// as it goes; a lost link's subtree is never pushed.  Hops, losses, recovery
+// loses it); a tree flood keeps one kFloodCursor event for its next agent
+// arrival and expands routers as it goes.  A whole-tree flood from a member
+// (group floods, source floods, down-into-root floods) replays its origin's
+// flood schedule: the order the flood reaches the tree's links in, built
+// once per origin and proven to hold for the flood's start time; it skips a
+// link whose flood-parent went unreached or whose crossing was lost.  Every
+// other flood (scoped, jittered, duplicated, sharded, or started past its
+// schedule's proven bound) keeps a private frontier heap of in-flight links;
+// a lost link's subtree is never pushed.  Hops, losses, recovery
 // link loads and trace records are produced when a link is expanded, at or
 // before the time the packet crosses it, each trace record stamped with
 // that time.  Link chaos reads a staged per-edge timeline at the crossing
@@ -35,9 +41,9 @@
 // routes live in a recycled per-send path arena (one slot per walk or
 // handed-over unicast), forced loss patterns in a refcounted pattern arena
 // shared by the flood records of one data packet, floods in a recycled
-// flood arena whose frontiers keep their capacity, and per-link recovery
-// accounting is a flat vector indexed by a CSR edge table built once at
-// construction.
+// flood arena whose frontiers and replay slots keep their capacity, flood
+// schedules are built once per origin, and per-link recovery accounting is
+// a flat vector indexed by a CSR edge table built once at construction.
 //
 // Protocol agents live at the source and the clients; the network invokes the
 // delivery handler only at those nodes (routers forward but never process).
@@ -59,6 +65,7 @@
 #include "sim/region_map.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
+#include "util/check.hpp"
 
 namespace rmrn::sim {
 
@@ -254,6 +261,12 @@ class SimNetwork final : public EventSink {
   /// traffic flowed).
   [[nodiscard]] std::uint64_t maxRecoveryLinkLoad() const;
 
+  /// Floods that replayed their origin's flood schedule instead of keeping
+  /// a frontier heap.
+  [[nodiscard]] std::uint64_t floodsReplayed() const {
+    return floods_replayed_;
+  }
+
   [[nodiscard]] const net::Topology& topology() const { return topology_; }
   [[nodiscard]] const net::Routing& routing() const { return routing_; }
   [[nodiscard]] Simulator& simulator() { return simulator_; }
@@ -331,9 +344,24 @@ class SimNetwork final : public EventSink {
   /// order.
   void expandFlood(std::uint32_t flood, net::NodeId node,
                    net::NodeId came_from, TimeMs at);
-  /// Pops the frontier, expanding routers, until an agent arrival is found
-  /// and scheduled as the flood's cursor; closes the flood when none is left.
+  /// Pops the frontier (or walks the schedule), expanding routers, until an
+  /// agent arrival is found and scheduled as the flood's cursor; closes the
+  /// flood when none is left.
   void advanceFlood(std::uint32_t flood);
+  /// advanceFlood() for a replayed flood: walks its schedule from the next
+  /// entry, skipping links it never crossed or lost, and folds each
+  /// arrival reached from its flood-parent's.
+  void replayFlood(std::uint32_t flood);
+  /// Releases the flood's pattern reference and its arena slot.
+  void closeFlood(std::uint32_t flood);
+  /// Switches the just-opened `flood`, a whole-tree flood from member
+  /// `origin` starting now, to replay when its origin's schedule (built on
+  /// first use) is proven for the current time.
+  void tryReplay(std::uint32_t flood, net::NodeId origin);
+  /// The index into schedules_ of `origin`'s flood schedule, built now:
+  /// kNilSlot when its order is not proven for any start time or does not
+  /// fit the entry layout.
+  [[nodiscard]] std::uint32_t buildSchedule(net::NodeId origin);
   void onFloodCursor(const FloodCursorEvent& event);
   /// Counts a hop across the CSR half-edge `slot` — the hot paths resolve
   /// the slot once and reuse it for delay, edge id, and accounting.
@@ -461,12 +489,72 @@ class SimNetwork final : public EventSink {
     std::uint64_t cursor_key = 0;  // the arrival the cursor event waits for
     SendKey key = 0;  // the send's key, or its forced pattern's
     std::uint64_t send_hash = 0;  // the hash its keyed draws start from
+    // The next crossing seq, or in replay the next schedule entry.
     std::uint32_t next_seq = 0;
     net::NodeId boundary = net::kInvalidNode;
     bool down_only = false;
+    // Replay (schedule != kNilSlot) instead of the frontier: the schedule's
+    // arrival slots (a negative time for a link the flood never crossed or
+    // lost; every record holds the largest schedule's) and the surviving
+    // crossings not yet walked to (none left closes the flood).
+    std::uint32_t schedule = kNilSlot;
+    std::uint32_t pending = 0;
+    std::vector<TimeMs> arrivals;
+#if RMRN_CHECKS_ENABLED
+    TimeMs last_arrival = 0.0;  // the latest arrival replayed
+#endif
   };
   std::vector<Flood> floods_;
   std::vector<std::uint32_t> free_floods_;
+
+  // Flood schedules (DESIGN.md §10.2).  A whole-tree flood from a member
+  // reaches the tree's links in one order, fixed by the origin and the link
+  // delays, so it replays that order instead of sorting its own frontier.
+  // An entry packs a link, named like a frontier link by its child end
+  // (here its memberIndex) plus a direction bit, with the arrival slot its
+  // flood-parent's arrival sits in and the slot its own arrival goes to.
+  // Slot 0 holds the flood's start time and slot 1 takes every arrival no
+  // later entry reads.  The order is proven for floods starting in
+  // [0, max_start] (schedule build).
+  static constexpr std::uint32_t kEntryMemberBits = 15;
+  static constexpr std::uint32_t kEntryUpward = 1u << kEntryMemberBits;
+  static constexpr std::uint32_t kEntrySlotBits = 8;
+  static constexpr std::uint32_t kEntryParentShift = kEntryMemberBits + 1;
+  static constexpr std::uint32_t kEntryOwnShift =
+      kEntryParentShift + kEntrySlotBits;
+  static constexpr std::uint32_t kEntrySlotMask = (1u << kEntrySlotBits) - 1;
+  static constexpr std::uint32_t kEntryMemberMask = kEntryUpward - 1;
+  static constexpr std::uint32_t kSlotOrigin = 0;
+  static constexpr std::uint32_t kSlotSink = 1;
+  struct FloodSchedule {
+    std::vector<std::uint32_t> entries;  // in arrival order
+    TimeMs max_start = 0.0;
+    std::uint32_t slots = 0;  // arrival slots
+  };
+  // schedule_of_[memberIndex(origin)]: kUnbuilt until the first whole-tree
+  // flood from the member, then an index into schedules_, or kNilSlot when
+  // the frontier must serve every flood from it.
+  static constexpr std::uint32_t kUnbuilt = 0xfffffffeu;
+  std::vector<std::uint32_t> schedule_of_;
+  std::vector<FloodSchedule> schedules_;
+  std::uint32_t max_slots_ = 0;  // the largest schedule's slots
+  std::uint64_t floods_replayed_ = 0;
+  // Schedule build scratch, kept for its capacity: one step per link a
+  // flood from the origin crosses, breadth first, the steps in arrival
+  // order (order = timeOrder(offset), key = step), and the entries.
+  struct ScheduleStep {
+    TimeMs offset;          // arrival, folded from time 0
+    std::uint64_t link;     // frontier link key (child | upward bit)
+    std::uint32_t parent;   // the step that reached the flood-parent
+    std::uint32_t hops;     // links from the origin
+    std::uint32_t readers;  // entries still to fold from this arrival
+    std::uint32_t slot;     // the arrival slot it is kept in
+  };
+  std::vector<ScheduleStep> build_steps_;
+  std::vector<FrontierEntry> build_order_;
+  std::vector<std::uint32_t> build_free_;  // free arrival slots
+  std::vector<std::uint32_t> build_entries_;
+
   // Tree adjacency by NodeId for flood expansion, so floods never search the
   // CSR: up_link_[v] is v's parent link (to = kInvalidNode for the root and
   // non-members) and v's child links are

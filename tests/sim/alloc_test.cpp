@@ -49,12 +49,17 @@ class DataPlaneAllocTest : public ::testing::Test {
         [this](net::NodeId, const Packet&) { ++delivered_; });
   }
 
+  /// Rounds steadyStateAllocations() runs by default, the measured one
+  /// included.
+  static constexpr int kRounds = 21;
+
   /// Runs `workload` through `warmup` rounds (loss draws differ per round,
   /// so the in-flight peak — and with it the arenas — can keep growing for
   /// a few rounds before saturating), then once more measured; returns the
   /// measured round's heap allocation count.
   template <typename Workload>
-  std::uint64_t steadyStateAllocations(Workload&& workload, int warmup = 20) {
+  std::uint64_t steadyStateAllocations(Workload&& workload,
+                                       int warmup = kRounds - 1) {
     for (int round = 0; round < warmup; ++round) {
       workload();
       simulator_.run();
@@ -98,7 +103,11 @@ TEST_F(DataPlaneAllocTest, TreeFloodsAreAllocationFree) {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(delivered_, 0u);
+  // All four are whole-tree floods: each replays its origin's schedule,
+  // built by the first round, in every round.
+  EXPECT_EQ(network_->floodsReplayed(), 4u * kRounds);
 }
+
 
 TEST_F(DataPlaneAllocTest, ChaosForwardingIsAllocationFree) {
   // Link chaos is two network-wide values and a per-edge timeline staged
@@ -132,7 +141,7 @@ TEST_F(DataPlaneAllocTest, ChaosForwardingIsAllocationFree) {
 }
 
 // Recovery loss 0: every send takes the closed-form path (one event per
-// agent delivery, frontiers in the recycled flood arena).
+// agent delivery, frontiers and replay slots in the recycled flood arena).
 class LosslessDataPlaneAllocTest : public DataPlaneAllocTest {
  protected:
   LosslessDataPlaneAllocTest() : DataPlaneAllocTest(0.0) {}
@@ -163,6 +172,25 @@ TEST_F(LosslessDataPlaneAllocTest, ClosedFormTransportIsAllocationFree) {
   EXPECT_GT(delivered_, 0u);
   EXPECT_GT(simulator_.eventsProcessed(EventKind::kFloodCursor), 0u);
   EXPECT_EQ(simulator_.eventsProcessed(EventKind::kUnicastResume), 0u);
+  // The data floods and the group flood replay schedules; the scoped
+  // floods keep frontiers.
+  EXPECT_EQ(network_->floodsReplayed(), 3u * kRounds);
+}
+
+TEST_F(LosslessDataPlaneAllocTest,
+       FloodsAfterTheFirstFromEachOriginAllocateNothing) {
+  // One round of group floods from every member builds every schedule and
+  // warms the arenas; a repeat of it then only walks the schedules and
+  // allocates nothing.
+  const std::vector<net::NodeId>& members = topo_.tree.members();
+  const auto allocs = steadyStateAllocations([this, &members] {
+    for (const net::NodeId from : members) {
+      network_->multicastGroup(
+          from, Packet{Packet::Type::kRequest, 6, from, from, 0});
+    }
+  }, /*warmup=*/1);
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(network_->floodsReplayed(), 2 * members.size());
 }
 
 /// One region's replica of a sharded run: its simulator and shard-mode
