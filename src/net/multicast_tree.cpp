@@ -85,30 +85,14 @@ MulticastTree::MulticastTree(NodeId root, std::vector<NodeId> parent)
   }
 }
 
-void MulticastTree::checkMember(NodeId v) const {
-  if (v >= member_.size() || !member_[v]) {
-    throw std::invalid_argument("MulticastTree: node " + std::to_string(v) +
-                                " is not a tree member");
-  }
-}
-
-bool MulticastTree::contains(NodeId v) const {
-  return v < member_.size() && member_[v];
-}
-
-NodeId MulticastTree::parent(NodeId v) const {
-  checkMember(v);
-  return parent_[v];
+void MulticastTree::throwNotMember(NodeId v) {
+  throw std::invalid_argument("MulticastTree: node " + std::to_string(v) +
+                              " is not a tree member");
 }
 
 std::span<const NodeId> MulticastTree::children(NodeId v) const {
   checkMember(v);
   return children_[v];
-}
-
-HopCount MulticastTree::depth(NodeId v) const {
-  checkMember(v);
-  return depth_[v];
 }
 
 NodeId MulticastTree::firstCommonRouter(NodeId a, NodeId b) const {
@@ -169,11 +153,6 @@ std::vector<NodeId> MulticastTree::subtreeMembers(NodeId v) const {
 
 std::size_t MulticastTree::numLinks() const {
   return members_.empty() ? 0 : members_.size() - 1;
-}
-
-std::size_t MulticastTree::memberIndex(NodeId v) const {
-  checkMember(v);
-  return member_index_[v];
 }
 
 }  // namespace rmrn::net

@@ -31,17 +31,25 @@ class MulticastTree {
   /// All member nodes in preorder (root first).
   [[nodiscard]] const std::vector<NodeId>& members() const { return members_; }
 
-  [[nodiscard]] bool contains(NodeId v) const;
+  [[nodiscard]] bool contains(NodeId v) const {
+    return v < member_.size() && member_[v];
+  }
 
   /// Parent of `v` on the tree; kInvalidNode for the root.  Throws if `v` is
   /// not a member.
-  [[nodiscard]] NodeId parent(NodeId v) const;
+  [[nodiscard]] NodeId parent(NodeId v) const {
+    checkMember(v);
+    return parent_[v];
+  }
 
   /// Children of `v`.  Throws if `v` is not a member.
   [[nodiscard]] std::span<const NodeId> children(NodeId v) const;
 
   /// Hop count from the root (the paper's DS value).  Throws on non-members.
-  [[nodiscard]] HopCount depth(NodeId v) const;
+  [[nodiscard]] HopCount depth(NodeId v) const {
+    checkMember(v);
+    return depth_[v];
+  }
 
   /// The paper's R_j: first common router of `a` and `b` on the tree, i.e.
   /// their lowest common ancestor.  Throws on non-members.
@@ -66,10 +74,18 @@ class MulticastTree {
 
   /// Dense index of a member in members() order; used to index per-member
   /// arrays such as loss-draw vectors.  Throws on non-members.
-  [[nodiscard]] std::size_t memberIndex(NodeId v) const;
+  [[nodiscard]] std::size_t memberIndex(NodeId v) const {
+    checkMember(v);
+    return member_index_[v];
+  }
 
  private:
-  void checkMember(NodeId v) const;
+  // The accessors above run on every flood crossing and planner step, so
+  // the membership test stays inline and only the throw is out of line.
+  void checkMember(NodeId v) const {
+    if (!contains(v)) throwNotMember(v);
+  }
+  [[noreturn, gnu::cold]] static void throwNotMember(NodeId v);
 
   NodeId root_ = kInvalidNode;
   std::vector<NodeId> parent_;                 // indexed by NodeId

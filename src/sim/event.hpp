@@ -1,6 +1,6 @@
 // Typed, POD-sized event records: the only kind of event the engine runs.
 //
-// Every event is one of four small trivially copyable payloads stored
+// Every event is one of three small trivially copyable payloads stored
 // inline in the EventQueue's slab (event_queue.hpp), so scheduling one
 // performs no heap allocation, and dispatched through a single `EventSink`
 // virtual call on fire.  Cold-path schedulers use the same records:
@@ -49,20 +49,17 @@ using EventId = std::uint64_t;
 }
 
 enum class EventKind : std::uint8_t {
-  kDeliver,         // hand `packet` to the agent at `at`
-  kUnicastResume,   // a unicast handed over from another region arrived
-  kFloodCursor,     // a flood's next agent arrival, or a handed-over flood
-  kTimer,           // timer: protocol waits, fault firings, data sends
+  kDeliver,      // hand `packet` to the agent at `at`
+  kFloodCursor,  // a flood's next agent arrival, or a handed-over flood
+  kTimer,        // timer: protocol waits, fault firings, data sends
 };
 
-inline constexpr std::size_t kNumEventKinds = 4;
+inline constexpr std::size_t kNumEventKinds = 3;
 
 [[nodiscard]] constexpr std::string_view toString(EventKind kind) {
   switch (kind) {
     case EventKind::kDeliver:
       return "deliver";
-    case EventKind::kUnicastResume:
-      return "unicast-resume";
     case EventKind::kFloodCursor:
       return "flood-cursor";
     case EventKind::kTimer:
@@ -76,17 +73,6 @@ inline constexpr std::size_t kNumEventKinds = 4;
 struct DeliverEvent {
   net::NodeId at;
   bool direct;
-  Packet packet;
-};
-
-/// Shard mode: a unicast handed over from another region arrived at hop
-/// `hop + 1` of path-arena entry `path` (SimNetwork owns the arena and
-/// releases the slot when the walk ends).  `key` keys the send's draws on
-/// the hops still ahead.
-struct UnicastResumeEvent {
-  std::uint32_t path;
-  std::uint32_t hop;
-  SendKey key;
   Packet packet;
 };
 
@@ -111,7 +97,6 @@ struct TimerEvent {
 /// can be reused without destructor bookkeeping.
 union EventData {
   DeliverEvent deliver;
-  UnicastResumeEvent resume;
   FloodCursorEvent cursor;
   TimerEvent timer;
 

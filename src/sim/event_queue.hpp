@@ -95,9 +95,6 @@ class EventQueue {
   /// fired time >= lastFiredTime(), and scheduleEvent() rejects events in
   /// the past (both via the RMRN contract layer).
   [[nodiscard]] TimeMs lastFiredTime() const { return last_fired_; }
-  /// Stamp of the most recently fired event: the time it was scheduled, or
-  /// the stamp it was scheduled with.
-  [[nodiscard]] TimeMs lastFiredStamp() const { return last_stamp_; }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
@@ -223,7 +220,6 @@ class EventQueue {
   std::size_t live_ = 0;
   std::array<std::uint64_t, kNumEventKinds> fired_by_kind_{};
   TimeMs last_fired_ = -std::numeric_limits<TimeMs>::infinity();
-  TimeMs last_stamp_ = -std::numeric_limits<TimeMs>::infinity();
 };
 
 // Inline hot path: scheduling and the pop-fire step.  These run once per
@@ -261,7 +257,6 @@ inline void EventQueue::fire(std::uint32_t slot, TimeMs time, TimeMs* clock) {
   RMRN_ENSURE(time >= last_fired_,
               "event queue popped an event earlier than the previous one");
   last_fired_ = time;
-  last_stamp_ = s.stamp;
   --live_;
   // The clock advances before the handler runs: handlers schedule relative
   // to the owning simulator's now().

@@ -1,11 +1,13 @@
 // Cross-region handoff records for the conservative parallel engine
 // (sim/parallel_engine.hpp; DESIGN.md §14).
 //
-// A ShardHandoff is a packet crossing a region boundary: the sending region
-// has already decided its loss/chaos outcomes for the crossing hop and its
-// arrival time, so only *surviving* traversals are handed off.  Handoffs
-// are trivially copyable records — the receiving region re-derives any
-// pointer state (unicast routes, staged loss patterns) from shared
+// A ShardHandoff is a packet bound for another region: the sending region
+// has already decided every loss/chaos outcome up to the handoff and its
+// arrival time, so only *surviving* packets are handed off.  A unicast walks
+// its whole route in the sending region and crosses once, as its delivery;
+// a flood crosses at every region boundary, since agents in every region
+// must receive it.  Handoffs are trivially copyable records — the receiving
+// region re-derives any pointer state (staged loss patterns) from shared
 // immutable structures, so nothing in a handoff aliases sender-owned
 // memory.
 #pragma once
@@ -21,32 +23,25 @@ namespace rmrn::sim {
 
 /// One cross-region packet transfer, scheduled to materialize in the
 /// destination region at absolute time `at` (>= the next epoch's start, by
-/// the lookahead argument).  `key` is the send's loss key, which the
-/// receiver keeps drawing with (for a forced-pattern flood it names the
-/// *staged* pattern, whose arena id is the same in every region).  `kind`
-/// selects which other fields are meaningful:
-///   kUnicastResume — a unicast crossing hop `hop` of its route: the receiver
-///       rebuilds the route `ufrom -> uto` from shared routing and resumes
-///       it at hop `hop + 1`;
+/// the lookahead argument) as one event at node `next`.  `kind` selects
+/// which other fields are meaningful:
+///   kDeliver — a unicast's delivery at `next`, its route already walked;
 ///   kFloodCursor — a tree flood crossing into `next` from `came_from`,
-///       with the flood's boundary/down_only state and `send_hash`, the
-///       hash its chaos draws start from: the receiver opens a flood record
-///       that resumes at `next`.
-/// kDeliver never crosses: deliveries happen at the node that owns them.
+///       keyed `key` (for a forced-pattern flood the *staged* pattern,
+///       whose arena id is the same in every region), with the flood's
+///       boundary/down_only state and `send_hash`, the hash its chaos draws
+///       start from: the receiver opens a flood record that resumes at
+///       `next`.
 struct ShardHandoff {
   TimeMs at = 0.0;
-  /// The time the sender decided the crossing; the receiver schedules the
-  /// resume as decided then (Simulator::scheduleDecidedEventAt).
+  /// The time the sender decided the transfer; the receiver schedules its
+  /// event as decided then (Simulator::scheduleDecidedEventAt).
   TimeMs decided = 0.0;
-  EventKind kind = EventKind::kUnicastResume;
+  EventKind kind = EventKind::kDeliver;
   Packet packet;
-  SendKey key = 0;
-  // kUnicastResume
-  net::NodeId ufrom = net::kInvalidNode;
-  net::NodeId uto = net::kInvalidNode;
-  std::uint32_t hop = 0;
-  // kFloodCursor
   net::NodeId next = net::kInvalidNode;
+  // kFloodCursor
+  SendKey key = 0;
   net::NodeId came_from = net::kInvalidNode;
   net::NodeId boundary = net::kInvalidNode;
   bool down_only = false;

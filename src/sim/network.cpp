@@ -31,6 +31,7 @@ SimNetwork::SimNetwork(Simulator& simulator, const net::Topology& topology,
   agent_fault_.assign(n, AgentFault::kNone);
   agent_slow_extra_ms_.assign(n, 0.0);
   deliveries_by_type_.assign(n * 4, 0);
+  route_.reserve(n);
 
   // CSR edge index with deterministic undirected edge ids: rows hold each
   // node's neighbors ascending; ids are assigned scanning rows in node order
@@ -148,24 +149,6 @@ void SimNetwork::emitHandoff(net::NodeId to, const ShardHandoff& handoff) {
   outbox_->push_back(RoutedHandoff{regions_->regionOf(to), handoff});
 }
 
-void SimNetwork::handOffUnicast(std::uint32_t path, std::uint32_t hop,
-                                SendKey key, const Packet& packet,
-                                TimeMs arrival, TimeMs decided) {
-  // The receiver rebuilds the route from the shared routing tables and
-  // resumes it where the packet arrives.
-  const std::vector<net::NodeId>& route = paths_[path];
-  ShardHandoff handoff;
-  handoff.at = arrival;
-  handoff.decided = decided;
-  handoff.kind = EventKind::kUnicastResume;
-  handoff.packet = packet;
-  handoff.key = key;
-  handoff.ufrom = route.front();
-  handoff.uto = route.back();
-  handoff.hop = hop;
-  emitHandoff(route[hop + 1], handoff);
-}
-
 void SimNetwork::handOffFlood(const Flood& flood, net::NodeId from,
                               net::NodeId to, SendKey key,
                               std::uint64_t send_hash, TimeMs arrival) {
@@ -185,16 +168,12 @@ void SimNetwork::handOffFlood(const Flood& flood, net::NodeId from,
 
 void SimNetwork::injectHandoff(const ShardHandoff& handoff) {
   switch (handoff.kind) {
-    case EventKind::kUnicastResume: {
-      // Rebuild the route from the shared (immutable) routing tables: the
-      // sender's path arena never crosses threads.
-      const std::uint32_t path = acquirePath();
-      routing_.pathInto(handoff.ufrom, handoff.uto, paths_[path]);
-      RMRN_REQUIRE(handoff.hop + 1 < paths_[path].size(),
-                   "SimNetwork: handoff hop beyond route");
-      EventRecord record{EventKind::kUnicastResume, {}};
-      record.data.resume =
-          UnicastResumeEvent{path, handoff.hop, handoff.key, handoff.packet};
+    case EventKind::kDeliver: {
+      // A unicast whose sender walked its whole route: only the delivery
+      // is left.
+      EventRecord record{EventKind::kDeliver, {}};
+      record.data.deliver =
+          DeliverEvent{handoff.next, /*direct=*/false, handoff.packet};
       simulator_.scheduleDecidedEventAt(handoff.at, handoff.decided, this,
                                         record);
       return;
@@ -218,7 +197,6 @@ void SimNetwork::injectHandoff(const ShardHandoff& handoff) {
                                         record);
       return;
     }
-    case EventKind::kDeliver:
     case EventKind::kTimer:
       break;
   }
@@ -433,26 +411,6 @@ std::uint64_t SimNetwork::maxRecoveryLinkLoad() const {
   return best;
 }
 
-std::uint32_t SimNetwork::acquirePath() {
-  if (!free_paths_.empty()) {
-    const std::uint32_t path = free_paths_.back();
-    free_paths_.pop_back();
-    return path;
-  }
-  // rmrn-lint: allow(HOT-1) arena warm-up: grows once per high-water mark, then slots recycle
-  paths_.emplace_back();
-  // A simple route visits at most every node; reserving up front means no
-  // route written into this slot ever reallocates.
-  // rmrn-lint: allow(HOT-1) arena warm-up: grows once per high-water mark, then slots recycle
-  paths_.back().reserve(topology_.graph.numNodes());
-  return static_cast<std::uint32_t>(paths_.size() - 1);
-}
-
-void SimNetwork::releasePath(std::uint32_t path) {
-  // rmrn-lint: allow(HOT-1) free list reuses retained capacity; alloc_tests pin the zero-allocation data plane
-  free_paths_.push_back(path);  // the slot keeps its capacity for reuse
-}
-
 std::uint32_t SimNetwork::acquirePattern(const LinkLossPattern& loss) {
   std::uint32_t pattern;
   if (!free_patterns_.empty()) {
@@ -489,9 +447,6 @@ void SimNetwork::onEvent(const EventRecord& event) {
       } else {
         deliver(event.data.deliver.at, event.data.deliver.packet);
       }
-      return;
-    case EventKind::kUnicastResume:
-      onUnicastResume(event.data.resume);
       return;
     case EventKind::kFloodCursor:
       onFloodCursor(event.data.cursor);
@@ -547,83 +502,56 @@ void SimNetwork::unicast(net::NodeId from, net::NodeId to, Packet packet) {
     simulator_.scheduleEventAfter(0.0, this, self);
     return;
   }
-  const std::uint32_t path = acquirePath();
-  routing_.pathInto(from, to, paths_[path]);
-  if (paths_[path].size() < 2) {
-    releasePath(path);
+  routing_.pathInto(from, to, route_);
+  if (route_.size() < 2) {
     throw std::invalid_argument("SimNetwork::unicast: no route " +
                                 std::to_string(from) + " -> " +
                                 std::to_string(to));
   }
-  walkUnicast(path, 0, nextKey(from), packet, simulator_.now(),
-              simulator_.now());
-  releasePath(path);
+  walkUnicast(0, nextKey(from), packet, simulator_.now());
 }
 
-void SimNetwork::walkUnicast(std::uint32_t path, std::uint32_t hop,
-                             SendKey key, const Packet& packet, TimeMs at,
-                             TimeMs decided) {
-  const std::vector<net::NodeId>& route = paths_[path];
+void SimNetwork::walkUnicast(std::uint32_t hop, SendKey key,
+                             const Packet& packet, TimeMs at) {
   const std::uint64_t send_hash = sendHash(loss_seed_, key);
   // Fold the arrival hop by hop, as a hop-by-hop forwarder advances the
-  // clock: (t + d1) + d2 is not always t + (d1 + d2).
-  for (; hop + 1 < route.size(); ++hop) {
-    const net::NodeId from = route[hop];
-    const net::NodeId to = route[hop + 1];
+  // clock: (t + d1) + d2 is not always t + (d1 + d2).  In shard mode the
+  // walk crosses other regions too: every draw on the way is a pure
+  // function of the send and the link, and every region stages the same
+  // link timeline, so this region decides each hop as theirs would.
+  for (; hop + 1 < route_.size(); ++hop) {
+    const net::NodeId from = route_[hop];
+    const net::NodeId to = route_[hop + 1];
     const std::uint32_t slot = edgeSlot(from, to);
     if (!survives(slot, at, from, to, packet, lostOn(send_hash, slot))) {
       return;
     }
     const TimeMs arrival = at + chaosDelay(edge_delay_[slot], slot, send_hash);
-    if ((regions_ != nullptr || dup_threshold_ != 0) &&
-        !branchUnicast(path, hop, slot, key, packet, at, arrival, decided)) {
-      return;
+    Copy copy;
+    if (dup_threshold_ != 0 &&
+        duplicated(slot, at, packet, send_hash, copy)) {
+      // The copy is a second transmission: it walks the rest of the route
+      // with its own key.
+      walkUnicast(hop + 1, copy.key, packet, copy.arrival);
     }
     at = arrival;
   }
-  EventRecord record{EventKind::kDeliver, {}};
-  record.data.deliver = DeliverEvent{route.back(), /*direct=*/false, packet};
-  if (decided == simulator_.now()) {
+  const net::NodeId dest = route_.back();
+  if (isShardLocal(dest)) {
+    EventRecord record{EventKind::kDeliver, {}};
+    record.data.deliver = DeliverEvent{dest, /*direct=*/false, packet};
     simulator_.scheduleEventAt(at, this, record);
-  } else {
-    simulator_.scheduleDecidedEventAt(at, decided, this, record);
-  }
-}
-
-bool SimNetwork::branchUnicast(std::uint32_t path, std::uint32_t hop,
-                               std::uint32_t slot, SendKey key,
-                               const Packet& packet, TimeMs at,
-                               TimeMs arrival, TimeMs decided) {
-  // Shard mode: a crossing into another region ends the walk here; that
-  // region resumes it when the packet arrives.
-  const bool local = isShardLocal(paths_[path][hop + 1]);
-  if (!local) handOffUnicast(path, hop, key, packet, arrival, decided);
-  Copy copy;
-  if (duplicated(slot, at, packet, sendHash(loss_seed_, key), copy)) {
-    // The copy is a second transmission: it walks the rest of the route
-    // with its own key.
-    if (local) {
-      walkUnicast(path, hop + 1, copy.key, packet, copy.arrival, decided);
-    } else {
-      handOffUnicast(path, hop, copy.key, packet, copy.arrival, decided);
-    }
-  }
-  return local;
-}
-
-void SimNetwork::onUnicastResume(const UnicastResumeEvent& event) {
-  // A shard handoff arrived at hop `hop + 1` of its route: deliver there,
-  // or walk the rest of the route.
-  const std::uint32_t next = event.hop + 1;
-  if (next + 1 == paths_[event.path].size()) {
-    const net::NodeId at = paths_[event.path][next];
-    releasePath(event.path);  // before deliver: the handler may send again
-    deliver(at, event.packet);
     return;
   }
-  walkUnicast(event.path, next, event.key, event.packet, simulator_.now(),
-              simulator_.firingDecidedAt());
-  releasePath(event.path);
+  // The route ends in another region, across at least one boundary link,
+  // so the arrival lies at least the lookahead ahead.
+  ShardHandoff handoff;
+  handoff.at = at;
+  handoff.decided = simulator_.now();
+  handoff.kind = EventKind::kDeliver;
+  handoff.packet = packet;
+  handoff.next = dest;
+  emitHandoff(dest, handoff);
 }
 
 void SimNetwork::multicastFromSource(Packet packet,

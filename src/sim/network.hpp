@@ -27,19 +27,19 @@
 // that time.  Link chaos reads a staged per-edge timeline at the crossing
 // time, and a duplicate is one more closed-form branch: a unicast copy
 // walks the rest of the route, a flood copy opens its own flood record.  In
-// shard mode a send stops at a link into another region and hands the
-// crossing over; the receiving region resumes it with one event at the
-// arrival, scheduled as decided when the sender decided the crossing, so
-// it ties with the receiver's events as in the serial run.  The
-// reference it must reproduce — one event per link crossed — lives in
-// tests/support/hop_network.hpp: every delivery time is
+// shard mode a unicast still walks its whole route in the sending region,
+// and a destination in another region gets one handoff, its delivery; a
+// flood stops at a link into another region and hands the crossing over.
+// The receiving region schedules one event at the arrival, as decided when
+// the sender decided it, so it ties with the receiver's events as in the
+// serial run.  The reference it must reproduce — one event per link
+// crossed — lives in tests/support/hop_network.hpp: every delivery time is
 // bit-identical, arrivals of one flood fire in the same order, and only
 // bit-equal arrivals of different sends may fire in another order.
 //
 // The forwarding hot path is allocation-free at steady state: in-flight
-// events are typed records (sim/event.hpp) in the queue's slab, unicast
-// routes live in a recycled per-send path arena (one slot per walk or
-// handed-over unicast), forced loss patterns in a refcounted pattern arena
+// events are typed records (sim/event.hpp) in the queue's slab, a unicast
+// walks one scratch route, forced loss patterns in a refcounted pattern arena
 // shared by the flood records of one data packet, floods in a recycled
 // flood arena whose frontiers and replay slots keep their capacity, flood
 // schedules are built once per origin, and per-link recovery accounting is
@@ -179,13 +179,14 @@ class SimNetwork final : public EventSink {
   [[nodiscard]] bool reachableFromSource(net::NodeId v, TimeMs at) const;
 
   /// Shard mode (conservative parallel engine, DESIGN.md §14): this network
-  /// instance simulates only the nodes of `my_region`; a send stops at a
-  /// link into another region and appends a handoff to `outbox`, with the
-  /// crossing's loss and chaos draws applied, its computed arrival time and
-  /// its send key for the receiver's draws.  `regions` and `outbox` must
-  /// outlive the network.  Serial networks never call this and behave
-  /// exactly as before — every shard check degrades to one predictable null
-  /// test.
+  /// instance delivers only at the nodes of `my_region`.  A unicast walks
+  /// its whole route here and, when its destination lies in another region,
+  /// appends its delivery to `outbox`; a flood stops at a link into another
+  /// region and appends the crossing, with its loss and chaos draws
+  /// applied, its computed arrival time and its key for the receiver's
+  /// draws.  `regions` and `outbox` must outlive the network.  Serial
+  /// networks never call this and behave exactly as before — every shard
+  /// check degrades to one predictable null test.
   void enableShardMode(const RegionMap& regions, std::uint32_t my_region,
                        std::vector<RoutedHandoff>* outbox);
   /// True when node `v` is simulated by this instance (always true serially).
@@ -204,8 +205,8 @@ class SimNetwork final : public EventSink {
   /// Schedules the one event that resumes a handoff emitted by another
   /// region at `handoff.at`, as decided at `handoff.decided` (engine
   /// barrier only; `handoff.at` must not be in this region's past): the
-  /// unicast walks on, or a fresh flood record expands from the node it
-  /// entered.
+  /// unicast's delivery, or a fresh flood record that expands from the
+  /// node it entered.
   void injectHandoff(const ShardHandoff& handoff);
   /// Cross-region packets this instance has emitted.
   [[nodiscard]] std::uint64_t handoffsEmitted() const { return handoffs_out_; }
@@ -271,7 +272,7 @@ class SimNetwork final : public EventSink {
   [[nodiscard]] const net::Routing& routing() const { return routing_; }
   [[nodiscard]] Simulator& simulator() { return simulator_; }
 
-  /// Typed-event dispatch (deliveries, unicast resumes, flood cursors).
+  /// Typed-event dispatch (deliveries, flood cursors).
   void onEvent(const EventRecord& event) override;
 
  private:
@@ -281,7 +282,6 @@ class SimNetwork final : public EventSink {
 
   void deliver(net::NodeId at, const Packet& packet);
   void deliverNow(net::NodeId at, const Packet& packet);
-  void onUnicastResume(const UnicastResumeEvent& event);
 
   /// The key of `sender`'s next send: its node id and own send counter.
   [[nodiscard]] SendKey nextKey(net::NodeId sender);
@@ -292,14 +292,13 @@ class SimNetwork final : public EventSink {
   /// Whether the send with hash `send_hash` (sendHash of its key) is lost
   /// on CSR half-edge `slot`.
   [[nodiscard]] bool lostOn(std::uint64_t send_hash, std::uint32_t slot) const;
-  /// Walks the unicast in path-arena slot `path`, at route[hop] at time
-  /// `at`, keyed `key` and sent at `decided`: counts every hop now, up to
-  /// the first one chaos or the key's draw loses, or hands it over at a
-  /// region boundary; walks each chaos duplicate's rest of the route with
-  /// its own key; schedules a kDeliver at each arrival, as decided at
-  /// `decided`.  The caller keeps the slot.
-  void walkUnicast(std::uint32_t path, std::uint32_t hop, SendKey key,
-                   const Packet& packet, TimeMs at, TimeMs decided);
+  /// Walks the unicast on route_, at route_[hop] at time `at` and keyed
+  /// `key`: counts every hop now, up to the first one chaos or the key's
+  /// draw loses; walks each chaos duplicate's rest of the route with its
+  /// own key; schedules a kDeliver at each arrival, or in shard mode hands
+  /// an arrival in another region over as its delivery.
+  void walkUnicast(std::uint32_t hop, SendKey key, const Packet& packet,
+                   TimeMs at);
   /// Floods from `origin` (throws when it is not a tree member): opens the
   /// record, expands `origin` and schedules the first cursor.
   void startFlood(net::NodeId origin, const Packet& packet, bool down_only,
@@ -324,14 +323,6 @@ class SimNetwork final : public EventSink {
   /// starting at the link (or is handed over too).
   void branchFlood(std::uint32_t flood, net::NodeId from, const TreeLink& link,
                    std::uint64_t link_key, TimeMs at, TimeMs arrival);
-  /// The unicast in path slot `path` crossed hop `hop` (CSR half-edge
-  /// `slot`) at `at`, arriving at `arrival`, in shard mode or under
-  /// duplication: hands it over when the far end lies in another region,
-  /// and walks or hands over a chaos duplicate.  False when the walk ends
-  /// here.
-  bool branchUnicast(std::uint32_t path, std::uint32_t hop, std::uint32_t slot,
-                     SendKey key, const Packet& packet, TimeMs at,
-                     TimeMs arrival, TimeMs decided);
   /// Pushes the crossing of `link` (child | direction bit) arriving at
   /// `arrival` onto the flood's frontier.
   void pushCrossing(Flood& flood, std::uint64_t link, TimeMs arrival);
@@ -376,11 +367,6 @@ class SimNetwork final : public EventSink {
                                         std::uint64_t send_hash) const;
   /// Appends `handoff` to the outbox for `to`'s region.
   void emitHandoff(net::NodeId to, const ShardHandoff& handoff);
-  /// Hands the unicast in path slot `path` (keyed `key`, sent at
-  /// `decided`) to the region of route[hop + 1], which it reaches at
-  /// `arrival`.
-  void handOffUnicast(std::uint32_t path, std::uint32_t hop, SendKey key,
-                      const Packet& packet, TimeMs arrival, TimeMs decided);
   /// Hands `flood`'s crossing from `from` into `to` (keyed `key`, draws
   /// from `send_hash`) to `to`'s region, which the packet reaches at
   /// `arrival`.
@@ -410,8 +396,6 @@ class SimNetwork final : public EventSink {
 
   // Arena slot management.  Released slots keep their vector capacity, so a
   // warmed-up arena serves the steady state without touching the heap.
-  [[nodiscard]] std::uint32_t acquirePath();
-  void releasePath(std::uint32_t path);
   [[nodiscard]] std::uint32_t acquirePattern(const LinkLossPattern& loss);
   void patternAddRef(std::uint32_t pattern);
   void patternRelease(std::uint32_t pattern);
@@ -459,10 +443,10 @@ class SimNetwork final : public EventSink {
   std::vector<std::vector<TimeMs>> link_changes_;
   TimeMs latest_crossing_ = -Simulator::kForever;
 
-  // Path arena: one route per slot, held by a walk (and its duplicates'
-  // walks) while it runs, or by a handed-over unicast until it resumes.
-  std::vector<std::vector<net::NodeId>> paths_;
-  std::vector<std::uint32_t> free_paths_;
+  // The route of the unicast being walked.  A walk ends before its send
+  // returns and its duplicates walk the same route, so one is enough; it is
+  // reserved for the longest simple route, so it never reallocates.
+  std::vector<net::NodeId> route_;
 
   // Loss-pattern arena: one forced pattern per flood, refcounted by the
   // flood's outstanding events (plus one for the sending scope).  A send

@@ -16,13 +16,17 @@
 //   3. horizon = min(T + lookahead, until);
 //   4. parallelFor over the busy regions — those with an event at or before
 //      the horizon: each runs its simulator to the horizon, appending
-//      region-leaving packets to its own outbox.  The others would fire
+//      region-leaving packets to its own outbox (a unicast's delivery in
+//      another region, a flood's crossing into one).  The others would fire
 //      nothing and leave their clocks alone, so they are skipped; one busy
 //      region runs inline on the driver thread.
 //
-// Safety: a packet crossing regions is in flight for at least the lookahead
-// L (minimum cross-region link delay), so anything emitted during an epoch
-// arrives at >= T + L = the epoch horizon, which no receiver has passed.
+// Safety: a handed-over packet has crossed at least one region-boundary
+// link — a unicast walks its whole route in the sending region and crosses
+// once, as its delivery, a flood crosses link by link — so it is in flight
+// for at least the lookahead L (minimum cross-region link delay), and
+// anything emitted during an epoch arrives at >= T + L = the epoch horizon,
+// which no receiver has passed.
 // Each outbox has one writer during an epoch (its region) and is read only
 // at the barrier, after the pool join, so it needs no synchronization.
 // Determinism: the region decomposition, every region's event order, and

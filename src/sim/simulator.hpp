@@ -25,10 +25,6 @@ class Simulator {
                               const EventRecord& record) {
     queue_.scheduleDecidedEvent(at, decided, sink, record);
   }
-  /// The time the firing event counts as scheduled at (its decision time).
-  [[nodiscard]] TimeMs firingDecidedAt() const {
-    return queue_.lastFiredStamp();
-  }
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 

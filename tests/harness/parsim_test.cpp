@@ -116,7 +116,8 @@ TEST(ParsimTest, SingleRegionRunsUnbounded) {
   EXPECT_EQ(report.lookahead_ms, 0.0);
 }
 
-/// Every counter but the event counts (handoffs add resume events) equal.
+/// Every counter but the event counts (a handed-over flood fires one event
+/// where it enters a region) equal.
 void expectCountersMatch(const RunCounters& serial,
                          const RunCounters& parallel) {
   const test_support::NamedCounters expected =
@@ -242,6 +243,18 @@ TEST(ParsimTest, LossyCodedMatchesSerialHarness) {
   expectLossySchemeMatchesSerial(ProtocolKind::kCodedRlc);
 }
 
+TEST(ParsimTest, LossyRmaMatchesSerialHarness) {
+  // RMA probes upstream peers with unicasts and repairs with subtree
+  // floods, both of which cross regions.
+  expectLossySchemeMatchesSerial(ProtocolKind::kRma);
+}
+
+TEST(ParsimTest, LossySourceDirectMatchesSerialHarness) {
+  // Every request and repair is a unicast between a client and the source,
+  // so nearly every one is handed over as a delivery in another region.
+  expectLossySchemeMatchesSerial(ProtocolKind::kSourceDirect);
+}
+
 TEST(ParsimTest, MultiRegionLossyGolden) {
   // Pins a lossy multi-region run: every region keys its recovery losses
   // with the run's one loss seed, and all regions share one planner.
@@ -255,9 +268,9 @@ TEST(ParsimTest, MultiRegionLossyGolden) {
   const ParsimReport report =
       runParallelTransfer(topo, config, parallelConfig(2));
   EXPECT_EQ(report.regions, 20u);
-  EXPECT_EQ(report.epochs, 6099u);
-  EXPECT_EQ(report.handoffs, 29731u);
-  EXPECT_EQ(report.events, 46255u);
+  EXPECT_EQ(report.epochs, 4055u);
+  EXPECT_EQ(report.handoffs, 4854u);
+  EXPECT_EQ(report.events, 19300u);
   EXPECT_EQ(report.lookahead_ms, 1.8536410112388431);
   EXPECT_EQ(report.retries, 11409u);
   EXPECT_EQ(report.timeouts, 12588u);

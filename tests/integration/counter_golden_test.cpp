@@ -98,83 +98,83 @@ void expectCounters(const ExperimentResult& result,
 // Rows list CounterGolden's fields in order.
 constexpr CounterGolden kAllSchemes[] = {
     {ProtocolKind::kSrm, 520, 520, 20764, 635, 98, 428, 3151, 62, 0, 0, 0, 0,
-     0, 0, 0, 0, 0, 0, 0, 0, 520, 520, 0, 0, 0, 0, 8433, {0, 0, 7189, 1244},
+     0, 0, 0, 0, 0, 0, 0, 0, 520, 520, 0, 0, 0, 0, 8433, {0, 7189, 1244},
      674.77478188999839, 39.930769230769229},
     {ProtocolKind::kRma, 520, 520, 13475, 635, 47, 436, 2291, 27, 1322, 0, 0,
      41, 0, 0, 0, 0, 0, 0, 0, 0, 520, 520, 0, 0, 0, 0, 6213,
-     {1330, 0, 3011, 1872}, 184.98473243241872, 25.91346153846154},
+     {1330, 3011, 1872}, 184.98473243241872, 25.91346153846154},
     {ProtocolKind::kRp, 520, 520, 7029, 635, 719, 803, 0, 646, 774, 0, 0, 456,
-     0, 0, 0, 0, 0, 0, 0, 0, 520, 520, 0, 0, 0, 0, 2926, {1402, 0, 200, 1324},
+     0, 0, 0, 0, 0, 0, 0, 0, 520, 520, 0, 0, 0, 0, 2926, {1402, 200, 1324},
      162.23930663115041, 13.517307692307693},
     {ProtocolKind::kSourceDirect, 520, 520, 7258, 635, 796, 845, 0, 738, 738,
      0, 0, 520, 0, 0, 0, 0, 0, 0, 0, 0, 520, 520, 0, 0, 0, 0, 2804,
-     {1316, 0, 200, 1288}, 172.22272178011798, 13.957692307692307},
+     {1316, 200, 1288}, 172.22272178011798, 13.957692307692307},
     {ProtocolKind::kParityFec, 520, 520, 7221, 635, 391, 233, 0, 74, 74, 0, 0,
      0, 0, 0, 0, 0, 0, 0, 0, 0, 520, 520, 0, 0, 196, 594, 2987,
-     {391, 0, 1880, 716}, 133.55783924673955, 13.886538461538462},
+     {391, 1880, 716}, 133.55783924673955, 13.886538461538462},
     {ProtocolKind::kCodedRlc, 520, 520, 6457, 635, 374, 225, 0, 51, 51, 0, 0,
      0, 0, 0, 0, 0, 0, 0, 0, 0, 520, 520, 0, 0, 196, 571, 2675,
-     {374, 0, 1630, 671}, 144.46953687625967, 12.417307692307693},
+     {374, 1630, 671}, 144.46953687625967, 12.417307692307693},
 };
 constexpr CounterGolden kCrash[] = {
     {ProtocolKind::kSrm, 456, 435, 19462, 635, 100, 396, 1986, 111, 0, 0, 0, 0,
-     21, 0, 0, 0, 0, 0, 0, 0, 456, 435, 0, 0, 0, 0, 7901, {0, 0, 6738,
+     21, 0, 0, 0, 0, 0, 0, 0, 456, 435, 0, 0, 0, 0, 7901, {0, 6738,
      1163}, 12880.477005478491, 44.740229885057474},
     {ProtocolKind::kRma, 456, 436, 8715, 635, 108, 186, 1097, 121, 515, 82, 0,
-     67, 20, 0, 0, 0, 0, 0, 0, 0, 456, 436, 0, 0, 0, 0, 3718, {640, 0,
+     67, 20, 0, 0, 0, 0, 0, 0, 0, 456, 436, 0, 0, 0, 0, 3718, {640,
      2072, 1006}, 462.48589915670044, 19.988532110091743},
     {ProtocolKind::kRp, 456, 437, 6503, 635, 677, 802, 0, 655, 687, 10, 10,
-     437, 19, 0, 0, 0, 0, 0, 0, 0, 456, 437, 0, 0, 0, 0, 2533, {1155, 0,
+     437, 19, 0, 0, 0, 0, 0, 0, 0, 456, 437, 0, 0, 0, 0, 2533, {1155,
      200, 1178}, 676.53977775863791, 14.881006864988558},
     {ProtocolKind::kSourceDirect, 456, 433, 6066, 635, 652, 765, 0, 575, 575,
      0, 0, 451, 23, 0, 0, 0, 0, 0, 0, 0, 456, 433, 0, 0, 0, 0, 2352, {1086,
-     0, 200, 1066}, 570.60027181180612, 14.009237875288683},
+     200, 1066}, 570.60027181180612, 14.009237875288683},
     {ProtocolKind::kParityFec, 456, 435, 5702, 635, 319, 209, 0, 41, 41, 0, 0,
-     0, 21, 0, 0, 0, 0, 0, 0, 0, 456, 435, 0, 0, 152, 492, 2398, {319, 0,
+     0, 21, 0, 0, 0, 0, 0, 0, 0, 456, 435, 0, 0, 152, 492, 2398, {319,
      1479, 600}, 115.95324724918773, 13.108045977011495},
     {ProtocolKind::kCodedRlc, 456, 442, 6205, 635, 338, 236, 0, 83, 83, 0, 0,
-     0, 14, 0, 0, 0, 0, 0, 0, 0, 456, 442, 0, 0, 192, 534, 2565, {338, 0,
+     0, 14, 0, 0, 0, 0, 0, 0, 0, 456, 442, 0, 0, 192, 534, 2565, {338,
      1575, 652}, 322.91917905405307, 14.038461538461538},
 };
 constexpr CounterGolden kHealedChaos[] = {
     {ProtocolKind::kSrm, 620, 615, 44482, 1427, 289, 863, 6883, 106, 0, 0, 0,
-     0, 5, 0, 895, 5344, 5137, 0, 5, 0, 620, 615, 0, 0, 0, 0, 19223, {0, 0,
+     0, 5, 0, 895, 5344, 5137, 0, 5, 0, 620, 615, 0, 0, 0, 0, 19223, {0,
      17067, 2156}, 915.69192909415153, 72.328455284552845},
     {ProtocolKind::kRma, 635, 635, 16615, 1058, 122, 409, 3779, 50, 498, 68, 0,
      60, 0, 0, 420, 2072, 428, 0, 0, 0, 635, 635, 0, 0, 0, 0, 7906, {1198,
-     0, 4773, 1935}, 427.7641825289495, 26.165354330708663},
+     4773, 1935}, 427.7641825289495, 26.165354330708663},
     {ProtocolKind::kRp, 639, 639, 10850, 770, 1382, 1266, 443, 714, 749, 11,
      11, 624, 0, 0, 157, 1348, 523, 0, 0, 0, 639, 639, 0, 0, 0, 0, 4925,
-     {2486, 0, 249, 2190}, 508.87233756943345, 16.979655712050079},
+     {2486, 249, 2190}, 508.87233756943345, 16.979655712050079},
     {ProtocolKind::kSourceDirect, 638, 637, 10976, 1185, 1462, 1363, 399, 763,
      763, 0, 0, 638, 1, 0, 182, 1438, 586, 0, 1, 0, 638, 637, 0, 0, 0, 0,
-     5092, {2467, 0, 422, 2203}, 521.94702547377756, 17.23076923076923},
+     5092, {2467, 422, 2203}, 521.94702547377756, 17.23076923076923},
     {ProtocolKind::kParityFec, 638, 638, 21286, 1649, 762, 602, 0, 98, 98, 0,
      0, 0, 0, 0, 615, 2727, 0, 0, 0, 0, 638, 638, 0, 0, 349, 736, 9609,
-     {762, 0, 7207, 1640}, 274.98060565977391, 33.363636363636367},
+     {762, 7207, 1640}, 274.98060565977391, 33.363636363636367},
     {ProtocolKind::kCodedRlc, 643, 643, 19775, 1288, 729, 547, 0, 76, 76, 0, 0,
      0, 0, 0, 492, 2385, 0, 0, 0, 0, 643, 643, 0, 0, 350, 719, 8766, {729,
-     0, 6431, 1606}, 218.68974051512888, 30.754276827371694},
+     6431, 1606}, 218.68974051512888, 30.754276827371694},
 };
 constexpr CounterGolden kPermanentPartition[] = {
     {ProtocolKind::kSrm, 549, 414, 15836, 583, 95, 462, 1450, 218, 0, 0, 0, 0,
-     135, 0, 384, 0, 0, 0, 135, 9, 319, 312, 0, 0, 0, 0, 7267, {0, 0, 5215,
+     135, 0, 384, 0, 0, 0, 135, 9, 319, 312, 0, 0, 0, 0, 7267, {0, 5215,
      2052}, 622.71082080893677, 38.251207729468597},
     {ProtocolKind::kRma, 549, 428, 15403, 583, 78, 4479, 919, 6031, 6666, 96,
      0, 176, 121, 0, 6291, 0, 0, 0, 121, 9, 319, 319, 0, 0, 0, 0, 10023,
-     {532, 0, 1518, 7973}, 356.78363299150567, 35.988317757009348},
+     {532, 1518, 7973}, 356.78363299150567, 35.988317757009348},
     {ProtocolKind::kRp, 549, 351, 8520, 583, 526, 680, 0, 2550, 2585, 11, 11,
      535, 198, 0, 2110, 0, 0, 0, 198, 9, 319, 314, 0, 0, 0, 0, 4983, {920,
-     0, 171, 3892}, 420.231110677299, 24.273504273504273},
+     171, 3892}, 420.231110677299, 24.273504273504273},
     {ProtocolKind::kSourceDirect, 549, 363, 9245, 583, 564, 949, 0, 2953, 2953,
      0, 0, 549, 186, 0, 2441, 0, 0, 0, 186, 9, 319, 318, 0, 0, 0, 0, 5358,
-     {927, 0, 171, 4260}, 448.35937578601198, 25.46831955922865},
+     {927, 171, 4260}, 448.35937578601198, 25.46831955922865},
     {ProtocolKind::kParityFec, 549, 423, 6539, 583, 303, 204, 0, 285, 285, 0,
      0, 0, 126, 0, 422, 0, 0, 0, 126, 9, 319, 319, 0, 0, 181, 834, 3406,
-     {303, 0, 1429, 1674}, 313.10644248197099, 15.458628841607565},
+     {303, 1429, 1674}, 313.10644248197099, 15.458628841607565},
     {ProtocolKind::kCodedRlc, 549, 419, 6061, 583, 288, 273, 0, 420, 420, 0, 0,
      0, 130, 0, 514, 0, 0, 0, 130, 9, 319, 319, 0, 0, 173, 969, 3299, {288,
-     0, 1217, 1794}, 150.15613313169777, 14.465393794749403},
+     1217, 1794}, 150.15613313169777, 14.465393794749403},
 };
 
 constexpr ProtocolKind kSchemes[] = {

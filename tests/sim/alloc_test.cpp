@@ -3,9 +3,9 @@
 //
 // This binary links src/util/alloc_counter.cpp, which replaces the global
 // allocation operators with counting wrappers.  Each test runs one warm-up
-// campaign — growing the event-queue slab/heap, the path and pattern arenas
-// and the RNG state to their peak — then repeats the identical workload and
-// asserts the allocation counter did not move.
+// campaign — growing the event-queue slab/heap, the pattern and flood
+// arenas and the RNG state to their peak — then repeats the identical
+// workload and asserts the allocation counter did not move.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -171,7 +171,11 @@ TEST_F(LosslessDataPlaneAllocTest, ClosedFormTransportIsAllocationFree) {
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(delivered_, 0u);
   EXPECT_GT(simulator_.eventsProcessed(EventKind::kFloodCursor), 0u);
-  EXPECT_EQ(simulator_.eventsProcessed(EventKind::kUnicastResume), 0u);
+  // One network event per agent delivery: no send fires an event anywhere
+  // else on its way.
+  EXPECT_EQ(simulator_.eventsProcessed(EventKind::kDeliver) +
+                simulator_.eventsProcessed(EventKind::kFloodCursor),
+            delivered_);
   // The data floods and the group flood replay schedules; the scoped
   // floods keep frontiers.
   EXPECT_EQ(network_->floodsReplayed(), 3u * kRounds);
@@ -229,11 +233,11 @@ struct ShardReplica final : EventSink {
 };
 
 TEST(ShardDataPlaneAllocTest, ShardModeForwardingIsAllocationFree) {
-  // Closed-form sends stop at region boundaries and emit handoffs, and each
-  // injected handoff resumes with one event: after warm-up neither the
-  // outboxes and inboxes nor any arena grows.  Every network event is an
-  // agent delivery or a resume, so events never exceed deliveries plus
-  // handoffs.
+  // A unicast hands a delivery in another region over, a flood hands over
+  // each crossing into another region, and each injected handoff fires one
+  // event: after warm-up neither the outboxes and inboxes nor any arena
+  // grows.  Every network event is an agent delivery or a handed-over
+  // arrival, so events never exceed deliveries plus handoffs.
   util::Rng rng(321);
   net::TopologyConfig config;
   config.num_nodes = 60;

@@ -50,6 +50,7 @@ namespace {
 using net::NodeId;
 using test_support::Delivery;
 using test_support::expectClosedFormMatchesReference;
+using test_support::expectEventPerArrival;
 using test_support::expectSameStats;
 using test_support::expectSameTrace;
 using test_support::fields;
@@ -142,8 +143,7 @@ Scenario everySendKind(const net::Topology& topo, std::uint64_t seed) {
 /// order than the reference, and nothing else: the same arrival times in the
 /// same sequence, the same deliveries at each time, the same counters.
 void expectSameUpToTies(Outcome fast, Outcome ref) {
-  EXPECT_GT(ref.per_hop_events, 0u);
-  EXPECT_EQ(fast.per_hop_events, 0u);
+  expectEventPerArrival(fast, ref);
   ASSERT_EQ(fast.deliveries.size(), ref.deliveries.size());
   for (std::size_t i = 0; i < fast.deliveries.size(); ++i) {
     EXPECT_EQ(fast.deliveries[i].time, ref.deliveries[i].time);
@@ -166,9 +166,7 @@ class ClosedFormRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ClosedFormRandomTest, EverySendKindMatchesReference) {
   const net::Topology topo = randomTopology(GetParam(), 90);
   ASSERT_GE(topo.clients.size(), 7u);
-  const Outcome fast =
-      expectClosedFormMatchesReference(topo, 0.0, everySendKind(topo, 17));
-  EXPECT_EQ(fast.per_hop_events, 0u);  // every send was lossless
+  expectClosedFormMatchesReference(topo, 0.0, everySendKind(topo, 17));
 }
 
 TEST_P(ClosedFormRandomTest, FaultedAgentsMatchReference) {
@@ -187,8 +185,7 @@ TEST_P(ClosedFormRandomTest, FaultedAgentsMatchReference) {
     net.setAgentFault(c[4], AgentFault::kSlowed, 0.75);  // a unicast target
     sends(net, calls);
   };
-  const Outcome fast = expectClosedFormMatchesReference(topo, 0.0, scenario);
-  EXPECT_EQ(fast.per_hop_events, 0u);
+  expectClosedFormMatchesReference(topo, 0.0, scenario);
 }
 
 TEST_P(ClosedFormRandomTest, ForcedPatternFloodsOnLossyNetworkMatchReference) {
@@ -199,7 +196,6 @@ TEST_P(ClosedFormRandomTest, ForcedPatternFloodsOnLossyNetworkMatchReference) {
   ASSERT_GE(topo.clients.size(), 7u);
   const Outcome fast =
       expectClosedFormMatchesReference(topo, 0.1, everySendKind(topo, 23));
-  EXPECT_EQ(fast.per_hop_events, 0u);
   EXPECT_GT(fast.stats.packets_lost, 0u);
 }
 
@@ -246,7 +242,6 @@ TEST_P(ClosedFormRandomTest, HandlerStartingSendsMidDeliveryMatchesReference) {
   const auto [scenario, react] = handlerStartedSends(topo);
   const Outcome fast =
       expectClosedFormMatchesReference(topo, 0.0, scenario, react);
-  EXPECT_EQ(fast.per_hop_events, 0u);
   EXPECT_GT(fast.stats.packets_sent, 2u + topo.clients.size() / 3);
 }
 
@@ -313,7 +308,6 @@ TEST_P(ClosedFormChaosTest, FlapTimelineMatchesReference) {
   ASSERT_GE(topo.clients.size(), 7u);
   const Outcome fast = expectClosedFormMatchesReference(
       topo, 0.1, withChaos(topo, everySendKind(topo, 31), 0.0, 0.0));
-  EXPECT_EQ(fast.per_hop_events, 0u);
   EXPECT_GT(fast.stats.chaos_link_drops, 0u);
 }
 
@@ -324,7 +318,6 @@ TEST_P(ClosedFormChaosTest, DuplicationAndJitterMatchReference) {
   ASSERT_GE(topo.clients.size(), 7u);
   const Outcome fast = expectClosedFormMatchesReference(
       topo, 0.1, withChaos(topo, everySendKind(topo, 37), 0.3, 1.5));
-  EXPECT_EQ(fast.per_hop_events, 0u);
   EXPECT_GT(fast.stats.duplicates_created, 0u);
   EXPECT_GT(fast.stats.chaos_link_drops, 0u);
 }
@@ -348,7 +341,6 @@ TEST_P(ClosedFormChaosTest, HandlerStartedSendsUnderChaosMatchReference) {
   const Scenario scenario = withChaos(topo, sends, 0.05, 0.8);
   const Outcome fast =
       expectClosedFormMatchesReference(topo, 0.0, scenario, react);
-  EXPECT_EQ(fast.per_hop_events, 0u);
   EXPECT_GT(fast.stats.duplicates_created, 0u);
 }
 
@@ -405,8 +397,7 @@ TEST_P(ClosedFormUnitDelayTest, TiedArrivalsKeepReferenceOrder) {
         break;
     }
   };
-  const Outcome fast = expectClosedFormMatchesReference(topo, 0.0, scenario);
-  EXPECT_EQ(fast.per_hop_events, 0u);
+  expectClosedFormMatchesReference(topo, 0.0, scenario);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -460,7 +451,6 @@ TEST_P(ClosedFormLossyKindTest, LossySendsMatchReference) {
     }
   };
   const Outcome fast = expectClosedFormMatchesReference(topo, 0.1, scenario);
-  EXPECT_EQ(fast.per_hop_events, 0u);
   EXPECT_GT(fast.stats.packets_lost, 0u);
 }
 

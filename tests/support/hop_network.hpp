@@ -90,8 +90,12 @@ class HopNetwork final : public sim::EventSink {
     const auto it = link_load_.find(edge(a, b));
     return it == link_load_.end() ? 0 : it->second;
   }
-  /// Events fired at a link crossing's far end (one per hop).
-  [[nodiscard]] std::uint64_t hopEvents() const { return hop_events_; }
+  /// Events fired, timers of other sinks excluded.
+  [[nodiscard]] std::uint64_t events() const { return events_; }
+  /// Of events(), those that deliver or would deliver a packet: at an agent
+  /// a flood reaches, at a unicast's destination, or a slowed re-delivery.
+  /// Every other event is a hop a router forwards.
+  [[nodiscard]] std::uint64_t arrivalEvents() const { return arrival_events_; }
 
   void unicast(net::NodeId from, net::NodeId to, sim::Packet packet) {
     ++stats_.packets_sent;
@@ -150,18 +154,21 @@ class HopNetwork final : public sim::EventSink {
 
   void onEvent(const sim::EventRecord& record) override {
     const Pending event = pending_[record.data.timer.a];
+    ++events_;
     switch (event.kind) {
       case Pending::kDeliver:
+        ++arrival_events_;
         deliver(event.node, event.packet);
         return;
       case Pending::kDirect:
+        ++arrival_events_;
         deliverNow(event.node, event.packet);
         return;
       case Pending::kHop: {
-        ++hop_events_;
         const std::vector<net::NodeId>& route = *event.route;
         const std::uint32_t next = event.hop + 1;
         if (next + 1 == route.size()) {
+          ++arrival_events_;
           deliver(route[next], event.packet);
         } else {
           sendHop(event.route, next, event.key, event.packet);
@@ -169,7 +176,7 @@ class HopNetwork final : public sim::EventSink {
         return;
       }
       case Pending::kFloodStep:
-        ++hop_events_;
+        if (is_agent_[event.node]) ++arrival_events_;
         deliver(event.node, event.flood.packet);
         floodFrom(event.node, event.came_from, event.flood);
         return;
@@ -387,7 +394,8 @@ class HopNetwork final : public sim::EventSink {
   sim::TraceSink trace_sink_;
   sim::NetworkStats stats_;
   std::vector<Pending> pending_;
-  std::uint64_t hop_events_ = 0;
+  std::uint64_t events_ = 0;
+  std::uint64_t arrival_events_ = 0;
 };
 
 }  // namespace rmrn::test_support
