@@ -5,9 +5,9 @@
 #include <memory>
 #include <stdexcept>
 
-#include "core/auditor.hpp"
 #include "harness/world.hpp"
 #include "net/routing.hpp"
+#include "sim/region_map.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -26,13 +26,8 @@ ProtocolResult runOneProtocol(const ExperimentConfig& config,
                               const core::RpPlanner& planner,
                               const std::vector<sim::LinkLossPattern>& losses,
                               const util::Rng& root_rng) {
-  const double recovery_loss = config.lossy_recovery ? config.loss_prob : 0.0;
-  const util::Rng network_rng =
-      root_rng.fork(kProtocolStreamBase + static_cast<std::uint64_t>(kind));
-  World world(topology, routing, recovery_loss, sim::lossSeedOf(network_rng));
   const protocols::ProtocolConfig proto_config =
       resolveProtocolConfig(config.protocol, &config.faults);
-
   // SRC plans its own empty peer lists; RP uses the run's shared planner.
   const std::unique_ptr<core::RpPlanner> source_direct =
       kind == ProtocolKind::kSourceDirect
@@ -41,48 +36,43 @@ ProtocolResult runOneProtocol(const ExperimentConfig& config,
           : nullptr;
   // Scheme draws (SRM timers, coded coefficients) get their own substream:
   // arms that never draw leave every other arm's results bit-identical.
-  const std::uint64_t protocol_stream =
+  const util::Rng scheme_rng = root_rng.fork(
       kProtocolStreamBase + (kind == ProtocolKind::kSrm ? 50 : 60) +
-      static_cast<std::uint64_t>(kind);
-  world.buildProtocol({kind, proto_config, config.srm, config.parity,
-                       config.coded, config.rp_source_mode},
-                      source_direct ? source_direct.get() : &planner,
-                      root_rng.fork(protocol_stream));
-  if (!config.faults.empty()) world.armFaults(config.faults);
-  world.scheduleData(losses, config.data_interval_ms);
-  world.simulator.run();
-  // Liveness sweep: with the watchdog on, every detected loss must have
-  // terminated (recovered or explicitly abandoned) and no session may
-  // remain open.
-  world.protocol->finalizeRun();
+      static_cast<std::uint64_t>(kind));
+  const sim::RegionMap one_region(topology, 1);
+  RegionRun run(
+      {.topology = topology,
+       .routing = routing,
+       .planner = source_direct ? source_direct.get() : &planner,
+       .patterns = losses,
+       .interval_ms = config.data_interval_ms,
+       .scheme = {kind, proto_config, config.srm, config.parity, config.coded,
+                  config.rp_source_mode},
+       .recovery_loss = config.lossy_recovery ? config.loss_prob : 0.0,
+       .loss_seed = sim::lossSeedOf(root_rng.fork(
+           kProtocolStreamBase + static_cast<std::uint64_t>(kind))),
+       .faults = &config.faults,
+       .scheme_rng = [&scheme_rng](std::uint32_t) { return scheme_rng; }},
+      one_region, /*workers=*/1);
+  // run() ends with the liveness sweep: with the watchdog on, every
+  // detected loss must have terminated (recovered or explicitly abandoned)
+  // and no session may remain open.
+  const RegionRun::Totals totals = run.run();
+  const World& world = run.world(0);
 
   ProtocolResult result;
-  static_cast<RunCounters&>(result) = world.counters(world.simulator.now());
+  static_cast<RunCounters&>(result) = totals.counters;
   result.kind = kind;
-  result.avg_latency_ms = world.recovery.latency().mean();
+  result.avg_latency_ms = totals.latency.mean();
   result.avg_bandwidth_hops =
       world.recovery.avgBandwidthHops(result.recovery_hops);
-  result.latency = world.recovery.latency().summarize();
+  result.latency = totals.latency.summarize();
   result.fully_recovered = result.residual == 0;
   result.max_link_load = world.network.maxRecoveryLinkLoad();
-
-  // Failover-plan audit: every list RP adopted after blacklisting must still
+  // Failover-plan audit: every list adopted after blacklisting must still
   // satisfy the paper's lemmas with the dead peers excluded.
-  if (config.audit_failover_plans && kind == ProtocolKind::kRp) {
-    if (const auto* rp =
-            dynamic_cast<const protocols::RpProtocol*>(world.protocol.get())) {
-      const core::PlanAuditor auditor(topology, routing);
-      const core::AuditOptions audit_options =
-          core::AuditOptions::fromPlanner(planner);
-      for (const net::NodeId client : topology.clients) {
-        if (!rp->hasFailedOver(client)) continue;
-        const std::vector<net::NodeId> excluded =
-            rp->peerHealth().blacklistedTargets(client);
-        const core::AuditReport report = auditor.auditStrategyExcluding(
-            client, rp->activeStrategy(client), audit_options, excluded);
-        result.plan_audit_violations += report.violations.size();
-      }
-    }
+  if (config.audit_failover_plans) {
+    result.plan_audit_violations = world.protocol->failoverAuditViolations();
   }
   return result;
 }

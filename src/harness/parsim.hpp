@@ -3,26 +3,26 @@
 //
 // The topology is split into a canonical region set (sim/RegionMap) that
 // depends only on (topology, target_regions) — never on the worker count —
-// and each region gets its own World (harness/world.hpp): Simulator,
-// SimNetwork in shard mode, RecoveryMetrics, protocol instance and, under
-// faults, its own FaultInjector replica.  Regions share the topology,
-// routing, the pre-drawn loss patterns and one RpPlanner.  Workers only
-// change which thread advances a region, so a seeded run is bit-identical
-// for any worker count; that is the determinism contract the parsim tests
-// pin.
+// and harness::RegionRun (harness/world.hpp) gives each region its own
+// World: Simulator, SimNetwork in shard mode, RecoveryMetrics, protocol
+// instance and, under faults, its own FaultInjector replica.  Regions share
+// the topology, routing, the pre-drawn loss patterns and one RpPlanner.
+// Workers only change which thread advances a region, so a seeded run is
+// bit-identical for any worker count; that is the determinism contract the
+// parsim tests pin.
 //
-// The serial runTransfer() is the single-region run: region 0 draws from
-// the same RNG substreams the serial harness always used, so a 1-region run
-// reproduces serial output bit for bit.  Recovery losses and link chaos are
-// keyed draws under the run's one loss seed, and the coded arm's
-// coefficients come from the run's one stream, so every region decides each
-// draw as the serial run does.  A handed-over send is scheduled as decided
-// at the time its sender decided it, so events that tie in time to the bit
-// (FEC and coded parity bursts, fixed-period repair timers) fire in the
-// serial order, and a multi-region run matches the serial one, lossy
-// recovery and chaos included (DESIGN.md §14).  SRM's timer jitter comes
-// from per-region substreams (r >= 1), so SRM runs are reproducible per
-// seed but differ from the serial run.
+// The serial runTransfer() is the one-region run: its one world takes no
+// shard mode, so it is the serial closed form, whole-tree flood replay
+// included.  Recovery losses and link chaos are keyed draws under the run's
+// one loss seed, and the coded arm's coefficients come from the run's one
+// stream, so every region decides each draw as the one-region run does.  A
+// handed-over send is scheduled as decided at the time its sender decided
+// it, so events that tie in time to the bit (FEC and coded parity bursts,
+// fixed-period repair timers) fire in the serial order, and a multi-region
+// run matches the one-region one, lossy recovery and chaos included
+// (DESIGN.md §14).  SRM's timer jitter comes from per-region substreams
+// (r >= 1), so SRM runs are reproducible per seed but differ from the
+// one-region run.
 #pragma once
 
 #include <cstdint>

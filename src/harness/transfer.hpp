@@ -59,9 +59,9 @@ struct TransferReport : RunCounters {
   bool operator==(const TransferReport&) const = default;
 };
 
-/// Runs one transfer over `topology`: the single-region, single-worker run
-/// of runParallelTransfer() (harness/parsim.hpp).  Deterministic in
-/// (topology, config).
+/// Runs one transfer over `topology`: the one-region, one-worker run of
+/// runParallelTransfer() (harness/parsim.hpp), which takes no shard mode.
+/// Deterministic in (topology, config).
 [[nodiscard]] TransferReport runTransfer(const net::Topology& topology,
                                          const TransferConfig& config);
 

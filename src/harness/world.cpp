@@ -194,4 +194,47 @@ ClientCompletion World::completion(net::NodeId client,
           recovery.lossesFor(client)};
 }
 
+RegionRun::RegionRun(const Inputs& inputs, const sim::RegionMap& regions,
+                     unsigned workers)
+    : engine_(regions, workers) {
+  const std::uint32_t num_regions = regions.numRegions();
+  worlds_.reserve(num_regions);
+  for (std::uint32_t r = 0; r < num_regions; ++r) {
+    World& world = *worlds_.emplace_back(std::unique_ptr<World>(
+        new World(inputs.topology, inputs.routing, inputs.recovery_loss,
+                  inputs.loss_seed)));
+    // One region is the serial closed form; shard mode would also switch
+    // off whole-tree flood replay.
+    if (num_regions > 1) {
+      world.network.enableShardMode(regions, r, &engine_.outboxFor(r));
+      for (const sim::LinkLossPattern& pattern : inputs.patterns) {
+        world.network.stageLossPattern(pattern);
+      }
+    }
+    world.buildProtocol(inputs.scheme, inputs.planner, inputs.scheme_rng(r));
+    // Every region replays the identical fault schedule on its own network
+    // replica (schedules are a pure function of plan and topology); only
+    // the victim's own region tells its protocol about a crash.
+    if (inputs.faults != nullptr && !inputs.faults->empty()) {
+      world.armFaults(*inputs.faults);
+    }
+    world.scheduleData(inputs.patterns, inputs.interval_ms);
+    engine_.attach(r, &world.simulator, &world.network);
+  }
+}
+
+RegionRun::Totals RegionRun::run() {
+  Totals totals;
+  totals.engine = engine_.run();
+  for (const auto& world : worlds_) world->protocol->finalizeRun();
+  // Ascending region order, so every aggregate is worker-count independent.
+  sim::TimeMs end_ms = 0.0;
+  for (const auto& w : worlds_) end_ms = std::max(end_ms, w->simulator.now());
+  for (const auto& world : worlds_) {
+    totals.counters += world->counters(end_ms);
+    totals.latency.merge(world->recovery.latency());
+  }
+  return totals;
+}
+
 }  // namespace rmrn::harness

@@ -1,17 +1,22 @@
-// One simulated recovery world, built the same way by every driver.
+// One simulated recovery run, built the same way by every driver.
 //
 // The paper's §5.1 method runs each recovery scheme against identical loss
-// draws on one topology.  runExperiment() builds one World per protocol arm;
-// runParallelTransfer() builds one per region (runTransfer() is its
-// single-region case).  This file owns what those drivers used to repeat:
+// draws on one topology.  RegionRun is the one builder of such a run: it
+// builds one World per region of a sim::RegionMap and attaches them to one
+// ParallelEngine, then runs them, sweeps and merges their counters.
+// runExperiment() runs each protocol arm on a one-region map;
+// runParallelTransfer() runs any region count (runTransfer() is its
+// one-region case).  This file owns what those drivers used to repeat:
 // the ProtocolKind -> protocol switch, planner-option resolution, the choice
 // of loss process, the protocol config a fault plan implies, FaultInjector
 // wiring, data-packet pacing (one timer event per packet, payload = its
-// seq), the run counters (RunCounters) and the per-client completion sweep.
-// Drivers keep their own RNG substreams and derived metrics.
+// seq), the run counters (RunCounters), their merge and the per-client
+// completion sweep.  Drivers keep their own RNG stream ids and derived
+// metrics.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -25,6 +30,8 @@
 #include "sim/fault_injector.hpp"
 #include "sim/loss_process.hpp"
 #include "sim/network.hpp"
+#include "sim/parallel_engine.hpp"
+#include "sim/region_map.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -71,32 +78,11 @@ inline constexpr double kChaosSessionDeadlineMs = 10000.0;
     std::uint32_t num_packets, util::Rng rng);
 
 /// Simulator, network, metrics, protocol and optional fault injector of one
-/// run (or one region of a parallel run).  Build order: construct, adjust
-/// `network` (shard mode, staged patterns), buildProtocol, armFaults,
-/// scheduleData, run.
+/// region of a run (the whole run when it has one region).  Only RegionRun
+/// builds one.
 struct World final : sim::EventSink {
-  /// `recovery_loss` is the per-link loss of recovery traffic; `loss_seed`
-  /// keys those draws and the chaos draws.
-  World(const net::Topology& topology, const net::Routing& routing,
-        double recovery_loss, std::uint64_t loss_seed);
-
   World(const World&) = delete;
   World& operator=(const World&) = delete;
-
-  /// Constructs and attaches the scheme's protocol.  `planner` must be
-  /// non-null for RP and SRC and outlive the world; `protocol_rng` seeds the
-  /// schemes that draw (SRM timers, coded coefficients).
-  void buildProtocol(const Scheme& scheme, const core::RpPlanner* planner,
-                     util::Rng protocol_rng);
-
-  /// Replays `plan` on this world's network.  A crash is reported to the
-  /// protocol only where the victim is simulated (always, serially).
-  void armFaults(const sim::FaultPlan& plan);
-
-  /// Schedules data packet i at i * interval_ms with loss pattern i.
-  /// `patterns` must outlive the run.
-  void scheduleData(std::span<const sim::LinkLossPattern> patterns,
-                    double interval_ms);
 
   /// A data-send timer fired: the source multicasts packet
   /// `record.data.timer.a`.
@@ -124,7 +110,92 @@ struct World final : sim::EventSink {
   std::unique_ptr<sim::FaultInjector> injector;
 
  private:
+  friend class RegionRun;
+
+  /// `recovery_loss` is the per-link loss of recovery traffic; `loss_seed`
+  /// keys those draws and the chaos draws.
+  World(const net::Topology& topology, const net::Routing& routing,
+        double recovery_loss, std::uint64_t loss_seed);
+
+  /// Constructs and attaches the scheme's protocol.  `planner` must be
+  /// non-null for RP and SRC and outlive the world; `protocol_rng` seeds the
+  /// schemes that draw (SRM timers, coded coefficients).
+  void buildProtocol(const Scheme& scheme, const core::RpPlanner* planner,
+                     util::Rng protocol_rng);
+
+  /// Replays `plan` on this world's network.  A crash is reported to the
+  /// protocol only where the victim is simulated.
+  void armFaults(const sim::FaultPlan& plan);
+
+  /// Schedules data packet i at i * interval_ms with loss pattern i.
+  /// `patterns` must outlive the run.
+  void scheduleData(std::span<const sim::LinkLossPattern> patterns,
+                    double interval_ms);
+
   std::span<const sim::LinkLossPattern> patterns_;  // set by scheduleData
+};
+
+/// One scheme's run over a region map: one World per region, attached to
+/// one ParallelEngine.  A one-region map is the serial closed form: its
+/// world takes no shard mode and stages no patterns, so whole-tree floods
+/// replay their per-origin schedules.  Every region of a larger map runs in
+/// shard mode on the identical staged loss patterns.
+class RegionRun {
+ public:
+  /// What every world of the run shares; everything referenced must outlive
+  /// the run.
+  struct Inputs {
+    const net::Topology& topology;
+    const net::Routing& routing;
+    /// Non-null for RP and SRC (see buildPlanner); one planner serves every
+    /// region, since plans are immutable after build.
+    const core::RpPlanner* planner;
+    /// Data packet i leaves the source at i * interval_ms with patterns[i].
+    std::span<const sim::LinkLossPattern> patterns;
+    double interval_ms;
+    Scheme scheme;
+    /// Per-link loss of recovery traffic; `loss_seed` keys those draws and
+    /// the chaos draws, identically in every region.
+    double recovery_loss;
+    std::uint64_t loss_seed;
+    /// Replayed in every region when non-null and non-empty.
+    const sim::FaultPlan* faults;
+    /// Region r's protocol stream (SRM timers, coded coefficients).
+    std::function<util::Rng(std::uint32_t region)> scheme_rng;
+  };
+
+  /// The merged outcome of run(): the engine's accounting, every world's
+  /// counters and the recovery latencies, merged in ascending region order.
+  struct Totals {
+    sim::ParallelEngine::Stats engine;
+    RunCounters counters;
+    metrics::Accumulator latency;
+  };
+
+  /// Builds and attaches region r's world for every region of `regions`,
+  /// which must outlive the run; `workers` is the engine's requested lane
+  /// count.
+  RegionRun(const Inputs& inputs, const sim::RegionMap& regions,
+            unsigned workers);
+  // Worlds hold pointers into the engine's outboxes.
+  RegionRun(const RegionRun&) = delete;
+  RegionRun& operator=(const RegionRun&) = delete;
+
+  /// Runs the engine to completion, sweeps every protocol (finalizeRun) and
+  /// merges.  Reachability is judged at the run's end, the latest region
+  /// clock, in every region.
+  Totals run();
+
+  /// The engine, for callers that drive it themselves instead of run().
+  [[nodiscard]] sim::ParallelEngine& engine() { return engine_; }
+  [[nodiscard]] World& world(std::uint32_t region) { return *worlds_[region]; }
+  [[nodiscard]] const World& world(std::uint32_t region) const {
+    return *worlds_[region];
+  }
+
+ private:
+  sim::ParallelEngine engine_;
+  std::vector<std::unique_ptr<World>> worlds_;
 };
 
 }  // namespace rmrn::harness

@@ -106,6 +106,13 @@ class RecoveryProtocol : public sim::EventSink {
   }
   [[nodiscard]] virtual std::uint64_t nacksSent() const { return 0; }
 
+  /// Paper-lemma violations of the failover lists the scheme adopted after
+  /// blacklisting, audited with the dead peers excluded (after the run);
+  /// zero for schemes that never replan.
+  [[nodiscard]] virtual std::uint64_t failoverAuditViolations() const {
+    return 0;
+  }
+
   /// End-of-run invariant sweep (call after the simulator drains).  With the
   /// watchdog enabled, RMRN_ENSUREs that every detected loss terminated —
   /// recovered or explicitly abandoned — and that no scheme still holds an

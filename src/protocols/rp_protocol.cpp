@@ -1,5 +1,7 @@
 #include "protocols/rp_protocol.hpp"
 
+#include "core/auditor.hpp"
+
 namespace rmrn::protocols {
 
 RpProtocol::RpProtocol(sim::SimNetwork& network,
@@ -20,6 +22,22 @@ void RpProtocol::onTargetBlacklisted(net::NodeId client) {
   failover_[client] =
       planner_.replanExcluding(client, peerHealth().blacklistedTargets(client));
   recoveryMetrics().recordFailover(client);
+}
+
+std::uint64_t RpProtocol::failoverAuditViolations() const {
+  if (failover_.empty()) return 0;
+  const core::PlanAuditor auditor(topology(), routing());
+  const core::AuditOptions options = core::AuditOptions::fromPlanner(planner_);
+  std::uint64_t violations = 0;
+  for (const net::NodeId client : topology().clients) {
+    if (!hasFailedOver(client)) continue;
+    violations += auditor
+                      .auditStrategyExcluding(
+                          client, activeStrategy(client), options,
+                          peerHealth().blacklistedTargets(client))
+                      .violations.size();
+  }
+  return violations;
 }
 
 void RpProtocol::onRequest(net::NodeId at, const sim::Packet& packet) {

@@ -50,6 +50,9 @@ class RpProtocol : public PeerWalkProtocol {
   [[nodiscard]] bool hasFailedOver(net::NodeId client) const {
     return failover_.contains(client);
   }
+  /// Audits every adopted failover list against the paper's lemmas, with
+  /// the client's blacklisted peers excluded.
+  [[nodiscard]] std::uint64_t failoverAuditViolations() const override;
 
  protected:
   void onRequest(net::NodeId at, const sim::Packet& packet) override;

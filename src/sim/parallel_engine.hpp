@@ -3,8 +3,9 @@
 //
 // The engine owns the synchronization skeleton only: a worker pool, one
 // outbox per region, and the epoch loop.  The per-region worlds —
-// Simulator, SimNetwork (in shard mode), protocol agents — are built and
-// owned by the caller (harness/parsim.cpp) and attached by region id.
+// Simulator, SimNetwork (in shard mode when there are several regions),
+// protocol agents — are built and owned by the caller (harness::RegionRun
+// in harness/world.hpp) and attached by region id.
 //
 // Epoch loop (all coordination on the driver thread; compute on the pool):
 //   1. deliver every outbox into its destination regions in canonical order

@@ -23,43 +23,41 @@ namespace {
 
 using Stats = sim::ParallelEngine::Stats;
 
-/// A lossy RP transfer on the parallel engine, built region by region the
-/// way runParallelTransfer does, with the engine left to the test to drive.
+/// A lossy RP transfer on the parallel engine, built by RegionRun, with the
+/// engine left to the test to drive.
 class EngineRig {
  public:
-  explicit EngineRig(const net::Topology& topology)
+  explicit EngineRig(const net::Topology& topology,
+                     std::uint32_t target_regions = 4)
       : routing_(topology.graph),
-        regions_(topology, /*target_regions=*/4),
-        engine_(regions_, /*workers=*/2),
+        regions_(topology, target_regions),
         patterns_(drawLossPatterns(topology, kLoss, 1.0, kPackets,
                                    util::Rng(11))),
         planner_(buildPlanner(ProtocolKind::kRp, topology, routing_,
-                              config_.rp_planner, config_.protocol_config)) {
-    const Scheme scheme{ProtocolKind::kRp, config_.protocol_config,
-                        config_.srm,       config_.parity,
-                        config_.coded,     config_.rp_source_mode};
-    for (std::uint32_t r = 0; r < regions_.numRegions(); ++r) {
-      World& world = *worlds_.emplace_back(
-          std::make_unique<World>(topology, routing_, kLoss, kLossSeed));
-      world.network.enableShardMode(regions_, r, &engine_.outboxFor(r));
-      for (const sim::LinkLossPattern& pattern : patterns_) {
-        world.network.stageLossPattern(pattern);
-      }
-      world.buildProtocol(scheme, planner_.get(), util::Rng(200 + r));
-      world.scheduleData(patterns_, config_.packet_interval_ms);
-      engine_.attach(r, &world.simulator, &world.network);
-    }
-  }
+                              config_.rp_planner, config_.protocol_config)),
+        run_({.topology = topology,
+              .routing = routing_,
+              .planner = planner_.get(),
+              .patterns = patterns_,
+              .interval_ms = config_.packet_interval_ms,
+              .scheme = {ProtocolKind::kRp, config_.protocol_config,
+                         config_.srm, config_.parity, config_.coded,
+                         config_.rp_source_mode},
+              .recovery_loss = kLoss,
+              .loss_seed = kLossSeed,
+              .faults = nullptr,
+              .scheme_rng = [](std::uint32_t r) { return util::Rng(200 + r); }},
+             regions_, /*workers=*/2) {}
 
-  sim::ParallelEngine& engine() { return engine_; }
+  sim::ParallelEngine& engine() { return run_.engine(); }
 
   /// The horizon the engine's next epoch will use: the earliest pending
   /// event or undelivered handoff, plus the lookahead.
   [[nodiscard]] sim::TimeMs nextHorizon() {
     sim::TimeMs next = sim::Simulator::kForever;
     for (std::uint32_t r = 0; r < regions_.numRegions(); ++r) {
-      next = std::min(next, worlds_[r]->simulator.nextEventTime());
-      for (const sim::RoutedHandoff& routed : engine_.outboxFor(r)) {
+      next = std::min(next, run_.world(r).simulator.nextEventTime());
+      for (const sim::RoutedHandoff& routed : engine().outboxFor(r)) {
         next = std::min(next, routed.handoff.at);
       }
     }
@@ -68,12 +66,23 @@ class EngineRig {
 
   [[nodiscard]] std::uint64_t handoffsEmitted() const {
     std::uint64_t sum = 0;
-    for (const auto& world : worlds_) sum += world->network.handoffsEmitted();
+    for (std::uint32_t r = 0; r < regions_.numRegions(); ++r) {
+      sum += run_.world(r).network.handoffsEmitted();
+    }
+    return sum;
+  }
+  [[nodiscard]] std::uint64_t floodsReplayed() const {
+    std::uint64_t sum = 0;
+    for (std::uint32_t r = 0; r < regions_.numRegions(); ++r) {
+      sum += run_.world(r).network.floodsReplayed();
+    }
     return sum;
   }
   [[nodiscard]] std::size_t recoveries() const {
     std::size_t sum = 0;
-    for (const auto& world : worlds_) sum += world->recovery.recoveries();
+    for (std::uint32_t r = 0; r < regions_.numRegions(); ++r) {
+      sum += run_.world(r).recovery.recoveries();
+    }
     return sum;
   }
 
@@ -85,10 +94,9 @@ class EngineRig {
   TransferConfig config_;
   net::Routing routing_;
   sim::RegionMap regions_;
-  sim::ParallelEngine engine_;
   std::vector<sim::LinkLossPattern> patterns_;
   std::unique_ptr<core::RpPlanner> planner_;
-  std::vector<std::unique_ptr<World>> worlds_;
+  RegionRun run_;
 };
 
 net::Topology makeTopology() {
@@ -134,6 +142,23 @@ TEST(ParallelEngineTest, SplitRunStatsSumToOneCallRun) {
   EXPECT_EQ(sum.region_runs, one.region_runs);
   EXPECT_EQ(split.handoffsEmitted(), whole.handoffsEmitted());
   EXPECT_EQ(split.recoveries(), whole.recoveries());
+}
+
+TEST(ParallelEngineTest, OneRegionRunTakesNoShardModeAndReplaysFloods) {
+  // One region is the serial closed form: its data floods replay their
+  // per-origin schedule.  Shard mode stops floods at region edges, so no
+  // region of a multi-region run replays one.
+  const net::Topology topology = makeTopology();
+  EngineRig one(topology, /*target_regions=*/1);
+  const Stats serial = one.engine().run();
+  EXPECT_EQ(serial.regions, 1u);
+  EXPECT_GT(one.floodsReplayed(), 0u);
+
+  EngineRig sharded(topology);
+  const Stats parallel = sharded.engine().run();
+  ASSERT_GE(parallel.regions, 2u);
+  EXPECT_EQ(sharded.floodsReplayed(), 0u);
+  EXPECT_EQ(sharded.recoveries(), one.recoveries());
 }
 
 /// A delivery seen by a network's handler: where, when, and in which region.

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <string>
+
 #include "completion_hash.hpp"
 #include "harness/transfer.hpp"
 #include "net/topology.hpp"
@@ -329,8 +333,8 @@ TEST(ParsimTest, CrashFaultsWithHealthAreWorkerInvariant) {
 
 /// Chaos scenarios from the BENCH_chaos grid (flap + partition + duplication
 /// + jitter), replayed at 1, 2 and 4 workers: identical RecoveryMetrics and
-/// event counts, the cross-shard chaos determinism gate; under RP also equal
-/// to the single-region run.
+/// event counts, the cross-shard chaos determinism gate; under every scheme
+/// but SRM (per-region timer streams) also equal to the one-region run.
 class ParsimChaosReplay : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(ParsimChaosReplay, WorkerSweepIsBitIdentical) {
@@ -369,9 +373,10 @@ TEST_P(ParsimChaosReplay, WorkerSweepIsBitIdentical) {
   // Chaos must actually have happened for the gate to mean anything.
   EXPECT_GT(one.chaos_link_drops + one.duplicates_created, 0u);
   EXPECT_GT(one.transfer.losses, 0u);
-  // Chaos draws are keyed like loss draws, so RP, which draws nothing else,
-  // equals the same plan run on one region.
-  if (GetParam() == ProtocolKind::kRp) {
+  // Chaos draws are keyed like loss draws and the coded coefficients come
+  // from the run's one stream, so every scheme but SRM equals the same plan
+  // run on one region.
+  if (GetParam() != ProtocolKind::kSrm) {
     const TransferReport serial =
         runParallelTransfer(topo, config, parallelConfig(1, /*regions=*/1),
                             &plan)
@@ -383,14 +388,20 @@ TEST_P(ParsimChaosReplay, WorkerSweepIsBitIdentical) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Protocols, ParsimChaosReplay,
-                         ::testing::Values(ProtocolKind::kRp,
-                                           ProtocolKind::kSrm),
-                         [](const auto& param_info) {
-                           return param_info.param == ProtocolKind::kRp
-                                      ? "Rp"
-                                      : "Srm";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, ParsimChaosReplay,
+    ::testing::Values(ProtocolKind::kRp, ProtocolKind::kSrm,
+                      ProtocolKind::kRma, ProtocolKind::kSourceDirect,
+                      ProtocolKind::kParityFec, ProtocolKind::kCodedRlc),
+    [](const auto& param_info) {
+      // "RP" -> "Rp", "CODED" -> "Coded".
+      std::string name(toString(param_info.param));
+      std::transform(name.begin() + 1, name.end(), name.begin() + 1,
+                     [](unsigned char c) {
+                       return static_cast<char>(std::tolower(c));
+                     });
+      return name;
+    });
 
 TEST(ParsimTest, PermanentPartitionReachabilityMatchesSerial) {
   // A permanent partition leaves clients unreachable at the run's end; each

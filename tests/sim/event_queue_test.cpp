@@ -12,6 +12,7 @@
 #include "net/topology.hpp"
 #include "protocols/rma_protocol.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/region_map.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn::sim {
@@ -272,14 +273,30 @@ TEST(EventQueueTypedTest, EqualTimestampOrderingAcrossSinks) {
   const net::NodeId victim = topo.clients[0];   // loses packet 0
   const net::NodeId crashed = topo.clients[1];  // crashes at t = 0
 
-  harness::World world(topo, routing, 0.0, /*loss_seed=*/1);
+  std::vector<LinkLossPattern> patterns(1);
+  patterns[0].assign(topo.tree.numMembers(), false);
+  patterns[0][topo.tree.memberIndex(victim)] = true;  // victim's parent link
+
   const protocols::ProtocolConfig protocol_config;
   const protocols::SrmConfig srm;
   const protocols::ParityConfig parity;
   const protocols::CodedConfig coded;
-  world.buildProtocol({harness::ProtocolKind::kRma, protocol_config, srm,
-                       parity, coded},
-                      nullptr, util::Rng(2));
+  const RegionMap one_region(topo, 1);
+  // The builder schedules the world's data send: packet 0 at t = 0.
+  harness::RegionRun run(
+      {.topology = topo,
+       .routing = routing,
+       .planner = nullptr,
+       .patterns = patterns,
+       .interval_ms = 10.0,
+       .scheme = {harness::ProtocolKind::kRma, protocol_config, srm, parity,
+                  coded},
+       .recovery_loss = 0.0,
+       .loss_seed = 1,
+       .faults = nullptr,
+       .scheme_rng = [](std::uint32_t) { return util::Rng(2); }},
+      one_region, /*workers=*/1);
+  harness::World& world = run.world(0);
   const auto& rma =
       dynamic_cast<const protocols::RmaProtocol&>(*world.protocol);
 
@@ -308,12 +325,6 @@ TEST(EventQueueTypedTest, EqualTimestampOrderingAcrossSinks) {
     net::NodeId crashed_;
   } probe(world, rma, victim, crashed);
 
-  std::vector<LinkLossPattern> patterns(1);
-  patterns[0].assign(topo.tree.numMembers(), false);
-  patterns[0][topo.tree.memberIndex(victim)] = true;  // victim's parent link
-
-  world.simulator.scheduleEventAt(0.0, &probe, tagged(0));
-  world.scheduleData(patterns, 10.0);  // World: packet 0 at t = 0
   world.simulator.scheduleEventAt(0.0, &probe, tagged(0));
   FaultInjector injector(world.network,
                          std::vector<FaultEvent>{{0.0, crashed}});
@@ -324,9 +335,8 @@ TEST(EventQueueTypedTest, EqualTimestampOrderingAcrossSinks) {
   world.simulator.scheduleEventAt(0.0, world.protocol.get(), detect);
   world.simulator.scheduleEventAt(0.0, &probe, tagged(0));
 
-  EXPECT_EQ(world.simulator.run(0.0), 7u);
-  EXPECT_EQ(probe.seen, (std::vector<Snapshot>{{false, false, 0},
-                                               {true, false, 0},
+  EXPECT_EQ(world.simulator.run(0.0), 6u);
+  EXPECT_EQ(probe.seen, (std::vector<Snapshot>{{true, false, 0},
                                                {true, true, 0},
                                                {true, true, 1}}));
 }
