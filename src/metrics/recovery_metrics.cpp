@@ -15,69 +15,62 @@ RecoveryMetrics::Key RecoveryMetrics::key(net::NodeId client,
 
 void RecoveryMetrics::recordLoss(net::NodeId client, std::uint64_t seq,
                                  double detect_time_ms) {
-  const auto [it, inserted] =
-      pending_.emplace(key(client, seq), Pending{detect_time_ms, false});
+  const auto [pending, inserted] = pending_.tryEmplace(key(client, seq));
   if (!inserted) {
     throw std::logic_error("RecoveryMetrics: duplicate loss record");
   }
+  *pending = Pending{detect_time_ms, false};
   ++losses_;
-  ++losses_by_client_[client];
+  ++tallies_[client].losses;
 }
 
 bool RecoveryMetrics::recordRecovery(net::NodeId client, std::uint64_t seq,
                                      double now_ms) {
-  const auto it = pending_.find(key(client, seq));
-  if (it == pending_.end() || it->second.recovered) return false;
-  it->second.recovered = true;
-  auto& last = last_recovery_[client];
-  last = std::max(last, now_ms);
-  const double latency = now_ms - it->second.detect_time_ms;
+  Pending* pending = pending_.find(key(client, seq));
+  if (pending == nullptr || pending->recovered) return false;
+  pending->recovered = true;
+  Tally& t = tallies_[client];
+  t.last_recovery_ms = std::max(t.last_recovery_ms, now_ms);
+  const double latency = now_ms - pending->detect_time_ms;
   // A repair can arrive before the client even notices the loss (e.g. an
   // SRM repair triggered by somebody else); the effective wait is zero.
   latency_.add(latency > 0.0 ? latency : 0.0);
-  ++recoveries_by_client_[client];
+  ++t.recoveries;
   return true;
 }
 
 bool RecoveryMetrics::abandonLoss(net::NodeId client, std::uint64_t seq) {
-  const auto it = pending_.find(key(client, seq));
-  if (it == pending_.end() || it->second.recovered) return false;
-  pending_.erase(it);
+  const Pending* pending = pending_.find(key(client, seq));
+  if (pending == nullptr || pending->recovered) return false;
+  pending_.erase(key(client, seq));
   ++abandoned_;
   ++abandoned_sessions_;
-  ++abandoned_by_client_[client];
+  ++tallies_[client].abandoned;
   return true;
 }
 
 std::size_t RecoveryMetrics::abandonClient(net::NodeId client) {
-  std::size_t count = 0;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (static_cast<net::NodeId>(it->first >> 32) == client &&
-        !it->second.recovered) {
-      it = pending_.erase(it);
-      ++count;
-    } else {
-      ++it;
-    }
-  }
+  // The count is the same in any visiting order.
+  const std::size_t count =
+      pending_.eraseIf([client](Key k, const Pending& pending) {
+        return static_cast<net::NodeId>(k >> 32) == client &&
+               !pending.recovered;
+      });
   abandoned_ += count;
-  abandoned_by_client_[client] += count;
+  tallies_[client].abandoned += count;
   return count;
 }
 
 std::uint64_t RecoveryMetrics::lossesFor(net::NodeId client) const {
-  const auto it = losses_by_client_.find(client);
-  return it == losses_by_client_.end() ? 0 : it->second;
+  return tallyOf(client).losses;
 }
 
 std::uint64_t RecoveryMetrics::recoveriesFor(net::NodeId client) const {
-  const auto it = recoveries_by_client_.find(client);
-  return it == recoveries_by_client_.end() ? 0 : it->second;
+  return tallyOf(client).recoveries;
 }
 
 std::uint64_t RecoveryMetrics::abandonedFor(net::NodeId client) const {
-  const auto it = abandoned_by_client_.find(client);
-  return it == abandoned_by_client_.end() ? 0 : it->second;
+  return tallyOf(client).abandoned;
 }
 
 std::size_t RecoveryMetrics::outstandingFor(net::NodeId client) const {
@@ -101,13 +94,12 @@ bool RecoveryMetrics::wasLost(net::NodeId client, std::uint64_t seq) const {
 
 bool RecoveryMetrics::isRecovered(net::NodeId client,
                                   std::uint64_t seq) const {
-  const auto it = pending_.find(key(client, seq));
-  return it != pending_.end() && it->second.recovered;
+  const Pending* pending = pending_.find(key(client, seq));
+  return pending != nullptr && pending->recovered;
 }
 
 double RecoveryMetrics::lastRecoveryTime(net::NodeId client) const {
-  const auto it = last_recovery_.find(client);
-  return it == last_recovery_.end() ? 0.0 : it->second;
+  return tallyOf(client).last_recovery_ms;
 }
 
 double RecoveryMetrics::avgBandwidthHops(std::uint64_t recovery_hops) const {

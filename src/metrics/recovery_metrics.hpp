@@ -13,6 +13,7 @@
 
 #include "metrics/stats.hpp"
 #include "net/types.hpp"
+#include "util/flat_table.hpp"
 
 namespace rmrn::metrics {
 
@@ -108,14 +109,25 @@ class RecoveryMetrics {
     double detect_time_ms = 0.0;
     bool recovered = false;
   };
+  /// Per-client terminal accounting.
+  struct Tally {
+    double last_recovery_ms = 0.0;
+    std::uint64_t losses = 0;
+    std::uint64_t recoveries = 0;
+    std::uint64_t abandoned = 0;
+  };
   using Key = std::uint64_t;
   static Key key(net::NodeId client, std::uint64_t seq);
+  /// `client`'s tally, or a zero one.
+  [[nodiscard]] Tally tallyOf(net::NodeId client) const {
+    const Tally* tally = tallies_.find(client);
+    return tally != nullptr ? *tally : Tally{};
+  }
 
-  std::unordered_map<Key, Pending> pending_;
-  std::unordered_map<net::NodeId, double> last_recovery_;
-  std::unordered_map<net::NodeId, std::uint64_t> losses_by_client_;
-  std::unordered_map<net::NodeId, std::uint64_t> recoveries_by_client_;
-  std::unordered_map<net::NodeId, std::uint64_t> abandoned_by_client_;
+  util::FlatTable<Pending> pending_;  // by key(client, seq)
+  // By client.  Not a vector by node id: a region's metrics see only its
+  // own clients, whose ids span the whole topology.
+  util::FlatTable<Tally> tallies_;
   Accumulator latency_;
   std::size_t losses_ = 0;
   std::size_t abandoned_ = 0;

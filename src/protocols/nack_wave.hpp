@@ -33,7 +33,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -162,13 +162,21 @@ class NackWaveProtocol : public RecoveryProtocol {
 
   // State is protected so the arms' white-box test peers can reach it.
   Decoder decoder_;
-  std::unordered_map<std::uint64_t, ClientUnit> client_units_;
+  // By key(client, unit), boxed: a coded unit's decoder rows take a
+  // kilobyte, and each free slot of a flat table holds a default value.
+  util::FlatTable<std::unique_ptr<ClientUnit>> client_units_;
   /// The source's wave state per unit.
-  std::unordered_map<std::uint64_t, SourceUnit> source_units_;
+  util::FlatTable<SourceUnit> source_units_;
 
  private:
   [[nodiscard]] std::uint32_t column(std::uint64_t seq) const {
     return static_cast<std::uint32_t>(seq % unit_size_);
+  }
+  /// `client`'s state for `unit`, or null.
+  [[nodiscard]] ClientUnit* unitOf(net::NodeId client, std::uint64_t unit) {
+    const std::unique_ptr<ClientUnit>* box =
+        client_units_.find(key(client, unit));
+    return box != nullptr ? box->get() : nullptr;
   }
   /// Sends (or re-sends) the client's NACK for a unit and arms the retry
   /// timer.
@@ -200,7 +208,9 @@ template <class Decoder>
 void NackWaveProtocol<Decoder>::onLossDetected(net::NodeId client,
                                                std::uint64_t seq) {
   const std::uint64_t unit = seq / unit_size_;
-  ClientUnit& state = client_units_[key(client, unit)];
+  std::unique_ptr<ClientUnit>& box = client_units_[key(client, unit)];
+  if (box == nullptr) box = std::make_unique<ClientUnit>();
+  ClientUnit& state = *box;
   if (!state.missing.insert(column(seq))) {
     recordDuplicateSessionAttempt();
     return;
@@ -242,11 +252,10 @@ template <class Decoder>
 void NackWaveProtocol<Decoder>::onParity(net::NodeId at,
                                          const sim::Packet& packet) {
   const std::uint64_t unit = packet.seq;
-  const auto it = client_units_.find(key(at, unit));
-  if (it == client_units_.end()) return;  // nothing missing here
-  ClientUnit& state = it->second;
-  if (decoder_.absorb(state.decoder, state.missing, *this, at, packet)) {
-    tryDecode(at, unit, state);
+  ClientUnit* state = unitOf(at, unit);
+  if (state == nullptr) return;  // nothing missing here
+  if (decoder_.absorb(state->decoder, state->missing, *this, at, packet)) {
+    tryDecode(at, unit, *state);
   }
 }
 
@@ -274,9 +283,9 @@ template <class Decoder>
 void NackWaveProtocol<Decoder>::dropMissing(net::NodeId client,
                                             std::uint64_t seq, bool known) {
   const std::uint64_t unit = seq / unit_size_;
-  const auto it = client_units_.find(key(client, unit));
-  if (it == client_units_.end()) return;
-  ClientUnit& state = it->second;
+  ClientUnit* found = unitOf(client, unit);
+  if (found == nullptr) return;
+  ClientUnit& state = *found;
   const std::uint32_t col = column(seq);
   if (!state.missing.erase(col)) return;
   decoder_.dropColumn(state.decoder, col, known);
@@ -315,15 +324,15 @@ void NackWaveProtocol<Decoder>::onTimer(std::uint32_t kind, std::uint64_t a,
   if (kind == kTimerRetry) {
     const auto client = static_cast<net::NodeId>(a);
     const std::uint64_t unit = b;
-    const auto it = client_units_.find(key(client, unit));
-    if (it == client_units_.end()) return;
+    ClientUnit* state = unitOf(client, unit);
+    if (state == nullptr) return;
     // The fire consumed the handle, so the armed flag drops even when there
     // is nothing left to chase: leaving it set would make a later sendNack
     // for the unit cancel a handle this fire already consumed.
-    it->second.timer_armed = false;
-    if (it->second.missing.empty()) return;
+    state->timer_armed = false;
+    if (state->missing.empty()) return;
     noteRequestTimeout(client, source());
-    sendNack(client, unit, it->second, /*retransmit=*/true);
+    sendNack(client, unit, *state, /*retransmit=*/true);
     return;
   }
   if (kind == kTimerGather) {
@@ -350,7 +359,7 @@ std::size_t NackWaveProtocol<Decoder>::openSessions() const {
   std::size_t open = 0;
   // rmrn-lint: allow(DET-2) commutative integer accumulation
   for (const auto& [unused, state] : client_units_) {
-    open += state.missing.size();
+    open += state->missing.size();
   }
   // A unit still gathering NACKs is live protocol state: counting it keeps
   // a pending wave from escaping the finalizeRun() sweep.
@@ -365,7 +374,7 @@ template <class Decoder>
 bool NackWaveProtocol<Decoder>::unitHasInterest(std::uint64_t unit) const {
   // rmrn-lint: allow(DET-2) order-independent existence scan
   for (const auto& [k, state] : client_units_) {
-    if ((k & 0xffffffffULL) == unit && !state.missing.empty()) return true;
+    if ((k & 0xffffffffULL) == unit && !state->missing.empty()) return true;
   }
   return false;
 }
@@ -373,12 +382,14 @@ bool NackWaveProtocol<Decoder>::unitHasInterest(std::uint64_t unit) const {
 template <class Decoder>
 void NackWaveProtocol<Decoder>::onClientCrashed(net::NodeId client) {
   eraseClient(client_units_, client,
-              [this](ClientUnit& state) { cancelRetry(state); });
+              [this](std::unique_ptr<ClientUnit>& state) {
+                cancelRetry(*state);
+              });
   // A gather window the crashed client's NACKs opened must not fire into a
   // unit with no remaining interested client: cancel it, or the wave is a
   // wasted multicast and the gathering unit outlives every session.
   // rmrn-lint: allow(DET-2) per-unit cancel sweep; cancel order only permutes the slab free list, never (time, seq) event order
-  for (auto& [unit, src] : source_units_) {
+  for (auto&& [unit, src] : source_units_) {
     if (!src.gathering || unitHasInterest(unit)) continue;
     simulator().cancel(src.gather_timer);
     src.gathering = false;

@@ -14,7 +14,7 @@ void PeerWalkProtocol::onLossDetected(net::NodeId client, std::uint64_t seq) {
   // A duplicate detection must not restart a live session: overwriting it
   // would orphan the armed timer, which then fires against the fresh
   // session and double-advances the walk (double-counting requests_sent_).
-  if (!sessions_.try_emplace(sessionKey(client, seq)).second) {
+  if (!sessions_.insert(sessionKey(client, seq))) {
     recordDuplicateSessionAttempt();
     return;
   }
@@ -81,9 +81,9 @@ void PeerWalkProtocol::onTimer(std::uint32_t kind, std::uint64_t a,
   const auto client = static_cast<net::NodeId>(a);
   const std::uint64_t seq = b;
   const auto target = static_cast<net::NodeId>(c);
-  const auto it = sessions_.find(sessionKey(client, seq));
-  if (it == sessions_.end()) return;  // already recovered
-  it->second.timer_armed = false;
+  Session* session = sessions_.find(sessionKey(client, seq));
+  if (session == nullptr) return;  // already recovered
+  session->timer_armed = false;
   if (noteRequestTimeout(client, target)) onTargetBlacklisted(client);
   advance(client, seq);
 }
@@ -105,10 +105,10 @@ void PeerWalkProtocol::repairSourceBranch(net::NodeId requester,
 }
 
 void PeerWalkProtocol::closeSession(net::NodeId client, std::uint64_t seq) {
-  const auto it = sessions_.find(sessionKey(client, seq));
-  if (it == sessions_.end()) return;
-  if (it->second.timer_armed) simulator().cancel(it->second.timer);
-  sessions_.erase(it);
+  const Session* session = sessions_.find(sessionKey(client, seq));
+  if (session == nullptr) return;
+  if (session->timer_armed) simulator().cancel(session->timer);
+  sessions_.erase(sessionKey(client, seq));
 }
 
 void PeerWalkProtocol::onPacketObtained(net::NodeId client,

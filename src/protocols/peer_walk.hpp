@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/candidates.hpp"
@@ -89,7 +88,7 @@ class PeerWalkProtocol : public RecoveryProtocol {
   void closeSession(net::NodeId client, std::uint64_t seq);
 
   bool any_origin_;
-  std::unordered_map<std::uint64_t, Session> sessions_;
+  util::FlatTable<Session> sessions_;  // by sessionKey(client, seq)
   std::uint64_t sessions_started_ = 0;
   std::uint64_t requests_sent_ = 0;
 };

@@ -117,7 +117,7 @@ bool RecoveryProtocol::hasPacket(net::NodeId node, std::uint64_t seq) const {
 
 void RecoveryProtocol::markHasPacket(net::NodeId node, std::uint64_t seq) {
   if (node == topology().source) return;  // the source holds everything
-  if (!have_.insert(haveKey(node, seq)).second) return;  // duplicate
+  if (!have_.insert(haveKey(node, seq))) return;  // duplicate
   metrics_.recordRecovery(node, seq, simulator().now());
   onPacketObtained(node, seq);
 }

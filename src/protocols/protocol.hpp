@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "metrics/recovery_metrics.hpp"
@@ -26,6 +25,7 @@
 #include "protocols/peer_health.hpp"
 #include "sim/network.hpp"
 #include "sim/packet.hpp"
+#include "util/flat_table.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn::protocols {
@@ -244,18 +244,15 @@ class RecoveryProtocol : public sim::EventSink {
 
   /// Crash sweep: erases every entry of `sessions` (keyed client << 32 | x)
   /// that belongs to `client`, after `teardown(entry)` cancelled its timers.
-  template <class Map, class Teardown>
-  static void eraseClient(Map& sessions, net::NodeId client,
-                          Teardown teardown) {
+  template <class Session, class Teardown>
+  static void eraseClient(util::FlatTable<Session>& sessions,
+                          net::NodeId client, Teardown teardown) {
     // rmrn-lint: allow(DET-2) per-key erase sweep; cancel order only permutes the slab free list, never (time, seq) event order
-    for (auto it = sessions.begin(); it != sessions.end();) {
-      if (static_cast<net::NodeId>(it->first >> 32) == client) {
-        teardown(it->second);
-        it = sessions.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    sessions.eraseIf([&](std::uint64_t key, Session& session) {
+      if (static_cast<net::NodeId>(key >> 32) != client) return false;
+      teardown(session);
+      return true;
+    });
   }
 
  private:
@@ -271,7 +268,7 @@ class RecoveryProtocol : public sim::EventSink {
   std::uint64_t duplicate_deliveries_ = 0;
   /// (node << 32 | seq) pairs a client holds; the source implicitly holds
   /// every sent sequence.
-  std::unordered_set<std::uint64_t> have_;
+  util::FlatSet have_;
   PeerHealth health_;
   struct Probe {
     net::NodeId target = net::kInvalidNode;

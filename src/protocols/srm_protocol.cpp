@@ -18,8 +18,7 @@ SrmProtocol::SrmProtocol(sim::SimNetwork& network,
 
 void SrmProtocol::onLossDetected(net::NodeId client, std::uint64_t seq) {
   // A duplicate detection must not reset a live want-state's timer/backoff.
-  const auto [it, inserted] = want_.emplace(key(client, seq), WantState{});
-  if (!inserted) {
+  if (!want_.insert(key(client, seq))) {
     recordDuplicateSessionAttempt();
     return;
   }
@@ -56,14 +55,14 @@ void SrmProtocol::onTimer(std::uint32_t kind, std::uint64_t a, std::uint64_t b,
 }
 
 void SrmProtocol::fireRequestTimer(net::NodeId client, std::uint64_t seq) {
-  const auto it = want_.find(key(client, seq));
-  if (it == want_.end()) return;  // recovered meanwhile
-  it->second.armed = false;
+  WantState* want = want_.find(key(client, seq));
+  if (want == nullptr) return;  // recovered meanwhile
+  want->armed = false;
   ++requests_multicast_;
   // Re-multicasts (backoff already raised) count as retries; SRM's
   // requests are group-wide, so RTT samples are attributed to the source
   // as a group-level estimate and any repair origin matches.
-  const bool repeat = it->second.backoff > 0;
+  const bool repeat = want->backoff > 0;
   if (repeat) recoveryMetrics().recordRetry();
   network().multicastGroup(client,
                            sim::Packet{sim::Packet::Type::kRequest, seq,
@@ -71,7 +70,7 @@ void SrmProtocol::fireRequestTimer(net::NodeId client, std::uint64_t seq) {
   noteRequestSent(client, seq, source(), /*retransmit=*/repeat,
                   /*any_origin=*/true);
   // Re-arm with backoff in case the request or every repair is lost.
-  it->second.backoff = std::min(it->second.backoff + 1, srm_.max_backoff);
+  want->backoff = std::min(want->backoff + 1, srm_.max_backoff);
   armRequestTimer(client, seq);
 }
 
@@ -84,33 +83,33 @@ void SrmProtocol::onRequest(net::NodeId at, const sim::Packet& packet) {
 
   if (hasPacket(at, packet.seq)) {
     // Holder: schedule a repair unless one is pending or recently seen.
-    const auto hold = hold_until_.find(key(at, packet.seq));
-    if (hold != hold_until_.end() && simulator().now() < hold->second) return;
-    auto [it, inserted] = repairing_.try_emplace(key(at, packet.seq));
-    if (!inserted && it->second.armed) return;  // repair timer already runs
+    const double* hold = hold_until_.find(key(at, packet.seq));
+    if (hold != nullptr && simulator().now() < *hold) return;
+    RepairState& repair = *repairing_.tryEmplace(key(at, packet.seq)).first;
+    if (repair.armed) return;  // repair timer already runs
 
     const double d = routing().distance(at, packet.requester);
     const double delay =
         std::max(config().min_timeout_ms,
                  rng_.uniformReal(srm_.d1, srm_.d1 + srm_.d2) * d);
-    it->second.timer = scheduleTimerAfter(delay, kTimerRepair, at, packet.seq);
-    it->second.armed = true;
+    repair.timer = scheduleTimerAfter(delay, kTimerRepair, at, packet.seq);
+    repair.armed = true;
   } else {
     // Fellow loser: suppress own request via exponential backoff.
-    const auto it = want_.find(key(at, packet.seq));
-    if (it != want_.end() && it->second.armed) {
-      it->second.backoff = std::min(it->second.backoff + 1, srm_.max_backoff);
+    WantState* want = want_.find(key(at, packet.seq));
+    if (want != nullptr && want->armed) {
+      want->backoff = std::min(want->backoff + 1, srm_.max_backoff);
       armRequestTimer(at, packet.seq);
     }
   }
 }
 
 void SrmProtocol::fireRepairTimer(net::NodeId at, std::uint64_t seq) {
-  const auto rit = repairing_.find(key(at, seq));
-  if (rit == repairing_.end() || !rit->second.armed) return;
-  rit->second.armed = false;
-  const auto h = hold_until_.find(key(at, seq));
-  if (h != hold_until_.end() && simulator().now() < h->second) return;
+  RepairState* repair = repairing_.find(key(at, seq));
+  if (repair == nullptr || !repair->armed) return;
+  repair->armed = false;
+  const double* hold = hold_until_.find(key(at, seq));
+  if (hold != nullptr && simulator().now() < *hold) return;
   ++repairs_multicast_;
   network().multicastGroup(at,
                            sim::Packet{sim::Packet::Type::kRepair, seq, at,
@@ -121,29 +120,30 @@ void SrmProtocol::fireRepairTimer(net::NodeId at, std::uint64_t seq) {
 
 void SrmProtocol::onRepair(net::NodeId at, const sim::Packet& packet) {
   // Suppress a pending repair of our own and hold further ones.
-  const auto it = repairing_.find(key(at, packet.seq));
-  if (it != repairing_.end() && it->second.armed) {
-    simulator().cancel(it->second.timer);
-    it->second.armed = false;
+  RepairState* repair = repairing_.find(key(at, packet.seq));
+  if (repair != nullptr && repair->armed) {
+    simulator().cancel(repair->timer);
+    repair->armed = false;
   }
   hold_until_[key(at, packet.seq)] =
       simulator().now() + srm_.hold_factor * routing().distance(at, source());
 }
 
 void SrmProtocol::onPacketObtained(net::NodeId client, std::uint64_t seq) {
-  const auto it = want_.find(key(client, seq));
-  if (it == want_.end()) return;
-  if (it->second.armed) simulator().cancel(it->second.timer);
-  want_.erase(it);
+  dropWant(client, seq);
 }
 
 void SrmProtocol::onSessionAbandoned(net::NodeId client, std::uint64_t seq) {
   // Only the loser role is a session; holder-side suppression state keeps
   // serving other members.
-  const auto it = want_.find(key(client, seq));
-  if (it == want_.end()) return;
-  if (it->second.armed) simulator().cancel(it->second.timer);
-  want_.erase(it);
+  dropWant(client, seq);
+}
+
+void SrmProtocol::dropWant(net::NodeId client, std::uint64_t seq) {
+  const WantState* want = want_.find(key(client, seq));
+  if (want == nullptr) return;
+  if (want->armed) simulator().cancel(want->timer);
+  want_.erase(key(client, seq));
 }
 
 void SrmProtocol::onClientCrashed(net::NodeId client) {

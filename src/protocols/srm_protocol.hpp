@@ -17,9 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "protocols/protocol.hpp"
+#include "util/flat_table.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn::protocols {
@@ -72,6 +72,9 @@ class SrmProtocol final : public RecoveryProtocol {
 
   /// Arms (or re-arms) u's request timer for `seq` at the current backoff.
   void armRequestTimer(net::NodeId client, std::uint64_t seq);
+  /// Cancels `client`'s request timer for `seq` and drops its want-state;
+  /// no-op when it has none.
+  void dropWant(net::NodeId client, std::uint64_t seq);
 
   static std::uint64_t key(net::NodeId node, std::uint64_t seq) {
     return (static_cast<std::uint64_t>(node) << 32) | seq;
@@ -89,9 +92,10 @@ class SrmProtocol final : public RecoveryProtocol {
 
   SrmConfig srm_;
   util::Rng rng_;
-  std::unordered_map<std::uint64_t, WantState> want_;          // loser state
-  std::unordered_map<std::uint64_t, RepairState> repairing_;   // holder state
-  std::unordered_map<std::uint64_t, double> hold_until_;       // repair hold
+  // By key(node, seq).
+  util::FlatTable<WantState> want_;         // loser state
+  util::FlatTable<RepairState> repairing_;  // holder state
+  util::FlatTable<double> hold_until_;      // repair hold
   std::uint64_t requests_multicast_ = 0;
   std::uint64_t repairs_multicast_ = 0;
 };

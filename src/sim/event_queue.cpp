@@ -41,7 +41,11 @@ bool EventQueue::cancel(EventId id) {
 }
 
 void EventQueue::maybeCompact() {
-  if (dead_in_heap_ < kCompactMinDead || dead_in_heap_ <= 2 * live_) return;
+  // The lane and the stamped heap hold the rest of the live events.
+  const std::size_t live_in_heap = live_ - lane_.size() - stamped_.size();
+  if (dead_in_heap_ < kCompactMinDead || dead_in_heap_ <= 2 * live_in_heap) {
+    return;
+  }
   std::size_t kept = 0;
   for (const HeapEntry& entry : heap_) {
     if (!entryDead(entry)) heap_[kept++] = entry;
@@ -60,10 +64,19 @@ void EventQueue::maybeCompact() {
 TimeMs EventQueue::nextTime() const {
   if (empty()) throw std::logic_error("EventQueue::nextTime on empty");
   skipDead();
-  if (!stamped_.empty() && stampedFirst()) {
+  const bool lane_first = laneFirst();
+  if (!stamped_.empty() && stampedFirst(lane_first)) {
     return timeOfOrder(stamped_.front().order);
   }
-  return heap_[0].when();
+  return lane_first ? lane_[0].when() : heap_[0].when();
+}
+
+void EventQueue::adoptCursorSink(EventSink* sink) {
+  if (sink == nullptr || cursor_sink_ != nullptr) {
+    throw std::invalid_argument(
+        "EventQueue: the cursor lane takes one non-null sink");
+  }
+  cursor_sink_ = sink;
 }
 
 void EventQueue::scheduleDecidedEvent(TimeMs at, TimeMs stamp,
@@ -71,22 +84,22 @@ void EventQueue::scheduleDecidedEvent(TimeMs at, TimeMs stamp,
                                       const EventRecord& record) {
   RMRN_REQUIRE(sink != nullptr && stamp <= at,
                "EventQueue: a decided event needs a sink and stamp <= time");
-  const std::uint32_t slot = acquireSlot();
-  slots_[slot].kind = record.kind;
-  slots_[slot].sink = sink;
-  slots_[slot].stamp = stamp;
-  slots_[slot].data = record.data;
-  const std::uint64_t seq = admit(at, slot);
+  const std::uint32_t slot = admitSlot(at, sink, stamp, record);
   // rmrn-lint: allow(HOT-1) the stamped heap grows to its high-water mark, then reuses capacity (alloc_tests)
-  stamped_.push_back(
-      StampedEntry{timeOrder(at), timeOrder(stamp), (seq << kSlotBits) | slot});
+  stamped_.push_back(StampedEntry{timeOrder(at), timeOrder(stamp),
+                                  (slots_[slot].seq << kSlotBits) | slot});
   std::push_heap(stamped_.begin(), stamped_.end(), later<StampedEntry>);
-  ++live_;
 }
 
-bool EventQueue::stampedFirst() const {
+bool EventQueue::stampedFirst(bool lane_first) const {
+  // An ordinary event's stamp is the time it was scheduled: its slot's, or
+  // for a cursor its flood's.
+  if (lane_first) {
+    const HeapEntry& top = lane_[0];
+    return later(StampedEntry{top.order, cursor_stamp_[top.slot()], top.key},
+                 stamped_.front());
+  }
   if (heap_.empty()) return true;
-  // An ordinary event's stamp is the time it was scheduled (its slot's).
   const HeapEntry& top = heap_[0];
   return later(
       StampedEntry{top.order, timeOrder(slots_[top.slot()].stamp), top.key},

@@ -1,4 +1,5 @@
-// Cancellable discrete-event queue of slab-backed typed events.
+// Cancellable discrete-event queue of slab-backed typed events, plus a
+// cursor lane for tree floods.
 //
 // Events are (time, insertion-sequence) ordered; ties in time resolve in
 // insertion order so runs are fully deterministic.  Storage is a slab of
@@ -8,11 +9,22 @@
 // cancel-heavy timer pattern reuses a bounded working set of slots).  The
 // ordering index is a flat 4-ary heap of 16-byte keys; entries whose slot was
 // cancelled are skipped lazily on pop and compacted away wholesale when they
-// outnumber live entries 2:1, so the heap footprint stays proportional to
-// the live event count.
+// outnumber the heap's live entries 2:1, so the heap footprint stays
+// proportional to its live event count.
 //
 // Events (sim/event.hpp) are stored inline — scheduling one performs no
 // heap allocation at steady state — and fire through their EventSink.
+//
+// Flood cursors (scheduleCursor) take a lane of their own.  A cursor is never
+// cancelled and its whole payload is a flood id, so it needs no slab slot: it
+// is one key in a second 4-ary heap, {time, (seq << 20) | flood}, its seq
+// drawn from the one insertion counter.  The lane keeps the cursors (nine in
+// ten events of a flood-heavy run) out of the timer heap, which under SRM is
+// mostly dead repair timers; fireNext() and nextTime() merge the two heap
+// tops with the same 128-bit compare, so the (time, seq) order is exactly
+// that of one heap.  A queue has one cursor sink (the network that owns the
+// floods), and flood ids stay below 2^20 (kMaxFloods; SimNetwork bounds its
+// flood arena there).
 //
 // An event may also be scheduled as decided at an earlier time, its stamp
 // (scheduleDecidedEvent): among events due at the same time it fires after
@@ -20,18 +32,21 @@
 // if it had been scheduled at the stamp.  A sharded network schedules a
 // handed-over send this way, with the time its sender decided it, so ties
 // resolve as in the serial run (DESIGN.md §14).  Stamped events wait in a
-// second, small heap ordered by (time, stamp, seq); an ordinary event's
+// third, small heap ordered by (time, stamp, seq); an ordinary event's
 // stamp is the time it was scheduled, which its seq already orders, so the
-// main heap keeps its two-word key and a run with no stamped event never
-// compares a stamp.
+// main heap and the lane keep their two-word keys and a run with no stamped
+// event never compares a stamp.  A slot keeps its tenant's stamp and a
+// side array indexed by flood id keeps each cursor's, so a stamped event
+// ties against either exactly as against one heap.
 //
 // Heap keys are 16 bytes: the event time's order-preserving integer image
-// plus a single word packing (insertion seq << 20) | slot.  Packing makes the
-// whole (time, seq) order one branch-free 128-bit compare and fits two keys
-// per cache line, which matters because sift traffic dominates the engine's
-// cost.  The packed widths bound the queue at 2^20
-// simultaneously-pending events and 2^44 total scheduled events per queue —
-// both enforced, both far past anything a simulation here reaches.
+// plus a single word packing (insertion seq << 20) | slot (a flood id on the
+// lane).  Packing makes the whole (time, seq) order one branch-free 128-bit
+// compare and fits two keys per cache line, which matters because sift
+// traffic dominates the engine's cost.  The packed widths bound the queue
+// at 2^20 simultaneously-pending slab events, 2^20 flood ids and 2^44 total
+// scheduled events per queue — all enforced, all far past anything a
+// simulation here reaches.
 #pragma once
 
 #include <algorithm>
@@ -50,6 +65,9 @@ namespace rmrn::sim {
 
 class EventQueue {
  public:
+  /// Flood ids a cursor may carry: [0, kMaxFloods).
+  static constexpr std::uint32_t kMaxFloods = 1u << 20;
+
   /// Schedules `record` for dispatch to `sink->onEvent()` at absolute time
   /// `at`.  Returns a handle usable with cancel().  Allocation-free once the
   /// slab and heap have warmed up.  Throws std::invalid_argument for a null
@@ -59,6 +77,16 @@ class EventQueue {
   /// Such an event cannot be cancelled.
   void scheduleDecidedEvent(TimeMs at, TimeMs stamp, EventSink* sink,
                             const EventRecord& record);
+
+  /// Schedules flood `flood`'s cursor on the cursor lane: an event of kind
+  /// kFloodCursor for `sink` at `at`, counted and ordered like any other but
+  /// never cancelled and never stored in the slab.  Every cursor of a queue
+  /// goes to one sink, and a flood has at most one cursor pending (its
+  /// stamp is kept by flood id).  Allocation-free once the lane has warmed
+  /// up.
+  /// Throws std::length_error for a flood id of kMaxFloods or more and
+  /// std::invalid_argument for a null or second sink or a non-finite time.
+  void scheduleCursor(TimeMs at, EventSink* sink, std::uint32_t flood);
 
   /// Cancels a pending event.  Returns true if the event was pending (not
   /// yet fired and not already cancelled).  A stale handle — one whose slot
@@ -88,7 +116,11 @@ class EventQueue {
 
   /// Heap index entries, including lazily-skipped cancelled ones.  Bounded
   /// at ~3x pendingCount() by compaction; exposed so tests can assert that.
+  /// The cursor lane is not counted.
   [[nodiscard]] std::size_t heapSize() const { return heap_.size(); }
+
+  /// Flood cursors pending on the cursor lane.
+  [[nodiscard]] std::size_t laneSize() const { return lane_.size(); }
 
   /// Time of the most recently fired event; -infinity before the first
   /// fire.  Simulation time never runs backwards: fireNext() enforces
@@ -101,13 +133,17 @@ class EventQueue {
   /// Compaction floor: below this many dead entries the heap is left alone
   /// (rebuilding tiny heaps buys nothing).
   static constexpr std::size_t kCompactMinDead = 64;
-  /// Packed-key widths: low 20 bits slot, high 44 bits insertion seq.
+  /// Packed-key widths: low 20 bits slot (or flood id), high 44 bits
+  /// insertion seq.
   static constexpr std::uint32_t kSlotBits = 20;
   static constexpr std::uint32_t kMaxSlots = 1u << kSlotBits;
   static constexpr std::uint64_t kSlotMask = kMaxSlots - 1;
   static constexpr std::uint64_t kMaxSeq = 1ull << (64 - kSlotBits);
   /// Tenant seq of a free slot; never equals a real (bounded) seq.
   static constexpr std::uint64_t kNoSeq = ~0ull;
+  /// A flood's stamp while it has no cursor pending (checked builds only):
+  /// the timeOrder() of no time but a NaN.
+  static constexpr std::uint64_t kNoCursor = 0;
 
   struct Slot {
     std::uint64_t seq = kNoSeq;  // current tenant's insertion seq
@@ -119,7 +155,8 @@ class EventQueue {
     EventData data;
   };
   /// 4-ary heap key: (time, seq) with seq the global insertion sequence.
-  /// Slots never repeat within the pending set, so key order is seq order.
+  /// Seqs never repeat, so key order is seq order.  On the lane the low
+  /// bits name a flood instead of a slot.
   /// The time is stored as its order-preserving integer image, so ordering
   /// two entries is one branch-free 128-bit comparison (util/quad_heap.hpp).
   struct HeapEntry {
@@ -164,29 +201,35 @@ class EventQueue {
     s.next_free = free_slots_;
     free_slots_ = slot;
   }
-  /// Checks `at` and gives `slot` the next insertion seq.
-  std::uint64_t admit(TimeMs at, std::uint32_t slot) {
+  /// Checks that an event may be due at `at`; changes nothing.
+  void checkAdmissible(TimeMs at) const {
     if (!std::isfinite(at)) {
-      freeSlot(slot);
       throw std::invalid_argument("EventQueue: non-finite event time");
     }
     RMRN_REQUIRE(at >= last_fired_,
                  "event scheduled in the simulated past (time monotonicity)");
     if (next_seq_ >= kMaxSeq) {
-      freeSlot(slot);
       throw std::length_error("EventQueue: insertion sequence exhausted");
     }
-    const std::uint64_t seq = next_seq_++;
-    slots_[slot].seq = seq;
-    return seq;
   }
-  EventId push(TimeMs at, std::uint32_t slot) {
-    const std::uint64_t seq = admit(at, slot);
-    // rmrn-lint: allow(HOT-1) heap grows to the pending-event high-water mark, then reuses capacity (alloc_tests)
-    heap_.push_back(HeapEntry{timeOrder(at), (seq << kSlotBits) | slot});
-    util::quad_heap::siftUp(heap_.data(), heap_.size() - 1);
+  /// Counts an admitted event pending and returns its insertion seq.
+  std::uint64_t takeSeq() {
     ++live_;
-    return makeId(slot, slots_[slot].gen);
+    return next_seq_++;
+  }
+  /// Admits an event due at `at` into a fresh slot and returns the slot,
+  /// its seq set.
+  std::uint32_t admitSlot(TimeMs at, EventSink* sink, TimeMs stamp,
+                          const EventRecord& record) {
+    checkAdmissible(at);
+    const std::uint32_t slot = acquireSlot();
+    Slot& s = slots_[slot];
+    s.seq = takeSeq();
+    s.kind = record.kind;
+    s.sink = sink;
+    s.stamp = stamp;
+    s.data = record.data;
+    return slot;
   }
 
   [[nodiscard]] bool entryDead(const HeapEntry& e) const {
@@ -199,15 +242,35 @@ class EventQueue {
       --dead_in_heap_;
     }
   }
-  /// Rebuilds the heap without dead entries once they outnumber live 2:1.
+  /// Rebuilds the heap without dead entries once they outnumber its live
+  /// ones 2:1.
   void maybeCompact();
-  /// Whether the stamped heap's top (non-empty) fires before the main
-  /// heap's (dead entries skipped): (time, stamp, seq) order.
-  [[nodiscard]] bool stampedFirst() const;
+  /// Whether the lane's top fires before the main heap's (dead entries
+  /// skipped): (time, seq) order.
+  [[nodiscard]] bool laneFirst() const {
+    return !lane_.empty() &&
+           (heap_.empty() || util::quad_heap::before(lane_[0], heap_[0]));
+  }
+  /// Whether the stamped heap's top (non-empty) fires before the earlier of
+  /// the main heap's and the lane's (`lane_first`, from laneFirst()):
+  /// (time, stamp, seq) order.
+  [[nodiscard]] bool stampedFirst(bool lane_first) const;
   /// Fires the stamped heap's top if it is due at or before `until`.
   bool fireStamped(TimeMs until, TimeMs* clock);
   /// Fires the event in `slot` due at `time`, already off its heap.
   void fire(std::uint32_t slot, TimeMs time, TimeMs* clock);
+  /// Advances the clock to `time`, the due time of the event being fired.
+  void advance(TimeMs time, TimeMs* clock) {
+    RMRN_ENSURE(time >= last_fired_,
+                "event queue popped an event earlier than the previous one");
+    last_fired_ = time;
+    --live_;
+    // The clock advances before the handler runs: handlers schedule
+    // relative to the owning simulator's now().
+    *clock = time;
+  }
+  /// Sets the lane's sink on its first cursor; rejects any other.
+  void adoptCursorSink(EventSink* sink);
 
   std::vector<Slot> slots_;
   std::uint32_t free_slots_ = kNil;  // intrusive free list through next_free
@@ -215,6 +278,13 @@ class EventQueue {
   // the top mutates no observable state, hence mutable for const queries.
   mutable std::vector<HeapEntry> heap_;
   std::vector<StampedEntry> stamped_;  // a binary heap, never cancelled
+  // The cursor lane: a 4-ary heap of (time, (seq << 20) | flood) keys, and
+  // by flood id the timeOrder() of the time its pending cursor was
+  // scheduled at, its stamp (read only to tie against a stamped event;
+  // checked builds reset it to kNoCursor when the cursor fires).
+  std::vector<HeapEntry> lane_;
+  std::vector<std::uint64_t> cursor_stamp_;
+  EventSink* cursor_sink_ = nullptr;
   mutable std::size_t dead_in_heap_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
@@ -231,19 +301,55 @@ inline EventId EventQueue::scheduleEvent(TimeMs at, EventSink* sink,
   if (sink == nullptr) {
     throw std::invalid_argument("EventQueue: event needs a sink");
   }
-  const std::uint32_t slot = acquireSlot();
-  Slot& s = slots_[slot];
-  s.kind = record.kind;
-  s.sink = sink;
-  s.stamp = last_fired_;
-  s.data = record.data;
-  return push(at, slot);
+  const std::uint32_t slot = admitSlot(at, sink, last_fired_, record);
+  // rmrn-lint: allow(HOT-1) heap grows to the pending-event high-water mark, then reuses capacity (alloc_tests)
+  heap_.push_back(
+      HeapEntry{timeOrder(at), (slots_[slot].seq << kSlotBits) | slot});
+  util::quad_heap::siftUp(heap_.data(), heap_.size() - 1);
+  return makeId(slot, slots_[slot].gen);
+}
+
+inline void EventQueue::scheduleCursor(TimeMs at, EventSink* sink,
+                                       std::uint32_t flood) {
+  if (flood >= kMaxFloods) {
+    throw std::length_error("EventQueue: flood id needs more than 20 bits");
+  }
+  if (sink != cursor_sink_ || sink == nullptr) adoptCursorSink(sink);
+  checkAdmissible(at);
+  if (flood >= cursor_stamp_.size()) {
+    // rmrn-lint: allow(HOT-1) grows to the flood arena's high-water mark, then is reused (alloc_tests)
+    cursor_stamp_.resize(flood + 1);
+  }
+  RMRN_REQUIRE(cursor_stamp_[flood] == kNoCursor,
+               "EventQueue: a flood has at most one pending cursor");
+  cursor_stamp_[flood] = timeOrder(last_fired_);
+  // rmrn-lint: allow(HOT-1) the lane grows to its pending-cursor high-water mark, then reuses capacity (alloc_tests)
+  lane_.push_back(HeapEntry{timeOrder(at), (takeSeq() << kSlotBits) | flood});
+  util::quad_heap::siftUp(lane_.data(), lane_.size() - 1);
 }
 
 inline bool EventQueue::fireNext(TimeMs until, TimeMs* clock) {
   if (empty()) return false;
   skipDead();
-  if (!stamped_.empty() && stampedFirst()) return fireStamped(until, clock);
+  const bool lane_first = laneFirst();
+  if (!stamped_.empty() && stampedFirst(lane_first)) {
+    return fireStamped(until, clock);
+  }
+  if (lane_first) {
+    const HeapEntry top = lane_[0];
+    const TimeMs time = top.when();
+    if (time > until) return false;
+    util::quad_heap::popRoot(lane_);
+#if RMRN_CHECKS_ENABLED
+    cursor_stamp_[top.slot()] = kNoCursor;
+#endif
+    advance(time, clock);
+    ++fired_by_kind_[static_cast<std::size_t>(EventKind::kFloodCursor)];
+    EventRecord record{EventKind::kFloodCursor, {}};
+    record.data.cursor = FloodCursorEvent{top.slot()};
+    cursor_sink_->onEvent(record);
+    return true;
+  }
   const HeapEntry top = heap_[0];
   const TimeMs time = top.when();
   if (time > until) return false;
@@ -253,14 +359,8 @@ inline bool EventQueue::fireNext(TimeMs until, TimeMs* clock) {
 }
 
 inline void EventQueue::fire(std::uint32_t slot, TimeMs time, TimeMs* clock) {
+  advance(time, clock);
   Slot& s = slots_[slot];
-  RMRN_ENSURE(time >= last_fired_,
-              "event queue popped an event earlier than the previous one");
-  last_fired_ = time;
-  --live_;
-  // The clock advances before the handler runs: handlers schedule relative
-  // to the owning simulator's now().
-  *clock = time;
   // Copy out before freeing: the handler may schedule, growing slots_.
   EventSink* const sink = s.sink;
   const EventRecord record{s.kind, s.data};

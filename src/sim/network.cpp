@@ -775,6 +775,10 @@ std::uint32_t SimNetwork::openFlood(const Packet& packet, bool down_only,
     flood = free_floods_.back();
     free_floods_.pop_back();
   } else {
+    // Flood ids ride in cursor-lane keys (sim/event_queue.hpp).
+    if (floods_.size() >= EventQueue::kMaxFloods) {
+      throw std::length_error("SimNetwork: more than 2^20 open floods");
+    }
     flood = static_cast<std::uint32_t>(floods_.size());
     // rmrn-lint: allow(HOT-1) arena warm-up: grows once per high-water mark, then slots recycle
     floods_.emplace_back();
@@ -897,9 +901,7 @@ void SimNetwork::advanceFlood(std::uint32_t flood) {
     const TimeMs at = timeOfOrder(next.order);
     if (is_agent_[node]) {
       f.cursor_key = next.key;
-      EventRecord record{EventKind::kFloodCursor, {}};
-      record.data.cursor = FloodCursorEvent{flood};
-      simulator_.scheduleEventAt(at, this, record);
+      simulator_.scheduleCursorAt(at, this, flood);
       return;
     }
     // Routers never deliver: expand straight away.
@@ -952,9 +954,7 @@ void SimNetwork::replayFlood(std::uint32_t flood) {
     const net::NodeId came_from = upward ? child : up.to;
     if (is_agent_[node]) {
       f.cursor_key = child | (upward ? kUpward : 0);
-      EventRecord record{EventKind::kFloodCursor, {}};
-      record.data.cursor = FloodCursorEvent{flood};
-      simulator_.scheduleEventAt(at, this, record);
+      simulator_.scheduleCursorAt(at, this, flood);
       return;
     }
     expandFlood(flood, node, came_from, at);

@@ -14,11 +14,17 @@
 // whole schedule is fixed when it is sent, and only agent arrivals become
 // events.  A unicast is one kDeliver at its arrival time (none when a hop
 // loses it); a tree flood keeps one kFloodCursor event for its next agent
-// arrival and expands routers as it goes.  A whole-tree flood from a member
-// (group floods, source floods, down-into-root floods) replays its origin's
-// flood schedule: the order the flood reaches the tree's links in, built
-// once per origin and proven to hold for the flood's start time; it skips a
-// link whose flood-parent went unreached or whose crossing was lost.  Every
+// arrival and expands routers as it goes.  The cursor rides the event
+// queue's cursor lane (sim/event_queue.hpp): one heap key naming the flood's
+// arena record, no slab slot, in serial and shard mode alike; only a
+// handed-over flood's first cursor, stamped with its sender's decision
+// time, is an ordinary slab event.  Flood ids are lane payloads, so the
+// flood arena is bounded at EventQueue::kMaxFloods records.  A whole-tree
+// flood from a member (group floods, source floods, down-into-root floods)
+// replays its origin's flood schedule: the order the flood reaches the
+// tree's links in, built once per origin and proven to hold for the flood's
+// start time; it skips a link whose flood-parent went unreached or whose
+// crossing was lost.  Every
 // other flood (scoped, jittered, duplicated, sharded, or started past its
 // schedule's proven bound) keeps a private frontier heap of in-flight links;
 // a lost link's subtree is never pushed.  Hops, losses, recovery
@@ -38,12 +44,13 @@
 // bit-equal arrivals of different sends may fire in another order.
 //
 // The forwarding hot path is allocation-free at steady state: in-flight
-// events are typed records (sim/event.hpp) in the queue's slab, a unicast
-// walks one scratch route, forced loss patterns in a refcounted pattern arena
-// shared by the flood records of one data packet, floods in a recycled
-// flood arena whose frontiers and replay slots keep their capacity, flood
-// schedules are built once per origin, and per-link recovery accounting is
-// a flat vector indexed by a CSR edge table built once at construction.
+// deliveries are typed records (sim/event.hpp) in the queue's slab and
+// cursors are keys on its lane, a unicast walks one scratch route, forced
+// loss patterns in a refcounted pattern arena shared by the flood records
+// of one data packet, floods in a recycled flood arena whose frontiers and
+// replay slots keep their capacity, flood schedules are built once per
+// origin, and per-link recovery accounting is a flat vector indexed by a
+// CSR edge table built once at construction.
 //
 // Protocol agents live at the source and the clients; the network invokes the
 // delivery handler only at those nodes (routers forward but never process).

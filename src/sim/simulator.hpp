@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "sim/event_queue.hpp"
 
@@ -26,6 +27,15 @@ class Simulator {
     queue_.scheduleDecidedEvent(at, decided, sink, record);
   }
 
+  /// Schedules flood `flood`'s cursor for `sink` at `at` (not in the past)
+  /// on the queue's cursor lane (sim/event_queue.hpp).
+  void scheduleCursorAt(TimeMs at, EventSink* sink, std::uint32_t flood) {
+    if (at < now_) {
+      throw std::invalid_argument("Simulator: scheduling into the past");
+    }
+    queue_.scheduleCursor(at, sink, flood);
+  }
+
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Runs until the queue drains or the clock would pass `until`
@@ -46,6 +56,10 @@ class Simulator {
 
   [[nodiscard]] std::size_t pendingEvents() const {
     return queue_.pendingCount();
+  }
+  /// Of pendingEvents(): flood cursors on the cursor lane.
+  [[nodiscard]] std::size_t pendingCursors() const {
+    return queue_.laneSize();
   }
 
   /// Cumulative events fired over the simulator's lifetime (all run()/step()

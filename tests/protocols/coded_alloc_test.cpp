@@ -28,7 +28,7 @@ struct CodedProtocolTestPeer {
   static std::uint32_t rank(const CodedProtocol& p, net::NodeId client,
                             std::uint64_t window) {
     return p.client_units_.at(CodedProtocol::key(client, window))
-        .decoder.rows_used;
+        ->decoder.rows_used;
   }
 };
 

@@ -15,7 +15,7 @@ struct ParityProtocolTestPeer {
   static ParityProtocol::ClientUnit& block(ParityProtocol& p,
                                            net::NodeId client,
                                            std::uint64_t block_id) {
-    return p.client_units_.at(ParityProtocol::key(client, block_id));
+    return *p.client_units_.at(ParityProtocol::key(client, block_id));
   }
   static void fireRetry(ParityProtocol& p, net::NodeId client,
                         std::uint64_t block_id) {

@@ -92,7 +92,8 @@ TEST_F(DataPlaneAllocTest, UnicastForwardingIsAllocationFree) {
 TEST_F(DataPlaneAllocTest, TreeFloodsAreAllocationFree) {
   LinkLossPattern losses(topo_.tree.numMembers(), false);
   losses[1] = true;  // exercise the forced-pattern arena, not just Bernoulli
-  const auto allocs = steadyStateAllocations([this, &losses] {
+  std::size_t lane_cursors = 0;  // the measured round's, once it is sent
+  const auto allocs = steadyStateAllocations([this, &losses, &lane_cursors] {
     Packet data{Packet::Type::kData, 2, topo_.source, topo_.source, 0};
     network_->multicastFromSource(data, &losses);
     network_->multicastFromSource(data, nullptr);
@@ -100,9 +101,13 @@ TEST_F(DataPlaneAllocTest, TreeFloodsAreAllocationFree) {
                   topo_.clients.front(), 0};
     network_->multicastGroup(topo_.clients.front(), repair);
     network_->multicastDownInto(topo_.source, repair);
+    lane_cursors = simulator_.pendingCursors();
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(delivered_, 0u);
+  // Each flood's cursor waits on the queue's cursor lane, not in the slab.
+  EXPECT_GT(lane_cursors, 0u);
+  EXPECT_GT(simulator_.eventsProcessed(EventKind::kFloodCursor), 0u);
   // All four are whole-tree floods: each replays its origin's schedule,
   // built by the first round, in every round.
   EXPECT_EQ(network_->floodsReplayed(), 4u * kRounds);
@@ -154,6 +159,7 @@ TEST_F(LosslessDataPlaneAllocTest, ClosedFormTransportIsAllocationFree) {
   const net::NodeId first = topo_.clients.front();
   const net::NodeId last = topo_.clients.back();
   const net::NodeId scope = topo_.tree.parent(last);
+  std::size_t lane_cursors = 0;  // the measured round's, once it is sent
   const auto allocs = steadyStateAllocations([&] {
     Packet data{Packet::Type::kData, 4, topo_.source, topo_.source, 0};
     network_->multicastFromSource(data, &losses);
@@ -167,9 +173,15 @@ TEST_F(LosslessDataPlaneAllocTest, ClosedFormTransportIsAllocationFree) {
       network_->unicast(topo_.source, client, request);
       network_->unicast(client, first, request);
     }
+    lane_cursors = simulator_.pendingCursors();
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(delivered_, 0u);
+  // The round's five floods (replayed and frontier alike) keep their
+  // cursors on the lane, one per flood with an agent still to reach; the
+  // unicasts' deliveries are the only slab events.
+  EXPECT_GT(lane_cursors, 0u);
+  EXPECT_LE(lane_cursors, 5u);
   EXPECT_GT(simulator_.eventsProcessed(EventKind::kFloodCursor), 0u);
   // One network event per agent delivery: no send fires an event anywhere
   // else on its way.
@@ -187,13 +199,19 @@ TEST_F(LosslessDataPlaneAllocTest,
   // warms the arenas; a repeat of it then only walks the schedules and
   // allocates nothing.
   const std::vector<net::NodeId>& members = topo_.tree.members();
-  const auto allocs = steadyStateAllocations([this, &members] {
+  std::size_t lane_cursors = 0;  // the measured round's, once it is sent
+  const auto allocs = steadyStateAllocations([&] {
     for (const net::NodeId from : members) {
       network_->multicastGroup(
           from, Packet{Packet::Type::kRequest, 6, from, from, 0});
     }
+    lane_cursors = simulator_.pendingCursors();
   }, /*warmup=*/1);
   EXPECT_EQ(allocs, 0u);
+  // One cursor per flood that reaches an agent (a router origin's flood
+  // may reach none before its first cursor), all on the lane.
+  EXPECT_GT(lane_cursors, 0u);
+  EXPECT_LE(lane_cursors, members.size());
   EXPECT_EQ(network_->floodsReplayed(), 2 * members.size());
 }
 

@@ -341,6 +341,247 @@ TEST(EventQueueTypedTest, EqualTimestampOrderingAcrossSinks) {
                                                {true, true, 1}}));
 }
 
+// ---- Flood-cursor lane ----------------------------------------------------
+
+/// Logs every event it receives as one id: a cursor's flood id, else the
+/// tag in its first payload word.  One instance is the cursor sink.
+class LogSink final : public EventSink {
+ public:
+  explicit LogSink(std::vector<std::uint64_t>& log) : log_(log) {}
+  void onEvent(const EventRecord& event) override {
+    kinds.push_back(event.kind);
+    switch (event.kind) {
+      case EventKind::kFloodCursor:
+        log_.push_back(event.data.cursor.flood);
+        return;
+      case EventKind::kDeliver:
+        log_.push_back(event.data.deliver.at);
+        return;
+      case EventKind::kTimer:
+        log_.push_back(event.data.timer.a);
+        return;
+    }
+  }
+  std::vector<EventKind> kinds;
+
+ private:
+  std::vector<std::uint64_t>& log_;
+};
+
+EventRecord delivery(std::uint32_t id) {
+  EventRecord record{EventKind::kDeliver, {}};
+  record.data.deliver = DeliverEvent{id, false, Packet{}};
+  return record;
+}
+
+/// The one-heap reference order the queue must reproduce: every pending
+/// event keyed (time, stamp, seq), an ordinary event's stamp the time it
+/// was scheduled at.
+struct ReferenceQueue {
+  struct Pending {
+    TimeMs at;
+    TimeMs stamp;
+    std::uint64_t seq;
+    std::uint64_t id;
+    EventId handle;  // 0 unless a cancellable slab event
+  };
+  std::vector<Pending> pending;
+  std::uint64_t next_seq = 0;
+
+  void add(TimeMs at, TimeMs stamp, std::uint64_t id, EventId handle = 0) {
+    pending.push_back({at, stamp, next_seq++, id, handle});
+  }
+  /// Pops the first pending event; returns its id and sets *at.
+  std::uint64_t pop(TimeMs* at) {
+    const auto first = std::min_element(
+        pending.begin(), pending.end(), [](const Pending& a, const Pending& b) {
+          if (a.at != b.at) return a.at < b.at;
+          if (a.stamp != b.stamp) return a.stamp < b.stamp;
+          return a.seq < b.seq;
+        });
+    const std::uint64_t id = first->id;
+    *at = first->at;
+    pending.erase(first);
+    return id;
+  }
+  void cancel(EventId handle) {
+    std::erase_if(pending,
+                  [handle](const Pending& p) { return p.handle == handle; });
+  }
+};
+
+TEST(EventQueueLaneTest, MergesWithTheSlabHeapsInOneHeapOrder) {
+  // Cursors, timers, deliveries and stamped events scheduled in random
+  // interleavings onto a handful of bit-equal times, some timers cancelled,
+  // firing interleaved with scheduling: every event fires in the reference
+  // (time, stamp, seq) order.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    util::Rng rng(seed);
+    EventQueue q;
+    std::vector<std::uint64_t> log;
+    LogSink cursors(log);
+    LogSink others(log);
+    ReferenceQueue reference;
+    std::vector<std::uint64_t> expected;
+    std::vector<EventId> cancellable;
+    std::vector<std::uint32_t> free_floods;
+    std::uint32_t next_flood = 0;
+    TimeMs clock = 0.0;
+    std::uint64_t next_id = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const std::uint64_t choice = rng.uniformInt(12);
+      // Times land on a coarse grid so bit-equal ties are common.
+      const TimeMs at = clock + 0.5 * static_cast<TimeMs>(rng.uniformInt(4));
+      // Slab events' ids lie past every flood id.
+      const std::uint64_t id = EventQueue::kMaxFloods + next_id;
+      if (choice < 4) {
+        // A flood id is reused once its cursor fired, as the arena does.
+        std::uint32_t flood;
+        if (free_floods.empty()) {
+          flood = next_flood++;
+        } else {
+          flood = free_floods.back();
+          free_floods.pop_back();
+        }
+        q.scheduleCursor(at, &cursors, flood);
+        reference.add(at, clock, flood);
+      } else if (choice < 6) {
+        cancellable.push_back(q.scheduleEvent(at, &others, tagged(id)));
+        reference.add(at, clock, id, cancellable.back());
+        ++next_id;
+      } else if (choice < 7) {
+        q.scheduleEvent(at, &others, delivery(static_cast<std::uint32_t>(id)));
+        reference.add(at, clock, id);
+        ++next_id;
+      } else if (choice < 8) {
+        // Decided up to a grid step before now (but not before zero).
+        const TimeMs stamp =
+            std::max(0.0, clock - 0.5 * static_cast<TimeMs>(rng.uniformInt(3)));
+        q.scheduleDecidedEvent(at, stamp, &others, tagged(id));
+        reference.add(at, stamp, id);
+        ++next_id;
+      } else if (choice < 9 && !cancellable.empty()) {
+        const std::size_t pick = rng.uniformInt(cancellable.size());
+        const bool live = q.cancel(cancellable[pick]);
+        if (live) reference.cancel(cancellable[pick]);
+        cancellable.erase(cancellable.begin() + pick);
+      } else if (!q.empty()) {
+        ASSERT_EQ(q.pendingCount(), reference.pending.size());
+        TimeMs ref_at = 0.0;
+        expected.push_back(reference.pop(&ref_at));
+        ASSERT_EQ(q.nextTime(), ref_at);
+        const std::size_t kinds_before = cursors.kinds.size();
+        ASSERT_TRUE(q.fireNext(kAlways, &clock));
+        ASSERT_EQ(clock, ref_at);
+        ASSERT_EQ(log.back(), expected.back()) << "step " << step;
+        if (cursors.kinds.size() > kinds_before) {
+          free_floods.push_back(static_cast<std::uint32_t>(log.back()));
+        }
+      }
+    }
+    while (!q.empty()) {
+      TimeMs ref_at = 0.0;
+      expected.push_back(reference.pop(&ref_at));
+      ASSERT_TRUE(q.fireNext(kAlways, &clock));
+      ASSERT_EQ(clock, ref_at);
+    }
+    EXPECT_TRUE(reference.pending.empty());
+    EXPECT_EQ(log, expected);
+    for (const EventKind kind : cursors.kinds) {
+      EXPECT_EQ(kind, EventKind::kFloodCursor);
+    }
+    EXPECT_EQ(q.firedOf(EventKind::kFloodCursor), cursors.kinds.size());
+    EXPECT_GT(cursors.kinds.size(), 500u);
+  }
+}
+
+TEST(EventQueueLaneTest, CancellingTimersAroundLiveCursors) {
+  // Timers interleaved with cursors at equal times; cancelling every timer
+  // (enough to trigger compaction) leaves the cursors in seq order, and
+  // cancelling half leaves the rest interleaved as scheduled.
+  EventQueue q;
+  std::vector<std::uint64_t> log;
+  LogSink cursors(log);
+  LogSink timers(log);
+  std::vector<EventId> doomed;
+  std::vector<std::uint64_t> expected;
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    const TimeMs at = 1.0 + (i % 3);
+    q.scheduleCursor(at, &cursors, i);
+    const EventId keep = q.scheduleEvent(at, &timers, tagged(1000 + i));
+    doomed.push_back(q.scheduleEvent(at, &timers, tagged(2000 + i)));
+    if (i % 2 == 0) {
+      doomed.push_back(keep);
+    }
+  }
+  EXPECT_EQ(q.pendingCount(), 600u);
+  for (const EventId id : doomed) ASSERT_TRUE(q.cancel(id));
+  EXPECT_EQ(q.pendingCount(), 300u);
+  EXPECT_EQ(q.laneSize(), 200u);
+  for (std::uint32_t t = 1; t <= 3; ++t) {
+    for (std::uint32_t i = 0; i < 200; ++i) {
+      if (1 + (i % 3) != t) continue;
+      expected.push_back(i);
+      if (i % 2 == 1) expected.push_back(1000 + i);
+    }
+  }
+  drain(q);
+  EXPECT_EQ(log, expected);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.laneSize(), 0u);
+}
+
+TEST(EventQueueLaneTest, NextTimePendingCountAndFiredOfCountTheLane) {
+  EventQueue q;
+  std::vector<std::uint64_t> log;
+  LogSink sink(log);
+  q.scheduleCursor(4.0, &sink, 7);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.pendingCount(), 1u);
+  EXPECT_EQ(q.nextTime(), 4.0);
+  q.scheduleEvent(6.0, &sink, tagged(1));
+  q.scheduleCursor(2.0, &sink, 8);
+  EXPECT_EQ(q.pendingCount(), 3u);
+  EXPECT_EQ(q.laneSize(), 2u);
+  EXPECT_EQ(q.heapSize(), 1u);
+  EXPECT_EQ(q.nextTime(), 2.0);
+  TimeMs clock = 0.0;
+  EXPECT_FALSE(q.fireNext(1.0, &clock));  // not yet due
+  EXPECT_EQ(clock, 0.0);
+  ASSERT_TRUE(q.fireNext(kAlways, &clock));
+  EXPECT_EQ(clock, 2.0);
+  EXPECT_EQ(q.lastFiredTime(), 2.0);
+  EXPECT_EQ(q.nextTime(), 4.0);
+  ASSERT_TRUE(q.fireNext(kAlways, &clock));
+  EXPECT_EQ(q.nextTime(), 6.0);
+  ASSERT_TRUE(q.fireNext(kAlways, &clock));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(log, (std::vector<std::uint64_t>{8, 7, 1}));
+  EXPECT_EQ(q.firedOf(EventKind::kFloodCursor), 2u);
+  EXPECT_EQ(q.firedOf(EventKind::kTimer), 1u);
+  EXPECT_EQ(q.firedOf(EventKind::kDeliver), 0u);
+}
+
+TEST(EventQueueLaneTest, RejectsFloodIdsPastTwentyBitsAndBadCursors) {
+  EventQueue q;
+  std::vector<std::uint64_t> log;
+  LogSink sink(log);
+  LogSink other(log);
+  EXPECT_THROW(q.scheduleCursor(1.0, &sink, EventQueue::kMaxFloods),
+               std::length_error);
+  EXPECT_THROW(q.scheduleCursor(1.0, &sink, ~std::uint32_t{0}),
+               std::length_error);
+  EXPECT_THROW(q.scheduleCursor(1.0, nullptr, 0), std::invalid_argument);
+  EXPECT_THROW(q.scheduleCursor(kAlways, &sink, 0), std::invalid_argument);
+  EXPECT_TRUE(q.empty());
+  q.scheduleCursor(1.0, &sink, EventQueue::kMaxFloods - 1);
+  // The lane has one sink: the network that owns the floods.
+  EXPECT_THROW(q.scheduleCursor(1.0, &other, 0), std::invalid_argument);
+  EXPECT_EQ(q.pendingCount(), 1u);
+  drain(q);
+  EXPECT_EQ(log, (std::vector<std::uint64_t>{EventQueue::kMaxFloods - 1}));
+}
+
 // ---- Handle safety --------------------------------------------------------
 
 TEST(EventQueueHandleTest, CancelAfterFireReturnsFalse) {

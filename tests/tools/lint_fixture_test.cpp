@@ -95,6 +95,13 @@ TEST(RmrnLint, Det2FiresOnRangeForAndIteratorWalk) {
   expectFindingAt(r, "det2_fire.cpp", 11, "DET-2");  // counts.begin()
 }
 
+TEST(RmrnLint, Det2FiresOnFlatTableWalks) {
+  const RunResult r = runRule("DET-2", "det2_fire.cpp");
+  expectFindingAt(r, "det2_fire.cpp", 17, "DET-2");  // range-for, FlatTable
+  expectFindingAt(r, "det2_fire.cpp", 22, "DET-2");  // table.eraseIf()
+  expectFindingAt(r, "det2_fire.cpp", 27, "DET-2");  // range-for, FlatSet
+}
+
 TEST(RmrnLint, Det2CleanOnSortedView) {
   expectClean(runRule("DET-2", "det2_clean.cpp"));
 }

@@ -157,10 +157,16 @@ const Token* nextTok(const std::vector<Token>& toks, std::size_t i) {
   return i + 1 < toks.size() ? &toks[i + 1] : nullptr;
 }
 
+// util::FlatTable (and its set alias FlatSet) walks in slot order, which
+// hashing decides: for DET-2 it is one more unordered container.
 bool isUnorderedContainer(const std::string& text) {
   return text == "unordered_map" || text == "unordered_set" ||
-         text == "unordered_multimap" || text == "unordered_multiset";
+         text == "unordered_multimap" || text == "unordered_multiset" ||
+         text == "FlatTable" || text == "FlatSet";
 }
+
+/// An unordered container type named without template arguments.
+bool isUnorderedAlias(const std::string& text) { return text == "FlatSet"; }
 
 void runDetOne(const LexedFile& file, std::vector<Finding>& findings) {
   const std::vector<Token>& toks = file.tokens;
@@ -245,7 +251,7 @@ void runDetTwo(const LexedFile& file, const std::set<std::string>& extra,
           isUnorderedContainer(toks[j].text)) {
         findings.push_back(
             Finding{file.path, toks[i].line, "DET-2",
-                    "range-for over std::unordered_* ('" + toks[j].text +
+                    "range-for over an unordered container ('" + toks[j].text +
                         "'): hash-walk order is outside the determinism "
                         "contract; iterate a sorted key view instead"});
         break;
@@ -253,7 +259,8 @@ void runDetTwo(const LexedFile& file, const std::set<std::string>& extra,
     }
   }
 
-  // Pass 2b: explicit iterator walks: tracked.begin() / tracked->cbegin().
+  // Pass 2b: explicit iterator walks, tracked.begin() / tracked->cbegin(),
+  // and FlatTable's erase-if sweep, tracked.eraseIf(...).
   for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
     if (toks[i].kind != TokKind::kIdentifier ||
         tracked.count(toks[i].text) == 0) {
@@ -262,10 +269,12 @@ void runDetTwo(const LexedFile& file, const std::set<std::string>& extra,
     if (!isPunct(toks[i + 1], ".") && !isPunct(toks[i + 1], "->")) continue;
     const std::string& m = toks[i + 2].text;
     if (toks[i + 2].kind == TokKind::kIdentifier &&
-        (m == "begin" || m == "cbegin" || m == "rbegin" || m == "crbegin")) {
+        (m == "begin" || m == "cbegin" || m == "rbegin" || m == "crbegin" ||
+         m == "eraseIf")) {
       findings.push_back(
           Finding{file.path, toks[i].line, "DET-2",
-                  "iterator walk over std::unordered_* ('" + toks[i].text +
+                  "iterator walk over an unordered container ('" +
+                      toks[i].text +
                       "'): hash-walk order is outside the determinism "
                       "contract; iterate a sorted key view instead"});
     }
@@ -380,16 +389,19 @@ std::set<std::string> collectTrackedNames(const LexedFile& file) {
       continue;
     }
     std::size_t j = i + 1;
-    if (j >= toks.size() || !isPunct(toks[j], "<")) continue;
-    int depth = 1;
-    ++j;
-    while (j < toks.size() && depth > 0) {
-      if (isPunct(toks[j], "<")) ++depth;
-      if (isPunct(toks[j], ">")) --depth;
-      if (isPunct(toks[j], ";") || isPunct(toks[j], "{")) break;  // bail
+    if (j < toks.size() && isPunct(toks[j], "<")) {
+      int depth = 1;
       ++j;
+      while (j < toks.size() && depth > 0) {
+        if (isPunct(toks[j], "<")) ++depth;
+        if (isPunct(toks[j], ">")) --depth;
+        if (isPunct(toks[j], ";") || isPunct(toks[j], "{")) break;  // bail
+        ++j;
+      }
+      if (depth != 0) continue;
+    } else if (!isUnorderedAlias(toks[i].text)) {
+      continue;
     }
-    if (depth != 0) continue;
     while (j < toks.size() &&
            (isIdent(toks[j], "const") || isPunct(toks[j], "&") ||
             isPunct(toks[j], "*"))) {
