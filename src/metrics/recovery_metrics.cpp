@@ -1,7 +1,10 @@
 #include "metrics/recovery_metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
+
+#include "util/rng.hpp"
 
 namespace rmrn::metrics {
 
@@ -11,6 +14,23 @@ RecoveryMetrics::Key RecoveryMetrics::key(net::NodeId client,
     throw std::invalid_argument("RecoveryMetrics: seq exceeds 32 bits");
   }
   return (static_cast<Key>(client) << 32) | seq;
+}
+
+void RecoveryMetrics::fold(Key k, const Pending& pending, double end_ms,
+                           Terminal how) {
+  // A chain of splitmix64 finalizers over the record's words; the sum of
+  // the results is the same in any order the records end in.
+  std::uint64_t h = k;
+  const std::uint64_t words[] = {
+      std::bit_cast<std::uint64_t>(pending.detect_time_ms),
+      std::bit_cast<std::uint64_t>(end_ms),
+      (static_cast<std::uint64_t>(how) << 32) | pending.attempts};
+  std::uint64_t mixed = util::splitmix64(h);
+  for (const std::uint64_t word : words) {
+    h ^= word;
+    mixed = util::splitmix64(h);
+  }
+  digest_ += mixed;
 }
 
 void RecoveryMetrics::recordLoss(net::NodeId client, std::uint64_t seq,
@@ -25,10 +45,12 @@ void RecoveryMetrics::recordLoss(net::NodeId client, std::uint64_t seq,
 }
 
 bool RecoveryMetrics::recordRecovery(net::NodeId client, std::uint64_t seq,
-                                     double now_ms) {
-  Pending* pending = pending_.find(key(client, seq));
+                                     double now_ms, Terminal how) {
+  const Key k = key(client, seq);
+  Pending* pending = pending_.find(k);
   if (pending == nullptr || pending->recovered) return false;
   pending->recovered = true;
+  fold(k, *pending, now_ms, how);
   Tally& t = tallies_[client];
   t.last_recovery_ms = std::max(t.last_recovery_ms, now_ms);
   const double latency = now_ms - pending->detect_time_ms;
@@ -39,22 +61,34 @@ bool RecoveryMetrics::recordRecovery(net::NodeId client, std::uint64_t seq,
   return true;
 }
 
-bool RecoveryMetrics::abandonLoss(net::NodeId client, std::uint64_t seq) {
-  const Pending* pending = pending_.find(key(client, seq));
+void RecoveryMetrics::recordAttempt(net::NodeId client, std::uint64_t seq) {
+  Pending* pending = pending_.find(key(client, seq));
+  if (pending != nullptr && !pending->recovered) ++pending->attempts;
+}
+
+bool RecoveryMetrics::abandonLoss(net::NodeId client, std::uint64_t seq,
+                                  double now_ms) {
+  const Key k = key(client, seq);
+  const Pending* pending = pending_.find(k);
   if (pending == nullptr || pending->recovered) return false;
-  pending_.erase(key(client, seq));
+  fold(k, *pending, now_ms, Terminal::kAbandoned);
+  pending_.erase(k);
   ++abandoned_;
   ++abandoned_sessions_;
   ++tallies_[client].abandoned;
   return true;
 }
 
-std::size_t RecoveryMetrics::abandonClient(net::NodeId client) {
-  // The count is the same in any visiting order.
+std::size_t RecoveryMetrics::abandonClient(net::NodeId client,
+                                           double now_ms) {
+  // The count and the digest are the same in any visiting order.
   const std::size_t count =
-      pending_.eraseIf([client](Key k, const Pending& pending) {
-        return static_cast<net::NodeId>(k >> 32) == client &&
-               !pending.recovered;
+      pending_.eraseIf([&](Key k, const Pending& pending) {
+        if (static_cast<net::NodeId>(k >> 32) != client || pending.recovered) {
+          return false;
+        }
+        fold(k, pending, now_ms, Terminal::kCrashed);
+        return true;
       });
   abandoned_ += count;
   tallies_[client].abandoned += count;

@@ -6,6 +6,14 @@
 // transmission and later obtained the packet.  Bandwidth is the total hop
 // count of all recovery traffic (requests, NACKs, repairs) divided by the
 // number of recoveries.
+//
+// Every (client, sequence) loss that terminates — recovered, abandoned or
+// written off by a crash — is also folded into one 64-bit digest: a sum of
+// mixed hashes of the pair, its detection time, the bits of its end time,
+// how it ended and how many requests the client sent for it.  A sum is
+// order-free, so regions and repetitions merge by adding; two runs with
+// equal counters but one recovery time moved or swapped read different
+// digests.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +25,19 @@
 
 namespace rmrn::metrics {
 
+/// How a (client, sequence) loss ended: the packet arrived as the original
+/// data (a late copy), as a repair sent by the source or by a peer, or was
+/// decoded from parities; or the session was abandoned, or its client
+/// crashed.
+enum class Terminal : std::uint8_t {
+  kData,
+  kSourceRepair,
+  kPeerRepair,
+  kDecoded,
+  kAbandoned,
+  kCrashed,
+};
+
 class RecoveryMetrics {
  public:
   /// Registers that `client` lost data packet `seq`, detected at
@@ -24,22 +45,33 @@ class RecoveryMetrics {
   void recordLoss(net::NodeId client, std::uint64_t seq,
                   double detect_time_ms);
 
-  /// Registers the recovery of a previously recorded loss at `now_ms`.
-  /// Returns false (and records nothing) when the pair was never lost or was
-  /// already recovered — duplicate repairs are normal under multicast repair.
-  bool recordRecovery(net::NodeId client, std::uint64_t seq, double now_ms);
+  /// Registers the recovery of a previously recorded loss at `now_ms`, by
+  /// the means `how`.  Returns false (and records nothing) when the pair was
+  /// never lost or was already recovered — duplicate repairs are normal
+  /// under multicast repair.
+  bool recordRecovery(net::NodeId client, std::uint64_t seq, double now_ms,
+                      Terminal how = Terminal::kPeerRepair);
+
+  /// Counts one request `client` sent for a pending loss of `seq` (no-op
+  /// for a pair that is not pending); the count enters the digest.
+  void recordAttempt(net::NodeId client, std::uint64_t seq);
 
   /// Crash handling: writes off every pending (unrecovered) loss of
-  /// `client`, returning how many were abandoned.  Abandoned losses leave
-  /// outstanding() — a crashed receiver carries no reliability obligation —
-  /// and can no longer be recovered.
-  std::size_t abandonClient(net::NodeId client);
+  /// `client` at `now_ms`, returning how many were abandoned.  Abandoned
+  /// losses leave outstanding() — a crashed receiver carries no reliability
+  /// obligation — and can no longer be recovered.
+  std::size_t abandonClient(net::NodeId client, double now_ms = 0.0);
 
   /// Explicit single-loss abandonment (liveness watchdog, retry-budget
-  /// exhaustion): writes off one pending unrecovered loss so the session
-  /// terminates as *abandoned* rather than silently stuck.  Returns false
-  /// (and records nothing) when the pair is unknown or already recovered.
-  bool abandonLoss(net::NodeId client, std::uint64_t seq);
+  /// exhaustion) at `now_ms`: writes off one pending unrecovered loss so the
+  /// session terminates as *abandoned* rather than silently stuck.  Returns
+  /// false (and records nothing) when the pair is unknown or already
+  /// recovered.
+  bool abandonLoss(net::NodeId client, std::uint64_t seq, double now_ms = 0.0);
+
+  /// The order-free digest of every terminal record so far (see above);
+  /// 0 before the first.
+  [[nodiscard]] std::uint64_t digest() const { return digest_; }
 
   [[nodiscard]] bool wasLost(net::NodeId client, std::uint64_t seq) const;
   [[nodiscard]] bool isRecovered(net::NodeId client, std::uint64_t seq) const;
@@ -107,6 +139,7 @@ class RecoveryMetrics {
  private:
   struct Pending {
     double detect_time_ms = 0.0;
+    std::uint32_t attempts = 0;  // requests sent while pending
     bool recovered = false;
   };
   /// Per-client terminal accounting.
@@ -118,6 +151,8 @@ class RecoveryMetrics {
   };
   using Key = std::uint64_t;
   static Key key(net::NodeId client, std::uint64_t seq);
+  /// Folds the terminal record of the pair `k` into digest_.
+  void fold(Key k, const Pending& pending, double end_ms, Terminal how);
   /// `client`'s tally, or a zero one.
   [[nodiscard]] Tally tallyOf(net::NodeId client) const {
     const Tally* tally = tallies_.find(client);
@@ -129,6 +164,7 @@ class RecoveryMetrics {
   // own clients, whose ids span the whole topology.
   util::FlatTable<Tally> tallies_;
   Accumulator latency_;
+  std::uint64_t digest_ = 0;
   std::size_t losses_ = 0;
   std::size_t abandoned_ = 0;
   std::size_t abandoned_sessions_ = 0;

@@ -275,7 +275,9 @@ bool NackWaveProtocol<Decoder>::tryDecode(net::NodeId client,
   cancelRetry(state);
   const std::uint64_t base = unit * unit_size_;
   state.missing.drain(
-      [&](std::uint32_t col) { markHasPacket(client, base + col); });
+      [&](std::uint32_t col) {
+        markHasPacket(client, base + col, metrics::Terminal::kDecoded);
+      });
   return true;
 }
 

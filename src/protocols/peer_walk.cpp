@@ -66,6 +66,7 @@ void PeerWalkProtocol::advance(net::NodeId client, std::uint64_t seq) {
                     sim::Packet{sim::Packet::Type::kRequest, seq, client,
                                 client, nextRequestTag()});
   noteRequestSent(client, seq, target, retransmit, any_origin_);
+  recoveryMetrics().recordAttempt(client, seq);
 
   session.timer = scheduleTimerAfter(requestTimeout(client, target),
                                      kTimerRequest, client, seq, target);

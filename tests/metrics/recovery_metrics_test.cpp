@@ -190,5 +190,56 @@ TEST(RecoveryMetricsTest, LatencyDistribution) {
   EXPECT_DOUBLE_EQ(s.max, 90.0);
 }
 
+TEST(RecoveryMetricsTest, DigestIsOrderFreeButSeesEveryRecord) {
+  // Terminal records folded in another order read the same digest.
+  const auto run = [](bool reversed, double t5, double t6) {
+    RecoveryMetrics m;
+    m.recordLoss(5, 0, 100.0);
+    m.recordLoss(6, 0, 100.0);
+    m.recordLoss(7, 1, 90.0);
+    m.recordAttempt(5, 0);
+    if (reversed) {
+      m.abandonLoss(7, 1, 400.0);
+      m.recordRecovery(6, 0, t6, Terminal::kSourceRepair);
+      m.recordRecovery(5, 0, t5, Terminal::kPeerRepair);
+    } else {
+      m.recordRecovery(5, 0, t5, Terminal::kPeerRepair);
+      m.recordRecovery(6, 0, t6, Terminal::kSourceRepair);
+      m.abandonLoss(7, 1, 400.0);
+    }
+    return m;
+  };
+  const RecoveryMetrics forward = run(false, 130.0, 150.0);
+  EXPECT_NE(forward.digest(), 0u);
+  EXPECT_EQ(run(true, 130.0, 150.0).digest(), forward.digest());
+  // Two clients' recovery times swapped: every count and the latency sum
+  // hold, the digest does not.
+  const RecoveryMetrics swapped = run(false, 150.0, 130.0);
+  EXPECT_EQ(swapped.recoveries(), forward.recoveries());
+  EXPECT_EQ(swapped.latency().mean(), forward.latency().mean());
+  EXPECT_NE(swapped.digest(), forward.digest());
+}
+
+TEST(RecoveryMetricsTest, DigestFoldsTerminalKindAndAttempts) {
+  const auto digestOf = [](Terminal how, int attempts) {
+    RecoveryMetrics m;
+    m.recordLoss(5, 0, 100.0);
+    for (int i = 0; i < attempts; ++i) m.recordAttempt(5, 0);
+    m.recordRecovery(5, 0, 130.0, how);
+    m.recordAttempt(5, 0);  // after the end: not counted
+    return m.digest();
+  };
+  const std::uint64_t base = digestOf(Terminal::kPeerRepair, 1);
+  EXPECT_EQ(digestOf(Terminal::kPeerRepair, 1), base);
+  EXPECT_NE(digestOf(Terminal::kSourceRepair, 1), base);
+  EXPECT_NE(digestOf(Terminal::kPeerRepair, 2), base);
+  // A crash write-off folds every pending loss of the client.
+  RecoveryMetrics m;
+  m.recordLoss(5, 0, 100.0);
+  m.recordLoss(5, 1, 110.0);
+  EXPECT_EQ(m.abandonClient(5, 200.0), 2u);
+  EXPECT_NE(m.digest(), 0u);
+}
+
 }  // namespace
 }  // namespace rmrn::metrics

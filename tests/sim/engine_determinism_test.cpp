@@ -9,6 +9,11 @@
 // must reproduce them bit-for-bit — full-precision doubles compared with
 // EXPECT_EQ, and an FNV-1a hash over the complete ns-2-style packet trace.
 //
+// Each arm also pins its recovery digest (metrics::RecoveryMetrics), which
+// folds every loss's detection time, end time, terminal kind and request
+// count; it was captured when the digest was added, and moves when any one
+// recovery does, even if every aggregate above holds.
+//
 // If one of these values ever changes, the engine's event ordering changed:
 // that is a behavioural regression, not a tolerance issue.  Do not widen
 // the comparisons.
@@ -103,6 +108,7 @@ struct GoldenProtocol {
   std::uint64_t duplicates;
   std::uint64_t retries;
   std::size_t residual;
+  std::uint64_t digest;  // RecoveryMetrics::digest()
 };
 
 void expectGolden(const harness::ExperimentResult& result,
@@ -120,6 +126,8 @@ void expectGolden(const harness::ExperimentResult& result,
   EXPECT_EQ(p.duplicate_deliveries, golden.duplicates);
   EXPECT_EQ(p.retries, golden.retries);
   EXPECT_EQ(p.residual, golden.residual);
+  EXPECT_EQ(p.recovery_digest, golden.digest)
+      << std::hex << "0x" << p.recovery_digest;
   EXPECT_GT(p.events_processed, 0u);
 }
 
@@ -136,13 +144,16 @@ TEST(EngineDeterminismTest, Fig7StyleMetricsBitIdentical) {
 
   expectGolden(result,
                {harness::ProtocolKind::kSrm, 1471, 1471, 130.00201932855063,
-                78.551325628823932, 115549, 3820, 400, 971, 24795, 0, 0});
+                78.551325628823932, 115549, 3820, 400, 971, 24795, 0, 0,
+                0x455621fff247ae46ULL});
   expectGolden(result,
                {harness::ProtocolKind::kRma, 1471, 1471, 91.048244028044579,
-                22.949694085656017, 33759, 3820, 54, 706, 6839, 0, 0});
+                22.949694085656017, 33759, 3820, 54, 706, 6839, 0, 0,
+                0x0bde3c476f3a446dULL});
   expectGolden(result,
                {harness::ProtocolKind::kRp, 1471, 1471, 64.407365630814397,
-                8.3358259687287557, 12262, 3820, 485, 542, 0, 0, 0});
+                8.3358259687287557, 12262, 3820, 485, 542, 0, 0, 0,
+                0xf12275a5ed931275ULL});
 }
 
 // fig5-style point (n=100, p=5%).
@@ -157,13 +168,16 @@ TEST(EngineDeterminismTest, Fig5StyleMetricsBitIdentical) {
 
   expectGolden(result,
                {harness::ProtocolKind::kSrm, 845, 845, 174.39168447379612,
-                115.16804733727811, 97317, 4042, 361, 983, 21547, 2, 0});
+                115.16804733727811, 97317, 4042, 361, 983, 21547, 2, 0,
+                0xf215805582af10ccULL});
   expectGolden(result,
                {harness::ProtocolKind::kRma, 845, 845, 129.74572328817021,
-                33.829585798816566, 28586, 4042, 22, 468, 6915, 0, 0});
+                33.829585798816566, 28586, 4042, 22, 468, 6915, 0, 0,
+                0xaeb64e59383e4036ULL});
   expectGolden(result,
                {harness::ProtocolKind::kRp, 845, 845, 51.456920799622246,
-                7.1514792899408288, 6043, 4042, 177, 378, 0, 0, 0});
+                7.1514792899408288, 6043, 4042, 177, 378, 0, 0, 0,
+                0x9eb933d8e548e127ULL});
 }
 
 // Resilience-style faulted run: crash 20% of clients mid-campaign; exercises
@@ -185,7 +199,8 @@ TEST(EngineDeterminismTest, FaultedRunMetricsBitIdentical) {
 
   expectGolden(result,
                {harness::ProtocolKind::kRp, 362, 358, 61.823679899161782,
-                7.7849162011173183, 2787, 2387, 145, 237, 0, 0, 0});
+                7.7849162011173183, 2787, 2387, 145, 237, 0, 0, 0,
+                0x18d836f1385d6e12ULL});
 }
 
 }  // namespace
