@@ -75,6 +75,11 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancelHeavy)->Arg(10000)->Arg(100000);
 
+/// Takes every arrival and does nothing with it.
+struct NullSink final : sim::DeliverySink {
+  void deliver(net::NodeId, const sim::Packet&) override {}
+};
+
 struct NetFixture {
   net::Topology topo;
   net::Routing routing;
@@ -96,7 +101,8 @@ void BM_UnicastForwarding(benchmark::State& state) {
     sim::Simulator simulator;
     sim::SimNetwork network(simulator, f.topo, f.routing, 0.0,
                             sim::lossSeedOf(util::Rng(4)));
-    network.setDeliveryHandler([](net::NodeId, const sim::Packet&) {});
+    NullSink sink;
+    network.setDeliverySink(&sink);
     for (int i = 0; i < 100; ++i) {
       network.unicast(a, b,
                       sim::Packet{sim::Packet::Type::kRequest, 0, a, a, 0});
@@ -114,7 +120,8 @@ void BM_TreeMulticastFlood(benchmark::State& state) {
     sim::Simulator simulator;
     sim::SimNetwork network(simulator, f.topo, f.routing, 0.0,
                             sim::lossSeedOf(util::Rng(6)));
-    network.setDeliveryHandler([](net::NodeId, const sim::Packet&) {});
+    NullSink sink;
+    network.setDeliverySink(&sink);
     for (std::uint64_t i = 0; i < 20; ++i) {
       network.multicastFromSource(
           sim::Packet{sim::Packet::Type::kData, i, f.topo.source,

@@ -38,6 +38,7 @@
 #include <queue>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -322,7 +323,7 @@ struct ForwardingRun {
 };
 
 template <typename Net, typename Sim>
-class ForwardingWorkload {
+class ForwardingWorkload final : public sim::DeliverySink {
  public:
   ForwardingWorkload(Net& net, Sim& sim, const net::Topology& topo,
                      std::uint64_t target_requests)
@@ -331,12 +332,16 @@ class ForwardingWorkload {
         topo_(topo),
         target_requests_(target_requests),
         no_loss_(topo.tree.numMembers(), false) {
-    // [this] fits std::function's small-buffer storage, so installing the
-    // handler does not itself allocate.
-    net_.setDeliveryHandler(
-        [this](net::NodeId at, const sim::Packet& packet) {
-          onDeliver(at, packet);
-        });
+    if constexpr (std::is_same_v<Net, sim::SimNetwork>) {
+      net_.setDeliverySink(this);
+    } else {
+      // [this] fits std::function's small-buffer storage, so installing
+      // the handler does not itself allocate.
+      net_.setDeliveryHandler(
+          [this](net::NodeId at, const sim::Packet& packet) {
+            deliver(at, packet);
+          });
+    }
   }
 
   /// One campaign: seeds the chains, drains the queue, returns the events
@@ -355,7 +360,7 @@ class ForwardingWorkload {
   }
 
  private:
-  void onDeliver(net::NodeId at, const sim::Packet& packet) {
+  void deliver(net::NodeId at, const sim::Packet& packet) override {
     if (packet.type != sim::Packet::Type::kRequest) return;
     if (++requests_ > target_requests_) return;
     sim::Packet reply = packet;

@@ -248,6 +248,7 @@ std::size_t FaultInjector::plannedFaults(FaultKind kind) const {
 void FaultInjector::arm() {
   if (armed_) throw std::logic_error("FaultInjector: already armed");
   armed_ = true;
+  network_.expectAgentFaults();
   if (global_dup_prob_ > 0.0) {
     network_.setAllLinksDuplicationProb(global_dup_prob_);
   }

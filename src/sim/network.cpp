@@ -110,8 +110,10 @@ std::uint32_t SimNetwork::edgeSlot(net::NodeId a, net::NodeId b) const {
   return static_cast<std::uint32_t>(it - edge_peer_.data());
 }
 
-void SimNetwork::setDeliveryHandler(DeliveryHandler handler) {
-  handler_ = std::move(handler);
+void SimNetwork::setDeliverySink(DeliverySink* sink, bool absorbs) {
+  sink_ = sink;
+  sink_absorbs_ = sink != nullptr && absorbs;
+  updateOffers();
 }
 
 // rmrn-lint: init-phase
@@ -214,6 +216,7 @@ void SimNetwork::setAgentFault(net::NodeId agent, AgentFault fault,
     throw std::invalid_argument("SimNetwork: negative slow_extra_ms");
   }
   agent_fault_[agent] = fault;
+  expectAgentFaults();
   agent_slow_extra_ms_[agent] =
       fault == AgentFault::kSlowed ? slow_extra_ms : 0.0;
 }
@@ -226,7 +229,15 @@ bool SimNetwork::isAgentFailed(net::NodeId agent) const {
   return agentFault(agent) == AgentFault::kCrashed;
 }
 
-void SimNetwork::enableChaos() { chaos_active_ = true; }
+void SimNetwork::expectAgentFaults() {
+  agent_faults_ = true;
+  updateOffers();
+}
+
+void SimNetwork::enableChaos() {
+  chaos_active_ = true;
+  updateOffers();
+}
 
 void SimNetwork::stageLinkState(net::NodeId a, net::NodeId b, TimeMs at,
                                 bool up) {
@@ -458,7 +469,7 @@ void SimNetwork::onEvent(const EventRecord& event) {
 }
 
 void SimNetwork::deliver(net::NodeId at, const Packet& packet) {
-  if (!is_agent_[at] || !handler_) return;
+  if (!is_agent_[at] || sink_ == nullptr) return;
   switch (agent_fault_[at]) {
     case AgentFault::kCrashed:
       return;  // fail-stop: nothing is processed
@@ -484,14 +495,18 @@ void SimNetwork::deliver(net::NodeId at, const Packet& packet) {
 void SimNetwork::deliverNow(net::NodeId at, const Packet& packet) {
   // Re-check the crash state: the agent may have crashed while a slowed
   // delivery was in flight.
-  if (!handler_ || agent_fault_[at] == AgentFault::kCrashed) return;
+  if (sink_ == nullptr || agent_fault_[at] == AgentFault::kCrashed) return;
+  countDelivery(at, packet, simulator_.now());
+  sink_->deliver(at, packet);
+}
+
+void SimNetwork::countDelivery(net::NodeId at, const Packet& packet,
+                               TimeMs at_ms) {
   ++stats_.deliveries;
   const std::size_t index =
       static_cast<std::size_t>(at) * 4 + static_cast<std::size_t>(packet.type);
   ++deliveries_by_type_[index];
-  trace(TraceEvent::Kind::kDeliver, simulator_.now(), net::kInvalidNode, at,
-        packet);
-  handler_(at, packet);
+  trace(TraceEvent::Kind::kDeliver, at_ms, net::kInvalidNode, at, packet);
 }
 
 void SimNetwork::unicast(net::NodeId from, net::NodeId to, Packet packet) {
@@ -953,9 +968,16 @@ void SimNetwork::replayFlood(std::uint32_t flood) {
     const net::NodeId node = upward ? up.to : child;
     const net::NodeId came_from = upward ? child : up.to;
     if (is_agent_[node]) {
-      f.cursor_key = child | (upward ? kUpward : 0);
-      simulator_.scheduleCursorAt(at, this, flood);
-      return;
+      // The sink may take the arrival over (DeliverySink::absorb): it is
+      // then delivered as far as the network is concerned, and the walk
+      // goes on past it.  A replay has no jitter, duplication or shard.
+      if (!offer_arrivals_ || !sink_->absorb(node, f.packet, at)) {
+        f.cursor_key = child | (upward ? kUpward : 0);
+        simulator_.scheduleCursorAt(at, this, flood);
+        return;
+      }
+      countDelivery(node, f.packet, at);
+      ++stats_.absorbed_arrivals;
     }
     expandFlood(flood, node, came_from, at);
   }

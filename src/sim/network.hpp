@@ -52,12 +52,15 @@
 // origin, and per-link recovery accounting is a flat vector indexed by a
 // CSR edge table built once at construction.
 //
-// Protocol agents live at the source and the clients; the network invokes the
-// delivery handler only at those nodes (routers forward but never process).
+// Protocol agents live at the source and the clients; the network hands
+// arrivals to its DeliverySink only at those nodes (routers forward but
+// never process).  A replayed flood, walked ahead of the clock, first
+// offers each agent arrival to the sink's absorb(): an arrival the sink
+// absorbs is counted and traced as a delivery, its node is expanded, and
+// no cursor fires for it (DESIGN.md §10.2).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -110,16 +113,32 @@ struct NetworkStats {
   std::uint64_t recovery_hops = 0;  // link traversals of REQUEST/REPAIR
   std::uint64_t packets_sent = 0;   // send operations (unicast or multicast)
   std::uint64_t packets_lost = 0;   // individual link drops
-  std::uint64_t deliveries = 0;     // handler invocations
+  std::uint64_t deliveries = 0;     // agent arrivals, absorbed ones included
   std::uint64_t chaos_link_drops = 0;    // of packets_lost: dropped on a down link
   std::uint64_t duplicates_created = 0;  // extra copies injected by duplication
+  std::uint64_t absorbed_arrivals = 0;   // of deliveries: absorbed, no event
+};
+
+/// Where a network's agent arrivals go: the protocol running at the agents.
+class DeliverySink {
+ public:
+  virtual ~DeliverySink() = default;
+  /// `packet` reaches agent `at` now.
+  virtual void deliver(net::NodeId at, const Packet& packet) = 0;
+  /// Offered while a replayed flood is walked ahead of the clock: `packet`
+  /// will reach agent `at` at `arrival` (not before now).  Returning true
+  /// takes the arrival over: no event fires for it, and the sink must make
+  /// every later event observe exactly the state that delivering it at
+  /// `arrival` would have left.  The network offers arrivals only when no
+  /// agent can change state on its own (no link chaos, no agent fault).
+  virtual bool absorb(net::NodeId /*at*/, const Packet& /*packet*/,
+                      TimeMs /*arrival*/) {
+    return false;
+  }
 };
 
 class SimNetwork final : public EventSink {
  public:
-  // rmrn-lint: allow(HOT-1) installed once at setup; steady-state delivery only invokes it
-  using DeliveryHandler = std::function<void(net::NodeId, const Packet&)>;
-
   /// `loss_prob` applies per link traversal to every packet that no forced
   /// pattern covers; `loss_seed` keys those draws and every chaos draw
   /// (sim/keyed_loss.hpp).  The topology and routing must outlive the
@@ -128,7 +147,11 @@ class SimNetwork final : public EventSink {
              const net::Routing& routing, double loss_prob,
              std::uint64_t loss_seed);
 
-  void setDeliveryHandler(DeliveryHandler handler);
+  /// Installs the agents' sink (null: arrivals are dropped).  It must
+  /// outlive the network's traffic.  Replayed floods offer their agent
+  /// arrivals to its absorb() only when `absorbs` is set, and only while no
+  /// link chaos and no agent fault is set up.
+  void setDeliverySink(DeliverySink* sink, bool absorbs = false);
 
   /// Installs a packet-trace sink (see sim/trace.hpp); pass an empty
   /// function to disable.  No overhead when unset.  A send's hop records
@@ -146,6 +169,13 @@ class SimNetwork final : public EventSink {
 
   /// True when `agent` is crashed (stalled and slowed agents still run).
   [[nodiscard]] bool isAgentFailed(net::NodeId agent) const;
+
+  /// Tells the network that agent faults are scheduled for this run (a
+  /// FaultInjector does so when it arms): like setAgentFault(), it stops
+  /// offering arrivals to DeliverySink::absorb(), since an agent's state at
+  /// a future arrival is no longer known ahead of the clock.  Call it before
+  /// traffic.
+  void expectAgentFaults();
 
   /// Link-level chaos (DESIGN.md §9).  Chaos draws are keyed like the loss
   /// draws (sim/keyed_loss.hpp): a crossing's jitter and duplication are
@@ -289,6 +319,8 @@ class SimNetwork final : public EventSink {
 
   void deliver(net::NodeId at, const Packet& packet);
   void deliverNow(net::NodeId at, const Packet& packet);
+  /// Counts and traces a delivery of `packet` at agent `at` at time `at_ms`.
+  void countDelivery(net::NodeId at, const Packet& packet, TimeMs at_ms);
 
   /// The key of `sender`'s next send: its node id and own send counter.
   [[nodiscard]] SendKey nextKey(net::NodeId sender);
@@ -417,7 +449,15 @@ class SimNetwork final : public EventSink {
   std::uint64_t loss_seed_;
   std::uint64_t loss_threshold_ = 0;  // lossThreshold(loss_prob)
   std::vector<std::uint32_t> sends_;  // send counter, by NodeId
-  DeliveryHandler handler_;
+  DeliverySink* sink_ = nullptr;
+  // Whether replays offer agent arrivals to sink_->absorb(): the sink
+  // absorbs, and no link chaos (chaos_active_) or agent fault is set up.
+  bool sink_absorbs_ = false;
+  bool agent_faults_ = false;
+  bool offer_arrivals_ = false;
+  void updateOffers() {
+    offer_arrivals_ = sink_absorbs_ && !chaos_active_ && !agent_faults_;
+  }
   TraceSink trace_sink_;
   std::vector<bool> is_agent_;               // clients + source, by NodeId
   std::vector<AgentFault> agent_fault_;      // fault injection, by NodeId

@@ -16,6 +16,7 @@
 #include "sim/network.hpp"
 #include "sim/region_map.hpp"
 #include "sim/simulator.hpp"
+#include "support/delivery_fn.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn::harness {
@@ -184,10 +185,12 @@ class ShardNetworks {
                                             kLossSeed));
       network.enableShardMode(regions, r, &engine_.outboxFor(r));
       if (dup_prob > 0.0) network.setAllLinksDuplicationProb(dup_prob);
-      network.setDeliveryHandler(
-          [this, r, &simulator](net::NodeId at, const sim::Packet&) {
-            arrivals_.push_back(Arrival{at, simulator.now(), r});
-          });
+      auto& on_deliver = *sinks_.emplace_back(
+          std::make_unique<test_support::DeliveryFn>(
+              [this, r, &simulator](net::NodeId at, const sim::Packet&) {
+                arrivals_.push_back(Arrival{at, simulator.now(), r});
+              }));
+      network.setDeliverySink(&on_deliver);
       engine_.attach(r, &simulator, &network);
     }
   }
@@ -218,6 +221,7 @@ class ShardNetworks {
   sim::ParallelEngine engine_;
   std::vector<std::unique_ptr<sim::Simulator>> simulators_;
   std::vector<std::unique_ptr<sim::SimNetwork>> networks_;
+  std::vector<std::unique_ptr<test_support::DeliveryFn>> sinks_;
   std::vector<Arrival> arrivals_;
 };
 
@@ -231,9 +235,10 @@ std::vector<sim::TimeMs> serialArrivals(const net::Topology& topology,
                           ShardNetworks::kLossSeed);
   if (dup_prob > 0.0) network.setAllLinksDuplicationProb(dup_prob);
   std::vector<sim::TimeMs> times;
-  network.setDeliveryHandler([&](net::NodeId, const sim::Packet&) {
+  test_support::DeliveryFn on_deliver([&](net::NodeId, const sim::Packet&) {
     times.push_back(simulator.now());
   });
+  network.setDeliverySink(&on_deliver);
   network.unicast(from, to, ShardNetworks::request(from));
   simulator.run();
   return times;

@@ -2,7 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <tuple>
+#include <vector>
+
 #include "proto_fixture.hpp"
+#include "sim/fault_injector.hpp"
+#include "sim/trace.hpp"
+#include "support/delivery_fn.hpp"
+#include "support/scheduled_calls.hpp"
 
 namespace rmrn::protocols {
 namespace {
@@ -142,6 +153,291 @@ TEST(SrmProtocolTest, DeterministicGivenSeed) {
   };
   EXPECT_EQ(run(7), run(7));
   EXPECT_NE(run(7), run(8));
+}
+
+// --- Absorbed flood arrivals --------------------------------------------
+//
+// The fixture tree's integer delays tie non-sibling arrivals, so its floods
+// keep the frontier and offer nothing.  This one has the same shape with
+// delays that are distinct powers of two: every path sums to its own exact
+// value, so whole-tree floods replay, and times are exact enough to land an
+// arrival on a hold's expiry.
+//
+//            0 (source)
+//            | (1)
+//            1
+//      (.5) / \ (2)
+//          2   5
+//   (.25) / \(4)\ (.125)
+//        3   4   6
+//      (.0625) / \ (8)
+//             7   8
+net::Topology replayTopology() {
+  net::Topology t = testutil::fixtureTopology();
+  t.graph = net::Graph(9);
+  t.graph.addEdge(0, 1, 1.0);
+  t.graph.addEdge(1, 2, 0.5);
+  t.graph.addEdge(1, 5, 2.0);
+  t.graph.addEdge(2, 3, 0.25);
+  t.graph.addEdge(2, 4, 4.0);
+  t.graph.addEdge(5, 6, 0.125);
+  t.graph.addEdge(6, 7, 0.0625);
+  t.graph.addEdge(6, 8, 8.0);
+  return t;
+}
+
+sim::Packet repairOf(net::NodeId from) {
+  return sim::Packet{sim::Packet::Type::kRepair, 0, from, net::kInvalidNode,
+                     0};
+}
+sim::Packet requestOf(net::NodeId from) {
+  return sim::Packet{sim::Packet::Type::kRequest, 0, from, from, 0};
+}
+
+/// One SRM run on replayTopology() (or `topology`), absorbing arrivals or,
+/// with `live`, firing every one through a sink that absorbs none.
+struct AbsorbRun {
+  ProtoHarness base;
+  SrmProtocol protocol;
+  test_support::DeliveryFn live_only;
+  test_support::ScheduledCalls calls;
+  sim::TraceRecorder recorder;
+
+  AbsorbRun(bool live, double loss_prob = 0.0, std::uint64_t seed = 1,
+            net::Topology topology = replayTopology(),
+            ProtocolConfig config = {}, SrmConfig srm = {})
+      : base(loss_prob, seed, std::move(topology)),
+        protocol(base.network, base.metrics, config, srm,
+                 util::Rng(seed + 1000)),
+        live_only([this](net::NodeId at, const sim::Packet& packet) {
+          protocol.deliver(at, packet);
+        }),
+        calls(base.sim) {
+    protocol.attach();
+    if (live) base.network.setDeliverySink(&live_only);
+    base.network.setTraceSink(recorder.sink());
+  }
+
+  /// Floods `packet` from `from` at `at`.
+  void floodAt(double at, net::NodeId from, const sim::Packet& packet) {
+    calls.at(at, [this, from, packet] {
+      base.network.multicastGroup(from, packet);
+    });
+  }
+};
+
+/// Everything a run shows: every trace record as a sorted multiset (an
+/// absorbed arrival is traced with its arrival time, ahead of the clock),
+/// the network counters but the absorbed count, and the protocol's.
+struct Observed {
+  std::vector<std::tuple<double, int, net::NodeId, net::NodeId, int,
+                         std::uint64_t>>
+      trace;
+  std::vector<std::uint64_t> counters;
+  double mean_latency = 0.0;
+  std::uint64_t digest = 0;
+
+  explicit Observed(const AbsorbRun& run) {
+    for (const sim::TraceEvent& e : run.recorder.events()) {
+      trace.emplace_back(e.time_ms, static_cast<int>(e.kind), e.from, e.to,
+                         static_cast<int>(e.packet.type), e.packet.seq);
+    }
+    std::sort(trace.begin(), trace.end());
+    const sim::NetworkStats& s = run.base.network.stats();
+    counters = {s.data_hops,
+                s.recovery_hops,
+                s.packets_sent,
+                s.packets_lost,
+                s.deliveries,
+                run.protocol.requestsMulticast(),
+                run.protocol.repairsMulticast(),
+                run.protocol.duplicateDeliveries(),
+                run.base.metrics.losses(),
+                run.base.metrics.recoveries(),
+                run.base.metrics.retries()};
+    mean_latency = run.base.metrics.latency().mean();
+    digest = run.base.metrics.digest();
+  }
+  bool operator==(const Observed&) const = default;
+};
+
+/// Runs `scenario` absorbing and live; expects equal observations and
+/// returns the absorbing run's absorbed-arrival count.
+std::uint64_t expectAbsorbingMatchesLive(
+    const std::function<void(AbsorbRun&)>& scenario, SrmConfig srm = {}) {
+  AbsorbRun absorbing(false, 0.0, 1, replayTopology(), {}, srm);
+  AbsorbRun live(true, 0.0, 1, replayTopology(), {}, srm);
+  for (AbsorbRun* run : {&absorbing, &live}) {
+    scenario(*run);
+    run->base.sim.run();
+  }
+  EXPECT_GT(absorbing.base.network.floodsReplayed(), 0u);
+  EXPECT_EQ(live.base.network.stats().absorbed_arrivals, 0u);
+  EXPECT_TRUE(Observed(absorbing) == Observed(live));
+  return absorbing.base.network.stats().absorbed_arrivals;
+}
+
+TEST(SrmAbsorbTest, RepairTimerArmedAfterTheFloodStartedIsSuppressed) {
+  // Every member holds seq 0.  A repair flood from 8 starts at 20 and
+  // reaches 3 at 30.875 and 0 at 31.125, absorbed at 20.  A request from 7
+  // at 26 reaches them earlier (28.9375, 29.1875), before any hold, so each
+  // arms a repair timer; both fire after the absorbed repair lands, which
+  // cancels them: neither sends, and no later draw moves.
+  const auto scenario = [](AbsorbRun& run) {
+    run.protocol.sourceMulticast(0, run.base.noLoss());
+    run.floodAt(20.0, 8, repairOf(8));
+    run.floodAt(26.0, 7, requestOf(7));
+    // A later request draws again at 3 and 0: any moved draw would show in
+    // the times of what follows.
+    run.floodAt(60.0, 4, requestOf(4));
+  };
+  EXPECT_GT(expectAbsorbingMatchesLive(scenario), 0u);
+  // The suppressed timers fire, and find themselves cancelled, only when
+  // their repair was absorbed.
+  const auto timers = [&](bool live) {
+    AbsorbRun run(live);
+    scenario(run);
+    run.base.sim.run();
+    return run.base.sim.eventsProcessed(sim::EventKind::kTimer);
+  };
+  EXPECT_GT(timers(false), timers(true));
+}
+
+TEST(SrmAbsorbTest, SecondRepairInFlightToAHolderStaysLive) {
+  // Repair floods from 8 (at 20) and 4 (at 21) are both in flight to 3:
+  // 8's lands at 30.875 and is absorbed first, so 4's, landing at 25.25,
+  // stays live.  Requests then land between the two holds (30.75, from 4
+  // at 26.5) and past both (30.9375, from 7 at 28).
+  const auto scenario = [](AbsorbRun& run) {
+    run.protocol.sourceMulticast(0, run.base.noLoss());
+    run.floodAt(20.0, 8, repairOf(8));
+    run.floodAt(21.0, 4, repairOf(4));
+    run.floodAt(26.5, 4, requestOf(4));
+    run.floodAt(28.0, 7, requestOf(7));
+  };
+  EXPECT_GT(expectAbsorbingMatchesLive(scenario), 0u);
+  // While 8's repair is pending at 3, a further one is refused (and the
+  // refusal changes nothing).
+  AbsorbRun run(false);
+  scenario(run);
+  sim::DeliverySink& sink = run.protocol;
+  bool second = true;
+  run.calls.at(21.5, [&] { second = sink.absorb(3, repairOf(4), 25.25); });
+  run.base.sim.run();
+  EXPECT_FALSE(second);
+}
+
+TEST(SrmAbsorbTest, RequestAtExactHoldExpiryStaysLive) {
+  // 8's repair reaches 3 at 30.875: 3 holds until 30.875 + 3 * 1.75 =
+  // 36.125.  A request from 7 takes 2.9375 to reach 3, so one sent at
+  // 33.1875 lands exactly at 36.125, where onRequest's `now < hold` fails
+  // and 3 arms a repair timer; one sent a tick earlier is covered.  Repair
+  // timers are the 1 ms floor here, so whoever arms one repairs: the
+  // source (whose hold is 0) and 8 (never held) always do.
+  SrmConfig srm;
+  srm.d1 = 0.0;
+  srm.d2 = 1e-3;
+  const auto scenario = [](double request_at) {
+    return [request_at](AbsorbRun& run) {
+      run.protocol.sourceMulticast(0, run.base.noLoss());
+      run.floodAt(20.0, 8, repairOf(8));
+      run.floodAt(request_at, 7, requestOf(7));
+    };
+  };
+  expectAbsorbingMatchesLive(scenario(33.1875), srm);
+  expectAbsorbingMatchesLive(scenario(33.125), srm);
+
+  const auto repairs = [&](double request_at) {
+    AbsorbRun run(false, 0.0, 1, replayTopology(), {}, srm);
+    scenario(request_at)(run);
+    sim::DeliverySink& sink = run.protocol;
+    bool at_expiry = true;
+    bool before = false;
+    run.calls.at(25.0, [&] {
+      at_expiry = sink.absorb(3, requestOf(7), 36.125);
+      before = sink.absorb(3, requestOf(7), 36.0625);
+    });
+    run.base.sim.run();
+    EXPECT_FALSE(at_expiry);
+    EXPECT_TRUE(before);
+    return run.protocol.repairsMulticast();
+  };
+  EXPECT_EQ(repairs(33.125), 2u);
+  EXPECT_EQ(repairs(33.1875), 3u);
+}
+
+TEST(SrmAbsorbTest, AbsorbingEqualsLiveOnRandomLossyTrees) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    net::TopologyConfig config;
+    config.num_nodes = 40;
+    const net::Topology topology = net::generateTopology(config, rng);
+    std::unique_ptr<AbsorbRun> runs[2];
+    for (int live = 0; live < 2; ++live) {
+      runs[live] =
+          std::make_unique<AbsorbRun>(live == 1, 0.1, seed, topology);
+      AbsorbRun& run = *runs[live];
+      util::Rng loss(seed + 7);
+      for (std::uint64_t seq = 0; seq < 8; ++seq) {
+        sim::LinkLossPattern pattern = run.base.noLoss();
+        for (std::size_t m = 1; m < pattern.size(); ++m) {
+          pattern[m] = loss.uniform01() < 0.1;
+        }
+        run.calls.at(static_cast<double>(seq) * 20.0, [&run, seq, pattern] {
+          run.protocol.sourceMulticast(seq, pattern);
+        });
+      }
+      run.base.sim.run();
+      EXPECT_TRUE(run.protocol.allRecovered());
+    }
+    EXPECT_GT(runs[0]->base.network.stats().absorbed_arrivals, 0u);
+    EXPECT_TRUE(Observed(*runs[0]) == Observed(*runs[1]));
+    EXPECT_LT(runs[0]->base.sim.eventsProcessed(),
+              runs[1]->base.sim.eventsProcessed());
+  }
+}
+
+TEST(SrmAbsorbTest, ChaosFaultPlansAndPeerHealthAbsorbNothing) {
+  const auto traffic = [](AbsorbRun& run) {
+    run.protocol.sourceMulticast(0, run.base.lossInto({4}));
+    run.floodAt(20.0, 8, repairOf(8));
+    run.floodAt(26.0, 7, requestOf(7));
+    run.base.sim.run();
+    EXPECT_GT(run.base.network.floodsReplayed(), 0u);
+    EXPECT_EQ(run.base.network.stats().absorbed_arrivals, 0u);
+  };
+  {
+    SCOPED_TRACE("link chaos");
+    AbsorbRun run(false);
+    run.base.network.stageLinkState(2, 4, 1000.0, /*up=*/false);
+    traffic(run);
+  }
+  {
+    SCOPED_TRACE("armed fault plan");
+    AbsorbRun run(false);
+    sim::FaultPlan plan;
+    plan.crash_fraction = 0.25;
+    plan.at_ms = 1000.0;
+    sim::FaultInjector injector(run.base.network, plan);
+    injector.arm();
+    traffic(run);
+  }
+  {
+    SCOPED_TRACE("health.enabled");
+    ProtocolConfig config;
+    config.health.enabled = true;
+    AbsorbRun run(false, 0.0, 1, replayTopology(), config);
+    traffic(run);
+  }
+  {
+    SCOPED_TRACE("none of them");
+    AbsorbRun run(false);
+    run.protocol.sourceMulticast(0, run.base.lossInto({4}));
+    run.floodAt(20.0, 8, repairOf(8));
+    run.base.sim.run();
+    EXPECT_GT(run.base.network.stats().absorbed_arrivals, 0u);
+  }
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "sim/parallel_engine.hpp"
 #include "sim/region_map.hpp"
 #include "sim/simulator.hpp"
+#include "support/delivery_fn.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/rng.hpp"
 
@@ -45,8 +46,7 @@ class DataPlaneAllocTest : public ::testing::Test {
     routing_ = std::make_unique<net::Routing>(topo_.graph);
     network_ = std::make_unique<SimNetwork>(
         simulator_, topo_, *routing_, loss_prob, lossSeedOf(util::Rng(11)));
-    network_->setDeliveryHandler(
-        [this](net::NodeId, const Packet&) { ++delivered_; });
+    network_->setDeliverySink(&on_deliver_);
   }
 
   /// Rounds steadyStateAllocations() runs by default, the measured one
@@ -75,6 +75,8 @@ class DataPlaneAllocTest : public ::testing::Test {
   std::unique_ptr<net::Routing> routing_;
   std::unique_ptr<SimNetwork> network_;
   std::uint64_t delivered_ = 0;
+  test_support::DeliveryFn on_deliver_{
+      [this](net::NodeId, const Packet&) { ++delivered_; }};
 };
 
 TEST_F(DataPlaneAllocTest, UnicastForwardingIsAllocationFree) {
@@ -224,7 +226,7 @@ struct ShardReplica final : EventSink {
       : topo(topology),
         network(simulator, topology, routing, 0.05, /*loss_seed=*/77) {
     network.enableShardMode(regions, region, &engine.outboxFor(region));
-    network.setDeliveryHandler([](net::NodeId, const Packet&) {});
+    network.setDeliverySink(&on_deliver);
     engine.attach(region, &simulator, &network);
   }
 
@@ -247,6 +249,7 @@ struct ShardReplica final : EventSink {
   const net::Topology& topo;
   Simulator simulator;
   SimNetwork network;
+  test_support::DeliveryFn on_deliver{[](net::NodeId, const Packet&) {}};
   LinkLossPattern pattern;
 };
 

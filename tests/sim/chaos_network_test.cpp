@@ -11,6 +11,7 @@
 #include "net/topology.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "support/delivery_fn.hpp"
 #include "support/scheduled_calls.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -64,8 +65,9 @@ TEST(ChaosNetworkTest, DownLinkDropsUnicastAndCountsIt) {
   const net::NodeId client = rig.topo.clients.front();
   const net::NodeId hop = rig.firstHopTo(client);
   std::uint64_t delivered = 0;
-  rig.network.setDeliveryHandler(
+  test_support::DeliveryFn on_deliver(
       [&delivered](net::NodeId, const Packet&) { ++delivered; });
+  rig.network.setDeliverySink(&on_deliver);
 
   // Down from t = 0 to t = 10, then up again (state, not a latch).
   rig.network.stageLinkState(rig.topo.source, hop, 0.0, false);
@@ -89,8 +91,9 @@ TEST(ChaosNetworkTest, DuplicationInjectsExtraCopiesDeterministically) {
     Rig rig(seed);
     rig.network.setAllLinksDuplicationProb(0.4);
     std::uint64_t delivered = 0;
-    rig.network.setDeliveryHandler(
+    test_support::DeliveryFn on_deliver(
         [&delivered](net::NodeId, const Packet&) { ++delivered; });
+    rig.network.setDeliverySink(&on_deliver);
     for (int i = 0; i < 50; ++i) {
       rig.network.unicast(rig.topo.source, rig.topo.clients.back(),
                           request(rig.topo.source));
@@ -126,10 +129,11 @@ TEST(ChaosNetworkTest, CopiesOfAForcedPatternFloodKeepItsLosses) {
   }
   std::uint64_t below_lost = 0;
   std::uint64_t delivered = 0;
-  rig.network.setDeliveryHandler([&](net::NodeId at, const Packet&) {
+  test_support::DeliveryFn on_deliver([&](net::NodeId at, const Packet&) {
     ++delivered;
     below_lost += cut[at] ? 1 : 0;
   });
+  rig.network.setDeliverySink(&on_deliver);
   rig.network.setAllLinksDuplicationProb(0.5);
   for (std::uint32_t seq = 0; seq < 20; ++seq) {
     rig.network.multicastFromSource(
@@ -152,13 +156,13 @@ TEST(ChaosNetworkTest, JitterDelaysWithoutLosingOrDuplicating) {
   rig.network.setAllLinksJitterMs(5.0);
   std::uint64_t delivered = 0;
   double arrived_at = -1.0;
-  rig.network.setDeliveryHandler(
-      [&](net::NodeId at, const Packet&) {
+  test_support::DeliveryFn on_deliver([&](net::NodeId at, const Packet&) {
         if (at == client) {
           ++delivered;
           arrived_at = rig.sim.now();
         }
       });
+  rig.network.setDeliverySink(&on_deliver);
   rig.network.unicast(rig.topo.source, client, request(rig.topo.source));
   rig.sim.run();
   ASSERT_EQ(delivered, 1u);
@@ -202,8 +206,9 @@ TEST(ChaosNetworkTest, StagingBeforeADecidedCrossingIsRefused) {
   const net::NodeId a = route[route.size() - 2];
   const net::NodeId b = route.back();
   std::uint64_t delivered = 0;
-  rig.network.setDeliveryHandler(
+  test_support::DeliveryFn on_deliver(
       [&delivered](net::NodeId, const Packet&) { ++delivered; });
+  rig.network.setDeliverySink(&on_deliver);
   rig.network.setAllLinksJitterMs(0.0);  // chaos on, no timeline yet
   rig.network.unicast(rig.topo.source, client, request(rig.topo.source));
   EXPECT_THROW(rig.network.stageLinkState(a, b, 0.0, false),

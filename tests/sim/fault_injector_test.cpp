@@ -13,6 +13,7 @@
 #include "net/topology.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "support/delivery_fn.hpp"
 #include "support/scheduled_calls.hpp"
 #include "util/rng.hpp"
 
@@ -147,7 +148,7 @@ TEST(FaultInjectorTest, FaultKindsGateDeliveriesAsSpecified) {
                             /*slow_extra_ms=*/500.0);
 
   std::unordered_map<net::NodeId, DeliveryCounter> seen;
-  rig.network.setDeliveryHandler(
+  test_support::DeliveryFn on_deliver(
       [&seen, &rig](net::NodeId at, const Packet& packet) {
         auto& c = seen[at];
         if (packet.type == Packet::Type::kRequest) {
@@ -157,6 +158,7 @@ TEST(FaultInjectorTest, FaultKindsGateDeliveriesAsSpecified) {
           ++c.repairs;
         }
       });
+  rig.network.setDeliverySink(&on_deliver);
 
   const net::NodeId source = rig.topo.source;
   for (const net::NodeId target : {crashed, stalled, slowed}) {
@@ -346,12 +348,13 @@ TEST(FaultInjectorTest, CrashWhileSlowedDeliveryInFlightDropsIt) {
   rig.network.setAgentFault(victim, AgentFault::kSlowed,
                             /*slow_extra_ms=*/1000.0);
   std::uint64_t delivered = 0;
-  rig.network.setDeliveryHandler(
+  test_support::DeliveryFn on_deliver(
       [&delivered, victim](net::NodeId at, const Packet& packet) {
         if (at == victim && packet.type == Packet::Type::kRequest) {
           ++delivered;
         }
       });
+  rig.network.setDeliverySink(&on_deliver);
   const net::NodeId source = rig.topo.source;
   rig.network.unicast(source, victim,
                       Packet{Packet::Type::kRequest, 0, source, source, 0});

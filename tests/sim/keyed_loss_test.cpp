@@ -22,6 +22,7 @@
 #include "net/topology.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "support/delivery_fn.hpp"
 
 namespace rmrn::sim {
 namespace {
@@ -114,9 +115,11 @@ TEST_P(KeyedLossTest, NetworkDrawsEachHopOfEachSendIndependently) {
   SimNetwork network(sim, topo, routing, p, lossSeedOf(util::Rng(9)));
   constexpr std::uint32_t kUnicasts = 100000;
   std::vector<bool> arrived(kUnicasts, false);
-  network.setDeliveryHandler([&arrived](net::NodeId, const Packet& packet) {
-    arrived[packet.seq] = true;
-  });
+  test_support::DeliveryFn on_deliver(
+      [&arrived](net::NodeId, const Packet& packet) {
+        arrived[packet.seq] = true;
+      });
+  network.setDeliverySink(&on_deliver);
   for (std::uint32_t i = 0; i < kUnicasts; ++i) {
     network.unicast(0, 3, Packet{Packet::Type::kRequest, i, 0, 0, 0});
   }
@@ -255,13 +258,14 @@ TEST(KeyedChaosJitterTest, NetworkJitterStaysInsideItsBound) {
   constexpr std::uint32_t kUnicasts = 20000;
   double sum = 0.0;
   std::uint32_t arrived = 0;
-  network.setDeliveryHandler([&](net::NodeId, const Packet&) {
+  test_support::DeliveryFn on_deliver([&](net::NodeId, const Packet&) {
     const double offset = sim.now() - base;
     EXPECT_GE(offset, -1e-9);
     EXPECT_LT(offset, 3.0 * kJitter);
     sum += offset;
     ++arrived;
   });
+  network.setDeliverySink(&on_deliver);
   for (std::uint32_t i = 0; i < kUnicasts; ++i) {
     network.unicast(0, 3, Packet{Packet::Type::kRequest, i, 0, 0, 0});
   }

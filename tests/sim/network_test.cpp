@@ -9,6 +9,7 @@
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
+#include "support/delivery_fn.hpp"
 
 namespace rmrn::sim {
 namespace {
@@ -57,9 +58,7 @@ class NetworkFixture : public ::testing::Test {
         routing_(topo_.graph),
         network_(sim_, topo_, routing_, /*loss_prob=*/0.0,
                  lossSeedOf(util::Rng(1))) {
-    network_.setDeliveryHandler([this](NodeId at, const Packet& p) {
-      deliveries_.push_back({at, p.type, p.seq, sim_.now()});
-    });
+    network_.setDeliverySink(&on_deliver_);
   }
 
   static Packet request(std::uint64_t seq, NodeId origin) {
@@ -71,6 +70,9 @@ class NetworkFixture : public ::testing::Test {
   Simulator sim_;
   SimNetwork network_;
   std::vector<Delivery> deliveries_;
+  test_support::DeliveryFn on_deliver_{[this](NodeId at, const Packet& p) {
+    deliveries_.push_back({at, p.type, p.seq, sim_.now()});
+  }};
 };
 
 TEST_F(NetworkFixture, UnicastFollowsShortestPath) {
@@ -288,8 +290,9 @@ TEST_P(FloodPropertyTest, GroupFloodDeliversExactlyOnceToEveryAgent) {
   Simulator sim;
   SimNetwork network(sim, topo, routing, 0.0, lossSeedOf(util::Rng(1)));
   std::map<NodeId, int> received;
-  network.setDeliveryHandler(
+  test_support::DeliveryFn on_deliver(
       [&](NodeId at, const Packet&) { ++received[at]; });
+  network.setDeliverySink(&on_deliver);
 
   const NodeId from = topo.clients.front();
   network.multicastGroup(from, Packet{Packet::Type::kRequest, 0, from, from,
@@ -313,8 +316,9 @@ TEST_P(FloodPropertyTest, SourceMulticastDeliversToEveryClientOnce) {
   Simulator sim;
   SimNetwork network(sim, topo, routing, 0.0, lossSeedOf(util::Rng(1)));
   std::map<NodeId, int> received;
-  network.setDeliveryHandler(
+  test_support::DeliveryFn on_deliver(
       [&](NodeId at, const Packet&) { ++received[at]; });
+  network.setDeliverySink(&on_deliver);
   network.multicastFromSource(
       Packet{Packet::Type::kData, 0, topo.source, net::kInvalidNode, 0});
   sim.run();
@@ -343,7 +347,9 @@ TEST(NetworkLossTest, LossRateMatchesProbability) {
   Simulator sim;
   SimNetwork network(sim, topo, routing, 0.3, lossSeedOf(util::Rng(42)));
   int delivered = 0;
-  network.setDeliveryHandler([&](NodeId, const Packet&) { ++delivered; });
+  test_support::DeliveryFn on_deliver(
+      [&](NodeId, const Packet&) { ++delivered; });
+  network.setDeliverySink(&on_deliver);
   constexpr int kN = 20000;
   for (int i = 0; i < kN; ++i) {
     network.unicast(0, 1,
@@ -373,8 +379,9 @@ TEST(NetworkLossTest, DeterministicAcrossRunsWithSameSeed) {
     SimNetwork network(sim, topo, routing, 0.25, lossSeedOf(util::Rng(7)));
     static std::vector<double> first_times;
     std::vector<double> times;
-    network.setDeliveryHandler(
+    test_support::DeliveryFn on_deliver(
         [&](NodeId, const Packet&) { times.push_back(sim.now()); });
+    network.setDeliverySink(&on_deliver);
     for (int i = 0; i < 200; ++i) {
       network.unicast(3, 4, Packet{Packet::Type::kRepair, 0, 3, 4, 0});
     }

@@ -8,6 +8,7 @@
 #include "net/topology.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "support/delivery_fn.hpp"
 
 namespace rmrn::sim {
 namespace {
@@ -36,7 +37,7 @@ struct TraceFixture : ::testing::Test {
       : topo(lineTopology()),
         routing(topo.graph),
         network(sim, topo, routing, 0.0, lossSeedOf(util::Rng(1))) {
-    network.setDeliveryHandler([](NodeId, const Packet&) {});
+    network.setDeliverySink(&on_deliver);
     network.setTraceSink(recorder.sink());
   }
   net::Topology topo;
@@ -44,6 +45,7 @@ struct TraceFixture : ::testing::Test {
   Simulator sim;
   SimNetwork network;
   TraceRecorder recorder;
+  test_support::DeliveryFn on_deliver{[](NodeId, const Packet&) {}};
 };
 
 TEST_F(TraceFixture, UnicastEmitsSendPerHopAndDeliver) {
@@ -131,7 +133,9 @@ TEST(TraceOffTest, NoSinkNoEvents) {
   Simulator sim;
   SimNetwork network(sim, topo, routing, 0.0, lossSeedOf(util::Rng(1)));
   int delivered = 0;
-  network.setDeliveryHandler([&](NodeId, const Packet&) { ++delivered; });
+  test_support::DeliveryFn on_deliver(
+      [&](NodeId, const Packet&) { ++delivered; });
+  network.setDeliverySink(&on_deliver);
   network.unicast(2, 3, Packet{Packet::Type::kRequest, 5, 2, 2, 0});
   sim.run();
   EXPECT_EQ(delivered, 1);

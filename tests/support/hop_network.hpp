@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -34,7 +33,6 @@ namespace rmrn::test_support {
 
 class HopNetwork final : public sim::EventSink {
  public:
-  using DeliveryHandler = std::function<void(net::NodeId, const sim::Packet&)>;
 
   HopNetwork(sim::Simulator& simulator, const net::Topology& topology,
              const net::Routing& routing, double loss_prob,
@@ -65,9 +63,7 @@ class HopNetwork final : public sim::EventSink {
     }
   }
 
-  void setDeliveryHandler(DeliveryHandler handler) {
-    handler_ = std::move(handler);
-  }
+  void setDeliverySink(sim::DeliverySink* sink) { sink_ = sink; }
   void setTraceSink(sim::TraceSink sink) { trace_sink_ = std::move(sink); }
   void setAgentFault(net::NodeId agent, sim::AgentFault fault,
                      double slow_extra_ms = 0.0) {
@@ -347,7 +343,7 @@ class HopNetwork final : public sim::EventSink {
   }
 
   void deliver(net::NodeId at, const sim::Packet& packet) {
-    if (!is_agent_[at] || !handler_) return;
+    if (!is_agent_[at] || sink_ == nullptr) return;
     switch (fault_[at]) {
       case sim::AgentFault::kCrashed:
         return;
@@ -368,10 +364,10 @@ class HopNetwork final : public sim::EventSink {
     deliverNow(at, packet);
   }
   void deliverNow(net::NodeId at, const sim::Packet& packet) {
-    if (!handler_ || fault_[at] == sim::AgentFault::kCrashed) return;
+    if (sink_ == nullptr || fault_[at] == sim::AgentFault::kCrashed) return;
     ++stats_.deliveries;
     trace(sim::TraceEvent::Kind::kDeliver, net::kInvalidNode, at, packet);
-    handler_(at, packet);
+    sink_->deliver(at, packet);
   }
 
   sim::Simulator& simulator_;
@@ -390,7 +386,7 @@ class HopNetwork final : public sim::EventSink {
   std::map<std::pair<net::NodeId, net::NodeId>, std::vector<sim::TimeMs>>
       link_changes_;
   std::map<std::pair<net::NodeId, net::NodeId>, std::uint64_t> link_load_;
-  DeliveryHandler handler_;
+  sim::DeliverySink* sink_ = nullptr;
   sim::TraceSink trace_sink_;
   sim::NetworkStats stats_;
   std::vector<Pending> pending_;

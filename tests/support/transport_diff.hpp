@@ -22,6 +22,7 @@
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
+#include "support/delivery_fn.hpp"
 #include "support/hop_network.hpp"
 #include "support/scheduled_calls.hpp"
 #include "util/rng.hpp"
@@ -104,10 +105,11 @@ Outcome run(const net::Topology& topo, double loss_prob,
   TraceRecorder recorder;
   network.setTraceSink(recorder.sink());
   Outcome out;
-  network.setDeliveryHandler([&](NodeId at, const Packet& packet) {
+  test_support::DeliveryFn on_deliver([&](NodeId at, const Packet& packet) {
     out.deliveries.push_back({sim.now(), at, packet});
     if (react) react(network, at, packet);
   });
+  network.setDeliverySink(&on_deliver);
   test_support::ScheduledCalls calls(sim);
   scenario(network, calls);
   sim.run();
