@@ -6,7 +6,7 @@
 //   * Google Benchmark (default):
 //       ./simcore [--benchmark_filter=...]
 //   * JSON perf driver:
-//       ./simcore --json BENCH_simcore.json [--requests 250000] [--repeats 3]
+//       ./simcore --json BENCH_simcore.json [--requests 250000] [--repeats 25]
 //     Writes BENCH_simcore.json (see README "Performance"): forwarding wall
 //     time for the typed engine vs a faithful replica of the engine it
 //     replaced (both must simulate the same campaign: equal deliveries, data
@@ -756,7 +756,7 @@ int main(int argc, char** argv) {
       return runJsonDriver(
           json_path, flags.getUnsigned("requests", 250000),
           static_cast<unsigned>(flags.getUnsigned(
-              "repeats", 3, std::numeric_limits<unsigned>::max())));
+              "repeats", 25, std::numeric_limits<unsigned>::max())));
     }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

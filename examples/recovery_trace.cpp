@@ -92,8 +92,7 @@ int main(int argc, char** argv) {
   runOne("SRM", topo, routing,
          [](sim::SimNetwork& net, metrics::RecoveryMetrics& m) {
            return std::make_unique<protocols::SrmProtocol>(
-               net, m, protocols::ProtocolConfig{}, protocols::SrmConfig{},
-               util::Rng(99));
+               net, m, protocols::ProtocolConfig{}, protocols::SrmConfig{}, 99);
          },
          losses);
   return 0;

@@ -91,9 +91,8 @@
 //       transport; a send crossing a region boundary is handed over with
 //       its computed arrival and resumed there by one event.  Gates (exit 1
 //       on failure): every worker count's report bit-identical to the
-//       1-worker run, the run equal to the serial transfer (matches_serial;
-//       not gated for srm, whose timer jitter comes from per-region
-//       streams, DESIGN.md §14), and the transfer complete.
+//       1-worker run, the run equal to the serial transfer (matches_serial),
+//       and the transfer complete.
 //       Speedups are recorded, not gated — CI gates them only on multi-core
 //       runners (the JSON records hardware_concurrency honestly).
 //
@@ -1132,16 +1131,14 @@ int cmdParsim(const util::Flags& flags) {
   bool all_identical = true;
   for (const Row& row : rows) all_identical &= row.identical;
   const Row& base = rows.front();
-  // Every region keys its recovery losses and shares the coded arm's
-  // coefficient stream as the serial run does, and handed-over arrivals
-  // tie with local events as serially, so the parallel run must equal the
-  // serial transfer, except under SRM, whose timer jitter comes from
-  // per-region streams (DESIGN.md §14).
+  // Every region keys its recovery losses and its scheme's draws as the
+  // serial run does, and handed-over arrivals tie with local events as
+  // serially, so the parallel run must equal the serial transfer
+  // (DESIGN.md §14).
   const bool matches_serial =
       matchesSerial(harness::runTransfer(topo, config), base.report.transfer);
-  const bool serial_gated = kind != harness::ProtocolKind::kSrm;
-  const bool ok = all_identical && (matches_serial || !serial_gated) &&
-                  base.report.transfer.complete;
+  const bool ok =
+      all_identical && matches_serial && base.report.transfer.complete;
   // Per-barrier work: events fired and regions that had any to fire.  Few
   // active regions per epoch leave little for a second lane to take.
   const auto perEpoch = [&base](std::uint64_t count) {

@@ -15,7 +15,9 @@ namespace rmrn::harness {
 
 namespace {
 
-// Substream keys for the per-experiment RNG tree.
+// Substream keys for the per-experiment RNG tree.  Each arm's recovery
+// losses and scheme draws (SRM timers, coded coefficients) get their own
+// substreams, so an arm never moves another arm's draws.
 constexpr std::uint64_t kTopologyStream = 1;
 constexpr std::uint64_t kDataLossStream = 2;
 constexpr std::uint64_t kProtocolStreamBase = 100;
@@ -34,11 +36,8 @@ ProtocolResult runOneProtocol(const ExperimentConfig& config,
           ? buildPlanner(kind, topology, routing, config.rp_planner,
                          proto_config)
           : nullptr;
-  // Scheme draws (SRM timers, coded coefficients) get their own substream:
-  // arms that never draw leave every other arm's results bit-identical.
-  const util::Rng scheme_rng = root_rng.fork(
-      kProtocolStreamBase + (kind == ProtocolKind::kSrm ? 50 : 60) +
-      static_cast<std::uint64_t>(kind));
+  const std::uint64_t stream =
+      kProtocolStreamBase + static_cast<std::uint64_t>(kind);
   const sim::RegionMap one_region(topology, 1);
   RegionRun run(
       {.topology = topology,
@@ -49,10 +48,9 @@ ProtocolResult runOneProtocol(const ExperimentConfig& config,
        .scheme = {kind, proto_config, config.srm, config.parity, config.coded,
                   config.rp_source_mode},
        .recovery_loss = config.lossy_recovery ? config.loss_prob : 0.0,
-       .loss_seed = sim::lossSeedOf(root_rng.fork(
-           kProtocolStreamBase + static_cast<std::uint64_t>(kind))),
+       .loss_seed = sim::lossSeedOf(root_rng.fork(stream)),
        .faults = &config.faults,
-       .scheme_rng = [&scheme_rng](std::uint32_t) { return scheme_rng; }},
+       .scheme_seed = root_rng.fork(stream + 60).next()},
       one_region, /*workers=*/1);
   // run() ends with the liveness sweep: with the watchdog on, every
   // detected loss must have terminated (recovered or explicitly abandoned)

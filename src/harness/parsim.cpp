@@ -15,15 +15,10 @@
 namespace rmrn::harness {
 namespace {
 
-// Substream keys under the run's root RNG.  SRM's timer jitter comes from a
-// region's own root: region 0 uses the run's root itself, and region r >= 1
-// roots at kRegionStreamBase + r.  Every other stream is the run's own,
-// shared by all regions.
+// Substream keys under the run's root RNG, each shared by all regions.
 constexpr std::uint64_t kNetworkStream = 1;
-constexpr std::uint64_t kSrmStream = 2;
 constexpr std::uint64_t kDataLossStream = 3;
-constexpr std::uint64_t kCodedStream = 4;
-constexpr std::uint64_t kRegionStreamBase = 0x7000;
+constexpr std::uint64_t kSchemeStream = 4;
 
 }  // namespace
 
@@ -61,18 +56,7 @@ ParsimReport runParallelTransfer(const net::Topology& topology,
        .recovery_loss = config.lossy_recovery ? config.loss_prob : 0.0,
        .loss_seed = sim::lossSeedOf(root.fork(kNetworkStream)),
        .faults = faults,
-       // Keyed canonically by region id: a region's draws depend only on
-       // (seed, region), never on the worker count.  Coded repairs: every
-       // agent must derive the same GF(256) vector for a (window, index),
-       // so all regions share the run's coefficient stream.
-       .scheme_rng =
-           [&](std::uint32_t r) {
-             if (config.protocol != ProtocolKind::kSrm) {
-               return root.fork(kCodedStream);
-             }
-             return (r == 0 ? root : root.fork(kRegionStreamBase + r))
-                 .fork(kSrmStream);
-           }},
+       .scheme_seed = root.fork(kSchemeStream).next()},
       regions, parallel.workers);
   const RegionRun::Totals totals = run.run();
 

@@ -14,15 +14,13 @@
 // The serial runTransfer() is the one-region run: its one world takes no
 // shard mode, so it is the serial closed form, whole-tree flood replay
 // included.  Recovery losses and link chaos are keyed draws under the run's
-// one loss seed, and the coded arm's coefficients come from the run's one
-// stream, so every region decides each draw as the one-region run does.  A
-// handed-over send is scheduled as decided at the time its sender decided
-// it, so events that tie in time to the bit (FEC and coded parity bursts,
-// fixed-period repair timers) fire in the serial order, and a multi-region
-// run matches the one-region one, lossy recovery and chaos included
-// (DESIGN.md §14).  SRM's timer jitter comes from per-region substreams
-// (r >= 1), so SRM runs are reproducible per seed but differ from the
-// one-region run.
+// one loss seed, and scheme draws (SRM timers, coded coefficients) under its
+// one scheme seed, so every region decides each draw as the one-region run
+// does.  A handed-over send is scheduled as decided at the time its sender
+// decided it, so events that tie in time to the bit (FEC and coded parity
+// bursts, fixed-period repair timers) fire in the serial order, and a
+// multi-region run of any scheme matches the one-region one, lossy recovery
+// and chaos included (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>

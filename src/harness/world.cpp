@@ -68,7 +68,7 @@ World::World(const net::Topology& topology, const net::Routing& routing,
     : network(simulator, topology, routing, recovery_loss, loss_seed) {}
 
 void World::buildProtocol(const Scheme& scheme, const core::RpPlanner* planner,
-                          util::Rng protocol_rng) {
+                          std::uint64_t scheme_seed) {
   switch (scheme.kind) {
     case ProtocolKind::kRp:
     case ProtocolKind::kSourceDirect:
@@ -78,7 +78,7 @@ void World::buildProtocol(const Scheme& scheme, const core::RpPlanner* planner,
       break;
     case ProtocolKind::kSrm:
       protocol = std::make_unique<protocols::SrmProtocol>(
-          network, recovery, scheme.protocol, scheme.srm, protocol_rng);
+          network, recovery, scheme.protocol, scheme.srm, scheme_seed);
       break;
     case ProtocolKind::kRma:
       protocol = std::make_unique<protocols::RmaProtocol>(network, recovery,
@@ -90,7 +90,7 @@ void World::buildProtocol(const Scheme& scheme, const core::RpPlanner* planner,
       break;
     case ProtocolKind::kCodedRlc:
       protocol = std::make_unique<protocols::CodedProtocol>(
-          network, recovery, scheme.protocol, scheme.coded, protocol_rng);
+          network, recovery, scheme.protocol, scheme.coded, scheme_seed);
       break;
   }
   protocol->attach();
@@ -213,7 +213,7 @@ RegionRun::RegionRun(const Inputs& inputs, const sim::RegionMap& regions,
         world.network.stageLossPattern(pattern);
       }
     }
-    world.buildProtocol(inputs.scheme, inputs.planner, inputs.scheme_rng(r));
+    world.buildProtocol(inputs.scheme, inputs.planner, inputs.scheme_seed);
     // Every region replays the identical fault schedule on its own network
     // replica (schedules are a pure function of plan and topology); only
     // the victim's own region tells its protocol about a crash.

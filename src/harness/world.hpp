@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -118,10 +117,10 @@ struct World final : sim::EventSink {
         double recovery_loss, std::uint64_t loss_seed);
 
   /// Constructs and attaches the scheme's protocol.  `planner` must be
-  /// non-null for RP and SRC and outlive the world; `protocol_rng` seeds the
+  /// non-null for RP and SRC and outlive the world; `scheme_seed` keys the
   /// schemes that draw (SRM timers, coded coefficients).
   void buildProtocol(const Scheme& scheme, const core::RpPlanner* planner,
-                     util::Rng protocol_rng);
+                     std::uint64_t scheme_seed);
 
   /// Replays `plan` on this world's network.  A crash is reported to the
   /// protocol only where the victim is simulated.
@@ -160,8 +159,8 @@ class RegionRun {
     std::uint64_t loss_seed;
     /// Replayed in every region when non-null and non-empty.
     const sim::FaultPlan* faults;
-    /// Region r's protocol stream (SRM timers, coded coefficients).
-    std::function<util::Rng(std::uint32_t region)> scheme_rng;
+    /// Keys scheme draws (SRM timers, coded coefficients) in every region.
+    std::uint64_t scheme_seed;
   };
 
   /// The merged outcome of run(): the engine's accounting, every world's

@@ -6,6 +6,7 @@
 
 #include "util/check.hpp"
 #include "util/gf256.hpp"
+#include "util/rng.hpp"
 
 namespace rmrn::protocols {
 
@@ -15,10 +16,10 @@ CodedProtocol::CodedProtocol(sim::SimNetwork& network,
                              metrics::RecoveryMetrics& metrics,
                              const ProtocolConfig& config,
                              const CodedConfig& coded_config,
-                             util::Rng coef_rng)
+                             std::uint64_t coef_seed)
     : NackWaveProtocol(network, metrics, config, coded_config.window_size,
                        coded_config.gather_window_ms,
-                       CodedDecoder(coded_config.window_size, coef_rng.next())),
+                       CodedDecoder(coded_config.window_size, coef_seed)),
       coded_(coded_config) {
   if (coded_.window_size < 2 || coded_.window_size > kMaxWindowSize ||
       coded_.gather_window_ms < 0.0) {

@@ -34,7 +34,6 @@
 #include <cstdint>
 
 #include "protocols/nack_wave.hpp"
-#include "util/rng.hpp"
 
 namespace rmrn::protocols {
 
@@ -110,12 +109,10 @@ class CodedProtocol final : public NackWaveProtocol<CodedDecoder> {
  public:
   static constexpr std::uint32_t kMaxWindowSize = CodedDecoder::kMaxWindowSize;
 
-  /// `coef_rng` seeds the coefficient substream; fork it off the run's root
-  /// RNG so coded-off runs draw an identical stream sequence (engine
-  /// determinism goldens stay bit-identical).
+  /// `coef_seed` keys the coefficient substream.
   CodedProtocol(sim::SimNetwork& network, metrics::RecoveryMetrics& metrics,
                 const ProtocolConfig& config, const CodedConfig& coded_config,
-                util::Rng coef_rng);
+                std::uint64_t coef_seed);
 
   [[nodiscard]] const CodedConfig& codedConfig() const { return coded_; }
   [[nodiscard]] std::uint64_t dependentRowsDropped() const {

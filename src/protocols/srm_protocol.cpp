@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/keyed_loss.hpp"
+
 namespace rmrn::protocols {
 
 SrmProtocol::SrmProtocol(sim::SimNetwork& network,
                          metrics::RecoveryMetrics& metrics,
-                         const ProtocolConfig& config,
-                         const SrmConfig& srm_config, util::Rng rng)
-    : RecoveryProtocol(network, metrics, config), srm_(srm_config), rng_(rng) {
+                         const ProtocolConfig& config, const SrmConfig& srm,
+                         std::uint64_t seed)
+    : RecoveryProtocol(network, metrics, config), srm_(srm), seed_(seed) {
   if (srm_.c1 < 0.0 || srm_.c2 <= 0.0 || srm_.d1 < 0.0 || srm_.d2 <= 0.0 ||
       srm_.hold_factor < 0.0) {
     throw std::invalid_argument("SrmProtocol: bad SRM config");
@@ -38,15 +40,22 @@ void SrmProtocol::armRequestTimer(net::NodeId client, std::uint64_t seq) {
   auto& state = want_.at(key(client, seq));
   if (state.armed) simulator().cancel(state.timer);
 
-  const double d = to_source_[client];
   const double scale =
       static_cast<double>(1u << std::min(state.backoff, srm_.max_backoff));
-  const double delay =
-      std::max(config().min_timeout_ms,
-               scale * rng_.uniformReal(srm_.c1, srm_.c1 + srm_.c2) * d);
+  const double delay = timerDelay(kTimerRequest, client, seq, state.arms++,
+                                  srm_.c1, srm_.c2, scale * to_source_[client]);
 
   state.timer = scheduleTimerAfter(delay, kTimerRequest, client, seq);
   state.armed = true;
+}
+
+double SrmProtocol::timerDelay(std::uint32_t kind, net::NodeId at,
+                               std::uint64_t seq, std::uint32_t arm, double lo,
+                               double width, double unit) const {
+  const std::uint64_t draw =
+      sim::chaosDraw(sim::sendHash(seed_, key(at, seq)), kind, arm);
+  return std::max(config().min_timeout_ms,
+                  (lo + sim::jitterOf(draw, width)) * unit);
 }
 
 void SrmProtocol::onTimer(std::uint32_t kind, std::uint64_t a, std::uint64_t b,
@@ -101,9 +110,8 @@ void SrmProtocol::onRequest(net::NodeId at, const sim::Packet& packet) {
     if (repair.armed) return;  // repair timer already runs
 
     const double d = routing().distance(at, packet.requester);
-    const double delay =
-        std::max(config().min_timeout_ms,
-                 rng_.uniformReal(srm_.d1, srm_.d1 + srm_.d2) * d);
+    const double delay = timerDelay(kTimerRepair, at, packet.seq, repair.arms++,
+                                    srm_.d1, srm_.d2, d);
     repair.timer = scheduleTimerAfter(delay, kTimerRepair, at, packet.seq);
     repair.armed = true;
   } else {

@@ -26,9 +26,14 @@
 // onRequest, onRepair and fireRepairTimer first settle a pending hold that
 // is due: they cancel the repair timer (armed before the arrival, since
 // arming settles first) and write its hold, which is what the fired
-// arrival would have done, so no draw of rng_ moves.  Absorption is off with adaptive timeouts (a repair
-// feeds the RTT estimator), and the network never offers an arrival under
-// link chaos or agent faults.
+// arrival would have done.  Absorption is off with adaptive timeouts (a
+// repair feeds the RTT estimator), and the network never offers an arrival
+// under link chaos or agent faults.
+//
+// Each timer's draw is keyed like the network's loss and chaos draws
+// (sim/keyed_loss.hpp): a pure function of the run's seed, the member, the
+// seq, the member's arm count for that timer and its kind.  No draw depends
+// on event order, so every region of a parallel run draws as serially.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +42,6 @@
 
 #include "protocols/protocol.hpp"
 #include "util/flat_table.hpp"
-#include "util/rng.hpp"
 
 namespace rmrn::protocols {
 
@@ -56,8 +60,8 @@ struct SrmConfig {
 class SrmProtocol final : public RecoveryProtocol {
  public:
   SrmProtocol(sim::SimNetwork& network, metrics::RecoveryMetrics& metrics,
-              const ProtocolConfig& config, const SrmConfig& srm_config,
-              util::Rng rng);
+              const ProtocolConfig& config, const SrmConfig& srm,
+              std::uint64_t seed);
 
   [[nodiscard]] std::uint64_t requestsMulticast() const {
     return requests_multicast_;
@@ -106,10 +110,12 @@ class SrmProtocol final : public RecoveryProtocol {
     sim::EventId timer = 0;
     bool armed = false;
     std::uint32_t backoff = 0;
+    std::uint32_t arms = 0;  // timers armed so far: keys the next draw
   };
   struct RepairState {
     sim::EventId timer = 0;
     bool armed = false;
+    std::uint32_t arms = 0;  // as WantState::arms
   };
   static constexpr double kNoArrival = std::numeric_limits<double>::infinity();
   /// A holder's repair hold: requests before `until` are ignored.  An
@@ -125,8 +131,14 @@ class SrmProtocol final : public RecoveryProtocol {
   /// the arrival: arming settles first, so it never sees a due one.
   void settle(net::NodeId at, std::uint64_t seq, Hold& hold);
 
+  /// `at`'s arm-th `kind` timer for `seq`: `unit` times a keyed draw
+  /// uniform in [lo, lo + width), and at least min_timeout_ms.
+  [[nodiscard]] double timerDelay(std::uint32_t kind, net::NodeId at,
+                                  std::uint64_t seq, std::uint32_t arm,
+                                  double lo, double width, double unit) const;
+
   SrmConfig srm_;
-  util::Rng rng_;
+  std::uint64_t seed_;
   // By NodeId, for every agent: its one-way delay to the source, and the
   // hold a repair it sends or hears starts (hold_factor times that delay).
   std::vector<double> to_source_;

@@ -88,8 +88,8 @@ inline constexpr std::uint64_t kCopySalt = 0x3c6ef372fe94f82bULL;
   return linkDraw(util::splitmix64(state), slot);
 }
 
-/// The reorder jitter of a crossing whose jitter draw is `draw`: uniform in
-/// [0, jitter_ms).
+/// Uniform in [0, jitter_ms) from the 64-bit `draw`: a crossing's reorder
+/// jitter, or an SRM timer's offset in its window.
 [[nodiscard]] inline double jitterOf(std::uint64_t draw, double jitter_ms) {
   return jitter_ms * (static_cast<double>(draw >> 11) * 0x1p-53);
 }

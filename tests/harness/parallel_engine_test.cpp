@@ -47,7 +47,7 @@ class EngineRig {
               .recovery_loss = kLoss,
               .loss_seed = kLossSeed,
               .faults = nullptr,
-              .scheme_rng = [](std::uint32_t r) { return util::Rng(200 + r); }},
+              .scheme_seed = 200},
              regions_, /*workers=*/2) {}
 
   sim::ParallelEngine& engine() { return run_.engine(); }

@@ -136,10 +136,8 @@ void expectCountersMatch(const RunCounters& serial,
 /// The parallel run agrees with the serial engine exactly: every counter
 /// but the event counts bitwise, latency aggregates up to float summation
 /// order.
-void expectMatchesSerial(const TransferReport& serial,
-                         const ParsimReport& parallel) {
-  EXPECT_TRUE(serial.complete);
-  EXPECT_TRUE(parallel.transfer.complete);
+void expectSameRun(const TransferReport& serial, const ParsimReport& parallel) {
+  EXPECT_EQ(parallel.transfer.complete, serial.complete);
   expectCountersMatch(serial, parallel.transfer);
   EXPECT_DOUBLE_EQ(parallel.transfer.duration_ms, serial.duration_ms);
   EXPECT_NEAR(parallel.transfer.avg_recovery_latency_ms,
@@ -153,6 +151,13 @@ void expectMatchesSerial(const TransferReport& serial,
     EXPECT_EQ(parallel.transfer.completions[i].losses,
               serial.completions[i].losses);
   }
+}
+
+/// expectSameRun, and the transfer completes.
+void expectMatchesSerial(const TransferReport& serial,
+                         const ParsimReport& parallel) {
+  EXPECT_TRUE(serial.complete);
+  expectSameRun(serial, parallel);
 }
 
 TEST(ParsimTest, MatchesSerialHarnessWhenRecoveryLossless) {
@@ -215,10 +220,10 @@ TEST(ParsimTest, LossySubgroupRpMatchesSerialHarness) {
 }
 
 /// A lossy transfer of `kind` on 4 regions matches the serial one at 1, 2
-/// and 4 workers.  FEC and coded send parity bursts and run fixed-period
-/// repair timers, so handed-over arrivals tie in time with local events;
-/// they must tie as in the serial run.
-void expectLossySchemeMatchesSerial(ProtocolKind kind) {
+/// and 4 workers; returns the serial one.  FEC and coded send parity bursts
+/// and run fixed-period repair timers, so handed-over arrivals tie in time
+/// with local events; they must tie as in the serial run.
+TransferReport expectLossySchemeMatchesSerial(ProtocolKind kind) {
   const net::Topology topo = makeTopology(3);
   TransferConfig config;
   config.protocol = kind;
@@ -236,6 +241,17 @@ void expectLossySchemeMatchesSerial(ProtocolKind kind) {
     EXPECT_GT(parallel.handoffs, 0u);
     expectMatchesSerial(serial, parallel);
   }
+  return serial;
+}
+
+TEST(ParsimTest, LossySrmMatchesSerialHarness) {
+  // SRM's timer draws are keyed by (member, seq, arm, kind), so every region
+  // draws what the serial run draws.  Shard mode replays no flood, so the
+  // parallel runs absorb no arrival: they check the serial run's absorbed
+  // ones against firing every arrival.
+  const TransferReport serial =
+      expectLossySchemeMatchesSerial(ProtocolKind::kSrm);
+  EXPECT_GT(serial.absorbed_arrivals, 0u);
 }
 
 TEST(ParsimTest, LossyFecMatchesSerialHarness) {
@@ -333,8 +349,8 @@ TEST(ParsimTest, CrashFaultsWithHealthAreWorkerInvariant) {
 
 /// Chaos scenarios from the BENCH_chaos grid (flap + partition + duplication
 /// + jitter), replayed at 1, 2 and 4 workers: identical RecoveryMetrics and
-/// event counts, the cross-shard chaos determinism gate; under every scheme
-/// but SRM (per-region timer streams) also equal to the one-region run.
+/// event counts, the cross-shard chaos determinism gate, and equal to the
+/// one-region run.
 class ParsimChaosReplay : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(ParsimChaosReplay, WorkerSweepIsBitIdentical) {
@@ -373,18 +389,20 @@ TEST_P(ParsimChaosReplay, WorkerSweepIsBitIdentical) {
   // Chaos must actually have happened for the gate to mean anything.
   EXPECT_GT(one.chaos_link_drops + one.duplicates_created, 0u);
   EXPECT_GT(one.transfer.losses, 0u);
-  // Chaos draws are keyed like loss draws and the coded coefficients come
-  // from the run's one stream, so every scheme but SRM equals the same plan
-  // run on one region.
+  // Chaos and scheme draws are keyed like loss draws, so every scheme
+  // equals the same plan run on one region.
+  const ParsimConfig one_region = parallelConfig(1, /*regions=*/1);
+  const TransferReport serial =
+      runParallelTransfer(topo, config, one_region, &plan).transfer;
+  EXPECT_GE(one.regions, 2u);
+  for (const ParsimReport* parallel : {&one, &two, &four}) {
+    expectSameRun(serial, *parallel);
+  }
+  // SRM's backed-off request timers (max_backoff 10) leave one reachable
+  // loss unrecovered at the session deadline here, serially and sharded
+  // alike.
   if (GetParam() != ProtocolKind::kSrm) {
-    const TransferReport serial =
-        runParallelTransfer(topo, config, parallelConfig(1, /*regions=*/1),
-                            &plan)
-            .transfer;
-    EXPECT_GE(one.regions, 2u);
-    for (const ParsimReport* parallel : {&one, &two, &four}) {
-      expectMatchesSerial(serial, *parallel);
-    }
+    EXPECT_TRUE(serial.complete);
   }
 }
 

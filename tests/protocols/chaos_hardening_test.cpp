@@ -170,8 +170,7 @@ TEST(ChaosHardeningTest, WatchdogBoundsSrmUnderPermanentPartition) {
   ProtocolConfig config;
   config.session_deadline_ms = 500.0;
   ProtoHarness h;
-  SrmProtocol protocol(h.network, h.metrics, config, SrmConfig{},
-                       util::Rng(7));
+  SrmProtocol protocol(h.network, h.metrics, config, SrmConfig{}, 7);
   protocol.attach();
   h.network.stageLinkState(2, 3, 0.0, false);
   protocol.sourceMulticast(0, h.noLoss());

@@ -68,7 +68,7 @@ TEST(CodedAllocTest, Gf256KernelIsAllocationFree) {
 TEST(CodedAllocTest, SteadyStateDecodePathIsAllocationFree) {
   ProtoHarness h;
   CodedProtocol protocol(h.network, h.metrics, ProtocolConfig{}, CodedConfig{},
-                         util::Rng(1).fork(99));
+                         util::Rng(1).fork(99).next());
   protocol.attach();
 
   // Warm-up: two losses in window 0 materialize client 3's window entry;

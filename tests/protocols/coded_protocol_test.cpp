@@ -35,7 +35,7 @@ struct CodedHarness : ProtoHarness {
                         CodedConfig coded = {})
       : ProtoHarness(loss_prob, seed),
         protocol(network, metrics, ProtocolConfig{}, coded,
-                 util::Rng(seed).fork(99)) {
+                 util::Rng(seed).fork(99).next()) {
     protocol.attach();
   }
 };
@@ -200,8 +200,7 @@ TEST(CodedProtocolTest, CodedRepairDoesNotCorruptDataStore) {
 TEST(CodedProtocolTest, RejectsBadConfig) {
   ProtoHarness base;
   const auto expect_throws = [&](CodedConfig bad) {
-    EXPECT_THROW(CodedProtocol(base.network, base.metrics, ProtocolConfig{},
-                               bad, util::Rng(1)),
+    EXPECT_THROW(CodedProtocol(base.network, base.metrics, {}, bad, 1),
                  std::invalid_argument);
   };
   CodedConfig bad;

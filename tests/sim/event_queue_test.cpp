@@ -294,7 +294,7 @@ TEST(EventQueueTypedTest, EqualTimestampOrderingAcrossSinks) {
        .recovery_loss = 0.0,
        .loss_seed = 1,
        .faults = nullptr,
-       .scheme_rng = [](std::uint32_t) { return util::Rng(2); }},
+       .scheme_seed = 2},
       one_region, /*workers=*/1);
   harness::World& world = run.world(0);
   const auto& rma =
