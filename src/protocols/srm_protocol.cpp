@@ -1,7 +1,9 @@
 #include "protocols/srm_protocol.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/keyed_loss.hpp"
 
@@ -145,23 +147,93 @@ void SrmProtocol::onRepair(net::NodeId at, const sim::Packet& packet) {
   // Suppress a pending repair of our own and hold further ones.
   Hold& hold = holds_[key(at, packet.seq)];
   settle(at, packet.seq, hold);
-  RepairState* repair = repairing_.find(key(at, packet.seq));
+  cancelRepairTimer(key(at, packet.seq));
+  hold.until = simulator().now() + hold_[at];
+}
+
+void SrmProtocol::cancelRepairTimer(std::uint64_t k) {
+  RepairState* repair = repairing_.find(k);
   if (repair != nullptr && repair->armed) {
     simulator().cancel(repair->timer);
     repair->armed = false;
   }
-  hold.until = simulator().now() + hold_[at];
 }
 
 void SrmProtocol::settle(net::NodeId at, std::uint64_t seq, Hold& hold) {
   if (!(hold.absorbed_at <= simulator().now())) return;
-  RepairState* repair = repairing_.find(key(at, seq));
-  if (repair != nullptr && repair->armed) {
-    simulator().cancel(repair->timer);
-    repair->armed = false;
-  }
-  hold.until = hold.absorbed_at + hold_[at];
+  const std::uint64_t k = key(at, seq);
+  cancelRepairTimer(k);
+  LaterArrivals* later = later_.find(k);
+  if (applyDue(at, hold, later) && later != nullptr) later_.erase(k);
+}
+
+bool SrmProtocol::applyDue(net::NodeId at, Hold& hold,
+                           LaterArrivals* later) {
+  const double now = simulator().now();
+  double last = hold.absorbed_at;
   hold.absorbed_at = kNoArrival;
+  if (later != nullptr) {
+    // Pop the due ones; the first left becomes the Hold's.
+    double* const begin = std::begin(later->at);
+    double* const end = std::end(later->at);
+    double* due = begin;
+    for (; due != end && *due <= now; ++due) last = *due;
+    if (due != end) hold.absorbed_at = *due++;
+    std::fill(std::copy(due, end, begin), end, kNoArrival);
+  }
+  hold.until = last + hold_[at];
+  return later == nullptr || later->at[0] == kNoArrival;
+}
+
+bool SrmProtocol::keepPending(net::NodeId at, std::uint64_t seq, Hold& hold,
+                              double arrival) {
+  const std::uint64_t k = key(at, seq);
+  LaterArrivals* later = nullptr;
+  if (hold.absorbed_at != kNoArrival) {
+    // settle(), sharing its lookup.
+    later = later_.find(k);
+    if (hold.absorbed_at <= simulator().now()) {
+      cancelRepairTimer(k);
+      applyDue(at, hold, later);
+    }
+  }
+  if (hold.absorbed_at == kNoArrival) {  // nothing pending: no later ones
+    if (later != nullptr) later_.erase(k);
+    hold.absorbed_at = arrival;
+    return true;
+  }
+  if (later == nullptr) {
+    if (later_.size() >= sweep_at_) sweepLater();
+    later = later_.tryEmplace(k).first;
+  }
+  double* const end = std::end(later->at);
+  if (end[-1] != kNoArrival) return false;  // full
+  // Insert in order; kNoArrival (infinity) sorts every free slot last.
+  if (arrival < hold.absorbed_at) std::swap(arrival, hold.absorbed_at);
+  double* const slot = std::upper_bound(std::begin(later->at), end, arrival);
+  std::copy_backward(slot, end - 1, end);
+  *slot = arrival;
+  return true;
+}
+
+void SrmProtocol::sweepLater() {
+  // Most entries outlive their arrivals: no handler at their member runs
+  // for the seq again.  Applying what is due is what settle() would do
+  // later, and with no repair timer armed it cancels nothing, so the sweep
+  // changes nothing a later event observes.  Each entry settles its own
+  // (member, seq) alone, so the walk's order does not matter.
+  const double now = simulator().now();
+  // rmrn-lint: allow(DET-2) entries are settled independently of each other
+  later_.eraseIf([this, now](std::uint64_t k, LaterArrivals& later) {
+    const RepairState* repair = repairing_.find(k);
+    Hold& hold = holds_.at(k);
+    if (!(hold.absorbed_at <= now) ||
+        (repair != nullptr && repair->armed)) {
+      return false;
+    }
+    return applyDue(static_cast<net::NodeId>(k >> 32), hold, &later);
+  });
+  sweep_at_ = std::max(kMinSweep, 2 * later_.size());
 }
 
 bool SrmProtocol::absorb(net::NodeId at, const sim::Packet& packet,
@@ -176,24 +248,29 @@ bool SrmProtocol::absorb(net::NodeId at, const sim::Packet& packet,
       if (hold == nullptr) {
         if (!hasPacket(at, packet.seq)) return false;
         hold = holds_.tryEmplace(k).first;
-      } else {
-        settle(at, packet.seq, *hold);
-        if (hold->absorbed_at != kNoArrival) return false;  // one pending
       }
-      hold->absorbed_at = arrival;
+      if (!keepPending(at, packet.seq, *hold, arrival)) return false;
       countDuplicateDelivery();
       return true;
     }
     case sim::Packet::Type::kRequest: {
       // onRequest returns at once when the hold it will read covers the
-      // arrival; holds only grow, so the one known now is a lower bound.
+      // arrival: settling there holds from the latest pending arrival at
+      // or before it.  Holds only grow, so the one known now is a lower
+      // bound.
       const Hold* hold = holds_.find(k);
       if (hold == nullptr) return false;
-      double until = hold->until;
-      if (hold->absorbed_at <= arrival) {
-        until = std::max(until, hold->absorbed_at + hold_[at]);
+      if (arrival < hold->until) return true;
+      if (!(hold->absorbed_at <= arrival)) return false;
+      double latest = hold->absorbed_at;
+      if (arrival >= latest + hold_[at]) {  // a later one may still cover it
+        if (const LaterArrivals* later = later_.find(k); later != nullptr) {
+          for (const double pending : later->at) {
+            if (pending <= arrival) latest = pending;
+          }
+        }
       }
-      return arrival < until;
+      return arrival < latest + hold_[at];
     }
     case sim::Packet::Type::kData:
     case sim::Packet::Type::kParity:

@@ -20,15 +20,19 @@
 // §10.2), and every other arrival fires as an event:
 //   * a repair reaching a member that holds the packet — holding only
 //     grows, so it still holds it then.  The arrival is kept as a pending
-//     hold, one per (member, seq); a second one while it is pending fires.
-//   * a request reaching a holder whose known hold, the pending one
-//     included, runs past the arrival: onRequest would return at once.
-// onRequest, onRepair and fireRepairTimer first settle a pending hold that
-// is due: they cancel the repair timer (armed before the arrival, since
-// arming settles first) and write its hold, which is what the fired
-// arrival would have done.  Absorption is off with adaptive timeouts (a
-// repair feeds the RTT estimator), and the network never offers an arrival
-// under link chaos or agent faults.
+//     hold, in an ascending list of up to kPendingArrivals per (member,
+//     seq); one that finds the list full fires.
+//   * a request reaching a holder whose known hold, the latest pending
+//     arrival at or before it included, runs past the arrival: onRequest
+//     would return at once.
+// onRequest, onRepair and fireRepairTimer first settle the pending
+// arrivals that are due: they cancel the repair timer once (armed before
+// the first of them, since arming settles first) and hold from the last,
+// which is what the fired arrivals would have done in order.  The Hold
+// keeps the earliest pending arrival and a side table the others, swept
+// of due entries before it grows.  Absorption is off with adaptive
+// timeouts (a repair feeds the RTT estimator), and the network never
+// offers an arrival under link chaos or agent faults.
 //
 // Each timer's draw is keyed like the network's loss and chaos draws
 // (sim/keyed_loss.hpp): a pure function of the run's seed, the member, the
@@ -36,6 +40,7 @@
 // on event order, so every region of a parallel run draws as serially.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -118,18 +123,42 @@ class SrmProtocol final : public RecoveryProtocol {
     std::uint32_t arms = 0;  // as WantState::arms
   };
   static constexpr double kNoArrival = std::numeric_limits<double>::infinity();
-  /// A holder's repair hold: requests before `until` are ignored.  An
-  /// absorbed repair arrival not yet settled raises it from `absorbed_at`.
+  /// Absorbed repair arrivals a holder keeps pending at once.
+  static constexpr std::size_t kPendingArrivals = 3;
+  /// A holder's repair hold: requests before `until` are ignored.  Absorbed
+  /// repair arrivals not yet settled raise it; `absorbed_at` is the
+  /// earliest, and later_ keeps the rest.
   struct Hold {
     double until = -std::numeric_limits<double>::infinity();
     double absorbed_at = kNoArrival;
   };
+  /// The pending arrivals after a Hold's `absorbed_at`, ascending, free
+  /// slots (kNoArrival) last.  Kept apart so that every Hold stays small.
+  struct LaterArrivals {
+    double at[kPendingArrivals - 1] = {kNoArrival, kNoArrival};
+  };
+  static_assert(kPendingArrivals == 3, "LaterArrivals lists each free slot");
+  static_assert(sizeof(Hold) == 16, "holds_ has an entry per (holder, seq)");
 
-  /// Applies `hold`'s absorbed repair arrival if it is due by now, as
-  /// onRepair would have when it arrived: cancels `at`'s repair timer for
-  /// `seq` and holds from the arrival.  A timer armed now was armed before
-  /// the arrival: arming settles first, so it never sees a due one.
+  /// Applies `hold`'s absorbed repair arrivals that are due by now, as
+  /// onRepair would have when each arrived: cancels `at`'s repair timer for
+  /// `seq` and holds from the last of them.  A timer armed now was armed
+  /// before them: arming settles first, so it never sees a due one.
   void settle(net::NodeId at, std::uint64_t seq, Hold& hold);
+  /// settle() after the cancel, for `at`'s `hold` whose first pending
+  /// arrival is due and whose later ones are `later` (or none): pops the
+  /// due ones and holds from the last.  Returns whether `later` is empty.
+  bool applyDue(net::NodeId at, Hold& hold, LaterArrivals* later);
+  /// Cancels the repair timer of key `k` if one is armed.
+  void cancelRepairTimer(std::uint64_t k);
+  /// Settles `hold` (of `at` for `seq`) and keeps `arrival` as one more
+  /// pending repair arrival; false when kPendingArrivals are pending
+  /// already.
+  bool keepPending(net::NodeId at, std::uint64_t seq, Hold& hold,
+                   double arrival);
+  /// Settles every later_ entry that is due and has no repair timer armed,
+  /// dropping the emptied ones, and sets the size of the next sweep.
+  void sweepLater();
 
   /// `at`'s arm-th `kind` timer for `seq`: `unit` times a keyed draw
   /// uniform in [lo, lo + width), and at least min_timeout_ms.
@@ -147,6 +176,10 @@ class SrmProtocol final : public RecoveryProtocol {
   util::FlatTable<WantState> want_;         // loser state
   util::FlatTable<RepairState> repairing_;  // holder state
   util::FlatTable<Hold> holds_;             // holder state
+  util::FlatTable<LaterArrivals> later_;    // holds with 2+ pending
+  // later_'s size that triggers its next sweep (keepPending).
+  static constexpr std::size_t kMinSweep = 256;
+  std::size_t sweep_at_ = kMinSweep;
   std::uint64_t requests_multicast_ = 0;
   std::uint64_t repairs_multicast_ = 0;
 };

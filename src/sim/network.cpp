@@ -639,20 +639,26 @@ void SimNetwork::startFlood(net::NodeId origin, const Packet& packet,
   (void)topology_.tree.memberIndex(origin);  // throws on a non-member
   const std::uint32_t flood =
       openFlood(packet, down_only, boundary, key, drawHash(key, packet));
+  const TimeMs now = simulator_.now();
   // A down-only flood from the root crosses the links a group flood from
   // the root does, so both replay the root's schedule.
   if (boundary == net::kInvalidNode &&
-      (!down_only || origin == topology_.tree.root())) {
-    tryReplay(flood, origin);
+      (!down_only || origin == topology_.tree.root()) &&
+      tryReplay(flood, origin)) {
+    if (trace_sink_) traceReplayedLinks(flood, origin, net::kInvalidNode, now);
+    replayFlood(flood);
+    return;
   }
-  expandFlood(flood, origin, net::kInvalidNode, simulator_.now());
+  expandFlood(flood, origin, net::kInvalidNode, now);
   advanceFlood(flood);
 }
 
-void SimNetwork::tryReplay(std::uint32_t flood, net::NodeId origin) {
+bool SimNetwork::tryReplay(std::uint32_t flood, net::NodeId origin) {
   // Jitter and duplication change delays and add floods per crossing, and
   // a shard stops at its region's edge: those floods keep the frontier.
-  if (regions_ != nullptr || dup_threshold_ != 0 || jitter_ms_ > 0.0) return;
+  if (regions_ != nullptr || dup_threshold_ != 0 || jitter_ms_ > 0.0) {
+    return false;
+  }
   const auto& tree = topology_.tree;
   if (schedule_of_.empty()) {
     // rmrn-lint: allow(HOT-1) one slot per member, at the first whole-tree flood
@@ -662,16 +668,16 @@ void SimNetwork::tryReplay(std::uint32_t flood, net::NodeId origin) {
   if (id == kUnbuilt) id = buildSchedule(origin);
   const TimeMs now = simulator_.now();
   if (id == kNilSlot || !(now >= 0.0 && now <= schedules_[id].max_start)) {
-    return;
+    return false;
   }
   Flood& f = floods_[flood];
   f.schedule = id;
-  f.pending = 0;
   f.arrivals[kSlotOrigin] = now;
 #if RMRN_CHECKS_ENABLED
   f.last_arrival = now;
 #endif
   ++floods_replayed_;
+  return true;
 }
 
 // rmrn-lint: init-phase (once per origin: the schedule and its scratch)
@@ -692,21 +698,15 @@ std::uint32_t SimNetwork::buildSchedule(net::NodeId origin) {
     const auto [node, came_from] =
         i == 0 ? std::pair{origin, net::kInvalidNode} : linkEnds(step.link);
     hops = std::max(hops, step.hops);
-    const auto cross = [&](std::uint64_t link, net::DelayMs delay) {
-      build_steps_.push_back(ScheduleStep{step.offset + delay, link, i,
-                                          step.hops + 1, 0, kSlotSink});
-      ++build_steps_[i].readers;
-    };
-    const TreeLink& up = up_link_[node];
-    if (up.to != net::kInvalidNode && up.to != came_from) {
-      cross(node | kUpward, up.delay);
-    }
-    for (std::uint32_t d = down_offset_[node]; d < down_offset_[node + 1];
-         ++d) {
-      if (down_link_[d].to != came_from) {
-        cross(down_link_[d].to, down_link_[d].delay);
-      }
-    }
+    forEachFloodLink(node, came_from, /*up=*/true,
+                     [&](const TreeLink& link, net::NodeId link_child,
+                         std::uint64_t upward) {
+                       build_steps_.push_back(
+                           ScheduleStep{step.offset + link.delay,
+                                        link_child | upward, i, step.hops + 1,
+                                        0, kSlotSink});
+                       ++build_steps_[i].readers;
+                     });
   }
   if (build_steps_.size() < 2) return kNilSlot;
   // The order a lossless frontier pops them in from time 0: by arrival,
@@ -820,18 +820,21 @@ std::uint32_t SimNetwork::openFlood(const Packet& packet, bool down_only,
   util::quad_heap::siftUp(flood.frontier.data(), flood.frontier.size() - 1);
 }
 
+bool SimNetwork::floodLost(const Flood& flood, net::NodeId link_child,
+                           std::uint32_t slot) const {
+  return isPatternKey(flood.key)
+             ? patterns_[patternOf(flood.key)]
+                        [topology_.tree.memberIndex(link_child)]
+             : lostOn(flood.send_hash, slot);
+}
+
 void SimNetwork::crossTreeLink(std::uint32_t flood, net::NodeId from,
                                const TreeLink& link, net::NodeId link_child,
                                std::uint64_t upward, TimeMs at) {
   Flood& f = floods_[flood];
-  const bool lost =
-      isPatternKey(f.key)
-          ? patterns_[patternOf(f.key)][topology_.tree.memberIndex(link_child)]
-          : lostOn(f.send_hash, link.slot);
   // A lost link's subtree is never pushed, so the flood skips it.
-  if (!survives(link.slot, at, from, link.to, f.packet, lost)) return;
-  if (f.schedule != kNilSlot) {
-    ++f.pending;  // replay folds the arrival when its walk reaches the link
+  if (!survives(link.slot, at, from, link.to, f.packet,
+                floodLost(f, link_child, link.slot))) {
     return;
   }
   const TimeMs arrival = at + chaosDelay(link.delay, link.slot, f.send_hash);
@@ -884,30 +887,53 @@ std::pair<net::NodeId, net::NodeId> SimNetwork::linkEnds(
   return {link_child, parent};
 }
 
-void SimNetwork::expandFlood(std::uint32_t flood, net::NodeId node,
-                             net::NodeId came_from, TimeMs at) {
-  // floods_[flood] is re-read after every crossing: a chaos duplicate opens
-  // a record of its own, which may move this one.
-  if (!floods_[flood].down_only && node != floods_[flood].boundary) {
-    const TreeLink& up = up_link_[node];
-    if (up.to != net::kInvalidNode && up.to != came_from) {
-      crossTreeLink(flood, node, up, /*link_child=*/node, kUpward, at);
+template <typename Cross>
+void SimNetwork::forEachFloodLink(net::NodeId node, net::NodeId came_from,
+                                  bool up, Cross&& cross) const {
+  if (up) {
+    const TreeLink& parent = up_link_[node];
+    if (parent.to != net::kInvalidNode && parent.to != came_from) {
+      cross(parent, /*link_child=*/node, kUpward);
     }
   }
   const std::uint32_t end = down_offset_[node + 1];
   for (std::uint32_t i = down_offset_[node]; i < end; ++i) {
     const TreeLink& down = down_link_[i];
-    if (down.to != came_from) {
-      crossTreeLink(flood, node, down, down.to, 0, at);
-    }
+    if (down.to != came_from) cross(down, down.to, std::uint64_t{0});
   }
 }
 
+void SimNetwork::expandFlood(std::uint32_t flood, net::NodeId node,
+                             net::NodeId came_from, TimeMs at) {
+  // Not a reference to the record: a chaos duplicate opens a record of its
+  // own, which may move this one.
+  const bool up =
+      !floods_[flood].down_only && node != floods_[flood].boundary;
+  forEachFloodLink(node, came_from, up,
+                   [&](const TreeLink& link, net::NodeId link_child,
+                       std::uint64_t upward) {
+                     crossTreeLink(flood, node, link, link_child, upward, at);
+                   });
+}
+
+void SimNetwork::traceReplayedLinks(std::uint32_t flood, net::NodeId node,
+                                    net::NodeId came_from, TimeMs at) {
+  const Flood& f = floods_[flood];
+  forEachFloodLink(
+      node, came_from, !f.down_only,
+      [&](const TreeLink& link, net::NodeId link_child, std::uint64_t) {
+#if RMRN_CHECKS_ENABLED
+        latest_crossing_ = std::max(latest_crossing_, at);
+#endif
+        trace(TraceEvent::Kind::kHopSend, at, node, link.to, f.packet);
+        if (floodLost(f, link_child, link.slot) ||
+            linkDownAt(edge_id_[link.slot], at)) {
+          trace(TraceEvent::Kind::kHopDrop, at, node, link.to, f.packet);
+        }
+      });
+}
+
 void SimNetwork::advanceFlood(std::uint32_t flood) {
-  if (floods_[flood].schedule != kNilSlot) {
-    replayFlood(flood);
-    return;
-  }
   while (!floods_[flood].frontier.empty()) {
     Flood& f = floods_[flood];
     const FrontierEntry next = f.frontier.front();
@@ -928,33 +954,43 @@ void SimNetwork::advanceFlood(std::uint32_t flood) {
 void SimNetwork::replayFlood(std::uint32_t flood) {
   constexpr TimeMs kUnreached = -1.0;  // replayed arrivals are never negative
   const std::vector<net::NodeId>& members = topology_.tree.members();
-  while (floods_[flood].pending != 0) {
-    Flood& f = floods_[flood];
-    const std::vector<std::uint32_t>& entries = schedules_[f.schedule].entries;
-    RMRN_REQUIRE(f.next_seq < entries.size(),
-                 "SimNetwork: replay walked past its schedule");
-    const std::uint32_t entry = entries[f.next_seq++];
+  // A reference stays valid: nothing in the walk opens a flood record
+  // (absorb() sends nothing).
+  Flood& f = floods_[flood];
+  const std::vector<std::uint32_t>& entries = schedules_[f.schedule].entries;
+  const LinkLossPattern* pattern =
+      isPatternKey(f.key) ? &patterns_[patternOf(f.key)] : nullptr;
+  TimeMs* const arrivals = f.arrivals.data();
+  for (std::uint32_t next = f.next_seq; next < entries.size();) {
+    const std::uint32_t entry = entries[next++];
     const TimeMs parent_at =
-        f.arrivals[(entry >> kEntryParentShift) & kEntrySlotMask];
-    TimeMs& own = f.arrivals[entry >> kEntryOwnShift];
-    // The flood crossed the link when its flood-parent was reached, and the
-    // crossing survived unless the forced pattern, the keyed draw or the
-    // link's timeline dropped it, as survives() decided when the
-    // flood-parent expanded.
+        arrivals[(entry >> kEntryParentShift) & kEntrySlotMask];
+    TimeMs& own = arrivals[entry >> kEntryOwnShift];
     if (parent_at < 0.0) {
       own = kUnreached;
       continue;
     }
+    // The flood crossed the link when its flood-parent was reached, at
+    // parent_at: count the hop, draw the loss and read the link's timeline
+    // there, as survives() would.
     const std::uint32_t member = entry & kEntryMemberMask;
     const net::NodeId child = members[member];
     const TreeLink& up = up_link_[child];
-    if ((isPatternKey(f.key) ? patterns_[patternOf(f.key)][member]
-                             : lostOn(f.send_hash, up.slot)) ||
-        (!link_changes_.empty() && linkDownAt(edge_id_[up.slot], parent_at))) {
+    countHopSlot(f.packet, up.slot);
+#if RMRN_CHECKS_ENABLED
+    latest_crossing_ = std::max(latest_crossing_, parent_at);
+#endif
+    bool lost = pattern != nullptr ? (*pattern)[member]
+                                   : lostOn(f.send_hash, up.slot);
+    if (!link_changes_.empty() && linkDownAt(edge_id_[up.slot], parent_at)) {
+      ++stats_.chaos_link_drops;
+      lost = true;
+    }
+    if (lost) {
+      ++stats_.packets_lost;
       own = kUnreached;
       continue;
     }
-    --f.pending;
     const TimeMs at = parent_at + up.delay;
     own = at;
 #if RMRN_CHECKS_ENABLED
@@ -972,6 +1008,7 @@ void SimNetwork::replayFlood(std::uint32_t flood) {
       // then delivered as far as the network is concerned, and the walk
       // goes on past it.  A replay has no jitter, duplication or shard.
       if (!offer_arrivals_ || !sink_->absorb(node, f.packet, at)) {
+        f.next_seq = next;
         f.cursor_key = child | (upward ? kUpward : 0);
         simulator_.scheduleCursorAt(at, this, flood);
         return;
@@ -979,7 +1016,7 @@ void SimNetwork::replayFlood(std::uint32_t flood) {
       countDelivery(node, f.packet, at);
       ++stats_.absorbed_arrivals;
     }
-    expandFlood(flood, node, came_from, at);
+    if (trace_sink_) traceReplayedLinks(flood, node, came_from, at);
   }
   closeFlood(flood);
 }
@@ -994,8 +1031,16 @@ void SimNetwork::closeFlood(std::uint32_t flood) {
 void SimNetwork::onFloodCursor(const FloodCursorEvent& event) {
   const Flood& f = floods_[event.flood];
   const auto [node, came_from] = linkEnds(f.cursor_key);
+  const bool replayed = f.schedule != kNilSlot;
   const Packet packet = f.packet;  // copy: the handler may grow floods_
   deliver(node, packet);
+  if (replayed) {
+    if (trace_sink_) {
+      traceReplayedLinks(event.flood, node, came_from, simulator_.now());
+    }
+    replayFlood(event.flood);
+    return;
+  }
   expandFlood(event.flood, node, came_from, simulator_.now());
   advanceFlood(event.flood);
 }

@@ -23,15 +23,18 @@
 // flood from a member (group floods, source floods, down-into-root floods)
 // replays its origin's flood schedule: the order the flood reaches the
 // tree's links in, built once per origin and proven to hold for the flood's
-// start time; it skips a link whose flood-parent went unreached or whose
-// crossing was lost.  Every
-// other flood (scoped, jittered, duplicated, sharded, or started past its
-// schedule's proven bound) keeps a private frontier heap of in-flight links;
-// a lost link's subtree is never pushed.  Hops, losses, recovery
-// link loads and trace records are produced when a link is expanded, at or
-// before the time the packet crosses it, each trace record stamped with
-// that time.  Link chaos reads a staged per-edge timeline at the crossing
-// time, and a duplicate is one more closed-form branch: a unicast copy
+// start time.  Its walk handles each crossing once, when it reaches the
+// link's entry: it counts the hop, draws the loss and reads the link's
+// timeline, skipping a link whose flood-parent went unreached or whose
+// crossing was lost.  Every other flood (scoped, jittered, duplicated,
+// sharded, or started past its schedule's proven bound) keeps a private
+// frontier heap of in-flight links, expanding each node it reaches; a lost
+// link's subtree is never pushed.  Either way hops, losses and recovery
+// link loads are produced at or before the time the packet reaches the
+// link's far end, and trace records when the link's near end is reached
+// (a replay emits them there too), each stamped with the time the packet
+// starts crossing.  Link chaos reads a staged per-edge timeline at the
+// crossing time, and a duplicate is one more closed-form branch: a unicast copy
 // walks the rest of the route, a flood copy opens its own flood record.  In
 // shard mode a unicast still walks its whole route in the sending region,
 // and a destination in another region gets one handoff, its delivery; a
@@ -56,8 +59,8 @@
 // arrivals to its DeliverySink only at those nodes (routers forward but
 // never process).  A replayed flood, walked ahead of the clock, first
 // offers each agent arrival to the sink's absorb(): an arrival the sink
-// absorbs is counted and traced as a delivery, its node is expanded, and
-// no cursor fires for it (DESIGN.md §10.2).
+// absorbs is counted and traced as a delivery, the walk goes on past it,
+// and no cursor fires for it (DESIGN.md §10.2).
 #pragma once
 
 #include <cstdint>
@@ -129,8 +132,9 @@ class DeliverySink {
   /// will reach agent `at` at `arrival` (not before now).  Returning true
   /// takes the arrival over: no event fires for it, and the sink must make
   /// every later event observe exactly the state that delivering it at
-  /// `arrival` would have left.  The network offers arrivals only when no
-  /// agent can change state on its own (no link chaos, no agent fault).
+  /// `arrival` would have left.  It must send nothing.  The network offers
+  /// arrivals only when no agent can change state on its own (no link
+  /// chaos, no agent fault).
   virtual bool absorb(net::NodeId /*at*/, const Packet& /*packet*/,
                       TimeMs /*arrival*/) {
     return false;
@@ -368,26 +372,44 @@ class SimNetwork final : public EventSink {
   /// (node reached, node it came from) of a frontier entry's link.
   [[nodiscard]] std::pair<net::NodeId, net::NodeId> linkEnds(
       std::uint64_t key) const;
+  /// Calls `cross(link, link_child, upward)` for every tree link `node`
+  /// floods across, other than the one to `came_from`: its parent link
+  /// first (when `up` is set), then its child links in tree order.
+  template <typename Cross>
+  void forEachFloodLink(net::NodeId node, net::NodeId came_from, bool up,
+                        Cross&& cross) const;
+  /// Whether `flood` loses its crossing of the tree link above `link_child`
+  /// (CSR half-edge `slot`), by its forced pattern or its keyed draw.
+  [[nodiscard]] bool floodLost(const Flood& flood, net::NodeId link_child,
+                               std::uint32_t slot) const;
   /// Crosses every tree link `node` floods across, other than the one to
   /// `came_from`, entered at `at`: its parent link first (unless the flood
   /// is down-only or `node` is its boundary), then its child links in tree
   /// order.
   void expandFlood(std::uint32_t flood, net::NodeId node,
                    net::NodeId came_from, TimeMs at);
-  /// Pops the frontier (or walks the schedule), expanding routers, until an
-  /// agent arrival is found and scheduled as the flood's cursor; closes the
-  /// flood when none is left.
+  /// Pops the frontier, expanding routers, until an agent arrival is found
+  /// and scheduled as the flood's cursor; closes the flood when none is
+  /// left.
   void advanceFlood(std::uint32_t flood);
   /// advanceFlood() for a replayed flood: walks its schedule from the next
-  /// entry, skipping links it never crossed or lost, and folds each
-  /// arrival reached from its flood-parent's.
+  /// entry to the next agent arrival it cannot hand to the sink's absorb(),
+  /// and schedules that as its cursor; closes the flood at the schedule's
+  /// end.  Each entry whose flood-parent was reached is the link's one
+  /// crossing: counted, drawn and read against the link's timeline there,
+  /// then folded from the flood-parent's arrival.
   void replayFlood(std::uint32_t flood);
+  /// Traces (a sink is installed) the crossings of every link a replayed
+  /// flood crosses out of `node`, reached at `at`, where expandFlood()
+  /// would: the walk handles each crossing later, when it reaches it.
+  void traceReplayedLinks(std::uint32_t flood, net::NodeId node,
+                          net::NodeId came_from, TimeMs at);
   /// Releases the flood's pattern reference and its arena slot.
   void closeFlood(std::uint32_t flood);
   /// Switches the just-opened `flood`, a whole-tree flood from member
   /// `origin` starting now, to replay when its origin's schedule (built on
-  /// first use) is proven for the current time.
-  void tryReplay(std::uint32_t flood, net::NodeId origin);
+  /// first use) is proven for the current time; returns whether it did.
+  bool tryReplay(std::uint32_t flood, net::NodeId origin);
   /// The index into schedules_ of `origin`'s flood schedule, built now:
   /// kNilSlot when its order is not proven for any start time or does not
   /// fit the entry layout.
@@ -416,7 +438,7 @@ class SimNetwork final : public EventSink {
   /// Counts and traces a crossing of `slot` from `from` to `to` started at
   /// `at`; false when its link is down then or `lost` (the send's own loss
   /// draw) holds, the drop counted and traced too.  Every crossing of every
-  /// send goes through here.
+  /// send but a replayed flood's goes through here.
   bool survives(std::uint32_t slot, TimeMs at, net::NodeId from,
                 net::NodeId to, const Packet& packet, bool lost);
   /// survives() with a trace sink or a link timeline: traces the crossing,
@@ -483,7 +505,8 @@ class SimNetwork final : public EventSink {
   // ascending; the link is down where an odd number of them lie at or
   // before the time (empty until the first change is staged).
   // latest_crossing_ is the latest time any crossing read its link's state
-  // (tracked for the staging contract only).
+  // (tracked for the staging contract only; a replayed flood reads a
+  // crossing's when its walk reaches it, or its trace records are made).
   bool chaos_active_ = false;
   std::uint64_t dup_threshold_ = 0;  // lossThreshold(duplication prob)
   double jitter_ms_ = 0.0;
@@ -526,10 +549,9 @@ class SimNetwork final : public EventSink {
     bool down_only = false;
     // Replay (schedule != kNilSlot) instead of the frontier: the schedule's
     // arrival slots (a negative time for a link the flood never crossed or
-    // lost; every record holds the largest schedule's) and the surviving
-    // crossings not yet walked to (none left closes the flood).
+    // lost; every record holds the largest schedule's).  The walk's end
+    // closes the flood.
     std::uint32_t schedule = kNilSlot;
-    std::uint32_t pending = 0;
     std::vector<TimeMs> arrivals;
 #if RMRN_CHECKS_ENABLED
     TimeMs last_arrival = 0.0;  // the latest arrival replayed

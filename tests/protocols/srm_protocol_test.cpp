@@ -329,28 +329,115 @@ TEST(SrmAbsorbTest, RepairTimerArmedAfterTheFloodStartedIsSuppressed) {
   EXPECT_GT(timers(false), timers(true));
 }
 
-TEST(SrmAbsorbTest, SecondRepairInFlightToAHolderStaysLive) {
-  // Repair floods from 8 (at 20) and 4 (at 21) are both in flight to 3:
-  // 8's lands at 30.875 and is absorbed first, so 4's, landing at 25.25,
-  // stays live.  Requests then land between the two holds (30.75, from 4
-  // at 26.5) and past both (30.9375, from 7 at 28).
+/// The flood cursors an absorbing run of `scenario` fires.
+std::uint64_t absorbingCursors(
+    const std::function<void(AbsorbRun&)>& scenario) {
+  AbsorbRun run(false);
+  scenario(run);
+  run.base.sim.run();
+  return run.base.sim.eventsProcessed(sim::EventKind::kFloodCursor);
+}
+
+/// Every member holds seq 0, and repair floods from 8 (at 20), 4 (at 21)
+/// and 7 (at 22) are in flight together: they reach 3 at 30.875, 25.25 and
+/// 24.9375, and every other agent once each too.
+void threeRepairFloods(AbsorbRun& run) {
+  run.protocol.sourceMulticast(0, run.base.noLoss());
+  run.floodAt(20.0, 8, repairOf(8));
+  run.floodAt(21.0, 4, repairOf(4));
+  run.floodAt(22.0, 7, repairOf(7));
+}
+
+TEST(SrmAbsorbTest, ThreeOverlappingRepairsToAHolderAreAbsorbed) {
+  // 3 keeps all three pending (absorbed out of arrival order), and so does
+  // the source; each other agent keeps two.  A request from 7 at 28 lands
+  // at 3 at 30.9375, after all three: 3 settles them, holds from 30.875 and
+  // returns.
+  const auto scenario = [](AbsorbRun& run) {
+    threeRepairFloods(run);
+    run.floodAt(28.0, 7, requestOf(7));
+  };
+  // 4 agents in each of the 3 repair floods.
+  EXPECT_GE(expectAbsorbingMatchesLive(scenario), 12u);
+  // Only the data flood's 4 deliveries fire as cursors.
+  EXPECT_EQ(absorbingCursors(threeRepairFloods), 4u);
+}
+
+TEST(SrmAbsorbTest, RequestBetweenTwoPendingRepairsReadsTheEarlierHold) {
+  // Repairs from 8 (at 20) and 4 (at 21) are pending at 3, landing at
+  // 30.875 and 25.25.  25.25's hold runs to 25.25 + 3 * 1.75 = 30.5.  A
+  // request from 4 at 26.5 lands at 3 at 30.75, between the two and past
+  // the first's hold: it fires, and 3 arms a repair timer that the second
+  // arrival (30.875) cancels when it settles.  One from 7 at 25 lands at
+  // 27.9375, inside the first's hold; one from 7 at 28 lands at 30.9375,
+  // inside the second's.
   const auto scenario = [](AbsorbRun& run) {
     run.protocol.sourceMulticast(0, run.base.noLoss());
     run.floodAt(20.0, 8, repairOf(8));
     run.floodAt(21.0, 4, repairOf(4));
+    run.floodAt(25.0, 7, requestOf(7));
     run.floodAt(26.5, 4, requestOf(4));
     run.floodAt(28.0, 7, requestOf(7));
   };
   EXPECT_GT(expectAbsorbingMatchesLive(scenario), 0u);
-  // While 8's repair is pending at 3, a further one is refused (and the
-  // refusal changes nothing).
   AbsorbRun run(false);
   scenario(run);
   sim::DeliverySink& sink = run.protocol;
-  bool second = true;
-  run.calls.at(21.5, [&] { second = sink.absorb(3, repairOf(4), 25.25); });
+  bool in_first = false;
+  bool between = true;
+  bool in_second = false;
+  run.calls.at(21.5, [&] {
+    in_first = sink.absorb(3, requestOf(7), 27.9375);
+    between = sink.absorb(3, requestOf(4), 30.75);
+    in_second = sink.absorb(3, requestOf(7), 30.9375);
+  });
   run.base.sim.run();
-  EXPECT_FALSE(second);
+  EXPECT_TRUE(in_first);
+  EXPECT_FALSE(between);
+  EXPECT_TRUE(in_second);
+}
+
+TEST(SrmAbsorbTest, FullPendingListFallsBackToALiveCursor) {
+  // Three repairs are pending at 3 when the source's repair, sent at 22.5,
+  // reaches it at 24.25, before any of them: the list is full, so that
+  // arrival fires, and the three still settle in order after it.  Every
+  // other agent gets three repairs and absorbs them all.
+  const auto four_repairs = [](AbsorbRun& run) {
+    threeRepairFloods(run);
+    run.floodAt(22.5, 0, repairOf(0));
+  };
+  const auto scenario = [&four_repairs](AbsorbRun& run) {
+    four_repairs(run);
+    run.floodAt(26.5, 4, requestOf(4));
+    run.floodAt(28.0, 7, requestOf(7));
+  };
+  EXPECT_GT(expectAbsorbingMatchesLive(scenario), 0u);
+  // The data flood's 4 deliveries and the one repair at 3.
+  EXPECT_EQ(absorbingCursors(four_repairs), 5u);
+}
+
+TEST(SrmAbsorbTest, SecondRepairInFlightToAHolderStaysLive) {
+  // Named when a holder kept one absorbed repair pending; it now keeps
+  // three, and a repair in flight past them stays live.  The three repair
+  // floods leave 3 with three pending arrivals by 22, so a fourth offered
+  // at 22.25 is refused, and the refusal changes nothing.
+  const auto scenario = [](AbsorbRun& run) {
+    threeRepairFloods(run);
+    run.floodAt(26.5, 4, requestOf(4));
+    run.floodAt(28.0, 7, requestOf(7));
+  };
+  EXPECT_GT(expectAbsorbingMatchesLive(scenario), 0u);
+  AbsorbRun unprobed(false);
+  scenario(unprobed);
+  unprobed.base.sim.run();
+  AbsorbRun run(false);
+  scenario(run);
+  sim::DeliverySink& sink = run.protocol;
+  bool fourth = true;
+  run.calls.at(22.25, [&] { fourth = sink.absorb(3, repairOf(0), 24.25); });
+  run.base.sim.run();
+  EXPECT_FALSE(fourth);
+  EXPECT_TRUE(Observed(run) == Observed(unprobed));
 }
 
 TEST(SrmAbsorbTest, RequestAtExactHoldExpiryStaysLive) {
@@ -422,6 +509,37 @@ TEST(SrmAbsorbTest, AbsorbingEqualsLiveOnRandomLossyTrees) {
     EXPECT_LT(runs[0]->base.sim.eventsProcessed(),
               runs[1]->base.sim.eventsProcessed());
   }
+}
+
+TEST(SrmAbsorbTest, SweptPendingArrivalsEqualLive) {
+  // On a larger tree many holders keep two or three repairs pending at
+  // once, most of them past due with no handler left to settle them, so
+  // the side table is swept of due entries before it grows.  The sweep
+  // applies them as settling would: every observation still equals the run
+  // that absorbs nothing.
+  util::Rng rng(11);
+  net::TopologyConfig config;
+  config.num_nodes = 200;
+  const net::Topology topology = net::generateTopology(config, rng);
+  std::unique_ptr<AbsorbRun> runs[2];
+  for (int live = 0; live < 2; ++live) {
+    runs[live] = std::make_unique<AbsorbRun>(live == 1, 0.05, 11, topology);
+    AbsorbRun& run = *runs[live];
+    util::Rng loss(17);
+    for (std::uint64_t seq = 0; seq < 24; ++seq) {
+      sim::LinkLossPattern pattern = run.base.noLoss();
+      for (std::size_t m = 1; m < pattern.size(); ++m) {
+        pattern[m] = loss.uniform01() < 0.05;
+      }
+      run.calls.at(static_cast<double>(seq) * 5.0, [&run, seq, pattern] {
+        run.protocol.sourceMulticast(seq, pattern);
+      });
+    }
+    run.base.sim.run();
+    EXPECT_TRUE(run.protocol.allRecovered());
+  }
+  EXPECT_GT(runs[0]->base.network.stats().absorbed_arrivals, 10'000u);
+  EXPECT_TRUE(Observed(*runs[0]) == Observed(*runs[1]));
 }
 
 TEST(SrmAbsorbTest, ChaosFaultPlansAndPeerHealthAbsorbNothing) {

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "net/graph.hpp"
@@ -21,9 +22,11 @@
 #include "net/topology.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "support/delivery_fn.hpp"
 #include "support/scheduled_calls.hpp"
 #include "support/tie_trees.hpp"
 #include "support/transport_diff.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace rmrn::sim {
@@ -203,6 +206,35 @@ TEST_P(FloodScheduleRandomTest, LinkTimelineDropsMatchReference) {
   EXPECT_GT(fast.stats.chaos_link_drops, 0u);
 }
 
+TEST_P(FloodScheduleRandomTest, WalksCutByRunWindowsMatchReference) {
+  // A replayed flood handles each crossing when its walk reaches it, and
+  // the walk stops at every agent arrival it cannot hand over.  Running in
+  // short run(until) windows stops the clock in the middle of those walks;
+  // once everything has run, keyed-lossy and forced-pattern floods over
+  // links with timelines count, load and trace exactly as the reference.
+  const net::Topology topo = randomTopology(GetParam() + 600, 90);
+  ASSERT_GE(topo.clients.size(), 4u);
+  const Scenario floods = wholeTreeFloods(topo, GetParam() + 19);
+  const Scenario scenario = [&topo, floods](auto& net,
+                                            ScheduledCalls& calls) {
+    const auto& members = topo.tree.members();
+    for (std::size_t m = 2; m < members.size(); m += 4) {
+      const TimeMs down = 0.3 + 0.41 * static_cast<TimeMs>(m % 11);
+      net.stageLinkState(topo.tree.parent(members[m]), members[m], down,
+                         /*up=*/false);
+      net.stageLinkState(topo.tree.parent(members[m]), members[m],
+                         down + 2.5, /*up=*/true);
+    }
+    floods(net, calls);
+  };
+  const Outcome fast = expectClosedFormMatchesReference(
+      topo, 0.1, scenario, /*react=*/{}, /*window=*/0.25);
+  EXPECT_EQ(fast.floods_replayed, kWholeTreeFloods);
+  EXPECT_GT(fast.windows_cut, 10u);
+  EXPECT_GT(fast.stats.chaos_link_drops, 0u);
+  EXPECT_GT(fast.stats.packets_lost, fast.stats.chaos_link_drops);
+}
+
 TEST_P(FloodScheduleRandomTest, JitterKeepsTheFrontier) {
   // Jitter changes every crossing's delay, so no static order exists.
   const net::Topology topo = randomTopology(GetParam() + 500, 90);
@@ -291,6 +323,46 @@ TEST(FloodScheduleNearTieTest, FloodPastTheProvenBoundTakesTheFrontier) {
   EXPECT_EQ(fast.deliveries[3].at, 3u);
   EXPECT_EQ(fast.deliveries[2].time, fast.deliveries[3].time);
 }
+
+#if RMRN_CHECKS_ENABLED
+TEST(FloodScheduleStagingTest, ChangeAtACrossingTheWalkReadIsRefused) {
+  // Source 0 -> router 1 -> agent 2 -> agent 3.  A flood from 0 at time 0
+  // walks ahead of the clock: it reads the crossings out of 0 (at 0) and 1
+  // (at 1.5) and stops at 2's arrival (2.25).  A change at or before 1.5
+  // would rewrite a crossing already read: refused.  The crossing out of 2
+  // is read only when 2's cursor fires, so a change at its time, 2.25, is
+  // still accepted, and drops it.
+  net::Topology topo;
+  topo.graph = net::Graph(4);
+  topo.graph.addEdge(0, 1, 1.5);
+  topo.graph.addEdge(1, 2, 0.75);
+  topo.graph.addEdge(2, 3, 0.375);
+  topo.tree = net::MulticastTree(0, {net::kInvalidNode, 0, 1, 2});
+  topo.source = 0;
+  topo.clients = {2, 3};
+  const net::Routing routing(topo.graph);
+  Simulator sim;
+  SimNetwork network(sim, topo, routing, 0.0, 1);
+  std::vector<std::pair<TimeMs, NodeId>> delivered;
+  test_support::DeliveryFn on_deliver([&](NodeId at, const Packet&) {
+    delivered.emplace_back(sim.now(), at);
+  });
+  network.setDeliverySink(&on_deliver);
+  network.multicastFromSource(packet(Packet::Type::kData, 0, 0));
+  EXPECT_EQ(network.floodsReplayed(), 1u);
+  EXPECT_THROW(network.stageLinkState(0, 1, 0.0, false),
+               util::ContractViolation);
+  EXPECT_THROW(network.stageLinkState(1, 2, 1.5, false),
+               util::ContractViolation);
+  EXPECT_NO_THROW(network.stageLinkState(2, 3, 2.25, false));
+  sim.run();
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(delivered[0], std::make_pair(TimeMs{2.25}, NodeId{2}));
+  EXPECT_EQ(network.stats().data_hops, 3u);
+  EXPECT_EQ(network.stats().chaos_link_drops, 1u);
+  EXPECT_EQ(network.stats().packets_lost, 1u);
+}
+#endif  // RMRN_CHECKS_ENABLED
 
 }  // namespace
 }  // namespace rmrn::sim

@@ -64,6 +64,9 @@ struct Outcome {
   std::uint64_t arrival_events = 0;
   /// Closed form only: floods that replayed their origin's schedule.
   std::uint64_t floods_replayed = 0;
+  /// Stepped runs only: run(until) windows that ended with a flood cursor
+  /// pending, i.e. in the middle of a flood's walk.
+  std::uint64_t windows_cut = 0;
 };
 
 /// A callable run on either transport: one std::function per network type,
@@ -96,9 +99,11 @@ using Scenario = Both<test_support::ScheduledCalls&>;
 /// Extra work the delivery handler does after recording a delivery.
 using Reaction = Both<NodeId, const Packet&>;
 
+/// Runs `scenario` to completion, in run(until) windows `window` long when
+/// `window` is positive.
 template <typename Net>
 Outcome run(const net::Topology& topo, double loss_prob,
-            const Scenario& scenario, const Reaction& react) {
+            const Scenario& scenario, const Reaction& react, TimeMs window) {
   const net::Routing routing(topo.graph);
   Simulator sim;
   Net network(sim, topo, routing, loss_prob, lossSeedOf(util::Rng(5)));
@@ -112,7 +117,14 @@ Outcome run(const net::Topology& topo, double loss_prob,
   network.setDeliverySink(&on_deliver);
   test_support::ScheduledCalls calls(sim);
   scenario(network, calls);
-  sim.run();
+  if (window > 0.0) {
+    for (TimeMs until = window; !sim.idle(); until += window) {
+      sim.run(until);
+      if (sim.pendingCursors() > 0) ++out.windows_cut;
+    }
+  } else {
+    sim.run();
+  }
   out.stats = network.stats();
   for (NodeId a = 0; a < topo.graph.numNodes(); ++a) {
     for (const net::HalfEdge& half : topo.graph.neighbors(a)) {
@@ -135,9 +147,9 @@ Outcome run(const net::Topology& topo, double loss_prob,
 
 inline Outcome simulate(const net::Topology& topo, double loss_prob,
                         bool reference, const Scenario& scenario,
-                        const Reaction& react = {}) {
-  return reference ? run<HopNetwork>(topo, loss_prob, scenario, react)
-                   : run<SimNetwork>(topo, loss_prob, scenario, react);
+                        const Reaction& react = {}, TimeMs window = 0.0) {
+  return reference ? run<HopNetwork>(topo, loss_prob, scenario, react, window)
+                   : run<SimNetwork>(topo, loss_prob, scenario, react, window);
 }
 
 inline auto traceFields(const TraceEvent& e) {
@@ -181,13 +193,16 @@ inline void expectSameStats(const NetworkStats& a, const NetworkStats& b) {
   EXPECT_EQ(a.duplicates_created, b.duplicates_created);
 }
 
-/// Runs `scenario` on both paths and requires identical outcomes.  Returns
-/// the closed-form run for scenario-specific checks.
+/// Runs `scenario` on both paths (the closed form in run(until) windows
+/// `window` long when it is positive) and requires identical outcomes.
+/// Returns the closed-form run for scenario-specific checks.
 inline Outcome expectClosedFormMatchesReference(const net::Topology& topo,
                                                 double loss_prob,
                                                 const Scenario& scenario,
-                                                const Reaction& react = {}) {
-  const Outcome fast = simulate(topo, loss_prob, false, scenario, react);
+                                                const Reaction& react = {},
+                                                TimeMs window = 0.0) {
+  const Outcome fast =
+      simulate(topo, loss_prob, false, scenario, react, window);
   const Outcome ref = simulate(topo, loss_prob, true, scenario, react);
   expectEventPerArrival(fast, ref);
   EXPECT_FALSE(fast.deliveries.empty());
