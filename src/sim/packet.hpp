@@ -1,6 +1,7 @@
 // Packet model shared by all recovery protocols.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string_view>
 
@@ -25,6 +26,8 @@ struct Packet {
   net::NodeId requester = net::kInvalidNode;
   /// Protocol-defined tag (e.g. an RMA search hop index).
   std::uint64_t tag = 0;
+
+  friend auto operator<=>(const Packet&, const Packet&) = default;
 };
 
 // Coded-repair tag packing (protocols::CodedProtocol).  A coded repair is a
