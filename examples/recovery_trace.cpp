@@ -5,6 +5,7 @@
 //
 // Usage: recovery_trace [seed]
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <memory>
 
@@ -33,7 +34,7 @@ void runOne(const char* name, const net::Topology& topo,
                           sim::lossSeedOf(util::Rng(1)));
   metrics::RecoveryMetrics recovery;
   sim::TraceRecorder trace;
-  network.setTraceSink(trace.sink());
+  network.setTraceSink(&trace);
 
   auto protocol = make(network, recovery);
   protocol->attach();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "net/routing.hpp"
 #include "net/topology.hpp"
@@ -38,7 +39,7 @@ struct TraceFixture : ::testing::Test {
         routing(topo.graph),
         network(sim, topo, routing, 0.0, lossSeedOf(util::Rng(1))) {
     network.setDeliverySink(&on_deliver);
-    network.setTraceSink(recorder.sink());
+    network.setTraceSink(&recorder);
   }
   net::Topology topo;
   net::Routing routing;
@@ -124,6 +125,39 @@ TEST_F(TraceFixture, ClearResets) {
   EXPECT_FALSE(recorder.events().empty());
   recorder.clear();
   EXPECT_TRUE(recorder.events().empty());
+}
+
+TEST(TraceRecorderTest, RecordsOfOneTimeReadTheSameInAnyEmissionOrder) {
+  // Records of one time, emitted in two opposite orders, dump identically:
+  // by time, then deliveries, sends and drops, then from, to and packet.
+  const Packet repair{Packet::Type::kRepair, 4, 2, 3, 0};
+  const Packet request{Packet::Type::kRequest, 4, 3, 3, 0};
+  const std::vector<TraceEvent> records = {
+      {1.5, TraceEvent::Kind::kHopDrop, 1, 2, repair},
+      {1.5, TraceEvent::Kind::kHopSend, 1, 2, repair},
+      {1.5, TraceEvent::Kind::kHopSend, 1, 0, repair},
+      {1.5, TraceEvent::Kind::kHopSend, 1, 2, request},
+      {1.5, TraceEvent::Kind::kDeliver, net::kInvalidNode, 1, repair},
+      {0.5, TraceEvent::Kind::kHopSend, 2, 1, repair},
+  };
+  TraceRecorder forward;
+  TraceRecorder backward;
+  for (const TraceEvent& e : records) forward.record(e);
+  for (auto e = records.rbegin(); e != records.rend(); ++e) {
+    backward.record(*e);
+  }
+  std::ostringstream forward_dump;
+  std::ostringstream backward_dump;
+  forward.dump(forward_dump);
+  backward.dump(backward_dump);
+  EXPECT_EQ(forward_dump.str(), backward_dump.str());
+  EXPECT_EQ(forward_dump.str(),
+            "+ 0.500 2 1 REPAIR 4\n"
+            "r 1.500 - 1 REPAIR 4\n"
+            "+ 1.500 1 0 REPAIR 4\n"
+            "+ 1.500 1 2 REQUEST 4\n"
+            "+ 1.500 1 2 REPAIR 4\n"
+            "d 1.500 1 2 REPAIR 4\n");
 }
 
 TEST(TraceOffTest, NoSinkNoEvents) {

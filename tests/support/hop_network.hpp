@@ -64,7 +64,7 @@ class HopNetwork final : public sim::EventSink {
   }
 
   void setDeliverySink(sim::DeliverySink* sink) { sink_ = sink; }
-  void setTraceSink(sim::TraceSink sink) { trace_sink_ = std::move(sink); }
+  void setTraceSink(sim::TraceRecorder* recorder) { recorder_ = recorder; }
   void setAgentFault(net::NodeId agent, sim::AgentFault fault,
                      double slow_extra_ms = 0.0) {
     fault_[agent] = fault;
@@ -243,8 +243,9 @@ class HopNetwork final : public sim::EventSink {
   }
   void trace(sim::TraceEvent::Kind kind, net::NodeId from, net::NodeId to,
              const sim::Packet& packet) {
-    if (trace_sink_) {
-      trace_sink_(sim::TraceEvent{simulator_.now(), kind, from, to, packet});
+    if (recorder_ != nullptr) {
+      recorder_->record(
+          sim::TraceEvent{simulator_.now(), kind, from, to, packet});
     }
   }
   void countHop(const sim::Packet& packet, net::NodeId a, net::NodeId b) {
@@ -387,7 +388,7 @@ class HopNetwork final : public sim::EventSink {
       link_changes_;
   std::map<std::pair<net::NodeId, net::NodeId>, std::uint64_t> link_load_;
   sim::DeliverySink* sink_ = nullptr;
-  sim::TraceSink trace_sink_;
+  sim::TraceRecorder* recorder_ = nullptr;
   sim::NetworkStats stats_;
   std::vector<Pending> pending_;
   std::uint64_t events_ = 0;
