@@ -8,9 +8,9 @@
 //   * every NetworkStats counter, packets_lost and the chaos counters
 //     included;
 //   * the recovery load of every graph link;
-//   * the trace: the same records in time order (records of one bit-equal
-//     time compared as a set, since the closed form emits a send's hop
-//     records when it decides them, the reference as it crosses them).
+//   * the trace: the same records, in TraceRecorder's canonical order (the
+//     closed form records a send's hops when it decides them, the
+//     reference as it crosses them).
 // Loss, jitter and duplication are keyed draws (sim/keyed_loss.hpp) and
 // link state is a staged timeline, so the closed form decides a link when
 // it expands the link, and both lose, delay and copy the same packets.
