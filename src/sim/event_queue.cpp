@@ -1,24 +1,10 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "util/check.hpp"
 
 namespace rmrn::sim {
-
-namespace {
-
-// Min-heap order on (time, stamp, seq) for std::push_heap/pop_heap.
-template <typename Entry>
-bool later(const Entry& a, const Entry& b) {
-  if (a.order != b.order) return a.order > b.order;
-  if (a.stamp != b.stamp) return a.stamp > b.stamp;
-  return a.key > b.key;
-}
-
-}  // namespace
 
 std::uint32_t EventQueue::acquireSlotSlow() {
   if (slots_.size() >= kMaxSlots) {
@@ -88,7 +74,7 @@ void EventQueue::scheduleDecidedEvent(TimeMs at, TimeMs stamp,
   // rmrn-lint: allow(HOT-1) the stamped heap grows to its high-water mark, then reuses capacity (alloc_tests)
   stamped_.push_back(StampedEntry{timeOrder(at), timeOrder(stamp),
                                   (slots_[slot].seq << kSlotBits) | slot});
-  std::push_heap(stamped_.begin(), stamped_.end(), later<StampedEntry>);
+  util::quad_heap::siftUp(stamped_.data(), stamped_.size() - 1);
 }
 
 bool EventQueue::stampedFirst(bool lane_first) const {
@@ -96,22 +82,21 @@ bool EventQueue::stampedFirst(bool lane_first) const {
   // for a cursor its flood's.
   if (lane_first) {
     const HeapEntry& top = lane_[0];
-    return later(StampedEntry{top.order, cursor_stamp_[top.slot()], top.key},
-                 stamped_.front());
+    return before(stamped_.front(),
+                  StampedEntry{top.order, cursor_stamp_[top.slot()], top.key});
   }
   if (heap_.empty()) return true;
   const HeapEntry& top = heap_[0];
-  return later(
-      StampedEntry{top.order, timeOrder(slots_[top.slot()].stamp), top.key},
-      stamped_.front());
+  return before(
+      stamped_.front(),
+      StampedEntry{top.order, timeOrder(slots_[top.slot()].stamp), top.key});
 }
 
 bool EventQueue::fireStamped(TimeMs until, TimeMs* clock) {
   const StampedEntry top = stamped_.front();
   const TimeMs time = timeOfOrder(top.order);
   if (time > until) return false;
-  std::pop_heap(stamped_.begin(), stamped_.end(), later<StampedEntry>);
-  stamped_.pop_back();
+  util::quad_heap::popRoot(stamped_);
   fire(static_cast<std::uint32_t>(top.key & kSlotMask), time, clock);
   return true;
 }

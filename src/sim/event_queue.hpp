@@ -174,6 +174,13 @@ class EventQueue {
     std::uint64_t order;  // timeOrder(time)
     std::uint64_t stamp;  // timeOrder(stamp)
     std::uint64_t key;    // (seq << kSlotBits) | slot
+
+    /// The (time, stamp, seq) order, which util::quad_heap finds by ADL.
+    friend bool before(const StampedEntry& a, const StampedEntry& b) {
+      if (a.order != b.order) return a.order < b.order;
+      if (a.stamp != b.stamp) return a.stamp < b.stamp;
+      return a.key < b.key;
+    }
   };
   [[nodiscard]] static EventId makeId(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(gen) << 32) | slot;
@@ -277,7 +284,7 @@ class EventQueue {
   // The heap is an ordering index only; lazily dropping dead entries from
   // the top mutates no observable state, hence mutable for const queries.
   mutable std::vector<HeapEntry> heap_;
-  std::vector<StampedEntry> stamped_;  // a binary heap, never cancelled
+  std::vector<StampedEntry> stamped_;  // a 4-ary heap, never cancelled
   // The cursor lane: a 4-ary heap of (time, (seq << 20) | flood) keys, and
   // by flood id the timeOrder() of the time its pending cursor was
   // scheduled at, its stamp (read only to tie against a stamped event;

@@ -1,12 +1,14 @@
 // Flat 4-ary min-heap primitives over (order, key) entries, shared by the
-// EventQueue's ordering index, SimNetwork's flood frontiers and Routing's
-// Dijkstra kernel.
+// EventQueue's ordering index and stamped heap, SimNetwork's flood
+// frontiers and Routing's Dijkstra kernel.
 //
 // An entry is any struct with two std::uint64_t members, `order` and `key`,
 // ordered as the one unsigned 128-bit integer (order, key).  That compare
 // compiles without branches, and the child scan in siftDown selects with
 // arithmetic instead of a jump: heap comparisons are data-dependent coin
-// flips, and a conditional jump there mispredicts about half the time.
+// flips, and a conditional jump there mispredicts about half the time.  An
+// entry type with another order supplies a non-template `before(a, b)`
+// found by argument-dependent lookup (EventQueue's stamped entries).
 #pragma once
 
 #include <algorithm>
