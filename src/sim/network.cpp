@@ -523,16 +523,35 @@ void SimNetwork::unicast(net::NodeId from, net::NodeId to, Packet packet) {
     simulator_.scheduleEventAfter(0.0, this, self);
     return;
   }
+  const RouteSpan route = routeOf(from, to);
+  walkUnicast(route.begin, route.begin + route.hops, from, nextKey(from),
+              packet, simulator_.now());
+}
+
+SimNetwork::RouteSpan SimNetwork::routeOf(net::NodeId from, net::NodeId to) {
+  const std::uint64_t pair = (std::uint64_t{from} << 32) | to;
+  if (const RouteSpan* cached = routes_.find(pair)) return *cached;
+  // The pair's first send: resolve its route to CSR slots once.  Nothing
+  // is cached until the route is known to exist.
   routing_.pathInto(from, to, route_);
   if (route_.size() < 2) {
     throw std::invalid_argument("SimNetwork::unicast: no route " +
                                 std::to_string(from) + " -> " +
                                 std::to_string(to));
   }
-  walkUnicast(0, nextKey(from), packet, simulator_.now());
+  const RouteSpan route{static_cast<std::uint32_t>(route_slots_.size()),
+                        static_cast<std::uint32_t>(route_.size() - 1)};
+  for (std::size_t hop = 0; hop + 1 < route_.size(); ++hop) {
+    // rmrn-lint: allow(HOT-1) route cache warm-up: grows once per pair's first send, then is only read (alloc_tests)
+    route_slots_.push_back(edgeSlot(route_[hop], route_[hop + 1]));
+  }
+  // The table, like the arena, grows only here, at a pair's first send.
+  routes_[pair] = route;
+  return route;
 }
 
-void SimNetwork::walkUnicast(std::uint32_t hop, SendKey key,
+void SimNetwork::walkUnicast(std::uint32_t hop, std::uint32_t end,
+                             net::NodeId from, SendKey key,
                              const Packet& packet, TimeMs at) {
   const std::uint64_t send_hash = sendHash(loss_seed_, key);
   // Fold the arrival hop by hop, as a hop-by-hop forwarder advances the
@@ -540,10 +559,9 @@ void SimNetwork::walkUnicast(std::uint32_t hop, SendKey key,
   // walk crosses other regions too: every draw on the way is a pure
   // function of the send and the link, and every region stages the same
   // link timeline, so this region decides each hop as theirs would.
-  for (; hop + 1 < route_.size(); ++hop) {
-    const net::NodeId from = route_[hop];
-    const net::NodeId to = route_[hop + 1];
-    const std::uint32_t slot = edgeSlot(from, to);
+  for (; hop != end; ++hop) {
+    const std::uint32_t slot = route_slots_[hop];
+    const net::NodeId to = edge_peer_[slot];
     if (!survives(slot, at, from, to, packet, lostOn(send_hash, slot))) {
       return;
     }
@@ -552,12 +570,13 @@ void SimNetwork::walkUnicast(std::uint32_t hop, SendKey key,
     if (dup_threshold_ != 0 &&
         duplicated(slot, at, packet, send_hash, copy)) {
       // The copy is a second transmission: it walks the rest of the route
-      // with its own key.
-      walkUnicast(hop + 1, copy.key, packet, copy.arrival);
+      // from the link's far end with its own key.
+      walkUnicast(hop + 1, end, to, copy.key, packet, copy.arrival);
     }
+    from = to;
     at = arrival;
   }
-  const net::NodeId dest = route_.back();
+  const net::NodeId dest = from;
   if (isShardLocal(dest)) {
     EventRecord record{EventKind::kDeliver, {}};
     record.data.deliver = DeliverEvent{dest, /*direct=*/false, packet};
@@ -938,11 +957,15 @@ void SimNetwork::replayFlood(std::uint32_t flood) {
   // A reference stays valid: nothing in the walk opens a flood record
   // (absorb() sends nothing).
   Flood& f = floods_[flood];
-  const std::vector<std::uint32_t>& entries = schedules_[f.schedule].entries;
+  // The schedule in locals: the walk's stores to counters could alias a
+  // vector's begin and end, which would be reloaded on every entry.
+  const std::vector<std::uint32_t>& schedule = schedules_[f.schedule].entries;
+  const std::uint32_t* const entries = schedule.data();
+  const auto count = static_cast<std::uint32_t>(schedule.size());
   const LinkLossPattern* pattern =
       isPatternKey(f.key) ? &patterns_[patternOf(f.key)] : nullptr;
   TimeMs* const arrivals = f.arrivals.data();
-  for (std::uint32_t next = f.next_seq; next < entries.size();) {
+  for (std::uint32_t next = f.next_seq; next < count;) {
     const std::uint32_t entry = entries[next++];
     const TimeMs parent_at =
         arrivals[(entry >> kEntryParentShift) & kEntrySlotMask];

@@ -48,7 +48,8 @@
 //
 // The forwarding hot path is allocation-free at steady state: in-flight
 // deliveries are typed records (sim/event.hpp) in the queue's slab and
-// cursors are keys on its lane, a unicast walks one scratch route, forced
+// cursors are keys on its lane, a unicast walks its pair's cached route of
+// CSR slots (built on the pair's first send, read on every later one), forced
 // loss patterns in a refcounted pattern arena shared by the flood records
 // of one data packet, floods in a recycled flood arena whose frontiers and
 // replay slots keep their capacity, flood schedules are built once per
@@ -79,6 +80,7 @@
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "util/check.hpp"
+#include "util/flat_table.hpp"
 
 namespace rmrn::sim {
 
@@ -258,6 +260,7 @@ class SimNetwork final : public EventSink {
   /// Sends `packet` from `from` to `to` along the shortest path.  Loss on
   /// any hop silently drops the packet (recovery relies on timeouts).  Every
   /// send below is keyed by its sending node and that node's send counter.
+  /// Throws std::invalid_argument, on every attempt, when there is no route.
   void unicast(net::NodeId from, net::NodeId to, Packet packet);
 
   /// Source multicast down the tree.  When `forced_loss` is non-null it
@@ -311,6 +314,9 @@ class SimNetwork final : public EventSink {
   [[nodiscard]] std::uint64_t floodsReplayed() const {
     return floods_replayed_;
   }
+  /// (sender, receiver) pairs whose unicast route is cached: every pair
+  /// that has sent, less those with no route.
+  [[nodiscard]] std::size_t cachedRoutes() const { return routes_.size(); }
 
   [[nodiscard]] const net::Topology& topology() const { return topology_; }
   [[nodiscard]] const net::Routing& routing() const { return routing_; }
@@ -338,13 +344,23 @@ class SimNetwork final : public EventSink {
   /// Whether the send with hash `send_hash` (sendHash of its key) is lost
   /// on CSR half-edge `slot`.
   [[nodiscard]] bool lostOn(std::uint64_t send_hash, std::uint32_t slot) const;
-  /// Walks the unicast on route_, at route_[hop] at time `at` and keyed
-  /// `key`: counts every hop now, up to the first one chaos or the key's
-  /// draw loses; walks each chaos duplicate's rest of the route with its
-  /// own key; schedules a kDeliver at each arrival, or in shard mode hands
-  /// an arrival in another region over as its delivery.
-  void walkUnicast(std::uint32_t hop, SendKey key, const Packet& packet,
-                   TimeMs at);
+  /// A cached unicast route: `hops` CSR half-edge slots from
+  /// route_slots_[begin], in forward order.
+  struct RouteSpan {
+    std::uint32_t begin = 0;
+    std::uint32_t hops = 0;
+  };
+  /// The route from `from` to `to` (distinct), built and cached on the
+  /// pair's first send; throws std::invalid_argument, caching nothing,
+  /// when there is none.
+  [[nodiscard]] RouteSpan routeOf(net::NodeId from, net::NodeId to);
+  /// Walks the unicast over route_slots_[hop, end), at node `from` at time
+  /// `at` and keyed `key`: counts every hop now, up to the first one chaos
+  /// or the key's draw loses; walks each chaos duplicate's rest of the
+  /// route with its own key; schedules a kDeliver at each arrival, or in
+  /// shard mode hands an arrival in another region over as its delivery.
+  void walkUnicast(std::uint32_t hop, std::uint32_t end, net::NodeId from,
+                   SendKey key, const Packet& packet, TimeMs at);
   /// Floods from `origin` (throws when it is not a tree member): opens the
   /// record, expands `origin` and schedules the first cursor.
   void startFlood(net::NodeId origin, const Packet& packet, bool down_only,
@@ -487,8 +503,9 @@ class SimNetwork final : public EventSink {
   // CSR edge index: neighbors of v are edge_peer_[edge_offset_[v] ..
   // edge_offset_[v+1]) in ascending NodeId order; edge_id_ and edge_delay_
   // in parallel map each half-edge to its undirected edge's flat id in
-  // [0, numEdges()) and its propagation delay, so one binary search per hop
-  // yields delay, accounting id, and hop counting together.
+  // [0, numEdges()) and its propagation delay, so one slot yields the far
+  // end, delay, accounting id and hop counting together.  Sends hold slots
+  // (tree links, cached routes); only cold paths binary-search a row.
   std::vector<std::uint32_t> edge_offset_;
   std::vector<net::NodeId> edge_peer_;
   std::vector<std::uint32_t> edge_id_;
@@ -507,9 +524,13 @@ class SimNetwork final : public EventSink {
   std::vector<std::vector<TimeMs>> link_changes_;
   TimeMs latest_crossing_ = -Simulator::kForever;
 
-  // The route of the unicast being walked.  A walk ends before its send
-  // returns and its duplicates walk the same route, so one is enough; it is
-  // reserved for the longest simple route, so it never reallocates.
+  // Unicast route cache.  routes_ maps (from << 32) | to to the pair's
+  // span of route_slots_, filled on the pair's first send and only read
+  // after that: routes are static for the run, so no later send walks a
+  // predecessor row or searches a CSR row.  route_ is the scratch a route
+  // is built in, reserved for the longest simple route.
+  util::FlatTable<RouteSpan> routes_;
+  std::vector<std::uint32_t> route_slots_;
   std::vector<net::NodeId> route_;
 
   // Loss-pattern arena: one forced pattern per flood, refcounted by the
